@@ -12,7 +12,8 @@ The package is organized in layers:
   family on (0, 1), conditional mutual information, and exp-log combinations.
 * :mod:`qelab.checks` — the inequality checkers; each returns a result object
   whose ``slack`` is nonnegative when the statement holds.
-* :mod:`qelab.suites` — seeded random ensembles wired to each checker.
+* :mod:`qelab.suites` — seeded random ensembles wired to each checker
+  (``SUITES``) and each exploration (``EXPLORATIONS``), and their trial driver.
 * :mod:`qelab.cli` — the ``qelab`` command-line front end.
 """
 
@@ -27,7 +28,6 @@ from .channels import (
     twirl_mc,
 )
 from .checks import (
-    EXPLORE_KINDS,
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
@@ -50,7 +50,6 @@ from .checks import (
     check_twirl_identity,
     check_unital_trace_bound,
     dw_alpha_profile,
-    explore_conjecture,
     markov_characterizations,
     ssa_surrogate,
     trotter_sequence,
@@ -127,6 +126,6 @@ from .states import (
     state_from_json,
     state_to_json,
 )
-from .suites import SUITES, run_suite, run_trial, trial_rng
+from .suites import EXPLORATIONS, SUITES, explore_conjecture, run_suite, run_trial, trial_rng
 
 __version__ = "0.1.0"

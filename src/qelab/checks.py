@@ -25,6 +25,7 @@ import numpy as np
 
 from .channels import KrausChannel, petz_map, ptrace_channel, require_unital, twirl_exact, twirl_mc
 from .entropy import (
+    _as_matrix,
     cmi,
     exp_log_combination,
     overlap_lower_bound,
@@ -47,25 +48,19 @@ from .linalg import (
     trace_norm,
     unitary_power,
 )
-from .results import ChainResult, CheckResult, ExplorationReport
+from .results import ChainResult, CheckResult
 from .states import (
     DensityMatrix,
     MultipartiteState,
     SubnormalizedOperator,
-    random_density,
-    regularize,
     require_tripartite,
 )
-from .tolerances import DEFAULT_EPS, TOL_IDENTITY, TOL_INEQ, TOL_TRACE
+from .tolerances import TOL_IDENTITY, TOL_INEQ, TOL_TRACE
 
 DEFAULT_T_SAMPLES = (0.3, 0.7, 1.1, 1.9)
 DEFAULT_TROTTER_NS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_DW_ALPHAS = (0.9, 0.5, 0.1) + tuple(2.0**-k for k in range(2, 11))
 DEFAULT_SBW_ALPHAS = tuple(2.0**-k for k in range(1, 13))
-
-
-def _mat(op: SubnormalizedOperator | np.ndarray) -> np.ndarray:
-    return op.mat if isinstance(op, SubnormalizedOperator) else np.asarray(op, dtype=complex)
 
 
 def _same_dims(*states: MultipartiteState) -> tuple[int, ...]:
@@ -84,6 +79,23 @@ def _tri_mats(state: MultipartiteState) -> dict[str, np.ndarray]:
         "b": state.marginal([1]),
         "bc": state.marginal([1, 2]),
     }
+
+
+def _compressed_product(m: dict, dims: Sequence[int], p: float) -> np.ndarray:
+    """hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC."""
+    ab_pow = embed(matrix_power(m["ab"], p / 2.0), dims, (0, 1))
+    b_neg = embed(matrix_power(m["b"], -p / 2.0), dims, (1,))
+    bc_pow = embed(matrix_power(m["bc"], p), dims, (1, 2))
+    return hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
+
+
+def _petz_recovery(m: dict, dims: Sequence[int], keep: str, inv_sqrt_b: np.ndarray) -> np.ndarray:
+    """rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, where keep is
+    "ab" or "bc" and inv_sqrt_b is the embedded rho_B^(-1/2) that both directions share."""
+    other = "bc" if keep == "ab" else "ab"
+    supports = {"ab": (0, 1), "bc": (1, 2)}
+    outer = embed(matrix_sqrt(m[keep]), dims, supports[keep])
+    return outer @ inv_sqrt_b @ embed(m[other], dims, supports[other]) @ inv_sqrt_b @ outer
 
 
 def ssa_surrogate(state: MultipartiteState) -> np.ndarray:
@@ -544,15 +556,9 @@ def markov_characterizations(
         )
         r_petz = max(r_petz, max_sv(lhs - rhs))
 
-    sqrt_ab = embed(matrix_sqrt(m["ab"]), dims, (0, 1))
-    sqrt_bc = embed(matrix_sqrt(m["bc"]), dims, (1, 2))
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), dims, (1,))
-    ab_full = embed(m["ab"], dims, (0, 1))
-    bc_full = embed(m["bc"], dims, (1, 2))
-    recon_from_ab = sqrt_ab @ inv_sqrt_b @ bc_full @ inv_sqrt_b @ sqrt_ab
-    recon_from_bc = sqrt_bc @ inv_sqrt_b @ ab_full @ inv_sqrt_b @ sqrt_bc
-    r_recon_ab = trace_norm(m["abc"] - recon_from_ab)
-    r_recon_bc = trace_norm(m["abc"] - recon_from_bc)
+    r_recon_ab = trace_norm(m["abc"] - _petz_recovery(m, dims, "ab", inv_sqrt_b))
+    r_recon_bc = trace_norm(m["abc"] - _petz_recovery(m, dims, "bc", inv_sqrt_b))
 
     residuals = {
         "r_log": r_log,
@@ -609,10 +615,7 @@ def trotter_sequence(
     quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
     table = []
     for n in n_values:
-        ab_pow = embed(matrix_power(m["ab"], 0.5 / n), dims, (0, 1))
-        b_neg = embed(matrix_power(m["b"], -0.5 / n), dims, (1,))
-        bc_pow = embed(matrix_power(m["bc"], 1.0 / n), dims, (1, 2))
-        g = hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
+        g = _compressed_product(m, dims, 1.0 / n)
         t_n = real_trace(_psd_int_power(g, n))
         quantities[f"t_{n}"] = t_n
         table.append((n, t_n, t_n - trace_surrogate))
@@ -707,10 +710,7 @@ def check_dw_tripartite(
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
-        ab_pow = embed(matrix_power(m["ab"], alpha / 2.0), dims, (0, 1))
-        b_neg = embed(matrix_power(m["b"], -alpha / 2.0), dims, (1,))
-        bc_pow = embed(matrix_power(m["bc"], alpha), dims, (1, 2))
-        g = hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
+        g = _compressed_product(m, dims, alpha)
         value = real_trace(matrix_power(g, 1.0 / alpha))
         quantities[f"q_{alpha!r}"] = value
         worst = min(worst, 1.0 - value)
@@ -796,8 +796,8 @@ def check_lieb_concavity(
     def f(x: np.ndarray) -> float:
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
-    x1 = _mat(x1)
-    x2 = _mat(x2)
+    x1 = _as_matrix(x1)
+    x2 = _as_matrix(x2)
     mix = lam * x1 + (1.0 - lam) * x2
     f_mix = f(mix)
     f_avg = lam * f(x1) + (1.0 - lam) * f(x2)
@@ -828,8 +828,8 @@ def check_cl_concavity(
         core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
         return real_trace(matrix_power(core, alpha))
 
-    x1 = _mat(x1)
-    x2 = _mat(x2)
+    x1 = _as_matrix(x1)
+    x2 = _as_matrix(x2)
     mix = lam * x1 + (1.0 - lam) * x2
     f_mix = f(mix)
     f_avg = lam * f(x1) + (1.0 - lam) * f(x2)
@@ -871,8 +871,8 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
-    m_mat = _mat(m)
-    n_mat = _mat(n)
+    m_mat = _as_matrix(m)
+    n_mat = _as_matrix(n)
     sm = matrix_sqrt(m_mat)
     sn = matrix_sqrt(n_mat)
     hs_diff = float(np.linalg.norm(sm - sn))
@@ -956,53 +956,32 @@ def check_twirl_identity(
     )
 
 
+
+
 # ---------------------------------------------------------------------------
-# Conjecture exploration (never pass/fail)
+# Open inequalities, swept by suites.explore_conjecture and never asserted
 # ---------------------------------------------------------------------------
 
 
-def _flat_dim(dims: Sequence[int]) -> int:
-    return int(np.prod([int(d) for d in dims]))
-
-
-def _explore_stronger_mono_sample(rng, dims, eps):
-    from .channels import random_channel
-
-    d = _flat_dim(dims)
-    return {
-        "rho": regularize(random_density(d, rng), eps),
-        "sigma": regularize(random_density(d, rng), eps),
-        "channel": random_channel(d, 2, rng),
-    }
-
-
-def _explore_stronger_mono_eval(instance):
-    rho: DensityMatrix = instance["rho"]
-    sigma: DensityMatrix = instance["sigma"]
-    channel: KrausChannel = instance["channel"]
+def explore_stronger_mono(inst, tol, opts) -> CheckResult:
+    """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
+    rho: DensityMatrix = inst["rho"]
+    sigma: DensityMatrix = inst["sigma"]
+    channel: KrausChannel = inst["channel"]
     gap = (
         relative_entropy(rho, sigma).value
         - relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
     )
     recovered = petz_map(channel, sigma).apply(channel.apply(rho.mat))
     dist = trace_norm(rho.mat - recovered)
-    return gap - 0.25 * dist**2, {"relent_gap": gap, "recovery_distance": dist}
+    quantities = {"relent_gap": gap, "recovery_distance": dist}
+    return CheckResult("stronger-mono", quantities, gap - 0.25 * dist**2, tol)
 
 
-def _explore_ptrace_petz_sample(rng, dims, eps):
-    if len(dims) < 2:
-        raise BadConfig(f"need at least two dims, got {dims}")
-    da, db = int(dims[0]), int(dims[1])
-    d = da * db
-    return {
-        "rho_ab": MultipartiteState(regularize(random_density(d, rng), eps), (da, db)),
-        "sigma_ab": MultipartiteState(regularize(random_density(d, rng), eps), (da, db)),
-    }
-
-
-def _explore_ptrace_petz_eval(instance):
-    rho_ab: MultipartiteState = instance["rho_ab"]
-    sigma_ab: MultipartiteState = instance["sigma_ab"]
+def explore_ptrace_petz(inst, tol, opts) -> CheckResult:
+    """The same comparison for discarding the second subsystem."""
+    rho_ab: MultipartiteState = inst["rho_ab"]
+    sigma_ab: MultipartiteState = inst["sigma_ab"]
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
     gap = (
@@ -1011,105 +990,26 @@ def _explore_ptrace_petz_eval(instance):
     )
     recovered = petz_map(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
     dist = trace_norm(rho_ab.matrix - recovered)
-    return gap - 0.25 * dist**2, {"relent_gap": gap, "recovery_distance": dist}
+    quantities = {"relent_gap": gap, "recovery_distance": dist}
+    return CheckResult("ptrace-petz", quantities, gap - 0.25 * dist**2, tol)
 
 
-def _explore_cmi_petz_sample(rng, dims, eps):
-    if len(dims) != 3:
-        raise BadConfig(f"need exactly three dims, got {dims}")
-    d = _flat_dim(dims)
-    return {
-        "rho": MultipartiteState(regularize(random_density(d, rng), eps), dims),
-    }
-
-
-def _explore_cmi_petz_eval(instance):
-    state: MultipartiteState = instance["rho"]
+def explore_cmi_petz(inst, tol, opts) -> CheckResult:
+    """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
+    state: MultipartiteState = inst["rho"]
     m = _tri_mats(state)
-    dims = state.dims
-    sqrt_ab = embed(matrix_sqrt(m["ab"]), dims, (0, 1))
-    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), dims, (1,))
-    bc_full = embed(m["bc"], dims, (1, 2))
-    recovered = sqrt_ab @ inv_sqrt_b @ bc_full @ inv_sqrt_b @ sqrt_ab
-    dist = trace_norm(m["abc"] - recovered)
+    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), state.dims, (1,))
+    dist = trace_norm(m["abc"] - _petz_recovery(m, state.dims, "ab", inv_sqrt_b))
     i_val = cmi(state)
-    return i_val - 0.25 * dist**2, {"cmi": i_val, "recovery_distance": dist}
+    quantities = {"cmi": i_val, "recovery_distance": dist}
+    return CheckResult("cmi-petz", quantities, i_val - 0.25 * dist**2, tol)
 
 
-def _explore_trotter_sample(rng, dims, eps):
-    if len(dims) != 3:
-        raise BadConfig(f"need exactly three dims, got {dims}")
-    d = _flat_dim(dims)
-    return {
-        "rho": MultipartiteState(regularize(random_density(d, rng), eps), dims),
-    }
-
-
-def _explore_trotter_eval(instance):
-    state: MultipartiteState = instance["rho"]
-    result = trotter_sequence(state, n_values=(1, 2, 4, 8, 16))
-    ts = [result.quantities[f"t_{n}"] for n in (1, 2, 4, 8, 16)]
+def explore_trotter_monotone(inst, tol, opts) -> CheckResult:
+    """Smallest decrease t_n - t_2n of the compressed-product traces."""
+    orders = (1, 2, 4, 8, 16)
+    result = trotter_sequence(inst["rho"], n_values=orders)
+    ts = [result.quantities[f"t_{n}"] for n in orders]
     diffs = [ts[i] - ts[i + 1] for i in range(len(ts) - 1)]
-    quantities = {f"t_{n}": t for n, t in zip((1, 2, 4, 8, 16), ts)}
-    return min(diffs), quantities
-
-
-EXPLORE_KINDS = {
-    "stronger-mono": (_explore_stronger_mono_sample, _explore_stronger_mono_eval),
-    "ptrace-petz": (_explore_ptrace_petz_sample, _explore_ptrace_petz_eval),
-    "cmi-petz": (_explore_cmi_petz_sample, _explore_cmi_petz_eval),
-    "trotter-monotone": (_explore_trotter_sample, _explore_trotter_eval),
-}
-
-_EXPLORE_INDEX = {kind: i for i, kind in enumerate(EXPLORE_KINDS)}
-
-
-def explore_conjecture(
-    kind: str,
-    trials: int,
-    dims: Sequence[int],
-    seed: int,
-    eps: float = DEFAULT_EPS,
-    tol: float = TOL_INEQ,
-    bins: int = 20,
-) -> ExplorationReport:
-    """Sweep random instances of an open inequality and report the slack law.
-
-    Exploration never asserts: the report carries the minimum observed slack,
-    a histogram, and the serialized worst instance.  A candidate
-    counterexample is flagged when the minimum slack drops below -10 * tol.
-    """
-    if kind not in EXPLORE_KINDS:
-        raise BadConfig(
-            f"unknown exploration kind {kind!r}; choose from {sorted(EXPLORE_KINDS)}"
-        )
-    if trials < 1:
-        raise BadConfig(f"need at least one trial, got {trials}")
-    from .serialize import serialize_instance
-
-    sample, evaluate = EXPLORE_KINDS[kind]
-    dims = tuple(int(d) for d in dims)
-    slacks = np.empty(trials)
-    worst = (math.inf, -1, None)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, 100 + _EXPLORE_INDEX[kind], trial])
-        instance = sample(rng, dims, eps)
-        slack, _ = evaluate(instance)
-        slacks[trial] = slack
-        if slack < worst[0]:
-            worst = (slack, trial, instance)
-    counts, edges = np.histogram(slacks, bins=bins)
-    min_slack = float(worst[0])
-    return ExplorationReport(
-        kind=kind,
-        trials=trials,
-        dims=dims,
-        seed=seed,
-        tolerance=tol,
-        min_slack=min_slack,
-        worst_trial=worst[1],
-        histogram_edges=[float(e) for e in edges],
-        histogram_counts=[int(c) for c in counts],
-        worst_instance=serialize_instance(worst[2]),
-        candidate_counterexample=bool(min_slack < -10.0 * tol),
-    )
+    quantities = {f"t_{n}": t for n, t in zip(orders, ts)}
+    return CheckResult("trotter-monotone", quantities, min(diffs), tol)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -27,7 +28,7 @@ from .errors import BadConfig, QelabError
 from .results import as_record, records_to_csv, records_to_json
 from .serialize import deserialize_instance, serialize_instance
 from .states import markov_spec_from_json, markov_state, state_from_json
-from .suites import SUITES, run_suite
+from .suites import EXPLORATIONS, SUITES, explore_conjecture, iter_trials, run_suite
 from .tolerances import DEFAULT_EPS, TOL_INEQ
 
 EXIT_OK = 0
@@ -54,6 +55,12 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     if not values:
         raise BadConfig(f"{flag} must not be empty")
     return values
+
+
+def _checked_tol(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0):
+        raise BadConfig(f"--tol must be positive and finite, got {tol}")
+    return tol
 
 
 def _effective_seed(seed: int) -> int:
@@ -88,7 +95,7 @@ def _suite_opts(args) -> dict:
     return opts
 
 
-def _write_report(records: list[dict], fmt: str, out: str | None) -> None:
+def _write_report(records: list[dict] | dict, fmt: str, out: str | None) -> None:
     text = records_to_json(records) if fmt == "json" else records_to_csv(records)
     if out is None:
         sys.stdout.write(text)
@@ -137,8 +144,7 @@ def _say(message: str) -> None:
 def cmd_check(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
-    if args.tol <= 0:
-        raise BadConfig(f"--tol must be positive, got {args.tol}")
+    tol = _checked_tol(args.tol)
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -149,12 +155,17 @@ def cmd_check(args) -> int:
         if not names:
             raise BadConfig("--suite must name at least one suite")
     opts = _suite_opts(args)
+    # Every suite's trial stream is built, and so checked, before any trial runs.
+    runs = [
+        (name, iter_trials(SUITES[name], dims, args.trials, seed, args.eps, tol, opts))
+        for name in names
+    ]
 
     records: list[dict] = []
     worst = None  # (slack, checker, trial, instance, tolerance)
     all_pass = True
-    for name in names:
-        triples = run_suite(name, dims, args.trials, seed, args.eps, args.tol, opts)
+    for name, trials in runs:
+        triples = list(trials)
         min_slack = min(result.slack for _, _, result in triples)
         ok = all(result.passed for _, _, result in triples)
         all_pass = all_pass and ok
@@ -201,7 +212,8 @@ def cmd_markov(args) -> int:
 
 def cmd_trotter(args) -> int:
     seed = _effective_seed(args.seed)
-    n_values = _trotter_n_values(args.nmax)
+    tol = _checked_tol(args.tol)
+    opts = {"n_values": _trotter_n_values(args.nmax)}
     if args.state:
         try:
             with open(args.state) as fh:
@@ -210,21 +222,15 @@ def cmd_trotter(args) -> int:
             raise BadConfig(f"cannot read state {args.state!r}: {exc}") from exc
         if getattr(loaded, "n_parts", 1) != 3:
             raise BadConfig("trotter needs a tripartite state file")
-        runs = [(0, loaded)]
         dims = loaded.dims
+        instance = {"rho": loaded}
+        runs = [(0, instance, SUITES["trotter-bound"].run(instance, tol, opts))]
     else:
         dims = _parse_dims(args.dims)
-        suite = SUITES["trotter-bound"]
-        runs = []
-        from .suites import trial_rng
-
-        for trial in range(args.trials):
-            rng = trial_rng(seed, "trotter-bound", trial)
-            runs.append((trial, suite.sample(rng, dims, args.eps)["rho"]))
+        runs = run_suite("trotter-bound", dims, args.trials, seed, args.eps, tol, opts)
     records = []
     flagged = False
-    for trial, state in runs:
-        result = checks.trotter_sequence(state, n_values=n_values, tol=args.tol)
+    for trial, _, result in runs:
         records.append(as_record(result, dims, seed, trial))
         _say(f"trial {trial}: trace_surrogate="
              f"{result.quantities['trace_surrogate']:.12f}")
@@ -241,15 +247,10 @@ def cmd_trotter(args) -> int:
 def cmd_explore(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
-    report = checks.explore_conjecture(
-        args.kind, args.trials, dims, seed, args.eps, args.tol
+    report = explore_conjecture(
+        args.kind, args.trials, dims, seed, args.eps, _checked_tol(args.tol)
     )
-    payload = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
-    else:
-        sys.stdout.write(payload + "\n")
+    _write_report(report.to_json(), "json", args.out)
     _say(f"[{report.kind}] trials={report.trials} min_slack={report.min_slack:.6e} "
          f"worst_trial={report.worst_trial}")
     if report.candidate_counterexample:
@@ -259,35 +260,29 @@ def cmd_explore(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    tol = _checked_tol(args.tol)
     try:
         with open(args.dump) as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BadConfig(f"cannot read dump {args.dump!r}: {exc}") from exc
-    tol = payload.get("tolerance", args.tol)
+    tol = payload.get("tolerance", tol)
     kind = payload.get("explore_kind", payload.get("kind"))
-    if kind is not None and "checker" not in payload:
-        # exploration report or explicit exploration dump
-        if kind not in checks.EXPLORE_KINDS:
-            raise BadConfig(f"unknown exploration kind {kind!r}")
-        blob = payload.get("instance", payload.get("worst_instance"))
-        if blob is None:
-            raise BadConfig("dump carries no instance to replay")
-        instance = deserialize_instance(blob)
-        slack, quantities = checks.EXPLORE_KINDS[kind][1](instance)
-        print(f"kind = {kind}")
-        for key, value in sorted(quantities.items()):
+    # an exploration report or dump names a kind and no checker
+    exploring = kind is not None and "checker" not in payload
+    registry, name = (EXPLORATIONS, kind) if exploring else (SUITES, payload.get("checker"))
+    blob = payload.get("instance", payload.get("worst_instance"))
+    if name not in registry:
+        raise BadConfig(f"dump names unknown checker or exploration kind {name!r}")
+    if blob is None:
+        raise BadConfig("dump carries no instance to replay")
+    result = registry[name].run(deserialize_instance(blob), tol, payload.get("opts", {}))
+    if exploring:
+        print(f"kind = {name}")
+        for key, value in sorted(result.quantities.items()):
             print(f"{key} = {value:.12e}")
-        print(f"slack = {slack:.12e}")
-        return EXIT_CANDIDATE if slack < -10.0 * tol else EXIT_OK
-    checker = payload.get("checker")
-    if checker not in SUITES:
-        raise BadConfig(f"dump names unknown checker {checker!r}")
-    try:
-        instance = deserialize_instance(payload["instance"])
-    except KeyError as exc:
-        raise BadConfig(f"dump is missing field {exc}") from exc
-    result = SUITES[checker].run(instance, tol, payload.get("opts", {}))
+        print(f"slack = {result.slack:.12e}")
+        return EXIT_CANDIDATE if result.slack < -10.0 * tol else EXIT_OK
     record = as_record(
         result,
         payload.get("dims", []),
@@ -295,7 +290,7 @@ def cmd_replay(args) -> int:
         payload.get("trial", 0),
     )
     sys.stdout.write(records_to_json([record]))
-    _say(f"[{checker}] slack={result.slack:.6e} "
+    _say(f"[{name}] slack={result.slack:.6e} "
          f"{'PASS' if result.passed else 'FAIL'}")
     return EXIT_OK if result.passed else EXIT_FAILED
 
@@ -351,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trotter.set_defaults(func=cmd_trotter)
 
     p_explore = sub.add_parser("explore", help="sweep an open inequality")
-    p_explore.add_argument("kind", help="one of: " + ", ".join(checks.EXPLORE_KINDS))
+    p_explore.add_argument("kind", help="one of: " + ", ".join(EXPLORATIONS))
     _add_common(p_explore)
     p_explore.set_defaults(func=cmd_explore)
 

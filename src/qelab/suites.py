@@ -1,8 +1,10 @@
 """Named checker suites: samplers plus runners with a shared RNG discipline.
 
 Each suite couples a sampler (rng, dims, eps) -> instance with a runner
-(instance, tol, opts) -> result.  Instances hold only serializable values so
-any trial can be dumped and replayed.  Trial randomness is keyed as
+(instance, tol, opts) -> result.  SUITES holds the asserted checks,
+EXPLORATIONS the open inequalities whose slack is only reported; one driver,
+iter_trials, runs both.  Instances hold only serializable values so any trial
+can be dumped and replayed.  Trial randomness is keyed as
 default_rng([seed, suite_index, trial]); results are therefore reproducible
 from (seed, config) alone, independent of execution order.
 """
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from .channels import KrausChannel, random_channel, random_unital_channel
 from .entropy import relative_entropy
 from .errors import BadConfig
 from .linalg import hermitize, kron, trace_norm
-from .results import ChainResult, CheckResult
+from .results import ChainResult, CheckResult, ExplorationReport
+from .serialize import serialize_instance
 from .states import (
     MarkovSpec,
     MultipartiteState,
@@ -49,13 +52,6 @@ CL_ALPHA_GRID = (1.5, 2.0, 4.0)
 
 def _flat(dims: Sequence[int]) -> int:
     return int(np.prod([int(d) for d in dims]))
-
-
-def _need_parts(dims: Sequence[int], n: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != n:
-        raise BadConfig(f"this suite needs exactly {n} subsystem dims, got {list(dims)}")
-    return dims
 
 
 def _rand_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -104,28 +100,25 @@ def _sample_overlap(rng, dims, eps):
     return inst
 
 
-def _tri_state(rng, dims, eps):
+def _state(rng, dims, eps):
     d = _flat(dims)
     return MultipartiteState(regularize(random_density(d, rng), eps), dims)
 
 
 def _sample_tri(rng, dims, eps):
-    dims = _need_parts(dims, 3)
-    return {"rho": _tri_state(rng, dims, eps)}
+    return {"rho": _state(rng, dims, eps)}
 
 
 def _sample_tri_pair(rng, dims, eps):
-    dims = _need_parts(dims, 3)
-    return {"rho": _tri_state(rng, dims, eps), "sigma": _tri_state(rng, dims, eps)}
+    return {"rho": _state(rng, dims, eps), "sigma": _state(rng, dims, eps)}
 
 
 def _sample_tri_quad(rng, dims, eps):
-    dims = _need_parts(dims, 3)
     return {
-        "rho": _tri_state(rng, dims, eps),
-        "sigma": _tri_state(rng, dims, eps),
-        "tau": _tri_state(rng, dims, eps),
-        "omega": _tri_state(rng, dims, eps),
+        "rho": _state(rng, dims, eps),
+        "sigma": _state(rng, dims, eps),
+        "tau": _state(rng, dims, eps),
+        "omega": _state(rng, dims, eps),
     }
 
 
@@ -141,40 +134,29 @@ def _perturb_edges(state: MultipartiteState, rng, env_dim: int = 2) -> Multipart
 
 
 def _sample_trace_exp(rng, dims, eps):
-    dims = _need_parts(dims, 3)
-    rho = _tri_state(rng, dims, eps)
+    rho = _state(rng, dims, eps)
     return {
         "rho": rho,
         "sigma": _perturb_edges(rho, rng),  # shares rho's middle marginal
-        "tau": _tri_state(rng, dims, eps),
+        "tau": _state(rng, dims, eps),
     }
 
 
 def _sample_three_state(rng, dims, eps):
-    dims = _need_parts(dims, 3)
-    sigma = _tri_state(rng, dims, eps)
+    sigma = _state(rng, dims, eps)
     return {
-        "rho": _tri_state(rng, dims, eps),
+        "rho": _state(rng, dims, eps),
         "sigma": sigma,
         "tau": _perturb_edges(sigma, rng),  # shares sigma's middle marginal
-        "omega": _tri_state(rng, dims, eps),
+        "omega": _state(rng, dims, eps),
     }
 
 
 def _sample_bipartite_pair(rng, dims, eps):
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise BadConfig(f"this suite needs at least two subsystem dims, got {list(dims)}")
-    da, db = dims[0], dims[1]
-    d = da * db
-    return {
-        "rho_ab": MultipartiteState(regularize(random_density(d, rng), eps), (da, db)),
-        "sigma_ab": MultipartiteState(regularize(random_density(d, rng), eps), (da, db)),
-    }
+    return {"rho_ab": _state(rng, dims[:2], eps), "sigma_ab": _state(rng, dims[:2], eps)}
 
 
 def _sample_markov(rng, dims, eps):
-    dims = _need_parts(dims, 3)
     d_a, d_c = dims[0], dims[2]
     n_blocks = int(rng.integers(1, 4))
     raw = rng.dirichlet(np.ones(n_blocks))
@@ -226,9 +208,6 @@ def _sample_audenaert(rng, dims, eps):
 
 
 def _sample_twirl(rng, dims, eps):
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2:
-        raise BadConfig(f"this suite needs at least two subsystem dims, got {list(dims)}")
     da, db = dims[0], dims[1]
     x = _rand_hermitian(da * db, rng)
     return {
@@ -404,19 +383,35 @@ def _run_twirl(inst, tol, opts):
 # ---------------------------------------------------------------------------
 
 
+# Subsystem-count rules: (fewest, most) dims a sampler can take, None for no
+# upper limit.  Bipartite samplers use the first two dims.
+_BIPARTITE = (2, None)
+_TRIPARTITE = (3, 3)
+
+
 @dataclass(frozen=True)
 class Suite:
     name: str
     sample: Callable
     run: Callable
     description: str
+    parts: tuple[int, int | None] = (1, None)
+
+    def check_dims(self, dims: Sequence[int]) -> tuple[int, ...]:
+        """``dims`` as a tuple of ints; BadConfig when the sampler cannot take them."""
+        dims = tuple(int(d) for d in dims)
+        fewest, most = self.parts
+        if len(dims) < fewest or (most is not None and len(dims) > most):
+            need = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
+            raise BadConfig(f"this suite needs {need} subsystem dims, got {list(dims)}")
+        return dims
 
 
 SUITES: dict[str, Suite] = {}
 
 
-def _register(name: str, sample, run, description: str) -> None:
-    SUITES[name] = Suite(name, sample, run, description)
+def _register(name: str, sample, run, description: str, parts=(1, None)) -> None:
+    SUITES[name] = Suite(name, sample, run, description, parts)
 
 
 _register(
@@ -454,54 +449,63 @@ _register(
     _sample_bipartite_pair,
     _run_ptrace,
     "refined monotonicity for the partial trace",
+    _BIPARTITE,
 )
 _register(
     "ssa",
     _sample_tri,
     _run_ssa,
     "strong subadditivity chain against the exp-log surrogate",
+    _TRIPARTITE,
 )
 _register(
     "trace-exp-bound",
     _sample_trace_exp,
     _run_trace_exp,
     "Tr exp(log rho_AB - log sigma_B + log tau_BC) <= 1 with matched middles",
+    _TRIPARTITE,
 )
 _register(
     "bsw-identity",
     _sample_tri_quad,
     _run_bsw,
     "exact decomposition of relative entropy to an exp-log reference",
+    _TRIPARTITE,
 )
 _register(
     "super-ssa",
     _sample_tri_pair,
     _run_super_ssa,
     "CMI plus half relative entropies lower-bounds the exp-log distance",
+    _TRIPARTITE,
 )
 _register(
     "three-state-chain",
     _sample_three_state,
     _run_three_state,
     "distance chain to a three-state exp-log surrogate with matched middles",
+    _TRIPARTITE,
 )
 _register(
     "subadd-exp",
     _sample_tri,
     _run_subadd,
     "subadditivity chain with the two-marginal surrogate and product bound",
+    _TRIPARTITE,
 )
 _register(
     "markov-roundtrip",
     _sample_markov,
     _run_markov,
     "constructed short-chain states satisfy every Markov signature",
+    _TRIPARTITE,
 )
 _register(
     "trotter-bound",
     _sample_tri,
     _run_trotter,
     "compressed product traces stay <= 1 and converge to the surrogate trace",
+    _TRIPARTITE,
 )
 _register(
     "dw-alpha",
@@ -514,6 +518,7 @@ _register(
     _sample_tri,
     _run_dw_tripartite,
     "tripartite specialization of the finite-alpha bound plus route cross-check",
+    _TRIPARTITE,
 )
 _register(
     "sbw-limit",
@@ -550,15 +555,54 @@ _register(
     _sample_tri,
     _run_squashed,
     "half CMI >= eighth of squared distance to the surrogate's AC reduction",
+    _TRIPARTITE,
 )
 _register(
     "twirl-identity",
     _sample_twirl,
     _run_twirl,
     "Monte Carlo twirl matches the closed form within the sampling bound",
+    _BIPARTITE,
 )
 
-SUITE_INDEX = {name: i for i, name in enumerate(SUITES)}
+EXPLORATIONS: dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            "stronger-mono",
+            _sample_pair_generic_channel,
+            checks.explore_stronger_mono,
+            "relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance",
+        ),
+        Suite(
+            "ptrace-petz",
+            _sample_bipartite_pair,
+            checks.explore_ptrace_petz,
+            "the same comparison for the partial trace",
+            _BIPARTITE,
+        ),
+        Suite(
+            "cmi-petz",
+            _sample_tri,
+            checks.explore_cmi_petz,
+            "CMI vs 1/4 squared Petz-reconstruction distance",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "trotter-monotone",
+            _sample_tri,
+            checks.explore_trotter_monotone,
+            "smallest decrease of the compressed-product trace sequence",
+            _TRIPARTITE,
+        ),
+    )
+}
+
+# Second element of each trial's RNG key.  Explorations count from 100, so
+# their streams never meet a suite's.
+SUITE_INDEX = {name: i for i, name in enumerate(SUITES)} | {
+    kind: 100 + i for i, kind in enumerate(EXPLORATIONS)
+}
 
 
 def trial_rng(seed: int, suite_name: str, trial: int) -> np.random.Generator:
@@ -581,6 +625,28 @@ def run_trial(
     return instance, result
 
 
+def iter_trials(
+    suite: Suite,
+    dims: Sequence[int],
+    trials: int,
+    seed: int,
+    eps: float = DEFAULT_EPS,
+    tol: float = TOL_INEQ,
+    opts: dict | None = None,
+) -> Iterator[tuple[int, dict, CheckResult | ChainResult]]:
+    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result).
+
+    The trial count and dims are checked at the call, before any trial runs.
+    """
+    if trials < 1:
+        raise BadConfig(f"need at least one trial, got {trials}")
+    dims = suite.check_dims(dims)
+    return (
+        (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
+        for trial in range(trials)
+    )
+
+
 def run_suite(
     name: str,
     dims: Sequence[int],
@@ -596,10 +662,47 @@ def run_suite(
     """
     if name not in SUITES:
         raise BadConfig(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    if trials < 1:
-        raise BadConfig(f"need at least one trial, got {trials}")
-    suite = SUITES[name]
-    return [
-        (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
-        for trial in range(trials)
-    ]
+    return list(iter_trials(SUITES[name], dims, trials, seed, eps, tol, opts))
+
+
+def explore_conjecture(
+    kind: str,
+    trials: int,
+    dims: Sequence[int],
+    seed: int,
+    eps: float = DEFAULT_EPS,
+    tol: float = TOL_INEQ,
+    bins: int = 20,
+) -> ExplorationReport:
+    """Sweep random instances of an open inequality and report the slack law.
+
+    Exploration never asserts: the report carries the minimum observed slack,
+    a histogram, and the serialized worst instance.  A candidate
+    counterexample is flagged when the minimum slack drops below -10 * tol.
+    """
+    if kind not in EXPLORATIONS:
+        raise BadConfig(
+            f"unknown exploration kind {kind!r}; choose from {sorted(EXPLORATIONS)}"
+        )
+    runs = iter_trials(EXPLORATIONS[kind], dims, trials, seed, eps, tol)
+    slacks = np.empty(trials)
+    worst = (math.inf, -1, None)
+    for trial, instance, result in runs:
+        slacks[trial] = result.slack
+        if result.slack < worst[0]:
+            worst = (result.slack, trial, instance)
+    counts, edges = np.histogram(slacks, bins=bins)
+    min_slack = float(worst[0])
+    return ExplorationReport(
+        kind=kind,
+        trials=trials,
+        dims=tuple(int(d) for d in dims),
+        seed=seed,
+        tolerance=tol,
+        min_slack=min_slack,
+        worst_trial=worst[1],
+        histogram_edges=[float(e) for e in edges],
+        histogram_counts=[int(c) for c in counts],
+        worst_instance=serialize_instance(worst[2]),
+        candidate_counterexample=bool(min_slack < -10.0 * tol),
+    )

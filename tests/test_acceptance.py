@@ -19,7 +19,6 @@ from qelab.channels import KrausChannel, random_unital_channel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,
-    EXPLORE_KINDS,
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
@@ -33,7 +32,6 @@ from qelab.checks import (
     check_trace_exp_bound,
     check_twirl_identity,
     dw_alpha_profile,
-    explore_conjecture,
     trotter_sequence,
 )
 from qelab.states import (
@@ -43,7 +41,7 @@ from qelab.states import (
     regularize,
     regularize_tripartite,
 )
-from qelab.suites import SUITES, run_suite
+from qelab.suites import EXPLORATIONS, SUITES, explore_conjecture, run_suite
 
 SEED = 42
 SLACK_TOL = 1e-8
@@ -286,7 +284,7 @@ def test_criterion_11_check_all_byte_identical():
 def test_criterion_12_conjecture_explorer_completes():
     start = time.perf_counter()
     summaries = []
-    for kind in EXPLORE_KINDS:
+    for kind in EXPLORATIONS:
         report = explore_conjecture(kind, 10_000, (2, 2, 2), SEED)
         assert report.trials == 10_000
         assert sum(report.histogram_counts) == 10_000

@@ -13,7 +13,6 @@ import pytest
 from qelab.channels import KrausChannel, ptrace_channel, random_unital_channel
 from qelab.checks import (
     DEFAULT_SBW_ALPHAS,
-    EXPLORE_KINDS,
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
@@ -36,7 +35,6 @@ from qelab.checks import (
     check_twirl_identity,
     check_unital_trace_bound,
     dw_alpha_profile,
-    explore_conjecture,
     markov_characterizations,
     ssa_surrogate,
     trotter_sequence,
@@ -52,6 +50,7 @@ from qelab.states import (
     random_tripartite,
     regularize,
 )
+from qelab.suites import EXPLORATIONS, explore_conjecture
 
 RNG = np.random.default_rng  # brevity
 
@@ -719,7 +718,7 @@ def test_explore_reports_are_deterministic():
 
 
 def test_explore_all_kinds_smoke():
-    for kind in EXPLORE_KINDS:
+    for kind in EXPLORATIONS:
         report = explore_conjecture(kind, 15, (2, 2, 2), 3)
         assert report.trials == 15
         assert sum(report.histogram_counts) == 15
@@ -728,16 +727,16 @@ def test_explore_all_kinds_smoke():
 
 def test_explore_cmi_petz_saturates_on_markov_input():
     # the evaluator's slack collapses to ~0 on an exactly recoverable state
-    evaluate = EXPLORE_KINDS["cmi-petz"][1]
-    slack, quantities = evaluate({"rho": _markov(51)})
+    result = EXPLORATIONS["cmi-petz"].run({"rho": _markov(51)}, 1e-8, {})
+    slack, quantities = result.slack, result.quantities
     assert abs(slack) < 1e-7
     assert quantities["cmi"] < 1e-9
     assert quantities["recovery_distance"] < 1e-6
 
 
 def test_explore_trotter_monotone_records_differences():
-    evaluate = EXPLORE_KINDS["trotter-monotone"][1]
-    slack, quantities = evaluate({"rho": _tri(52)})
+    result = EXPLORATIONS["trotter-monotone"].run({"rho": _tri(52)}, 1e-8, {})
+    slack, quantities = result.slack, result.quantities
     assert set(quantities) == {"t_1", "t_2", "t_4", "t_8", "t_16"}
     # observed monotone decrease on generic states; recorded, not asserted
     assert slack > -1e-6

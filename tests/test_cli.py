@@ -69,6 +69,38 @@ def test_check_rejects_bad_config():
     assert run_cli("check", "--suite", "ssa", "--dims", "2,x").returncode == 2
 
 
+def test_check_rejects_bad_dims_before_any_trial():
+    # the first suites take any dims; ssa, seventh in order, needs three
+    proc = run_cli("check", "--suite", "all", "--dims", "2,2", "--trials", "2")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "[renyi-monotone]" not in proc.stderr
+    assert "exactly 3 subsystem dims" in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def explore_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("explore") / "report.json"
+    proc = run_cli("explore", "cmi-petz", "--trials", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_bad_tol_is_a_config_error(tol, explore_report):
+    commands = [
+        ("check", "--suite", "ssa", "--trials", "1"),
+        ("trotter", "--trials", "1", "--nmax", "2"),
+        ("explore", "cmi-petz", "--trials", "2"),
+        ("replay", str(explore_report)),
+    ]
+    for command in commands:
+        proc = run_cli(*command, f"--tol={tol}")
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert proc.stdout == ""
+        assert "--tol must be positive and finite" in proc.stderr
+
+
 def test_check_two_runs_byte_identical():
     args = ("check", "--suite", "overlap-chain,ssa", "--trials", "4", "--seed", "3")
     first = run_cli(*args)

@@ -10,7 +10,16 @@ import pytest
 from qelab.errors import BadConfig
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
-from qelab.suites import SUITES, run_suite, run_trial, trial_rng
+from qelab import checks
+from qelab.suites import (
+    EXPLORATIONS,
+    SUITES,
+    explore_conjecture,
+    run_suite,
+    run_trial,
+    trial_rng,
+)
+from qelab.tolerances import DEFAULT_EPS, TOL_INEQ
 
 EXPECTED_ORDER = [
     "renyi-monotone",
@@ -37,13 +46,17 @@ EXPECTED_ORDER = [
     "squashed-proxy",
     "twirl-identity",
 ]
+EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
 
 
 def test_registry_names_and_order():
     assert list(SUITES) == EXPECTED_ORDER
-    for name, suite in SUITES.items():
+    assert list(EXPLORATIONS) == EXPLORATION_ORDER
+    for name, suite in {**SUITES, **EXPLORATIONS}.items():
         assert suite.name == name
         assert suite.description
+    # the exploration registry lives in suites only
+    assert not hasattr(checks, "EXPLORE_KINDS")
 
 
 def test_trial_rng_streams_are_distinct():
@@ -59,6 +72,8 @@ def test_run_suite_rejects_bad_config():
         run_suite("no-such-suite", (2, 2, 2), 1, 0)
     with pytest.raises(BadConfig):
         run_suite("ssa", (2, 2, 2), 0, 0)
+    with pytest.raises(BadConfig):
+        run_suite("ssa", (2, 2), 1, 0)
 
 
 @pytest.mark.parametrize("name", EXPECTED_ORDER)
@@ -123,3 +138,19 @@ def test_markov_suite_uses_custom_t_samples():
     assert result.passed
     assert result.meta["n_blocks"] >= 1
     assert result.quantities["r_petz"] < 1e-7
+
+
+@pytest.mark.parametrize("index, kind", list(enumerate(EXPLORATION_ORDER)))
+def test_exploration_worst_trial_replays_alone(index, kind):
+    seed, dims = 7, (2, 3, 2)
+    report = explore_conjecture(kind, 12, dims, seed)
+    # exploration streams are keyed [seed, 100 + kind index, trial]
+    rng = trial_rng(seed, kind, report.worst_trial)
+    expected = np.random.default_rng([seed, 100 + index, report.worst_trial])
+    assert rng.bit_generator.state == expected.bit_generator.state
+    suite = EXPLORATIONS[kind]
+    instance = suite.sample(rng, dims, DEFAULT_EPS)
+    assert serialize_instance(instance) == report.worst_instance
+    payload = json.loads(json.dumps(report.worst_instance))
+    replayed = suite.run(deserialize_instance(payload), TOL_INEQ, {})
+    assert replayed.slack == report.min_slack
