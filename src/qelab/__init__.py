@@ -73,6 +73,7 @@ from .errors import (
     InconsistentBlocks,
     MarginalMismatch,
     NoConvergence,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotTripartite,
@@ -120,6 +121,7 @@ from .states import (
     normalized_weights,
     random_density,
     random_tripartite,
+    random_unitaries,
     random_unitary,
     regularize,
     regularize_tripartite,

@@ -24,8 +24,10 @@ from .linalg import (
 from .states import (
     DensityMatrix,
     SubnormalizedOperator,
+    _haar_q,
     matrix_from_json,
     matrix_to_json,
+    random_unitaries,
     random_unitary,
 )
 from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
@@ -203,6 +205,8 @@ def random_unital_channel(
     probs = rng.dirichlet(np.ones(n_kraus))
     # Keep every branch comfortably populated so the channel stays full rank.
     probs = 0.9 * probs + 0.1 / n_kraus
+    # One draw at a time: at d = n_kraus = 64 a stacked draw holds ~20 MiB of
+    # temporaries for no gain in speed.
     ops = [np.sqrt(p) * random_unitary(d, rng) for p in probs]
     return KrausChannel(ops)
 
@@ -214,9 +218,7 @@ def random_channel(d: int, env_dim: int, rng: np.random.Generator) -> KrausChann
     g = rng.standard_normal((d * env_dim, d)) + 1j * rng.standard_normal(
         (d * env_dim, d)
     )
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    q = _haar_q(g)
     ops = [q[i * d : (i + 1) * d, :] for i in range(env_dim)]
     return KrausChannel(ops)
 
@@ -246,6 +248,12 @@ def twirl_exact(x: np.ndarray, dims: Sequence[int], over: int = 1) -> np.ndarray
     raise DimMismatch(f"over must be 0 or 1, got {over}")
 
 
+# Haar samples per stacked QR and matmul in twirl_mc: enough to amortize the
+# per-call overhead, few enough that the (TWIRL_CHUNK, d, d) temporaries stay
+# under 1 MiB each at d = 6, where one stack of 10^4 samples would not.
+TWIRL_CHUNK = 512
+
+
 def twirl_mc(
     x: np.ndarray,
     dims: Sequence[int],
@@ -253,7 +261,11 @@ def twirl_mc(
     samples: int,
     over: int = 1,
 ) -> np.ndarray:
-    """Monte Carlo estimate of the one-sided twirl with ``samples`` Haar draws."""
+    """Monte Carlo estimate of the one-sided twirl with ``samples`` Haar draws.
+
+    Draws run in stacked chunks of TWIRL_CHUNK that keep the per-sample draw
+    stream and the summation order, so the result does not depend on the chunking.
+    """
     x = np.asarray(x, dtype=complex)
     da, db = _check_bipartite(x, dims)
     if over not in (0, 1):
@@ -261,10 +273,17 @@ def twirl_mc(
     if samples < 1:
         raise DimMismatch(f"need at least one sample, got {samples}")
     acc = np.zeros_like(x)
-    for _ in range(samples):
-        u = random_unitary(dims[over], rng)
-        w = kron(np.eye(da), u) if over == 1 else kron(u, np.eye(db))
-        acc += w @ x @ w.conj().T
+    for start in range(0, samples, TWIRL_CHUNK):
+        n = min(TWIRL_CHUNK, samples - start)
+        u = random_unitaries(n, dims[over], rng)
+        # the same products kron(1, u) or kron(u, 1) forms, so the bits match
+        if over == 1:
+            w = np.eye(da)[None, :, None, :, None] * u[:, None, :, None, :]
+        else:
+            w = u[:, :, None, :, None] * np.eye(db)[None, None, :, None, :]
+        w = w.reshape(n, da * db, da * db)
+        for term in w @ x @ w.conj().swapaxes(-1, -2):
+            acc += term
     out = acc / samples
     if _is_hermitian(x):
         out = hermitize(out)

@@ -9,7 +9,8 @@ explore  sweep an open inequality and report the slack distribution
 replay   rerun a dumped worst-case instance
 
 Exit codes: 0 success, 1 failed check, 2 configuration error, 3 candidate
-counterexample (explore/replay only).  The environment variable QEL_SEED
+counterexample (explore/replay only), 4 internal error (an unexpected
+exception; its traceback goes to stderr).  The environment variable QEL_SEED
 overrides --seed when set.  Reports are byte-identical for identical
 (seed, config) pairs; human-readable summaries go to stderr.
 """
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from typing import Sequence
 
 from . import checks
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_CANDIDATE = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -90,7 +93,7 @@ def _suite_opts(args) -> dict:
         opts["sbw_alphas"] = sorted(set(alphas), reverse=True)
     if getattr(args, "t_samples", None):
         opts["t_samples"] = _parse_floats(args.t_samples, "--t-samples")
-    if getattr(args, "nmax", None):
+    if getattr(args, "nmax", None) is not None:
         opts["n_values"] = _trotter_n_values(args.nmax)
     return opts
 
@@ -369,6 +372,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except QelabError as exc:
         _say(f"error: {exc}")
         return EXIT_CONFIG
+    except Exception:
+        # A crash must never read as "a check failed" (exit 1).
+        traceback.print_exc()
+        _say("internal error: unexpected exception")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

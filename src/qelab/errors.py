@@ -16,6 +16,10 @@ class DimMismatch(QelabError):
     """Operator shapes or subsystem dimensions are inconsistent."""
 
 
+class NonFinite(QelabError):
+    """A matrix holds a NaN or infinite entry."""
+
+
 class NotHermitian(QelabError):
     """A matrix that must be Hermitian is not (beyond tolerance)."""
 

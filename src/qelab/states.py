@@ -19,6 +19,7 @@ from .errors import (
     BadTrace,
     DimMismatch,
     InconsistentBlocks,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotTripartite,
@@ -31,6 +32,8 @@ def _validated_matrix(mat: np.ndarray, tol_herm: float, tol_psd: float) -> np.nd
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise NonFinite("matrix has a NaN or infinite entry")
     dev = max_sv(mat - mat.conj().T)
     scale = max(max_sv(mat), 1e-300)
     if dev > tol_herm * scale:
@@ -234,19 +237,35 @@ def markov_state(spec: MarkovSpec) -> MultipartiteState:
     return MultipartiteState(DensityMatrix(out), (d_a, d_b, d_c))
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+def _haar_q(g: np.ndarray) -> np.ndarray:
+    """Q factors of a stack of complex Gaussian matrices, Haar-distributed.
 
     The R-diagonal phases are divided out so the distribution is exactly
     Haar rather than QR-convention dependent.
     """
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+def random_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` Haar-distributed d x d unitaries as one (n, d, d) stack.
+
+    The draw takes the real then the imaginary Gaussian plane of each sample
+    in turn, the stream of ``n`` ``random_unitary`` calls, and stacked QR
+    gives the same bits as one QR per matrix.
+    """
     if d < 1:
         raise DimMismatch(f"dimension must be >= 1, got {d}")
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
-    return q
+    if n < 1:
+        raise BadConfig(f"need at least one unitary, got {n}")
+    g = rng.standard_normal((n, 2, d, d))
+    return _haar_q(g[:, 0] + 1j * g[:, 1])
+
+
+def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix."""
+    return random_unitaries(1, d, rng)[0]
 
 
 def random_density(

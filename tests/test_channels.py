@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qelab.channels import (
+    TWIRL_CHUNK,
     KrausChannel,
     petz_map,
     ptrace_channel,
@@ -24,6 +25,7 @@ from qelab.states import (
     markov_state,
     random_density,
     random_tripartite,
+    random_unitary,
     regularize,
 )
 
@@ -276,6 +278,64 @@ def test_twirl_mc_hermitian_output():
     x = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
     out = twirl_mc(x, (2, 2), rng, samples=50)
     assert max_sv(out - out.conj().T) < 1e-12
+
+
+def _twirl_mc_per_sample(x, dims, rng, samples, over):
+    # the one-draw-per-sample loop that twirl_mc replaced
+    da, db = dims
+    acc = np.zeros_like(x)
+    for _ in range(samples):
+        u = random_unitary(dims[over], rng)
+        w = kron(np.eye(da), u) if over == 1 else kron(u, np.eye(db))
+        acc += w @ x @ w.conj().T
+    out = acc / samples
+    if max_sv(x - x.conj().T) <= 1e-12 * max(max_sv(x), 1e-300):
+        out = (out + out.conj().T) / 2
+    return out
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (4, 4)])
+@pytest.mark.parametrize("over", [0, 1])
+@pytest.mark.parametrize(
+    "samples", [1, TWIRL_CHUNK - 1, TWIRL_CHUNK, TWIRL_CHUNK + 1, 1300]
+)
+def test_twirl_mc_chunks_match_the_per_sample_loop(dims, over, samples):
+    rng = np.random.default_rng([samples, over, *dims])
+    d = dims[0] * dims[1]
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for x in (g, g + g.conj().T):
+        seed = int(rng.integers(2**32))
+        chunked_rng = np.random.default_rng(seed)
+        looped_rng = np.random.default_rng(seed)
+        chunked = twirl_mc(x, dims, chunked_rng, samples, over=over)
+        looped = _twirl_mc_per_sample(x, dims, looped_rng, samples, over)
+        assert np.array_equal(chunked, looped)
+        assert chunked_rng.bit_generator.state == looped_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("d,env_dim", [(2, 1), (3, 2), (4, 3), (8, 2)])
+def test_random_channel_kraus_bits_unchanged(d, env_dim):
+    # the isometry draw and phase fix as random_channel wrote them inline
+    rng = np.random.default_rng([d, env_dim])
+    g = rng.standard_normal((d * env_dim, d)) + 1j * rng.standard_normal((d * env_dim, d))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    q = q * (diag / np.abs(diag))
+    channel = random_channel(d, env_dim, np.random.default_rng([d, env_dim]))
+    assert len(channel.kraus) == env_dim
+    for i, k in enumerate(channel.kraus):
+        assert np.array_equal(k, q[i * d : (i + 1) * d, :])
+
+
+def test_twirl_mc_rejects_bad_arguments():
+    x = np.eye(4, dtype=complex)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimMismatch):
+        twirl_mc(x, (2, 3), rng, samples=10)
+    with pytest.raises(DimMismatch):
+        twirl_mc(x, (2, 2), rng, samples=10, over=2)
+    with pytest.raises(DimMismatch):
+        twirl_mc(x, (2, 2), rng, samples=0)
 
 
 def test_channel_json_roundtrip():

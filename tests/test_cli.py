@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from qelab import cli
 from qelab.linalg import kron
 from qelab.states import (
     DensityMatrix,
@@ -18,6 +20,7 @@ from qelab.states import (
     markov_spec_to_json,
     markov_state,
     random_density,
+    random_tripartite,
     regularize,
     state_to_json,
 )
@@ -99,6 +102,39 @@ def test_bad_tol_is_a_config_error(tol, explore_report):
         assert proc.returncode == 2, (command, proc.stderr)
         assert proc.stdout == ""
         assert "--tol must be positive and finite" in proc.stderr
+
+
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_check_nmax_below_one_is_a_config_error(nmax):
+    for command in (("check", "--suite", "trotter-bound"), ("trotter",)):
+        proc = run_cli(*command, "--trials", "1", "--nmax", nmax)
+        assert proc.returncode == 2, (command, proc.stderr)
+        assert proc.stdout == ""
+        assert "--nmax must be >= 1" in proc.stderr
+
+
+def test_trotter_state_file_with_nan_is_a_config_error(tmp_path):
+    state = random_tripartite((2, 2, 2), np.random.default_rng(5))
+    blob = state_to_json(state)
+    blob["re"][0][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(blob))
+    proc = run_cli("trotter", str(path), "--nmax", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "NaN or infinite" in proc.stderr
+
+
+def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
+    def boom(inst, tol, opts):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.SUITES, "ssa", dataclasses.replace(cli.SUITES["ssa"], run=boom))
+    code = cli.main(["check", "--suite", "ssa", "--trials", "1"])
+    assert code == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
 def test_check_two_runs_byte_identical():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qelab.entropy import cmi, von_neumann
 from qelab.errors import (
@@ -12,6 +13,7 @@ from qelab.errors import (
     BadTrace,
     DimMismatch,
     InconsistentBlocks,
+    NonFinite,
     NotPSD,
     NotTripartite,
 )
@@ -27,6 +29,7 @@ from qelab.states import (
     normalized_weights,
     random_density,
     random_tripartite,
+    random_unitaries,
     random_unitary,
     regularize,
     require_tripartite,
@@ -43,6 +46,19 @@ def test_density_matrix_validates_trace():
 def test_density_matrix_rejects_negative_eigenvalue():
     with pytest.raises(NotPSD):
         DensityMatrix(np.diag([1.5, -0.5]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 1)])
+def test_non_finite_entry_is_rejected_before_any_decomposition(bad, where):
+    mat = np.eye(2, dtype=complex) / 4
+    mat[where] = bad
+    with pytest.raises(NonFinite):
+        SubnormalizedOperator(mat)
+    mat = np.eye(2, dtype=complex) / 2
+    mat[0, 1] = bad
+    with pytest.raises(NonFinite):
+        DensityMatrix(mat)
 
 
 def test_subnormalized_accepts_trace_below_one():
@@ -98,6 +114,30 @@ def test_random_unitary_contract():
     assert abs(abs(u1[0, 0]) - 1.0) < 1e-12
     u = random_unitary(5, np.random.default_rng(3))
     assert max_sv(u.conj().T @ u - np.eye(5)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_unitaries_equal_stacked_single_draws(n, d, seed):
+    batched_rng = np.random.default_rng(seed)
+    single_rng = np.random.default_rng(seed)
+    batch = random_unitaries(n, d, batched_rng)
+    singles = np.stack([random_unitary(d, single_rng) for _ in range(n)])
+    assert batch.shape == (n, d, d)
+    assert np.array_equal(batch, singles)
+    assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+def test_random_unitaries_rejects_bad_sizes():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DimMismatch):
+        random_unitaries(3, 0, rng)
+    with pytest.raises(BadConfig):
+        random_unitaries(0, 2, rng)
 
 
 def test_random_unitary_twirl_concentration():
