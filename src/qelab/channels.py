@@ -14,7 +14,9 @@ import numpy as np
 
 from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
+    herm_eig,
     hermitize,
+    is_hermitian,
     kron,
     matrix_power,
     matrix_sqrt,
@@ -33,8 +35,9 @@ from .states import (
 from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
 
-def _is_hermitian(x: np.ndarray, rel: float = 1e-12) -> bool:
-    return max_sv(x - x.conj().T) <= rel * max(max_sv(x), 1e-300)
+def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out, re-Hermitized when the input x passes is_hermitian at 1e-12."""
+    return hermitize(out) if is_hermitian(x, 1e-12) else out
 
 
 class KrausChannel:
@@ -80,10 +83,7 @@ class KrausChannel:
         x = np.asarray(x, dtype=complex)
         if x.shape != (self.d_in, self.d_in):
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
-        out = sum(k @ x @ k.conj().T for k in self.kraus)
-        if _is_hermitian(x):
-            out = hermitize(out)
-        return out
+        return _hermitian_like(x, sum(k @ x @ k.conj().T for k in self.kraus))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -149,14 +149,15 @@ class PetzMap:
         tr = float(np.trace(image).real)
         if tr <= RANK_CUTOFF:
             raise SingularSigma("channel output of the reference has ~zero trace")
-        eigs = np.linalg.eigvalsh(hermitize(image))
-        if eigs[0] <= RANK_CUTOFF * max(eigs[-1], 1e-300):
+        eig = herm_eig(hermitize(image))
+        if eig.eigenvalues[0] <= RANK_CUTOFF * max(eig.eigenvalues[-1], 1e-300):
             d = image.shape[0]
             image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr / d) * np.eye(d)
+            eig = herm_eig(hermitize(image))
         self.channel = channel
         self.sigma = sigma
-        self._sqrt_sigma = matrix_sqrt(sigma.mat)
-        self._inv_sqrt_image = matrix_power(hermitize(image), -0.5)
+        self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
+        self._inv_sqrt_image = matrix_power(eig, -0.5)
         self._dual = channel.dual()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -166,10 +167,7 @@ class PetzMap:
                 f"input shape {x.shape}, recovery map expects {self.channel.d_out}"
             )
         inner = self._inv_sqrt_image @ x @ self._inv_sqrt_image
-        out = self._sqrt_sigma @ self._dual.apply(inner) @ self._sqrt_sigma
-        if _is_hermitian(x):
-            out = hermitize(out)
-        return out
+        return _hermitian_like(x, self._sqrt_sigma @ self._dual.apply(inner) @ self._sqrt_sigma)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.apply(x)
@@ -284,7 +282,4 @@ def twirl_mc(
         w = w.reshape(n, da * db, da * db)
         for term in w @ x @ w.conj().swapaxes(-1, -2):
             acc += term
-    out = acc / samples
-    if _is_hermitian(x):
-        out = hermitize(out)
-    return out
+    return _hermitian_like(x, acc / samples)

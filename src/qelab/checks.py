@@ -25,7 +25,6 @@ import numpy as np
 
 from .channels import KrausChannel, petz_map, ptrace_channel, require_unital, twirl_exact, twirl_mc
 from .entropy import (
-    _as_matrix,
     cmi,
     exp_log_combination,
     overlap_lower_bound,
@@ -45,6 +44,7 @@ from .linalg import (
     max_sv,
     ptrace,
     real_trace,
+    require_hermitian,
     trace_norm,
     unitary_power,
 )
@@ -53,6 +53,8 @@ from .states import (
     DensityMatrix,
     MultipartiteState,
     SubnormalizedOperator,
+    as_matrix,
+    as_spectrum,
     require_tripartite,
 )
 from .tolerances import TOL_IDENTITY, TOL_INEQ, TOL_TRACE
@@ -81,49 +83,93 @@ def _tri_mats(state: MultipartiteState) -> dict[str, np.ndarray]:
     }
 
 
-def _compressed_product(m: dict, dims: Sequence[int], p: float) -> np.ndarray:
-    """hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC."""
-    ab_pow = embed(matrix_power(m["ab"], p / 2.0), dims, (0, 1))
-    b_neg = embed(matrix_power(m["b"], -p / 2.0), dims, (1,))
-    bc_pow = embed(matrix_power(m["bc"], p), dims, (1, 2))
+def _compressed_product(eig: dict, dims: Sequence[int], p: float) -> np.ndarray:
+    """hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC, from
+    the spectra of the three marginals, which every order p shares."""
+    ab_pow = embed(matrix_power(eig["ab"], p / 2.0), dims, (0, 1))
+    b_neg = embed(matrix_power(eig["b"], -p / 2.0), dims, (1,))
+    bc_pow = embed(matrix_power(eig["bc"], p), dims, (1, 2))
     return hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
 
 
-def _petz_recovery(m: dict, dims: Sequence[int], keep: str, inv_sqrt_b: np.ndarray) -> np.ndarray:
+def _petz_recovery(
+    m: dict, eig: dict, dims: Sequence[int], keep: str, inv_sqrt_b: np.ndarray
+) -> np.ndarray:
     """rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, where keep is
-    "ab" or "bc" and inv_sqrt_b is the embedded rho_B^(-1/2) that both directions share."""
+    "ab" or "bc", eig[keep] is rho_keep or its spectrum, and inv_sqrt_b is the embedded
+    rho_B^(-1/2) that both directions share."""
     other = "bc" if keep == "ab" else "ab"
     supports = {"ab": (0, 1), "bc": (1, 2)}
-    outer = embed(matrix_sqrt(m[keep]), dims, supports[keep])
+    outer = embed(matrix_sqrt(eig[keep]), dims, supports[keep])
     return outer @ inv_sqrt_b @ embed(m[other], dims, supports[other]) @ inv_sqrt_b @ outer
+
+
+def _exp_log_surrogate(ab, b, bc, dims: Sequence[int]) -> np.ndarray:
+    """exp(log X_AB - log Y_B + log Z_BC), each marginal embedded on the full space."""
+    return exp_log_combination(
+        [(1.0, ab), (-1.0, b), (1.0, bc)], dims=dims, supports=[(0, 1), (1,), (1, 2)]
+    )
+
+
+def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray, float, float]:
+    """exp(log x_AB - log y_B + log z_BC) and the deviations ||x_B - y_B||, ||y_B - z_B||, one
+    of which must be within TOL_IDENTITY (else MarginalMismatch naming the states by names)."""
+    y_b = y.marginal([1])
+    dev_xy = max_sv(x.marginal([1]) - y_b)
+    dev_yz = max_sv(y_b - z.marginal([1]))
+    if min(dev_xy, dev_yz) > TOL_IDENTITY:
+        a, b, c = names
+        raise MarginalMismatch(
+            f"need {a}_B = {b}_B or {b}_B = {c}_B; deviations are {dev_xy:.3e} and {dev_yz:.3e}"
+        )
+    surrogate = _exp_log_surrogate(x.marginal([0, 1]), y_b, z.marginal([1, 2]), x.dims)
+    return surrogate, dev_xy, dev_yz
 
 
 def ssa_surrogate(state: MultipartiteState) -> np.ndarray:
     """exp(log rho_AB - log rho_B + log rho_BC) embedded on the full space."""
     m = _tri_mats(state)
-    return exp_log_combination(
-        [(1.0, m["ab"]), (-1.0, m["b"]), (1.0, m["bc"])],
-        dims=state.dims,
-        supports=[(0, 1), (1,), (1, 2)],
+    return _exp_log_surrogate(m["ab"], m["b"], m["bc"], state.dims)
+
+
+def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
+    """(spectra of sigma, Phi(rho) and Phi(sigma), the dual Phi^*) for operators or matrices
+    rho and sigma: what the unital surrogate and every alpha-compression share."""
+    return (
+        as_spectrum(sigma),
+        herm_eig(channel.apply(as_matrix(rho))),
+        herm_eig(channel.apply(as_matrix(sigma))),
+        channel.dual(),
     )
 
 
-def _unital_surrogate(
-    rho_mat: np.ndarray, sigma_mat: np.ndarray, channel: KrausChannel
-) -> np.ndarray:
-    """exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma))."""
-    dual = channel.dual()
-    log_img_rho = matrix_log(channel.apply(rho_mat))
-    log_img_sigma = matrix_log(channel.apply(sigma_mat))
-    combo = matrix_log(sigma_mat) + dual.apply(log_img_rho) - dual.apply(log_img_sigma)
-    return matrix_exp(hermitize(combo))
+def _unital_surrogate(pushed: tuple) -> np.ndarray:
+    """exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) from _pushed."""
+    sigma_eig, img_rho, img_sigma, dual = pushed
+    combo = matrix_log(sigma_eig) + dual.apply(matrix_log(img_rho))
+    return matrix_exp(hermitize(combo - dual.apply(matrix_log(img_sigma))))
+
+
+def _root_links(rho, other) -> list[tuple[str, float]]:
+    """The overlap, square-root and trace-distance links of the descending chain between
+    two operators or matrices."""
+    s_rho = matrix_sqrt(as_spectrum(rho))
+    s_oth = matrix_sqrt(as_spectrum(other))
+    overlap = real_trace(s_rho @ s_oth)
+    if overlap <= 0.0:
+        raise ZeroOverlap("square-root overlap is not positive")
+    return [
+        ("overlap_bound", -2.0 * math.log(overlap)),
+        ("sqrt_hs_sq", float(np.linalg.norm(s_rho - s_oth) ** 2)),
+        ("quarter_td_sq", 0.25 * trace_norm(as_matrix(rho) - as_matrix(other)) ** 2),
+    ]
 
 
 def _sqrt_chain(
     name: str,
     anchor_label: str,
     anchor: float,
-    rho_mat: np.ndarray,
+    rho: SubnormalizedOperator | np.ndarray,
     surrogate: np.ndarray,
     tol: float,
     quantities: dict[str, float] | None = None,
@@ -131,17 +177,7 @@ def _sqrt_chain(
     trace_bound: bool = True,
 ) -> ChainResult:
     """The shared descending chain anchored at a relative-entropy quantity."""
-    s_rho = matrix_sqrt(rho_mat)
-    s_srg = matrix_sqrt(surrogate)
-    overlap = real_trace(s_rho @ s_srg)
-    if overlap <= 0.0:
-        raise ZeroOverlap("square-root overlap with the surrogate vanished")
-    links = [
-        (anchor_label, float(anchor)),
-        ("overlap_bound", -2.0 * math.log(overlap)),
-        ("sqrt_hs_sq", float(np.linalg.norm(s_rho - s_srg) ** 2)),
-        ("quarter_td_sq", 0.25 * trace_norm(rho_mat - surrogate) ** 2),
-    ]
+    links = [(anchor_label, float(anchor))] + _root_links(rho, surrogate)
     q = dict(quantities or {})
     tr_srg = real_trace(surrogate)
     q["trace_surrogate"] = tr_srg
@@ -195,22 +231,12 @@ def check_overlap_chain(
     S >= ||rho - sigma||_1^2 / 2 is asserted as well.
     """
     s_val = relative_entropy(rho, sigma)
-    s_rho = matrix_sqrt(rho.mat)
-    s_sig = matrix_sqrt(sigma.mat)
-    overlap = real_trace(s_rho @ s_sig)
-    if overlap <= 0.0:
-        raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")
-    td = trace_norm(rho.mat - sigma.mat)
-    links = [
-        ("relative_entropy", s_val.value),
-        ("overlap_bound", -2.0 * math.log(overlap)),
-        ("sqrt_hs_sq", float(np.linalg.norm(s_rho - s_sig) ** 2)),
-        ("quarter_td_sq", 0.25 * td**2),
-    ]
+    links = [("relative_entropy", s_val.value)] + _root_links(rho, sigma)
     quantities = {"trace_sigma": real_trace(sigma.mat)}
     extra_ok = True
     if abs(quantities["trace_sigma"] - 1.0) <= TOL_TRACE and not s_val.infinite:
-        pinsker = s_val.value - 0.5 * td**2
+        # half the squared trace distance: exactly twice the quarter_td_sq link
+        pinsker = s_val.value - 2.0 * dict(links)["quarter_td_sq"]
         quantities["pinsker_slack"] = pinsker
         extra_ok = pinsker >= -tol
     return ChainResult("overlap-chain", links, tol, quantities, extra_ok=extra_ok)
@@ -253,12 +279,12 @@ def check_stronger_monotonicity(
     require_unital(channel)
     before = relative_entropy(rho, sigma).value
     after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
-    surrogate = _unital_surrogate(rho.mat, sigma.mat, channel)
+    surrogate = _unital_surrogate(_pushed(rho, sigma, channel))
     return _sqrt_chain(
         "stronger-monotonicity",
         "relent_gap",
         before - after,
-        rho.mat,
+        rho,
         surrogate,
         tol,
         quantities={"before": before, "after": after},
@@ -273,7 +299,7 @@ def check_unital_trace_bound(
 ) -> CheckResult:
     """Tr exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) <= 1."""
     require_unital(channel)
-    value = real_trace(_unital_surrogate(rho.mat, sigma.mat, channel))
+    value = real_trace(_unital_surrogate(_pushed(rho, sigma, channel)))
     return CheckResult("unital-trace-bound", {"trace_value": value}, 1.0 - value, tol)
 
 
@@ -291,7 +317,7 @@ def check_ptrace_strengthening(
         raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
     rho_a = rho_ab.marginal([0])
     sigma_a = sigma_ab.marginal([0])
-    before = relative_entropy(rho_ab.matrix, sigma_ab.matrix).value
+    before = relative_entropy(rho_ab.state, sigma_ab.state).value
     after = relative_entropy(rho_a, sigma_a).value
     surrogate = exp_log_combination(
         [(1.0, sigma_ab.matrix), (-1.0, sigma_a), (1.0, rho_a)],
@@ -302,7 +328,7 @@ def check_ptrace_strengthening(
         "ptrace-strengthening",
         "relent_gap",
         before - after,
-        rho_ab.matrix,
+        rho_ab.state,
         surrogate,
         tol,
         quantities={"before": before, "after": after},
@@ -335,25 +361,10 @@ def check_trace_exp_bound(
     Requires rho_B = sigma_B or sigma_B = tau_B (spectral norm within
     TOL_IDENTITY); raises MarginalMismatch otherwise.
     """
-    dims = _same_dims(rho, sigma, tau)
+    _same_dims(rho, sigma, tau)
     require_tripartite(rho)
-    rho_b = rho.marginal([1])
-    sigma_b = sigma.marginal([1])
-    tau_b = tau.marginal([1])
-    dev_rs = max_sv(rho_b - sigma_b)
-    dev_st = max_sv(sigma_b - tau_b)
-    if min(dev_rs, dev_st) > TOL_IDENTITY:
-        raise MarginalMismatch(
-            f"need rho_B = sigma_B or sigma_B = tau_B; deviations are "
-            f"{dev_rs:.3e} and {dev_st:.3e}"
-        )
-    value = real_trace(
-        exp_log_combination(
-            [(1.0, rho.marginal([0, 1])), (-1.0, sigma_b), (1.0, tau.marginal([1, 2]))],
-            dims=dims,
-            supports=[(0, 1), (1,), (1, 2)],
-        )
-    )
+    surrogate, dev_rs, dev_st = _matched_surrogate(rho, sigma, tau, ("rho", "sigma", "tau"))
+    value = real_trace(surrogate)
     matched = "rho_b=sigma_b" if dev_rs <= dev_st else "sigma_b=tau_b"
     return CheckResult(
         "trace-exp-bound",
@@ -444,33 +455,15 @@ def check_three_state_chain(
     Needs sigma_B = tau_B or tau_B = omega_B so that the surrogate is
     subnormalized; then S(rho||S) dominates the square-root overlap chain.
     """
-    dims = _same_dims(rho, sigma, tau, omega)
+    _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
-    sigma_b = sigma.marginal([1])
-    tau_b = tau.marginal([1])
-    omega_b = omega.marginal([1])
-    dev_st = max_sv(sigma_b - tau_b)
-    dev_to = max_sv(tau_b - omega_b)
-    if min(dev_st, dev_to) > TOL_IDENTITY:
-        raise MarginalMismatch(
-            f"need sigma_B = tau_B or tau_B = omega_B; deviations are "
-            f"{dev_st:.3e} and {dev_to:.3e}"
-        )
-    surrogate = exp_log_combination(
-        [
-            (1.0, sigma.marginal([0, 1])),
-            (-1.0, tau_b),
-            (1.0, omega.marginal([1, 2])),
-        ],
-        dims=dims,
-        supports=[(0, 1), (1,), (1, 2)],
-    )
-    anchor = relative_entropy(rho.matrix, surrogate).value
+    surrogate, dev_st, dev_to = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
+    anchor = relative_entropy(rho.state, surrogate).value
     return _sqrt_chain(
         "three-state-chain",
         "relent_to_surrogate",
         anchor,
-        rho.matrix,
+        rho.state,
         surrogate,
         tol,
         quantities={"marginal_dev": float(min(dev_st, dev_to))},
@@ -537,28 +530,29 @@ def markov_characterizations(
     be full rank.
     """
     m = _tri_mats(state)
+    eig = {k: herm_eig(v) for k, v in m.items()}
     dims = state.dims
     i_val = cmi(state)
 
     log_combo = (
-        matrix_log(m["abc"])
-        + embed(matrix_log(m["b"]), dims, (1,))
-        - embed(matrix_log(m["ab"]), dims, (0, 1))
-        - embed(matrix_log(m["bc"]), dims, (1, 2))
+        matrix_log(eig["abc"])
+        + embed(matrix_log(eig["b"]), dims, (1,))
+        - embed(matrix_log(eig["ab"]), dims, (0, 1))
+        - embed(matrix_log(eig["bc"]), dims, (1, 2))
     )
     r_log = max_sv(log_combo)
 
     r_petz = 0.0
     for t in t_samples:
-        lhs = unitary_power(m["abc"], t) @ embed(unitary_power(m["bc"], -t), dims, (1, 2))
-        rhs = embed(unitary_power(m["ab"], t), dims, (0, 1)) @ embed(
-            unitary_power(m["b"], -t), dims, (1,)
+        lhs = unitary_power(eig["abc"], t) @ embed(unitary_power(eig["bc"], -t), dims, (1, 2))
+        rhs = embed(unitary_power(eig["ab"], t), dims, (0, 1)) @ embed(
+            unitary_power(eig["b"], -t), dims, (1,)
         )
         r_petz = max(r_petz, max_sv(lhs - rhs))
 
-    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), dims, (1,))
-    r_recon_ab = trace_norm(m["abc"] - _petz_recovery(m, dims, "ab", inv_sqrt_b))
-    r_recon_bc = trace_norm(m["abc"] - _petz_recovery(m, dims, "bc", inv_sqrt_b))
+    inv_sqrt_b = embed(matrix_power(eig["b"], -0.5), dims, (1,))
+    r_recon_ab = trace_norm(m["abc"] - _petz_recovery(m, eig, dims, "ab", inv_sqrt_b))
+    r_recon_bc = trace_norm(m["abc"] - _petz_recovery(m, eig, dims, "bc", inv_sqrt_b))
 
     residuals = {
         "r_log": r_log,
@@ -614,8 +608,9 @@ def trotter_sequence(
     trace_surrogate = real_trace(ssa_surrogate(state))
     quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
     table = []
+    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
     for n in n_values:
-        g = _compressed_product(m, dims, 1.0 / n)
+        g = _compressed_product(eig, dims, 1.0 / n)
         t_n = real_trace(_psd_int_power(g, n))
         quantities[f"t_{n}"] = t_n
         table.append((n, t_n, t_n - trace_surrogate))
@@ -638,22 +633,15 @@ def trotter_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _alpha_compressed(
-    rho_mat: np.ndarray,
-    sigma_mat: np.ndarray,
-    channel: KrausChannel,
-    alpha: float,
-) -> np.ndarray:
-    """{sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a)."""
-    dual = channel.dual()
-    img_rho = channel.apply(rho_mat)
-    img_sigma = channel.apply(sigma_mat)
-    mid = hermitize(
-        matrix_power(img_sigma, -alpha / 2.0)
-        @ matrix_power(img_rho, alpha)
-        @ matrix_power(img_sigma, -alpha / 2.0)
-    )
-    s_half = matrix_power(sigma_mat, alpha / 2.0)
+def _alpha_compressed(pushed: tuple, alpha: float) -> np.ndarray:
+    """{sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
+    from the spectra and dual of _pushed."""
+    if not 0.0 < alpha < 1.0:
+        raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
+    sigma_eig, img_rho, img_sigma, dual = pushed
+    img_sigma_neg = matrix_power(img_sigma, -alpha / 2.0)
+    mid = hermitize(img_sigma_neg @ matrix_power(img_rho, alpha) @ img_sigma_neg)
+    s_half = matrix_power(sigma_eig, alpha / 2.0)
     inner = hermitize(s_half @ dual.apply(mid) @ s_half)
     return matrix_power(inner, 1.0 / alpha)
 
@@ -666,9 +654,7 @@ def check_dw_alpha(
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Finite-alpha compressed trace bound: Tr of the alpha-compression <= 1."""
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
-    value = real_trace(_alpha_compressed(rho.mat, sigma.mat, channel, alpha))
+    value = real_trace(_alpha_compressed(_pushed(rho, sigma, channel), alpha))
     return CheckResult(
         "dw-alpha", {"alpha": float(alpha), "q_alpha": value}, 1.0 - value, tol
     )
@@ -682,12 +668,13 @@ def dw_alpha_profile(
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """check_dw_alpha over a whole alpha grid, merged into one result."""
+    pushed = _pushed(rho, sigma, channel)
     quantities: dict[str, float] = {}
     worst = math.inf
     for alpha in alphas:
-        single = check_dw_alpha(rho, sigma, channel, alpha, tol)
-        quantities[f"q_{alpha!r}"] = single.quantities["q_alpha"]
-        worst = min(worst, single.slack)
+        value = real_trace(_alpha_compressed(pushed, alpha))
+        quantities[f"q_{alpha!r}"] = value
+        worst = min(worst, 1.0 - value)
     return CheckResult("dw-alpha", quantities, worst, tol)
 
 
@@ -704,22 +691,21 @@ def check_dw_tripartite(
     the two routes must agree within TOL_IDENTITY.
     """
     m = _tri_mats(state)
+    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
     dims = state.dims
     quantities: dict[str, float] = {}
     worst = math.inf
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
-        g = _compressed_product(m, dims, alpha)
+        g = _compressed_product(eig, dims, alpha)
         value = real_trace(matrix_power(g, 1.0 / alpha))
         quantities[f"q_{alpha!r}"] = value
         worst = min(worst, 1.0 - value)
     alpha0 = float(alphas[0])
     channel = ptrace_channel(dims, 0)
     reference = np.kron(m["ab"], np.eye(dims[2]) / dims[2])
-    via_channel = real_trace(
-        _alpha_compressed(m["abc"], reference, channel, alpha0)
-    )
+    via_channel = real_trace(_alpha_compressed(_pushed(m["abc"], reference, channel), alpha0))
     consistency = abs(via_channel - quantities[f"q_{alpha0!r}"])
     quantities["route_residual"] = consistency
     return CheckResult(
@@ -750,11 +736,12 @@ def check_sbw_limit(
         raise BadAlpha(f"alphas must lie strictly in (0, 1), got {alphas}")
     if sorted(alphas, reverse=True) != alphas:
         raise BadAlpha("alphas must be given in strictly descending order")
-    surrogate = _unital_surrogate(rho.mat, sigma.mat, channel)
+    pushed = _pushed(rho, sigma, channel)
+    surrogate = _unital_surrogate(pushed)
     errs = []
     quantities: dict[str, float] = {}
     for alpha in alphas:
-        t_alpha = _alpha_compressed(rho.mat, sigma.mat, channel, alpha)
+        t_alpha = _alpha_compressed(pushed, alpha)
         e = max_sv(t_alpha - surrogate)
         errs.append(e)
         quantities[f"e_{alpha!r}"] = e
@@ -776,9 +763,15 @@ def check_sbw_limit(
 # ---------------------------------------------------------------------------
 
 
-def _require_hermitian(x: np.ndarray) -> np.ndarray:
-    herm_eig(x)  # raises NotHermitian when it is not
-    return np.asarray(x, dtype=complex)
+def _concavity_gap(name: str, f, x1, x2, lam: float, tol: float, extra: dict) -> CheckResult:
+    """f(lam x1 + (1 - lam) x2) against lam f(x1) + (1 - lam) f(x2), for operators or
+    matrices x1, x2; f sees an operator's cached spectrum."""
+    if not 0.0 <= lam <= 1.0:
+        raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
+    f_mix = f(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
+    f_avg = lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
+    quantities = {"f_mix": f_mix, "f_avg": f_avg, "lam": lam, **extra}
+    return CheckResult(name, quantities, f_mix - f_avg, tol)
 
 
 def check_lieb_concavity(
@@ -789,24 +782,12 @@ def check_lieb_concavity(
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Concavity of X -> Tr exp(H + log X) on positive definite X."""
-    if not 0.0 <= lam <= 1.0:
-        raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
-    h = _require_hermitian(h)
+    h = require_hermitian(h)
 
-    def f(x: np.ndarray) -> float:
+    def f(x) -> float:
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
-    x1 = _as_matrix(x1)
-    x2 = _as_matrix(x2)
-    mix = lam * x1 + (1.0 - lam) * x2
-    f_mix = f(mix)
-    f_avg = lam * f(x1) + (1.0 - lam) * f(x2)
-    return CheckResult(
-        "lieb-concavity",
-        {"f_mix": f_mix, "f_avg": f_avg, "lam": lam},
-        f_mix - f_avg,
-        tol,
-    )
+    return _concavity_gap("lieb-concavity", f, x1, x2, lam, tol, {})
 
 
 def check_cl_concavity(
@@ -820,33 +801,21 @@ def check_cl_concavity(
     """Concavity of X -> Tr (M X^(1/alpha) M^dag)^alpha for alpha >= 1."""
     if alpha < 1.0:
         raise BadAlpha(f"alpha must be >= 1, got {alpha}")
-    if not 0.0 <= lam <= 1.0:
-        raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
     m = np.asarray(m, dtype=complex)
 
-    def f(x: np.ndarray) -> float:
+    def f(x) -> float:
         core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
         return real_trace(matrix_power(core, alpha))
 
-    x1 = _as_matrix(x1)
-    x2 = _as_matrix(x2)
-    mix = lam * x1 + (1.0 - lam) * x2
-    f_mix = f(mix)
-    f_avg = lam * f(x1) + (1.0 - lam) * f(x2)
-    return CheckResult(
-        "carlen-lieb-concavity",
-        {"f_mix": f_mix, "f_avg": f_avg, "lam": lam, "alpha": alpha},
-        f_mix - f_avg,
-        tol,
-    )
+    return _concavity_gap("carlen-lieb-concavity", f, x1, x2, lam, tol, {"alpha": alpha})
 
 
 def check_golden_thompson(
     a: np.ndarray, b: np.ndarray, tol: float = TOL_INEQ
 ) -> CheckResult:
     """Tr e^(A+B) <= Tr e^A e^B for Hermitian A, B."""
-    a = _require_hermitian(a)
-    b = _require_hermitian(b)
+    a = require_hermitian(a)
+    b = require_hermitian(b)
     t_sum = real_trace(matrix_exp(hermitize(a + b)))
     t_prod = real_trace(matrix_exp(a) @ matrix_exp(b))
     return CheckResult(
@@ -871,10 +840,12 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
-    m_mat = _as_matrix(m)
-    n_mat = _as_matrix(n)
-    sm = matrix_sqrt(m_mat)
-    sn = matrix_sqrt(n_mat)
+    m_mat = as_matrix(m)
+    n_mat = as_matrix(n)
+    m_eig = as_spectrum(m)
+    n_eig = as_spectrum(n)
+    sm = matrix_sqrt(m_eig)
+    sn = matrix_sqrt(n_eig)
     hs_diff = float(np.linalg.norm(sm - sn))
     hs_sum = float(np.linalg.norm(sm + sn))
     td = trace_norm(m_mat - n_mat)
@@ -892,7 +863,7 @@ def check_audenaert_ps(
     for t in t_values:
         if not 0.0 <= t <= 1.0:
             raise BadAlpha(f"interp parameter must be in [0, 1], got {t}")
-        crossed = real_trace(matrix_power(m_mat, t) @ matrix_power(n_mat, 1.0 - t))
+        crossed = real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))
         slack_t = crossed - half_min
         quantities[f"audenaert_slack_{t!r}"] = slack_t
         worst_aud = min(worst_aud, slack_t)
@@ -985,7 +956,7 @@ def explore_ptrace_petz(inst, tol, opts) -> CheckResult:
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
     gap = (
-        relative_entropy(rho_ab.matrix, sigma_ab.matrix).value
+        relative_entropy(rho_ab.state, sigma_ab.state).value
         - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0])).value
     )
     recovered = petz_map(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
@@ -999,7 +970,7 @@ def explore_cmi_petz(inst, tol, opts) -> CheckResult:
     state: MultipartiteState = inst["rho"]
     m = _tri_mats(state)
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), state.dims, (1,))
-    dist = trace_norm(m["abc"] - _petz_recovery(m, state.dims, "ab", inv_sqrt_b))
+    dist = trace_norm(m["abc"] - _petz_recovery(m, m, state.dims, "ab", inv_sqrt_b))
     i_val = cmi(state)
     quantities = {"cmi": i_val, "recovery_distance": dist}
     return CheckResult("cmi-petz", quantities, i_val - 0.25 * dist**2, tol)

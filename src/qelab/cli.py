@@ -55,8 +55,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
         values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise BadConfig(f"cannot parse {flag} {text!r}: {exc}") from exc
-    if not values:
-        raise BadConfig(f"{flag} must not be empty")
+    if not all(math.isfinite(v) for v in values):
+        raise BadConfig(f"{flag} values must be finite, got {text!r}")
     return values
 
 

@@ -26,7 +26,13 @@ from .linalg import (
     real_trace,
     support_projector,
 )
-from .states import MultipartiteState, SubnormalizedOperator, require_tripartite
+from .states import (
+    MultipartiteState,
+    SubnormalizedOperator,
+    as_matrix,
+    as_spectrum,
+    require_tripartite,
+)
 from .tolerances import RANK_CUTOFF, SUPPORT_LEAK_TOL
 
 
@@ -60,15 +66,9 @@ class EntropyValue:
         return self.value
 
 
-def _as_matrix(op: SubnormalizedOperator | np.ndarray) -> np.ndarray:
-    if isinstance(op, SubnormalizedOperator):
-        return op.mat
-    return np.asarray(op, dtype=complex)
-
-
 def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float:
     """S(rho) = -Tr rho log rho over the support eigenvalues."""
-    mat = _as_matrix(rho)
+    mat = as_matrix(rho)
     vals = np.linalg.eigvalsh(hermitize(mat))
     top = max(float(vals[-1]), 1e-300)
     vals = vals[vals > RANK_CUTOFF * top]
@@ -90,17 +90,17 @@ def relative_entropy(
     exp-log combination surrogates are both used by the checkers); positivity
     of the value is only guaranteed when Tr sigma <= 1.
     """
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
+    r = as_matrix(rho)
+    s = as_matrix(sigma)
     if r.shape != s.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
-    proj = support_projector(s)
-    off = np.eye(s.shape[0]) - proj
+    s_eig = as_spectrum(sigma)
+    off = np.eye(s.shape[0]) - support_projector(s_eig)
     leak = max_sv(off @ r @ off)
     if leak >= SUPPORT_LEAK_TOL:
         return EntropyValue.inf()
-    log_r = matrix_log(r, support_only=True)
-    log_s = matrix_log(s, support_only=True)
+    log_r = matrix_log(as_spectrum(rho), support_only=True)
+    log_s = matrix_log(s_eig, support_only=True)
     return EntropyValue(real_trace(r @ (log_r - log_s)))
 
 
@@ -117,10 +117,8 @@ def renyi(
     """
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    r_pow = matrix_power(r, alpha)
-    s_pow = matrix_power(s, 1.0 - alpha)
+    r_pow = matrix_power(as_spectrum(rho), alpha)
+    s_pow = matrix_power(as_spectrum(sigma), 1.0 - alpha)
     overlap = real_trace(r_pow @ s_pow)
     if overlap <= 0.0:
         return EntropyValue.inf()
@@ -136,9 +134,7 @@ def overlap_lower_bound(
     This quantity sits between the relative entropy and the squared
     Hilbert-Schmidt distance of the square roots whenever Tr sigma <= 1.
     """
-    r = _as_matrix(rho)
-    s = _as_matrix(sigma)
-    overlap = real_trace(matrix_sqrt(r) @ matrix_sqrt(s))
+    overlap = real_trace(matrix_sqrt(as_spectrum(rho)) @ matrix_sqrt(as_spectrum(sigma)))
     if overlap <= 0.0:
         raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")
     return -2.0 * math.log(overlap)
@@ -188,20 +184,18 @@ def exp_log_combination(
     """
     if not terms:
         raise SingularTerm("need at least one term")
-    prepared = []
+    acc = 0.0
     for i, (sign, mat) in enumerate(terms):
         mat = np.asarray(mat, dtype=complex)
         if dims is not None:
             where = supports[i] if supports is not None else range(len(dims))
             mat = embed(mat, dims, where)
-        vals, _ = herm_eig(mat)
+        eig = herm_eig(mat)
+        vals = eig.eigenvalues
         if vals[0] <= RANK_CUTOFF * max(float(vals[-1]), 1e-300):
             raise SingularTerm(
                 f"term {i} is singular (min eigenvalue {vals[0]:.3e}); "
                 "exp-log combinations need full-rank terms"
             )
-        prepared.append((float(sign), mat))
-    acc = np.zeros_like(prepared[0][1])
-    for sign, mat in prepared:
-        acc = acc + sign * matrix_log(mat)
+        acc = acc + float(sign) * matrix_log(eig)
     return matrix_exp(hermitize(acc))

@@ -10,6 +10,8 @@ Conventions
   result is re-Hermitized, so f(H) of a Hermitian H is exactly Hermitian.
 * Eigenvalues below RANK_CUTOFF * max_eigenvalue count as zero when a
   function is evaluated on the support only.
+* Matrix functions take a matrix, which herm_eig validates and decomposes,
+  or a HermitianEigen from herm_eig, so a reused operator decomposes once.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ class HermitianEigen(NamedTuple):
     eigenvectors: np.ndarray
 
 
+Spectral = np.ndarray | HermitianEigen
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (x + x^dag) / 2."""
     x = np.asarray(x)
@@ -43,22 +48,34 @@ def max_sv(x: np.ndarray) -> float:
     return float(np.linalg.svd(x, compute_uv=False)[0])
 
 
+def is_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> bool:
+    """The package's one Hermiticity rule: ||x - x^dag||_inf <= tol * ||x||_inf.
+
+    An exactly Hermitian x (x - x^dag all zeros) passes without the two SVDs;
+    a NaN or infinite entry leaves a nonzero difference and takes the SVD path.
+    """
+    diff = x - x.conj().T
+    return not diff.any() or max_sv(diff) <= tol * max(max_sv(x), 1e-300)
+
+
+def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """Return x as a complex square matrix; raise NotHermitian when it fails is_hermitian."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise DimMismatch(f"expected a square matrix, got shape {x.shape}")
+    if not is_hermitian(x, tol):
+        raise NotHermitian(f"matrix deviates from Hermitian by {max_sv(x - x.conj().T):.3e}")
+    return x
+
+
 def herm_eig(h: np.ndarray, tol_herm: float = TOL_HERM) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when ||h - h^dag||_inf exceeds tol_herm * ||h||_inf
-    and NoConvergence when the underlying iteration fails.  Eigenvalues come
+    Raises NotHermitian when h fails is_hermitian at tol_herm and
+    NoConvergence when the underlying iteration fails.  Eigenvalues come
     back ascending; the eigenvector matrix has the vectors as columns.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {h.shape}")
-    dev = max_sv(h - h.conj().T)
-    scale = max_sv(h)
-    if dev > tol_herm * max(scale, 1e-300):
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {dev:.3e} (norm {scale:.3e})"
-        )
+    h = require_hermitian(h, tol_herm)
     try:
         vals, vecs = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware specific
@@ -67,13 +84,17 @@ def herm_eig(h: np.ndarray, tol_herm: float = TOL_HERM) -> HermitianEigen:
     return HermitianEigen(vals, vecs)
 
 
+def _eig(h: Spectral) -> HermitianEigen:
+    return h if isinstance(h, HermitianEigen) else herm_eig(h)
+
+
 def _support_mask(vals: np.ndarray, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
     top = float(np.max(np.abs(vals))) if vals.size else 0.0
     return np.abs(vals) > rank_cutoff * top
 
 
 def matrix_fn(
-    h: np.ndarray,
+    h: Spectral,
     fn: Callable[[np.ndarray], np.ndarray],
     support_only: bool = False,
     rank_cutoff: float = RANK_CUTOFF,
@@ -85,7 +106,7 @@ def matrix_fn(
     the support.  Without it the function must be finite on every eigenvalue;
     a non-finite value (log of ~0, negative power of ~0) raises SingularInput.
     """
-    vals, vecs = herm_eig(h)
+    vals, vecs = _eig(h)
     if support_only:
         mask = _support_mask(vals, rank_cutoff)
         fvals = np.zeros_like(vals)
@@ -106,20 +127,20 @@ def matrix_fn(
     return out
 
 
-def matrix_exp(h: np.ndarray) -> np.ndarray:
+def matrix_exp(h: Spectral) -> np.ndarray:
     return matrix_fn(h, np.exp)
 
 
-def matrix_log(h: np.ndarray, support_only: bool = False) -> np.ndarray:
+def matrix_log(h: Spectral, support_only: bool = False) -> np.ndarray:
     return matrix_fn(h, np.log, support_only=support_only)
 
 
-def matrix_sqrt(h: np.ndarray) -> np.ndarray:
+def matrix_sqrt(h: Spectral) -> np.ndarray:
     """Square root of a PSD matrix; tiny negative eigenvalues are clipped."""
     return matrix_fn(h, np.sqrt, support_only=True)
 
 
-def matrix_power(h: np.ndarray, p: float, support_only: bool = True) -> np.ndarray:
+def matrix_power(h: Spectral, p: float, support_only: bool = True) -> np.ndarray:
     """Real matrix power of a PSD matrix.
 
     Negative powers with support_only=True give the pseudo-inverse power on
@@ -128,22 +149,22 @@ def matrix_power(h: np.ndarray, p: float, support_only: bool = True) -> np.ndarr
     return matrix_fn(h, lambda x: np.power(x, p), support_only=support_only)
 
 
-def unitary_power(h: np.ndarray, t: float) -> np.ndarray:
+def unitary_power(h: Spectral, t: float) -> np.ndarray:
     """Complex power h^{it} of a PSD matrix.
 
     Computed as exp(i t log lam) on the support and extended by the identity
     on the kernel, so the result is unitary for any PSD input.
     """
-    vals, vecs = herm_eig(h)
+    vals, vecs = _eig(h)
     mask = _support_mask(vals)
     phases = np.ones(vals.shape, dtype=complex)
     phases[mask] = np.exp(1j * t * np.log(vals[mask]))
     return (vecs * phases) @ vecs.conj().T
 
 
-def support_projector(h: np.ndarray, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def support_projector(h: Spectral, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a Hermitian matrix."""
-    vals, vecs = herm_eig(h)
+    vals, vecs = _eig(h)
     mask = _support_mask(vals, rank_cutoff)
     cols = vecs[:, mask]
     return cols @ cols.conj().T

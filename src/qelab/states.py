@@ -9,6 +9,7 @@ seed alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -20,29 +21,21 @@ from .errors import (
     DimMismatch,
     InconsistentBlocks,
     NonFinite,
-    NotHermitian,
     NotPSD,
     NotTripartite,
 )
-from .linalg import hermitize, kron, max_sv, ptrace
+from .linalg import HermitianEigen, herm_eig, hermitize, kron, ptrace, require_hermitian
 from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
 def _validated_matrix(mat: np.ndarray, tol_herm: float, tol_psd: float) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimMismatch(f"expected a square matrix, got shape {mat.shape}")
     if not np.isfinite(mat).all():
         raise NonFinite("matrix has a NaN or infinite entry")
-    dev = max_sv(mat - mat.conj().T)
-    scale = max(max_sv(mat), 1e-300)
-    if dev > tol_herm * scale:
-        raise NotHermitian(f"operator deviates from Hermitian by {dev:.3e}")
-    mat = hermitize(mat)
+    mat = hermitize(require_hermitian(mat, tol_herm))
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     if min_eig < -tol_psd:
         raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol_psd:.1e}")
-    mat = mat.copy()
     mat.setflags(write=False)
     return mat
 
@@ -60,6 +53,14 @@ class SubnormalizedOperator:
     @property
     def mat(self) -> np.ndarray:
         return self._mat
+
+    @cached_property
+    def spectrum(self) -> HermitianEigen:
+        """herm_eig of the frozen matrix, computed on first use and kept read-only."""
+        spec = herm_eig(self._mat)
+        for part in spec:
+            part.setflags(write=False)
+        return spec
 
     @property
     def dim(self) -> int:
@@ -294,11 +295,25 @@ def random_tripartite(
     return MultipartiteState(random_density(total, rng, rank=rank), dims)
 
 
+def as_matrix(op: SubnormalizedOperator | np.ndarray) -> np.ndarray:
+    """The matrix of an operator object, or a raw array as a complex matrix."""
+    if isinstance(op, SubnormalizedOperator):
+        return op.mat
+    return np.asarray(op, dtype=complex)
+
+
+def as_spectrum(op: SubnormalizedOperator | np.ndarray) -> HermitianEigen:
+    """The cached spectrum of an operator object, or herm_eig of a raw array."""
+    if isinstance(op, SubnormalizedOperator):
+        return op.spectrum
+    return herm_eig(op)
+
+
 def regularize(state: DensityMatrix | np.ndarray, eps: float) -> DensityMatrix:
     """Full-rank mixture (1 - eps) rho + eps * I/d."""
     if not 0.0 < eps < 1.0:
         raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
-    mat = state.mat if isinstance(state, SubnormalizedOperator) else np.asarray(state)
+    mat = as_matrix(state)
     d = mat.shape[0]
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
     return DensityMatrix(mixed)

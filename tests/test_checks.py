@@ -12,6 +12,7 @@ import pytest
 
 from qelab.channels import KrausChannel, ptrace_channel, random_unital_channel
 from qelab.checks import (
+    DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,
     check_audenaert_ps,
     check_bsw_identity,
@@ -39,8 +40,18 @@ from qelab.checks import (
     ssa_surrogate,
     trotter_sequence,
 )
-from qelab.errors import BadAlpha, BadConfig, MarginalMismatch, NotUnital
-from qelab.linalg import kron, max_sv, real_trace, trace_norm
+from qelab.entropy import relative_entropy
+from qelab.errors import BadAlpha, BadConfig, MarginalMismatch, NotHermitian, NotUnital
+from qelab.linalg import (
+    hermitize,
+    kron,
+    matrix_exp,
+    matrix_log,
+    matrix_power,
+    max_sv,
+    real_trace,
+    trace_norm,
+)
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
@@ -523,6 +534,50 @@ def test_dw_profile_and_tripartite_route():
     assert tri.quantities["route_residual"] < 1e-8
 
 
+def _old_alpha_compressed(rho_mat, sigma_mat, channel, alpha):
+    """The alpha-compression as computed before its alpha-independent parts were shared."""
+    dual = channel.dual()
+    img_rho = channel.apply(rho_mat)
+    img_sigma = channel.apply(sigma_mat)
+    mid = hermitize(
+        matrix_power(img_sigma, -alpha / 2.0)
+        @ matrix_power(img_rho, alpha)
+        @ matrix_power(img_sigma, -alpha / 2.0)
+    )
+    s_half = matrix_power(sigma_mat, alpha / 2.0)
+    inner = hermitize(s_half @ dual.apply(mid) @ s_half)
+    return matrix_power(inner, 1.0 / alpha)
+
+
+def _old_unital_surrogate(rho_mat, sigma_mat, channel):
+    dual = channel.dual()
+    log_img_rho = matrix_log(channel.apply(rho_mat))
+    log_img_sigma = matrix_log(channel.apply(sigma_mat))
+    combo = matrix_log(sigma_mat) + dual.apply(log_img_rho) - dual.apply(log_img_sigma)
+    return matrix_exp(hermitize(combo))
+
+
+@pytest.mark.parametrize("seed", [70, 71, 72])
+def test_alpha_grids_equal_single_alpha_calls(seed):
+    rng = RNG(seed)
+    rho, sigma = _pair(4, seed)
+    channel = random_unital_channel(4, 3, rng)
+    profile = dw_alpha_profile(rho, sigma, channel, DEFAULT_DW_ALPHAS)
+    values = []
+    for alpha in DEFAULT_DW_ALPHAS:
+        # fresh objects, so no spectrum cached by the profile is reused
+        single = check_dw_alpha(DensityMatrix(rho.mat), DensityMatrix(sigma.mat), channel, alpha)
+        old = real_trace(_old_alpha_compressed(rho.mat, sigma.mat, channel, alpha))
+        assert profile.quantities[f"q_{alpha!r}"] == single.quantities["q_alpha"] == old
+        values.append(old)
+    assert profile.slack == min(1.0 - v for v in values)
+    sbw = check_sbw_limit(rho, sigma, channel, DEFAULT_SBW_ALPHAS)
+    surrogate = _old_unital_surrogate(rho.mat, sigma.mat, channel)
+    for alpha in DEFAULT_SBW_ALPHAS:
+        old = max_sv(_old_alpha_compressed(rho.mat, sigma.mat, channel, alpha) - surrogate)
+        assert sbw.quantities[f"e_{alpha!r}"] == old
+
+
 def test_sbw_limit_self_pair_zero_error():
     rng = RNG(38)
     rho = regularize(random_density(3, rng), 1e-6)
@@ -740,3 +795,37 @@ def test_explore_trotter_monotone_records_differences():
     assert set(quantities) == {"t_1", "t_2", "t_4", "t_8", "t_16"}
     # observed monotone decrease on generic states; recorded, not asserted
     assert slack > -1e-6
+
+
+# ---------------------------------------------------------------------------
+# Non-Hermitian input is still rejected at every boundary
+# ---------------------------------------------------------------------------
+
+
+def _skewed(x):
+    bad = np.array(x, dtype=complex)
+    bad[0, 1] += 0.1
+    return bad
+
+
+_RNG80 = RNG(80)
+_H = _rand_herm(3, _RNG80)
+_X1 = regularize(random_density(3, _RNG80), 1e-6).mat
+_X2 = regularize(random_density(3, _RNG80), 1e-6).mat
+_M = _RNG80.normal(size=(3, 3)) + 1j * _RNG80.normal(size=(3, 3))
+NON_HERMITIAN_CASES = {
+    "golden-thompson-a": lambda: check_golden_thompson(_skewed(_H), _H),
+    "golden-thompson-b": lambda: check_golden_thompson(_H, _skewed(_H)),
+    "lieb-h": lambda: check_lieb_concavity(_skewed(_H), _X1, _X2, 0.5),
+    "lieb-x1": lambda: check_lieb_concavity(_H, _skewed(_X1), _X2, 0.5),
+    "carlen-lieb-x1": lambda: check_cl_concavity(_M, _skewed(_X1), _X2, 0.5, 2.0),
+    "matrix-log": lambda: matrix_log(_skewed(_X1)),
+    "relative-entropy-rho": lambda: relative_entropy(_skewed(_X1), _X2),
+    "relative-entropy-sigma": lambda: relative_entropy(_X1, _skewed(_X2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_HERMITIAN_CASES))
+def test_non_hermitian_input_raises_at_each_boundary(case):
+    with pytest.raises(NotHermitian):
+        NON_HERMITIAN_CASES[case]()

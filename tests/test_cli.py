@@ -113,6 +113,36 @@ def test_check_nmax_below_one_is_a_config_error(nmax):
         assert "--nmax must be >= 1" in proc.stderr
 
 
+def _assert_config_error(proc, command):
+    assert proc.returncode == 2, (command, proc.stderr)
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error:"), (command, proc.stderr)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_alpha_is_a_config_error(bad):
+    for suite in ("dw-alpha", "sbw-limit"):
+        command = ("check", "--suite", suite, "--trials", "1", f"--alpha=0.5,{bad}")
+        proc = run_cli(*command)
+        _assert_config_error(proc, command)
+        assert "--alpha values must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_t_samples_is_a_config_error(bad, tmp_path):
+    spec = tmp_path / "spec.json"
+    _write_markov_spec(spec)
+    commands = [
+        ("check", "--suite", "all", "--trials", "1", f"--t-samples=0.3,{bad}"),
+        ("markov", str(spec), f"--t-samples=0.3,{bad}"),
+    ]
+    for command in commands:
+        proc = run_cli(*command)
+        _assert_config_error(proc, command)
+        assert "--t-samples values must be finite" in proc.stderr
+
+
 def test_trotter_state_file_with_nan_is_a_config_error(tmp_path):
     state = random_tripartite((2, 2, 2), np.random.default_rng(5))
     blob = state_to_json(state)
@@ -143,6 +173,26 @@ def test_check_two_runs_byte_identical():
     second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.fixture(scope="module")
+def all_suites_records(tmp_path_factory):
+    out = tmp_path_factory.mktemp("all") / "all.json"
+    assert cli.main(["check", "--suite", "all", "--trials", "2", "--seed", "5",
+                     "--out", str(out)]) == cli.EXIT_OK
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("name", list(cli.SUITES))
+def test_check_records_do_not_depend_on_the_other_suites(name, all_suites_records, tmp_path):
+    # spectra cached on shared operator objects must carry no state between
+    # trials or suites: one suite alone reports what it reports inside "all"
+    out = tmp_path / "one.json"
+    assert cli.main(["check", "--suite", name, "--trials", "2", "--seed", "5",
+                     "--out", str(out)]) == cli.EXIT_OK
+    alone = json.loads(out.read_text())
+    assert len(alone) == 2
+    assert alone == [r for r in all_suites_records if r["checker"] == alone[0]["checker"]]
 
 
 def test_check_seed_env_override():

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qelab import linalg
 from qelab.errors import DimMismatch, NotHermitian, SingularInput
 from qelab.linalg import (
     embed,
     herm_eig,
     hermitize,
+    is_hermitian,
     kron,
     matrix_exp,
     matrix_fn,
@@ -19,6 +22,7 @@ from qelab.linalg import (
     max_sv,
     ptrace,
     real_trace,
+    require_hermitian,
     schatten_norm,
     support_projector,
     trace_norm,
@@ -251,3 +255,131 @@ def test_sqrt_sum_norm_sandwich_for_states():
 def test_real_trace_discards_imaginary_noise():
     x = np.array([[1.0 + 1e-18j, 0.0], [0.0, 2.0]])
     assert real_trace(x) == pytest.approx(3.0)
+
+
+# ---------------------------------------------------------------------------
+# One Hermiticity rule; matrix functions take a spectrum
+# ---------------------------------------------------------------------------
+
+
+def _two_svd_rule(x, tol):
+    """The rule as herm_eig, _validated_matrix and the channels each wrote it."""
+    return max_sv(x - x.conj().T) <= tol * max(max_sv(x), 1e-300)
+
+
+def _verdict(rule, x, tol):
+    try:
+        with np.errstate(invalid="ignore"):
+            return rule(x, tol)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+# relative size of the anti-Hermitian part, as a multiple of the tolerance
+_OFFSETS = {"inside": 0.99, "outside": 1.01, "far": 1e4}
+_EXPECTED = {"exact": True, "zero": True, "inside": True, "outside": False, "far": False}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["exact", "zero", "inside", "outside", "far", "nan", "inf"]),
+    tol=st.sampled_from([1e-10, 1e-12]),
+)
+def test_is_hermitian_agrees_with_the_two_svd_rule(d, seed, kind, tol):
+    rng = np.random.default_rng(seed)
+    x = _rand_hermitian(d, rng) * rng.uniform(1e-3, 1e3)
+    if kind == "zero":
+        x = np.zeros((d, d), dtype=complex)
+    elif kind in _OFFSETS:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        skew = g - g.conj().T  # x + c skew deviates from Hermitian by 2 c ||skew||
+        x = x + (_OFFSETS[kind] * tol * max_sv(x) / (2.0 * max_sv(skew))) * skew
+    elif kind in ("nan", "inf"):
+        x[tuple(rng.integers(0, d, size=2))] = np.nan if kind == "nan" else np.inf
+    verdict = _verdict(is_hermitian, x, tol)
+    assert verdict == _verdict(_two_svd_rule, x, tol)
+    if kind in _EXPECTED:
+        assert verdict is _EXPECTED[kind]
+
+
+def test_exactly_hermitian_input_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("an exactly Hermitian input reached an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    rng = np.random.default_rng(60)
+    for d in (1, 2, 5):
+        h = _rand_hermitian(d, rng)
+        assert is_hermitian(h, 1e-12)
+        require_hermitian(h)
+        herm_eig(h)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_still_takes_the_svd_path(bad, monkeypatch):
+    calls = []
+    real_max_sv = linalg.max_sv
+    monkeypatch.setattr(linalg, "max_sv", lambda x: calls.append(1) or real_max_sv(x))
+    x = np.eye(3, dtype=complex)
+    x[0, 2] = bad
+    assert _verdict(is_hermitian, x, 1e-10) == _verdict(_two_svd_rule, x, 1e-10)
+    assert calls
+
+
+SPECTRAL_FNS = {
+    "matrix_fn": lambda h: matrix_fn(h, np.cos),
+    "matrix_exp": matrix_exp,
+    "matrix_log": matrix_log,
+    "matrix_log_support": lambda h: matrix_log(h, support_only=True),
+    "matrix_sqrt": matrix_sqrt,
+    "matrix_power": lambda h: matrix_power(h, -0.37),
+    "matrix_power_full": lambda h: matrix_power(h, 1.7, support_only=False),
+    "unitary_power": lambda h: unitary_power(h, 0.7),
+    "support_projector": support_projector,
+}
+
+
+def _outcome(fn, arg):
+    try:
+        return fn(arg)
+    except SingularInput:
+        return "SingularInput"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPECTRAL_FNS)),
+    d=st.integers(1, 6),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matrix_functions_give_the_same_bits_from_a_spectrum(name, d, rank, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(d, min(rank, d))) + 1j * rng.normal(size=(d, min(rank, d)))
+    h = g @ g.conj().T
+    fn = SPECTRAL_FNS[name]
+    direct = _outcome(fn, h)
+    spectral = _outcome(fn, herm_eig(h))
+    if isinstance(direct, str):
+        assert direct == spectral
+    else:
+        assert np.array_equal(direct, spectral)
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_FNS))
+def test_matrix_functions_validate_a_raw_matrix(name):
+    with pytest.raises(NotHermitian):
+        SPECTRAL_FNS[name](np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_a_spectrum_is_not_decomposed_again(monkeypatch):
+    spec = herm_eig(_rand_psd(4, np.random.default_rng(61)))
+
+    def no_eig(*args, **kwargs):
+        raise AssertionError("a spectrum went through herm_eig")
+
+    monkeypatch.setattr(linalg, "herm_eig", no_eig)
+    for fn in SPECTRAL_FNS.values():
+        fn(spec)

@@ -17,12 +17,14 @@ from qelab.errors import (
     NotPSD,
     NotTripartite,
 )
-from qelab.linalg import kron, matrix_log, max_sv, embed, trace_norm
+from qelab.linalg import embed, herm_eig, kron, matrix_log, max_sv, trace_norm
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
     MultipartiteState,
     SubnormalizedOperator,
+    as_matrix,
+    as_spectrum,
     markov_spec_from_json,
     markov_spec_to_json,
     markov_state,
@@ -59,6 +61,28 @@ def test_non_finite_entry_is_rejected_before_any_decomposition(bad, where):
     mat[0, 1] = bad
     with pytest.raises(NonFinite):
         DensityMatrix(mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    rank=st.integers(1, 6),
+    scale=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_spectrum_equals_herm_eig_of_the_matrix(d, rank, scale, seed):
+    rho = random_density(d, np.random.default_rng(seed), rank=min(rank, d))
+    op = SubnormalizedOperator(scale * rho.mat)
+    for obj in (rho, op):
+        spectrum = obj.spectrum
+        fresh = herm_eig(obj.mat)
+        assert all(np.array_equal(a, b) for a, b in zip(spectrum, fresh))
+        assert obj.spectrum is spectrum  # decomposed once
+        assert not any(part.flags.writeable for part in spectrum)
+        assert as_spectrum(obj) is spectrum
+        assert as_matrix(obj) is obj.mat
+    raw = np.array(rho.mat)
+    assert all(np.array_equal(a, b) for a, b in zip(as_spectrum(raw), rho.spectrum))
 
 
 def test_subnormalized_accepts_trace_below_one():
