@@ -50,6 +50,7 @@ from .linalg import (
 )
 from .results import ChainResult, CheckResult
 from .states import (
+    Decomposed,
     DensityMatrix,
     MultipartiteState,
     SubnormalizedOperator,
@@ -133,12 +134,14 @@ def ssa_surrogate(state: MultipartiteState) -> np.ndarray:
 
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
-    """(spectra of sigma, Phi(rho) and Phi(sigma), the dual Phi^*) for operators or matrices
-    rho and sigma: what the unital surrogate and every alpha-compression share."""
+    """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the dual Phi^*) for
+    operators or matrices rho and sigma: what the unital surrogate, every alpha-compression
+    and the relative entropy of the images share."""
+    img_rho, img_sigma = (channel.apply(as_matrix(x)) for x in (rho, sigma))
     return (
         as_spectrum(sigma),
-        herm_eig(channel.apply(as_matrix(rho))),
-        herm_eig(channel.apply(as_matrix(sigma))),
+        Decomposed(img_rho, herm_eig(img_rho)),
+        Decomposed(img_sigma, herm_eig(img_sigma)),
         channel.dual(),
     )
 
@@ -146,8 +149,8 @@ def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
 def _unital_surrogate(pushed: tuple) -> np.ndarray:
     """exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) from _pushed."""
     sigma_eig, img_rho, img_sigma, dual = pushed
-    combo = matrix_log(sigma_eig) + dual.apply(matrix_log(img_rho))
-    return matrix_exp(hermitize(combo - dual.apply(matrix_log(img_sigma))))
+    combo = matrix_log(sigma_eig) + dual.apply(matrix_log(img_rho.spectrum))
+    return matrix_exp(hermitize(combo - dual.apply(matrix_log(img_sigma.spectrum))))
 
 
 def _root_links(rho, other) -> list[tuple[str, float]]:
@@ -173,7 +176,6 @@ def _sqrt_chain(
     surrogate: np.ndarray,
     tol: float,
     quantities: dict[str, float] | None = None,
-    meta: dict | None = None,
     trace_bound: bool = True,
 ) -> ChainResult:
     """The shared descending chain anchored at a relative-entropy quantity."""
@@ -182,7 +184,7 @@ def _sqrt_chain(
     tr_srg = real_trace(surrogate)
     q["trace_surrogate"] = tr_srg
     extra_ok = (tr_srg <= 1.0 + tol) if trace_bound else True
-    return ChainResult(name, links, tol, q, meta or {}, extra_ok)
+    return ChainResult(name, links, tol, q, {}, extra_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +280,9 @@ def check_stronger_monotonicity(
     """
     require_unital(channel)
     before = relative_entropy(rho, sigma).value
-    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
-    surrogate = _unital_surrogate(_pushed(rho, sigma, channel))
+    pushed = _pushed(rho, sigma, channel)
+    after = relative_entropy(pushed[1], pushed[2]).value
+    surrogate = _unital_surrogate(pushed)
     return _sqrt_chain(
         "stronger-monotonicity",
         "relent_gap",
@@ -335,19 +338,13 @@ def check_ptrace_strengthening(
     )
 
 
-def check_ssa_strengthened(
-    state: MultipartiteState, tol: float = TOL_INEQ
-) -> ChainResult:
+def check_ssa_strengthened(rho: MultipartiteState, tol: float = TOL_INEQ) -> ChainResult:
     """Strong subadditivity with the exp-log surrogate refinement.
 
     I(A:C|B) anchors the chain against exp(log rho_AB - log rho_B + log rho_BC);
     the surrogate trace bound Tr S <= 1 is asserted alongside.
     """
-    i_val = cmi(state)
-    surrogate = ssa_surrogate(state)
-    return _sqrt_chain(
-        "ssa", "cmi", i_val, state.matrix, surrogate, tol
-    )
+    return _sqrt_chain("ssa", "cmi", cmi(rho), rho.matrix, ssa_surrogate(rho), tol)
 
 
 def check_trace_exp_bound(
@@ -470,15 +467,15 @@ def check_three_state_chain(
     )
 
 
-def check_subadd_exp(state: MultipartiteState, tol: float = TOL_INEQ) -> ChainResult:
+def check_subadd_exp(rho: MultipartiteState, tol: float = TOL_INEQ) -> ChainResult:
     """Subadditivity-flavoured chain with the two-marginal surrogate.
 
     Anchor S(AB) + S(BC) - S(ABC) against exp(log rho_AB + log rho_BC); the
     auxiliary product bound Tr S <= Tr(rho_AB rho_BC) = Tr rho_B^2 <= 1 is
     asserted through extra_ok (middle equality within 1e-10).
     """
-    m = _tri_mats(state)
-    dims = state.dims
+    m = _tri_mats(rho)
+    dims = rho.dims
     anchor = von_neumann(m["ab"]) + von_neumann(m["bc"]) - von_neumann(m["abc"])
     surrogate = exp_log_combination(
         [(1.0, m["ab"]), (1.0, m["bc"])], dims=dims, supports=[(0, 1), (1, 2)]
@@ -587,8 +584,21 @@ def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
     return matrix_power(g, float(n))
 
 
+def _trotter_traces(rho: MultipartiteState, n_values: Sequence[int]) -> list[tuple[int, float]]:
+    """(n, t_n) for each order n: the compressed-product traces of trotter_sequence."""
+    m = _tri_mats(rho)
+    n_values = [int(n) for n in n_values]
+    if not n_values or any(n < 1 for n in n_values):
+        raise BadConfig(f"need positive compression orders, got {n_values}")
+    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
+    return [
+        (n, real_trace(_psd_int_power(_compressed_product(eig, rho.dims, 1.0 / n), n)))
+        for n in n_values
+    ]
+
+
 def trotter_sequence(
-    state: MultipartiteState,
+    rho: MultipartiteState,
     n_values: Sequence[int] = DEFAULT_TROTTER_NS,
     tol: float = TOL_INEQ,
 ) -> ChainResult:
@@ -600,18 +610,11 @@ def trotter_sequence(
     |t_last - Tr S| <= |t_first - Tr S| + tol.  Monotonicity of the sequence
     is recorded in the quantities but never asserted: it is an open question.
     """
-    m = _tri_mats(state)
-    dims = state.dims
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(n < 1 for n in n_values):
-        raise BadConfig(f"need positive compression orders, got {n_values}")
-    trace_surrogate = real_trace(ssa_surrogate(state))
+    traces = _trotter_traces(rho, n_values)
+    trace_surrogate = real_trace(ssa_surrogate(rho))
     quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
     table = []
-    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
-    for n in n_values:
-        g = _compressed_product(eig, dims, 1.0 / n)
-        t_n = real_trace(_psd_int_power(g, n))
+    for n, t_n in traces:
         quantities[f"t_{n}"] = t_n
         table.append((n, t_n, t_n - trace_surrogate))
     errs = [abs(t - trace_surrogate) for _, t, _ in table]
@@ -623,7 +626,7 @@ def trotter_sequence(
         links,
         tol,
         quantities,
-        meta={"table": table, "n_values": n_values},
+        meta={"table": table, "n_values": [n for n, _ in traces]},
         extra_ok=bool(errs[-1] <= errs[0] + tol),
     )
 
@@ -639,8 +642,8 @@ def _alpha_compressed(pushed: tuple, alpha: float) -> np.ndarray:
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
     sigma_eig, img_rho, img_sigma, dual = pushed
-    img_sigma_neg = matrix_power(img_sigma, -alpha / 2.0)
-    mid = hermitize(img_sigma_neg @ matrix_power(img_rho, alpha) @ img_sigma_neg)
+    img_sigma_neg = matrix_power(img_sigma.spectrum, -alpha / 2.0)
+    mid = hermitize(img_sigma_neg @ matrix_power(img_rho.spectrum, alpha) @ img_sigma_neg)
     s_half = matrix_power(sigma_eig, alpha / 2.0)
     inner = hermitize(s_half @ dual.apply(mid) @ s_half)
     return matrix_power(inner, 1.0 / alpha)
@@ -679,7 +682,7 @@ def dw_alpha_profile(
 
 
 def check_dw_tripartite(
-    state: MultipartiteState,
+    rho: MultipartiteState,
     alphas: Sequence[float] = DEFAULT_DW_ALPHAS,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
@@ -690,9 +693,9 @@ def check_dw_tripartite(
     out A, reference rho_AB (x) 1_C/d_C) is recomputed as a cross-check and
     the two routes must agree within TOL_IDENTITY.
     """
-    m = _tri_mats(state)
+    m = _tri_mats(rho)
     eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
-    dims = state.dims
+    dims = rho.dims
     quantities: dict[str, float] = {}
     worst = math.inf
     for alpha in alphas:
@@ -858,7 +861,6 @@ def check_audenaert_ps(
     tr_n = real_trace(n_mat)
     half_min = 0.5 * (tr_m + tr_n - td)
     quantities = {"trace_m": tr_m, "trace_n": tr_n}
-    extra_ok = True
     worst_aud = math.inf
     for t in t_values:
         if not 0.0 <= t <= 1.0:
@@ -867,7 +869,7 @@ def check_audenaert_ps(
         slack_t = crossed - half_min
         quantities[f"audenaert_slack_{t!r}"] = slack_t
         worst_aud = min(worst_aud, slack_t)
-    extra_ok = extra_ok and worst_aud >= -tol
+    extra_ok = worst_aud >= -tol
     if tr_m <= 1.0 + TOL_TRACE and tr_n <= 1.0 + TOL_TRACE:
         overlap = real_trace(sm @ sn)
         if overlap > 0.0:
@@ -883,15 +885,13 @@ def check_audenaert_ps(
     )
 
 
-def check_squashed_proxy(
-    state: MultipartiteState, tol: float = TOL_INEQ
-) -> CheckResult:
+def check_squashed_proxy(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
     """Half the CMI dominates an eighth of the squared distance between the
     AC marginal and the AC reduction of the exp-log surrogate."""
-    surrogate = ssa_surrogate(state)
-    rho_ac = state.marginal([0, 2])
-    srg_ac = ptrace(surrogate, state.dims, [0, 2])
-    lhs = 0.5 * cmi(state)
+    surrogate = ssa_surrogate(rho)
+    rho_ac = rho.marginal([0, 2])
+    srg_ac = ptrace(surrogate, rho.dims, [0, 2])
+    lhs = 0.5 * cmi(rho)
     dist = trace_norm(rho_ac - srg_ac)
     rhs = 0.125 * dist**2
     return CheckResult(
@@ -927,32 +927,30 @@ def check_twirl_identity(
     )
 
 
-
-
 # ---------------------------------------------------------------------------
 # Open inequalities, swept by suites.explore_conjecture and never asserted
 # ---------------------------------------------------------------------------
 
 
-def explore_stronger_mono(inst, tol, opts) -> CheckResult:
+def explore_stronger_mono(
+    rho: DensityMatrix, sigma: DensityMatrix, channel: KrausChannel, tol: float = TOL_INEQ
+) -> CheckResult:
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
-    rho: DensityMatrix = inst["rho"]
-    sigma: DensityMatrix = inst["sigma"]
-    channel: KrausChannel = inst["channel"]
+    img_rho = channel.apply(rho.mat)
     gap = (
         relative_entropy(rho, sigma).value
-        - relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
+        - relative_entropy(img_rho, channel.apply(sigma.mat)).value
     )
-    recovered = petz_map(channel, sigma).apply(channel.apply(rho.mat))
+    recovered = petz_map(channel, sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
     quantities = {"relent_gap": gap, "recovery_distance": dist}
     return CheckResult("stronger-mono", quantities, gap - 0.25 * dist**2, tol)
 
 
-def explore_ptrace_petz(inst, tol, opts) -> CheckResult:
+def explore_ptrace_petz(
+    rho_ab: MultipartiteState, sigma_ab: MultipartiteState, tol: float = TOL_INEQ
+) -> CheckResult:
     """The same comparison for discarding the second subsystem."""
-    rho_ab: MultipartiteState = inst["rho_ab"]
-    sigma_ab: MultipartiteState = inst["sigma_ab"]
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
     gap = (
@@ -965,22 +963,19 @@ def explore_ptrace_petz(inst, tol, opts) -> CheckResult:
     return CheckResult("ptrace-petz", quantities, gap - 0.25 * dist**2, tol)
 
 
-def explore_cmi_petz(inst, tol, opts) -> CheckResult:
+def explore_cmi_petz(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
-    state: MultipartiteState = inst["rho"]
-    m = _tri_mats(state)
-    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), state.dims, (1,))
-    dist = trace_norm(m["abc"] - _petz_recovery(m, m, state.dims, "ab", inv_sqrt_b))
-    i_val = cmi(state)
+    m = _tri_mats(rho)
+    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
+    dist = trace_norm(m["abc"] - _petz_recovery(m, m, rho.dims, "ab", inv_sqrt_b))
+    i_val = cmi(rho)
     quantities = {"cmi": i_val, "recovery_distance": dist}
     return CheckResult("cmi-petz", quantities, i_val - 0.25 * dist**2, tol)
 
 
-def explore_trotter_monotone(inst, tol, opts) -> CheckResult:
+def explore_trotter_monotone(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
     """Smallest decrease t_n - t_2n of the compressed-product traces."""
-    orders = (1, 2, 4, 8, 16)
-    result = trotter_sequence(inst["rho"], n_values=orders)
-    ts = [result.quantities[f"t_{n}"] for n in orders]
-    diffs = [ts[i] - ts[i + 1] for i in range(len(ts) - 1)]
-    quantities = {f"t_{n}": t for n, t in zip(orders, ts)}
+    traces = _trotter_traces(rho, (1, 2, 4, 8, 16))
+    diffs = [t - t_next for (_, t), (_, t_next) in zip(traces, traces[1:])]
+    quantities = {f"t_{n}": t for n, t in traces}
     return CheckResult("trotter-monotone", quantities, min(diffs), tol)

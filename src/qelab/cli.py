@@ -50,14 +50,24 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _finite_values(values, flag: str) -> list:
+    """values when it is a non-empty list of finite numbers, else BadConfig: the one rule
+    for a grid, whether parsed from a flag or read from a dump's options."""
+    if not (isinstance(values, list) and values and all(_is_finite(v) for v in values)):
+        raise BadConfig(f"{flag} values must be finite, got {values!r}")
+    return values
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise BadConfig(f"cannot parse {flag} {text!r}: {exc}") from exc
-    if not all(math.isfinite(v) for v in values):
-        raise BadConfig(f"{flag} values must be finite, got {text!r}")
-    return values
+    return _finite_values(values, flag)
 
 
 def _checked_tol(tol: float) -> float:
@@ -269,7 +279,13 @@ def cmd_replay(args) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise BadConfig(f"cannot read dump {args.dump!r}: {exc}") from exc
-    tol = payload.get("tolerance", tol)
+    if not isinstance(payload, dict) or not isinstance(payload.get("opts", {}), dict):
+        raise BadConfig("dump must be a JSON object with an object of options")
+    tol, opts = payload.get("tolerance", tol), payload.get("opts", {})
+    if not (_is_finite(tol) and tol >= 0):
+        raise BadConfig(f"dump tolerance must be a finite number >= 0, got {tol!r}")
+    for key, values in opts.items():
+        _finite_values(values, f"dump option {key}")
     kind = payload.get("explore_kind", payload.get("kind"))
     # an exploration report or dump names a kind and no checker
     exploring = kind is not None and "checker" not in payload
@@ -279,7 +295,7 @@ def cmd_replay(args) -> int:
         raise BadConfig(f"dump names unknown checker or exploration kind {name!r}")
     if blob is None:
         raise BadConfig("dump carries no instance to replay")
-    result = registry[name].run(deserialize_instance(blob), tol, payload.get("opts", {}))
+    result = registry[name].run(deserialize_instance(blob), tol, opts)
     if exploring:
         print(f"kind = {name}")
         for key, value in sorted(result.quantities.items()):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -295,16 +295,24 @@ def random_tripartite(
     return MultipartiteState(random_density(total, rng, rank=rank), dims)
 
 
-def as_matrix(op: SubnormalizedOperator | np.ndarray) -> np.ndarray:
+class Decomposed(NamedTuple):
+    """A Hermitian matrix beside its herm_eig: a derived operator, such as a channel image,
+    decomposed once and not held to the trace and positivity checks of an operator object."""
+
+    mat: np.ndarray
+    spectrum: HermitianEigen
+
+
+def as_matrix(op: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
     """The matrix of an operator object, or a raw array as a complex matrix."""
-    if isinstance(op, SubnormalizedOperator):
+    if isinstance(op, (SubnormalizedOperator, Decomposed)):
         return op.mat
     return np.asarray(op, dtype=complex)
 
 
-def as_spectrum(op: SubnormalizedOperator | np.ndarray) -> HermitianEigen:
-    """The cached spectrum of an operator object, or herm_eig of a raw array."""
-    if isinstance(op, SubnormalizedOperator):
+def as_spectrum(op: SubnormalizedOperator | Decomposed | np.ndarray) -> HermitianEigen:
+    """The spectrum of an operator object, or herm_eig of a raw array."""
+    if isinstance(op, (SubnormalizedOperator, Decomposed)):
         return op.spectrum
     return herm_eig(op)
 

@@ -1,10 +1,11 @@
 """Named checker suites: samplers plus runners with a shared RNG discipline.
 
 Each suite couples a sampler (rng, dims, eps) -> instance with a runner
-(instance, tol, opts) -> result.  SUITES holds the asserted checks,
-EXPLORATIONS the open inequalities whose slack is only reported; one driver,
-iter_trials, runs both.  Instances hold only serializable values so any trial
-can be dumped and replayed.  Trial randomness is keyed as
+(instance, tol, opts) -> result.  An instance is the keyword arguments of the
+suite's checker, so most runners only call checker(**instance, tol=tol).
+SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
+slack is only reported; one driver, iter_trials, runs both.  Instances hold
+only serializable values so any trial can be dumped and replayed.  Trial randomness is keyed as
 default_rng([seed, suite_index, trial]); results are therefore reproducible
 from (seed, config) alone, independent of execution order.
 """
@@ -46,7 +47,6 @@ MARKOV_FACTOR_EPS = 3e-3
 # Modest sample count for the suite sweep; the direct checker call is the
 # place for the full n = 10^4 study.
 TWIRL_SUITE_SAMPLES = 200
-AUDENAERT_T_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 CL_ALPHA_GRID = (1.5, 2.0, 4.0)
 
 
@@ -224,75 +224,41 @@ def _sample_twirl(rng, dims, eps):
 # ---------------------------------------------------------------------------
 
 
-def _run_renyi(inst, tol, opts):
-    return checks.check_renyi_monotonicity(inst["rho"], inst["sigma"], tol=tol)
+def _calls(checker: str | Callable, *options: str) -> Callable:
+    """The runner (inst, tol, opts) -> checker(**inst, <options set in opts>, tol=tol).
+
+    A str names a function of checks, looked up at every call so that a rebound
+    checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The
+    runners below add something to their checker and take its keyword arguments.
+    """
+
+    def run(inst, tol, opts):
+        fn = getattr(checks, checker) if isinstance(checker, str) else checker
+        return fn(**inst, **{key: opts[key] for key in options if key in opts}, tol=tol)
+
+    return run
 
 
-def _run_overlap(inst, tol, opts):
-    result = checks.check_overlap_chain(inst["rho"], inst["sigma"], tol=tol)
-    if "mu" in inst:
+def _run_overlap(rho, sigma, tol, sigma_base=None, mu=None):
+    result = checks.check_overlap_chain(rho, sigma, tol=tol)
+    if mu is not None:
         # The scaled reference obeys the exact shift rule
         # S(rho || mu sigma) = S(rho || sigma) - log mu.
-        base = relative_entropy(inst["rho"], inst["sigma_base"]).value
+        base = relative_entropy(rho, sigma_base).value
         scaled = dict(result.links)["relative_entropy"]
-        residual = abs(scaled - (base - math.log(inst["mu"])))
+        residual = abs(scaled - (base - math.log(mu)))
         result.quantities["scaling_residual"] = residual
         result.extra_ok = bool(result.extra_ok and residual <= TOL_IDENTITY)
     return result
 
 
-def _run_monotonicity(inst, tol, opts):
-    return checks.check_monotonicity(inst["rho"], inst["sigma"], inst["channel"], tol)
+def _run_bsw(rho, sigma, tau, omega, tol):
+    # An identity: judged at TOL_IDENTITY whatever --tol says.
+    return checks.check_bsw_identity(rho, sigma, tau, omega)
 
 
-def _run_stronger(inst, tol, opts):
-    return checks.check_stronger_monotonicity(
-        inst["rho"], inst["sigma"], inst["channel"], tol
-    )
-
-
-def _run_unital_trace(inst, tol, opts):
-    return checks.check_unital_trace_bound(
-        inst["rho"], inst["sigma"], inst["channel"], tol
-    )
-
-
-def _run_ptrace(inst, tol, opts):
-    return checks.check_ptrace_strengthening(inst["rho_ab"], inst["sigma_ab"], tol)
-
-
-def _run_ssa(inst, tol, opts):
-    return checks.check_ssa_strengthened(inst["rho"], tol)
-
-
-def _run_trace_exp(inst, tol, opts):
-    return checks.check_trace_exp_bound(inst["rho"], inst["sigma"], inst["tau"], tol)
-
-
-def _run_bsw(inst, tol, opts):
-    return checks.check_bsw_identity(
-        inst["rho"], inst["sigma"], inst["tau"], inst["omega"]
-    )
-
-
-def _run_super_ssa(inst, tol, opts):
-    return checks.check_super_ssa(inst["rho"], inst["sigma"], tol)
-
-
-def _run_three_state(inst, tol, opts):
-    return checks.check_three_state_chain(
-        inst["rho"], inst["sigma"], inst["tau"], inst["omega"], tol
-    )
-
-
-def _run_subadd(inst, tol, opts):
-    return checks.check_subadd_exp(inst["rho"], tol)
-
-
-def _run_markov(inst, tol, opts):
-    spec = inst["spec"]
+def _run_markov(spec, tol, t_samples=checks.DEFAULT_T_SAMPLES):
     state = markov_state(spec)
-    t_samples = opts.get("t_samples", checks.DEFAULT_T_SAMPLES)
     chars = checks.markov_characterizations(state, t_samples=t_samples)
     quantities = dict(chars.quantities)
     surrogate = checks.ssa_surrogate(state)
@@ -314,68 +280,24 @@ def _run_markov(inst, tol, opts):
     )
 
 
-def _run_trotter(inst, tol, opts):
-    n_values = opts.get("n_values", checks.DEFAULT_TROTTER_NS)
-    return checks.trotter_sequence(inst["rho"], n_values=n_values, tol=tol)
+def _run_sbw(rho, sigma, channel, tol, sbw_alphas=checks.DEFAULT_SBW_ALPHAS):
+    return checks.check_sbw_limit(rho, sigma, channel, sbw_alphas, tol)
 
 
-def _run_dw_alpha(inst, tol, opts):
-    alphas = opts.get("alphas", checks.DEFAULT_DW_ALPHAS)
-    return checks.dw_alpha_profile(
-        inst["rho"], inst["sigma"], inst["channel"], alphas, tol
-    )
-
-
-def _run_dw_tripartite(inst, tol, opts):
-    alphas = opts.get("alphas", checks.DEFAULT_DW_ALPHAS)
-    return checks.check_dw_tripartite(inst["rho"], alphas, tol)
-
-
-def _run_sbw(inst, tol, opts):
-    alphas = opts.get("sbw_alphas", checks.DEFAULT_SBW_ALPHAS)
-    return checks.check_sbw_limit(
-        inst["rho"], inst["sigma"], inst["channel"], alphas, tol
-    )
-
-
-def _run_lieb(inst, tol, opts):
-    return checks.check_lieb_concavity(
-        inst["h"], inst["x1"], inst["x2"], float(inst["lam"]), tol
-    )
-
-
-def _run_cl(inst, tol, opts):
+def _run_cl(m, x1, x2, lam, tol):
     quantities = {}
     worst = math.inf
     for alpha in CL_ALPHA_GRID:
-        single = checks.check_cl_concavity(
-            inst["m"], inst["x1"], inst["x2"], float(inst["lam"]), alpha, tol
-        )
+        single = checks.check_cl_concavity(m, x1, x2, lam, alpha, tol)
         quantities[f"slack_{alpha!r}"] = single.slack
         worst = min(worst, single.slack)
     return CheckResult("carlen-lieb-concavity", quantities, worst, tol)
 
 
-def _run_gt(inst, tol, opts):
-    return checks.check_golden_thompson(inst["a"], inst["b"], tol)
-
-
-def _run_audenaert(inst, tol, opts):
-    return checks.check_audenaert_ps(inst["m"], inst["n"], AUDENAERT_T_GRID, tol)
-
-
-def _run_squashed(inst, tol, opts):
-    return checks.check_squashed_proxy(inst["rho"], tol)
-
-
-def _run_twirl(inst, tol, opts):
-    rng = np.random.default_rng(int(inst["mc_seed"]))
-    return checks.check_twirl_identity(
-        inst["x"],
-        (int(inst["d_a"]), int(inst["d_b"])),
-        rng,
-        samples=int(inst["samples"]),
-    )
+def _run_twirl(x, d_a, d_b, mc_seed, samples, tol):
+    # The Monte Carlo stream is seeded from the instance; judged at 0.0.
+    rng = np.random.default_rng(int(mc_seed))
+    return checks.check_twirl_identity(x, (int(d_a), int(d_b)), rng, samples=int(samples))
 
 
 # ---------------------------------------------------------------------------
@@ -407,163 +329,161 @@ class Suite:
         return dims
 
 
-SUITES: dict[str, Suite] = {}
-
-
-def _register(name: str, sample, run, description: str, parts=(1, None)) -> None:
-    SUITES[name] = Suite(name, sample, run, description, parts)
-
-
-_register(
-    "renyi-monotone",
-    _sample_pair,
-    _run_renyi,
-    "Renyi relative entropy nondecreasing in alpha on (0,1)",
-)
-_register(
-    "overlap-chain",
-    _sample_overlap,
-    _run_overlap,
-    "relative entropy >= root-overlap bound >= sqrt distances (Tr sigma <= 1)",
-)
-_register(
-    "monotonicity",
-    _sample_pair_generic_channel,
-    _run_monotonicity,
-    "data processing: S(rho||sigma) >= S(Phi rho||Phi sigma)",
-)
-_register(
-    "stronger-monotonicity",
-    _sample_pair_unital_channel,
-    _run_stronger,
-    "refined data processing chain for unital channels",
-)
-_register(
-    "unital-trace-bound",
-    _sample_pair_unital_channel,
-    _run_unital_trace,
-    "Tr exp(log sigma + dual logs) <= 1 for unital channels",
-)
-_register(
-    "ptrace-strengthening",
-    _sample_bipartite_pair,
-    _run_ptrace,
-    "refined monotonicity for the partial trace",
-    _BIPARTITE,
-)
-_register(
-    "ssa",
-    _sample_tri,
-    _run_ssa,
-    "strong subadditivity chain against the exp-log surrogate",
-    _TRIPARTITE,
-)
-_register(
-    "trace-exp-bound",
-    _sample_trace_exp,
-    _run_trace_exp,
-    "Tr exp(log rho_AB - log sigma_B + log tau_BC) <= 1 with matched middles",
-    _TRIPARTITE,
-)
-_register(
-    "bsw-identity",
-    _sample_tri_quad,
-    _run_bsw,
-    "exact decomposition of relative entropy to an exp-log reference",
-    _TRIPARTITE,
-)
-_register(
-    "super-ssa",
-    _sample_tri_pair,
-    _run_super_ssa,
-    "CMI plus half relative entropies lower-bounds the exp-log distance",
-    _TRIPARTITE,
-)
-_register(
-    "three-state-chain",
-    _sample_three_state,
-    _run_three_state,
-    "distance chain to a three-state exp-log surrogate with matched middles",
-    _TRIPARTITE,
-)
-_register(
-    "subadd-exp",
-    _sample_tri,
-    _run_subadd,
-    "subadditivity chain with the two-marginal surrogate and product bound",
-    _TRIPARTITE,
-)
-_register(
-    "markov-roundtrip",
-    _sample_markov,
-    _run_markov,
-    "constructed short-chain states satisfy every Markov signature",
-    _TRIPARTITE,
-)
-_register(
-    "trotter-bound",
-    _sample_tri,
-    _run_trotter,
-    "compressed product traces stay <= 1 and converge to the surrogate trace",
-    _TRIPARTITE,
-)
-_register(
-    "dw-alpha",
-    _sample_pair_unital_channel,
-    _run_dw_alpha,
-    "finite-alpha compressed trace bound over an alpha grid",
-)
-_register(
-    "dw-tripartite",
-    _sample_tri,
-    _run_dw_tripartite,
-    "tripartite specialization of the finite-alpha bound plus route cross-check",
-    _TRIPARTITE,
-)
-_register(
-    "sbw-limit",
-    _sample_pair_unital_channel,
-    _run_sbw,
-    "alpha -> 0 operator convergence to the exp-log surrogate",
-)
-_register(
-    "lieb-concavity",
-    _sample_lieb,
-    _run_lieb,
-    "concavity of X -> Tr exp(H + log X)",
-)
-_register(
-    "carlen-lieb-concavity",
-    _sample_cl,
-    _run_cl,
-    "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
-)
-_register(
-    "golden-thompson",
-    _sample_gt,
-    _run_gt,
-    "Tr e^(A+B) <= Tr e^A e^B",
-)
-_register(
-    "audenaert-powers-stormer",
-    _sample_audenaert,
-    _run_audenaert,
-    "square-root norm chain and interpolated trace overlap bound",
-)
-_register(
-    "squashed-proxy",
-    _sample_tri,
-    _run_squashed,
-    "half CMI >= eighth of squared distance to the surrogate's AC reduction",
-    _TRIPARTITE,
-)
-_register(
-    "twirl-identity",
-    _sample_twirl,
-    _run_twirl,
-    "Monte Carlo twirl matches the closed form within the sampling bound",
-    _BIPARTITE,
-)
+SUITES: dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            "renyi-monotone",
+            _sample_pair,
+            _calls("check_renyi_monotonicity"),
+            "Renyi relative entropy nondecreasing in alpha on (0,1)",
+        ),
+        Suite(
+            "overlap-chain",
+            _sample_overlap,
+            _calls(_run_overlap),
+            "relative entropy >= root-overlap bound >= sqrt distances (Tr sigma <= 1)",
+        ),
+        Suite(
+            "monotonicity",
+            _sample_pair_generic_channel,
+            _calls("check_monotonicity"),
+            "data processing: S(rho||sigma) >= S(Phi rho||Phi sigma)",
+        ),
+        Suite(
+            "stronger-monotonicity",
+            _sample_pair_unital_channel,
+            _calls("check_stronger_monotonicity"),
+            "refined data processing chain for unital channels",
+        ),
+        Suite(
+            "unital-trace-bound",
+            _sample_pair_unital_channel,
+            _calls("check_unital_trace_bound"),
+            "Tr exp(log sigma + dual logs) <= 1 for unital channels",
+        ),
+        Suite(
+            "ptrace-strengthening",
+            _sample_bipartite_pair,
+            _calls("check_ptrace_strengthening"),
+            "refined monotonicity for the partial trace",
+            _BIPARTITE,
+        ),
+        Suite(
+            "ssa",
+            _sample_tri,
+            _calls("check_ssa_strengthened"),
+            "strong subadditivity chain against the exp-log surrogate",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "trace-exp-bound",
+            _sample_trace_exp,
+            _calls("check_trace_exp_bound"),
+            "Tr exp(log rho_AB - log sigma_B + log tau_BC) <= 1 with matched middles",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "bsw-identity",
+            _sample_tri_quad,
+            _calls(_run_bsw),
+            "exact decomposition of relative entropy to an exp-log reference",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "super-ssa",
+            _sample_tri_pair,
+            _calls("check_super_ssa"),
+            "CMI plus half relative entropies lower-bounds the exp-log distance",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "three-state-chain",
+            _sample_three_state,
+            _calls("check_three_state_chain"),
+            "distance chain to a three-state exp-log surrogate with matched middles",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "subadd-exp",
+            _sample_tri,
+            _calls("check_subadd_exp"),
+            "subadditivity chain with the two-marginal surrogate and product bound",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "markov-roundtrip",
+            _sample_markov,
+            _calls(_run_markov, "t_samples"),
+            "constructed short-chain states satisfy every Markov signature",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "trotter-bound",
+            _sample_tri,
+            _calls("trotter_sequence", "n_values"),
+            "compressed product traces stay <= 1 and converge to the surrogate trace",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "dw-alpha",
+            _sample_pair_unital_channel,
+            _calls("dw_alpha_profile", "alphas"),
+            "finite-alpha compressed trace bound over an alpha grid",
+        ),
+        Suite(
+            "dw-tripartite",
+            _sample_tri,
+            _calls("check_dw_tripartite", "alphas"),
+            "tripartite specialization of the finite-alpha bound plus route cross-check",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "sbw-limit",
+            _sample_pair_unital_channel,
+            _calls(_run_sbw, "sbw_alphas"),
+            "alpha -> 0 operator convergence to the exp-log surrogate",
+        ),
+        Suite(
+            "lieb-concavity",
+            _sample_lieb,
+            _calls("check_lieb_concavity"),
+            "concavity of X -> Tr exp(H + log X)",
+        ),
+        Suite(
+            "carlen-lieb-concavity",
+            _sample_cl,
+            _calls(_run_cl),
+            "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
+        ),
+        Suite(
+            "golden-thompson",
+            _sample_gt,
+            _calls("check_golden_thompson"),
+            "Tr e^(A+B) <= Tr e^A e^B",
+        ),
+        Suite(
+            "audenaert-powers-stormer",
+            _sample_audenaert,
+            _calls("check_audenaert_ps"),
+            "square-root norm chain and interpolated trace overlap bound",
+        ),
+        Suite(
+            "squashed-proxy",
+            _sample_tri,
+            _calls("check_squashed_proxy"),
+            "half CMI >= eighth of squared distance to the surrogate's AC reduction",
+            _TRIPARTITE,
+        ),
+        Suite(
+            "twirl-identity",
+            _sample_twirl,
+            _calls(_run_twirl),
+            "Monte Carlo twirl matches the closed form within the sampling bound",
+            _BIPARTITE,
+        ),
+    )
+}
 
 EXPLORATIONS: dict[str, Suite] = {
     suite.name: suite
@@ -571,27 +491,27 @@ EXPLORATIONS: dict[str, Suite] = {
         Suite(
             "stronger-mono",
             _sample_pair_generic_channel,
-            checks.explore_stronger_mono,
+            _calls("explore_stronger_mono"),
             "relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance",
         ),
         Suite(
             "ptrace-petz",
             _sample_bipartite_pair,
-            checks.explore_ptrace_petz,
+            _calls("explore_ptrace_petz"),
             "the same comparison for the partial trace",
             _BIPARTITE,
         ),
         Suite(
             "cmi-petz",
             _sample_tri,
-            checks.explore_cmi_petz,
+            _calls("explore_cmi_petz"),
             "CMI vs 1/4 squared Petz-reconstruction distance",
             _TRIPARTITE,
         ),
         Suite(
             "trotter-monotone",
             _sample_tri,
-            checks.explore_trotter_monotone,
+            _calls("explore_trotter_monotone"),
             "smallest decrease of the compressed-product trace sequence",
             _TRIPARTITE,
         ),

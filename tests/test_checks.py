@@ -797,6 +797,33 @@ def test_explore_trotter_monotone_records_differences():
     assert slack > -1e-6
 
 
+def _counting(monkeypatch, owner, attr):
+    calls = []
+    real = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_explore_trotter_monotone_decomposes_only_the_three_marginals(monkeypatch):
+    state = _tri(53)
+    expected = trotter_sequence(state, n_values=(1, 2, 4, 8, 16)).quantities
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    quantities = EXPLORATIONS["trotter-monotone"].run({"rho": state}, 1e-8, {}).quantities
+    assert len(eighs) == 3
+    assert quantities == {key: expected[key] for key in quantities}
+
+
+def test_stronger_monotonicity_pushes_each_image_once(monkeypatch):
+    rho, sigma = _pair(6, 54)
+    channel = random_unital_channel(6, 3, RNG(55))
+    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
+    applies = _counting(monkeypatch, KrausChannel, "apply")
+    result = check_stronger_monotonicity(rho, sigma, channel)
+    # Phi(rho), Phi(sigma) and two dual applies in the surrogate
+    assert len(applies) == 4
+    assert result.quantities["after"] == after
+
+
 # ---------------------------------------------------------------------------
 # Non-Hermitian input is still rejected at every boundary
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 from qelab import cli
 from qelab.linalg import kron
+from qelab.serialize import serialize_instance
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
@@ -24,6 +25,7 @@ from qelab.states import (
     regularize,
     state_to_json,
 )
+from qelab.suites import SUITES, run_trial
 
 CLI = [sys.executable, "-m", "qelab.cli"]
 
@@ -363,7 +365,33 @@ def test_explore_is_deterministic():
     assert a.returncode == b.returncode == 0
 
 
-def test_replay_rejects_malformed_dump(tmp_path):
-    bad = tmp_path / "dump.json"
-    bad.write_text("[1, 2")
-    assert run_cli("replay", str(bad)).returncode == 2
+# Each case replaces fields of a well-formed markov-roundtrip dump, or is the
+# whole file text.
+MALFORMED_DUMPS = {
+    "truncated-json": "[1, 2",
+    "not-an-object": "[1, 2]",
+    "tolerance-text": {"tolerance": "abc"},
+    "tolerance-null": {"tolerance": None},
+    "tolerance-nan": {"tolerance": float("nan")},
+    "tolerance-negative": {"tolerance": -1},
+    "t-samples-nan": {"opts": {"t_samples": [float("nan")]}},
+    "t-samples-text": {"opts": {"t_samples": ["a"]}},
+    "options-not-an-object": {"opts": [0.5]},
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_DUMPS))
+def test_replay_rejects_malformed_dump(case, tmp_path):
+    bad = MALFORMED_DUMPS[case]
+    if isinstance(bad, dict):
+        instance, _ = run_trial(SUITES["markov-roundtrip"], (2, 2, 2), 0, 0, 1e-6, 1e-8)
+        dump = {
+            "checker": "markov-roundtrip", "dims": [2, 2, 2], "seed": 0, "trial": 0,
+            "tolerance": 0.0, "opts": {}, "instance": serialize_instance(instance),
+        }
+        bad = json.dumps({**dump, **bad})
+    path = tmp_path / "dump.json"
+    path.write_text(bad)
+    proc = run_cli("replay", str(path))
+    _assert_config_error(proc, case)
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr

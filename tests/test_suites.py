@@ -19,7 +19,7 @@ from qelab.suites import (
     run_trial,
     trial_rng,
 )
-from qelab.tolerances import DEFAULT_EPS, TOL_INEQ
+from qelab.tolerances import DEFAULT_EPS, TOL_IDENTITY, TOL_INEQ
 
 EXPECTED_ORDER = [
     "renyi-monotone",
@@ -48,6 +48,47 @@ EXPECTED_ORDER = [
 ]
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
 
+# Each sampler's instance keys: the dump format, and the keyword arguments of
+# the suite's checker.  overlap-chain adds sigma_base and mu on some trials.
+INSTANCE_KEYS = {
+    "renyi-monotone": {"rho", "sigma"},
+    "overlap-chain": {"rho", "sigma"},
+    "monotonicity": {"rho", "sigma", "channel"},
+    "stronger-monotonicity": {"rho", "sigma", "channel"},
+    "unital-trace-bound": {"rho", "sigma", "channel"},
+    "ptrace-strengthening": {"rho_ab", "sigma_ab"},
+    "ssa": {"rho"},
+    "trace-exp-bound": {"rho", "sigma", "tau"},
+    "bsw-identity": {"rho", "sigma", "tau", "omega"},
+    "super-ssa": {"rho", "sigma"},
+    "three-state-chain": {"rho", "sigma", "tau", "omega"},
+    "subadd-exp": {"rho"},
+    "markov-roundtrip": {"spec"},
+    "trotter-bound": {"rho"},
+    "dw-alpha": {"rho", "sigma", "channel"},
+    "dw-tripartite": {"rho"},
+    "sbw-limit": {"rho", "sigma", "channel"},
+    "lieb-concavity": {"h", "x1", "x2", "lam"},
+    "carlen-lieb-concavity": {"m", "x1", "x2", "lam"},
+    "golden-thompson": {"a", "b"},
+    "audenaert-powers-stormer": {"m", "n"},
+    "squashed-proxy": {"rho"},
+    "twirl-identity": {"x", "d_a", "d_b", "mc_seed", "samples"},
+    "stronger-mono": {"rho", "sigma", "channel"},
+    "ptrace-petz": {"rho_ab", "sigma_ab"},
+    "cmi-petz": {"rho"},
+    "trotter-monotone": {"rho"},
+}
+OPTIONAL_KEYS = {"overlap-chain": {"sigma_base", "mu"}}
+# The tolerance a suite's result carries when run at tol=1e-3; every other
+# suite carries the tol it was given.
+OWN_TOLERANCE = {
+    "bsw-identity": TOL_IDENTITY,
+    "markov-roundtrip": 0.0,
+    "sbw-limit": 0.0,
+    "twirl-identity": 0.0,
+}
+
 
 def test_registry_names_and_order():
     assert list(SUITES) == EXPECTED_ORDER
@@ -57,6 +98,52 @@ def test_registry_names_and_order():
         assert suite.description
     # the exploration registry lives in suites only
     assert not hasattr(checks, "EXPLORE_KINDS")
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDER + EXPLORATION_ORDER)
+def test_sampler_keys_are_the_instance_format(name):
+    suite = {**SUITES, **EXPLORATIONS}[name]
+    required, optional = INSTANCE_KEYS[name], OPTIONAL_KEYS.get(name, set())
+    seen = set()
+    for trial in range(8):
+        keys = set(suite.sample(trial_rng(3, name, trial), (2, 2, 2), DEFAULT_EPS))
+        assert required <= keys <= required | optional, (trial, keys)
+        seen |= keys
+    assert seen == required | optional
+
+
+@pytest.mark.parametrize("name", EXPECTED_ORDER)
+def test_result_tolerance_is_tol_unless_the_suite_fixes_its_own(name):
+    ((_, _, result),) = run_suite(name, (2, 2, 2), 1, 5, tol=1e-3)
+    assert result.tolerance == OWN_TOLERANCE.get(name, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "name, checker, forwarded",
+    [
+        ("renyi-monotone", "check_renyi_monotonicity", set()),
+        ("dw-alpha", "dw_alpha_profile", {"alphas"}),
+        ("trotter-bound", "trotter_sequence", {"n_values"}),
+        ("cmi-petz", "explore_cmi_petz", set()),
+    ],
+    ids=["renyi-monotone", "dw-alpha", "trotter-bound", "cmi-petz"],
+)
+def test_row_calls_the_checker_bound_at_call_time(monkeypatch, name, checker, forwarded):
+    # a rebound checks.<name> (a tracer's wrapper) must be the function that runs,
+    # and only the run options the suite reads reach it
+    calls = []
+    real = getattr(checks, checker)
+
+    def spy(**kwargs):
+        calls.append(set(kwargs))
+        return real(**kwargs)
+
+    monkeypatch.setattr(checks, checker, spy)
+    opts = {"alphas": [0.5, 0.25], "sbw_alphas": [0.5], "t_samples": [0.3], "n_values": [1, 2]}
+    suite = {**SUITES, **EXPLORATIONS}[name]
+    instance, result = run_trial(suite, (2, 2, 2), 1, 0, DEFAULT_EPS, 1e-3, opts)
+    assert calls == [set(instance) | forwarded | {"tol"}]
+    assert result.tolerance == 1e-3
 
 
 def test_trial_rng_streams_are_distinct():
