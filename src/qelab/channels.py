@@ -24,7 +24,6 @@ from .linalg import (
     ptrace,
 )
 from .states import (
-    DensityMatrix,
     SubnormalizedOperator,
     _haar_q,
     matrix_from_json,
@@ -85,12 +84,6 @@ class KrausChannel:
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
         return _hermitian_like(x, sum(k @ x @ k.conj().T for k in self.kraus))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-    def apply_to_state(self, state: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self.apply(state.mat))
-
     def dual(self) -> "KrausChannel":
         """Hilbert-Schmidt adjoint Phi^*, with Kraus operators K_i^dag.
 
@@ -107,9 +100,9 @@ class KrausChannel:
         }
 
     @classmethod
-    def from_json(cls, obj: dict, require_tp: bool = True) -> "KrausChannel":
+    def from_json(cls, obj: dict) -> "KrausChannel":
         ops = [matrix_from_json(k) for k in obj["kraus"]]
-        ch = cls(ops, require_tp=require_tp)
+        ch = cls(ops)
         if ch.d_in != int(obj["d_in"]) or ch.d_out != int(obj["d_out"]):
             raise DimMismatch("stored dimensions disagree with Kraus shapes")
         return ch
@@ -168,13 +161,6 @@ class PetzMap:
             )
         inner = self._inv_sqrt_image @ x @ self._inv_sqrt_image
         return _hermitian_like(x, self._sqrt_sigma @ self._dual.apply(inner) @ self._sqrt_sigma)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-
-def petz_map(channel: KrausChannel, sigma: SubnormalizedOperator) -> PetzMap:
-    return PetzMap(channel, sigma)
 
 
 def ptrace_channel(dims: Sequence[int], traced: int) -> KrausChannel:

@@ -1,10 +1,10 @@
 """Checkers for entropy inequalities, identities, and their refinements.
 
 Each checker evaluates one statement on concrete inputs and returns a
-CheckResult or ChainResult.  Slack is always oriented so that nonnegative
-means "the statement holds with margin"; identity checks store the negated
-absolute residual.  Tolerances are absolute and default to TOL_INEQ /
-TOL_IDENTITY.
+CheckResult; a descending chain is one built by results.chain.  Slack is
+always oriented so that nonnegative means "the statement holds with margin";
+identity checks store the negated absolute residual.  Tolerances are
+absolute and default to TOL_INEQ / TOL_IDENTITY.
 
 The refined monotonicity statements compare a relative-entropy gap against
 distances to an exponentiated log-combination surrogate such as
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, petz_map, ptrace_channel, require_unital, twirl_exact, twirl_mc
+from .channels import KrausChannel, PetzMap, ptrace_channel, require_unital, twirl_exact, twirl_mc
 from .entropy import (
     cmi,
     exp_log_combination,
@@ -48,7 +48,7 @@ from .linalg import (
     trace_norm,
     unitary_power,
 )
-from .results import ChainResult, CheckResult
+from .results import CheckResult, chain
 from .states import (
     Decomposed,
     DensityMatrix,
@@ -64,6 +64,7 @@ DEFAULT_T_SAMPLES = (0.3, 0.7, 1.1, 1.9)
 DEFAULT_TROTTER_NS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_DW_ALPHAS = (0.9, 0.5, 0.1) + tuple(2.0**-k for k in range(2, 11))
 DEFAULT_SBW_ALPHAS = tuple(2.0**-k for k in range(1, 13))
+SBW_FINAL_TOL = 1e-4  # the largest operator error check_sbw_limit accepts at the last alpha
 
 
 def _same_dims(*states: MultipartiteState) -> tuple[int, ...]:
@@ -177,14 +178,14 @@ def _sqrt_chain(
     tol: float,
     quantities: dict[str, float] | None = None,
     trace_bound: bool = True,
-) -> ChainResult:
+) -> CheckResult:
     """The shared descending chain anchored at a relative-entropy quantity."""
     links = [(anchor_label, float(anchor))] + _root_links(rho, surrogate)
     q = dict(quantities or {})
     tr_srg = real_trace(surrogate)
     q["trace_surrogate"] = tr_srg
     extra_ok = (tr_srg <= 1.0 + tol) if trace_bound else True
-    return ChainResult(name, links, tol, q, {}, extra_ok)
+    return chain(name, links, tol, q, extra_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def check_overlap_chain(
     rho: DensityMatrix,
     sigma: SubnormalizedOperator,
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Relative entropy against a subnormalized reference dominates the
     root-overlap bound, the squared root distance, and a quarter of the
     squared trace distance, in that order.
@@ -241,7 +242,7 @@ def check_overlap_chain(
         pinsker = s_val.value - 2.0 * dict(links)["quarter_td_sq"]
         quantities["pinsker_slack"] = pinsker
         extra_ok = pinsker >= -tol
-    return ChainResult("overlap-chain", links, tol, quantities, extra_ok=extra_ok)
+    return chain("overlap-chain", links, tol, quantities, extra_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def check_stronger_monotonicity(
     sigma: DensityMatrix,
     channel: KrausChannel,
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Refined data processing for unital channels.
 
     The monotonicity gap dominates the chain of distances to the surrogate
@@ -310,7 +311,7 @@ def check_ptrace_strengthening(
     rho_ab: MultipartiteState,
     sigma_ab: MultipartiteState,
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Refined monotonicity for discarding the second subsystem.
 
     Surrogate: exp(log sigma_AB - log sigma_A + log rho_A), all embedded on AB.
@@ -338,7 +339,7 @@ def check_ptrace_strengthening(
     )
 
 
-def check_ssa_strengthened(rho: MultipartiteState, tol: float = TOL_INEQ) -> ChainResult:
+def check_ssa_strengthened(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
     """Strong subadditivity with the exp-log surrogate refinement.
 
     I(A:C|B) anchors the chain against exp(log rho_AB - log rho_B + log rho_BC);
@@ -362,13 +363,11 @@ def check_trace_exp_bound(
     require_tripartite(rho)
     surrogate, dev_rs, dev_st = _matched_surrogate(rho, sigma, tau, ("rho", "sigma", "tau"))
     value = real_trace(surrogate)
-    matched = "rho_b=sigma_b" if dev_rs <= dev_st else "sigma_b=tau_b"
     return CheckResult(
         "trace-exp-bound",
         {"trace_value": value, "marginal_dev": float(min(dev_rs, dev_st))},
         1.0 - value,
         tol,
-        meta={"matched": matched},
     )
 
 
@@ -446,7 +445,7 @@ def check_three_state_chain(
     tau: MultipartiteState,
     omega: MultipartiteState,
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Distance chain to exp(log sigma_AB - log tau_B + log omega_BC).
 
     Needs sigma_B = tau_B or tau_B = omega_B so that the surrogate is
@@ -467,7 +466,7 @@ def check_three_state_chain(
     )
 
 
-def check_subadd_exp(rho: MultipartiteState, tol: float = TOL_INEQ) -> ChainResult:
+def check_subadd_exp(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
     """Subadditivity-flavoured chain with the two-marginal surrogate.
 
     Anchor S(AB) + S(BC) - S(ABC) against exp(log rho_AB + log rho_BC); the
@@ -509,11 +508,14 @@ def check_subadd_exp(rho: MultipartiteState, tol: float = TOL_INEQ) -> ChainResu
 # ---------------------------------------------------------------------------
 
 
+# A state counts as Markov when its CMI is below MARKOV_LIKE_CMI; its residual
+# signatures then must all be below MARKOV_LIKE_RESIDUAL, else all above.
+MARKOV_LIKE_CMI = 1e-8
+MARKOV_LIKE_RESIDUAL = 1e-6
+
+
 def markov_characterizations(
-    state: MultipartiteState,
-    t_samples: Sequence[float] = DEFAULT_T_SAMPLES,
-    cmi_tol: float = 1e-8,
-    residual_tol: float = 1e-6,
+    state: MultipartiteState, t_samples: Sequence[float] = DEFAULT_T_SAMPLES
 ) -> CheckResult:
     """Evaluate four equivalent signatures of I(A:C|B) = 0 on one state.
 
@@ -557,18 +559,10 @@ def markov_characterizations(
         "r_recon_ab": r_recon_ab,
         "r_recon_bc": r_recon_bc,
     }
-    markov_like = i_val < cmi_tol
-    flags = [r < residual_tol for r in residuals.values()]
-    consistent = all(flags) if markov_like else not any(flags)
+    flags = [r < MARKOV_LIKE_RESIDUAL for r in residuals.values()]
+    consistent = all(flags) if i_val < MARKOV_LIKE_CMI else not any(flags)
     quantities = {"cmi": i_val, **residuals}
-    return CheckResult(
-        "markov-characterizations",
-        quantities,
-        0.0,
-        0.0,
-        meta={"markov_like": markov_like, "cmi_tol": cmi_tol, "residual_tol": residual_tol},
-        extra_ok=bool(consistent),
-    )
+    return CheckResult("markov-characterizations", quantities, 0.0, 0.0, bool(consistent))
 
 
 def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
@@ -601,7 +595,7 @@ def trotter_sequence(
     rho: MultipartiteState,
     n_values: Sequence[int] = DEFAULT_TROTTER_NS,
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Compressed-product traces t_n converging to the surrogate trace.
 
     t_n = Tr[(rho_AB^(1/2n) rho_B^(-1/2n) rho_BC^(1/n) rho_B^(-1/2n)
@@ -613,22 +607,12 @@ def trotter_sequence(
     traces = _trotter_traces(rho, n_values)
     trace_surrogate = real_trace(ssa_surrogate(rho))
     quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
-    table = []
-    for n, t_n in traces:
-        quantities[f"t_{n}"] = t_n
-        table.append((n, t_n, t_n - trace_surrogate))
-    errs = [abs(t - trace_surrogate) for _, t, _ in table]
+    quantities.update((f"t_{n}", t_n) for n, t_n in traces)
+    errs = [abs(t - trace_surrogate) for _, t in traces]
     quantities["err_first"] = errs[0]
     quantities["err_last"] = errs[-1]
-    links = [("one", 1.0), ("max_compressed_trace", max(t for _, t, _ in table))]
-    return ChainResult(
-        "trotter-bound",
-        links,
-        tol,
-        quantities,
-        meta={"table": table, "n_values": [n for n, _ in traces]},
-        extra_ok=bool(errs[-1] <= errs[0] + tol),
-    )
+    links = [("one", 1.0), ("max_compressed_trace", max(t for _, t in traces))]
+    return chain("trotter-bound", links, tol, quantities, bool(errs[-1] <= errs[0] + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +710,12 @@ def check_sbw_limit(
     channel: KrausChannel,
     alphas: Sequence[float] = DEFAULT_SBW_ALPHAS,
     tol: float = TOL_INEQ,
-    final_tol: float = 1e-4,
 ) -> CheckResult:
     """Operator convergence of the alpha-compression to the exp-log surrogate.
 
     e_alpha = ||compression_alpha - exp(log sigma + Phi^*(log Phi rho) -
     Phi^*(log Phi sigma))||_inf must decrease along the (descending) alpha
-    sequence and end below final_tol.
+    sequence and end below SBW_FINAL_TOL.
     """
     alphas = [float(a) for a in alphas]
     if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
@@ -751,14 +734,7 @@ def check_sbw_limit(
     decreasing = all(errs[i + 1] <= errs[i] + tol for i in range(len(errs) - 1))
     quantities["e_first"] = errs[0]
     quantities["e_last"] = errs[-1]
-    return CheckResult(
-        "sbw-limit",
-        quantities,
-        final_tol - errs[-1],
-        0.0,
-        meta={"alphas": alphas},
-        extra_ok=bool(decreasing),
-    )
+    return CheckResult("sbw-limit", quantities, SBW_FINAL_TOL - errs[-1], 0.0, bool(decreasing))
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +810,7 @@ def check_audenaert_ps(
     n: SubnormalizedOperator | np.ndarray,
     t_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     tol: float = TOL_INEQ,
-) -> ChainResult:
+) -> CheckResult:
     """Square-root norm chain plus the interpolated trace overlap bound.
 
     Chain: ||sqrt M - sqrt N||_2 ||sqrt M + sqrt N||_2 >= ||M - N||_1
@@ -876,13 +852,7 @@ def check_audenaert_ps(
             bound_slack = -2.0 * math.log(overlap) - hs_diff**2
             quantities["overlap_bound_slack"] = bound_slack
             extra_ok = extra_ok and bound_slack >= -tol
-    return ChainResult(
-        "audenaert-powers-stormer",
-        links,
-        tol,
-        quantities,
-        extra_ok=bool(extra_ok),
-    )
+    return chain("audenaert-powers-stormer", links, tol, quantities, bool(extra_ok))
 
 
 def check_squashed_proxy(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
@@ -941,7 +911,7 @@ def explore_stronger_mono(
         relative_entropy(rho, sigma).value
         - relative_entropy(img_rho, channel.apply(sigma.mat)).value
     )
-    recovered = petz_map(channel, sigma).apply(img_rho)
+    recovered = PetzMap(channel, sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
     quantities = {"relent_gap": gap, "recovery_distance": dist}
     return CheckResult("stronger-mono", quantities, gap - 0.25 * dist**2, tol)
@@ -957,7 +927,7 @@ def explore_ptrace_petz(
         relative_entropy(rho_ab.state, sigma_ab.state).value
         - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0])).value
     )
-    recovered = petz_map(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
+    recovered = PetzMap(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
     dist = trace_norm(rho_ab.matrix - recovered)
     quantities = {"relent_gap": gap, "recovery_distance": dist}
     return CheckResult("ptrace-petz", quantities, gap - 0.25 * dist**2, tol)

@@ -30,7 +30,7 @@ from .errors import BadConfig, QelabError
 from .results import as_record, records_to_csv, records_to_json
 from .serialize import deserialize_instance, serialize_instance
 from .states import markov_spec_from_json, markov_state, state_from_json
-from .suites import EXPLORATIONS, SUITES, explore_conjecture, iter_trials, run_suite
+from .suites import EXPLORATIONS, SUITES, bind_instance, explore_conjecture, iter_trials, run_suite
 from .tolerances import DEFAULT_EPS, TOL_INEQ
 
 EXIT_OK = 0
@@ -76,14 +76,30 @@ def _checked_tol(tol: float) -> float:
     return tol
 
 
+def _count(value, what: str, least: int = 0) -> int:
+    """value when it is an int >= least (a bool is not one), else BadConfig."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise BadConfig(f"{what} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _effective_seed(seed: int) -> int:
+    """QEL_SEED when set, else --seed; the one gate every CLI seed passes."""
     env = os.environ.get("QEL_SEED")
     if env is None:
-        return seed
+        return _count(seed, "--seed")
     try:
-        return int(env)
+        return _count(int(env), "QEL_SEED")
     except ValueError as exc:
         raise BadConfig(f"QEL_SEED must be an integer, got {env!r}") from exc
+
+
+def _load_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BadConfig(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _trotter_n_values(nmax: int) -> tuple[int, ...]:
@@ -198,12 +214,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"cannot read Markov spec {args.spec!r}: {exc}") from exc
-    spec = markov_spec_from_json(obj)
+    spec = markov_spec_from_json(_load_json(args.spec, "Markov spec"))
     state = markov_state(spec)
     t_samples = (
         _parse_floats(args.t_samples, "--t-samples")
@@ -214,7 +225,7 @@ def cmd_markov(args) -> int:
     print(f"dims = {state.dims} (blocks: {len(spec.weights)})")
     for key in ("cmi", "r_log", "r_petz", "r_recon_ab", "r_recon_bc"):
         print(f"{key:>12} = {result.quantities[key]:.3e}")
-    print(f"markov_like = {result.meta['markov_like']}")
+    print(f"markov_like = {result.quantities['cmi'] < checks.MARKOV_LIKE_CMI}")
     print(f"consistent  = {result.extra_ok}")
     if args.out:
         _write_report(
@@ -228,11 +239,7 @@ def cmd_trotter(args) -> int:
     tol = _checked_tol(args.tol)
     opts = {"n_values": _trotter_n_values(args.nmax)}
     if args.state:
-        try:
-            with open(args.state) as fh:
-                loaded = state_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise BadConfig(f"cannot read state {args.state!r}: {exc}") from exc
+        loaded = state_from_json(_load_json(args.state, "state"))
         if getattr(loaded, "n_parts", 1) != 3:
             raise BadConfig("trotter needs a tripartite state file")
         dims = loaded.dims
@@ -245,10 +252,11 @@ def cmd_trotter(args) -> int:
     flagged = False
     for trial, _, result in runs:
         records.append(as_record(result, dims, seed, trial))
-        _say(f"trial {trial}: trace_surrogate="
-             f"{result.quantities['trace_surrogate']:.12f}")
-        for n, t_n, gap in result.meta["table"]:
-            _say(f"  n={n:>3}  t_n={t_n:.12f}  t_n-TrS={gap:+.3e}")
+        trace_surrogate = result.quantities["trace_surrogate"]
+        _say(f"trial {trial}: trace_surrogate={trace_surrogate:.12f}")
+        for n in opts["n_values"]:
+            t_n = result.quantities[f"t_{n}"]
+            _say(f"  n={n:>3}  t_n={t_n:.12f}  t_n-TrS={t_n - trace_surrogate:+.3e}")
         if not result.passed:
             flagged = True
             _say(f"trial {trial}: FLAGGED (bound or convergence violated)")
@@ -274,11 +282,7 @@ def cmd_explore(args) -> int:
 
 def cmd_replay(args) -> int:
     tol = _checked_tol(args.tol)
-    try:
-        with open(args.dump) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"cannot read dump {args.dump!r}: {exc}") from exc
+    payload = _load_json(args.dump, "dump")
     if not isinstance(payload, dict) or not isinstance(payload.get("opts", {}), dict):
         raise BadConfig("dump must be a JSON object with an object of options")
     tol, opts = payload.get("tolerance", tol), payload.get("opts", {})
@@ -295,19 +299,25 @@ def cmd_replay(args) -> int:
         raise BadConfig(f"dump names unknown checker or exploration kind {name!r}")
     if blob is None:
         raise BadConfig("dump carries no instance to replay")
-    result = registry[name].run(deserialize_instance(blob), tol, opts)
+    instance = deserialize_instance(blob)
+    bind_instance(registry[name], instance, opts)
+    if not exploring:
+        dims = payload.get("dims", [])
+        seed, trial = payload.get("seed", 0), payload.get("trial", 0)
+        if not isinstance(dims, list):
+            raise BadConfig(f"dump dims must be a list, got {dims!r}")
+        for d in dims:
+            _count(d, "each dump dim", least=1)
+        _count(seed, "dump seed")
+        _count(trial, "dump trial")
+    result = registry[name].run(instance, tol, opts)
     if exploring:
         print(f"kind = {name}")
         for key, value in sorted(result.quantities.items()):
             print(f"{key} = {value:.12e}")
         print(f"slack = {result.slack:.12e}")
         return EXIT_CANDIDATE if result.slack < -10.0 * tol else EXIT_OK
-    record = as_record(
-        result,
-        payload.get("dims", []),
-        payload.get("seed", 0),
-        payload.get("trial", 0),
-    )
+    record = as_record(result, dims, seed, trial)
     sys.stdout.write(records_to_json([record]))
     _say(f"[{name}] slack={result.slack:.6e} "
          f"{'PASS' if result.passed else 'FAIL'}")

@@ -68,14 +68,14 @@ def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return x
 
 
-def herm_eig(h: np.ndarray, tol_herm: float = TOL_HERM) -> HermitianEigen:
+def herm_eig(h: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when h fails is_hermitian at tol_herm and
+    Raises NotHermitian when h fails is_hermitian and
     NoConvergence when the underlying iteration fails.  Eigenvalues come
     back ascending; the eigenvector matrix has the vectors as columns.
     """
-    h = require_hermitian(h, tol_herm)
+    h = require_hermitian(h)
     try:
         vals, vecs = np.linalg.eigh(hermitize(h))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware specific
@@ -88,16 +88,15 @@ def _eig(h: Spectral) -> HermitianEigen:
     return h if isinstance(h, HermitianEigen) else herm_eig(h)
 
 
-def _support_mask(vals: np.ndarray, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def _support_mask(vals: np.ndarray) -> np.ndarray:
     top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return np.abs(vals) > rank_cutoff * top
+    return np.abs(vals) > RANK_CUTOFF * top
 
 
 def matrix_fn(
     h: Spectral,
     fn: Callable[[np.ndarray], np.ndarray],
     support_only: bool = False,
-    rank_cutoff: float = RANK_CUTOFF,
 ) -> np.ndarray:
     """Apply a scalar function to a Hermitian matrix through its spectrum.
 
@@ -108,7 +107,7 @@ def matrix_fn(
     """
     vals, vecs = _eig(h)
     if support_only:
-        mask = _support_mask(vals, rank_cutoff)
+        mask = _support_mask(vals)
         fvals = np.zeros_like(vals)
         if np.any(mask):
             fvals[mask] = fn(vals[mask])
@@ -162,10 +161,10 @@ def unitary_power(h: Spectral, t: float) -> np.ndarray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def support_projector(h: Spectral, rank_cutoff: float = RANK_CUTOFF) -> np.ndarray:
+def support_projector(h: Spectral) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a Hermitian matrix."""
     vals, vecs = _eig(h)
-    mask = _support_mask(vals, rank_cutoff)
+    mask = _support_mask(vals)
     cols = vecs[:, mask]
     return cols @ cols.conj().T
 

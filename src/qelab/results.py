@@ -2,9 +2,10 @@
 
 A CheckResult carries named scalar quantities plus one signed slack; the
 check passes when slack >= -tolerance (and any auxiliary condition recorded
-by the checker holds).  A ChainResult carries an ordered list of (label,
-value) links asserted to be non-increasing within tolerance.  Both flatten
-to the same flat record schema for the JSON/CSV reports:
+by the checker holds).  A descending chain a_0 >= a_1 >= ... >= a_k is a
+CheckResult too: chain() records its links as quantities and takes the
+smallest link gap as the slack.  Every result flattens to one record schema
+for the JSON/CSV reports:
 
     checker, dims, seed, trial, quantity:<name> ..., slack, pass
 """
@@ -15,7 +16,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -40,65 +41,45 @@ class CheckResult:
     quantities: dict[str, float]
     slack: float
     tolerance: float
-    meta: dict = field(default_factory=dict)
     extra_ok: bool = True
 
     @property
     def passed(self) -> bool:
         return bool(self.slack >= -self.tolerance and self.extra_ok)
 
-    def all_quantities(self) -> dict[str, float]:
-        return dict(self.quantities)
 
+def chain(
+    name: str,
+    links: Sequence[tuple[str, float]],
+    tolerance: float,
+    quantities: dict[str, float] | None = None,
+    extra_ok: bool = True,
+) -> CheckResult:
+    """The chain links[0] >= links[1] >= ... checked link by link.
 
-@dataclass
-class ChainResult:
-    """An ordered chain a_0 >= a_1 >= ... >= a_k checked link by link.
-
-    ``quantities`` holds additional recorded-but-annotated values (trace
-    bounds, sequence tables); conditions on those are folded into extra_ok.
+    The quantities are the link values under their labels, in order, then
+    ``quantities`` (which wins a label clash); the slack is the smallest gap
+    between consecutive links, 0.0 for fewer than two links.
     """
-
-    name: str
-    links: list[tuple[str, float]]
-    tolerance: float
-    quantities: dict[str, float] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-    extra_ok: bool = True
-
-    @property
-    def slacks(self) -> list[float]:
-        vals = [v for _, v in self.links]
-        return [vals[i] - vals[i + 1] for i in range(len(vals) - 1)]
-
-    @property
-    def slack(self) -> float:
-        slacks = self.slacks
-        return min(slacks) if slacks else 0.0
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.slack >= -self.tolerance and self.extra_ok)
-
-    def all_quantities(self) -> dict[str, float]:
-        out = {label: value for label, value in self.links}
-        out.update(self.quantities)
-        return out
+    values = [v for _, v in links]
+    gaps = [a - b for a, b in zip(values, values[1:])]
+    return CheckResult(
+        name,
+        {**dict(links), **(quantities or {})},
+        min(gaps) if gaps else 0.0,
+        tolerance,
+        extra_ok,
+    )
 
 
-def as_record(
-    result: CheckResult | ChainResult,
-    dims: Sequence[int],
-    seed: int,
-    trial: int,
-) -> dict:
+def as_record(result: CheckResult, dims: Sequence[int], seed: int, trial: int) -> dict:
     """Flatten a result into one report record."""
     return {
         "checker": result.name,
         "dims": "x".join(str(d) for d in dims),
         "seed": int(seed),
         "trial": int(trial),
-        "quantities": {k: _clean(v) for k, v in result.all_quantities().items()},
+        "quantities": {k: _clean(v) for k, v in result.quantities.items()},
         "slack": _clean(result.slack),
         "pass": bool(result.passed),
     }

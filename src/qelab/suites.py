@@ -1,8 +1,9 @@
 """Named checker suites: samplers plus runners with a shared RNG discipline.
 
 Each suite couples a sampler (rng, dims, eps) -> instance with a runner
-(instance, tol, opts) -> result.  An instance is the keyword arguments of the
-suite's checker, so most runners only call checker(**instance, tol=tol).
+(instance, tol, opts) -> CheckResult.  An instance is the keyword arguments of
+the suite's checker, so most runners only call checker(**instance, tol=tol);
+replay binds a loaded instance to those arguments first (bind_instance).
 SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
 slack is only reported; one driver, iter_trials, runs both.  Instances hold
 only serializable values so any trial can be dumped and replayed.  Trial randomness is keyed as
@@ -12,6 +13,7 @@ from (seed, config) alone, independent of execution order.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -23,9 +25,10 @@ from .channels import KrausChannel, random_channel, random_unital_channel
 from .entropy import relative_entropy
 from .errors import BadConfig
 from .linalg import hermitize, kron, trace_norm
-from .results import ChainResult, CheckResult, ExplorationReport
+from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
 from .states import (
+    DensityMatrix,
     MarkovSpec,
     MultipartiteState,
     SubnormalizedOperator,
@@ -129,8 +132,7 @@ def _perturb_edges(state: MultipartiteState, rng, env_dim: int = 2) -> Multipart
     ka = random_channel(da, env_dim, rng).kraus
     kc = random_channel(dc, env_dim, rng).kraus
     ops = [kron(kron(a, np.eye(db)), c) for a in ka for c in kc]
-    channel = KrausChannel(ops)
-    return MultipartiteState(channel.apply_to_state(state.state), state.dims)
+    return MultipartiteState(DensityMatrix(KrausChannel(ops).apply(state.matrix)), state.dims)
 
 
 def _sample_trace_exp(rng, dims, eps):
@@ -230,12 +232,14 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
     A str names a function of checks, looked up at every call so that a rebound
     checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The
     runners below add something to their checker and take its keyword arguments.
+    run.calls keeps (checker, options) for bind_instance.
     """
 
     def run(inst, tol, opts):
         fn = getattr(checks, checker) if isinstance(checker, str) else checker
         return fn(**inst, **{key: opts[key] for key in options if key in opts}, tol=tol)
 
+    run.calls = (checker, options)
     return run
 
 
@@ -245,7 +249,7 @@ def _run_overlap(rho, sigma, tol, sigma_base=None, mu=None):
         # The scaled reference obeys the exact shift rule
         # S(rho || mu sigma) = S(rho || sigma) - log mu.
         base = relative_entropy(rho, sigma_base).value
-        scaled = dict(result.links)["relative_entropy"]
+        scaled = result.quantities["relative_entropy"]
         residual = abs(scaled - (base - math.log(mu)))
         result.quantities["scaling_residual"] = residual
         result.extra_ok = bool(result.extra_ok and residual <= TOL_IDENTITY)
@@ -267,17 +271,7 @@ def _run_markov(spec, tol, t_samples=checks.DEFAULT_T_SAMPLES):
         MARKOV_RESIDUAL_TOL - quantities[key]
         for key in ("r_log", "r_petz", "r_recon_ab", "r_recon_bc", "r_surrogate")
     ]
-    return CheckResult(
-        "markov-roundtrip",
-        quantities,
-        min(slacks),
-        0.0,
-        meta={
-            "cmi_tol": MARKOV_CMI_TOL,
-            "residual_tol": MARKOV_RESIDUAL_TOL,
-            "n_blocks": len(spec.weights),
-        },
-    )
+    return CheckResult("markov-roundtrip", quantities, min(slacks), 0.0)
 
 
 def _run_sbw(rho, sigma, channel, tol, sbw_alphas=checks.DEFAULT_SBW_ALPHAS):
@@ -525,6 +519,19 @@ SUITE_INDEX = {name: i for i, name in enumerate(SUITES)} | {
 }
 
 
+def bind_instance(suite: Suite, instance: dict, opts: dict) -> None:
+    """BadConfig naming the key when ``instance`` lacks an argument of the function
+    ``suite.run`` calls or carries one it does not take.  A sampled instance fits by
+    construction; replay checks a loaded one before the run."""
+    checker, options = suite.run.calls
+    fn = getattr(checks, checker) if isinstance(checker, str) else checker
+    forwarded = dict.fromkeys([key for key in options if key in opts] + ["tol"])
+    try:
+        inspect.signature(fn).bind(**instance, **forwarded)
+    except TypeError as exc:
+        raise BadConfig(f"{suite.name} instance does not fit its checker: {exc}") from exc
+
+
 def trial_rng(seed: int, suite_name: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, SUITE_INDEX[suite_name], trial])
 
@@ -553,7 +560,7 @@ def iter_trials(
     eps: float = DEFAULT_EPS,
     tol: float = TOL_INEQ,
     opts: dict | None = None,
-) -> Iterator[tuple[int, dict, CheckResult | ChainResult]]:
+) -> Iterator[tuple[int, dict, CheckResult]]:
     """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result).
 
     The trial count and dims are checked at the call, before any trial runs.
@@ -575,7 +582,7 @@ def run_suite(
     eps: float = DEFAULT_EPS,
     tol: float = TOL_INEQ,
     opts: dict | None = None,
-) -> list[tuple[int, dict, CheckResult | ChainResult]]:
+) -> list[tuple[int, dict, CheckResult]]:
     """Run ``trials`` seeded instances of one suite.
 
     Returns (trial, instance, result) triples ordered by trial index.

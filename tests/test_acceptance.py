@@ -19,6 +19,7 @@ from qelab.channels import KrausChannel, random_unital_channel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,
+    DEFAULT_TROTTER_NS,
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
@@ -183,7 +184,7 @@ def test_criterion_07_trotter_bound_and_convergence():
         rng = _rng(7, trial)
         state = regularize_tripartite(random_tripartite((2, 2, 2), rng), 1e-6)
         result = trotter_sequence(state)
-        worst_t = max(worst_t, max(t for _, t, _ in result.meta["table"]))
+        worst_t = max(worst_t, max(result.quantities[f"t_{n}"] for n in DEFAULT_TROTTER_NS))
         if result.quantities["err_last"] >= result.quantities["err_first"]:
             converged = False
     elapsed = time.perf_counter() - start

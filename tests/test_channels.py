@@ -8,7 +8,7 @@ import pytest
 from qelab.channels import (
     TWIRL_CHUNK,
     KrausChannel,
-    petz_map,
+    PetzMap,
     ptrace_channel,
     random_channel,
     random_unital_channel,
@@ -119,7 +119,7 @@ def test_dual_of_tp_channel_is_unital():
 def test_petz_of_identity_channel_is_identity():
     rng = np.random.default_rng(7)
     sigma = regularize(random_density(3, rng), 1e-6)
-    recovery = petz_map(_identity_channel(3), sigma)
+    recovery = PetzMap(_identity_channel(3), sigma)
     x = random_density(3, rng).mat
     np.testing.assert_allclose(recovery.apply(x), x, atol=1e-9)
 
@@ -129,7 +129,7 @@ def test_petz_fixed_point():
     rng = np.random.default_rng(8)
     sigma = regularize(random_density(4, rng), 1e-6)
     channel = random_channel(4, 2, rng)
-    recovered = petz_map(channel, sigma).apply(channel.apply(sigma.mat))
+    recovered = PetzMap(channel, sigma).apply(channel.apply(sigma.mat))
     assert max_sv(recovered - sigma.mat) < 1e-8
 
 
@@ -138,7 +138,7 @@ def test_petz_rejects_vanishing_sigma():
 
     channel = _identity_channel(2)
     with pytest.raises(SingularSigma):
-        petz_map(channel, SubnormalizedOperator(np.zeros((2, 2))))
+        PetzMap(channel, SubnormalizedOperator(np.zeros((2, 2))))
 
 
 def _markov_chain_state(rng):
@@ -177,7 +177,7 @@ def test_petz_recovery_saturates_on_markov_states():
         ).value
     )
     assert abs(gap) < 1e-8
-    recovered = petz_map(channel, sigma).apply(channel.apply(state.matrix))
+    recovered = PetzMap(channel, sigma).apply(channel.apply(state.matrix))
     assert trace_norm(recovered - state.matrix) < 1e-7
 
 
@@ -188,7 +188,7 @@ def test_petz_recovery_incomplete_off_markov():
     dims = state.dims
     sigma = DensityMatrix(kron(state.marginal([0]), state.marginal([1, 2])))
     channel = ptrace_channel(dims, 2)
-    recovered = petz_map(channel, sigma).apply(channel.apply(state.matrix))
+    recovered = PetzMap(channel, sigma).apply(channel.apply(state.matrix))
     assert trace_norm(recovered - state.matrix) > 1e-3
 
 

@@ -14,6 +14,8 @@ from qelab.channels import KrausChannel, ptrace_channel, random_unital_channel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,
+    DEFAULT_TROTTER_NS,
+    MARKOV_LIKE_CMI,
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
@@ -64,6 +66,8 @@ from qelab.states import (
 from qelab.suites import EXPLORATIONS, explore_conjecture
 
 RNG = np.random.default_rng  # brevity
+# the links that _sqrt_chain appends to a chain's anchor
+ROOT_LINKS = ("overlap_bound", "sqrt_hs_sq", "quarter_td_sq")
 
 
 def _pair(d, seed, eps=1e-6):
@@ -179,12 +183,14 @@ def test_overlap_chain_random_and_scaled():
 def test_overlap_chain_link_order():
     rho, sigma = _pair(4, 3)
     result = check_overlap_chain(rho, sigma)
-    labels = [name for name, _ in result.links]
-    assert labels == [
+    # the links, in chain order, then the extra quantities
+    assert list(result.quantities) == [
         "relative_entropy",
         "overlap_bound",
         "sqrt_hs_sq",
         "quarter_td_sq",
+        "trace_sigma",
+        "pinsker_slack",
     ]
 
 
@@ -216,7 +222,7 @@ def test_stronger_monotonicity_self_pair_collapses():
     channel = random_unital_channel(4, 3, rng)
     result = check_stronger_monotonicity(rho, rho, channel)
     assert result.passed
-    assert all(abs(v) < 1e-8 for _, v in result.links)
+    assert all(abs(result.quantities[k]) < 1e-8 for k in ("relent_gap", *ROOT_LINKS))
     # the correction operator collapses to sigma itself
     assert result.quantities["trace_surrogate"] == pytest.approx(1.0, abs=1e-8)
 
@@ -262,7 +268,7 @@ def test_ptrace_strengthening_self_pair_zero():
     pair = state.reduce([0, 1])
     result = check_ptrace_strengthening(pair, pair)
     assert result.passed
-    assert all(abs(v) < 1e-8 for _, v in result.links)
+    assert all(abs(result.quantities[k]) < 1e-8 for k in ("relent_gap", *ROOT_LINKS))
 
 
 def test_ptrace_strengthening_random():
@@ -282,7 +288,7 @@ def test_ssa_product_state_all_links_zero():
     state = _product_tri(13)
     result = check_ssa_strengthened(state)
     assert result.passed
-    assert all(abs(v) < 1e-9 for _, v in result.links)
+    assert all(abs(result.quantities[k]) < 1e-9 for k in ("cmi", *ROOT_LINKS))
     assert max_sv(ssa_surrogate(state) - state.matrix) < 1e-9
 
 
@@ -369,7 +375,7 @@ def test_three_state_chain_classical_oracle():
     rho, sigma, tau, omega = _classical_quadruple()
     result = check_three_state_chain(rho, sigma, tau, omega)
     assert result.passed
-    anchor = dict(result.links)["relent_to_surrogate"]
+    anchor = result.quantities["relent_to_surrogate"]
     assert anchor == pytest.approx(THREE_STATE_ANCHOR, abs=1e-10)
     assert result.quantities["trace_surrogate"] == pytest.approx(1.0, abs=1e-12)
 
@@ -396,7 +402,7 @@ def test_subadd_exp_markov_state():
     state = _markov(26)
     result = check_subadd_exp(state)
     assert result.passed
-    combo = dict(result.links)["entropy_combo"]
+    combo = result.quantities["entropy_combo"]
     from qelab.entropy import cmi, von_neumann
 
     expected = von_neumann(state.marginal([1])) + cmi(state)
@@ -421,7 +427,7 @@ def test_subadd_exp_random_sweep():
 
 def test_markov_characterizations_on_markov_state():
     result = markov_characterizations(_markov(27))
-    assert result.meta["markov_like"]
+    assert result.quantities["cmi"] < MARKOV_LIKE_CMI
     assert result.extra_ok
     q = result.quantities
     assert q["cmi"] < 1e-10
@@ -431,7 +437,7 @@ def test_markov_characterizations_on_markov_state():
 
 def test_markov_characterizations_on_product_state():
     result = markov_characterizations(_product_tri(28))
-    assert result.meta["markov_like"]
+    assert result.quantities["cmi"] < MARKOV_LIKE_CMI
     q = result.quantities
     assert q["cmi"] < 1e-10
     assert q["r_recon_ab"] < 1e-9
@@ -439,31 +445,31 @@ def test_markov_characterizations_on_product_state():
 
 def test_markov_characterizations_on_generic_state():
     result = markov_characterizations(_tri(29))
-    assert not result.meta["markov_like"]
+    assert not result.quantities["cmi"] < MARKOV_LIKE_CMI
     assert result.extra_ok  # all four signatures agree it is not Markov
     assert result.quantities["cmi"] > 1e-3
 
 
 def test_trotter_product_state_constant_one():
     result = trotter_sequence(_product_tri(30))
-    for n, t_n, _ in result.meta["table"]:
-        assert t_n == pytest.approx(1.0, abs=1e-9), n
+    for n in DEFAULT_TROTTER_NS:
+        assert result.quantities[f"t_{n}"] == pytest.approx(1.0, abs=1e-9), n
     assert result.passed
 
 
 def test_trotter_markov_state_saturates():
     result = trotter_sequence(_markov(31))
-    for n, t_n, _ in result.meta["table"]:
-        assert t_n == pytest.approx(1.0, abs=1e-8), n
+    for n in DEFAULT_TROTTER_NS:
+        assert result.quantities[f"t_{n}"] == pytest.approx(1.0, abs=1e-8), n
 
 
 def test_trotter_random_bound_and_convergence():
     for seed in range(5):
         result = trotter_sequence(_tri(seed + 110))
         assert result.passed
-        ts = [t for _, t, _ in result.meta["table"]]
+        ts = [result.quantities[f"t_{n}"] for n in DEFAULT_TROTTER_NS]
         assert max(ts) <= 1.0 + 1e-8
-        gaps = [abs(g) for _, _, g in result.meta["table"]]
+        gaps = [abs(t - result.quantities["trace_surrogate"]) for t in ts]
         assert gaps[-1] < gaps[0]
 
 
@@ -692,7 +698,7 @@ def test_audenaert_equal_inputs_all_ties():
     m = 0.8 * regularize(random_density(3, rng), 1e-6).mat
     result = check_audenaert_ps(m, m)
     assert result.passed
-    links = dict(result.links)
+    links = result.quantities
     assert links["trace_distance"] == pytest.approx(0.0, abs=1e-10)
     assert links["sqrt_hs_sq"] == pytest.approx(0.0, abs=1e-10)
 
@@ -702,7 +708,7 @@ def test_audenaert_diagonal_oracle():
     m = np.diag([0.5, 0.3])
     n = np.diag([0.4, 0.2])
     result = check_audenaert_ps(m, n, t_values=(0.5,))
-    links = dict(result.links)
+    links = result.quantities
     assert links["trace_distance"] == pytest.approx(0.2, abs=1e-12)
     assert links["sqrt_hs_sq"] == pytest.approx(0.015674860443448502, abs=1e-12)
     assert links["norm_product"] == pytest.approx(

@@ -247,7 +247,7 @@ def test_markov_command_reports_residuals(tmp_path):
     _write_markov_spec(spec_path, seed=1)
     proc = run_cli("markov", str(spec_path))
     assert proc.returncode == 0, proc.stderr
-    assert "markov_like" in proc.stdout
+    assert "markov_like = True" in proc.stdout.splitlines()
     values = {
         line.split("=")[0].strip(): line.split("=")[1].strip()
         for line in proc.stdout.splitlines() if "=" in line
@@ -338,6 +338,20 @@ def test_trotter_command_random_trials():
     assert "t_n=" in proc.stderr
 
 
+def test_trotter_gap_column_is_t_n_minus_trace_surrogate(tmp_path):
+    out = tmp_path / "trotter.json"
+    proc = run_cli("trotter", "--trials", "2", "--seed", "6", "--nmax", "16", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    records = json.loads(out.read_text())
+    rows = [line.split() for line in proc.stderr.splitlines() if line.startswith("  n=")]
+    assert len(rows) == 5 * len(records)
+    for k, record in enumerate(records):
+        q = record["quantities"]
+        for n, row in zip((1, 2, 4, 8, 16), rows[5 * k : 5 * k + 5]):
+            assert row[:2] == ["n=", str(n)], row
+            assert row[-1] == f"t_n-TrS={q[f't_{n}'] - q['trace_surrogate']:+.3e}", row
+
+
 def test_explore_report_and_exit_codes(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("explore", "cmi-petz", "--trials", "30", "--seed", "9",
@@ -377,6 +391,15 @@ MALFORMED_DUMPS = {
     "t-samples-nan": {"opts": {"t_samples": [float("nan")]}},
     "t-samples-text": {"opts": {"t_samples": ["a"]}},
     "options-not-an-object": {"opts": [0.5]},
+    "dims-not-a-list": {"dims": 5},
+    "dims-zero": {"dims": [2, 0, 2]},
+    "dims-bool": {"dims": [True, 2, 2]},
+    "seed-text": {"seed": "x"},
+    "seed-negative": {"seed": -1},
+    "seed-bool": {"seed": False},
+    "trial-null": {"trial": None},
+    "trial-negative": {"trial": -1},
+    "trial-float": {"trial": 1.0},
 }
 
 
@@ -395,3 +418,66 @@ def test_replay_rejects_malformed_dump(case, tmp_path):
     proc = run_cli("replay", str(path))
     _assert_config_error(proc, case)
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def _main(argv, capsys):
+    """cli.main in this process, as (exit code, stdout, stderr)."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["check", "--suite", "ssa", "--trials", "1"],
+    ["trotter", "--trials", "1", "--nmax", "2"],
+    ["explore", "cmi-petz", "--trials", "2"],
+])
+@pytest.mark.parametrize("source", ["--seed", "QEL_SEED"])
+def test_negative_seed_is_a_config_error(command, source, monkeypatch, capsys):
+    if source == "QEL_SEED":
+        monkeypatch.setenv("QEL_SEED", "-1")
+    else:
+        monkeypatch.delenv("QEL_SEED", raising=False)
+        command = command + ["--seed", "-1"]
+    code, out, err = _main(command, capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: {source} must be an integer >= 0, got -1\n"
+
+
+def _drop(key):
+    return lambda blob: {k: v for k, v in blob.items() if k != key}
+
+
+def _add(key):
+    return lambda blob: {**blob, key: {"type": "scalar", "value": 1}}
+
+
+# (suite or exploration kind, edit of its serialized instance, the key the error names)
+BAD_INSTANCE_KEYS = {
+    "checker-extra": ("sbw-limit", _add("extra"), "extra"),
+    "checker-missing": ("sbw-limit", _drop("channel"), "channel"),
+    "checker-tol": ("ssa", _add("tol"), "tol"),
+    "runner-extra": ("markov-roundtrip", _add("extra"), "extra"),
+    "runner-missing": ("markov-roundtrip", _drop("spec"), "spec"),
+    "exploration-extra": ("cmi-petz", _add("extra"), "extra"),
+    "exploration-missing": ("cmi-petz", _drop("rho"), "rho"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INSTANCE_KEYS))
+def test_replay_names_a_missing_or_unexpected_instance_key(case, tmp_path, capsys):
+    name, edit, key = BAD_INSTANCE_KEYS[case]
+    exploring = name in cli.EXPLORATIONS
+    suite = (cli.EXPLORATIONS if exploring else SUITES)[name]
+    instance, _ = run_trial(suite, (2, 2, 2), 0, 0, 1e-6, 1e-8)
+    blob = edit(serialize_instance(instance))
+    dump = {"kind": name, "worst_instance": blob} if exploring else {
+        "checker": name, "dims": [2, 2, 2], "seed": 0, "trial": 0,
+        "tolerance": 1e-8, "opts": {}, "instance": blob,
+    }
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out, err = _main(["replay", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith(f"config error: {name} instance does not fit its checker:")
+    assert f"'{key}'" in err and len(err.splitlines()) == 1, err

@@ -216,14 +216,14 @@ def test_suite_options_are_threaded():
 def test_trotter_suite_option_controls_orders():
     rows = run_suite("trotter-bound", (2, 2, 2), 1, 19, opts={"n_values": (1, 2, 4)})
     _, _, result = rows[0]
-    assert [n for n, _, _ in result.meta["table"]] == [1, 2, 4]
+    assert [k for k in result.quantities if k.startswith("t_")] == ["t_1", "t_2", "t_4"]
 
 
 def test_markov_suite_uses_custom_t_samples():
     rows = run_suite("markov-roundtrip", (2, 2, 2), 1, 21, opts={"t_samples": (0.5,)})
-    _, _, result = rows[0]
+    _, instance, result = rows[0]
     assert result.passed
-    assert result.meta["n_blocks"] >= 1
+    assert len(instance["spec"].weights) >= 1
     assert result.quantities["r_petz"] < 1e-7
 
 
