@@ -26,8 +26,6 @@ from .linalg import (
 from .states import (
     SubnormalizedOperator,
     _haar_q,
-    matrix_from_json,
-    matrix_to_json,
     random_unitaries,
     random_unitary,
 )
@@ -91,21 +89,6 @@ class KrausChannel:
         but generally not trace preserving, so validation is relaxed.
         """
         return KrausChannel([k.conj().T for k in self.kraus], require_tp=False)
-
-    def to_json(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "d_out": self.d_out,
-            "kraus": [matrix_to_json(k) for k in self.kraus],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "KrausChannel":
-        ops = [matrix_from_json(k) for k in obj["kraus"]]
-        ch = cls(ops)
-        if ch.d_in != int(obj["d_in"]) or ch.d_out != int(obj["d_out"]):
-            raise DimMismatch("stored dimensions disagree with Kraus shapes")
-        return ch
 
     def __repr__(self) -> str:
         return (

@@ -209,7 +209,7 @@ def check_renyi_monotonicity(
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2 or sorted(alphas) != alphas:
         raise BadAlpha(f"need an ascending alpha grid, got {alphas}")
-    values = [renyi(a, rho, sigma).value for a in alphas]
+    values = [renyi(a, rho, sigma) for a in alphas]
     quantities = {f"s_{a!r}": v for a, v in zip(alphas, values)}
     slack = min(values[i + 1] - values[i] for i in range(len(values) - 1))
     extra_ok = True
@@ -234,12 +234,12 @@ def check_overlap_chain(
     S >= ||rho - sigma||_1^2 / 2 is asserted as well.
     """
     s_val = relative_entropy(rho, sigma)
-    links = [("relative_entropy", s_val.value)] + _root_links(rho, sigma)
+    links = [("relative_entropy", s_val)] + _root_links(rho, sigma)
     quantities = {"trace_sigma": real_trace(sigma.mat)}
     extra_ok = True
-    if abs(quantities["trace_sigma"] - 1.0) <= TOL_TRACE and not s_val.infinite:
+    if abs(quantities["trace_sigma"] - 1.0) <= TOL_TRACE and not math.isinf(s_val):
         # half the squared trace distance: exactly twice the quarter_td_sq link
-        pinsker = s_val.value - 2.0 * dict(links)["quarter_td_sq"]
+        pinsker = s_val - 2.0 * dict(links)["quarter_td_sq"]
         quantities["pinsker_slack"] = pinsker
         extra_ok = pinsker >= -tol
     return chain("overlap-chain", links, tol, quantities, extra_ok)
@@ -257,8 +257,8 @@ def check_monotonicity(
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Relative entropy never increases under a channel."""
-    before = relative_entropy(rho, sigma).value
-    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
+    before = relative_entropy(rho, sigma)
+    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat))
     return CheckResult(
         "monotonicity",
         {"before": before, "after": after},
@@ -280,9 +280,9 @@ def check_stronger_monotonicity(
     is itself at most one.
     """
     require_unital(channel)
-    before = relative_entropy(rho, sigma).value
+    before = relative_entropy(rho, sigma)
     pushed = _pushed(rho, sigma, channel)
-    after = relative_entropy(pushed[1], pushed[2]).value
+    after = relative_entropy(pushed[1], pushed[2])
     surrogate = _unital_surrogate(pushed)
     return _sqrt_chain(
         "stronger-monotonicity",
@@ -321,8 +321,8 @@ def check_ptrace_strengthening(
         raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
     rho_a = rho_ab.marginal([0])
     sigma_a = sigma_ab.marginal([0])
-    before = relative_entropy(rho_ab.state, sigma_ab.state).value
-    after = relative_entropy(rho_a, sigma_a).value
+    before = relative_entropy(rho_ab.state, sigma_ab.state)
+    after = relative_entropy(rho_a, sigma_a)
     surrogate = exp_log_combination(
         [(1.0, sigma_ab.matrix), (-1.0, sigma_a), (1.0, rho_a)],
         dims=dims,
@@ -394,12 +394,12 @@ def check_bsw_identity(
         dims=dims,
         supports=[(0, 1), (1, 2), (1,)],
     )
-    lhs = relative_entropy(rho.matrix, target).value
+    lhs = relative_entropy(rho.matrix, target)
     rhs = (
         cmi(rho)
-        + relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1])).value
-        + relative_entropy(rho.marginal([1, 2]), tau.marginal([1, 2])).value
-        - relative_entropy(rho.marginal([1]), omega.marginal([1])).value
+        + relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
+        + relative_entropy(rho.marginal([1, 2]), tau.marginal([1, 2]))
+        - relative_entropy(rho.marginal([1]), omega.marginal([1]))
     )
     residual = abs(lhs - rhs)
     return CheckResult(
@@ -428,11 +428,11 @@ def check_super_ssa(
         dims=dims,
         supports=[(0, 1), (1, 2), (1,)],
     )
-    lhs = relative_entropy(rho.matrix, target).value
+    lhs = relative_entropy(rho.matrix, target)
     rhs = (
         cmi(rho)
-        + 0.5 * relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1])).value
-        + 0.5 * relative_entropy(rho.marginal([1, 2]), sigma.marginal([1, 2])).value
+        + 0.5 * relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
+        + 0.5 * relative_entropy(rho.marginal([1, 2]), sigma.marginal([1, 2]))
     )
     return CheckResult(
         "super-ssa", {"lhs": lhs, "rhs": rhs}, lhs - rhs, tol
@@ -454,7 +454,7 @@ def check_three_state_chain(
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
     surrogate, dev_st, dev_to = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
-    anchor = relative_entropy(rho.state, surrogate).value
+    anchor = relative_entropy(rho.state, surrogate)
     return _sqrt_chain(
         "three-state-chain",
         "relent_to_surrogate",
@@ -908,8 +908,8 @@ def explore_stronger_mono(
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
     img_rho = channel.apply(rho.mat)
     gap = (
-        relative_entropy(rho, sigma).value
-        - relative_entropy(img_rho, channel.apply(sigma.mat)).value
+        relative_entropy(rho, sigma)
+        - relative_entropy(img_rho, channel.apply(sigma.mat))
     )
     recovered = PetzMap(channel, sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
@@ -924,8 +924,8 @@ def explore_ptrace_petz(
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
     gap = (
-        relative_entropy(rho_ab.state, sigma_ab.state).value
-        - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0])).value
+        relative_entropy(rho_ab.state, sigma_ab.state)
+        - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0]))
     )
     recovered = PetzMap(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
     dist = trace_norm(rho_ab.matrix - recovered)

@@ -28,8 +28,8 @@ from typing import Sequence
 from . import checks
 from .errors import BadConfig, QelabError
 from .results import as_record, records_to_csv, records_to_json
-from .serialize import deserialize_instance, serialize_instance
-from .states import markov_spec_from_json, markov_state, state_from_json
+from .serialize import deserialize_instance, deserialize_value, serialize_instance
+from .states import markov_state
 from .suites import EXPLORATIONS, SUITES, bind_instance, explore_conjecture, iter_trials, run_suite
 from .tolerances import DEFAULT_EPS, TOL_INEQ
 
@@ -74,6 +74,12 @@ def _checked_tol(tol: float) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise BadConfig(f"--tol must be positive and finite, got {tol}")
     return tol
+
+
+def _checked_eps(eps: float) -> float:
+    if not 0.0 < eps < 1.0:
+        raise BadConfig(f"--eps must lie strictly between 0 and 1, got {eps}")
+    return eps
 
 
 def _count(value, what: str, least: int = 0) -> int:
@@ -133,10 +139,6 @@ def _write_report(records: list[dict] | dict, fmt: str, out: str | None) -> None
             fh.write(text)
 
 
-def _worst_dump_path(out: str | None) -> str:
-    return (out + ".worst.json") if out else "qelab-worst.json"
-
-
 def _dump_instance(
     path: str,
     checker: str,
@@ -173,7 +175,7 @@ def _say(message: str) -> None:
 def cmd_check(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
-    tol = _checked_tol(args.tol)
+    tol, eps = _checked_tol(args.tol), _checked_eps(args.eps)
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -186,7 +188,7 @@ def cmd_check(args) -> int:
     opts = _suite_opts(args)
     # Every suite's trial stream is built, and so checked, before any trial runs.
     runs = [
-        (name, iter_trials(SUITES[name], dims, args.trials, seed, args.eps, tol, opts))
+        (name, iter_trials(SUITES[name], dims, args.trials, seed, eps, tol, opts))
         for name in names
     ]
 
@@ -206,7 +208,7 @@ def cmd_check(args) -> int:
              f"{'PASS' if ok else 'FAIL'}")
     _write_report(records, args.format, args.out)
     if not all_pass and worst is not None:
-        path = _worst_dump_path(args.out)
+        path = (args.out + ".worst.json") if args.out else "qelab-worst.json"
         _dump_instance(path, worst[1], dims, seed, worst[2], worst[4], worst[3], opts)
         _say(f"worst failing instance written to {path}")
         return EXIT_FAILED
@@ -214,7 +216,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    spec = markov_spec_from_json(_load_json(args.spec, "Markov spec"))
+    spec = deserialize_value(_load_json(args.spec, "Markov spec"), "markov_spec", "spec")
     state = markov_state(spec)
     t_samples = (
         _parse_floats(args.t_samples, "--t-samples")
@@ -236,10 +238,10 @@ def cmd_markov(args) -> int:
 
 def cmd_trotter(args) -> int:
     seed = _effective_seed(args.seed)
-    tol = _checked_tol(args.tol)
+    tol, eps = _checked_tol(args.tol), _checked_eps(args.eps)
     opts = {"n_values": _trotter_n_values(args.nmax)}
     if args.state:
-        loaded = state_from_json(_load_json(args.state, "state"))
+        loaded = deserialize_value(_load_json(args.state, "state"), "state", "state")
         if getattr(loaded, "n_parts", 1) != 3:
             raise BadConfig("trotter needs a tripartite state file")
         dims = loaded.dims
@@ -247,7 +249,7 @@ def cmd_trotter(args) -> int:
         runs = [(0, instance, SUITES["trotter-bound"].run(instance, tol, opts))]
     else:
         dims = _parse_dims(args.dims)
-        runs = run_suite("trotter-bound", dims, args.trials, seed, args.eps, tol, opts)
+        runs = run_suite("trotter-bound", dims, args.trials, seed, eps, tol, opts)
     records = []
     flagged = False
     for trial, _, result in runs:
@@ -269,7 +271,7 @@ def cmd_explore(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
     report = explore_conjecture(
-        args.kind, args.trials, dims, seed, args.eps, _checked_tol(args.tol)
+        args.kind, args.trials, dims, seed, _checked_eps(args.eps), _checked_tol(args.tol)
     )
     _write_report(report.to_json(), "json", args.out)
     _say(f"[{report.kind}] trials={report.trials} min_slack={report.min_slack:.6e} "

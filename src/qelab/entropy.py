@@ -8,7 +8,6 @@ which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,36 +35,6 @@ from .states import (
 from .tolerances import RANK_CUTOFF, SUPPORT_LEAK_TOL
 
 
-@dataclass(frozen=True)
-class EntropyValue:
-    """A possibly-infinite entropy value.
-
-    ``value`` is math.inf exactly when ``infinite`` is set; finite values are
-    plain floats in nats.
-    """
-
-    value: float
-    infinite: bool = False
-
-    def __post_init__(self):
-        if self.infinite and not math.isinf(self.value):
-            object.__setattr__(self, "value", math.inf)
-        if not self.infinite and math.isinf(self.value):
-            object.__setattr__(self, "infinite", True)
-
-    @classmethod
-    def inf(cls) -> "EntropyValue":
-        return cls(math.inf, True)
-
-    def to_json(self) -> dict:
-        if self.infinite:
-            return {"infinite": True}
-        return {"value": self.value}
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float:
     """S(rho) = -Tr rho log rho over the support eigenvalues."""
     mat = as_matrix(rho)
@@ -82,10 +51,10 @@ def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float:
 def relative_entropy(
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> EntropyValue:
+) -> float:
     """Umegaki relative entropy S(rho || sigma) = Tr rho (log rho - log sigma).
 
-    Returns the infinite flag when supp(rho) leaks out of supp(sigma).  The
+    Returns math.inf when supp(rho) leaks out of supp(sigma).  The
     second argument may be any PSD operator (subnormalized references and
     exp-log combination surrogates are both used by the checkers); positivity
     of the value is only guaranteed when Tr sigma <= 1.
@@ -98,17 +67,17 @@ def relative_entropy(
     off = np.eye(s.shape[0]) - support_projector(s_eig)
     leak = max_sv(off @ r @ off)
     if leak >= SUPPORT_LEAK_TOL:
-        return EntropyValue.inf()
+        return math.inf
     log_r = matrix_log(as_spectrum(rho), support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
-    return EntropyValue(real_trace(r @ (log_r - log_s)))
+    return real_trace(r @ (log_r - log_s))
 
 
 def renyi(
     alpha: float,
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> EntropyValue:
+) -> float:
     """Petz-Renyi relative entropy (log Tr rho^alpha sigma^(1-alpha)) / (alpha - 1).
 
     Only the concave window 0 < alpha < 1 is accepted; there the trace
@@ -121,8 +90,8 @@ def renyi(
     s_pow = matrix_power(as_spectrum(sigma), 1.0 - alpha)
     overlap = real_trace(r_pow @ s_pow)
     if overlap <= 0.0:
-        return EntropyValue.inf()
-    return EntropyValue(math.log(overlap) / (alpha - 1.0))
+        return math.inf
+    return math.log(overlap) / (alpha - 1.0)
 
 
 def overlap_lower_bound(
@@ -166,7 +135,7 @@ def cmi_relative_entropy_form(state: MultipartiteState) -> float:
     rho_c = state.marginal([2])
     full = relative_entropy(rho, np.kron(rho_ab, rho_c))
     reduced = relative_entropy(rho_bc, np.kron(rho_b, rho_c))
-    return full.value - reduced.value
+    return full - reduced
 
 
 def exp_log_combination(

@@ -1,78 +1,138 @@
-"""Tagged JSON encoding of checker inputs.
+"""The JSON format of qelab's inputs, written and read here and nowhere else.
 
-Worst-case dumps and the replay command move whole checker instances through
-JSON; every supported input type gets a ``type`` tag so the round trip is
-unambiguous.  Matrices are stored as separate real/imaginary nested lists.
+A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
+{"d_in", "d_out", "kraus": [matrix, ...]}, a MarkovSpec {"d_a", "d_c", "blocks":
+[{"weight", "ab": matrix, "bc": matrix}, ...]}.  A dumped instance value also
+carries its "type"; a state or spec file is the untagged body.  Anything
+malformed is a BadConfig naming where it is; what decodes still validates itself
+as it is built (NotPSD, BadTrace, NonFinite, InconsistentBlocks, DimMismatch).
 """
 
 from __future__ import annotations
 
+import reprlib
+
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadConfig
-from .states import (
-    DensityMatrix,
-    MarkovSpec,
-    MultipartiteState,
-    SubnormalizedOperator,
-    markov_spec_from_json,
-    markov_spec_to_json,
-    matrix_from_json,
-    matrix_to_json,
-    state_from_json,
-    state_to_json,
-)
+from .errors import BadConfig, DimMismatch
+from .states import DensityMatrix, MarkovSpec, MultipartiteState, SubnormalizedOperator
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_rows(value) -> bool:
+    if not (isinstance(value, list) and value and isinstance(value[0], list) and value[0]):
+        return False
+    width = len(value[0])
+    return all(isinstance(row, list) and len(row) == width and all(map(_is_number, row))
+               for row in value)
+
+
+# What a field must hold: a test and the words for it in an error message.
+_LIST = (lambda value: isinstance(value, list), "a list")
+_NUMBER = (_is_number, "a number")
+_DIM = (lambda value: _is_number(value) and isinstance(value, int) and value >= 1,
+        "an integer >= 1")
+_DIMS = (lambda value: _LIST[0](value) and value and all(map(_DIM[0], value)),
+         "a non-empty list of integers >= 1")
+_ROWS = (_is_rows, "a rectangular list of rows of numbers")
+
+
+def _object(obj, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise BadConfig(f"{where} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
+def _field(obj, key: str, where: str, need=None):
+    """obj[key], or BadConfig naming where when obj is no object, lacks key or
+    holds a value that fails ``need``."""
+    if key not in _object(obj, where):
+        raise BadConfig(f"{where} lacks the key {key!r}")
+    if need is not None and not need[0](obj[key]):
+        raise BadConfig(f"{where}.{key} must be {need[1]}, got {reprlib.repr(obj[key])}")
+    return obj[key]
+
+
+def _encode_matrix(mat: np.ndarray) -> dict:
+    mat = np.asarray(mat, dtype=complex)
+    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
+
+
+def _decode_matrix(obj, where: str) -> np.ndarray:
+    re, im = (np.asarray(_field(obj, key, where, _ROWS), dtype=float) for key in ("re", "im"))
+    if re.shape != im.shape:
+        raise BadConfig(f"{where}: re and im have different shapes")
+    return re + 1j * im
 
 
 def serialize_value(value) -> dict:
-    if isinstance(value, (DensityMatrix, MultipartiteState)):
-        return {"type": "state", **state_to_json(value)}
+    """The tagged JSON object of one instance value."""
+    if isinstance(value, MultipartiteState):
+        return {"type": "state", "dims": list(value.dims), **_encode_matrix(value.matrix)}
+    if isinstance(value, DensityMatrix):
+        return {"type": "state", "dims": [value.dim], **_encode_matrix(value.mat)}
     if isinstance(value, SubnormalizedOperator):
-        return {"type": "subnormalized", **matrix_to_json(value.mat)}
+        return {"type": "subnormalized", **_encode_matrix(value.mat)}
     if isinstance(value, KrausChannel):
-        return {"type": "channel", **value.to_json()}
+        kraus = [_encode_matrix(k) for k in value.kraus]
+        return {"type": "channel", "d_in": value.d_in, "d_out": value.d_out, "kraus": kraus}
     if isinstance(value, MarkovSpec):
-        return {"type": "markov_spec", **markov_spec_to_json(value)}
+        blocks = [{"weight": p, "ab": _encode_matrix(ab.mat), "bc": _encode_matrix(bc.mat)}
+                  for p, ab, bc in zip(value.weights, value.ab_factors, value.bc_factors)]
+        return {"type": "markov_spec", "d_a": value.d_a, "d_c": value.d_c, "blocks": blocks}
     if isinstance(value, np.ndarray):
-        return {"type": "matrix", **matrix_to_json(value)}
-    if isinstance(value, bool):
-        return {"type": "scalar", "value": value}
+        return {"type": "matrix", **_encode_matrix(value)}
     if isinstance(value, (int, np.integer)):
-        # kept exact: wide integers (e.g. Monte Carlo seeds) do not survive
-        # a float round trip
+        # kept exact: a wide Monte Carlo seed would not survive a float round trip
         return {"type": "scalar", "value": int(value)}
     if isinstance(value, (float, np.floating)):
         return {"type": "scalar", "value": float(value)}
-    if isinstance(value, (list, tuple)) and all(
-        isinstance(v, (int, float)) for v in value
-    ):
-        return {"type": "scalars", "values": [float(v) for v in value]}
     raise BadConfig(f"cannot serialize instance value of type {type(value).__name__}")
 
 
-def deserialize_value(obj: dict):
-    kind = obj.get("type")
+def deserialize_value(obj, kind: str | None = None, where: str = "value"):
+    """The value a tagged JSON object encodes or, given ``kind`` ("state",
+    "markov_spec", ...), the untagged body of that kind.  ``where`` names obj
+    in error messages."""
+    kind = kind or _field(obj, "type", where)
     if kind == "state":
-        return state_from_json(obj)
+        dims = _field(obj, "dims", where, _DIMS)
+        state = MultipartiteState(DensityMatrix(_decode_matrix(obj, where)), dims)
+        return state if len(dims) > 1 else state.state
     if kind == "subnormalized":
-        return SubnormalizedOperator(matrix_from_json(obj))
+        return SubnormalizedOperator(_decode_matrix(obj, where))
     if kind == "channel":
-        return KrausChannel.from_json(obj)
+        ops = enumerate(_field(obj, "kraus", where, _LIST))
+        channel = KrausChannel([_decode_matrix(k, f"{where}.kraus[{i}]") for i, k in ops])
+        stored = (_field(obj, "d_in", where, _DIM), _field(obj, "d_out", where, _DIM))
+        if stored != (channel.d_in, channel.d_out):
+            raise DimMismatch("stored dimensions disagree with Kraus shapes")
+        return channel
     if kind == "markov_spec":
-        return markov_spec_from_json(obj)
+        d_a, d_c = _field(obj, "d_a", where, _DIM), _field(obj, "d_c", where, _DIM)
+        weights, abs_, bcs = [], [], []
+        for i, block in enumerate(_field(obj, "blocks", where, _LIST)):
+            at = f"{where}.blocks[{i}]"
+            weights.append(float(_field(block, "weight", at, _NUMBER)))
+            abs_.append(DensityMatrix(_decode_matrix(_field(block, "ab", at), f"{at}.ab")))
+            bcs.append(DensityMatrix(_decode_matrix(_field(block, "bc", at), f"{at}.bc")))
+        # the weights as stored, not renormalized: a dumped spec replays bit for bit
+        return MarkovSpec(d_a, d_c, tuple(weights), tuple(abs_), tuple(bcs))
     if kind == "matrix":
-        return matrix_from_json(obj)
+        return _decode_matrix(obj, where)
     if kind == "scalar":
-        return obj["value"]
-    if kind == "scalars":
-        return [float(v) for v in obj["values"]]
-    raise BadConfig(f"unknown serialized value type {kind!r}")
+        return _field(obj, "value", where, _NUMBER)
+    raise BadConfig(f"{where} has unknown type {kind!r}")
 
 
 def serialize_instance(instance: dict) -> dict:
     return {name: serialize_value(value) for name, value in instance.items()}
 
 
-def deserialize_instance(obj: dict) -> dict:
-    return {name: deserialize_value(value) for name, value in obj.items()}
+def deserialize_instance(obj) -> dict:
+    return {name: deserialize_value(value, where=f"instance.{name}")
+            for name, value in _object(obj, "instance").items()}

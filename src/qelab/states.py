@@ -330,72 +330,3 @@ def regularize(state: DensityMatrix | np.ndarray, eps: float) -> DensityMatrix:
 def regularize_tripartite(state: MultipartiteState, eps: float) -> MultipartiteState:
     return MultipartiteState(regularize(state.state, eps), state.dims, state.labels)
 
-
-# --------------------------------------------------------------------------
-# JSON serialization.  Matrices are stored as separate real/imaginary nested
-# lists; states carry their subsystem dimensions.
-# --------------------------------------------------------------------------
-
-
-def matrix_to_json(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat, dtype=complex)
-    return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
-
-
-def matrix_from_json(obj: dict) -> np.ndarray:
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
-    if re.shape != im.shape:
-        raise DimMismatch("re/im parts have different shapes")
-    return re + 1j * im
-
-
-def state_to_json(state: DensityMatrix | MultipartiteState) -> dict:
-    if isinstance(state, MultipartiteState):
-        dims = list(state.dims)
-        mat = state.matrix
-    else:
-        dims = [state.dim]
-        mat = state.mat
-    out = {"dims": dims}
-    out.update(matrix_to_json(mat))
-    return out
-
-
-def state_from_json(obj: dict) -> DensityMatrix | MultipartiteState:
-    mat = matrix_from_json(obj)
-    dims = [int(d) for d in obj["dims"]]
-    dm = DensityMatrix(mat)
-    if len(dims) == 1:
-        if dims[0] != dm.dim:
-            raise DimMismatch(f"dims {dims} do not match matrix of size {dm.dim}")
-        return dm
-    return MultipartiteState(dm, dims)
-
-
-def markov_spec_to_json(spec: MarkovSpec) -> dict:
-    return {
-        "d_a": spec.d_a,
-        "d_c": spec.d_c,
-        "blocks": [
-            {
-                "weight": p,
-                "ab": matrix_to_json(ab.mat),
-                "bc": matrix_to_json(bc.mat),
-            }
-            for p, ab, bc in zip(spec.weights, spec.ab_factors, spec.bc_factors)
-        ],
-    }
-
-
-def markov_spec_from_json(obj: dict) -> MarkovSpec:
-    try:
-        blocks = obj["blocks"]
-        d_a = int(obj["d_a"])
-        d_c = int(obj["d_c"])
-        raw = [float(b["weight"]) for b in blocks]
-        abs_ = [DensityMatrix(matrix_from_json(b["ab"])) for b in blocks]
-        bcs = [DensityMatrix(matrix_from_json(b["bc"])) for b in blocks]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InconsistentBlocks(f"malformed Markov block data: {exc}") from exc
-    return MarkovSpec(d_a, d_c, normalized_weights(raw), tuple(abs_), tuple(bcs))

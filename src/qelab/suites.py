@@ -23,7 +23,7 @@ import numpy as np
 from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
 from .entropy import relative_entropy
-from .errors import BadConfig
+from .errors import BadConfig, QelabError
 from .linalg import hermitize, kron, trace_norm
 from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
@@ -248,7 +248,7 @@ def _run_overlap(rho, sigma, tol, sigma_base=None, mu=None):
     if mu is not None:
         # The scaled reference obeys the exact shift rule
         # S(rho || mu sigma) = S(rho || sigma) - log mu.
-        base = relative_entropy(rho, sigma_base).value
+        base = relative_entropy(rho, sigma_base)
         scaled = result.quantities["relative_entropy"]
         residual = abs(scaled - (base - math.log(mu)))
         result.quantities["scaling_residual"] = residual
@@ -545,11 +545,13 @@ def run_trial(
     tol: float,
     opts: dict | None = None,
 ):
-    """One seeded trial; returns (instance, result)."""
-    rng = trial_rng(seed, suite.name, trial)
-    instance = suite.sample(rng, dims, eps)
-    result = suite.run(instance, tol, opts or {})
-    return instance, result
+    """One seeded trial; returns (instance, result).  A QelabError raised in it
+    keeps its class and gains the suite name and trial in its message."""
+    try:
+        instance = suite.sample(trial_rng(seed, suite.name, trial), dims, eps)
+        return instance, suite.run(instance, tol, opts or {})
+    except QelabError as exc:
+        raise type(exc)(f"{suite.name} trial {trial}: {exc}") from exc
 
 
 def iter_trials(

@@ -822,7 +822,7 @@ def test_explore_trotter_monotone_decomposes_only_the_three_marginals(monkeypatc
 def test_stronger_monotonicity_pushes_each_image_once(monkeypatch):
     rho, sigma = _pair(6, 54)
     channel = random_unital_channel(6, 3, RNG(55))
-    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat)).value
+    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat))
     applies = _counting(monkeypatch, KrausChannel, "apply")
     result = check_stronger_monotonicity(rho, sigma, channel)
     # Phi(rho), Phi(sigma) and two dual applies in the surrogate

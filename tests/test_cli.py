@@ -11,19 +11,18 @@ import sys
 import numpy as np
 import pytest
 
-from qelab import cli
+from qelab import checks, cli
+from qelab.errors import SingularTerm
 from qelab.linalg import kron
-from qelab.serialize import serialize_instance
+from qelab.serialize import serialize_instance, serialize_value
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
     MultipartiteState,
-    markov_spec_to_json,
     markov_state,
     random_density,
     random_tripartite,
     regularize,
-    state_to_json,
 )
 from qelab.suites import SUITES, run_trial
 
@@ -54,7 +53,7 @@ def _write_markov_spec(path, seed=0):
             regularize(random_density(4, rng), 1e-3),
         ),
     )
-    path.write_text(json.dumps(markov_spec_to_json(spec)))
+    path.write_text(json.dumps(serialize_value(spec)))
     return spec
 
 
@@ -147,7 +146,7 @@ def test_non_finite_t_samples_is_a_config_error(bad, tmp_path):
 
 def test_trotter_state_file_with_nan_is_a_config_error(tmp_path):
     state = random_tripartite((2, 2, 2), np.random.default_rng(5))
-    blob = state_to_json(state)
+    blob = serialize_value(state)
     blob["re"][0][1] = float("nan")
     path = tmp_path / "nan.json"
     path.write_text(json.dumps(blob))
@@ -267,7 +266,7 @@ def test_markov_command_single_product_block(tmp_path):
         bc_factors=(regularize(random_density(4, rng), 1e-3),),
     )
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(markov_spec_to_json(spec)))
+    spec_path.write_text(json.dumps(serialize_value(spec)))
     proc = run_cli("markov", str(spec_path))
     assert proc.returncode == 0
     cmi_line = next(l for l in proc.stdout.splitlines() if l.strip().startswith("cmi"))
@@ -300,7 +299,7 @@ def test_trotter_command_product_state(tmp_path):
     full = kron(kron(mats[0], mats[1]), mats[2])
     state = MultipartiteState(DensityMatrix(full), (2, 2, 2))
     path = tmp_path / "product.json"
-    path.write_text(json.dumps(state_to_json(state)))
+    path.write_text(json.dumps(serialize_value(state)))
     proc = run_cli("trotter", str(path), "--nmax", "8")
     assert proc.returncode == 0, proc.stderr
     table = _trotter_table(proc.stderr)
@@ -325,7 +324,7 @@ def test_trotter_command_markov_state(tmp_path):
     )
     state = markov_state(spec)
     path = tmp_path / "markov.json"
-    path.write_text(json.dumps(state_to_json(state)))
+    path.write_text(json.dumps(serialize_value(state)))
     proc = run_cli("trotter", str(path), "--nmax", "4")
     assert proc.returncode == 0
     for t in _trotter_table(proc.stderr).values():
@@ -481,3 +480,94 @@ def test_replay_names_a_missing_or_unexpected_instance_key(case, tmp_path, capsy
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith(f"config error: {name} instance does not fit its checker:")
     assert f"'{key}'" in err and len(err.splitlines()) == 1, err
+
+
+def _edit(path, value=None):
+    """The edit of a JSON blob that sets the entry at ``path`` to value, or
+    deletes it when value is None."""
+
+    def apply(blob):
+        blob = json.loads(json.dumps(blob))
+        node = blob
+        for key in path[:-1]:
+            node = node[key]
+        if value is None:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return blob
+
+    return apply
+
+
+def _malformed_template(command):
+    """A well-formed file for ``command``: an sbw-limit dump, a state, a spec."""
+    if command == "replay":
+        instance, _ = run_trial(SUITES["sbw-limit"], (2, 2, 2), 0, 0, 1e-6, 1e-8)
+        return {"checker": "sbw-limit", "dims": [2, 2, 2], "seed": 0, "trial": 0,
+                "tolerance": 0.0, "opts": {}, "instance": serialize_instance(instance)}
+    if command == "trotter":
+        return serialize_value(random_tripartite((2, 2, 2), np.random.default_rng(5)))
+    rng = np.random.default_rng(0)
+    factor = regularize(random_density(4, rng), 1e-3)
+    return serialize_value(MarkovSpec(2, 2, (1.0,), (factor,), (factor,)))
+
+
+# (command, edit of its well-formed file, what the message must name)
+MALFORMED_FILES = {
+    "dump-value-without-re": ("replay", _edit(("instance", "rho", "re")), "'re'"),
+    "dump-value-dims-text": ("replay", _edit(("instance", "rho", "dims"), "x"), "rho.dims"),
+    "dump-value-ragged-re": ("replay", _edit(("instance", "rho", "re", 0), [0.5]), "rho.re"),
+    "dump-channel-without-kraus": ("replay", _edit(("instance", "channel", "kraus")), "'kraus'"),
+    "dump-channel-d-in-text": ("replay", _edit(("instance", "channel", "d_in"), "a"), "d_in"),
+    "dump-value-not-an-object": ("replay", _edit(("instance", "rho"), 5), "instance.rho"),
+    "state-without-re": ("trotter", _edit(("re",)), "'re'"),
+    "state-dims-text": ("trotter", _edit(("dims",), "x"), "state.dims"),
+    "state-ragged": ("trotter", _edit(("im", 1), [0.0]), "state.im"),
+    "state-top-level-list": ("trotter", lambda blob: [blob], "JSON object"),
+    "state-text-entry": ("trotter", _edit(("re", 0, 0), "a"), "state.re"),
+    "spec-top-level-list": ("markov", lambda blob: [blob], "JSON object"),
+    "spec-blocks-text": ("markov", _edit(("blocks",), "x"), "spec.blocks"),
+    "spec-without-blocks": ("markov", _edit(("blocks",)), "'blocks'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES))
+def test_malformed_input_file_is_one_config_error(case, tmp_path, capsys):
+    command, edit, names = MALFORMED_FILES[case]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(edit(_malformed_template(command))))
+    argv = [command, str(path)] + (["--nmax", "2"] if command == "trotter" else [])
+    code, out, err = _main(argv, capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, ""), err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1, err
+    assert names in err, err
+
+
+@pytest.mark.parametrize("eps", ["5", "1", "0", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["check", "--suite", "golden-thompson", "--trials", "1"],
+    ["check", "--suite", "twirl-identity,markov-roundtrip", "--trials", "1"],
+    ["trotter", "--trials", "1", "--nmax", "2"],
+    ["explore", "cmi-petz", "--trials", "2"],
+])
+def test_eps_outside_the_open_unit_interval_is_a_config_error(command, eps, monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("qelab.suites.run_trial", no_trial)
+    code, out, err = _main(command + [f"--eps={eps}"], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"config error: --eps must lie strictly between 0 and 1, got {float(eps)}\n"
+
+
+def test_error_inside_a_trial_names_its_suite_and_trial(monkeypatch, capsys):
+    def singular(*args, **kwargs):
+        raise SingularTerm("term 0 is singular")
+
+    monkeypatch.setattr(checks, "check_ssa_strengthened", singular)
+    code, out, err = _main(["check", "--suite", "renyi-monotone,ssa", "--trials", "2"], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.splitlines()[-1] == "error: ssa trial 0: term 0 is singular"
+    with pytest.raises(SingularTerm, match="^ssa trial 1: term 0 is singular$"):
+        run_trial(SUITES["ssa"], (2, 2, 2), 0, 1, 1e-6, 1e-8)

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qelab.entropy import (
-    EntropyValue,
     cmi,
     cmi_relative_entropy_form,
     exp_log_combination,
@@ -70,21 +69,19 @@ def test_von_neumann_basis_invariance():
 
 def test_relative_entropy_self_is_zero():
     rho = random_density(3, np.random.default_rng(1))
-    assert relative_entropy(rho, rho).value == pytest.approx(0.0, abs=1e-10)
+    assert relative_entropy(rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_relative_entropy_classical_oracle():
     out = relative_entropy(P_DIAG, Q_DIAG)
-    assert not out.infinite
-    assert out.value == pytest.approx(KL_73_46, abs=1e-12)
+    assert out == pytest.approx(KL_73_46, abs=1e-12)
 
 
 def test_relative_entropy_disjoint_support_is_infinite():
     rho = DensityMatrix(np.diag([1.0, 0.0]))
     sigma = DensityMatrix(np.diag([0.0, 1.0]))
     out = relative_entropy(rho, sigma)
-    assert out.infinite
-    assert float(out) == np.inf
+    assert out == np.inf
 
 
 def test_relative_entropy_support_inclusion_is_finite():
@@ -92,8 +89,7 @@ def test_relative_entropy_support_inclusion_is_finite():
     rho = DensityMatrix(np.diag([1.0, 0.0]))
     sigma = DensityMatrix(np.diag([0.5, 0.5]))
     out = relative_entropy(rho, sigma)
-    assert not out.infinite
-    assert out.value == pytest.approx(np.log(2.0), abs=1e-12)
+    assert out == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_relative_entropy_zero_iff_equal():
@@ -102,8 +98,8 @@ def test_relative_entropy_zero_iff_equal():
     sigma = regularize(random_density(3, rng), 1e-6)
     dist = trace_norm(rho.mat - sigma.mat)
     assert dist > 1e-3  # sanity: a generic pair is far apart
-    assert relative_entropy(rho, sigma).value > 0.125 * dist**2  # Pinsker-ish
-    assert relative_entropy(rho, rho).value < 1e-12
+    assert relative_entropy(rho, sigma) > 0.125 * dist**2  # Pinsker-ish
+    assert relative_entropy(rho, rho) < 1e-12
 
 
 def test_pinsker_bound():
@@ -111,20 +107,20 @@ def test_pinsker_bound():
     for _ in range(50):
         rho = regularize(random_density(4, rng), 1e-6)
         sigma = regularize(random_density(4, rng), 1e-6)
-        s = relative_entropy(rho, sigma).value
+        s = relative_entropy(rho, sigma)
         assert s >= 0.5 * trace_norm(rho.mat - sigma.mat) ** 2 - 1e-8
 
 
 def test_renyi_self_is_zero():
     rho = random_density(3, np.random.default_rng(4))
-    assert renyi(0.5, rho, rho).value == pytest.approx(0.0, abs=1e-10)
+    assert renyi(0.5, rho, rho) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_renyi_classical_oracle():
-    assert renyi(0.3, P_DIAG, Q_DIAG).value == pytest.approx(
+    assert renyi(0.3, P_DIAG, Q_DIAG) == pytest.approx(
         RENYI03_73_46, abs=1e-12
     )
-    assert renyi(0.5, P_DIAG, Q_DIAG).value == pytest.approx(
+    assert renyi(0.5, P_DIAG, Q_DIAG) == pytest.approx(
         RENYI05_73_46, abs=1e-12
     )
 
@@ -134,7 +130,7 @@ def test_renyi_half_equals_overlap_bound():
     for _ in range(10):
         rho = regularize(random_density(3, rng), 1e-6)
         sigma = regularize(random_density(3, rng), 1e-6)
-        assert renyi(0.5, rho, sigma).value == pytest.approx(
+        assert renyi(0.5, rho, sigma) == pytest.approx(
             overlap_lower_bound(rho, sigma), abs=1e-10
         )
 
@@ -150,7 +146,7 @@ def test_renyi_monotone_in_alpha():
     rng = np.random.default_rng(7)
     rho = regularize(random_density(4, rng), 1e-6)
     sigma = regularize(random_density(4, rng), 1e-6)
-    values = [renyi(a, rho, sigma).value for a in np.linspace(0.05, 0.95, 19)]
+    values = [renyi(a, rho, sigma) for a in np.linspace(0.05, 0.95, 19)]
     diffs = np.diff(values)
     assert diffs.min() >= -1e-10
 
@@ -159,8 +155,8 @@ def test_renyi_approaches_relative_entropy():
     rng = np.random.default_rng(8)
     rho = regularize(random_density(3, rng), 1e-6)
     sigma = regularize(random_density(3, rng), 1e-6)
-    s = relative_entropy(rho, sigma).value
-    gaps = [s - renyi(1.0 - 2.0**-k, rho, sigma).value for k in range(1, 13)]
+    s = relative_entropy(rho, sigma)
+    gaps = [s - renyi(1.0 - 2.0**-k, rho, sigma) for k in range(1, 13)]
     assert all(g >= -1e-9 for g in gaps)  # approach from below
     assert gaps[-1] < gaps[0] / 100.0  # and the gap really closes
 
@@ -188,8 +184,8 @@ def test_relative_entropy_scaling_identity():
     sigma = regularize(random_density(3, rng), 1e-6)
     mu = 0.35
     scaled = SubnormalizedOperator(mu * sigma.mat)
-    assert relative_entropy(rho, scaled).value == pytest.approx(
-        relative_entropy(rho, sigma).value - np.log(mu), abs=1e-10
+    assert relative_entropy(rho, scaled) == pytest.approx(
+        relative_entropy(rho, sigma) - np.log(mu), abs=1e-10
     )
 
 
@@ -294,8 +290,3 @@ def test_exp_log_rejects_rank_deficient_term():
         exp_log_combination([(1, np.diag([1.0, 0.0]))])
     with pytest.raises(SingularTerm):
         exp_log_combination([])
-
-
-def test_entropy_value_json():
-    assert EntropyValue.inf().to_json() == {"infinite": True}
-    assert EntropyValue(1.5, False).to_json() == {"value": 1.5}

@@ -25,8 +25,6 @@ from qelab.states import (
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
-    markov_spec_from_json,
-    markov_spec_to_json,
     markov_state,
     normalized_weights,
     random_density,
@@ -35,9 +33,8 @@ from qelab.states import (
     random_unitary,
     regularize,
     require_tripartite,
-    state_from_json,
-    state_to_json,
 )
+from qelab.serialize import deserialize_value, serialize_value
 
 
 def test_density_matrix_validates_trace():
@@ -325,25 +322,25 @@ def test_markov_determinism():
 def test_state_json_roundtrip():
     rng = np.random.default_rng(50)
     state = random_tripartite((2, 2, 2), rng)
-    back = state_from_json(state_to_json(state))
+    back = deserialize_value(serialize_value(state))
     assert isinstance(back, MultipartiteState)
     assert back.dims == state.dims
     assert max_sv(back.matrix - state.matrix) < 1e-14
 
     rho = random_density(3, rng)
-    back2 = state_from_json(state_to_json(rho))
+    back2 = deserialize_value(serialize_value(rho))
     assert isinstance(back2, DensityMatrix)
     assert max_sv(back2.mat - rho.mat) < 1e-14
 
 
 def test_markov_spec_json_roundtrip():
     spec, _ = _product_block_spec()
-    back = markov_spec_from_json(markov_spec_to_json(spec))
+    back = deserialize_value(serialize_value(spec))
     assert back.d_a == spec.d_a and back.d_c == spec.d_c
     assert back.weights == spec.weights
     assert max_sv(back.ab_factors[0].mat - spec.ab_factors[0].mat) < 1e-14
-    with pytest.raises(InconsistentBlocks):
-        markov_spec_from_json({"d_a": 2, "d_c": 2})
+    with pytest.raises(BadConfig):
+        deserialize_value({"d_a": 2, "d_c": 2}, "markov_spec")
 
 
 def test_von_neumann_on_multipartite_marginal():
