@@ -3,7 +3,7 @@
 The package is organized in layers:
 
 * :mod:`qelab.linalg` — Hermitian eigendecompositions, matrix functions on the
-  support, partial traces, embeddings, and Schatten norms.
+  support, partial traces, embeddings, and the trace norm.
 * :mod:`qelab.states` — density matrices, subnormalized operators,
   multipartite wrappers, block-structured Markov states, and random ensembles.
 * :mod:`qelab.channels` — Kraus channels, duals, recovery maps, partial-trace

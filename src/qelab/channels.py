@@ -2,8 +2,8 @@
 
 A channel is held as a list of Kraus operators K_i (shape d_out x d_in) with
 sum_i K_i^dag K_i = 1 enforced at construction.  The Hilbert-Schmidt dual
-Phi^*(Y) = sum_i K_i^dag Y K_i is available as a (generally not
-trace-preserving) Kraus map, which is what the entropy checkers need.
+Phi^*(Y) = sum_i K_i^dag Y K_i, which the entropy checkers need, is the method
+apply_dual; it is generally not trace preserving.
 """
 
 from __future__ import annotations
@@ -38,14 +38,12 @@ def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class KrausChannel:
-    """Completely positive map given by Kraus operators.
+    """Trace-preserving completely positive map given by Kraus operators.
 
-    With require_tp=True (the default) the operators must satisfy
-    sum K^dag K = 1 within TOL_RECON; duals of channels are built with
-    require_tp=False since they need not be trace preserving.
+    The operators must satisfy sum K^dag K = 1 within TOL_RECON.
     """
 
-    def __init__(self, kraus: Sequence[np.ndarray], require_tp: bool = True):
+    def __init__(self, kraus: Sequence[np.ndarray]):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise DimMismatch("need at least one Kraus operator")
@@ -59,17 +57,11 @@ class KrausChannel:
         self.d_in = d_in
         self.d_out = d_out
         gram = sum(k.conj().T @ k for k in ops)
-        self._tp_dev = max_sv(gram - np.eye(d_in))
-        if require_tp and self._tp_dev > TOL_RECON:
-            raise DimMismatch(
-                f"Kraus operators violate trace preservation by {self._tp_dev:.3e}"
-            )
+        tp_dev = max_sv(gram - np.eye(d_in))
+        if tp_dev > TOL_RECON:
+            raise DimMismatch(f"Kraus operators violate trace preservation by {tp_dev:.3e}")
         env = sum(k @ k.conj().T for k in ops)
         self._unital_dev = max_sv(env - np.eye(d_out))
-
-    @property
-    def is_trace_preserving(self) -> bool:
-        return self._tp_dev <= TOL_RECON
 
     @property
     def is_unital(self) -> bool:
@@ -82,13 +74,16 @@ class KrausChannel:
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
         return _hermitian_like(x, sum(k @ x @ k.conj().T for k in self.kraus))
 
-    def dual(self) -> "KrausChannel":
-        """Hilbert-Schmidt adjoint Phi^*, with Kraus operators K_i^dag.
+    def apply_dual(self, y: np.ndarray) -> np.ndarray:
+        """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
 
         The dual of a trace-preserving map is unital (it fixes the identity)
-        but generally not trace preserving, so validation is relaxed.
+        but generally not trace preserving.
         """
-        return KrausChannel([k.conj().T for k in self.kraus], require_tp=False)
+        y = np.asarray(y, dtype=complex)
+        if y.shape != (self.d_out, self.d_out):
+            raise DimMismatch(f"input shape {y.shape}, dual expects {self.d_out}")
+        return _hermitian_like(y, sum(k.conj().T @ y @ k for k in self.kraus))
 
     def __repr__(self) -> str:
         return (
@@ -131,10 +126,8 @@ class PetzMap:
             image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr / d) * np.eye(d)
             eig = herm_eig(hermitize(image))
         self.channel = channel
-        self.sigma = sigma
         self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
         self._inv_sqrt_image = matrix_power(eig, -0.5)
-        self._dual = channel.dual()
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -143,7 +136,8 @@ class PetzMap:
                 f"input shape {x.shape}, recovery map expects {self.channel.d_out}"
             )
         inner = self._inv_sqrt_image @ x @ self._inv_sqrt_image
-        return _hermitian_like(x, self._sqrt_sigma @ self._dual.apply(inner) @ self._sqrt_sigma)
+        recovered = self._sqrt_sigma @ self.channel.apply_dual(inner) @ self._sqrt_sigma
+        return _hermitian_like(x, recovered)
 
 
 def ptrace_channel(dims: Sequence[int], traced: int) -> KrausChannel:

@@ -135,7 +135,7 @@ def ssa_surrogate(state: MultipartiteState) -> np.ndarray:
 
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
-    """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the dual Phi^*) for
+    """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the channel Phi) for
     operators or matrices rho and sigma: what the unital surrogate, every alpha-compression
     and the relative entropy of the images share."""
     img_rho, img_sigma = (channel.apply(as_matrix(x)) for x in (rho, sigma))
@@ -143,15 +143,15 @@ def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
         as_spectrum(sigma),
         Decomposed(img_rho, herm_eig(img_rho)),
         Decomposed(img_sigma, herm_eig(img_sigma)),
-        channel.dual(),
+        channel,
     )
 
 
 def _unital_surrogate(pushed: tuple) -> np.ndarray:
     """exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) from _pushed."""
-    sigma_eig, img_rho, img_sigma, dual = pushed
-    combo = matrix_log(sigma_eig) + dual.apply(matrix_log(img_rho.spectrum))
-    return matrix_exp(hermitize(combo - dual.apply(matrix_log(img_sigma.spectrum))))
+    sigma_eig, img_rho, img_sigma, channel = pushed
+    combo = matrix_log(sigma_eig) + channel.apply_dual(matrix_log(img_rho.spectrum))
+    return matrix_exp(hermitize(combo - channel.apply_dual(matrix_log(img_sigma.spectrum))))
 
 
 def _root_links(rho, other) -> list[tuple[str, float]]:
@@ -622,14 +622,14 @@ def trotter_sequence(
 
 def _alpha_compressed(pushed: tuple, alpha: float) -> np.ndarray:
     """{sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
-    from the spectra and dual of _pushed."""
+    from the spectra and channel of _pushed."""
     if not 0.0 < alpha < 1.0:
         raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
-    sigma_eig, img_rho, img_sigma, dual = pushed
+    sigma_eig, img_rho, img_sigma, channel = pushed
     img_sigma_neg = matrix_power(img_sigma.spectrum, -alpha / 2.0)
     mid = hermitize(img_sigma_neg @ matrix_power(img_rho.spectrum, alpha) @ img_sigma_neg)
     s_half = matrix_power(sigma_eig, alpha / 2.0)
-    inner = hermitize(s_half @ dual.apply(mid) @ s_half)
+    inner = hermitize(s_half @ channel.apply_dual(mid) @ s_half)
     return matrix_power(inner, 1.0 / alpha)
 
 

@@ -120,9 +120,7 @@ def _trotter_n_values(nmax: int) -> tuple[int, ...]:
 def _suite_opts(args) -> dict:
     opts: dict = {}
     if getattr(args, "alpha", None):
-        alphas = _parse_floats(args.alpha, "--alpha")
-        opts["alphas"] = alphas
-        opts["sbw_alphas"] = sorted(set(alphas), reverse=True)
+        opts["alphas"] = _parse_floats(args.alpha, "--alpha")
     if getattr(args, "t_samples", None):
         opts["t_samples"] = _parse_floats(args.t_samples, "--t-samples")
     if getattr(args, "nmax", None) is not None:
@@ -137,30 +135,6 @@ def _write_report(records: list[dict] | dict, fmt: str, out: str | None) -> None
     else:
         with open(out, "w") as fh:
             fh.write(text)
-
-
-def _dump_instance(
-    path: str,
-    checker: str,
-    dims: Sequence[int],
-    seed: int,
-    trial: int,
-    tolerance: float,
-    instance: dict,
-    opts: dict,
-) -> None:
-    payload = {
-        "checker": checker,
-        "dims": list(dims),
-        "seed": seed,
-        "trial": trial,
-        "tolerance": tolerance,
-        "opts": opts,
-        "instance": serialize_instance(instance),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
 
 
 def _say(message: str) -> None:
@@ -209,7 +183,9 @@ def cmd_check(args) -> int:
     _write_report(records, args.format, args.out)
     if not all_pass and worst is not None:
         path = (args.out + ".worst.json") if args.out else "qelab-worst.json"
-        _dump_instance(path, worst[1], dims, seed, worst[2], worst[4], worst[3], opts)
+        dump = {"checker": worst[1], "dims": list(dims), "seed": seed, "trial": worst[2],
+                "tolerance": worst[4], "opts": opts, "instance": serialize_instance(worst[3])}
+        _write_report(dump, "json", path)
         _say(f"worst failing instance written to {path}")
         return EXIT_FAILED
     return EXIT_OK
@@ -283,11 +259,11 @@ def cmd_explore(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    tol = _checked_tol(args.tol)
     payload = _load_json(args.dump, "dump")
     if not isinstance(payload, dict) or not isinstance(payload.get("opts", {}), dict):
         raise BadConfig("dump must be a JSON object with an object of options")
-    tol, opts = payload.get("tolerance", tol), payload.get("opts", {})
+    # every dump and report qelab writes carries its tolerance; a hand-made one may not
+    tol, opts = payload.get("tolerance", TOL_INEQ), payload.get("opts", {})
     if not (_is_finite(tol) and tol >= 0):
         raise BadConfig(f"dump tolerance must be a finite number >= 0, got {tol!r}")
     for key, values in opts.items():
@@ -340,7 +316,6 @@ def _add_common(parser: argparse.ArgumentParser, trials_default: int = 1000) -> 
     parser.add_argument("--eps", type=float, default=DEFAULT_EPS,
                         help="full-rank regularization weight")
     parser.add_argument("--out", default=None, help="report path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_markov.add_argument("spec", help="MarkovSpec JSON file")
     p_markov.add_argument("--t-samples", dest="t_samples", default=None)
     p_markov.add_argument("--out", default=None)
-    p_markov.add_argument("--format", choices=("json", "csv"), default="json")
     p_markov.set_defaults(func=cmd_markov)
 
     p_trotter = sub.add_parser("trotter", help="compressed-product trace study")
@@ -383,8 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_replay = sub.add_parser("replay", help="rerun a dumped instance")
     p_replay.add_argument("dump", help="instance dump JSON file")
-    p_replay.add_argument("--tol", type=float, default=TOL_INEQ)
     p_replay.set_defaults(func=cmd_replay)
+
+    # explore always writes JSON
+    for p in (p_check, p_markov, p_trotter):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
 

@@ -139,13 +139,13 @@ def matrix_sqrt(h: Spectral) -> np.ndarray:
     return matrix_fn(h, np.sqrt, support_only=True)
 
 
-def matrix_power(h: Spectral, p: float, support_only: bool = True) -> np.ndarray:
-    """Real matrix power of a PSD matrix.
+def matrix_power(h: Spectral, p: float) -> np.ndarray:
+    """Real matrix power of a PSD matrix, on its support.
 
-    Negative powers with support_only=True give the pseudo-inverse power on
-    the support, which is what the recovery-map formulas need.
+    A negative power is the pseudo-inverse power on the support, which is
+    what the recovery-map formulas need.
     """
-    return matrix_fn(h, lambda x: np.power(x, p), support_only=support_only)
+    return matrix_fn(h, lambda x: np.power(x, p), support_only=True)
 
 
 def unitary_power(h: Spectral, t: float) -> np.ndarray:
@@ -234,21 +234,9 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     return tensor.transpose(axes).reshape(total, total)
 
 
-def schatten_norm(x: np.ndarray, p: float) -> float:
-    """Schatten p-norm for p in {1, 2, inf}."""
-    x = np.asarray(x)
-    if p == 2:
-        return float(np.linalg.norm(x))
-    sv = np.linalg.svd(x, compute_uv=False)
-    if p == 1:
-        return float(np.sum(sv))
-    if p == np.inf or p == float("inf"):
-        return float(sv[0]) if sv.size else 0.0
-    raise ValueError(f"unsupported Schatten order {p!r}; use 1, 2 or inf")
-
-
 def trace_norm(x: np.ndarray) -> float:
-    return schatten_norm(x, 1)
+    """Trace norm (Schatten 1-norm): the sum of the singular values."""
+    return float(np.sum(np.linalg.svd(np.asarray(x), compute_uv=False)))
 
 
 def real_trace(x: np.ndarray) -> float:

@@ -4,8 +4,9 @@ A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
 {"d_in", "d_out", "kraus": [matrix, ...]}, a MarkovSpec {"d_a", "d_c", "blocks":
 [{"weight", "ab": matrix, "bc": matrix}, ...]}.  A dumped instance value also
 carries its "type"; a state or spec file is the untagged body.  Anything
-malformed is a BadConfig naming where it is; what decodes still validates itself
-as it is built (NotPSD, BadTrace, NonFinite, InconsistentBlocks, DimMismatch).
+malformed is a BadConfig naming where it is, and a NaN or infinite matrix entry
+is NonFinite; what decodes still validates itself as it is built (NotPSD,
+BadTrace, InconsistentBlocks, DimMismatch).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import reprlib
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadConfig, DimMismatch
+from .errors import BadConfig, DimMismatch, NonFinite
 from .states import DensityMatrix, MarkovSpec, MultipartiteState, SubnormalizedOperator
 
 
@@ -66,6 +67,9 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
     re, im = (np.asarray(_field(obj, key, where, _ROWS), dtype=float) for key in ("re", "im"))
     if re.shape != im.shape:
         raise BadConfig(f"{where}: re and im have different shapes")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        # a raw matrix value reaches its checker unvalidated
+        raise NonFinite("matrix has a NaN or infinite entry")
     return re + 1j * im
 
 

@@ -28,14 +28,14 @@ from .linalg import HermitianEigen, herm_eig, hermitize, kron, ptrace, require_h
 from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE
 
 
-def _validated_matrix(mat: np.ndarray, tol_herm: float, tol_psd: float) -> np.ndarray:
+def _validated_matrix(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if not np.isfinite(mat).all():
         raise NonFinite("matrix has a NaN or infinite entry")
-    mat = hermitize(require_hermitian(mat, tol_herm))
+    mat = hermitize(require_hermitian(mat, TOL_HERM))
     min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -tol_psd:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{tol_psd:.1e}")
+    if min_eig < -TOL_PSD:
+        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
     mat.setflags(write=False)
     return mat
 
@@ -44,7 +44,7 @@ class SubnormalizedOperator:
     """Hermitian PSD operator with 0 <= trace <= 1 (within tolerance)."""
 
     def __init__(self, mat: np.ndarray):
-        self._mat = _validated_matrix(mat, TOL_HERM, TOL_PSD)
+        self._mat = _validated_matrix(mat)
         tr = float(np.trace(self._mat).real)
         if tr < -TOL_TRACE or tr > 1.0 + TOL_TRACE:
             raise BadTrace(f"trace {tr!r} outside [0, 1]")
@@ -85,9 +85,6 @@ class DensityMatrix(SubnormalizedOperator):
         super().__init__(mat)
 
 
-_DEFAULT_LABELS = "ABCDEFGH"
-
-
 class MultipartiteState:
     """A density matrix together with its subsystem dimensions.
 
@@ -95,24 +92,14 @@ class MultipartiteState:
     flat basis index of |a, b, c> is ((a * dB) + b) * dC + c.
     """
 
-    def __init__(
-        self,
-        state: DensityMatrix | np.ndarray,
-        dims: Sequence[int],
-        labels: Sequence[str] | None = None,
-    ):
+    def __init__(self, state: DensityMatrix | np.ndarray, dims: Sequence[int]):
         if not isinstance(state, DensityMatrix):
             state = DensityMatrix(state)
         dims = tuple(int(d) for d in dims)
         if int(np.prod(dims)) != state.dim:
             raise DimMismatch(f"dims {dims} do not multiply to {state.dim}")
-        if labels is None:
-            labels = tuple(_DEFAULT_LABELS[: len(dims)])
-        if len(labels) != len(dims):
-            raise DimMismatch("one label per subsystem required")
         self.state = state
         self.dims = dims
-        self.labels = tuple(labels)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -126,19 +113,14 @@ class MultipartiteState:
         """Partial trace down to the subsystems in ``keep``."""
         keep = sorted(set(int(k) for k in keep))
         red = ptrace(self.matrix, self.dims, keep)
-        return MultipartiteState(
-            DensityMatrix(red),
-            tuple(self.dims[k] for k in keep),
-            tuple(self.labels[k] for k in keep),
-        )
+        return MultipartiteState(DensityMatrix(red), tuple(self.dims[k] for k in keep))
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
         """Raw matrix of the reduction onto ``keep`` (no re-validation)."""
         return ptrace(self.matrix, self.dims, keep)
 
     def __repr__(self) -> str:
-        parts = ",".join(f"{l}:{d}" for l, d in zip(self.labels, self.dims))
-        return f"MultipartiteState({parts})"
+        return f"MultipartiteState(dims={self.dims})"
 
 
 def require_tripartite(state: MultipartiteState) -> MultipartiteState:
@@ -328,5 +310,5 @@ def regularize(state: DensityMatrix | np.ndarray, eps: float) -> DensityMatrix:
 
 
 def regularize_tripartite(state: MultipartiteState, eps: float) -> MultipartiteState:
-    return MultipartiteState(regularize(state.state, eps), state.dims, state.labels)
+    return MultipartiteState(regularize(state.state, eps), state.dims)
 

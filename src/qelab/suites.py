@@ -51,6 +51,7 @@ MARKOV_FACTOR_EPS = 3e-3
 # place for the full n = 10^4 study.
 TWIRL_SUITE_SAMPLES = 200
 CL_ALPHA_GRID = (1.5, 2.0, 4.0)
+HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
 
 
 def _flat(dims: Sequence[int]) -> int:
@@ -125,12 +126,12 @@ def _sample_tri_quad(rng, dims, eps):
     }
 
 
-def _perturb_edges(state: MultipartiteState, rng, env_dim: int = 2) -> MultipartiteState:
-    """Random local channels on the outer subsystems; the middle marginal of
-    the output equals that of the input exactly."""
+def _perturb_edges(state: MultipartiteState, rng) -> MultipartiteState:
+    """Random local channels, each with a two-dimensional environment, on the outer
+    subsystems; the middle marginal of the output equals that of the input exactly."""
     da, db, dc = state.dims
-    ka = random_channel(da, env_dim, rng).kraus
-    kc = random_channel(dc, env_dim, rng).kraus
+    ka = random_channel(da, 2, rng).kraus
+    kc = random_channel(dc, 2, rng).kraus
     ops = [kron(kron(a, np.eye(db)), c) for a in ka for c in kc]
     return MultipartiteState(DensityMatrix(KrausChannel(ops).apply(state.matrix)), state.dims)
 
@@ -274,8 +275,9 @@ def _run_markov(spec, tol, t_samples=checks.DEFAULT_T_SAMPLES):
     return CheckResult("markov-roundtrip", quantities, min(slacks), 0.0)
 
 
-def _run_sbw(rho, sigma, channel, tol, sbw_alphas=checks.DEFAULT_SBW_ALPHAS):
-    return checks.check_sbw_limit(rho, sigma, channel, sbw_alphas, tol)
+def _run_sbw(rho, sigma, channel, tol, alphas=checks.DEFAULT_SBW_ALPHAS):
+    # the limit runs along the --alpha grid made strictly descending
+    return checks.check_sbw_limit(rho, sigma, channel, sorted(set(alphas), reverse=True), tol)
 
 
 def _run_cl(m, x1, x2, lam, tol):
@@ -435,7 +437,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "sbw-limit",
             _sample_pair_unital_channel,
-            _calls(_run_sbw, "sbw_alphas"),
+            _calls(_run_sbw, "alphas"),
             "alpha -> 0 operator convergence to the exp-log surrogate",
         ),
         Suite(
@@ -601,7 +603,6 @@ def explore_conjecture(
     seed: int,
     eps: float = DEFAULT_EPS,
     tol: float = TOL_INEQ,
-    bins: int = 20,
 ) -> ExplorationReport:
     """Sweep random instances of an open inequality and report the slack law.
 
@@ -620,7 +621,7 @@ def explore_conjecture(
         slacks[trial] = result.slack
         if result.slack < worst[0]:
             worst = (result.slack, trial, instance)
-    counts, edges = np.histogram(slacks, bins=bins)
+    counts, edges = np.histogram(slacks, HISTOGRAM_BINS)
     min_slack = float(worst[0])
     return ExplorationReport(
         kind=kind,

@@ -18,7 +18,7 @@ from qelab.channels import (
 )
 from qelab.entropy import relative_entropy
 from qelab.errors import DimMismatch, NotUnital, SingularSigma
-from qelab.linalg import kron, max_sv, ptrace, trace_norm
+from qelab.linalg import hermitize, is_hermitian, kron, max_sv, ptrace, trace_norm
 from qelab.serialize import deserialize_value, serialize_value
 from qelab.states import (
     DensityMatrix,
@@ -71,6 +71,8 @@ def test_channel_preserves_trace_and_positivity():
 def test_channel_rejects_wrong_input_dimension():
     with pytest.raises(DimMismatch):
         _identity_channel(2).apply(np.eye(3))
+    with pytest.raises(DimMismatch):  # the dual takes the output space, here of dim 2
+        ptrace_channel((2, 3), 1).apply_dual(np.eye(6))
 
 
 def test_tp_validation():
@@ -82,7 +84,7 @@ def test_dual_of_identity_is_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(2, 2))
     np.testing.assert_allclose(
-        _identity_channel(2).dual().apply(x), x, atol=1e-14
+        _identity_channel(2).apply_dual(x), x, atol=1e-14
     )
 
 
@@ -92,7 +94,7 @@ def test_dual_of_partial_trace_embeds():
     rng = np.random.default_rng(4)
     y = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     np.testing.assert_allclose(
-        channel.dual().apply(y), kron(y, np.eye(3)), atol=1e-12
+        channel.apply_dual(y), kron(y, np.eye(3)), atol=1e-12
     )
 
 
@@ -103,17 +105,38 @@ def test_duality_identity_sweep():
     for _ in range(100):
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = np.trace(channel.dual().apply(x) @ y)
+        lhs = np.trace(channel.apply_dual(x) @ y)
         rhs = np.trace(x @ channel.apply(y))
         worst = max(worst, abs(lhs - rhs))
     assert worst < 1e-10
+
+
+def _old_dual_apply(channel, y):
+    """The dual as it was built before apply_dual: a second Kraus map with
+    operators K_i^dag, applied like any channel."""
+    dual_kraus = [np.asarray(k.conj().T, dtype=complex) for k in channel.kraus]
+    y = np.asarray(y, dtype=complex)
+    out = sum(k @ y @ k.conj().T for k in dual_kraus)
+    return hermitize(out) if is_hermitian(y, 1e-12) else out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 64])
+def test_apply_dual_matches_the_old_dual_channel_bit_for_bit(d):
+    rng = np.random.default_rng([7, d])
+    channels = [random_channel(d, 2, rng), random_unital_channel(d, 3, rng)]
+    if d % 2 == 0:
+        channels += [ptrace_channel((2, d // 2), 0), ptrace_channel((2, d // 2), 1)]
+    for channel in channels:
+        g = rng.normal(size=(channel.d_out,) * 2) + 1j * rng.normal(size=(channel.d_out,) * 2)
+        for y in (g, g + g.conj().T):  # general, and Hermitian (re-Hermitized)
+            assert np.array_equal(channel.apply_dual(y), _old_dual_apply(channel, y))
 
 
 def test_dual_of_tp_channel_is_unital():
     rng = np.random.default_rng(6)
     channel = random_channel(4, 2, rng)
     np.testing.assert_allclose(
-        channel.dual().apply(np.eye(4)), np.eye(4), atol=1e-10
+        channel.apply_dual(np.eye(4)), np.eye(4), atol=1e-10
     )
 
 
@@ -204,7 +227,8 @@ def test_ptrace_channel_trivial_full_trace():
 def test_ptrace_channel_agrees_with_ptrace():
     rng = np.random.default_rng(12)
     channel = ptrace_channel((2, 3, 2), 1)
-    assert channel.is_trace_preserving
+    gram = sum(k.conj().T @ k for k in channel.kraus)
+    np.testing.assert_allclose(gram, np.eye(12), atol=1e-12)
     for _ in range(50):
         rho = random_density(12, rng)
         np.testing.assert_allclose(
@@ -215,7 +239,8 @@ def test_ptrace_channel_agrees_with_ptrace():
 def test_unital_channel_properties():
     rng = np.random.default_rng(13)
     channel = random_unital_channel(3, 4, rng)
-    assert channel.is_unital and channel.is_trace_preserving
+    assert channel.is_unital
+    np.testing.assert_allclose(sum(k.conj().T @ k for k in channel.kraus), np.eye(3), atol=1e-10)
     np.testing.assert_allclose(
         channel.apply(np.eye(3) / 3), np.eye(3) / 3, atol=1e-10
     )

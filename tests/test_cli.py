@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import os
@@ -82,21 +83,12 @@ def test_check_rejects_bad_dims_before_any_trial():
     assert "exactly 3 subsystem dims" in proc.stderr
 
 
-@pytest.fixture(scope="module")
-def explore_report(tmp_path_factory):
-    out = tmp_path_factory.mktemp("explore") / "report.json"
-    proc = run_cli("explore", "cmi-petz", "--trials", "3", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    return out
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-def test_bad_tol_is_a_config_error(tol, explore_report):
+def test_bad_tol_is_a_config_error(tol):
     commands = [
         ("check", "--suite", "ssa", "--trials", "1"),
         ("trotter", "--trials", "1", "--nmax", "2"),
         ("explore", "cmi-petz", "--trials", "2"),
-        ("replay", str(explore_report)),
     ]
     for command in commands:
         proc = run_cli(*command, f"--tol={tol}")
@@ -239,6 +231,38 @@ def test_check_failure_dumps_worst_instance_and_replays(tmp_path):
     assert replay.returncode == 1
     (record,) = json.loads(replay.stdout)
     assert record["slack"] == worst_slack
+
+
+def test_sbw_limit_runs_the_alpha_grid_made_descending(tmp_path, monkeypatch, capsys):
+    # dw-alpha takes the grid as written, sbw-limit the same grid sorted, unique and
+    # descending; the dump records the grid once, under "alphas"
+    grids = {}
+    for checker in ("dw_alpha_profile", "check_sbw_limit"):
+        real = getattr(checks, checker)
+
+        def spy(*args, _real=real, _name=checker, **kwargs):
+            grids.setdefault(_name, []).append(args[3] if len(args) > 3 else kwargs["alphas"])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(checks, checker, spy)
+    out = tmp_path / "rows.json"
+    argv = ["check", "--suite", "dw-alpha,sbw-limit", "--alpha", "0.5,0.9,0.5",
+            "--trials", "2", "--seed", "3", "--out", str(out)]
+    code, _, _ = _main(argv, capsys)
+    assert code == cli.EXIT_FAILED
+    assert grids == {"dw_alpha_profile": [[0.5, 0.9, 0.5]] * 2,
+                     "check_sbw_limit": [[0.9, 0.5]] * 2}
+    records = json.loads(out.read_text())
+    for record in records:
+        if record["checker"] == "sbw-limit":
+            assert sorted(k for k in record["quantities"] if k.startswith("e_0")) == [
+                "e_0.5", "e_0.9"]
+    dump = json.loads(out.with_suffix(".json.worst.json").read_text())
+    assert dump["opts"] == {"alphas": [0.5, 0.9, 0.5]}
+    code, replayed, _ = _main(["replay", str(out.with_suffix(".json.worst.json"))], capsys)
+    assert code == cli.EXIT_FAILED
+    (record,) = json.loads(replayed)
+    assert record in records and record["trial"] == dump["trial"]
 
 
 def test_markov_command_reports_residuals(tmp_path):
@@ -542,6 +566,51 @@ def test_malformed_input_file_is_one_config_error(case, tmp_path, capsys):
     assert (code, out) == (cli.EXIT_CONFIG, ""), err
     assert err.startswith("config error:") and len(err.splitlines()) == 1, err
     assert names in err, err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name,key", [
+    ("golden-thompson", "a"),
+    ("golden-thompson", "b"),
+    ("lieb-concavity", "h"),
+    ("carlen-lieb-concavity", "m"),
+    ("twirl-identity", "x"),
+])
+def test_replayed_raw_matrix_with_a_nan_or_inf_is_one_error(name, key, bad, tmp_path, capsys):
+    instance, _ = run_trial(SUITES[name], (2, 2, 2), 0, 0, 1e-6, 1e-8)
+    blob = serialize_instance(instance)
+    assert blob[key]["type"] == "matrix"
+    blob[key]["re"][0][0] = bad
+    dump = {"checker": name, "dims": [2, 2, 2], "seed": 0, "trial": 0,
+            "tolerance": 1e-8, "opts": {}, "instance": blob}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))  # written as NaN / Infinity, which JSON readers accept
+    code, out, err = _main(["replay", str(path)], capsys)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: matrix has a NaN or infinite entry\n")
+
+
+# Every option string and positional of each subcommand.  A flag added or removed
+# changes this table.
+CLI_SURFACE = {
+    "check": ["--alpha", "--dims", "--eps", "--format", "--help", "--nmax", "--out", "--seed",
+              "--suite", "--t-samples", "--tol", "--trials", "-h"],
+    "markov": ["--format", "--help", "--out", "--t-samples", "-h", "spec"],
+    "trotter": ["--dims", "--eps", "--format", "--help", "--nmax", "--out", "--seed", "--tol",
+                "--trials", "-h", "state"],
+    "explore": ["--dims", "--eps", "--help", "--out", "--seed", "--tol", "--trials", "-h",
+                "kind"],
+    "replay": ["--help", "-h", "dump"],
+}
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: sorted(s for a in sub._actions for s in (a.option_strings or [a.dest]))
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 @pytest.mark.parametrize("eps", ["5", "1", "0", "-0.5", "nan", "inf"])

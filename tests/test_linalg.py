@@ -23,7 +23,6 @@ from qelab.linalg import (
     ptrace,
     real_trace,
     require_hermitian,
-    schatten_norm,
     support_projector,
     trace_norm,
     unitary_power,
@@ -208,15 +207,15 @@ def test_embed_acts_on_named_factors():
     assert ptrace(full2, (2, 3, 2), [0, 2]) == pytest.approx(3.0 * op2)
 
 
-def test_schatten_norms():
-    assert schatten_norm(np.eye(4), 1) == pytest.approx(4.0)
+def test_trace_norm():
+    assert trace_norm(np.eye(4)) == pytest.approx(4.0)
     rng = np.random.default_rng(29)
     x = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    assert schatten_norm(x, 2) ** 2 == pytest.approx(
-        np.trace(x.conj().T @ x).real
-    )
-    with pytest.raises(ValueError):
-        schatten_norm(x, 3)
+    h = x + x.conj().T
+    # on a Hermitian matrix: the sum of the absolute eigenvalues
+    assert trace_norm(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).sum())
+    # between the Frobenius norm and sqrt(d) times it
+    assert np.linalg.norm(x) <= trace_norm(x) <= np.sqrt(5) * np.linalg.norm(x)
 
 
 def test_trace_distance_of_states_at_most_two():
@@ -235,9 +234,9 @@ def test_sqrt_norm_chain_on_psd_pairs():
         n = _rand_psd(4, rng)
         dm = matrix_sqrt(m) - matrix_sqrt(n)
         sm = matrix_sqrt(m) + matrix_sqrt(n)
-        lo = schatten_norm(dm, 2) ** 2
+        lo = np.linalg.norm(dm) ** 2
         mid = trace_norm(m - n)
-        hi = schatten_norm(dm, 2) * schatten_norm(sm, 2)
+        hi = np.linalg.norm(dm) * np.linalg.norm(sm)
         assert lo <= mid + 1e-8
         assert mid <= hi + 1e-8
 
@@ -248,7 +247,7 @@ def test_sqrt_sum_norm_sandwich_for_states():
     for _ in range(25):
         rho = _rand_psd(3, rng, trace=1.0)
         sigma = _rand_psd(3, rng, trace=1.0)
-        v = schatten_norm(matrix_sqrt(rho) + matrix_sqrt(sigma), 2)
+        v = np.linalg.norm(matrix_sqrt(rho) + matrix_sqrt(sigma))
         assert np.sqrt(2.0) - 1e-10 <= v <= 2.0 + 1e-10
 
 
@@ -335,7 +334,7 @@ SPECTRAL_FNS = {
     "matrix_log_support": lambda h: matrix_log(h, support_only=True),
     "matrix_sqrt": matrix_sqrt,
     "matrix_power": lambda h: matrix_power(h, -0.37),
-    "matrix_power_full": lambda h: matrix_power(h, 1.7, support_only=False),
+    "matrix_power_full": lambda h: matrix_fn(h, lambda x: np.power(x, 1.7)),
     "unitary_power": lambda h: unitary_power(h, 0.7),
     "support_projector": support_projector,
 }

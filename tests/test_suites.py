@@ -139,7 +139,7 @@ def test_row_calls_the_checker_bound_at_call_time(monkeypatch, name, checker, fo
         return real(**kwargs)
 
     monkeypatch.setattr(checks, checker, spy)
-    opts = {"alphas": [0.5, 0.25], "sbw_alphas": [0.5], "t_samples": [0.3], "n_values": [1, 2]}
+    opts = {"alphas": [0.5, 0.25], "t_samples": [0.3], "n_values": [1, 2]}
     suite = {**SUITES, **EXPLORATIONS}[name]
     instance, result = run_trial(suite, (2, 2, 2), 1, 0, DEFAULT_EPS, 1e-3, opts)
     assert calls == [set(instance) | forwarded | {"tol"}]
@@ -206,7 +206,7 @@ def test_records_roundtrip_through_json_and_csv():
 
 def test_suite_options_are_threaded():
     # shallow dyadic grid stops far from the operator limit -> suite fails
-    rows = run_suite("sbw-limit", (2, 2, 2), 2, 17, opts={"sbw_alphas": (0.5, 0.25)})
+    rows = run_suite("sbw-limit", (2, 2, 2), 2, 17, opts={"alphas": (0.5, 0.25)})
     assert all(not result.passed for _, _, result in rows)
     # deep default grid passes on the same seeds
     rows = run_suite("sbw-limit", (2, 2, 2), 2, 17)
