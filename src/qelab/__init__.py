@@ -4,14 +4,16 @@ The package is organized in layers:
 
 * :mod:`qelab.linalg` — Hermitian eigendecompositions, matrix functions on the
   support, partial traces, embeddings, and the trace norm.
-* :mod:`qelab.states` — density matrices, subnormalized operators,
-  multipartite wrappers, block-structured Markov states, and random ensembles.
+* :mod:`qelab.states` — density matrices that carry their subsystem dims,
+  subnormalized operators, block-structured Markov states, and random ensembles.
 * :mod:`qelab.channels` — Kraus channels, duals, recovery maps, partial-trace
   channels, and twirling.
 * :mod:`qelab.entropy` — von Neumann and relative entropies, the Renyi
   family on (0, 1), conditional mutual information, and exp-log combinations.
 * :mod:`qelab.results` — ``CheckResult``, the one result type, and the
   report encoders.
+* :mod:`qelab.serialize` — the JSON format of matrices, states, operators,
+  channels, Markov specs and dumped instances, written and read only here.
 * :mod:`qelab.checks` — the inequality checkers; each returns a CheckResult
   whose ``slack`` is nonnegative when the statement holds.
 * :mod:`qelab.suites` — seeded random ensembles wired to each checker

@@ -52,7 +52,6 @@ from .results import CheckResult, chain
 from .states import (
     Decomposed,
     DensityMatrix,
-    MultipartiteState,
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
@@ -67,7 +66,7 @@ DEFAULT_SBW_ALPHAS = tuple(2.0**-k for k in range(1, 13))
 SBW_FINAL_TOL = 1e-4  # the largest operator error check_sbw_limit accepts at the last alpha
 
 
-def _same_dims(*states: MultipartiteState) -> tuple[int, ...]:
+def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
     dims = states[0].dims
     for st in states[1:]:
         if st.dims != dims:
@@ -75,10 +74,10 @@ def _same_dims(*states: MultipartiteState) -> tuple[int, ...]:
     return dims
 
 
-def _tri_mats(state: MultipartiteState) -> dict[str, np.ndarray]:
+def _tri_mats(state: DensityMatrix) -> dict[str, np.ndarray]:
     require_tripartite(state)
     return {
-        "abc": state.matrix,
+        "abc": state.mat,
         "ab": state.marginal([0, 1]),
         "b": state.marginal([1]),
         "bc": state.marginal([1, 2]),
@@ -128,7 +127,7 @@ def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray
     return surrogate, dev_xy, dev_yz
 
 
-def ssa_surrogate(state: MultipartiteState) -> np.ndarray:
+def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
     """exp(log rho_AB - log rho_B + log rho_BC) embedded on the full space."""
     m = _tri_mats(state)
     return _exp_log_surrogate(m["ab"], m["b"], m["bc"], state.dims)
@@ -308,8 +307,8 @@ def check_unital_trace_bound(
 
 
 def check_ptrace_strengthening(
-    rho_ab: MultipartiteState,
-    sigma_ab: MultipartiteState,
+    rho_ab: DensityMatrix,
+    sigma_ab: DensityMatrix,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Refined monotonicity for discarding the second subsystem.
@@ -321,10 +320,10 @@ def check_ptrace_strengthening(
         raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
     rho_a = rho_ab.marginal([0])
     sigma_a = sigma_ab.marginal([0])
-    before = relative_entropy(rho_ab.state, sigma_ab.state)
+    before = relative_entropy(rho_ab, sigma_ab)
     after = relative_entropy(rho_a, sigma_a)
     surrogate = exp_log_combination(
-        [(1.0, sigma_ab.matrix), (-1.0, sigma_a), (1.0, rho_a)],
+        [(1.0, sigma_ab.mat), (-1.0, sigma_a), (1.0, rho_a)],
         dims=dims,
         supports=[(0, 1), (0,), (0,)],
     )
@@ -332,26 +331,26 @@ def check_ptrace_strengthening(
         "ptrace-strengthening",
         "relent_gap",
         before - after,
-        rho_ab.state,
+        rho_ab,
         surrogate,
         tol,
         quantities={"before": before, "after": after},
     )
 
 
-def check_ssa_strengthened(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
+def check_ssa_strengthened(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     """Strong subadditivity with the exp-log surrogate refinement.
 
     I(A:C|B) anchors the chain against exp(log rho_AB - log rho_B + log rho_BC);
     the surrogate trace bound Tr S <= 1 is asserted alongside.
     """
-    return _sqrt_chain("ssa", "cmi", cmi(rho), rho.matrix, ssa_surrogate(rho), tol)
+    return _sqrt_chain("ssa", "cmi", cmi(rho), rho.mat, ssa_surrogate(rho), tol)
 
 
 def check_trace_exp_bound(
-    rho: MultipartiteState,
-    sigma: MultipartiteState,
-    tau: MultipartiteState,
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    tau: DensityMatrix,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Tr exp(log rho_AB - log sigma_B + log tau_BC) <= 1 under marginal matching.
@@ -372,10 +371,10 @@ def check_trace_exp_bound(
 
 
 def check_bsw_identity(
-    rho: MultipartiteState,
-    sigma: MultipartiteState,
-    tau: MultipartiteState,
-    omega: MultipartiteState,
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    tau: DensityMatrix,
+    omega: DensityMatrix,
     tol: float = TOL_IDENTITY,
 ) -> CheckResult:
     """Decomposition of a relative entropy against an exp-log reference.
@@ -394,7 +393,7 @@ def check_bsw_identity(
         dims=dims,
         supports=[(0, 1), (1, 2), (1,)],
     )
-    lhs = relative_entropy(rho.matrix, target)
+    lhs = relative_entropy(rho.mat, target)
     rhs = (
         cmi(rho)
         + relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
@@ -411,8 +410,8 @@ def check_bsw_identity(
 
 
 def check_super_ssa(
-    rho: MultipartiteState,
-    sigma: MultipartiteState,
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Relative entropy to a two-marginal exp-log reference dominates
@@ -428,7 +427,7 @@ def check_super_ssa(
         dims=dims,
         supports=[(0, 1), (1, 2), (1,)],
     )
-    lhs = relative_entropy(rho.matrix, target)
+    lhs = relative_entropy(rho.mat, target)
     rhs = (
         cmi(rho)
         + 0.5 * relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
@@ -440,10 +439,10 @@ def check_super_ssa(
 
 
 def check_three_state_chain(
-    rho: MultipartiteState,
-    sigma: MultipartiteState,
-    tau: MultipartiteState,
-    omega: MultipartiteState,
+    rho: DensityMatrix,
+    sigma: DensityMatrix,
+    tau: DensityMatrix,
+    omega: DensityMatrix,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
     """Distance chain to exp(log sigma_AB - log tau_B + log omega_BC).
@@ -454,19 +453,19 @@ def check_three_state_chain(
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
     surrogate, dev_st, dev_to = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
-    anchor = relative_entropy(rho.state, surrogate)
+    anchor = relative_entropy(rho, surrogate)
     return _sqrt_chain(
         "three-state-chain",
         "relent_to_surrogate",
         anchor,
-        rho.state,
+        rho,
         surrogate,
         tol,
         quantities={"marginal_dev": float(min(dev_st, dev_to))},
     )
 
 
-def check_subadd_exp(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
+def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     """Subadditivity-flavoured chain with the two-marginal surrogate.
 
     Anchor S(AB) + S(BC) - S(ABC) against exp(log rho_AB + log rho_BC); the
@@ -515,7 +514,7 @@ MARKOV_LIKE_RESIDUAL = 1e-6
 
 
 def markov_characterizations(
-    state: MultipartiteState, t_samples: Sequence[float] = DEFAULT_T_SAMPLES
+    state: DensityMatrix, t_samples: Sequence[float] = DEFAULT_T_SAMPLES
 ) -> CheckResult:
     """Evaluate four equivalent signatures of I(A:C|B) = 0 on one state.
 
@@ -578,7 +577,7 @@ def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
     return matrix_power(g, float(n))
 
 
-def _trotter_traces(rho: MultipartiteState, n_values: Sequence[int]) -> list[tuple[int, float]]:
+def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[int, float]]:
     """(n, t_n) for each order n: the compressed-product traces of trotter_sequence."""
     m = _tri_mats(rho)
     n_values = [int(n) for n in n_values]
@@ -592,7 +591,7 @@ def _trotter_traces(rho: MultipartiteState, n_values: Sequence[int]) -> list[tup
 
 
 def trotter_sequence(
-    rho: MultipartiteState,
+    rho: DensityMatrix,
     n_values: Sequence[int] = DEFAULT_TROTTER_NS,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
@@ -666,7 +665,7 @@ def dw_alpha_profile(
 
 
 def check_dw_tripartite(
-    rho: MultipartiteState,
+    rho: DensityMatrix,
     alphas: Sequence[float] = DEFAULT_DW_ALPHAS,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
@@ -855,7 +854,7 @@ def check_audenaert_ps(
     return chain("audenaert-powers-stormer", links, tol, quantities, bool(extra_ok))
 
 
-def check_squashed_proxy(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
+def check_squashed_proxy(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     """Half the CMI dominates an eighth of the squared distance between the
     AC marginal and the AC reduction of the exp-log surrogate."""
     surrogate = ssa_surrogate(rho)
@@ -918,22 +917,22 @@ def explore_stronger_mono(
 
 
 def explore_ptrace_petz(
-    rho_ab: MultipartiteState, sigma_ab: MultipartiteState, tol: float = TOL_INEQ
+    rho_ab: DensityMatrix, sigma_ab: DensityMatrix, tol: float = TOL_INEQ
 ) -> CheckResult:
     """The same comparison for discarding the second subsystem."""
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
     gap = (
-        relative_entropy(rho_ab.state, sigma_ab.state)
+        relative_entropy(rho_ab, sigma_ab)
         - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0]))
     )
-    recovered = PetzMap(channel, sigma_ab.state).apply(rho_ab.marginal([0]))
-    dist = trace_norm(rho_ab.matrix - recovered)
+    recovered = PetzMap(channel, sigma_ab).apply(rho_ab.marginal([0]))
+    dist = trace_norm(rho_ab.mat - recovered)
     quantities = {"relent_gap": gap, "recovery_distance": dist}
     return CheckResult("ptrace-petz", quantities, gap - 0.25 * dist**2, tol)
 
 
-def explore_cmi_petz(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
+def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
     m = _tri_mats(rho)
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
@@ -943,7 +942,7 @@ def explore_cmi_petz(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResu
     return CheckResult("cmi-petz", quantities, i_val - 0.25 * dist**2, tol)
 
 
-def explore_trotter_monotone(rho: MultipartiteState, tol: float = TOL_INEQ) -> CheckResult:
+def explore_trotter_monotone(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     """Smallest decrease t_n - t_2n of the compressed-product traces."""
     traces = _trotter_traces(rho, (1, 2, 4, 8, 16))
     diffs = [t - t_next for (_, t), (_, t_next) in zip(traces, traces[1:])]

@@ -30,7 +30,15 @@ from .errors import BadConfig, QelabError
 from .results import as_record, records_to_csv, records_to_json
 from .serialize import deserialize_instance, deserialize_value, serialize_instance
 from .states import markov_state
-from .suites import EXPLORATIONS, SUITES, bind_instance, explore_conjecture, iter_trials, run_suite
+from .suites import (
+    EXPLORATIONS,
+    SUITES,
+    bind_instance,
+    candidate_counterexample,
+    explore_conjecture,
+    iter_trials,
+    run_suite,
+)
 from .tolerances import DEFAULT_EPS, TOL_INEQ
 
 EXIT_OK = 0
@@ -200,15 +208,12 @@ def cmd_markov(args) -> int:
         else checks.DEFAULT_T_SAMPLES
     )
     result = checks.markov_characterizations(state, t_samples=t_samples)
-    print(f"dims = {state.dims} (blocks: {len(spec.weights)})")
+    _say(f"dims = {state.dims} (blocks: {len(spec.weights)})")
     for key in ("cmi", "r_log", "r_petz", "r_recon_ab", "r_recon_bc"):
-        print(f"{key:>12} = {result.quantities[key]:.3e}")
-    print(f"markov_like = {result.quantities['cmi'] < checks.MARKOV_LIKE_CMI}")
-    print(f"consistent  = {result.extra_ok}")
-    if args.out:
-        _write_report(
-            [as_record(result, state.dims, 0, 0)], args.format, args.out
-        )
+        _say(f"{key:>12} = {result.quantities[key]:.3e}")
+    _say(f"markov_like = {result.quantities['cmi'] < checks.MARKOV_LIKE_CMI}")
+    _say(f"consistent  = {result.extra_ok}")
+    _write_report([as_record(result, state.dims, 0, 0)], args.format, args.out)
     return EXIT_OK if result.passed else EXIT_FAILED
 
 
@@ -216,9 +221,10 @@ def cmd_trotter(args) -> int:
     seed = _effective_seed(args.seed)
     tol, eps = _checked_tol(args.tol), _checked_eps(args.eps)
     opts = {"n_values": _trotter_n_values(args.nmax)}
-    if args.state:
-        loaded = deserialize_value(_load_json(args.state, "state"), "state", "state")
-        if getattr(loaded, "n_parts", 1) != 3:
+    path = getattr(args, "state", None)  # the optional tripartite state file
+    if path:
+        loaded = deserialize_value(_load_json(path, "state"), "state", "state")
+        if len(loaded.dims) != 3:
             raise BadConfig("trotter needs a tripartite state file")
         dims = loaded.dims
         instance = {"rho": loaded}
@@ -238,8 +244,7 @@ def cmd_trotter(args) -> int:
         if not result.passed:
             flagged = True
             _say(f"trial {trial}: FLAGGED (bound or convergence violated)")
-    if args.out:
-        _write_report(records, args.format, args.out)
+    _write_report(records, args.format, args.out)
     return EXIT_FAILED if flagged else EXIT_OK
 
 
@@ -294,7 +299,7 @@ def cmd_replay(args) -> int:
         for key, value in sorted(result.quantities.items()):
             print(f"{key} = {value:.12e}")
         print(f"slack = {result.slack:.12e}")
-        return EXIT_CANDIDATE if result.slack < -10.0 * tol else EXIT_OK
+        return EXIT_CANDIDATE if candidate_counterexample(result.slack, tol) else EXIT_OK
     record = as_record(result, dims, seed, trial)
     sys.stdout.write(records_to_json([record]))
     _say(f"[{name}] slack={result.slack:.6e} "

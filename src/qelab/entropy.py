@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadAlpha, SingularTerm, ZeroOverlap
+from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
     embed,
     herm_eig,
@@ -26,7 +26,7 @@ from .linalg import (
     support_projector,
 )
 from .states import (
-    MultipartiteState,
+    DensityMatrix,
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
@@ -62,7 +62,7 @@ def relative_entropy(
     r = as_matrix(rho)
     s = as_matrix(sigma)
     if r.shape != s.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
+        raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     s_eig = as_spectrum(sigma)
     off = np.eye(s.shape[0]) - support_projector(s_eig)
     leak = max_sv(off @ r @ off)
@@ -109,17 +109,17 @@ def overlap_lower_bound(
     return -2.0 * math.log(overlap)
 
 
-def cmi(state: MultipartiteState) -> float:
+def cmi(state: DensityMatrix) -> float:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
     require_tripartite(state)
     s_ab = von_neumann(state.marginal([0, 1]))
     s_bc = von_neumann(state.marginal([1, 2]))
     s_b = von_neumann(state.marginal([1]))
-    s_abc = von_neumann(state.matrix)
+    s_abc = von_neumann(state.mat)
     return s_ab + s_bc - s_abc - s_b
 
 
-def cmi_relative_entropy_form(state: MultipartiteState) -> float:
+def cmi_relative_entropy_form(state: DensityMatrix) -> float:
     """I(A:C|B) as a difference of two relative entropies.
 
     Tracing out A is a channel, and with reference rho_AB (x) rho_C the
@@ -128,7 +128,7 @@ def cmi_relative_entropy_form(state: MultipartiteState) -> float:
     Used as an independent cross-check of the entropy-sum form.
     """
     require_tripartite(state)
-    rho = state.matrix
+    rho = state.mat
     rho_ab = state.marginal([0, 1])
     rho_bc = state.marginal([1, 2])
     rho_b = state.marginal([1])

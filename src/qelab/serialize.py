@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import KrausChannel
 from .errors import BadConfig, DimMismatch, NonFinite
-from .states import DensityMatrix, MarkovSpec, MultipartiteState, SubnormalizedOperator
+from .states import DensityMatrix, MarkovSpec, SubnormalizedOperator
 
 
 def _is_number(value) -> bool:
@@ -75,10 +75,8 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
 
 def serialize_value(value) -> dict:
     """The tagged JSON object of one instance value."""
-    if isinstance(value, MultipartiteState):
-        return {"type": "state", "dims": list(value.dims), **_encode_matrix(value.matrix)}
     if isinstance(value, DensityMatrix):
-        return {"type": "state", "dims": [value.dim], **_encode_matrix(value.mat)}
+        return {"type": "state", "dims": list(value.dims), **_encode_matrix(value.mat)}
     if isinstance(value, SubnormalizedOperator):
         return {"type": "subnormalized", **_encode_matrix(value.mat)}
     if isinstance(value, KrausChannel):
@@ -105,8 +103,7 @@ def deserialize_value(obj, kind: str | None = None, where: str = "value"):
     kind = kind or _field(obj, "type", where)
     if kind == "state":
         dims = _field(obj, "dims", where, _DIMS)
-        state = MultipartiteState(DensityMatrix(_decode_matrix(obj, where)), dims)
-        return state if len(dims) > 1 else state.state
+        return DensityMatrix(_decode_matrix(obj, where), dims)
     if kind == "subnormalized":
         return SubnormalizedOperator(_decode_matrix(obj, where))
     if kind == "channel":

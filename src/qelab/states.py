@@ -1,7 +1,10 @@
-"""Density operators, multipartite wrappers and random-state ensembles.
+"""Density operators, block-structured Markov states and random-state ensembles.
 
-States are immutable: the wrapped array is frozen at construction and every
-operation returns a new object.  Randomness always flows through an explicit
+A DensityMatrix carries the dimensions of the subsystems it lives on (one
+subsystem unless told otherwise), so a bipartite or tripartite state is the
+same object as a flat one, and ``marginal`` traces it down.  States are
+immutable: the wrapped array is frozen at construction and every operation
+returns a new object.  Randomness always flows through an explicit
 ``numpy.random.Generator`` so that every ensemble is reproducible from its
 seed alone.
 """
@@ -75,57 +78,39 @@ class SubnormalizedOperator:
 
 
 class DensityMatrix(SubnormalizedOperator):
-    """Unit-trace special case of SubnormalizedOperator."""
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=complex)
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise BadTrace(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
-        super().__init__(mat)
-
-
-class MultipartiteState:
-    """A density matrix together with its subsystem dimensions.
+    """Unit-trace special case of SubnormalizedOperator, on subsystems of dimensions ``dims``.
 
     The first subsystem owns the slowest index: for dims (dA, dB, dC) the
-    flat basis index of |a, b, c> is ((a * dB) + b) * dC + c.
+    flat basis index of |a, b, c> is ((a * dB) + b) * dC + c.  ``dims``
+    default to those of a DensityMatrix argument, else to one subsystem.  A
+    DensityMatrix argument is not validated again: its frozen matrix, and its
+    spectrum once computed, are shared.
     """
 
-    def __init__(self, state: DensityMatrix | np.ndarray, dims: Sequence[int]):
-        if not isinstance(state, DensityMatrix):
-            state = DensityMatrix(state)
-        dims = tuple(int(d) for d in dims)
-        if int(np.prod(dims)) != state.dim:
-            raise DimMismatch(f"dims {dims} do not multiply to {state.dim}")
-        self.state = state
-        self.dims = dims
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.state.mat
-
-    @property
-    def n_parts(self) -> int:
-        return len(self.dims)
-
-    def reduce(self, keep: Sequence[int]) -> "MultipartiteState":
-        """Partial trace down to the subsystems in ``keep``."""
-        keep = sorted(set(int(k) for k in keep))
-        red = ptrace(self.matrix, self.dims, keep)
-        return MultipartiteState(DensityMatrix(red), tuple(self.dims[k] for k in keep))
+    def __init__(self, mat: np.ndarray | DensityMatrix, dims: Sequence[int] | None = None):
+        if isinstance(mat, DensityMatrix):
+            vars(self).update(vars(mat))
+        else:
+            mat = np.asarray(mat, dtype=complex)
+            tr = float(np.trace(mat).real)
+            if abs(tr - 1.0) > TOL_TRACE:
+                raise BadTrace(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+            super().__init__(mat)
+            self.dims = (self.dim,)
+        if dims is not None:
+            dims = tuple(int(d) for d in dims)
+            if int(np.prod(dims)) != self.dim:
+                raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
+            self.dims = dims
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
-        """Raw matrix of the reduction onto ``keep`` (no re-validation)."""
-        return ptrace(self.matrix, self.dims, keep)
-
-    def __repr__(self) -> str:
-        return f"MultipartiteState(dims={self.dims})"
+        """Raw matrix of the partial trace onto the subsystems in ``keep`` (no re-validation)."""
+        return ptrace(self._mat, self.dims, keep)
 
 
-def require_tripartite(state: MultipartiteState) -> MultipartiteState:
-    if state.n_parts != 3:
-        raise NotTripartite(f"need exactly 3 subsystems, got {state.n_parts}")
+def require_tripartite(state: DensityMatrix) -> DensityMatrix:
+    if len(state.dims) != 3:
+        raise NotTripartite(f"need exactly 3 subsystems, got {len(state.dims)}")
     return state
 
 
@@ -191,7 +176,7 @@ def normalized_weights(raw: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(p) / total for p in raw)
 
 
-def markov_state(spec: MarkovSpec) -> MultipartiteState:
+def markov_state(spec: MarkovSpec) -> DensityMatrix:
     """Assemble the tripartite state described by a MarkovSpec.
 
     The result has vanishing conditional mutual information I(A:C|B) by
@@ -217,7 +202,7 @@ def markov_state(spec: MarkovSpec) -> MultipartiteState:
                     pos += d_c
         out[np.ix_(idx, idx)] += p * block
         offset += dl * dr
-    return MultipartiteState(DensityMatrix(out), (d_a, d_b, d_c))
+    return DensityMatrix(out, (d_a, d_b, d_c))
 
 
 def _haar_q(g: np.ndarray) -> np.ndarray:
@@ -268,13 +253,13 @@ def random_density(
 
 def random_tripartite(
     dims: Sequence[int], rng: np.random.Generator, rank: int | None = None
-) -> MultipartiteState:
+) -> DensityMatrix:
     """Random tripartite state on dims = (dA, dB, dC)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise NotTripartite(f"need 3 dimensions, got {dims}")
     total = int(np.prod(dims))
-    return MultipartiteState(random_density(total, rng, rank=rank), dims)
+    return DensityMatrix(random_density(total, rng, rank=rank), dims)
 
 
 class Decomposed(NamedTuple):
@@ -300,15 +285,10 @@ def as_spectrum(op: SubnormalizedOperator | Decomposed | np.ndarray) -> Hermitia
 
 
 def regularize(state: DensityMatrix | np.ndarray, eps: float) -> DensityMatrix:
-    """Full-rank mixture (1 - eps) rho + eps * I/d."""
+    """Full-rank mixture (1 - eps) rho + eps * I/d, on the dims of ``state``."""
     if not 0.0 < eps < 1.0:
         raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
     mat = as_matrix(state)
     d = mat.shape[0]
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
-    return DensityMatrix(mixed)
-
-
-def regularize_tripartite(state: MultipartiteState, eps: float) -> MultipartiteState:
-    return MultipartiteState(regularize(state.state, eps), state.dims)
-
+    return DensityMatrix(mixed, state.dims if isinstance(state, DensityMatrix) else None)

@@ -30,7 +30,6 @@ from .serialize import serialize_instance
 from .states import (
     DensityMatrix,
     MarkovSpec,
-    MultipartiteState,
     SubnormalizedOperator,
     markov_state,
     normalized_weights,
@@ -72,12 +71,30 @@ def _appendix_dim(dims: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sample_pair(rng, dims, eps):
-    d = _flat(dims)
-    return {
-        "rho": regularize(random_density(d, rng), eps),
-        "sigma": regularize(random_density(d, rng), eps),
-    }
+def _state(rng, dims, eps) -> DensityMatrix:
+    """A random state on ``dims``, regularized by ``eps``."""
+    return DensityMatrix(regularize(random_density(_flat(dims), rng), eps), dims)
+
+
+def _first_two(dims):
+    return dims[:2]
+
+
+def _one_part(dims):
+    return (_flat(dims),)
+
+
+def _sample_states(*names: str, on: Callable = tuple) -> Callable:
+    """The sampler that draws one state per name, in order, on ``on(dims)``: the dims
+    themselves, _first_two or _one_part."""
+
+    def sample(rng, dims, eps):
+        return {name: _state(rng, on(dims), eps) for name in names}
+
+    return sample
+
+
+_sample_pair = _sample_states("rho", "sigma", on=_one_part)
 
 
 def _sample_pair_generic_channel(rng, dims, eps):
@@ -104,36 +121,14 @@ def _sample_overlap(rng, dims, eps):
     return inst
 
 
-def _state(rng, dims, eps):
-    d = _flat(dims)
-    return MultipartiteState(regularize(random_density(d, rng), eps), dims)
-
-
-def _sample_tri(rng, dims, eps):
-    return {"rho": _state(rng, dims, eps)}
-
-
-def _sample_tri_pair(rng, dims, eps):
-    return {"rho": _state(rng, dims, eps), "sigma": _state(rng, dims, eps)}
-
-
-def _sample_tri_quad(rng, dims, eps):
-    return {
-        "rho": _state(rng, dims, eps),
-        "sigma": _state(rng, dims, eps),
-        "tau": _state(rng, dims, eps),
-        "omega": _state(rng, dims, eps),
-    }
-
-
-def _perturb_edges(state: MultipartiteState, rng) -> MultipartiteState:
+def _perturb_edges(state: DensityMatrix, rng) -> DensityMatrix:
     """Random local channels, each with a two-dimensional environment, on the outer
     subsystems; the middle marginal of the output equals that of the input exactly."""
     da, db, dc = state.dims
     ka = random_channel(da, 2, rng).kraus
     kc = random_channel(dc, 2, rng).kraus
     ops = [kron(kron(a, np.eye(db)), c) for a in ka for c in kc]
-    return MultipartiteState(DensityMatrix(KrausChannel(ops).apply(state.matrix)), state.dims)
+    return DensityMatrix(KrausChannel(ops).apply(state.mat), state.dims)
 
 
 def _sample_trace_exp(rng, dims, eps):
@@ -153,10 +148,6 @@ def _sample_three_state(rng, dims, eps):
         "tau": _perturb_edges(sigma, rng),  # shares sigma's middle marginal
         "omega": _state(rng, dims, eps),
     }
-
-
-def _sample_bipartite_pair(rng, dims, eps):
-    return {"rho_ab": _state(rng, dims[:2], eps), "sigma_ab": _state(rng, dims[:2], eps)}
 
 
 def _sample_markov(rng, dims, eps):
@@ -267,7 +258,7 @@ def _run_markov(spec, tol, t_samples=checks.DEFAULT_T_SAMPLES):
     chars = checks.markov_characterizations(state, t_samples=t_samples)
     quantities = dict(chars.quantities)
     surrogate = checks.ssa_surrogate(state)
-    quantities["r_surrogate"] = trace_norm(state.matrix - surrogate)
+    quantities["r_surrogate"] = trace_norm(state.mat - surrogate)
     slacks = [MARKOV_CMI_TOL - quantities["cmi"]] + [
         MARKOV_RESIDUAL_TOL - quantities[key]
         for key in ("r_log", "r_petz", "r_recon_ab", "r_recon_bc", "r_surrogate")
@@ -360,14 +351,14 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "ptrace-strengthening",
-            _sample_bipartite_pair,
+            _sample_states("rho_ab", "sigma_ab", on=_first_two),
             _calls("check_ptrace_strengthening"),
             "refined monotonicity for the partial trace",
             _BIPARTITE,
         ),
         Suite(
             "ssa",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("check_ssa_strengthened"),
             "strong subadditivity chain against the exp-log surrogate",
             _TRIPARTITE,
@@ -381,14 +372,14 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "bsw-identity",
-            _sample_tri_quad,
+            _sample_states("rho", "sigma", "tau", "omega"),
             _calls(_run_bsw),
             "exact decomposition of relative entropy to an exp-log reference",
             _TRIPARTITE,
         ),
         Suite(
             "super-ssa",
-            _sample_tri_pair,
+            _sample_states("rho", "sigma"),
             _calls("check_super_ssa"),
             "CMI plus half relative entropies lower-bounds the exp-log distance",
             _TRIPARTITE,
@@ -402,7 +393,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "subadd-exp",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("check_subadd_exp"),
             "subadditivity chain with the two-marginal surrogate and product bound",
             _TRIPARTITE,
@@ -416,7 +407,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "trotter-bound",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("trotter_sequence", "n_values"),
             "compressed product traces stay <= 1 and converge to the surrogate trace",
             _TRIPARTITE,
@@ -429,7 +420,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "dw-tripartite",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("check_dw_tripartite", "alphas"),
             "tripartite specialization of the finite-alpha bound plus route cross-check",
             _TRIPARTITE,
@@ -466,7 +457,7 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "squashed-proxy",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("check_squashed_proxy"),
             "half CMI >= eighth of squared distance to the surrogate's AC reduction",
             _TRIPARTITE,
@@ -492,21 +483,21 @@ EXPLORATIONS: dict[str, Suite] = {
         ),
         Suite(
             "ptrace-petz",
-            _sample_bipartite_pair,
+            _sample_states("rho_ab", "sigma_ab", on=_first_two),
             _calls("explore_ptrace_petz"),
             "the same comparison for the partial trace",
             _BIPARTITE,
         ),
         Suite(
             "cmi-petz",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("explore_cmi_petz"),
             "CMI vs 1/4 squared Petz-reconstruction distance",
             _TRIPARTITE,
         ),
         Suite(
             "trotter-monotone",
-            _sample_tri,
+            _sample_states("rho"),
             _calls("explore_trotter_monotone"),
             "smallest decrease of the compressed-product trace sequence",
             _TRIPARTITE,
@@ -596,6 +587,11 @@ def run_suite(
     return list(iter_trials(SUITES[name], dims, trials, seed, eps, tol, opts))
 
 
+def candidate_counterexample(slack: float, tol: float) -> bool:
+    """Whether an exploration slack flags a candidate counterexample: below -10 * tol."""
+    return bool(slack < -10.0 * tol)
+
+
 def explore_conjecture(
     kind: str,
     trials: int,
@@ -607,8 +603,8 @@ def explore_conjecture(
     """Sweep random instances of an open inequality and report the slack law.
 
     Exploration never asserts: the report carries the minimum observed slack,
-    a histogram, and the serialized worst instance.  A candidate
-    counterexample is flagged when the minimum slack drops below -10 * tol.
+    a histogram, and the serialized worst instance, flagged as a candidate
+    counterexample by the rule of candidate_counterexample.
     """
     if kind not in EXPLORATIONS:
         raise BadConfig(
@@ -634,5 +630,5 @@ def explore_conjecture(
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
         worst_instance=serialize_instance(worst[2]),
-        candidate_counterexample=bool(min_slack < -10.0 * tol),
+        candidate_counterexample=candidate_counterexample(min_slack, tol),
     )

@@ -40,7 +40,6 @@ from qelab.states import (
     random_density,
     random_tripartite,
     regularize,
-    regularize_tripartite,
 )
 from qelab.suites import EXPLORATIONS, SUITES, explore_conjecture, run_suite
 
@@ -148,7 +147,7 @@ def test_criterion_05_bsw_identity_residual():
     for trial in range(1000):
         rng = _rng(5, trial)
         states = [
-            regularize_tripartite(random_tripartite((2, 2, 2), rng), 1e-6)
+            regularize(random_tripartite((2, 2, 2), rng), 1e-6)
             for _ in range(4)
         ]
         result = check_bsw_identity(*states)
@@ -182,7 +181,7 @@ def test_criterion_07_trotter_bound_and_convergence():
     converged = True
     for trial in range(200):
         rng = _rng(7, trial)
-        state = regularize_tripartite(random_tripartite((2, 2, 2), rng), 1e-6)
+        state = regularize(random_tripartite((2, 2, 2), rng), 1e-6)
         result = trotter_sequence(state)
         worst_t = max(worst_t, max(result.quantities[f"t_{n}"] for n in DEFAULT_TROTTER_NS))
         if result.quantities["err_last"] >= result.quantities["err_first"]:

@@ -195,14 +195,14 @@ def test_petz_recovery_saturates_on_markov_states():
     sigma = DensityMatrix(kron(rho_a, rho_bc))
     channel = ptrace_channel(dims, 2)
     gap = (
-        relative_entropy(state.matrix, sigma.mat)
+        relative_entropy(state.mat, sigma.mat)
         - relative_entropy(
-            channel.apply(state.matrix), channel.apply(sigma.mat)
+            channel.apply(state.mat), channel.apply(sigma.mat)
         )
     )
     assert abs(gap) < 1e-8
-    recovered = PetzMap(channel, sigma).apply(channel.apply(state.matrix))
-    assert trace_norm(recovered - state.matrix) < 1e-7
+    recovered = PetzMap(channel, sigma).apply(channel.apply(state.mat))
+    assert trace_norm(recovered - state.mat) < 1e-7
 
 
 def test_petz_recovery_incomplete_off_markov():
@@ -212,8 +212,8 @@ def test_petz_recovery_incomplete_off_markov():
     dims = state.dims
     sigma = DensityMatrix(kron(state.marginal([0]), state.marginal([1, 2])))
     channel = ptrace_channel(dims, 2)
-    recovered = PetzMap(channel, sigma).apply(channel.apply(state.matrix))
-    assert trace_norm(recovered - state.matrix) > 1e-3
+    recovered = PetzMap(channel, sigma).apply(channel.apply(state.mat))
+    assert trace_norm(recovered - state.mat) > 1e-3
 
 
 def test_ptrace_channel_trivial_full_trace():

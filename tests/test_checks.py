@@ -57,7 +57,6 @@ from qelab.linalg import (
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
-    MultipartiteState,
     markov_state,
     random_density,
     random_tripartite,
@@ -81,7 +80,7 @@ def _pair(d, seed, eps=1e-6):
 def _tri(seed, dims=(2, 2, 2), eps=1e-6):
     rng = RNG(seed)
     d = int(np.prod(dims))
-    return MultipartiteState(regularize(random_density(d, rng), eps), dims)
+    return DensityMatrix(regularize(random_density(d, rng), eps), dims)
 
 
 def _product_tri(seed, dims=(2, 2, 2), eps=1e-4):
@@ -90,7 +89,7 @@ def _product_tri(seed, dims=(2, 2, 2), eps=1e-4):
     full = parts[0]
     for p in parts[1:]:
         full = kron(full, p)
-    return MultipartiteState(DensityMatrix(full), dims)
+    return DensityMatrix(full, dims)
 
 
 def _markov(seed, eps=1e-3):
@@ -112,7 +111,7 @@ def _markov(seed, eps=1e-3):
 
 
 def _diag_tri(entries):
-    return MultipartiteState(DensityMatrix(np.diag(entries)), (2, 2, 2))
+    return DensityMatrix(np.diag(entries), (2, 2, 2))
 
 
 # classical fixture shared by the identity/chain oracles below:
@@ -265,7 +264,7 @@ def test_unital_trace_bound_random():
 
 def test_ptrace_strengthening_self_pair_zero():
     state = _tri(11, dims=(2, 2, 2))
-    pair = state.reduce([0, 1])
+    pair = DensityMatrix(state.marginal([0, 1]), state.dims[:2])
     result = check_ptrace_strengthening(pair, pair)
     assert result.passed
     assert all(abs(result.quantities[k]) < 1e-8 for k in ("relent_gap", *ROOT_LINKS))
@@ -274,8 +273,8 @@ def test_ptrace_strengthening_self_pair_zero():
 def test_ptrace_strengthening_random():
     rng = RNG(12)
     for _ in range(10):
-        rho = MultipartiteState(regularize(random_density(4, rng), 1e-6), (2, 2))
-        sigma = MultipartiteState(regularize(random_density(4, rng), 1e-6), (2, 2))
+        rho = DensityMatrix(regularize(random_density(4, rng), 1e-6), (2, 2))
+        sigma = DensityMatrix(regularize(random_density(4, rng), 1e-6), (2, 2))
         assert check_ptrace_strengthening(rho, sigma).passed
 
 
@@ -289,7 +288,7 @@ def test_ssa_product_state_all_links_zero():
     result = check_ssa_strengthened(state)
     assert result.passed
     assert all(abs(result.quantities[k]) < 1e-9 for k in ("cmi", *ROOT_LINKS))
-    assert max_sv(ssa_surrogate(state) - state.matrix) < 1e-9
+    assert max_sv(ssa_surrogate(state) - state.mat) < 1e-9
 
 
 def test_ssa_random_sweep():
@@ -392,7 +391,7 @@ def test_subadd_exp_trivial_middle():
         regularize(random_density(2, rng), 1e-4).mat,
         regularize(random_density(2, rng), 1e-4).mat,
     )
-    state = MultipartiteState(DensityMatrix(full), (2, 1, 2))
+    state = DensityMatrix(full, (2, 1, 2))
     result = check_subadd_exp(state)
     assert result.passed
     assert result.quantities["trace_b_sq"] == pytest.approx(1.0, abs=1e-12)

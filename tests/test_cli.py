@@ -19,7 +19,6 @@ from qelab.serialize import serialize_instance, serialize_value
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
-    MultipartiteState,
     markov_state,
     random_density,
     random_tripartite,
@@ -270,10 +269,10 @@ def test_markov_command_reports_residuals(tmp_path):
     _write_markov_spec(spec_path, seed=1)
     proc = run_cli("markov", str(spec_path))
     assert proc.returncode == 0, proc.stderr
-    assert "markov_like = True" in proc.stdout.splitlines()
+    assert "markov_like = True" in proc.stderr.splitlines()
     values = {
         line.split("=")[0].strip(): line.split("=")[1].strip()
-        for line in proc.stdout.splitlines() if "=" in line
+        for line in proc.stderr.splitlines() if "=" in line
     }
     assert float(values["cmi"]) < 1e-10
     for key in ("r_log", "r_petz", "r_recon_ab", "r_recon_bc"):
@@ -293,8 +292,20 @@ def test_markov_command_single_product_block(tmp_path):
     spec_path.write_text(json.dumps(serialize_value(spec)))
     proc = run_cli("markov", str(spec_path))
     assert proc.returncode == 0
-    cmi_line = next(l for l in proc.stdout.splitlines() if l.strip().startswith("cmi"))
+    cmi_line = next(l for l in proc.stderr.splitlines() if l.strip().startswith("cmi"))
     assert float(cmi_line.split("=")[1]) < 1e-9
+
+
+def test_trotter_and_markov_write_a_csv_report_to_stdout(tmp_path):
+    spec = tmp_path / "spec.json"
+    _write_markov_spec(spec, seed=1)
+    for command in (("trotter", "--trials", "1", "--nmax", "2"), ("markov", str(spec))):
+        proc = run_cli(*command, "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        header, *records = proc.stdout.splitlines()
+        assert header.startswith("checker,dims,seed,trial,quantity:")
+        assert header.endswith(",slack,pass")
+        assert len(records) == 1
 
 
 def test_markov_command_rejects_malformed_input(tmp_path):
@@ -321,7 +332,7 @@ def test_trotter_command_product_state(tmp_path):
     rng = np.random.default_rng(3)
     mats = [regularize(random_density(2, rng), 1e-4).mat for _ in range(3)]
     full = kron(kron(mats[0], mats[1]), mats[2])
-    state = MultipartiteState(DensityMatrix(full), (2, 2, 2))
+    state = DensityMatrix(full, (2, 2, 2))
     path = tmp_path / "product.json"
     path.write_text(json.dumps(serialize_value(state)))
     proc = run_cli("trotter", str(path), "--nmax", "8")
@@ -587,6 +598,28 @@ def test_replayed_raw_matrix_with_a_nan_or_inf_is_one_error(name, key, bad, tmp_
     path.write_text(json.dumps(dump))  # written as NaN / Infinity, which JSON readers accept
     code, out, err = _main(["replay", str(path)], capsys)
     assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: matrix has a NaN or infinite entry\n")
+
+
+def _one_part(*keys):
+    """Edit: the states under keys relabelled as living on one subsystem."""
+    return lambda blob: {**blob, **{k: {**blob[k], "dims": [len(blob[k]["re"])]} for k in keys}}
+
+
+@pytest.mark.parametrize("name,edit,message", [
+    ("monotonicity",
+     lambda blob: {**blob, "sigma": serialize_value(random_density(4, np.random.default_rng(0)))},
+     "shape mismatch (8, 8) vs (4, 4)"),
+    ("ssa", _one_part("rho"), "need exactly 3 subsystems, got 1"),
+    ("ptrace-strengthening", _one_part("rho_ab", "sigma_ab"), "need a bipartite split, got 1 parts"),
+], ids=["sizes", "ssa-one-part", "ptrace-one-part"])
+def test_replayed_states_that_do_not_fit_are_one_error(name, edit, message, tmp_path, capsys):
+    instance, _ = run_trial(SUITES[name], (2, 2, 2), 0, 0, 1e-6, 1e-8)
+    dump = {"checker": name, "dims": [2, 2, 2], "seed": 0, "trial": 0,
+            "tolerance": 1e-8, "opts": {}, "instance": edit(serialize_instance(instance))}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out, err = _main(["replay", str(path)], capsys)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
 
 
 # Every option string and positional of each subcommand.  A flag added or removed

@@ -23,7 +23,6 @@ from qelab.errors import BadAlpha, NotTripartite, SingularTerm, ZeroOverlap
 from qelab.linalg import kron, trace_norm
 from qelab.states import (
     DensityMatrix,
-    MultipartiteState,
     SubnormalizedOperator,
     random_density,
     random_tripartite,
@@ -210,15 +209,13 @@ def test_overlap_bound_orthogonal_supports():
 def test_cmi_product_state_is_zero():
     rng = np.random.default_rng(13)
     parts = [random_density(2, rng).mat for _ in range(3)]
-    state = MultipartiteState(
-        DensityMatrix(kron(parts[0], kron(parts[1], parts[2]))), (2, 2, 2)
-    )
+    state = DensityMatrix(kron(parts[0], kron(parts[1], parts[2])), (2, 2, 2))
     assert cmi(state) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cmi_classical_oracle():
     w = np.arange(1, 9) / 36.0
-    state = MultipartiteState(DensityMatrix(np.diag(w)), (2, 2, 2))
+    state = DensityMatrix(np.diag(w), (2, 2, 2))
     assert cmi(state) == pytest.approx(CMI_1TO8, abs=1e-12)
 
 
@@ -240,7 +237,7 @@ def test_cmi_nonnegative():
 
 def test_cmi_requires_three_parts():
     rng = np.random.default_rng(16)
-    pair = MultipartiteState(random_density(4, rng), (2, 2))
+    pair = DensityMatrix(random_density(4, rng), (2, 2))
     with pytest.raises(NotTripartite):
         cmi(pair)
 
@@ -271,7 +268,7 @@ def test_exp_log_product_state_structure():
     rng = np.random.default_rng(18)
     parts = [regularize(random_density(2, rng), 1e-4).mat for _ in range(3)]
     full = kron(parts[0], kron(parts[1], parts[2]))
-    state = MultipartiteState(DensityMatrix(full), (2, 2, 2))
+    state = DensityMatrix(full, (2, 2, 2))
     dims = state.dims
     out = exp_log_combination(
         [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,6 @@ from qelab.linalg import embed, herm_eig, kron, matrix_log, max_sv, trace_norm
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
-    MultipartiteState,
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
@@ -91,15 +92,15 @@ def test_subnormalized_accepts_trace_below_one():
 
 def test_multipartite_dims_must_match():
     with pytest.raises(DimMismatch):
-        MultipartiteState(DensityMatrix(np.eye(4) / 4), (2, 3))
+        DensityMatrix(np.eye(4) / 4, (2, 3))
 
 
 def test_multipartite_reduce_keeps_order():
     rng = np.random.default_rng(2)
     state = random_tripartite((2, 3, 2), rng)
-    rb = state.reduce([1])
+    rb = DensityMatrix(state.marginal([1]), state.dims[1:2])
     assert rb.dims == (3,)
-    assert np.trace(rb.matrix).real == pytest.approx(1.0)
+    assert np.trace(rb.mat).real == pytest.approx(1.0)
     with pytest.raises(NotTripartite):
         require_tripartite(rb)
 
@@ -183,8 +184,8 @@ def test_random_tripartite_reductions_are_states():
         assert np.trace(red).real == pytest.approx(1.0)
         assert np.linalg.eigvalsh(red).min() >= -1e-10
     tiny = random_tripartite((1, 1, 1), np.random.default_rng(4))
-    assert tiny.matrix.shape == (1, 1)
-    assert random_tripartite((2, 3, 2), np.random.default_rng(4)).reduce([1]).dims == (3,)
+    assert tiny.mat.shape == (1, 1)
+    assert random_tripartite((2, 3, 2), np.random.default_rng(4)).marginal([1]).shape == (3, 3)
 
 
 def test_regularize_pure_state_spectrum():
@@ -242,7 +243,7 @@ def test_markov_state_single_product_block():
     state = markov_state(spec)
     assert state.dims == (2, 6, 2)
     expected = kron(a, kron(kron(bl, br), c))
-    assert max_sv(state.matrix - expected) < 1e-12
+    assert max_sv(state.mat - expected) < 1e-12
     assert abs(cmi(state)) < 1e-10
 
 
@@ -286,7 +287,7 @@ def test_markov_state_generic_blocks_ruskai_residual():
     assert spec.d_b == 4
     state = markov_state(spec)
     dims = state.dims
-    full = matrix_log(state.matrix, support_only=True)
+    full = matrix_log(state.mat, support_only=True)
     log_b = embed(
         matrix_log(state.marginal([1]), support_only=True), dims, (1,)
     )
@@ -319,18 +320,49 @@ def test_markov_determinism():
     assert np.array_equal(s1.mat, s2.mat)
 
 
-def test_state_json_roundtrip():
-    rng = np.random.default_rng(50)
-    state = random_tripartite((2, 2, 2), rng)
-    back = deserialize_value(serialize_value(state))
-    assert isinstance(back, MultipartiteState)
-    assert back.dims == state.dims
-    assert max_sv(back.matrix - state.matrix) < 1e-14
+@pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 3, 2), (1, 1, 1)],
+                         ids=lambda dims: "x".join(map(str, dims)))
+def test_state_json_roundtrip(dims):
+    state = DensityMatrix(random_density(int(np.prod(dims)), np.random.default_rng(50)), dims)
+    back = deserialize_value(json.loads(json.dumps(serialize_value(state))))
+    assert isinstance(back, DensityMatrix)
+    assert back.dims == dims
+    assert np.array_equal(back.mat, state.mat)
 
-    rho = random_density(3, rng)
-    back2 = deserialize_value(serialize_value(rho))
-    assert isinstance(back2, DensityMatrix)
-    assert max_sv(back2.mat - rho.mat) < 1e-14
+
+def test_state_json_is_pinned():
+    half = np.diag([0.5, 0.5])
+    body = '"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}'
+    assert json.dumps(serialize_value(DensityMatrix(half))) == (
+        '{"type": "state", "dims": [2], ' + body
+    )
+    assert json.dumps(serialize_value(DensityMatrix(half, (1, 2)))) == (
+        '{"type": "state", "dims": [1, 2], ' + body
+    )
+
+
+def test_state_from_a_state_is_not_validated_again(monkeypatch):
+    rho = random_tripartite((2, 3, 2), np.random.default_rng(3))
+    spectrum = rho.spectrum
+
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a state was decomposed again")
+
+    for kernel in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, kernel, no_decomposition)
+    same = DensityMatrix(rho)
+    flat = DensityMatrix(rho, (12,))
+    assert same.dims == (2, 3, 2) and flat.dims == (12,)
+    assert same.mat is rho.mat and flat.mat is rho.mat
+    assert same.spectrum is spectrum and flat.spectrum is spectrum
+    with pytest.raises(DimMismatch):
+        DensityMatrix(rho, (2, 2))
+
+
+def test_regularize_keeps_dims():
+    rho = random_tripartite((2, 3, 2), np.random.default_rng(3))
+    assert regularize(rho, 1e-3).dims == (2, 3, 2)
+    assert regularize(rho.mat, 1e-3).dims == (12,)
 
 
 def test_markov_spec_json_roundtrip():
