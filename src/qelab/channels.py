@@ -3,7 +3,9 @@
 A channel is held as a list of Kraus operators K_i (shape d_out x d_in) with
 sum_i K_i^dag K_i = 1 enforced at construction.  The Hilbert-Schmidt dual
 Phi^*(Y) = sum_i K_i^dag Y K_i, which the entropy checkers need, is the method
-apply_dual; it is generally not trace preserving.
+apply_dual; it is generally not trace preserving.  Both maps, and the Petz
+recovery map, also act row by row on an (n, d, d) stack of inputs, with one
+channel for the whole stack or, from KrausChannel.stack, one channel per row.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
+    HermitianEigen,
     herm_eig,
     hermitize,
     is_hermitian,
@@ -22,6 +25,7 @@ from .linalg import (
     matrix_sqrt,
     max_sv,
     ptrace,
+    real_trace,
 )
 from .states import (
     SubnormalizedOperator,
@@ -33,8 +37,11 @@ from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
 
 def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out, re-Hermitized when the input x passes is_hermitian at 1e-12."""
-    return hermitize(out) if is_hermitian(x, 1e-12) else out
+    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian at 1e-12."""
+    like = np.asarray(is_hermitian(x, 1e-12))
+    if like.all():
+        return hermitize(out)
+    return np.where(like[..., None, None], hermitize(out), out)
 
 
 class KrausChannel:
@@ -63,6 +70,21 @@ class KrausChannel:
         env = sum(k @ k.conj().T for k in ops)
         self._unital_dev = max_sv(env - np.eye(d_out))
 
+    @classmethod
+    def stack(cls, channels: Sequence[KrausChannel]) -> KrausChannel:
+        """The channels of a chunk of trials as one channel that acts on an (n, d, d) stack row
+        by row: its Kraus operator i is the (n, d_out, d_in) stack of each channel's operator i.
+        Each channel was checked when it was built, so the stack is not checked again."""
+        first = channels[0]
+        shape = (len(first.kraus), first.d_out, first.d_in)
+        if any((len(c.kraus), c.d_out, c.d_in) != shape for c in channels):
+            raise DimMismatch("stacked channels need equal Kraus counts and shapes")
+        out = cls.__new__(cls)
+        out.kraus = tuple(np.stack(ops) for ops in zip(*(c.kraus for c in channels)))
+        out.d_in, out.d_out = first.d_in, first.d_out
+        out._unital_dev = max(c._unital_dev for c in channels)
+        return out
+
     @property
     def is_unital(self) -> bool:
         """True when the channel maps the identity to the identity."""
@@ -70,9 +92,9 @@ class KrausChannel:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.d_in, self.d_in):
+        if x.shape[-2:] != (self.d_in, self.d_in):
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
-        return _hermitian_like(x, sum(k @ x @ k.conj().T for k in self.kraus))
+        return _hermitian_like(x, sum(k @ x @ k.conj().mT for k in self.kraus))
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
@@ -81,9 +103,9 @@ class KrausChannel:
         but generally not trace preserving.
         """
         y = np.asarray(y, dtype=complex)
-        if y.shape != (self.d_out, self.d_out):
+        if y.shape[-2:] != (self.d_out, self.d_out):
             raise DimMismatch(f"input shape {y.shape}, dual expects {self.d_out}")
-        return _hermitian_like(y, sum(k.conj().T @ y @ k for k in self.kraus))
+        return _hermitian_like(y, sum(k.conj().mT @ y @ k for k in self.kraus))
 
     def __repr__(self) -> str:
         return (
@@ -117,21 +139,25 @@ class PetzMap:
                 f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
             )
         image = channel.apply(sigma.mat)
-        tr = float(np.trace(image).real)
-        if tr <= RANK_CUTOFF:
+        tr = np.asarray(real_trace(image))
+        if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")
-        eig = herm_eig(hermitize(image))
-        if eig.eigenvalues[0] <= RANK_CUTOFF * max(eig.eigenvalues[-1], 1e-300):
-            d = image.shape[0]
-            image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr / d) * np.eye(d)
-            eig = herm_eig(hermitize(image))
+        vals, vecs = herm_eig(hermitize(image))
+        singular = vals[..., 0] <= RANK_CUTOFF * np.maximum(vals[..., -1], 1e-300)
+        if np.any(singular):  # mixed rows take the spectrum of their mixture
+            d = image.shape[-1]
+            image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr[..., None, None] / d) * np.eye(d)
+            mixed_vals, mixed_vecs = herm_eig(hermitize(image))
+            vals = np.where(singular[..., None], mixed_vals, vals)
+            vecs = np.where(singular[..., None, None], mixed_vecs, vecs)
+        eig = HermitianEigen(vals, vecs)
         self.channel = channel
         self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
         self._inv_sqrt_image = matrix_power(eig, -0.5)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.channel.d_out, self.channel.d_out):
+        if x.shape[-2:] != (self.channel.d_out, self.channel.d_out):
             raise DimMismatch(
                 f"input shape {x.shape}, recovery map expects {self.channel.d_out}"
             )

@@ -19,7 +19,7 @@ is shared by several checkers, together with the trace bound Tr S <= 1.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -754,8 +754,8 @@ def _concavity_gap(name: str, f, x1, x2, lam: float, tol: float, extra: dict) ->
 
 def check_lieb_concavity(
     h: np.ndarray,
-    x1: np.ndarray,
-    x2: np.ndarray,
+    x1: SubnormalizedOperator | np.ndarray,
+    x2: SubnormalizedOperator | np.ndarray,
     lam: float,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
@@ -770,8 +770,8 @@ def check_lieb_concavity(
 
 def check_cl_concavity(
     m: np.ndarray,
-    x1: np.ndarray,
-    x2: np.ndarray,
+    x1: SubnormalizedOperator | np.ndarray,
+    x2: SubnormalizedOperator | np.ndarray,
     lam: float,
     alpha: float,
     tol: float = TOL_INEQ,
@@ -897,13 +897,34 @@ def check_twirl_identity(
 
 
 # ---------------------------------------------------------------------------
-# Open inequalities, swept by suites.explore_conjecture and never asserted
+# Open inequalities, swept by suites.explore_conjecture and never asserted.
+# Each evaluator also takes a stacked chunk of trials (DensityMatrix.stack,
+# KrausChannel.stack) and then returns one CheckResult per row, with the bits
+# that row's trial gets alone.
 # ---------------------------------------------------------------------------
+
+
+def _explored(name: str, tol: float, slack: Callable[..., float], **quantities):
+    """CheckResult(name, quantities, slack(*quantities), tol) for one trial's quantities, or
+    the list of each row's for the (n,) arrays of a stacked chunk.  The slack is taken from
+    a row's quantities as Python floats, as the trial alone takes it."""
+    if all(np.ndim(v) == 0 for v in quantities.values()):
+        return CheckResult(name, quantities, slack(*quantities.values()), tol)
+    rows = zip(*(np.asarray(v).tolist() for v in quantities.values()))
+    return [CheckResult(name, dict(zip(quantities, row)), slack(*row), tol) for row in rows]
+
+
+def _recovery_slack(value: float, recovery_distance: float) -> float:
+    return value - 0.25 * recovery_distance**2
+
+
+def _smallest_decrease(*traces: float) -> float:
+    return min(t - t_next for t, t_next in zip(traces, traces[1:]))
 
 
 def explore_stronger_mono(
     rho: DensityMatrix, sigma: DensityMatrix, channel: KrausChannel, tol: float = TOL_INEQ
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
     img_rho = channel.apply(rho.mat)
     gap = (
@@ -912,13 +933,12 @@ def explore_stronger_mono(
     )
     recovered = PetzMap(channel, sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
-    quantities = {"relent_gap": gap, "recovery_distance": dist}
-    return CheckResult("stronger-mono", quantities, gap - 0.25 * dist**2, tol)
+    return _explored("stronger-mono", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
 
 def explore_ptrace_petz(
     rho_ab: DensityMatrix, sigma_ab: DensityMatrix, tol: float = TOL_INEQ
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """The same comparison for discarding the second subsystem."""
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
@@ -928,23 +948,20 @@ def explore_ptrace_petz(
     )
     recovered = PetzMap(channel, sigma_ab).apply(rho_ab.marginal([0]))
     dist = trace_norm(rho_ab.mat - recovered)
-    quantities = {"relent_gap": gap, "recovery_distance": dist}
-    return CheckResult("ptrace-petz", quantities, gap - 0.25 * dist**2, tol)
+    return _explored("ptrace-petz", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
 
-def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
+def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult | list[CheckResult]:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
     m = _tri_mats(rho)
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
     dist = trace_norm(m["abc"] - _petz_recovery(m, m, rho.dims, "ab", inv_sqrt_b))
-    i_val = cmi(rho)
-    quantities = {"cmi": i_val, "recovery_distance": dist}
-    return CheckResult("cmi-petz", quantities, i_val - 0.25 * dist**2, tol)
+    return _explored("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
 
 
-def explore_trotter_monotone(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
+def explore_trotter_monotone(
+    rho: DensityMatrix, tol: float = TOL_INEQ
+) -> CheckResult | list[CheckResult]:
     """Smallest decrease t_n - t_2n of the compressed-product traces."""
     traces = _trotter_traces(rho, (1, 2, 4, 8, 16))
-    diffs = [t - t_next for (_, t), (_, t_next) in zip(traces, traces[1:])]
-    quantities = {f"t_{n}": t for n, t in traces}
-    return CheckResult("trotter-monotone", quantities, min(diffs), tol)
+    return _explored("trotter-monotone", tol, _smallest_decrease, **{f"t_{n}": t for n, t in traces})

@@ -3,6 +3,8 @@
 Everything is in nats.  Relative entropies are evaluated on supports:
 S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
 which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf.
+von_neumann and relative_entropy also take (n, d, d) stacks, one trial per
+row, and return an (n,) array whose rows carry the bits of their own 2-D calls.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
+    HermitianEigen,
     embed,
     herm_eig,
     hermitize,
@@ -22,7 +25,9 @@ from .linalg import (
     matrix_power,
     matrix_sqrt,
     max_sv,
+    per_matrix,
     real_trace,
+    row_indices,
     support_projector,
 )
 from .states import (
@@ -35,23 +40,25 @@ from .states import (
 from .tolerances import RANK_CUTOFF, SUPPORT_LEAK_TOL
 
 
-def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float:
+def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr rho log rho over the support eigenvalues."""
     mat = as_matrix(rho)
     vals = np.linalg.eigvalsh(hermitize(mat))
-    top = max(float(vals[-1]), 1e-300)
-    vals = vals[vals > RANK_CUTOFF * top]
-    s = float(-np.sum(vals * np.log(vals)))
+    support = vals > RANK_CUTOFF * np.maximum(vals[..., -1:], 1e-300)
+    logs = np.log(np.where(support, vals, 1.0))
+    s = np.asarray(-(vals * logs).sum(axis=-1))
+    for row in row_indices(~support.all(axis=-1)):  # a partial support sums its own eigenvalues
+        kept = vals[row][support[row]]
+        s[row] = -np.sum(kept * np.log(kept))
     # Clamp roundoff on (near-)pure states; S is nonnegative for trace <= 1.
-    if -1e-12 < s < 0.0:
-        s = 0.0
-    return s
+    s[(-1e-12 < s) & (s < 0.0)] = 0.0
+    return per_matrix(s)
 
 
 def relative_entropy(
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Umegaki relative entropy S(rho || sigma) = Tr rho (log rho - log sigma).
 
     Returns math.inf when supp(rho) leaks out of supp(sigma).  The
@@ -64,13 +71,21 @@ def relative_entropy(
     if r.shape != s.shape:
         raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     s_eig = as_spectrum(sigma)
-    off = np.eye(s.shape[0]) - support_projector(s_eig)
-    leak = max_sv(off @ r @ off)
-    if leak >= SUPPORT_LEAK_TOL:
-        return math.inf
-    log_r = matrix_log(as_spectrum(rho), support_only=True)
-    log_s = matrix_log(s_eig, support_only=True)
-    return real_trace(r @ (log_r - log_s))
+    off = np.eye(s.shape[-1]) - support_projector(s_eig)
+    inside = np.asarray(max_sv(off @ r @ off)) < SUPPORT_LEAK_TOL
+    value = np.full(inside.shape, math.inf)
+    if inside.any():  # the logarithms of the rows whose support does not leak
+        r_eig = as_spectrum(rho)
+        if not inside.all():
+            r, r_eig, s_eig = r[inside], _rows(r_eig, inside), _rows(s_eig, inside)
+        log_r = matrix_log(r_eig, support_only=True)
+        log_s = matrix_log(s_eig, support_only=True)
+        value[inside] = real_trace(r @ (log_r - log_s))
+    return per_matrix(value)
+
+
+def _rows(eig: HermitianEigen, flags: np.ndarray) -> HermitianEigen:
+    return HermitianEigen(*(part[flags] for part in eig))
 
 
 def renyi(

@@ -12,6 +12,12 @@ Conventions
   function is evaluated on the support only.
 * Matrix functions take a matrix, which herm_eig validates and decomposes,
   or a HermitianEigen from herm_eig, so a reused operator decomposes once.
+* Every function here but kron and unitary_power also takes an (n, d, d)
+  stack of matrices, one per trial, and gives each row the bits its own 2-D
+  call gives: a 2-D matrix is the n = 1 case of the same code.  A per-matrix
+  number (a trace, a norm, a Hermiticity verdict) is a Python scalar for one
+  matrix and an (n,) array for a stack.  Where the scalar rule branches on a
+  matrix's values (a partial support), each row takes its branch on its own.
 """
 
 from __future__ import annotations
@@ -34,37 +40,65 @@ class HermitianEigen(NamedTuple):
 Spectral = np.ndarray | HermitianEigen
 
 
+def per_matrix(value: np.ndarray):
+    """A per-matrix value as a Python scalar for one matrix, as the array for a stack."""
+    return value.item() if value.ndim == 0 else value
+
+
+def row_indices(flags: np.ndarray) -> list[tuple]:
+    """Index tuples of the rows whose flag is set: () for a flagged 2-D call."""
+    if flags.ndim == 0:
+        return [()] if flags else []
+    return list(zip(*np.nonzero(flags)))
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (x + x^dag) / 2."""
     x = np.asarray(x)
-    return 0.5 * (x + x.conj().T)
+    return 0.5 * (x + x.conj().mT)
 
 
-def max_sv(x: np.ndarray) -> float:
+def max_sv(x: np.ndarray) -> float | np.ndarray:
     """Largest singular value (operator infinity-norm)."""
     x = np.asarray(x)
     if x.size == 0:
-        return 0.0
-    return float(np.linalg.svd(x, compute_uv=False)[0])
+        return per_matrix(np.zeros(x.shape[:-2]))
+    return per_matrix(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
-def is_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> bool:
+def _hermitian_rows(x: np.ndarray, tol: float) -> np.ndarray | None:
+    """The is_hermitian verdict of each row, or None when every row is exactly Hermitian."""
+    diff = x - x.conj().mT
+    if not diff.any():
+        return None
+    inexact = np.asarray(diff.any(axis=(-2, -1)))
+    ok = np.logical_not(inexact, out=np.empty(inexact.shape, dtype=bool))
+    ok[inexact] = max_sv(diff[inexact]) <= tol * np.maximum(max_sv(x[inexact]), 1e-300)
+    return ok
+
+
+def is_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> bool | np.ndarray:
     """The package's one Hermiticity rule: ||x - x^dag||_inf <= tol * ||x||_inf.
 
     An exactly Hermitian x (x - x^dag all zeros) passes without the two SVDs;
     a NaN or infinite entry leaves a nonzero difference and takes the SVD path.
+    Only the rows of a stack that are not exactly Hermitian take it.
     """
-    diff = x - x.conj().T
-    return not diff.any() or max_sv(diff) <= tol * max(max_sv(x), 1e-300)
+    ok = _hermitian_rows(x, tol)
+    return per_matrix(np.ones(x.shape[:-2], dtype=bool) if ok is None else ok)
 
 
 def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Return x as a complex square matrix; raise NotHermitian when it fails is_hermitian."""
+    """Return x as a complex square matrix (or stack of them); raise NotHermitian when it,
+    or any row of the stack, fails is_hermitian."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {x.shape}")
-    if not is_hermitian(x, tol):
-        raise NotHermitian(f"matrix deviates from Hermitian by {max_sv(x - x.conj().T):.3e}")
+    ok = _hermitian_rows(x, tol)
+    if ok is not None and not ok.all():
+        first = row_indices(~ok)[0]
+        dev = max_sv(x[first] - x[first].conj().mT)
+        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
     return x
 
 
@@ -89,8 +123,9 @@ def _eig(h: Spectral) -> HermitianEigen:
 
 
 def _support_mask(vals: np.ndarray) -> np.ndarray:
-    top = float(np.max(np.abs(vals))) if vals.size else 0.0
-    return np.abs(vals) > RANK_CUTOFF * top
+    mags = np.abs(vals)
+    top = mags.max(axis=-1, keepdims=True) if vals.shape[-1] else 0.0
+    return mags > RANK_CUTOFF * top
 
 
 def matrix_fn(
@@ -120,10 +155,11 @@ def matrix_fn(
             f"(min eigenvalue {vals.min():.3e}); use support_only for a "
             "pseudo-function on the support"
         )
-    out = (vecs * fvals) @ vecs.conj().T
-    if np.isrealobj(fvals) or np.all(np.isreal(fvals)):
-        out = hermitize(out)
-    return out
+    out = (vecs * fvals[..., None, :]) @ vecs.conj().mT
+    if np.isrealobj(fvals):
+        return hermitize(out)
+    real_rows = np.isreal(fvals).all(axis=-1)
+    return np.where(real_rows[..., None, None], hermitize(out), out)
 
 
 def matrix_exp(h: Spectral) -> np.ndarray:
@@ -165,8 +201,11 @@ def support_projector(h: Spectral) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a Hermitian matrix."""
     vals, vecs = _eig(h)
     mask = _support_mask(vals)
-    cols = vecs[:, mask]
-    return cols @ cols.conj().T
+    out = vecs @ vecs.conj().mT
+    for row in row_indices(~mask.all(axis=-1)):  # a partial support keeps its own columns
+        cols = vecs[row][:, mask[row]]
+        out[row] = cols @ cols.conj().mT
+    return out
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -179,7 +218,7 @@ def _check_dims(x: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     if any(d < 1 for d in dims):
         raise DimMismatch(f"subsystem dimensions must be >= 1, got {dims}")
     total = int(np.prod(dims))
-    if x.shape != (total, total):
+    if x.ndim < 2 or x.shape[-2:] != (total, total):
         raise DimMismatch(f"operator shape {x.shape} does not match dims {dims}")
     return dims
 
@@ -198,13 +237,14 @@ def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
         raise DimMismatch(f"keep={keep} out of range for {n} subsystems")
     if len(keep) == n:
         return x.copy()
-    tensor = x.reshape(dims + dims)
+    lead = x.shape[:-2]
+    tensor = x.reshape(lead + dims + dims)
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(tensor, row + col, out)
+    reduced = np.einsum(tensor, [Ellipsis] + row + col, [Ellipsis] + out)
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+    return reduced.reshape(lead + (d_keep, d_keep))
 
 
 def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.ndarray:
@@ -220,25 +260,29 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     if any(k < 0 or k >= n for k in acting_on):
         raise DimMismatch(f"acting_on={acting_on} out of range for {n} subsystems")
     d_act = int(np.prod([dims[i] for i in acting_on]))
-    if op.shape != (d_act, d_act):
+    if op.shape[-2:] != (d_act, d_act):
         raise DimMismatch(f"operator shape {op.shape} does not match dims {d_act}")
     rest = [i for i in range(n) if i not in acting_on]
     if not rest:
         return op.copy()
-    big = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    # kron(op, 1_rest) as the broadcast product np.kron forms, without its wrapper
+    eye = np.eye(int(np.prod([dims[i] for i in rest])))
+    big = op[..., :, None, :, None] * eye[:, None, :]
     order = acting_on + rest  # subsystem owning each tensor axis of `big`
     perm = list(np.argsort(order))
-    tensor = big.reshape([dims[i] for i in order] * 2)
-    axes = perm + [n + p for p in perm]
+    lead = op.shape[:-2]
+    tensor = big.reshape(lead + tuple(dims[i] for i in order) * 2)
+    k = len(lead)
+    axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
     total = int(np.prod(dims))
-    return tensor.transpose(axes).reshape(total, total)
+    return tensor.transpose(axes).reshape(lead + (total, total))
 
 
-def trace_norm(x: np.ndarray) -> float:
+def trace_norm(x: np.ndarray) -> float | np.ndarray:
     """Trace norm (Schatten 1-norm): the sum of the singular values."""
-    return float(np.sum(np.linalg.svd(np.asarray(x), compute_uv=False)))
+    return per_matrix(np.linalg.svd(np.asarray(x), compute_uv=False).sum(axis=-1))
 
 
-def real_trace(x: np.ndarray) -> float:
+def real_trace(x: np.ndarray) -> float | np.ndarray:
     """Real part of the trace (used where the trace is real by construction)."""
-    return float(np.trace(x).real)
+    return per_matrix(np.asarray(x).trace(axis1=-2, axis2=-1).real)

@@ -67,7 +67,7 @@ class SubnormalizedOperator:
 
     @property
     def dim(self) -> int:
-        return self._mat.shape[0]
+        return self._mat.shape[-1]
 
     @property
     def trace(self) -> float:
@@ -103,8 +103,25 @@ class DensityMatrix(SubnormalizedOperator):
                 raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
             self.dims = dims
 
+    @classmethod
+    def stack(cls, states: Sequence[DensityMatrix]) -> DensityMatrix:
+        """The states of a chunk of trials as one DensityMatrix over their (n, d, d) matrix
+        stack, on their common dims; its spectrum is the stack of theirs and its trace the
+        (n,) array of theirs.  Each state was validated when it was built, so the stack is
+        not validated again."""
+        dims = states[0].dims
+        if any(st.dims != dims for st in states):
+            raise DimMismatch(f"stacked states need equal dims, got {sorted({st.dims for st in states})}")
+        out = cls.__new__(cls)
+        out._mat = np.stack([st.mat for st in states])
+        out._mat.setflags(write=False)
+        out._trace = np.array([st.trace for st in states])
+        out.dims = dims
+        return out
+
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
-        """Raw matrix of the partial trace onto the subsystems in ``keep`` (no re-validation)."""
+        """Raw matrix (or stack) of the partial trace onto the subsystems in ``keep`` (no
+        re-validation)."""
         return ptrace(self._mat, self.dims, keep)
 
 

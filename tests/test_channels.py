@@ -373,3 +373,39 @@ def test_channel_json_roundtrip():
     np.testing.assert_allclose(
         back.apply(rho.mat), channel.apply(rho.mat), atol=1e-14
     )
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_a_stacked_channel_acts_row_by_row_with_each_rows_bits():
+    rng = np.random.default_rng(72)
+    channels = [random_channel(4, 2, rng) for _ in range(3)]
+    stacked = KrausChannel.stack(channels)
+    xs = np.stack([random_density(4, rng).mat for _ in range(3)])
+    xs[1] += 1e-6 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))  # not Hermitian
+    applied, duals = stacked.apply(xs), stacked.apply_dual(xs)
+    for i, channel in enumerate(channels):
+        assert _same_bits(applied[i], channel.apply(xs[i]))
+        assert _same_bits(duals[i], channel.apply_dual(xs[i]))
+    assert not is_hermitian(applied[1], 1e-12) and is_hermitian(applied[0], 1e-12)
+    # one channel for the whole stack
+    one = ptrace_channel((2, 2), 1)
+    for i, row in enumerate(one.apply(xs)):
+        assert _same_bits(row, one.apply(xs[i]))
+    with pytest.raises(DimMismatch):
+        KrausChannel.stack([channels[0], random_channel(4, 3, rng)])
+
+
+def test_a_stacked_petz_map_mixes_only_its_singular_rows():
+    rng = np.random.default_rng(73)
+    channel = _identity_channel(4)
+    sigmas = [random_density(4, rng), random_density(4, rng, rank=2), random_density(4, rng)]
+    xs = np.stack([random_density(4, rng).mat for _ in range(3)])
+    recovered = PetzMap(channel, DensityMatrix.stack(sigmas)).apply(xs)
+    for i, sigma in enumerate(sigmas):
+        assert _same_bits(recovered[i], PetzMap(channel, sigma).apply(xs[i]))
+    with pytest.raises(DimMismatch):
+        DensityMatrix.stack([sigmas[0], DensityMatrix(sigmas[1], (2, 2))])

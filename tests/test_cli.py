@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from qelab import checks, cli
+from qelab import checks, cli, suites
 from qelab.errors import SingularTerm
 from qelab.linalg import kron
 from qelab.serialize import serialize_instance, serialize_value
@@ -157,6 +157,30 @@ def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
+
+
+def test_an_error_inside_an_exploration_chunk_is_its_trials_error(monkeypatch, capsys):
+    # trial 4 of the first chunk gets a reference on other dims; the report is the one a
+    # one-trial chunk gives: exit 2 and the same error line
+    suite = cli.EXPLORATIONS["ptrace-petz"]
+
+    def sample(rng, dims, eps):
+        instance = suite.sample(rng, dims, eps)
+        if int(rng.bit_generator.seed_seq.entropy[-1]) == 4:
+            sigma = instance["sigma_ab"]
+            instance["sigma_ab"] = DensityMatrix(sigma, (sigma.dim,))
+        return instance
+
+    monkeypatch.setitem(cli.EXPLORATIONS, "ptrace-petz", dataclasses.replace(suite, sample=sample))
+    outcomes = []
+    for size in (1, suites.EXPLORE_CHUNK):
+        monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
+        outcomes.append(_main(["explore", "ptrace-petz", "--trials", "9", "--seed", "3"], capsys))
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: ptrace-petz trial 4: states live on different dims")
+    assert len(err.splitlines()) == 1
 
 
 def test_check_two_runs_byte_identical():
@@ -486,6 +510,11 @@ def _add(key):
     return lambda blob: {**blob, key: {"type": "scalar", "value": 1}}
 
 
+def _retype(key, source=None):
+    """Edit: the value under key replaced by the scalar 1, or by the value under source."""
+    return lambda blob: {**blob, key: blob[source] if source else {"type": "scalar", "value": 1}}
+
+
 # (suite or exploration kind, edit of its serialized instance, the key the error names)
 BAD_INSTANCE_KEYS = {
     "checker-extra": ("sbw-limit", _add("extra"), "extra"),
@@ -495,6 +524,10 @@ BAD_INSTANCE_KEYS = {
     "runner-missing": ("markov-roundtrip", _drop("spec"), "spec"),
     "exploration-extra": ("cmi-petz", _add("extra"), "extra"),
     "exploration-missing": ("cmi-petz", _drop("rho"), "rho"),
+    "channel-is-a-scalar": ("sbw-limit", _retype("channel"), "channel"),
+    "state-is-a-channel": ("sbw-limit", _retype("rho", "channel"), "rho"),
+    "runner-state-is-a-scalar": ("carlen-lieb-concavity", _retype("x1"), "x1"),
+    "exploration-state-is-a-scalar": ("stronger-mono", _retype("sigma"), "sigma"),
 }
 
 

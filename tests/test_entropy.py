@@ -287,3 +287,30 @@ def test_exp_log_rejects_rank_deficient_term():
         exp_log_combination([(1, np.diag([1.0, 0.0]))])
     with pytest.raises(SingularTerm):
         exp_log_combination([])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_stacked_entropies_give_each_row_its_own_bits():
+    # rows with a partial support, a pure state and a reference whose support rho leaks out of
+    rng = np.random.default_rng(71)
+    rhos = [random_density(4, rng), random_density(4, rng, rank=2), random_density(4, rng, rank=1),
+            random_density(4, rng)]
+    sigmas = [random_density(4, rng), random_density(4, rng), random_density(4, rng),
+              random_density(4, rng, rank=2)]
+    rho, sigma = DensityMatrix.stack(rhos), DensityMatrix.stack(sigmas)
+    entropies = von_neumann(rho)
+    relents = relative_entropy(rho, sigma)
+    raw = relative_entropy(rho.mat, sigma.mat)
+    assert np.isinf(relents[3]) and np.isfinite(relents[:3]).all()
+    for i, (r, s) in enumerate(zip(rhos, sigmas)):
+        assert _same_bits(entropies[i], von_neumann(r))
+        assert _same_bits(relents[i], relative_entropy(r, s))
+        assert _same_bits(raw[i], relative_entropy(r.mat, s.mat))
+    # every row leaking
+    leaky = DensityMatrix.stack([sigmas[3], sigmas[3]])
+    full = DensityMatrix.stack(rhos[:1] * 2)
+    assert np.isinf(relative_entropy(full, leaky)).all()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -382,3 +384,128 @@ def test_a_spectrum_is_not_decomposed_again(monkeypatch):
     monkeypatch.setattr(linalg, "herm_eig", no_eig)
     for fn in SPECTRAL_FNS.values():
         fn(spec)
+
+
+# ---------------------------------------------------------------------------
+# Stacks: an (n, d, d) call gives each row the bits of its own 2-D call
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(a, b) -> bool:
+    """Equal dtype, shape and bytes: equal values, sign bits of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _psd_stack(d, ranks, rng):
+    """One PSD matrix per rank; a rank below d leaves a partial support."""
+    mats = []
+    for rank in ranks:
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        mats.append(g @ g.conj().T)
+    return np.stack(mats)
+
+
+STACKED_FNS = {
+    "herm_eig": lambda h: herm_eig(h),
+    "exp": matrix_exp,
+    "cos": lambda h: matrix_fn(h, np.cos),
+    "log_support": lambda h: matrix_log(h, support_only=True),
+    "sqrt": matrix_sqrt,
+    "power": lambda h: matrix_power(h, -0.37),
+    "support_projector": support_projector,
+    "is_hermitian": lambda h: is_hermitian(h, 1e-12),
+    "max_sv": max_sv,
+    "trace_norm": trace_norm,
+    "real_trace": real_trace,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(STACKED_FNS)),
+    d=st.integers(1, 6),
+    ranks=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stack_gives_each_row_its_own_bits(name, d, ranks, seed):
+    rng = np.random.default_rng(seed)
+    stack = _psd_stack(d, [min(r, d) for r in ranks], rng)
+    if len(ranks) > 1:  # a row that is Hermitian only up to rounding takes the SVD rule
+        stack[-1] += 1e-15 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    fn = STACKED_FNS[name]
+    whole = fn(stack)
+    for i, row in enumerate(stack):
+        alone = fn(row)
+        if name == "herm_eig":
+            assert _same_bits(whole.eigenvalues[i], alone.eigenvalues)
+            assert _same_bits(whole.eigenvectors[i], alone.eigenvectors)
+        elif np.ndim(alone) == 0:
+            assert type(alone) in (bool, float)
+            assert _same_bits(whole[i], np.asarray(alone, dtype=whole.dtype))
+        else:
+            assert _same_bits(whole[i], alone)
+
+
+def test_a_partial_support_row_keeps_its_own_branch():
+    rng = np.random.default_rng(62)
+    stack = _psd_stack(4, [4, 2, 4], rng)
+    spec = herm_eig(stack)
+    assert not np.all(np.abs(spec.eigenvalues[1]) > 1e-12 * spec.eigenvalues[1, -1])
+    for fn in (matrix_sqrt, support_projector, lambda h: matrix_log(h, support_only=True)):
+        whole = fn(spec)
+        for i in range(3):
+            assert _same_bits(whole[i], fn(herm_eig(stack[i])))
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 2, 2), (2, 2, 2)])
+def test_stacked_ptrace_and_embed_match_each_row(dims):
+    rng = np.random.default_rng(63)
+    total = int(np.prod(dims))
+    stack = _psd_stack(total, [total, 1, total], rng)
+    stack[1, 0, 0] = -0.0  # a negative zero must come through as one
+    subsets = [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
+    for keep in subsets:
+        whole = ptrace(stack, dims, keep)
+        for i in range(3):
+            assert _same_bits(whole[i], ptrace(stack[i], dims, keep))
+        part = int(np.prod([dims[k] for k in keep]))
+        ops = _psd_stack(part, [part, 1, part], rng)
+        ops[2] *= -1.0  # negative entries, so products with the identity's zeros give -0.0
+        whole = embed(ops, dims, keep)
+        for i in range(3):
+            alone = embed(ops[i], dims, keep)
+            assert _same_bits(whole[i], alone)
+            assert _same_bits(alone, _kron_embed(ops[i], dims, keep))
+
+
+def _kron_embed(op, dims, acting_on):
+    """embed as np.kron and a transpose write it."""
+    n = len(dims)
+    rest = [i for i in range(n) if i not in acting_on]
+    if not rest:
+        return op.copy()
+    big = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    order = list(acting_on) + rest
+    perm = list(np.argsort(order))
+    tensor = big.reshape([dims[i] for i in order] * 2)
+    total = int(np.prod(dims))
+    return tensor.transpose(perm + [n + p for p in perm]).reshape(total, total)
+
+
+def test_a_bad_row_in_a_stack_still_raises():
+    rng = np.random.default_rng(64)
+    stack = _psd_stack(3, [3, 3, 3], rng)
+    skewed = stack.copy()
+    skewed[1, 0, 1] += 1.0
+    with pytest.raises(NotHermitian):
+        herm_eig(skewed)
+    with pytest.raises(NotHermitian):
+        require_hermitian(skewed)
+    singular = _psd_stack(3, [3, 1, 3], rng)
+    with pytest.raises(SingularInput):
+        matrix_log(singular)
+    with pytest.raises(DimMismatch):
+        ptrace(stack, (2, 2), [0])
+    with pytest.raises(DimMismatch):
+        embed(stack, (3, 2), [1])

@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qelab.errors import BadConfig
+from qelab.errors import BadConfig, DimMismatch
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
-from qelab import checks
+from qelab import checks, suites
 from qelab.suites import (
     EXPLORATIONS,
     SUITES,
     explore_conjecture,
+    iter_trials,
     run_suite,
     run_trial,
     trial_rng,
@@ -241,3 +245,56 @@ def test_exploration_worst_trial_replays_alone(index, kind):
     payload = json.loads(json.dumps(report.worst_instance))
     replayed = suite.run(deserialize_instance(payload), TOL_INEQ, {})
     assert replayed.slack == report.min_slack
+
+
+def _bits(result):
+    return [result.name, result.slack.hex()] + [
+        (key, value.hex()) for key, value in result.quantities.items()
+    ]
+
+
+@pytest.mark.parametrize("kind", EXPLORATION_ORDER)
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chunk=st.sampled_from([1, 3, 50]),
+    dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 2)]),
+)
+def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims):
+    # 7 trials: a chunk of 3 does not divide them, one of 50 holds them all
+    suite = EXPLORATIONS[kind]
+    with mock.patch.object(suites, "EXPLORE_CHUNK", chunk):
+        triples = list(iter_trials(suite, dims, 7, seed))
+    assert [trial for trial, _, _ in triples] == list(range(7))
+    for trial, instance, result in triples:
+        alone_instance, alone = run_trial(suite, dims, seed, trial, DEFAULT_EPS, TOL_INEQ)
+        assert serialize_instance(instance) == serialize_instance(alone_instance)
+        assert _bits(result) == _bits(alone)
+
+
+def _ptrace_petz_failing_at(bad_trial):
+    """ptrace-petz with a sampler that gives trial bad_trial a reference on other dims: its
+    chunk cannot be stacked, and alone the trial fails in the evaluator (DimMismatch)."""
+    suite = EXPLORATIONS["ptrace-petz"]
+
+    def sample(rng, dims, eps):
+        instance = suite.sample(rng, dims, eps)
+        if int(rng.bit_generator.seed_seq.entropy[-1]) == bad_trial:
+            sigma = instance["sigma_ab"]
+            instance["sigma_ab"] = type(sigma)(sigma, (sigma.dim,))
+        return instance
+
+    return dataclasses.replace(suite, sample=sample)
+
+
+@pytest.mark.parametrize("chunk", [3, 50])
+def test_an_error_inside_a_chunk_raises_as_its_trial_alone(chunk, monkeypatch):
+    monkeypatch.setitem(EXPLORATIONS, "ptrace-petz", _ptrace_petz_failing_at(4))
+    errors = []
+    for size in (1, chunk):
+        monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
+        with pytest.raises(DimMismatch) as info:
+            explore_conjecture("ptrace-petz", 9, (2, 2, 2), 3)
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].startswith("ptrace-petz trial 4: states live on different dims")
