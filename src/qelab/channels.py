@@ -17,6 +17,7 @@ import numpy as np
 from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
     HermitianEigen,
+    dagger,
     herm_eig,
     hermitize,
     is_hermitian,
@@ -82,7 +83,6 @@ class KrausChannel:
         out = cls.__new__(cls)
         out.kraus = tuple(np.stack(ops) for ops in zip(*(c.kraus for c in channels)))
         out.d_in, out.d_out = first.d_in, first.d_out
-        out._unital_dev = max(c._unital_dev for c in channels)
         return out
 
     @property
@@ -94,7 +94,7 @@ class KrausChannel:
         x = np.asarray(x, dtype=complex)
         if x.shape[-2:] != (self.d_in, self.d_in):
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
-        return _hermitian_like(x, sum(k @ x @ k.conj().mT for k in self.kraus))
+        return _hermitian_like(x, sum(k @ x @ dagger(k) for k in self.kraus))
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
@@ -105,7 +105,7 @@ class KrausChannel:
         y = np.asarray(y, dtype=complex)
         if y.shape[-2:] != (self.d_out, self.d_out):
             raise DimMismatch(f"input shape {y.shape}, dual expects {self.d_out}")
-        return _hermitian_like(y, sum(k.conj().mT @ y @ k for k in self.kraus))
+        return _hermitian_like(y, sum(dagger(k) @ y @ k for k in self.kraus))
 
     def __repr__(self) -> str:
         return (

@@ -52,10 +52,15 @@ def row_indices(flags: np.ndarray) -> list[tuple]:
     return list(zip(*np.nonzero(flags)))
 
 
+def dagger(x: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(x.conj(), -1, -2)
+
+
 def hermitize(x: np.ndarray) -> np.ndarray:
     """Return the Hermitian part (x + x^dag) / 2."""
     x = np.asarray(x)
-    return 0.5 * (x + x.conj().mT)
+    return 0.5 * (x + dagger(x))
 
 
 def max_sv(x: np.ndarray) -> float | np.ndarray:
@@ -68,7 +73,7 @@ def max_sv(x: np.ndarray) -> float | np.ndarray:
 
 def _hermitian_rows(x: np.ndarray, tol: float) -> np.ndarray | None:
     """The is_hermitian verdict of each row, or None when every row is exactly Hermitian."""
-    diff = x - x.conj().mT
+    diff = x - dagger(x)
     if not diff.any():
         return None
     inexact = np.asarray(diff.any(axis=(-2, -1)))
@@ -97,7 +102,7 @@ def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     ok = _hermitian_rows(x, tol)
     if ok is not None and not ok.all():
         first = row_indices(~ok)[0]
-        dev = max_sv(x[first] - x[first].conj().mT)
+        dev = max_sv(x[first] - dagger(x[first]))
         raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
     return x
 
@@ -155,7 +160,7 @@ def matrix_fn(
             f"(min eigenvalue {vals.min():.3e}); use support_only for a "
             "pseudo-function on the support"
         )
-    out = (vecs * fvals[..., None, :]) @ vecs.conj().mT
+    out = (vecs * fvals[..., None, :]) @ dagger(vecs)
     if np.isrealobj(fvals):
         return hermitize(out)
     real_rows = np.isreal(fvals).all(axis=-1)
@@ -201,10 +206,10 @@ def support_projector(h: Spectral) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a Hermitian matrix."""
     vals, vecs = _eig(h)
     mask = _support_mask(vals)
-    out = vecs @ vecs.conj().mT
+    out = vecs @ dagger(vecs)
     for row in row_indices(~mask.all(axis=-1)):  # a partial support keeps its own columns
         cols = vecs[row][:, mask[row]]
-        out[row] = cols @ cols.conj().mT
+        out[row] = cols @ dagger(cols)
     return out
 
 

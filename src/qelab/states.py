@@ -74,6 +74,8 @@ class SubnormalizedOperator:
         return self._trace
 
     def __repr__(self) -> str:
+        if self._mat.ndim > 2:  # a stack of trials (DensityMatrix.stack)
+            return f"{type(self).__name__}(n={len(self._mat)}, dim={self.dim})"
         return f"{type(self).__name__}(dim={self.dim}, trace={self._trace:.6f})"
 
 
@@ -106,9 +108,9 @@ class DensityMatrix(SubnormalizedOperator):
     @classmethod
     def stack(cls, states: Sequence[DensityMatrix]) -> DensityMatrix:
         """The states of a chunk of trials as one DensityMatrix over their (n, d, d) matrix
-        stack, on their common dims; its spectrum is the stack of theirs and its trace the
-        (n,) array of theirs.  Each state was validated when it was built, so the stack is
-        not validated again."""
+        stack, on their common dims, with the (n,) array of their traces as its trace.  Its
+        spectrum is decomposed once, on the stack, when first used.  Each state was
+        validated when it was built, so the stack is not validated again."""
         dims = states[0].dims
         if any(st.dims != dims for st in states):
             raise DimMismatch(f"stacked states need equal dims, got {sorted({st.dims for st in states})}")

@@ -27,7 +27,7 @@ import numpy as np
 from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
 from .entropy import relative_entropy
-from .errors import BadConfig, DimMismatch, QelabError
+from .errors import BadConfig, QelabError
 from .linalg import hermitize, kron, trace_norm
 from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
@@ -55,12 +55,13 @@ MARKOV_FACTOR_EPS = 3e-3
 TWIRL_SUITE_SAMPLES = 200
 CL_ALPHA_GRID = (1.5, 2.0, 4.0)
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
-# Exploration trials evaluated as one (n, d, d) stack.  The chunk shrinks with the
-# operator dimension d so that one stacked complex operand stays within 32 KiB
-# (_CHUNK_ENTRIES matrix entries): all 32 trials up to d = 8, 14 at d = 12, one
-# trial from d = 46.  Larger chunks gained under 2% on explore-d8 and cost peak RSS.
+# Exploration trials evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
+# product of the dims (no exploration operator is larger), so that one stacked complex
+# operand stays within 128 KiB (_CHUNK_ENTRIES matrix entries): all 32 trials up to
+# d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks gained under 2% on
+# explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS for no throughput.
 EXPLORE_CHUNK = 32
-_CHUNK_ENTRIES = 32 * 8 * 8
+_CHUNK_ENTRIES = 32 * 16 * 16
 
 
 def _flat(dims: Sequence[int]) -> int:
@@ -607,16 +608,10 @@ def run_trial(
 def _stacked(instances: list[dict]) -> dict:
     """The instances of a chunk as one: each value the stack of its trials' values, built by
     the value type's ``stack`` (DensityMatrix.stack, KrausChannel.stack)."""
-    first = instances[0]
-    if any(inst.keys() != first.keys() for inst in instances):
-        raise DimMismatch("the instances of a chunk carry different keys")
-    stacked = {}
-    for key, value in first.items():
-        stack = getattr(type(value), "stack", None)
-        if stack is None:
-            raise DimMismatch(f"cannot stack instance values of type {type(value).__name__}")
-        stacked[key] = stack([inst[key] for inst in instances])
-    return stacked
+    return {
+        key: type(value).stack([inst[key] for inst in instances])
+        for key, value in instances[0].items()
+    }
 
 
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):

@@ -25,6 +25,7 @@ from qelab.states import (
     regularize,
 )
 from qelab.suites import SUITES, run_trial
+from test_suites import _flat_reference, _zero_channel, failing_at
 
 CLI = [sys.executable, "-m", "qelab.cli"]
 
@@ -159,27 +160,24 @@ def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
     assert "Traceback" in captured.err and "RuntimeError: boom" in captured.err
 
 
-def test_an_error_inside_an_exploration_chunk_is_its_trials_error(monkeypatch, capsys):
-    # trial 4 of the first chunk gets a reference on other dims; the report is the one a
-    # one-trial chunk gives: exit 2 and the same error line
-    suite = cli.EXPLORATIONS["ptrace-petz"]
-
-    def sample(rng, dims, eps):
-        instance = suite.sample(rng, dims, eps)
-        if int(rng.bit_generator.seed_seq.entropy[-1]) == 4:
-            sigma = instance["sigma_ab"]
-            instance["sigma_ab"] = DensityMatrix(sigma, (sigma.dim,))
-        return instance
-
-    monkeypatch.setitem(cli.EXPLORATIONS, "ptrace-petz", dataclasses.replace(suite, sample=sample))
+@pytest.mark.parametrize("kind, breaks, message", [
+    ("ptrace-petz", _flat_reference, "states live on different dims"),
+    ("stronger-mono", _zero_channel, "channel output of the reference has ~zero"),
+])
+def test_an_error_inside_an_exploration_chunk_is_its_trials_error(
+    kind, breaks, message, monkeypatch, capsys
+):
+    # trial 4 of the first chunk breaks, where the chunk stacks (stronger-mono) or cannot
+    # (ptrace-petz); the report is the one a one-trial chunk gives: exit 2, one error line
+    monkeypatch.setitem(cli.EXPLORATIONS, kind, failing_at(kind, 4, breaks))
     outcomes = []
     for size in (1, suites.EXPLORE_CHUNK):
         monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
-        outcomes.append(_main(["explore", "ptrace-petz", "--trials", "9", "--seed", "3"], capsys))
+        outcomes.append(_main(["explore", kind, "--trials", "9", "--seed", "3"], capsys))
     assert outcomes[0] == outcomes[1]
     code, out, err = outcomes[0]
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err.startswith("error: ptrace-petz trial 4: states live on different dims")
+    assert err.startswith(f"error: {kind} trial 4: {message}")
     assert len(err.splitlines()) == 1
 
 

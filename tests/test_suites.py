@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qelab.errors import BadConfig, DimMismatch
+from qelab.channels import KrausChannel
+from qelab.errors import BadConfig, DimMismatch, QelabError, SingularSigma
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
 from qelab import checks, suites
@@ -272,29 +273,64 @@ def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims
         assert _bits(result) == _bits(alone)
 
 
-def _ptrace_petz_failing_at(bad_trial):
-    """ptrace-petz with a sampler that gives trial bad_trial a reference on other dims: its
-    chunk cannot be stacked, and alone the trial fails in the evaluator (DimMismatch)."""
-    suite = EXPLORATIONS["ptrace-petz"]
+def _flat_reference(instance):
+    """ptrace-petz's reference on one flat subsystem: its chunk cannot be stacked, and alone
+    the trial fails in the evaluator (DimMismatch)."""
+    sigma = instance["sigma_ab"]
+    instance["sigma_ab"] = type(sigma)(sigma, (sigma.dim,))
+
+
+def _zero_channel(instance):
+    """stronger-mono's channel with every Kraus operator scaled to zero (past the trace-
+    preservation check of the constructor): the chunk stacks, and then PetzMap finds a
+    reference image of zero trace in this row only (SingularSigma)."""
+    channel = instance["channel"]
+    zero = KrausChannel.__new__(KrausChannel)
+    vars(zero).update(vars(channel), kraus=tuple(0 * k for k in channel.kraus))
+    instance["channel"] = zero
+
+
+def failing_at(kind, bad_trial, breaks, raised=None):
+    """The exploration ``kind`` with a sampler that passes trial bad_trial's instance to
+    ``breaks``; each call of its evaluator that raises appends the lead shape of its first
+    state's matrix ((n,) for a stacked chunk of n trials, () for one trial) to raised."""
+    suite = EXPLORATIONS[kind]
 
     def sample(rng, dims, eps):
         instance = suite.sample(rng, dims, eps)
         if int(rng.bit_generator.seed_seq.entropy[-1]) == bad_trial:
-            sigma = instance["sigma_ab"]
-            instance["sigma_ab"] = type(sigma)(sigma, (sigma.dim,))
+            breaks(instance)
         return instance
 
-    return dataclasses.replace(suite, sample=sample)
+    def run(instance, tol, opts):
+        try:
+            return suite.run(instance, tol, opts)
+        except QelabError:
+            if raised is not None:
+                raised.append(next(iter(instance.values())).mat.shape[:-2])
+            raise
+
+    return dataclasses.replace(suite, sample=sample, run=run)
 
 
 @pytest.mark.parametrize("chunk", [3, 50])
-def test_an_error_inside_a_chunk_raises_as_its_trial_alone(chunk, monkeypatch):
-    monkeypatch.setitem(EXPLORATIONS, "ptrace-petz", _ptrace_petz_failing_at(4))
+@pytest.mark.parametrize("kind, breaks, error, message", [
+    ("ptrace-petz", _flat_reference, DimMismatch, "states live on different dims"),
+    ("stronger-mono", _zero_channel, SingularSigma, "channel output of the reference has ~zero"),
+])
+def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
+    kind, breaks, error, message, chunk, monkeypatch
+):
+    raised = []
+    monkeypatch.setitem(EXPLORATIONS, kind, failing_at(kind, 4, breaks, raised))
     errors = []
     for size in (1, chunk):
         monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
-        with pytest.raises(DimMismatch) as info:
-            explore_conjecture("ptrace-petz", 9, (2, 2, 2), 3)
+        with pytest.raises(error) as info:
+            explore_conjecture(kind, 9, (2, 2, 2), 3)
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
-    assert errors[0][1].startswith("ptrace-petz trial 4: states live on different dims")
+    assert errors[0][1].startswith(f"{kind} trial 4: {message}")
+    # trial 4's chunk of several trials raises in the evaluator when it stacks, and never
+    # reaches it when it cannot
+    assert ((min(chunk, 9),) in raised) == (breaks is _zero_channel)
