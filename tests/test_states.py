@@ -380,3 +380,13 @@ def test_von_neumann_on_multipartite_marginal():
     state = random_tripartite((2, 2, 2), np.random.default_rng(33))
     s_b = von_neumann(state.marginal([1]))
     assert 0.0 <= s_b <= np.log(2) + 1e-12
+
+
+def test_a_stacked_state_keeps_its_rows_dims_and_traces_and_names_its_rows():
+    rng = np.random.default_rng(5)
+    states = [DensityMatrix(random_density(4, rng), (2, 2)) for _ in range(3)]
+    stack = DensityMatrix.stack(states)
+    assert stack.mat.shape == (3, 4, 4) and stack.dims == (2, 2)
+    assert all(np.array_equal(row, st.mat) for row, st in zip(stack.mat, states))
+    assert stack.trace.tolist() == [st.trace for st in states]
+    assert repr(stack) == "DensityMatrix(n=3, dim=4)"
