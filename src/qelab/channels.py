@@ -83,6 +83,7 @@ class KrausChannel:
         out = cls.__new__(cls)
         out.kraus = tuple(np.stack(ops) for ops in zip(*(c.kraus for c in channels)))
         out.d_in, out.d_out = first.d_in, first.d_out
+        out._unital_dev = max(c._unital_dev for c in channels)  # unital when every row is
         return out
 
     @property
@@ -128,17 +129,20 @@ class PetzMap:
     For channel Phi and reference sigma this is
         X  |->  sigma^{1/2} Phi^*( Phi(sigma)^{-1/2} X Phi(sigma)^{-1/2} ) sigma^{1/2}.
     It always fixes the pushed-forward reference: apply(Phi(sigma)) = sigma.
+    A caller that holds Phi(sigma) already passes it as ``image``.
     A singular Phi(sigma) is handled by mixing in PETZ_EPS of the maximally
     mixed state before the inverse square root (pseudo-inverse on the support
     alone would silently drop weight for inputs leaking off the support).
     """
 
-    def __init__(self, channel: KrausChannel, sigma: SubnormalizedOperator):
+    def __init__(
+        self, channel: KrausChannel, sigma: SubnormalizedOperator, image: np.ndarray | None = None
+    ):
         if sigma.dim != channel.d_in:
             raise DimMismatch(
                 f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
             )
-        image = channel.apply(sigma.mat)
+        image = channel.apply(sigma.mat) if image is None else image
         tr = np.asarray(real_trace(image))
         if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")

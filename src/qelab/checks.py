@@ -14,11 +14,27 @@ exp(log rho_AB - log rho_B + log rho_BC); the common descending chain
         >= (1/4) ||rho - S||_1^2
 
 is shared by several checkers, together with the trace bound Tr S <= 1.
+
+Each checker is written once.  suites.iter_trials stacks a chunk of up to 32
+trials when every instance value has a stack (DensityMatrix.stack,
+KrausChannel.stack), fewer when one stacked operand would pass 128 KiB; the
+checker then returns each row's CheckResult with the bits of that trial
+alone: matrix work runs on the (n, d, d) stacks, and each row's scalar rule
+(a log, a min, a branch) on its Python floats (linalg.per_row, _result,
+results.chain).  A precondition that fails in any row raises for the chunk,
+which then runs one trial at a time; a one-trial chunk, as suites.run_trial
+and replay run, calls the checker on the 2-D instance.  Seven suites hold a
+value without a stack and run one trial at a time: markov-roundtrip (a
+MarkovSpec), twirl-identity (a raw matrix and a seed), lieb-concavity,
+carlen-lieb-concavity and golden-thompson (raw matrices),
+audenaert-powers-stormer (SubnormalizedOperators) and overlap-chain (a scaled
+SubnormalizedOperator reference in about half its trials).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,17 +50,21 @@ from .entropy import (
 )
 from .errors import BadAlpha, BadConfig, DimMismatch, MarginalMismatch, ZeroOverlap
 from .linalg import (
+    each,
     embed,
     herm_eig,
     hermitize,
+    hs_norm,
     matrix_exp,
     matrix_log,
     matrix_power,
     matrix_sqrt,
     max_sv,
+    per_row,
     ptrace,
     real_trace,
     require_hermitian,
+    row_indices,
     trace_norm,
     unitary_power,
 )
@@ -64,6 +84,17 @@ DEFAULT_TROTTER_NS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_DW_ALPHAS = (0.9, 0.5, 0.1) + tuple(2.0**-k for k in range(2, 11))
 DEFAULT_SBW_ALPHAS = tuple(2.0**-k for k in range(1, 13))
 SBW_FINAL_TOL = 1e-4  # the largest operator error check_sbw_limit accepts at the last alpha
+Results = CheckResult | list[CheckResult]  # one trial's result, or each row's of a stacked chunk
+
+
+def _result(name: str, tol: float, slack: Callable[..., float], **quantities):
+    """CheckResult(name, quantities, slack(*quantities), tol) for one trial's quantities, or
+    the list of each row's for the (n,) arrays of a stacked chunk.  The slack is taken from
+    a row's quantities as Python floats, as the trial alone takes it."""
+    return per_row(
+        lambda *row: CheckResult(name, dict(zip(quantities, row)), slack(*row), tol),
+        *quantities.values(),
+    )
 
 
 def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
@@ -112,19 +143,22 @@ def _exp_log_surrogate(ab, b, bc, dims: Sequence[int]) -> np.ndarray:
     )
 
 
-def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray, float, float]:
-    """exp(log x_AB - log y_B + log z_BC) and the deviations ||x_B - y_B||, ||y_B - z_B||, one
-    of which must be within TOL_IDENTITY (else MarginalMismatch naming the states by names)."""
+def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray, float]:
+    """exp(log x_AB - log y_B + log z_BC) and the smaller of the deviations ||x_B - y_B||,
+    ||y_B - z_B||, which must be within TOL_IDENTITY (else MarginalMismatch naming the states
+    by names)."""
     y_b = y.marginal([1])
-    dev_xy = max_sv(x.marginal([1]) - y_b)
-    dev_yz = max_sv(y_b - z.marginal([1]))
-    if min(dev_xy, dev_yz) > TOL_IDENTITY:
-        a, b, c = names
+    dev_xy = np.asarray(max_sv(x.marginal([1]) - y_b))
+    dev_yz = np.asarray(max_sv(y_b - z.marginal([1])))
+    apart = row_indices(np.minimum(dev_xy, dev_yz) > TOL_IDENTITY)
+    if apart:
+        (a, b, c), i = names, apart[0]
         raise MarginalMismatch(
-            f"need {a}_B = {b}_B or {b}_B = {c}_B; deviations are {dev_xy:.3e} and {dev_yz:.3e}"
+            f"need {a}_B = {b}_B or {b}_B = {c}_B; "
+            f"deviations are {dev_xy[i]:.3e} and {dev_yz[i]:.3e}"
         )
     surrogate = _exp_log_surrogate(x.marginal([0, 1]), y_b, z.marginal([1, 2]), x.dims)
-    return surrogate, dev_xy, dev_yz
+    return surrogate, each(min, dev_xy, dev_yz)
 
 
 def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
@@ -155,16 +189,17 @@ def _unital_surrogate(pushed: tuple) -> np.ndarray:
 
 def _root_links(rho, other) -> list[tuple[str, float]]:
     """The overlap, square-root and trace-distance links of the descending chain between
-    two operators or matrices."""
+    two operators or matrices, or stacks of them."""
     s_rho = matrix_sqrt(as_spectrum(rho))
     s_oth = matrix_sqrt(as_spectrum(other))
     overlap = real_trace(s_rho @ s_oth)
-    if overlap <= 0.0:
+    if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("square-root overlap is not positive")
+    td = trace_norm(as_matrix(rho) - as_matrix(other))
     return [
-        ("overlap_bound", -2.0 * math.log(overlap)),
-        ("sqrt_hs_sq", float(np.linalg.norm(s_rho - s_oth) ** 2)),
-        ("quarter_td_sq", 0.25 * trace_norm(as_matrix(rho) - as_matrix(other)) ** 2),
+        ("overlap_bound", each(lambda o: -2.0 * math.log(o), overlap)),
+        ("sqrt_hs_sq", each(lambda h: h**2, hs_norm(s_rho - s_oth))),
+        ("quarter_td_sq", each(lambda t: 0.25 * t**2, td)),
     ]
 
 
@@ -176,15 +211,15 @@ def _sqrt_chain(
     surrogate: np.ndarray,
     tol: float,
     quantities: dict[str, float] | None = None,
-    trace_bound: bool = True,
-) -> CheckResult:
-    """The shared descending chain anchored at a relative-entropy quantity."""
-    links = [(anchor_label, float(anchor))] + _root_links(rho, surrogate)
+    extra_ok=None,
+) -> Results:
+    """The shared descending chain anchored at a relative-entropy quantity; extra_ok defaults
+    to the trace bound Tr S <= 1 + tol."""
+    links = [(anchor_label, anchor)] + _root_links(rho, surrogate)
     q = dict(quantities or {})
     tr_srg = real_trace(surrogate)
     q["trace_surrogate"] = tr_srg
-    extra_ok = (tr_srg <= 1.0 + tol) if trace_bound else True
-    return chain(name, links, tol, q, extra_ok)
+    return chain(name, links, tol, q, (tr_srg <= 1.0 + tol) if extra_ok is None else extra_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +234,7 @@ def check_renyi_monotonicity(
     sigma: DensityMatrix,
     alphas: Sequence[float] = DEFAULT_RENYI_ALPHAS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """The alpha-Renyi relative entropy is nondecreasing in alpha.
 
     When 0.5 is on the grid, its value is also cross-checked against the
@@ -208,23 +243,27 @@ def check_renyi_monotonicity(
     alphas = [float(a) for a in alphas]
     if len(alphas) < 2 or sorted(alphas) != alphas:
         raise BadAlpha(f"need an ascending alpha grid, got {alphas}")
+
+    def result(closed, *values):
+        quantities = {f"s_{a!r}": v for a, v in zip(alphas, values)}
+        slack = min(values[i + 1] - values[i] for i in range(len(values) - 1))
+        extra_ok = True
+        if 0.5 in alphas:
+            residual = abs(values[alphas.index(0.5)] - closed)
+            quantities["half_alpha_residual"] = residual
+            extra_ok = residual <= TOL_IDENTITY
+        return CheckResult("renyi-monotone", quantities, slack, tol, extra_ok=extra_ok)
+
     values = [renyi(a, rho, sigma) for a in alphas]
-    quantities = {f"s_{a!r}": v for a, v in zip(alphas, values)}
-    slack = min(values[i + 1] - values[i] for i in range(len(values) - 1))
-    extra_ok = True
-    if 0.5 in alphas:
-        closed = overlap_lower_bound(rho, sigma)
-        residual = abs(values[alphas.index(0.5)] - closed)
-        quantities["half_alpha_residual"] = residual
-        extra_ok = residual <= TOL_IDENTITY
-    return CheckResult("renyi-monotone", quantities, slack, tol, extra_ok=extra_ok)
+    closed = overlap_lower_bound(rho, sigma) if 0.5 in alphas else None
+    return per_row(result, closed, *values)
 
 
 def check_overlap_chain(
     rho: DensityMatrix,
     sigma: SubnormalizedOperator,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Relative entropy against a subnormalized reference dominates the
     root-overlap bound, the squared root distance, and a quarter of the
     squared trace distance, in that order.
@@ -232,16 +271,20 @@ def check_overlap_chain(
     When the reference is normalized, the stronger quadratic lower bound
     S >= ||rho - sigma||_1^2 / 2 is asserted as well.
     """
-    s_val = relative_entropy(rho, sigma)
-    links = [("relative_entropy", s_val)] + _root_links(rho, sigma)
-    quantities = {"trace_sigma": real_trace(sigma.mat)}
-    extra_ok = True
-    if abs(quantities["trace_sigma"] - 1.0) <= TOL_TRACE and not math.isinf(s_val):
-        # half the squared trace distance: exactly twice the quarter_td_sq link
-        pinsker = s_val - 2.0 * dict(links)["quarter_td_sq"]
-        quantities["pinsker_slack"] = pinsker
-        extra_ok = pinsker >= -tol
-    return chain("overlap-chain", links, tol, quantities, extra_ok)
+    links = [("relative_entropy", relative_entropy(rho, sigma))] + _root_links(rho, sigma)
+    labels = [label for label, _ in links]
+
+    def result(trace_sigma, *values):
+        quantities = {"trace_sigma": trace_sigma}
+        extra_ok = True
+        s_val, quarter_td_sq = values[0], values[-1]
+        if abs(trace_sigma - 1.0) <= TOL_TRACE and not math.isinf(s_val):
+            # half the squared trace distance: exactly twice the quarter_td_sq link
+            quantities["pinsker_slack"] = pinsker = s_val - 2.0 * quarter_td_sq
+            extra_ok = pinsker >= -tol
+        return chain("overlap-chain", list(zip(labels, values)), tol, quantities, extra_ok)
+
+    return per_row(result, real_trace(sigma.mat), *(v for _, v in links))
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +297,11 @@ def check_monotonicity(
     sigma: DensityMatrix,
     channel: KrausChannel,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Relative entropy never increases under a channel."""
     before = relative_entropy(rho, sigma)
     after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat))
-    return CheckResult(
-        "monotonicity",
-        {"before": before, "after": after},
-        before - after,
-        tol,
-    )
+    return _result("monotonicity", tol, operator.sub, before=before, after=after)
 
 
 def check_stronger_monotonicity(
@@ -271,7 +309,7 @@ def check_stronger_monotonicity(
     sigma: DensityMatrix,
     channel: KrausChannel,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Refined data processing for unital channels.
 
     The monotonicity gap dominates the chain of distances to the surrogate
@@ -299,18 +337,18 @@ def check_unital_trace_bound(
     sigma: DensityMatrix,
     channel: KrausChannel,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Tr exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) <= 1."""
     require_unital(channel)
     value = real_trace(_unital_surrogate(_pushed(rho, sigma, channel)))
-    return CheckResult("unital-trace-bound", {"trace_value": value}, 1.0 - value, tol)
+    return _result("unital-trace-bound", tol, lambda v: 1.0 - v, trace_value=value)
 
 
 def check_ptrace_strengthening(
     rho_ab: DensityMatrix,
     sigma_ab: DensityMatrix,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Refined monotonicity for discarding the second subsystem.
 
     Surrogate: exp(log sigma_AB - log sigma_A + log rho_A), all embedded on AB.
@@ -338,7 +376,7 @@ def check_ptrace_strengthening(
     )
 
 
-def check_ssa_strengthened(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
+def check_ssa_strengthened(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """Strong subadditivity with the exp-log surrogate refinement.
 
     I(A:C|B) anchors the chain against exp(log rho_AB - log rho_B + log rho_BC);
@@ -352,7 +390,7 @@ def check_trace_exp_bound(
     sigma: DensityMatrix,
     tau: DensityMatrix,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Tr exp(log rho_AB - log sigma_B + log tau_BC) <= 1 under marginal matching.
 
     Requires rho_B = sigma_B or sigma_B = tau_B (spectral norm within
@@ -360,14 +398,9 @@ def check_trace_exp_bound(
     """
     _same_dims(rho, sigma, tau)
     require_tripartite(rho)
-    surrogate, dev_rs, dev_st = _matched_surrogate(rho, sigma, tau, ("rho", "sigma", "tau"))
-    value = real_trace(surrogate)
-    return CheckResult(
-        "trace-exp-bound",
-        {"trace_value": value, "marginal_dev": float(min(dev_rs, dev_st))},
-        1.0 - value,
-        tol,
-    )
+    surrogate, dev = _matched_surrogate(rho, sigma, tau, ("rho", "sigma", "tau"))
+    return _result("trace-exp-bound", tol, lambda v, _: 1.0 - v,
+                   trace_value=real_trace(surrogate), marginal_dev=dev)
 
 
 def check_bsw_identity(
@@ -376,7 +409,7 @@ def check_bsw_identity(
     tau: DensityMatrix,
     omega: DensityMatrix,
     tol: float = TOL_IDENTITY,
-) -> CheckResult:
+) -> Results:
     """Decomposition of a relative entropy against an exp-log reference.
 
     S(rho_ABC || exp(log sigma_AB + log tau_BC - log omega_B)) equals
@@ -401,19 +434,14 @@ def check_bsw_identity(
         - relative_entropy(rho.marginal([1]), omega.marginal([1]))
     )
     residual = abs(lhs - rhs)
-    return CheckResult(
-        "bsw-identity",
-        {"lhs": lhs, "rhs": rhs, "residual": residual},
-        -residual,
-        tol,
-    )
+    return _result("bsw-identity", tol, lambda *q: -q[2], lhs=lhs, rhs=rhs, residual=residual)
 
 
 def check_super_ssa(
     rho: DensityMatrix,
     sigma: DensityMatrix,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Relative entropy to a two-marginal exp-log reference dominates
     I(A:C|B) plus half the AB and BC relative entropies."""
     dims = _same_dims(rho, sigma)
@@ -433,9 +461,7 @@ def check_super_ssa(
         + 0.5 * relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
         + 0.5 * relative_entropy(rho.marginal([1, 2]), sigma.marginal([1, 2]))
     )
-    return CheckResult(
-        "super-ssa", {"lhs": lhs, "rhs": rhs}, lhs - rhs, tol
-    )
+    return _result("super-ssa", tol, operator.sub, lhs=lhs, rhs=rhs)
 
 
 def check_three_state_chain(
@@ -444,7 +470,7 @@ def check_three_state_chain(
     tau: DensityMatrix,
     omega: DensityMatrix,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Distance chain to exp(log sigma_AB - log tau_B + log omega_BC).
 
     Needs sigma_B = tau_B or tau_B = omega_B so that the surrogate is
@@ -452,7 +478,7 @@ def check_three_state_chain(
     """
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
-    surrogate, dev_st, dev_to = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
+    surrogate, dev = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
     anchor = relative_entropy(rho, surrogate)
     return _sqrt_chain(
         "three-state-chain",
@@ -461,11 +487,11 @@ def check_three_state_chain(
         rho,
         surrogate,
         tol,
-        quantities={"marginal_dev": float(min(dev_st, dev_to))},
+        quantities={"marginal_dev": dev},
     )
 
 
-def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
+def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """Subadditivity-flavoured chain with the two-marginal surrogate.
 
     Anchor S(AB) + S(BC) - S(ABC) against exp(log rho_AB + log rho_BC); the
@@ -482,7 +508,12 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
     bc_full = embed(m["bc"], dims, (1, 2))
     tr_product = real_trace(ab_full @ bc_full)
     tr_b_sq = real_trace(m["b"] @ m["b"])
-    result = _sqrt_chain(
+    gt_ok = (
+        (real_trace(surrogate) <= tr_product + tol)
+        & (abs(tr_product - tr_b_sq) <= 1e-10)
+        & (tr_b_sq <= 1.0 + tol)
+    )
+    return _sqrt_chain(
         "subadd-exp",
         "entropy_combo",
         anchor,
@@ -490,16 +521,8 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
         surrogate,
         tol,
         quantities={"trace_product": tr_product, "trace_b_sq": tr_b_sq},
-        trace_bound=False,
+        extra_ok=gt_ok,
     )
-    tr_srg = result.quantities["trace_surrogate"]
-    gt_ok = (
-        tr_srg <= tr_product + tol
-        and abs(tr_product - tr_b_sq) <= 1e-10
-        and tr_b_sq <= 1.0 + tol
-    )
-    result.extra_ok = bool(gt_ok)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +617,7 @@ def trotter_sequence(
     rho: DensityMatrix,
     n_values: Sequence[int] = DEFAULT_TROTTER_NS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Compressed-product traces t_n converging to the surrogate trace.
 
     t_n = Tr[(rho_AB^(1/2n) rho_B^(-1/2n) rho_BC^(1/n) rho_B^(-1/2n)
@@ -604,14 +627,17 @@ def trotter_sequence(
     is recorded in the quantities but never asserted: it is an open question.
     """
     traces = _trotter_traces(rho, n_values)
-    trace_surrogate = real_trace(ssa_surrogate(rho))
-    quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
-    quantities.update((f"t_{n}", t_n) for n, t_n in traces)
-    errs = [abs(t - trace_surrogate) for _, t in traces]
-    quantities["err_first"] = errs[0]
-    quantities["err_last"] = errs[-1]
-    links = [("one", 1.0), ("max_compressed_trace", max(t for _, t in traces))]
-    return chain("trotter-bound", links, tol, quantities, bool(errs[-1] <= errs[0] + tol))
+
+    def result(trace_surrogate, *ts):
+        quantities: dict[str, float] = {"trace_surrogate": trace_surrogate}
+        quantities.update((f"t_{n}", t_n) for (n, _), t_n in zip(traces, ts))
+        errs = [abs(t - trace_surrogate) for t in ts]
+        quantities["err_first"] = errs[0]
+        quantities["err_last"] = errs[-1]
+        links = [("one", 1.0), ("max_compressed_trace", max(ts))]
+        return chain("trotter-bound", links, tol, quantities, bool(errs[-1] <= errs[0] + tol))
+
+    return per_row(result, real_trace(ssa_surrogate(rho)), *(t for _, t in traces))
 
 
 # ---------------------------------------------------------------------------
@@ -652,23 +678,31 @@ def dw_alpha_profile(
     channel: KrausChannel,
     alphas: Sequence[float] = DEFAULT_DW_ALPHAS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
-    """check_dw_alpha over a whole alpha grid, merged into one result."""
+) -> Results:
+    """check_dw_alpha over a whole alpha grid, merged into one result per trial."""
     pushed = _pushed(rho, sigma, channel)
+    values = [real_trace(_alpha_compressed(pushed, alpha)) for alpha in alphas]
+    return per_row(lambda *row: _q_profile("dw-alpha", alphas, row, tol), *values)
+
+
+def _q_profile(name: str, alphas, values, tol: float, **extra) -> CheckResult:
+    """CheckResult(name, {q_<alpha>: value, ..., **extra}, min(1 - value), tol) for one row's
+    compressed traces; each residual in extra must be within TOL_IDENTITY."""
     quantities: dict[str, float] = {}
     worst = math.inf
-    for alpha in alphas:
-        value = real_trace(_alpha_compressed(pushed, alpha))
+    for alpha, value in zip(alphas, values):
         quantities[f"q_{alpha!r}"] = value
         worst = min(worst, 1.0 - value)
-    return CheckResult("dw-alpha", quantities, worst, tol)
+    quantities.update(extra)
+    ok = all(residual <= TOL_IDENTITY for residual in extra.values())
+    return CheckResult(name, quantities, worst, tol, extra_ok=ok)
 
 
 def check_dw_tripartite(
     rho: DensityMatrix,
     alphas: Sequence[float] = DEFAULT_DW_ALPHAS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Tripartite specialization of the finite-alpha trace bound.
 
     Tr[(rho_AB^(a/2) rho_B^(-a/2) rho_BC^a rho_B^(-a/2) rho_AB^(a/2))^(1/a)] <= 1,
@@ -679,28 +713,21 @@ def check_dw_tripartite(
     m = _tri_mats(rho)
     eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
     dims = rho.dims
-    quantities: dict[str, float] = {}
-    worst = math.inf
+    values = []
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
         g = _compressed_product(eig, dims, alpha)
-        value = real_trace(matrix_power(g, 1.0 / alpha))
-        quantities[f"q_{alpha!r}"] = value
-        worst = min(worst, 1.0 - value)
-    alpha0 = float(alphas[0])
+        values.append(real_trace(matrix_power(g, 1.0 / alpha)))
     channel = ptrace_channel(dims, 0)
     reference = np.kron(m["ab"], np.eye(dims[2]) / dims[2])
-    via_channel = real_trace(_alpha_compressed(_pushed(m["abc"], reference, channel), alpha0))
-    consistency = abs(via_channel - quantities[f"q_{alpha0!r}"])
-    quantities["route_residual"] = consistency
-    return CheckResult(
-        "dw-tripartite",
-        quantities,
-        worst,
-        tol,
-        extra_ok=bool(consistency <= TOL_IDENTITY),
-    )
+    pushed = _pushed(m["abc"], reference, channel)
+    via_channel = real_trace(_alpha_compressed(pushed, float(alphas[0])))
+
+    def result(via, *row):
+        return _q_profile("dw-tripartite", alphas, row, tol, route_residual=abs(via - row[0]))
+
+    return per_row(result, via_channel, *values)
 
 
 def check_sbw_limit(
@@ -709,7 +736,7 @@ def check_sbw_limit(
     channel: KrausChannel,
     alphas: Sequence[float] = DEFAULT_SBW_ALPHAS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Operator convergence of the alpha-compression to the exp-log surrogate.
 
     e_alpha = ||compression_alpha - exp(log sigma + Phi^*(log Phi rho) -
@@ -723,17 +750,15 @@ def check_sbw_limit(
         raise BadAlpha("alphas must be given in strictly descending order")
     pushed = _pushed(rho, sigma, channel)
     surrogate = _unital_surrogate(pushed)
-    errs = []
-    quantities: dict[str, float] = {}
-    for alpha in alphas:
-        t_alpha = _alpha_compressed(pushed, alpha)
-        e = max_sv(t_alpha - surrogate)
-        errs.append(e)
-        quantities[f"e_{alpha!r}"] = e
-    decreasing = all(errs[i + 1] <= errs[i] + tol for i in range(len(errs) - 1))
-    quantities["e_first"] = errs[0]
-    quantities["e_last"] = errs[-1]
-    return CheckResult("sbw-limit", quantities, SBW_FINAL_TOL - errs[-1], 0.0, bool(decreasing))
+
+    def result(*errs):
+        quantities = {f"e_{alpha!r}": e for alpha, e in zip(alphas, errs)}
+        decreasing = all(errs[i + 1] <= errs[i] + tol for i in range(len(errs) - 1))
+        quantities["e_first"] = errs[0]
+        quantities["e_last"] = errs[-1]
+        return CheckResult("sbw-limit", quantities, SBW_FINAL_TOL - errs[-1], 0.0, bool(decreasing))
+
+    return per_row(result, *(max_sv(_alpha_compressed(pushed, a) - surrogate) for a in alphas))
 
 
 # ---------------------------------------------------------------------------
@@ -854,25 +879,19 @@ def check_audenaert_ps(
     return chain("audenaert-powers-stormer", links, tol, quantities, bool(extra_ok))
 
 
-def check_squashed_proxy(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult:
+def check_squashed_proxy(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """Half the CMI dominates an eighth of the squared distance between the
     AC marginal and the AC reduction of the exp-log surrogate."""
     surrogate = ssa_surrogate(rho)
     rho_ac = rho.marginal([0, 2])
     srg_ac = ptrace(surrogate, rho.dims, [0, 2])
-    lhs = 0.5 * cmi(rho)
-    dist = trace_norm(rho_ac - srg_ac)
-    rhs = 0.125 * dist**2
-    return CheckResult(
-        "squashed-proxy",
-        {
-            "half_cmi": lhs,
-            "eighth_dist_sq": rhs,
-            "trace_surrogate_ac": real_trace(srg_ac),
-        },
-        lhs - rhs,
-        tol,
-    )
+
+    def result(lhs, dist, tr_ac):
+        rhs = 0.125 * dist**2
+        quantities = {"half_cmi": lhs, "eighth_dist_sq": rhs, "trace_surrogate_ac": tr_ac}
+        return CheckResult("squashed-proxy", quantities, lhs - rhs, tol)
+
+    return per_row(result, 0.5 * cmi(rho), trace_norm(rho_ac - srg_ac), real_trace(srg_ac))
 
 
 def check_twirl_identity(
@@ -904,16 +923,6 @@ def check_twirl_identity(
 # ---------------------------------------------------------------------------
 
 
-def _explored(name: str, tol: float, slack: Callable[..., float], **quantities):
-    """CheckResult(name, quantities, slack(*quantities), tol) for one trial's quantities, or
-    the list of each row's for the (n,) arrays of a stacked chunk.  The slack is taken from
-    a row's quantities as Python floats, as the trial alone takes it."""
-    if all(np.ndim(v) == 0 for v in quantities.values()):
-        return CheckResult(name, quantities, slack(*quantities.values()), tol)
-    rows = zip(*(np.asarray(v).tolist() for v in quantities.values()))
-    return [CheckResult(name, dict(zip(quantities, row)), slack(*row), tol) for row in rows]
-
-
 def _recovery_slack(value: float, recovery_distance: float) -> float:
     return value - 0.25 * recovery_distance**2
 
@@ -924,21 +933,18 @@ def _smallest_decrease(*traces: float) -> float:
 
 def explore_stronger_mono(
     rho: DensityMatrix, sigma: DensityMatrix, channel: KrausChannel, tol: float = TOL_INEQ
-) -> CheckResult | list[CheckResult]:
+) -> Results:
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
-    img_rho = channel.apply(rho.mat)
-    gap = (
-        relative_entropy(rho, sigma)
-        - relative_entropy(img_rho, channel.apply(sigma.mat))
-    )
-    recovered = PetzMap(channel, sigma).apply(img_rho)
+    img_rho, img_sigma = channel.apply(rho.mat), channel.apply(sigma.mat)
+    gap = relative_entropy(rho, sigma) - relative_entropy(img_rho, img_sigma)
+    recovered = PetzMap(channel, sigma, img_sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
-    return _explored("stronger-mono", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
+    return _result("stronger-mono", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
 
 def explore_ptrace_petz(
     rho_ab: DensityMatrix, sigma_ab: DensityMatrix, tol: float = TOL_INEQ
-) -> CheckResult | list[CheckResult]:
+) -> Results:
     """The same comparison for discarding the second subsystem."""
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
@@ -948,20 +954,21 @@ def explore_ptrace_petz(
     )
     recovered = PetzMap(channel, sigma_ab).apply(rho_ab.marginal([0]))
     dist = trace_norm(rho_ab.mat - recovered)
-    return _explored("ptrace-petz", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
+    return _result("ptrace-petz", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
 
-def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> CheckResult | list[CheckResult]:
+def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
     m = _tri_mats(rho)
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
     dist = trace_norm(m["abc"] - _petz_recovery(m, m, rho.dims, "ab", inv_sqrt_b))
-    return _explored("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
+    return _result("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
 
 
 def explore_trotter_monotone(
     rho: DensityMatrix, tol: float = TOL_INEQ
-) -> CheckResult | list[CheckResult]:
+) -> Results:
     """Smallest decrease t_n - t_2n of the compressed-product traces."""
     traces = _trotter_traces(rho, (1, 2, 4, 8, 16))
-    return _explored("trotter-monotone", tol, _smallest_decrease, **{f"t_{n}": t for n, t in traces})
+    quantities = {f"t_{n}": t for n, t in traces}
+    return _result("trotter-monotone", tol, _smallest_decrease, **quantities)

@@ -3,8 +3,9 @@
 Everything is in nats.  Relative entropies are evaluated on supports:
 S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
 which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf.
-von_neumann and relative_entropy also take (n, d, d) stacks, one trial per
-row, and return an (n,) array whose rows carry the bits of their own 2-D calls.
+Every functional but cmi_relative_entropy_form also takes (n, d, d) stacks,
+one trial per row, and returns an (n,) array (a stacked operator for
+exp_log_combination) whose rows carry the bits of their own 2-D calls.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
     HermitianEigen,
+    each,
     embed,
     herm_eig,
     hermitize,
@@ -92,7 +94,7 @@ def renyi(
     alpha: float,
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Petz-Renyi relative entropy (log Tr rho^alpha sigma^(1-alpha)) / (alpha - 1).
 
     Only the concave window 0 < alpha < 1 is accepted; there the trace
@@ -104,27 +106,25 @@ def renyi(
     r_pow = matrix_power(as_spectrum(rho), alpha)
     s_pow = matrix_power(as_spectrum(sigma), 1.0 - alpha)
     overlap = real_trace(r_pow @ s_pow)
-    if overlap <= 0.0:
-        return math.inf
-    return math.log(overlap) / (alpha - 1.0)
+    return each(lambda o: math.inf if o <= 0.0 else math.log(o) / (alpha - 1.0), overlap)
 
 
 def overlap_lower_bound(
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """The root-overlap bound -2 log Tr sqrt(rho) sqrt(sigma).
 
     This quantity sits between the relative entropy and the squared
     Hilbert-Schmidt distance of the square roots whenever Tr sigma <= 1.
     """
     overlap = real_trace(matrix_sqrt(as_spectrum(rho)) @ matrix_sqrt(as_spectrum(sigma)))
-    if overlap <= 0.0:
+    if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")
-    return -2.0 * math.log(overlap)
+    return each(lambda o: -2.0 * math.log(o), overlap)
 
 
-def cmi(state: DensityMatrix) -> float:
+def cmi(state: DensityMatrix) -> float | np.ndarray:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
     require_tripartite(state)
     s_ab = von_neumann(state.marginal([0, 1]))
@@ -164,7 +164,8 @@ def exp_log_combination(
     term i acts on the subsystems supports[i] and is embedded into the full
     space first (log(X (x) 1) = log X (x) 1, so embedding before or after the
     log agrees; embedding first keeps every term on one common space).
-    Raises SingularTerm when any term is singular at the rank cutoff.
+    Raises SingularTerm when any term (of any row of a stack) is singular at the
+    rank cutoff.
     """
     if not terms:
         raise SingularTerm("need at least one term")
@@ -176,9 +177,10 @@ def exp_log_combination(
             mat = embed(mat, dims, where)
         eig = herm_eig(mat)
         vals = eig.eigenvalues
-        if vals[0] <= RANK_CUTOFF * max(float(vals[-1]), 1e-300):
+        singular = row_indices(vals[..., 0] <= RANK_CUTOFF * np.maximum(vals[..., -1], 1e-300))
+        if singular:
             raise SingularTerm(
-                f"term {i} is singular (min eigenvalue {vals[0]:.3e}); "
+                f"term {i} is singular (min eigenvalue {vals[singular[0]][0]:.3e}); "
                 "exp-log combinations need full-rank terms"
             )
         acc = acc + float(sign) * matrix_log(eig)

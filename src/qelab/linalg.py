@@ -18,6 +18,7 @@ Conventions
   number (a trace, a norm, a Hermiticity verdict) is a Python scalar for one
   matrix and an (n,) array for a stack.  Where the scalar rule branches on a
   matrix's values (a partial support), each row takes its branch on its own.
+  A rule on Python scalars (math.log, min) runs row by row through per_row.
 """
 
 from __future__ import annotations
@@ -43,6 +44,23 @@ Spectral = np.ndarray | HermitianEigen
 def per_matrix(value: np.ndarray):
     """A per-matrix value as a Python scalar for one matrix, as the array for a stack."""
     return value.item() if value.ndim == 0 else value
+
+
+def per_row(fn: Callable, *values):
+    """fn of one matrix's per-matrix numbers, or the list of fn of each row's numbers for the
+    (n,) arrays of a stack, where a scalar is shared by every row.  fn sees Python scalars,
+    so a scalar rule (math.log, min, a branch) gives each row the bits of its own call."""
+    cols = [np.asarray(v).tolist() for v in values]
+    n = next((len(c) for c in cols if isinstance(c, list)), None)
+    if n is None:
+        return fn(*cols)
+    return [fn(*row) for row in zip(*(c if isinstance(c, list) else [c] * n for c in cols))]
+
+
+def each(fn: Callable, *values):
+    """per_row with a stack's rows as an (n,) array."""
+    out = per_row(fn, *values)
+    return np.array(out) if isinstance(out, list) else out
 
 
 def row_indices(flags: np.ndarray) -> list[tuple]:
@@ -281,6 +299,13 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
     total = int(np.prod(dims))
     return tensor.transpose(axes).reshape(lead + (total, total))
+
+
+def hs_norm(x: np.ndarray) -> float | np.ndarray:
+    """Hilbert-Schmidt norm, np.linalg.norm of each matrix."""
+    x = np.asarray(x)
+    norms = [np.linalg.norm(m) for m in x.reshape((-1,) + x.shape[-2:])]
+    return per_matrix(np.reshape(norms, x.shape[:-2]))
 
 
 def trace_norm(x: np.ndarray) -> float | np.ndarray:

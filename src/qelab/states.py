@@ -303,11 +303,25 @@ def as_spectrum(op: SubnormalizedOperator | Decomposed | np.ndarray) -> Hermitia
     return herm_eig(op)
 
 
-def regularize(state: DensityMatrix | np.ndarray, eps: float) -> DensityMatrix:
-    """Full-rank mixture (1 - eps) rho + eps * I/d, on the dims of ``state``."""
+def regularize(
+    state: DensityMatrix | np.ndarray, eps: float, dims: Sequence[int] | None = None
+) -> DensityMatrix:
+    """Full-rank mixture (1 - eps) rho + eps * I/d, on ``dims`` or else the dims of ``state``.
+
+    Mixing keeps a DensityMatrix, which was validated when it was built, Hermitian and its
+    smallest eigenvalue above -TOL_PSD, so only the trace of its mixture is checked again; a
+    raw matrix is validated in full."""
     if not 0.0 < eps < 1.0:
         raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
     mat = as_matrix(state)
     d = mat.shape[0]
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
-    return DensityMatrix(mixed, state.dims if isinstance(state, DensityMatrix) else None)
+    if not isinstance(state, DensityMatrix):
+        return DensityMatrix(mixed, dims)
+    out = DensityMatrix.__new__(DensityMatrix)
+    out._mat = hermitize(mixed)  # the bits validation stores
+    out._mat.setflags(write=False)
+    out._trace = float(np.trace(out._mat).real)
+    if abs(out._trace - 1.0) > TOL_TRACE:
+        raise BadTrace(f"trace {out._trace!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+    return DensityMatrix(out, state.dims if dims is None else dims)

@@ -5,12 +5,27 @@ Each suite couples a sampler (rng, dims, eps) -> instance with a runner
 the suite's checker, so most runners only call checker(**instance, tol=tol);
 replay binds a loaded instance to those arguments first (bind_instance).
 SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
-slack is only reported; one driver, iter_trials, runs both, and hands an
-exploration's trials to its evaluator in stacked chunks of up to EXPLORE_CHUNK
-(run_trial, and so replay, stays the one-trial path).  Instances hold
-only serializable values so any trial can be dumped and replayed.  Trial randomness is keyed as
+slack is only reported.  Instances hold only serializable values so any trial
+can be dumped and replayed.  Trial randomness is keyed as
 default_rng([seed, suite_index, trial]); results are therefore reproducible
 from (seed, config) alone, independent of execution order.
+
+One driver, iter_trials, runs every suite in chunks: each trial is sampled
+alone, and a chunk whose every instance value has a ``stack``
+(DensityMatrix.stack, KrausChannel.stack) is evaluated by one runner call on
+(n, d, d) stacks, which returns each row's result with the bits of that
+trial alone.  Each chunk holds up to CHUNK_TRIALS trials, fewer when the
+largest operator its first trial's sampler built has dimension d > 16, so that
+one stacked operand stays within 128 KiB.  A one-trial chunk, and so run_trial
+and replay, runs on the unstacked 2-D instance; a chunk that raises a
+QelabError runs again one trial at a time.  This stacks 16 of the 23 suites
+and all 4 explorations.  The other 7 run one trial at a time because an
+instance value has no stack: markov-roundtrip holds a MarkovSpec;
+twirl-identity a raw matrix, ints and its own Monte Carlo seed;
+lieb-concavity, carlen-lieb-concavity and golden-thompson raw matrices;
+audenaert-powers-stormer two SubnormalizedOperators; and overlap-chain, in
+about half its trials, a SubnormalizedOperator reference and a float scale
+(a chunk in which no trial drew them stacks).
 """
 
 from __future__ import annotations
@@ -55,12 +70,13 @@ MARKOV_FACTOR_EPS = 3e-3
 TWIRL_SUITE_SAMPLES = 200
 CL_ALPHA_GRID = (1.5, 2.0, 4.0)
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
-# Exploration trials evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
-# product of the dims (no exploration operator is larger), so that one stacked complex
-# operand stays within 128 KiB (_CHUNK_ENTRIES matrix entries): all 32 trials up to
-# d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks gained under 2% on
-# explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS for no throughput.
-EXPLORE_CHUNK = 32
+# Trials evaluated as one (n, d, d) stack.  The chunk shrinks with d, the largest
+# operator dimension among the states and channels its first trial's sampler built, so
+# that one stacked complex operand stays within 128 KiB (_CHUNK_ENTRIES matrix entries):
+# all 32 trials up to d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks
+# gained under 2% on explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS
+# for no throughput.
+CHUNK_TRIALS = 32
 _CHUNK_ENTRIES = 32 * 16 * 16
 
 
@@ -84,7 +100,7 @@ def _appendix_dim(dims: Sequence[int]) -> int:
 
 def _state(rng, dims, eps) -> DensityMatrix:
     """A random state on ``dims``, regularized by ``eps``."""
-    return DensityMatrix(regularize(random_density(_flat(dims), rng), eps), dims)
+    return regularize(random_density(_flat(dims), rng), eps, dims)
 
 
 def _first_two(dims):
@@ -596,11 +612,11 @@ def run_trial(
     tol: float,
     opts: dict | None = None,
 ):
-    """One seeded trial; returns (instance, result).  A QelabError raised in it
-    keeps its class and gains the suite name and trial in its message."""
+    """One seeded trial, the chunk of one; returns (instance, result).  A QelabError
+    raised in it keeps its class and gains the suite name and trial in its message."""
     try:
         instance = suite.sample(trial_rng(seed, suite.name, trial), dims, eps)
-        return instance, suite.run(instance, tol, opts or {})
+        return instance, _evaluate(suite, [instance], tol, opts or {})[0]
     except QelabError as exc:
         raise type(exc)(f"{suite.name} trial {trial}: {exc}") from exc
 
@@ -614,22 +630,40 @@ def _stacked(instances: list[dict]) -> dict:
     }
 
 
+def _chunk_size(instance: dict) -> int:
+    """CHUNK_TRIALS, capped for the largest operator among an instance's states and channels."""
+    d = max(max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
+            for v in instance.values())
+    return max(1, min(CHUNK_TRIALS, _CHUNK_ENTRIES // (d * d)))
+
+
+def _evaluate(suite: Suite, instances: list[dict], tol: float, opts: dict) -> list:
+    """Each instance's result: from one runner call on the stacks of their values when there
+    are several and every value has a ``stack`` (DensityMatrix.stack, KrausChannel.stack),
+    else from one call per instance on its own 2-D values."""
+    if len(instances) > 1 and all(hasattr(v, "stack") for i in instances for v in i.values()):
+        return suite.run(_stacked(instances), tol, opts)
+    return [suite.run(instance, tol, opts) for instance in instances]
+
+
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
-    """The trials of an exploration, each chunk sampled trial by trial and evaluated as one
-    stack.  A chunk in which a QelabError is raised runs again one trial at a time, so the
-    first failing trial raises as it does alone."""
-    d = _flat(dims)
-    size = max(1, min(EXPLORE_CHUNK, _CHUNK_ENTRIES // (d * d)))
-    for start in range(0, trials, size):
-        chunk = range(start, min(start + size, trials))
+    """The trials of a suite, each sampled alone and evaluated by chunks, each chunk sized by
+    its first trial's instance.  A chunk in which a QelabError is raised runs again one trial
+    at a time, so the first failing trial raises as it does alone."""
+    start = 0
+    while start < trials:
+        chunk = range(start, start + 1)
         try:
-            instances = [suite.sample(trial_rng(seed, suite.name, t), dims, eps) for t in chunk]
-            results = suite.run(_stacked(instances), tol, opts or {})
+            first = suite.sample(trial_rng(seed, suite.name, start), dims, eps)
+            chunk = range(start, min(start + _chunk_size(first), trials))
+            rest = [suite.sample(trial_rng(seed, suite.name, t), dims, eps) for t in chunk[1:]]
+            results = _evaluate(suite, [first] + rest, tol, opts)
         except QelabError:
             for trial in chunk:
                 yield (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
         else:
-            yield from zip(chunk, instances, results)
+            yield from zip(chunk, [first] + rest, results)
+        start = chunk.stop
 
 
 def iter_trials(
@@ -641,20 +675,15 @@ def iter_trials(
     tol: float = TOL_INEQ,
     opts: dict | None = None,
 ) -> Iterator[tuple[int, dict, CheckResult]]:
-    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result); an
-    exploration's come from stacked chunks with the bits of run_trial.
+    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result), from chunks
+    with the bits of run_trial.
 
     The trial count and dims are checked at the call, before any trial runs.
     """
     if trials < 1:
         raise BadConfig(f"need at least one trial, got {trials}")
     dims = suite.check_dims(dims)
-    if suite.name in EXPLORATIONS:
-        return _chunked_trials(suite, dims, trials, seed, eps, tol, opts)
-    return (
-        (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
-        for trial in range(trials)
-    )
+    return _chunked_trials(suite, dims, trials, seed, eps, tol, opts or {})
 
 
 def run_suite(

@@ -399,6 +399,24 @@ def test_a_stacked_channel_acts_row_by_row_with_each_rows_bits():
         KrausChannel.stack([channels[0], random_channel(4, 3, rng)])
 
 
+def test_a_stacked_channel_is_unital_when_every_row_is():
+    rng = np.random.default_rng(74)
+    unital = [random_unital_channel(4, 3, rng) for _ in range(2)]
+    assert require_unital(KrausChannel.stack(unital)).is_unital
+    generic = random_channel(4, 3, rng)
+    assert not generic.is_unital
+    with pytest.raises(NotUnital):
+        require_unital(KrausChannel.stack(unital + [generic]))
+
+
+def test_a_petz_map_takes_the_image_its_caller_holds():
+    rng = np.random.default_rng(75)
+    channel, sigma = random_channel(4, 2, rng), random_density(4, rng)
+    x = random_density(4, rng).mat
+    held = PetzMap(channel, sigma, channel.apply(sigma.mat)).apply(x)
+    assert _same_bits(held, PetzMap(channel, sigma).apply(x))
+
+
 def test_a_stacked_petz_map_mixes_only_its_singular_rows():
     rng = np.random.default_rng(73)
     channel = _identity_channel(4)

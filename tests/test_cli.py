@@ -171,8 +171,8 @@ def test_an_error_inside_an_exploration_chunk_is_its_trials_error(
     # (ptrace-petz); the report is the one a one-trial chunk gives: exit 2, one error line
     monkeypatch.setitem(cli.EXPLORATIONS, kind, failing_at(kind, 4, breaks))
     outcomes = []
-    for size in (1, suites.EXPLORE_CHUNK):
-        monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
+    for size in (1, suites.CHUNK_TRIALS):
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
         outcomes.append(_main(["explore", kind, "--trials", "9", "--seed", "3"], capsys))
     assert outcomes[0] == outcomes[1]
     code, out, err = outcomes[0]
@@ -256,7 +256,8 @@ def test_check_failure_dumps_worst_instance_and_replays(tmp_path):
 
 def test_sbw_limit_runs_the_alpha_grid_made_descending(tmp_path, monkeypatch, capsys):
     # dw-alpha takes the grid as written, sbw-limit the same grid sorted, unique and
-    # descending; the dump records the grid once, under "alphas"
+    # descending; the dump records the grid once, under "alphas".  Each checker is called
+    # once, on the stack of both trials.
     grids = {}
     for checker in ("dw_alpha_profile", "check_sbw_limit"):
         real = getattr(checks, checker)
@@ -271,8 +272,7 @@ def test_sbw_limit_runs_the_alpha_grid_made_descending(tmp_path, monkeypatch, ca
             "--trials", "2", "--seed", "3", "--out", str(out)]
     code, _, _ = _main(argv, capsys)
     assert code == cli.EXIT_FAILED
-    assert grids == {"dw_alpha_profile": [[0.5, 0.9, 0.5]] * 2,
-                     "check_sbw_limit": [[0.9, 0.5]] * 2}
+    assert grids == {"dw_alpha_profile": [[0.5, 0.9, 0.5]], "check_sbw_limit": [[0.9, 0.5]]}
     records = json.loads(out.read_text())
     for record in records:
         if record["checker"] == "sbw-limit":

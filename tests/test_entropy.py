@@ -314,3 +314,32 @@ def test_stacked_entropies_give_each_row_its_own_bits():
     leaky = DensityMatrix.stack([sigmas[3], sigmas[3]])
     full = DensityMatrix.stack(rhos[:1] * 2)
     assert np.isinf(relative_entropy(full, leaky)).all()
+
+
+def test_stacked_renyi_overlap_cmi_and_exp_log_give_each_row_its_own_bits():
+    rng = np.random.default_rng(76)
+    rhos = [regularize(random_tripartite((2, 2, 2), rng), 1e-3) for _ in range(3)]
+    sigmas = [regularize(random_tripartite((2, 2, 2), rng), 1e-3) for _ in range(3)]
+    rho, sigma = DensityMatrix.stack(rhos), DensityMatrix.stack(sigmas)
+    surrogates = exp_log_combination(
+        [(1.0, rho.marginal([0, 1])), (-1.0, rho.marginal([1])), (1.0, sigma.marginal([1, 2]))],
+        dims=(2, 2, 2),
+        supports=[(0, 1), (1,), (1, 2)],
+    )
+    for i, (r, s) in enumerate(zip(rhos, sigmas)):
+        assert _same_bits(renyi(0.3, rho, sigma)[i], renyi(0.3, r, s))
+        assert _same_bits(overlap_lower_bound(rho, sigma)[i], overlap_lower_bound(r, s))
+        assert _same_bits(cmi(rho)[i], cmi(r))
+        alone = exp_log_combination(
+            [(1.0, r.marginal([0, 1])), (-1.0, r.marginal([1])), (1.0, s.marginal([1, 2]))],
+            dims=(2, 2, 2),
+            supports=[(0, 1), (1,), (1, 2)],
+        )
+        assert _same_bits(surrogates[i], alone)
+    # one singular row makes the stack raise, with that row's message
+    singular = random_density(4, rng, rank=2).mat
+    with pytest.raises(SingularTerm) as alone:
+        exp_log_combination([(1.0, singular)])
+    with pytest.raises(SingularTerm) as stacked:
+        exp_log_combination([(1.0, np.stack([rhos[0].marginal([0, 1]), singular]))])
+    assert str(stacked.value) == str(alone.value)

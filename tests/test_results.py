@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from qelab.results import CheckResult, as_record, chain, records_to_csv, records_to_json
@@ -59,3 +60,15 @@ def test_chain_record_holds_links_and_extras():
     other = as_record(swapped, (2, 3), 4, 5)
     assert records_to_json([record]) == records_to_json([other])
     assert records_to_csv([record]) == records_to_csv([other])
+
+
+def test_a_stacked_chain_is_each_rows_chain():
+    links = [("a", np.array([3.0, 1.0])), ("b", 2.0), ("c", np.array([0.5, 1.5]))]
+    rows = chain("c", links, 1e-8, {"x": np.array([7.0, 8.0]), "y": 9.0},
+                 extra_ok=np.array([True, False]))
+    assert rows == [
+        chain("c", [("a", 3.0), ("b", 2.0), ("c", 0.5)], 1e-8, {"x": 7.0, "y": 9.0}, True),
+        chain("c", [("a", 1.0), ("b", 2.0), ("c", 1.5)], 1e-8, {"x": 8.0, "y": 9.0}, False),
+    ]
+    assert [type(v) for v in rows[0].quantities.values()] == [float] * 5
+    assert [row.passed for row in rows] == [True, False]

@@ -363,6 +363,21 @@ def test_regularize_keeps_dims():
     rho = random_tripartite((2, 3, 2), np.random.default_rng(3))
     assert regularize(rho, 1e-3).dims == (2, 3, 2)
     assert regularize(rho.mat, 1e-3).dims == (12,)
+    assert regularize(rho, 1e-3, (3, 4)).dims == (3, 4)
+    with pytest.raises(DimMismatch):
+        regularize(rho, 1e-3, (5, 2))
+
+
+@pytest.mark.parametrize("eps", [1e-15, 1e-6, 0.5])
+def test_regularize_checks_only_the_trace_of_a_validated_state(eps, monkeypatch):
+    rho = random_density(6, np.random.default_rng(8))
+    validated = regularize(rho.mat, eps)  # a raw matrix is validated in full
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a))
+    out = regularize(rho, eps)
+    assert calls == []
+    assert out.mat.tobytes() == validated.mat.tobytes() and not out.mat.flags.writeable
+    assert out.trace.hex() == validated.trace.hex()
 
 
 def test_markov_spec_json_roundtrip():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qelab.channels import KrausChannel
-from qelab.errors import BadConfig, DimMismatch, QelabError, SingularSigma
+from qelab.channels import KrausChannel, PetzMap
+from qelab.errors import BadConfig, DimMismatch, MarginalMismatch, QelabError, SingularSigma
+from qelab.linalg import trace_norm
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
 from qelab import checks, suites
@@ -52,6 +53,14 @@ EXPECTED_ORDER = [
     "twirl-identity",
 ]
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
+# The check rows whose instance values all have a stack, so that a chunk of them is evaluated
+# as (n, d, d) stacks; the other seven run one trial at a time.
+STACKED_ROWS = [
+    "renyi-monotone", "monotonicity", "stronger-monotonicity", "unital-trace-bound",
+    "ptrace-strengthening", "ssa", "trace-exp-bound", "bsw-identity", "super-ssa",
+    "three-state-chain", "subadd-exp", "trotter-bound", "dw-alpha", "dw-tripartite",
+    "sbw-limit", "squashed-proxy",
+]
 
 # Each sampler's instance keys: the dump format, and the keyword arguments of
 # the suite's checker.  overlap-chain adds sigma_base and mu on some trials.
@@ -249,12 +258,21 @@ def test_exploration_worst_trial_replays_alone(index, kind):
 
 
 def _bits(result):
-    return [result.name, result.slack.hex()] + [
+    return [result.name, result.slack.hex(), result.tolerance, bool(result.extra_ok)] + [
         (key, value.hex()) for key, value in result.quantities.items()
     ]
 
 
-@pytest.mark.parametrize("kind", EXPLORATION_ORDER)
+def test_the_stacked_rows_are_those_whose_values_all_stack():
+    instances = {name: SUITES[name].sample(trial_rng(0, name, 0), (2, 2, 2), DEFAULT_EPS)
+                 for name in SUITES}
+    stacked = [name for name, inst in instances.items()
+               if all(hasattr(value, "stack") for value in inst.values())]
+    # overlap-chain stacks too in a chunk where no trial drew its scaled reference
+    assert [name for name in stacked if name != "overlap-chain"] == STACKED_ROWS
+
+
+@pytest.mark.parametrize("kind", EXPLORATION_ORDER + STACKED_ROWS + ["overlap-chain"])
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -263,8 +281,8 @@ def _bits(result):
 )
 def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims):
     # 7 trials: a chunk of 3 does not divide them, one of 50 holds them all
-    suite = EXPLORATIONS[kind]
-    with mock.patch.object(suites, "EXPLORE_CHUNK", chunk):
+    suite = EXPLORATIONS.get(kind) or SUITES[kind]
+    with mock.patch.object(suites, "CHUNK_TRIALS", chunk):
         triples = list(iter_trials(suite, dims, 7, seed))
     assert [trial for trial, _, _ in triples] == list(range(7))
     for trial, instance, result in triples:
@@ -290,11 +308,17 @@ def _zero_channel(instance):
     instance["channel"] = zero
 
 
+def _unmatched_middle(instance):
+    """three-state-chain's tau replaced by rho: the chunk stacks, and then neither
+    sigma_B = tau_B nor tau_B = omega_B holds in this row only (MarginalMismatch)."""
+    instance["tau"] = instance["rho"]
+
+
 def failing_at(kind, bad_trial, breaks, raised=None):
-    """The exploration ``kind`` with a sampler that passes trial bad_trial's instance to
-    ``breaks``; each call of its evaluator that raises appends the lead shape of its first
+    """The exploration or suite ``kind`` with a sampler that passes trial bad_trial's instance
+    to ``breaks``; each call of its evaluator that raises appends the lead shape of its first
     state's matrix ((n,) for a stacked chunk of n trials, () for one trial) to raised."""
-    suite = EXPLORATIONS[kind]
+    suite = EXPLORATIONS.get(kind) or SUITES[kind]
 
     def sample(rng, dims, eps):
         instance = suite.sample(rng, dims, eps)
@@ -325,7 +349,7 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
     monkeypatch.setitem(EXPLORATIONS, kind, failing_at(kind, 4, breaks, raised))
     errors = []
     for size in (1, chunk):
-        monkeypatch.setattr(suites, "EXPLORE_CHUNK", size)
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
         with pytest.raises(error) as info:
             explore_conjecture(kind, 9, (2, 2, 2), 3)
         errors.append((type(info.value), str(info.value)))
@@ -334,3 +358,50 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
     # trial 4's chunk of several trials raises in the evaluator when it stacks, and never
     # reaches it when it cannot
     assert ((min(chunk, 9),) in raised) == (breaks is _zero_channel)
+
+
+@pytest.mark.parametrize("chunk", [3, 50])
+def test_an_error_inside_a_check_chunk_raises_as_its_trial_alone(chunk, monkeypatch):
+    raised = []
+    kind = "three-state-chain"
+    monkeypatch.setitem(SUITES, kind, failing_at(kind, 4, _unmatched_middle, raised))
+    errors = []
+    for size in (1, chunk):
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
+        with pytest.raises(MarginalMismatch) as info:
+            run_suite(kind, (2, 2, 2), 9, 3)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"{kind} trial 4: need sigma_B = tau_B or tau_B = omega_B")
+    assert (min(chunk, 9),) in raised and () in raised
+
+
+@pytest.mark.parametrize("name, registry, trials, chunks", [
+    ("ptrace-petz", EXPLORATIONS, 40, [32, 8]),
+    ("stronger-monotonicity", SUITES, 3, [2, 1]),
+])
+def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, trials, chunks):
+    # at dims 4,4,4 ptrace-petz's states act on the first two subsystems (16 x 16), and
+    # stronger-monotonicity's on all three (64 x 64): 128 KiB holds 32 and 2 such operands
+    seen = []
+
+    def run(instance, tol, opts):
+        lead = next(iter(instance.values())).mat.shape[:-2]
+        seen.append(lead[0] if lead else 1)
+        return [None] * lead[0] if lead else None
+
+    suite = dataclasses.replace(registry[name], run=run)
+    assert len(list(iter_trials(suite, (4, 4, 4), trials, 0))) == trials
+    assert seen == chunks
+
+
+def test_stronger_mono_pushes_each_state_through_the_channel_once():
+    apply = KrausChannel.apply
+    with mock.patch.object(KrausChannel, "apply", autospec=True, side_effect=apply) as spy:
+        triples = list(iter_trials(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))
+    assert spy.call_count == 2  # rho and sigma of the one chunk of 7
+    for _, inst, result in triples:
+        # the recovery from a PetzMap that pushes sigma through the channel itself
+        rho, channel = inst["rho"], inst["channel"]
+        recovered = PetzMap(channel, inst["sigma"]).apply(channel.apply(rho.mat))
+        assert trace_norm(rho.mat - recovered).hex() == result.quantities["recovery_distance"].hex()
