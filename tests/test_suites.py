@@ -341,39 +341,26 @@ def failing_at(kind, bad_trial, breaks, raised=None):
 @pytest.mark.parametrize("kind, breaks, error, message", [
     ("ptrace-petz", _flat_reference, DimMismatch, "states live on different dims"),
     ("stronger-mono", _zero_channel, SingularSigma, "channel output of the reference has ~zero"),
+    ("three-state-chain", _unmatched_middle, MarginalMismatch,
+     "need sigma_B = tau_B or tau_B = omega_B"),
 ])
 def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
     kind, breaks, error, message, chunk, monkeypatch
 ):
     raised = []
-    monkeypatch.setitem(EXPLORATIONS, kind, failing_at(kind, 4, breaks, raised))
+    registry = EXPLORATIONS if kind in EXPLORATIONS else SUITES
+    monkeypatch.setitem(registry, kind, failing_at(kind, 4, breaks, raised))
     errors = []
     for size in (1, chunk):
         monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
         with pytest.raises(error) as info:
-            explore_conjecture(kind, 9, (2, 2, 2), 3)
+            list(iter_trials(registry[kind], (2, 2, 2), 9, 3))
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].startswith(f"{kind} trial 4: {message}")
     # trial 4's chunk of several trials raises in the evaluator when it stacks, and never
     # reaches it when it cannot
-    assert ((min(chunk, 9),) in raised) == (breaks is _zero_channel)
-
-
-@pytest.mark.parametrize("chunk", [3, 50])
-def test_an_error_inside_a_check_chunk_raises_as_its_trial_alone(chunk, monkeypatch):
-    raised = []
-    kind = "three-state-chain"
-    monkeypatch.setitem(SUITES, kind, failing_at(kind, 4, _unmatched_middle, raised))
-    errors = []
-    for size in (1, chunk):
-        monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
-        with pytest.raises(MarginalMismatch) as info:
-            run_suite(kind, (2, 2, 2), 9, 3)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert errors[0].startswith(f"{kind} trial 4: need sigma_B = tau_B or tau_B = omega_B")
-    assert (min(chunk, 9),) in raised and () in raised
+    assert ((min(chunk, 9),) in raised) == (breaks is not _flat_reference)
 
 
 @pytest.mark.parametrize("name, registry, trials, chunks", [
@@ -404,4 +391,5 @@ def test_stronger_mono_pushes_each_state_through_the_channel_once():
         # the recovery from a PetzMap that pushes sigma through the channel itself
         rho, channel = inst["rho"], inst["channel"]
         recovered = PetzMap(channel, inst["sigma"]).apply(channel.apply(rho.mat))
-        assert trace_norm(rho.mat - recovered).hex() == result.quantities["recovery_distance"].hex()
+        dist = result.quantities["recovery_distance"]
+        assert trace_norm(rho.mat - recovered).hex() == dist.hex()
