@@ -12,13 +12,17 @@ from (seed, config) alone, independent of execution order.
 
 One driver, iter_trials, runs every suite in chunks: each trial is sampled
 alone, and a chunk whose every instance value has a ``stack``
-(DensityMatrix.stack, KrausChannel.stack) is evaluated by one runner call on
-(n, d, d) stacks, which returns each row's result with the bits of that
-trial alone.  Each chunk holds up to CHUNK_TRIALS trials, fewer when the
-largest operator its first trial's sampler built has dimension d > 16, so that
-one stacked operand stays within 128 KiB.  A one-trial chunk, and so run_trial
-and replay, runs on the unstacked 2-D instance; a chunk that raises a
-QelabError runs again one trial at a time.  This stacks 16 of the 23 suites
+(DensityMatrix.stack, KrausChannel.stack) is evaluated on (n, d, d) stacks,
+which gives each row's result with the bits of that trial alone.  Its runner
+is still called once per trial, on that trial's row of the chunk (a
+_ChunkRow): the first row's call evaluates the whole chunk and the others
+read their result, so a suite's run calls count its trials, and the time of
+the run calls of a chunk is the time of its evaluation.  Each chunk holds up
+to CHUNK_TRIALS trials, fewer when the largest operator its first trial's
+sampler built has dimension d > 16, so that one stacked operand stays within
+128 KiB.  A one-trial chunk, and so run_trial and replay, runs on the
+unstacked 2-D instance; a chunk that raises a QelabError runs again one trial
+at a time.  This stacks 16 of the 23 suites
 and all 4 explorations.  The other 7 run one trial at a time because an
 instance value has no stack: markov-roundtrip holds a MarkovSpec;
 twirl-identity a raw matrix, ints and its own Monte Carlo seed;
@@ -245,16 +249,32 @@ def _sample_twirl(rng, dims, eps):
 # ---------------------------------------------------------------------------
 
 
+class _ChunkRow(dict):
+    """One trial of a stacked chunk: the chunk's stacked instance, the trial's row in it, and
+    the results list its rows share, filled by the first row run."""
+
+    def __init__(self, stacked: dict, row: int, results: list):
+        super().__init__(stacked)
+        self.row = row
+        self.results = results
+
+
 def _calls(checker: str | Callable, *options: str) -> Callable:
     """The runner (inst, tol, opts) -> checker(**inst, <options set in opts>, tol=tol).
 
     A str names a function of checks, looked up at every call so that a rebound
     checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The
     runners below add something to their checker and take its keyword arguments.
-    run.calls keeps (checker, options) for bind_instance.
+    run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the
+    runner returns that trial's result, and evaluates the whole chunk on its stacks
+    at the first row run.
     """
 
     def run(inst, tol, opts):
+        if isinstance(inst, _ChunkRow):
+            if not inst.results:
+                inst.results.extend(run(dict(inst), tol, opts))
+            return inst.results[inst.row]
         fn = getattr(checks, checker) if isinstance(checker, str) else checker
         return fn(**inst, **{key: opts[key] for key in options if key in opts}, tol=tol)
 
@@ -638,11 +658,13 @@ def _chunk_size(instance: dict) -> int:
 
 
 def _evaluate(suite: Suite, instances: list[dict], tol: float, opts: dict) -> list:
-    """Each instance's result: from one runner call on the stacks of their values when there
-    are several and every value has a ``stack`` (DensityMatrix.stack, KrausChannel.stack),
-    else from one call per instance on its own 2-D values."""
+    """Each instance's result, from one runner call per instance: on the instance's row of
+    the stacks of their values (a _ChunkRow) when there are several and every value has a
+    ``stack`` (DensityMatrix.stack, KrausChannel.stack), else on its own 2-D values."""
     if len(instances) > 1 and all(hasattr(v, "stack") for i in instances for v in i.values()):
-        return suite.run(_stacked(instances), tol, opts)
+        stacked, results = _stacked(instances), []
+        return [suite.run(_ChunkRow(stacked, row, results), tol, opts)
+                for row in range(len(instances))]
     return [suite.run(instance, tol, opts) for instance in instances]
 
 

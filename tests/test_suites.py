@@ -369,17 +369,35 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
 ])
 def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, trials, chunks):
     # at dims 4,4,4 ptrace-petz's states act on the first two subsystems (16 x 16), and
-    # stronger-monotonicity's on all three (64 x 64): 128 KiB holds 32 and 2 such operands
+    # stronger-monotonicity's on all three (64 x 64): 128 KiB holds 32 and 2 such operands.
+    # The runner is called once per trial, on its row of its chunk's stacks.
     seen = []
 
     def run(instance, tol, opts):
         lead = next(iter(instance.values())).mat.shape[:-2]
         seen.append(lead[0] if lead else 1)
-        return [None] * lead[0] if lead else None
 
     suite = dataclasses.replace(registry[name], run=run)
     assert len(list(iter_trials(suite, (4, 4, 4), trials, 0))) == trials
-    assert seen == chunks
+    assert seen == [size for size in chunks for _ in range(size)]
+
+
+def test_a_stacked_chunk_runs_once_per_trial_and_evaluates_once():
+    # ssa's 5 trials at 2,2,2 are one stacked chunk: its runner is called per trial, so a
+    # suite's run calls count its trials, and its checker once, on the stacks
+    runs = []
+    suite = SUITES["ssa"]
+
+    def run(instance, tol, opts):
+        runs.append(instance)
+        return suite.run(instance, tol, opts)
+
+    checker = checks.check_ssa_strengthened
+    with mock.patch.object(checks, "check_ssa_strengthened", side_effect=checker) as spy:
+        triples = list(iter_trials(dataclasses.replace(suite, run=run), (2, 2, 2), 5, 3))
+    assert len(runs) == 5
+    assert spy.call_count == 1
+    assert [trial for trial, _, _ in triples] == list(range(5))
 
 
 def test_stronger_mono_pushes_each_state_through_the_channel_once():
