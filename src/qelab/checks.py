@@ -15,20 +15,10 @@ exp(log rho_AB - log rho_B + log rho_BC); the common descending chain
 
 is shared by several checkers, together with the trace bound Tr S <= 1.
 
-Each checker is written once.  suites.iter_trials stacks a chunk of up to 32
-trials when every instance value has a stack (DensityMatrix.stack,
-KrausChannel.stack), fewer when one stacked operand would pass 128 KiB; the
-checker then returns each row's CheckResult with the bits of that trial
-alone: matrix work runs on the (n, d, d) stacks, and each row's scalar rule
-(a log, a min, a branch) on its Python floats (linalg.per_row, _result,
-results.chain).  A precondition that fails in any row raises for the chunk,
-which then runs one trial at a time; a one-trial chunk, as suites.run_trial
-and replay run, calls the checker on the 2-D instance.  Seven suites hold a
-value without a stack and run one trial at a time: markov-roundtrip (a
-MarkovSpec), twirl-identity (a raw matrix and a seed), lieb-concavity,
-carlen-lieb-concavity and golden-thompson (raw matrices),
-audenaert-powers-stormer (SubnormalizedOperators) and overlap-chain (a scaled
-SubnormalizedOperator reference in about half its trials).
+Each checker is written once: given a chunk of trials that suites.iter_trials
+stacks, it returns each row's CheckResult with the bits of that trial alone
+(matrix work on the (n, d, d) stacks, each row's scalar rule through
+linalg.per_row, _result or results.chain).
 """
 
 from __future__ import annotations
@@ -83,6 +73,7 @@ DEFAULT_T_SAMPLES = (0.3, 0.7, 1.1, 1.9)
 DEFAULT_TROTTER_NS = (1, 2, 4, 8, 16, 32, 64)
 DEFAULT_DW_ALPHAS = (0.9, 0.5, 0.1) + tuple(2.0**-k for k in range(2, 11))
 DEFAULT_SBW_ALPHAS = tuple(2.0**-k for k in range(1, 13))
+DEFAULT_CL_ALPHAS = (1.5, 2.0, 4.0)
 SBW_FINAL_TOL = 1e-4  # the largest operator error check_sbw_limit accepts at the last alpha
 Results = CheckResult | list[CheckResult]  # one trial's result, or each row's of a stacked chunk
 
@@ -588,9 +579,7 @@ def markov_characterizations(
 
 
 def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
-    """g^n for PSD g: repeated squaring for powers of two, spectral otherwise."""
-    if n < 1:
-        raise BadAlpha(f"power must be a positive integer, got {n}")
+    """g^n for PSD g and n >= 1: repeated squaring for powers of two, spectral otherwise."""
     if n & (n - 1) == 0:
         out = g
         while n > 1:
@@ -658,20 +647,6 @@ def _alpha_compressed(pushed: tuple, alpha: float) -> np.ndarray:
     return matrix_power(inner, 1.0 / alpha)
 
 
-def check_dw_alpha(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    channel: KrausChannel,
-    alpha: float,
-    tol: float = TOL_INEQ,
-) -> CheckResult:
-    """Finite-alpha compressed trace bound: Tr of the alpha-compression <= 1."""
-    value = real_trace(_alpha_compressed(_pushed(rho, sigma, channel), alpha))
-    return CheckResult(
-        "dw-alpha", {"alpha": float(alpha), "q_alpha": value}, 1.0 - value, tol
-    )
-
-
 def dw_alpha_profile(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -679,7 +654,8 @@ def dw_alpha_profile(
     alphas: Sequence[float] = DEFAULT_DW_ALPHAS,
     tol: float = TOL_INEQ,
 ) -> Results:
-    """check_dw_alpha over a whole alpha grid, merged into one result per trial."""
+    """Finite-alpha compressed trace bound: Q_alpha, the trace of the alpha-compression, is at
+    most 1 at each alpha of a grid; one result per trial."""
     pushed = _pushed(rho, sigma, channel)
     values = [real_trace(_alpha_compressed(pushed, alpha)) for alpha in alphas]
     return per_row(lambda *row: _q_profile("dw-alpha", alphas, row, tol), *values)
@@ -766,15 +742,14 @@ def check_sbw_limit(
 # ---------------------------------------------------------------------------
 
 
-def _concavity_gap(name: str, f, x1, x2, lam: float, tol: float, extra: dict) -> CheckResult:
-    """f(lam x1 + (1 - lam) x2) against lam f(x1) + (1 - lam) f(x2), for operators or
-    matrices x1, x2; f sees an operator's cached spectrum."""
+def _concavity_gaps(fs, x1, x2, lam: float) -> list[tuple[float, float]]:
+    """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for each f of fs, for operators
+    or matrices x1, x2; the mixture is decomposed once for every f, and f sees an operator's
+    cached spectrum."""
     if not 0.0 <= lam <= 1.0:
         raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
-    f_mix = f(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
-    f_avg = lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
-    quantities = {"f_mix": f_mix, "f_avg": f_avg, "lam": lam, **extra}
-    return CheckResult(name, quantities, f_mix - f_avg, tol)
+    mix = herm_eig(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
+    return [(f(mix), lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))) for f in fs]
 
 
 def check_lieb_concavity(
@@ -790,7 +765,9 @@ def check_lieb_concavity(
     def f(x) -> float:
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
-    return _concavity_gap("lieb-concavity", f, x1, x2, lam, tol, {})
+    [(f_mix, f_avg)] = _concavity_gaps([f], x1, x2, lam)
+    quantities = {"f_mix": f_mix, "f_avg": f_avg, "lam": lam}
+    return CheckResult("lieb-concavity", quantities, f_mix - f_avg, tol)
 
 
 def check_cl_concavity(
@@ -798,19 +775,26 @@ def check_cl_concavity(
     x1: SubnormalizedOperator | np.ndarray,
     x2: SubnormalizedOperator | np.ndarray,
     lam: float,
-    alpha: float,
+    alphas: Sequence[float] = DEFAULT_CL_ALPHAS,
     tol: float = TOL_INEQ,
 ) -> CheckResult:
-    """Concavity of X -> Tr (M X^(1/alpha) M^dag)^alpha for alpha >= 1."""
-    if alpha < 1.0:
-        raise BadAlpha(f"alpha must be >= 1, got {alpha}")
+    """Concavity of X -> Tr (M X^(1/alpha) M^dag)^alpha at each alpha >= 1 of a grid: one
+    slack_<alpha> per alpha, and their minimum as the slack."""
+    alphas = [float(a) for a in alphas]
+    if not alphas or min(alphas) < 1.0:
+        raise BadAlpha(f"alphas must be >= 1, got {alphas}")
     m = np.asarray(m, dtype=complex)
 
-    def f(x) -> float:
-        core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
-        return real_trace(matrix_power(core, alpha))
+    def trace_at(alpha: float) -> Callable[..., float]:
+        def f(x) -> float:
+            core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
+            return real_trace(matrix_power(core, alpha))
 
-    return _concavity_gap("carlen-lieb-concavity", f, x1, x2, lam, tol, {"alpha": alpha})
+        return f
+
+    gaps = _concavity_gaps([trace_at(a) for a in alphas], x1, x2, lam)
+    quantities = {f"slack_{a!r}": f_mix - f_avg for a, (f_mix, f_avg) in zip(alphas, gaps)}
+    return CheckResult("carlen-lieb-concavity", quantities, min(quantities.values()), tol)
 
 
 def check_golden_thompson(
@@ -899,12 +883,11 @@ def check_twirl_identity(
     dims: Sequence[int],
     rng: np.random.Generator,
     samples: int = 10_000,
-    over: int = 1,
 ) -> CheckResult:
     """Monte Carlo twirl agrees with the closed form within 5 ||X||_inf / sqrt(n)."""
     x = np.asarray(x, dtype=complex)
-    exact = twirl_exact(x, dims, over=over)
-    estimate = twirl_mc(x, dims, rng, samples, over=over)
+    exact = twirl_exact(x, dims)
+    estimate = twirl_mc(x, dims, rng, samples)
     err = max_sv(estimate - exact)
     bound = 5.0 * max_sv(x) / math.sqrt(samples)
     return CheckResult(

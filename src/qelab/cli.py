@@ -126,12 +126,14 @@ def _trotter_n_values(nmax: int) -> tuple[int, ...]:
 
 
 def _suite_opts(args) -> dict:
+    """The suite options that check's --alpha, --t-samples and --nmax set; a flag given
+    empty is a config error, not the default grid."""
     opts: dict = {}
-    if getattr(args, "alpha", None):
+    if args.alpha is not None:
         opts["alphas"] = _parse_floats(args.alpha, "--alpha")
-    if getattr(args, "t_samples", None):
+    if args.t_samples is not None:
         opts["t_samples"] = _parse_floats(args.t_samples, "--t-samples")
-    if getattr(args, "nmax", None) is not None:
+    if args.nmax is not None:
         opts["n_values"] = _trotter_n_values(args.nmax)
     return opts
 
@@ -204,7 +206,7 @@ def cmd_markov(args) -> int:
     state = markov_state(spec)
     t_samples = (
         _parse_floats(args.t_samples, "--t-samples")
-        if args.t_samples
+        if args.t_samples is not None
         else checks.DEFAULT_T_SAMPLES
     )
     result = checks.markov_characterizations(state, t_samples=t_samples)
@@ -273,11 +275,13 @@ def cmd_replay(args) -> int:
         raise BadConfig(f"dump tolerance must be a finite number >= 0, got {tol!r}")
     for key, values in opts.items():
         _finite_values(values, f"dump option {key}")
-    kind = payload.get("explore_kind", payload.get("kind"))
-    # an exploration report or dump names a kind and no checker
-    exploring = kind is not None and "checker" not in payload
-    registry, name = (EXPLORATIONS, kind) if exploring else (SUITES, payload.get("checker"))
-    blob = payload.get("instance", payload.get("worst_instance"))
+    # a check dump names its checker and instance, an exploration report its kind and
+    # worst_instance
+    exploring = "checker" not in payload
+    registry, name, blob = (
+        (EXPLORATIONS, payload.get("kind"), payload.get("worst_instance")) if exploring
+        else (SUITES, payload.get("checker"), payload.get("instance"))
+    )
     if name not in registry:
         raise BadConfig(f"dump names unknown checker or exploration kind {name!r}")
     if blob is None:

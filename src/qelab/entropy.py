@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
-    HermitianEigen,
     each,
     embed,
     herm_eig,
@@ -75,19 +74,9 @@ def relative_entropy(
     s_eig = as_spectrum(sigma)
     off = np.eye(s.shape[-1]) - support_projector(s_eig)
     inside = np.asarray(max_sv(off @ r @ off)) < SUPPORT_LEAK_TOL
-    value = np.full(inside.shape, math.inf)
-    if inside.any():  # the logarithms of the rows whose support does not leak
-        r_eig = as_spectrum(rho)
-        if not inside.all():
-            r, r_eig, s_eig = r[inside], _rows(r_eig, inside), _rows(s_eig, inside)
-        log_r = matrix_log(r_eig, support_only=True)
-        log_s = matrix_log(s_eig, support_only=True)
-        value[inside] = real_trace(r @ (log_r - log_s))
-    return per_matrix(value)
-
-
-def _rows(eig: HermitianEigen, flags: np.ndarray) -> HermitianEigen:
-    return HermitianEigen(*(part[flags] for part in eig))
+    log_r = matrix_log(as_spectrum(rho), support_only=True)
+    log_s = matrix_log(s_eig, support_only=True)
+    return per_matrix(np.where(inside, real_trace(r @ (log_r - log_s)), math.inf))
 
 
 def renyi(

@@ -210,15 +210,8 @@ def markov_state(spec: MarkovSpec) -> DensityMatrix:
         spec.weights, spec.ab_factors, spec.bc_factors, spec.block_dims
     ):
         block = kron(ab.mat, bc.mat)  # index order (A, bL, bR, C), A slowest
-        idx = np.empty(d_a * dl * dr * d_c, dtype=np.intp)
-        pos = 0
-        for a in range(d_a):
-            for l in range(dl):
-                for r in range(dr):
-                    b = offset + l * dr + r
-                    base = (a * d_b + b) * d_c
-                    idx[pos : pos + d_c] = np.arange(base, base + d_c)
-                    pos += d_c
+        # for each a, the block's (bL, bR, C) indices are one contiguous run of the full index
+        idx = ((np.arange(d_a)[:, None] * d_b + offset) * d_c + np.arange(dl * dr * d_c)).ravel()
         out[np.ix_(idx, idx)] += p * block
         offset += dl * dr
     return DensityMatrix(out, (d_a, d_b, d_c))

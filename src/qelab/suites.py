@@ -72,7 +72,6 @@ MARKOV_FACTOR_EPS = 3e-3
 # Modest sample count for the suite sweep; the direct checker call is the
 # place for the full n = 10^4 study.
 TWIRL_SUITE_SAMPLES = 200
-CL_ALPHA_GRID = (1.5, 2.0, 4.0)
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
 # Trials evaluated as one (n, d, d) stack.  The chunk shrinks with d, the largest
 # operator dimension among the states and channels its first trial's sampler built, so
@@ -334,22 +333,6 @@ def _run_sbw(
     return checks.check_sbw_limit(rho, sigma, channel, sorted(set(alphas), reverse=True), tol)
 
 
-def _run_cl(
-    m: np.ndarray,
-    x1: SubnormalizedOperator | np.ndarray,
-    x2: SubnormalizedOperator | np.ndarray,
-    lam: float,
-    tol: float,
-) -> CheckResult:
-    quantities = {}
-    worst = math.inf
-    for alpha in CL_ALPHA_GRID:
-        single = checks.check_cl_concavity(m, x1, x2, lam, alpha, tol)
-        quantities[f"slack_{alpha!r}"] = single.slack
-        worst = min(worst, single.slack)
-    return CheckResult("carlen-lieb-concavity", quantities, worst, tol)
-
-
 def _run_twirl(
     x: np.ndarray, d_a: int, d_b: int, mc_seed: int, samples: int, tol: float
 ) -> CheckResult:
@@ -511,7 +494,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "carlen-lieb-concavity",
             _sample_cl,
-            _calls(_run_cl),
+            _calls("check_cl_concavity"),
             "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
         ),
         Suite(

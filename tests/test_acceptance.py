@@ -238,10 +238,7 @@ def test_criterion_09_appendix_inequalities():
         x2 = regularize(random_density(d, rng), 1e-6).mat
         worst = min(worst, check_lieb_concavity(a, x1, x2, 0.5).slack)
         mgen = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        for alpha in (1.5, 2.0, 4.0):
-            worst = min(
-                worst, check_cl_concavity(mgen, x1, x2, 0.5, alpha).slack
-            )
+        worst = min(worst, check_cl_concavity(mgen, x1, x2, 0.5).slack)
     elapsed = time.perf_counter() - start
     _report(9, "appendix-inequalities", worst >= -SLACK_TOL,
             f"min_slack={worst:.3e}", elapsed, 60.0)

@@ -7,11 +7,15 @@ reproduce them.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from qelab import checks, linalg, states
 from qelab.channels import KrausChannel, ptrace_channel, random_unital_channel
 from qelab.checks import (
+    DEFAULT_CL_ALPHAS,
     DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,
     DEFAULT_TROTTER_NS,
@@ -19,7 +23,6 @@ from qelab.checks import (
     check_audenaert_ps,
     check_bsw_identity,
     check_cl_concavity,
-    check_dw_alpha,
     check_dw_tripartite,
     check_golden_thompson,
     check_lieb_concavity,
@@ -57,6 +60,8 @@ from qelab.linalg import (
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
+    as_matrix,
+    as_spectrum,
     markov_state,
     random_density,
     random_tripartite,
@@ -488,8 +493,8 @@ def test_dw_alpha_self_pair_trace_one():
     rng = RNG(33)
     rho = regularize(random_density(3, rng), 1e-6)
     channel = random_unital_channel(3, 2, rng)
-    result = check_dw_alpha(rho, rho, channel, 0.5)
-    assert result.quantities["q_alpha"] == pytest.approx(1.0, abs=1e-9)
+    result = dw_alpha_profile(rho, rho, channel, alphas=(0.5,))
+    assert result.quantities["q_0.5"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_dw_alpha_diagonal_oracle():
@@ -501,8 +506,8 @@ def test_dw_alpha_diagonal_oracle():
     )
     rho = DensityMatrix(np.diag([0.65, 0.35]))
     sigma = DensityMatrix(np.diag([0.25, 0.75]))
-    result = check_dw_alpha(rho, sigma, channel, 0.4)
-    assert result.quantities["q_alpha"] == pytest.approx(
+    result = dw_alpha_profile(rho, sigma, channel, alphas=(0.4,))
+    assert result.quantities["q_0.4"] == pytest.approx(
         0.9731742438190949, abs=1e-12
     )
     assert result.passed
@@ -514,9 +519,9 @@ def test_dw_alpha_random_grid():
         rho = regularize(random_density(4, rng), 1e-6)
         sigma = regularize(random_density(4, rng), 1e-6)
         channel = random_unital_channel(4, 3, rng)
-        result = check_dw_alpha(rho, sigma, channel, alpha)
+        result = dw_alpha_profile(rho, sigma, channel, alphas=(alpha,))
         assert result.passed
-        assert result.quantities["q_alpha"] <= 1.0 + 1e-8
+        assert result.quantities[f"q_{alpha!r}"] <= 1.0 + 1e-8
 
 
 def test_dw_alpha_rejects_bad_alpha():
@@ -524,7 +529,7 @@ def test_dw_alpha_rejects_bad_alpha():
     channel = KrausChannel([np.eye(2)])
     for alpha in (0.0, 1.0, -0.5):
         with pytest.raises(BadAlpha):
-            check_dw_alpha(rho, sigma, channel, alpha)
+            dw_alpha_profile(rho, sigma, channel, alphas=(alpha,))
 
 
 def test_dw_profile_and_tripartite_route():
@@ -570,9 +575,12 @@ def test_alpha_grids_equal_single_alpha_calls(seed):
     values = []
     for alpha in DEFAULT_DW_ALPHAS:
         # fresh objects, so no spectrum cached by the profile is reused
-        single = check_dw_alpha(DensityMatrix(rho.mat), DensityMatrix(sigma.mat), channel, alpha)
+        single = dw_alpha_profile(
+            DensityMatrix(rho.mat), DensityMatrix(sigma.mat), channel, alphas=(alpha,)
+        )
         old = real_trace(_old_alpha_compressed(rho.mat, sigma.mat, channel, alpha))
-        assert profile.quantities[f"q_{alpha!r}"] == single.quantities["q_alpha"] == old
+        key = f"q_{alpha!r}"
+        assert profile.quantities[key] == single.quantities[key] == old
         values.append(old)
     assert profile.slack == min(1.0 - v for v in values)
     sbw = check_sbw_limit(rho, sigma, channel, DEFAULT_SBW_ALPHAS)
@@ -656,21 +664,63 @@ def test_cl_concavity_trivial_rows():
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     x = regularize(random_density(3, rng), 1e-6).mat
     y = regularize(random_density(3, rng), 1e-6).mat
-    linear = check_cl_concavity(m, x, y, 0.4, alpha=1.0)
+    linear = check_cl_concavity(m, x, y, 0.4, alphas=(1.0,))
     assert abs(linear.slack) < 1e-10
-    same = check_cl_concavity(m, x, x, 0.4, alpha=2.0)
+    same = check_cl_concavity(m, x, x, 0.4, alphas=(2.0,))
     assert abs(same.slack) < 1e-10
     with pytest.raises(BadAlpha):
-        check_cl_concavity(m, x, y, 0.4, alpha=0.5)
+        check_cl_concavity(m, x, y, 0.4, alphas=(0.5,))
 
 
 def test_cl_concavity_random_grid():
     rng = RNG(44)
-    for alpha in (1.5, 2.0, 4.0):
+    for _ in range(3):
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         x = regularize(random_density(4, rng), 1e-6).mat
         y = regularize(random_density(4, rng), 1e-6).mat
-        assert check_cl_concavity(m, x, y, 0.5, alpha=alpha).slack >= -1e-8
+        assert check_cl_concavity(m, x, y, 0.5).slack >= -1e-8
+
+
+def _old_cl_slacks(m, x1, x2, lam):
+    """slack_<alpha> by the per-alpha loop the grid checker replaced, which built and
+    decomposed the mixture once per alpha."""
+    m = np.asarray(m, dtype=complex)
+    slacks = {}
+    for alpha in DEFAULT_CL_ALPHAS:
+
+        def f(x):
+            core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
+            return real_trace(matrix_power(core, alpha))
+
+        f_mix = f(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
+        f_avg = lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
+        slacks[f"slack_{alpha!r}"] = f_mix - f_avg
+    return slacks
+
+
+@pytest.mark.parametrize("seed", [90, 91, 92])
+@pytest.mark.parametrize("wrap", [np.asarray, DensityMatrix], ids=["raw", "density"])
+def test_cl_grid_equals_the_per_alpha_loop_and_decomposes_the_mixture_once(seed, wrap):
+    rng = RNG(seed)
+    d = 2 + seed % 3
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    x1 = wrap(regularize(random_density(d, rng), 1e-6).mat)
+    x2 = wrap(regularize(random_density(d, rng), 1e-6).mat)
+    lam = float(rng.uniform(0.05, 0.95))
+    old = _old_cl_slacks(m, x1, x2, lam)
+    spy = mock.Mock(wraps=linalg.herm_eig)
+    with mock.patch.object(checks, "herm_eig", spy), mock.patch.object(
+        linalg, "herm_eig", spy
+    ), mock.patch.object(states, "herm_eig", spy):
+        result = check_cl_concavity(m, x1, x2, lam)
+    assert result.name == "carlen-lieb-concavity"
+    assert {k: v.hex() for k, v in result.quantities.items()} == {
+        k: v.hex() for k, v in old.items()
+    }
+    assert result.slack.hex() == min(old.values()).hex()
+    mixture = lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2)
+    decomposed = [call.args[0] for call in spy.call_args_list]
+    assert sum(np.array_equal(h, mixture) for h in decomposed) == 1
 
 
 def test_golden_thompson_trivial_rows():
@@ -851,7 +901,7 @@ NON_HERMITIAN_CASES = {
     "golden-thompson-b": lambda: check_golden_thompson(_H, _skewed(_H)),
     "lieb-h": lambda: check_lieb_concavity(_skewed(_H), _X1, _X2, 0.5),
     "lieb-x1": lambda: check_lieb_concavity(_H, _skewed(_X1), _X2, 0.5),
-    "carlen-lieb-x1": lambda: check_cl_concavity(_M, _skewed(_X1), _X2, 0.5, 2.0),
+    "carlen-lieb-x1": lambda: check_cl_concavity(_M, _skewed(_X1), _X2, 0.5, (2.0,)),
     "matrix-log": lambda: matrix_log(_skewed(_X1)),
     "relative-entropy-rho": lambda: relative_entropy(_skewed(_X1), _X2),
     "relative-entropy-sigma": lambda: relative_entropy(_X1, _skewed(_X2)),

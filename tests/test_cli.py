@@ -136,6 +136,20 @@ def test_non_finite_t_samples_is_a_config_error(bad, tmp_path):
         assert "--t-samples values must be finite" in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["check", "--suite", "dw-alpha", "--trials", "1", "--alpha="],
+    ["check", "--suite", "markov-roundtrip", "--trials", "1", "--t-samples="],
+    ["markov", "SPEC", "--t-samples="],
+])
+def test_an_empty_grid_flag_is_a_config_error(command, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    _write_markov_spec(spec)
+    command = [str(spec) if arg == "SPEC" else arg for arg in command]
+    code, out, err = _main(command, capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, ""), err
+    assert err.startswith("config error: cannot parse --") and len(err.splitlines()) == 1, err
+
+
 def test_trotter_state_file_with_nan_is_a_config_error(tmp_path):
     state = random_tripartite((2, 2, 2), np.random.default_rng(5))
     blob = serialize_value(state)
@@ -435,8 +449,14 @@ def test_explore_is_deterministic():
     assert a.returncode == b.returncode == 0
 
 
-# Each case replaces fields of a well-formed markov-roundtrip dump, or is the
-# whole file text.
+def _exploration_blob(kind):
+    instance, _ = run_trial(cli.EXPLORATIONS[kind], (2, 2, 2), 0, 0, 1e-6, 1e-8)
+    return serialize_instance(instance)
+
+
+# Each case replaces fields of a well-formed markov-roundtrip dump, rewrites the
+# dump, or is the whole file text.  Replay reads a check dump (checker, instance)
+# or an exploration report (kind, worst_instance), and no other keys for them.
 MALFORMED_DUMPS = {
     "truncated-json": "[1, 2",
     "not-an-object": "[1, 2]",
@@ -456,19 +476,25 @@ MALFORMED_DUMPS = {
     "trial-null": {"trial": None},
     "trial-negative": {"trial": -1},
     "trial-float": {"trial": 1.0},
+    "report-keyed-explore-kind": lambda dump: {
+        "explore_kind": "cmi-petz", "worst_instance": _exploration_blob("cmi-petz"),
+    },
+    "check-dump-with-only-worst-instance": lambda dump: {
+        **{k: v for k, v in dump.items() if k != "instance"}, "worst_instance": dump["instance"],
+    },
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_DUMPS))
 def test_replay_rejects_malformed_dump(case, tmp_path):
     bad = MALFORMED_DUMPS[case]
-    if isinstance(bad, dict):
+    if not isinstance(bad, str):
         instance, _ = run_trial(SUITES["markov-roundtrip"], (2, 2, 2), 0, 0, 1e-6, 1e-8)
         dump = {
             "checker": "markov-roundtrip", "dims": [2, 2, 2], "seed": 0, "trial": 0,
             "tolerance": 0.0, "opts": {}, "instance": serialize_instance(instance),
         }
-        bad = json.dumps({**dump, **bad})
+        bad = json.dumps(bad(dump) if callable(bad) else {**dump, **bad})
     path = tmp_path / "dump.json"
     path.write_text(bad)
     proc = run_cli("replay", str(path))
@@ -524,7 +550,8 @@ BAD_INSTANCE_KEYS = {
     "exploration-missing": ("cmi-petz", _drop("rho"), "rho"),
     "channel-is-a-scalar": ("sbw-limit", _retype("channel"), "channel"),
     "state-is-a-channel": ("sbw-limit", _retype("rho", "channel"), "rho"),
-    "runner-state-is-a-scalar": ("carlen-lieb-concavity", _retype("x1"), "x1"),
+    "runner-state-is-a-scalar": ("bsw-identity", _retype("rho"), "rho"),
+    "checker-operand-is-a-scalar": ("carlen-lieb-concavity", _retype("x1"), "x1"),
     "exploration-state-is-a-scalar": ("stronger-mono", _retype("sigma"), "sigma"),
 }
 

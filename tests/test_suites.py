@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import re
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -52,6 +55,7 @@ EXPECTED_ORDER = [
     "squashed-proxy",
     "twirl-identity",
 ]
+README = Path(__file__).resolve().parents[1] / "README.md"
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
 # The check rows whose instance values all have a stack, so that a chunk of them is evaluated
 # as (n, d, d) stacks; the other seven run one trial at a time.
@@ -270,6 +274,22 @@ def test_the_stacked_rows_are_those_whose_values_all_stack():
                if all(hasattr(value, "stack") for value in inst.values())]
     # overlap-chain stacks too in a chunk where no trial drew its scaled reference
     assert [name for name in stacked if name != "overlap-chain"] == STACKED_ROWS
+
+
+def test_readme_names_the_rows_that_run_one_trial_at_a_time():
+    # the table under README's "Trials are evaluated in chunks", one row per value type
+    section = README.read_text(encoding="utf-8").split("### Trials are evaluated in chunks")[1]
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+    table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    listed = [name for line in table for name in re.findall(r"`([a-z-]+)`", line.split("|")[1])]
+    unstacked = [
+        name for name, suite in SUITES.items()
+        if any(not all(hasattr(value, "stack") for value in instance.values())
+               for instance in (suite.sample(trial_rng(0, name, t), (2, 2, 2), DEFAULT_EPS)
+                                for t in range(8)))
+    ]
+    assert sorted(listed) == sorted(unstacked)
 
 
 @pytest.mark.parametrize("kind", EXPLORATION_ORDER + STACKED_ROWS + ["overlap-chain"])
