@@ -25,6 +25,7 @@ from .linalg import (
     matrix_power,
     matrix_sqrt,
     max_sv,
+    psd_support,
     ptrace,
     real_trace,
 )
@@ -38,8 +39,8 @@ from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
 
 def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian at 1e-12."""
-    like = np.asarray(is_hermitian(x, 1e-12))
+    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian."""
+    like = np.asarray(is_hermitian(x))
     if like.all():
         return hermitize(out)
     return np.where(like[..., None, None], hermitize(out), out)
@@ -146,12 +147,12 @@ class PetzMap:
         tr = np.asarray(real_trace(image))
         if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")
-        vals, vecs = herm_eig(hermitize(image))
-        singular = vals[..., 0] <= RANK_CUTOFF * np.maximum(vals[..., -1], 1e-300)
+        vals, vecs = herm_eig(image)
+        singular = ~psd_support(vals)[..., 0]
         if np.any(singular):  # mixed rows take the spectrum of their mixture
             d = image.shape[-1]
             image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr[..., None, None] / d) * np.eye(d)
-            mixed_vals, mixed_vecs = herm_eig(hermitize(image))
+            mixed_vals, mixed_vecs = herm_eig(image)
             vals = np.where(singular[..., None], mixed_vals, vals)
             vecs = np.where(singular[..., None, None], mixed_vecs, vecs)
         eig = HermitianEigen(vals, vecs)
@@ -224,19 +225,15 @@ def _check_bipartite(x: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     return dims
 
 
-def twirl_exact(x: np.ndarray, dims: Sequence[int], over: int = 1) -> np.ndarray:
-    """Average of (1 (x) U) X (1 (x) U)^dag over Haar U on one factor.
+def twirl_exact(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Average of (1 (x) U) X (1 (x) U)^dag over Haar U on the second factor.
 
     The closed form replaces the twirled factor by its maximally mixed state:
     twirling over B sends X to Tr_B(X) (x) 1_B / d_B.
     """
     x = np.asarray(x, dtype=complex)
     da, db = _check_bipartite(x, dims)
-    if over == 1:
-        return kron(ptrace(x, (da, db), [0]), np.eye(db) / db)
-    if over == 0:
-        return kron(np.eye(da) / da, ptrace(x, (da, db), [1]))
-    raise DimMismatch(f"over must be 0 or 1, got {over}")
+    return kron(ptrace(x, (da, db), [0]), np.eye(db) / db)
 
 
 # Haar samples per stacked QR and matmul in twirl_mc: enough to amortize the
@@ -250,29 +247,22 @@ def twirl_mc(
     dims: Sequence[int],
     rng: np.random.Generator,
     samples: int,
-    over: int = 1,
 ) -> np.ndarray:
-    """Monte Carlo estimate of the one-sided twirl with ``samples`` Haar draws.
+    """Monte Carlo estimate of the twirl over the second factor with ``samples`` Haar draws.
 
     Draws run in stacked chunks of TWIRL_CHUNK that keep the per-sample draw
     stream and the summation order, so the result does not depend on the chunking.
     """
     x = np.asarray(x, dtype=complex)
     da, db = _check_bipartite(x, dims)
-    if over not in (0, 1):
-        raise DimMismatch(f"over must be 0 or 1, got {over}")
     if samples < 1:
         raise DimMismatch(f"need at least one sample, got {samples}")
     acc = np.zeros_like(x)
     for start in range(0, samples, TWIRL_CHUNK):
         n = min(TWIRL_CHUNK, samples - start)
-        u = random_unitaries(n, dims[over], rng)
-        # the same products kron(1, u) or kron(u, 1) forms, so the bits match
-        if over == 1:
-            w = np.eye(da)[None, :, None, :, None] * u[:, None, :, None, :]
-        else:
-            w = u[:, :, None, :, None] * np.eye(db)[None, None, :, None, :]
-        w = w.reshape(n, da * db, da * db)
+        u = random_unitaries(n, db, rng)
+        # the same products kron(1, u) forms, so the bits match
+        w = (np.eye(da)[None, :, None, :, None] * u[:, None, :, None, :]).reshape((n,) + x.shape)
         for term in w @ x @ w.conj().swapaxes(-1, -2):
             acc += term
     return _hermitian_like(x, acc / samples)

@@ -744,12 +744,14 @@ def check_sbw_limit(
 
 def _concavity_gaps(fs, x1, x2, lam: float) -> list[tuple[float, float]]:
     """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for each f of fs, for operators
-    or matrices x1, x2; the mixture is decomposed once for every f, and f sees an operator's
-    cached spectrum."""
+    or matrices x1, x2.  The mixture and each operand are decomposed once for every f (an
+    operator's cached spectrum is used); every f runs on the mixture, then on x1, then on x2."""
     if not 0.0 <= lam <= 1.0:
         raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
     mix = herm_eig(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
-    return [(f(mix), lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))) for f in fs]
+    at_mix = [f(mix) for f in fs]
+    at_x1, at_x2 = ([f(spec) for f in fs] for spec in map(as_spectrum, (x1, x2)))
+    return [(m, lam * a + (1.0 - lam) * b) for m, a, b in zip(at_mix, at_x1, at_x2)]
 
 
 def check_lieb_concavity(

@@ -27,7 +27,9 @@ from .linalg import (
     matrix_sqrt,
     max_sv,
     per_matrix,
+    psd_support,
     real_trace,
+    require_hermitian,
     row_indices,
     support_projector,
 )
@@ -38,14 +40,13 @@ from .states import (
     as_spectrum,
     require_tripartite,
 )
-from .tolerances import RANK_CUTOFF, SUPPORT_LEAK_TOL
+from .tolerances import SUPPORT_LEAK_TOL
 
 
 def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float | np.ndarray:
-    """S(rho) = -Tr rho log rho over the support eigenvalues."""
-    mat = as_matrix(rho)
-    vals = np.linalg.eigvalsh(hermitize(mat))
-    support = vals > RANK_CUTOFF * np.maximum(vals[..., -1:], 1e-300)
+    """S(rho) = -Tr rho log rho over the support eigenvalues (psd_support) of a PSD rho."""
+    vals = np.linalg.eigvalsh(hermitize(require_hermitian(as_matrix(rho))))
+    support = psd_support(vals)
     logs = np.log(np.where(support, vals, 1.0))
     s = np.asarray(-(vals * logs).sum(axis=-1))
     for row in row_indices(~support.all(axis=-1)):  # a partial support sums its own eigenvalues
@@ -154,7 +155,7 @@ def exp_log_combination(
     space first (log(X (x) 1) = log X (x) 1, so embedding before or after the
     log agrees; embedding first keeps every term on one common space).
     Raises SingularTerm when any term (of any row of a stack) is singular at the
-    rank cutoff.
+    rank cutoff, and NotPSD when one is not PSD.
     """
     if not terms:
         raise SingularTerm("need at least one term")
@@ -165,11 +166,10 @@ def exp_log_combination(
             where = supports[i] if supports is not None else range(len(dims))
             mat = embed(mat, dims, where)
         eig = herm_eig(mat)
-        vals = eig.eigenvalues
-        singular = row_indices(vals[..., 0] <= RANK_CUTOFF * np.maximum(vals[..., -1], 1e-300))
+        singular = row_indices(~psd_support(eig.eigenvalues)[..., 0])
         if singular:
             raise SingularTerm(
-                f"term {i} is singular (min eigenvalue {vals[singular[0]][0]:.3e}); "
+                f"term {i} is singular (min eigenvalue {eig.eigenvalues[singular[0]][0]:.3e}); "
                 "exp-log combinations need full-rank terms"
             )
         acc = acc + float(sign) * matrix_log(eig)

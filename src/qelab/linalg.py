@@ -8,8 +8,8 @@ Conventions
   so ``kron(A, B)`` acts on the first factor slowest.
 * Matrix functions are evaluated through the eigendecomposition and the
   result is re-Hermitized, so f(H) of a Hermitian H is exactly Hermitian.
-* Eigenvalues below RANK_CUTOFF * max_eigenvalue count as zero when a
-  function is evaluated on the support only.
+* One support rule, psd_support: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
+  are off the support, and one below -TOL_PSD * max(1, max_eigenvalue) raises NotPSD.
 * Matrix functions take a matrix, which herm_eig validates and decomposes,
   or a HermitianEigen from herm_eig, so a reused operator decomposes once.
 * Every function here but kron and unitary_power also takes an (n, d, d)
@@ -27,8 +27,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NotHermitian, SingularInput
-from .tolerances import RANK_CUTOFF, TOL_HERM
+from .errors import DimMismatch, NoConvergence, NotHermitian, NotPSD, SingularInput
+from .tolerances import RANK_CUTOFF, TOL_HERM, TOL_PSD
 
 
 class HermitianEigen(NamedTuple):
@@ -145,10 +145,16 @@ def _eig(h: Spectral) -> HermitianEigen:
     return h if isinstance(h, HermitianEigen) else herm_eig(h)
 
 
-def _support_mask(vals: np.ndarray) -> np.ndarray:
-    mags = np.abs(vals)
-    top = mags.max(axis=-1, keepdims=True) if vals.shape[-1] else 0.0
-    return mags > RANK_CUTOFF * top
+def psd_support(vals: np.ndarray) -> np.ndarray:
+    """The mask of the eigenvalues above RANK_CUTOFF * max(lambda_max, 1e-300), for an ascending
+    spectrum or the (n, d) spectra of a stack.  Raises NotPSD when an eigenvalue lies below
+    -TOL_PSD * max(1, lambda_max), the slack that state validation allows."""
+    top = vals[..., -1:]
+    bad = vals[..., :1] < -TOL_PSD * np.maximum(top, 1.0)
+    if bad.any():
+        row = vals[row_indices(bad[..., 0])[0]]
+        raise NotPSD(f"minimum eigenvalue {row[0]:.3e} below -{TOL_PSD * max(1.0, row[-1]):.1e}")
+    return vals > RANK_CUTOFF * np.maximum(top, 1e-300)
 
 
 def matrix_fn(
@@ -156,19 +162,18 @@ def matrix_fn(
     fn: Callable[[np.ndarray], np.ndarray],
     support_only: bool = False,
 ) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum.
+    """Apply a real scalar function to a Hermitian matrix through its spectrum.
 
-    With support_only=True eigenvalues below the (relative) rank cutoff are
-    mapped to zero instead of being fed to ``fn`` — the pseudo-function on
-    the support.  Without it the function must be finite on every eigenvalue;
-    a non-finite value (log of ~0, negative power of ~0) raises SingularInput.
+    With support_only=True the matrix must be PSD, and the eigenvalues off its support
+    (psd_support) map to zero instead of being fed to ``fn`` — the pseudo-function on the
+    support.  Without it ``fn`` must be finite on every eigenvalue; a non-finite value (log
+    of ~0, negative power of ~0) raises SingularInput.
     """
     vals, vecs = _eig(h)
     if support_only:
-        mask = _support_mask(vals)
+        mask = psd_support(vals)
         fvals = np.zeros_like(vals)
-        if np.any(mask):
-            fvals[mask] = fn(vals[mask])
+        fvals[mask] = fn(vals[mask])
     else:
         with np.errstate(all="ignore"):
             fvals = np.asarray(fn(vals))
@@ -178,11 +183,7 @@ def matrix_fn(
             f"(min eigenvalue {vals.min():.3e}); use support_only for a "
             "pseudo-function on the support"
         )
-    out = (vecs * fvals[..., None, :]) @ dagger(vecs)
-    if np.isrealobj(fvals):
-        return hermitize(out)
-    real_rows = np.isreal(fvals).all(axis=-1)
-    return np.where(real_rows[..., None, None], hermitize(out), out)
+    return hermitize((vecs * fvals[..., None, :]) @ dagger(vecs))
 
 
 def matrix_exp(h: Spectral) -> np.ndarray:
@@ -194,7 +195,7 @@ def matrix_log(h: Spectral, support_only: bool = False) -> np.ndarray:
 
 
 def matrix_sqrt(h: Spectral) -> np.ndarray:
-    """Square root of a PSD matrix; tiny negative eigenvalues are clipped."""
+    """Square root of a PSD matrix; eigenvalues off the support (psd_support) are clipped."""
     return matrix_fn(h, np.sqrt, support_only=True)
 
 
@@ -214,16 +215,16 @@ def unitary_power(h: Spectral, t: float) -> np.ndarray:
     on the kernel, so the result is unitary for any PSD input.
     """
     vals, vecs = _eig(h)
-    mask = _support_mask(vals)
+    mask = psd_support(vals)
     phases = np.ones(vals.shape, dtype=complex)
     phases[mask] = np.exp(1j * t * np.log(vals[mask]))
     return (vecs * phases) @ vecs.conj().T
 
 
 def support_projector(h: Spectral) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a Hermitian matrix."""
+    """Orthogonal projector onto the support (psd_support) of a PSD matrix."""
     vals, vecs = _eig(h)
-    mask = _support_mask(vals)
+    mask = psd_support(vals)
     out = vecs @ dagger(vecs)
     for row in row_indices(~mask.all(axis=-1)):  # a partial support keeps its own columns
         cols = vecs[row][:, mask[row]]

@@ -24,21 +24,26 @@ from .errors import (
     DimMismatch,
     InconsistentBlocks,
     NonFinite,
-    NotPSD,
     NotTripartite,
 )
-from .linalg import HermitianEigen, herm_eig, hermitize, kron, ptrace, require_hermitian
-from .tolerances import TOL_HERM, TOL_PSD, TOL_TRACE
+from .linalg import (
+    HermitianEigen,
+    herm_eig,
+    hermitize,
+    kron,
+    psd_support,
+    ptrace,
+    require_hermitian,
+)
+from .tolerances import TOL_TRACE
 
 
 def _validated_matrix(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if not np.isfinite(mat).all():
         raise NonFinite("matrix has a NaN or infinite entry")
-    mat = hermitize(require_hermitian(mat, TOL_HERM))
-    min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -TOL_PSD:
-        raise NotPSD(f"minimum eigenvalue {min_eig:.3e} below -{TOL_PSD:.1e}")
+    mat = hermitize(require_hermitian(mat))
+    psd_support(np.linalg.eigvalsh(mat))
     mat.setflags(write=False)
     return mat
 
@@ -301,9 +306,9 @@ def regularize(
 ) -> DensityMatrix:
     """Full-rank mixture (1 - eps) rho + eps * I/d, on ``dims`` or else the dims of ``state``.
 
-    Mixing keeps a DensityMatrix, which was validated when it was built, Hermitian and its
-    smallest eigenvalue above -TOL_PSD, so only the trace of its mixture is checked again; a
-    raw matrix is validated in full."""
+    Mixing keeps a DensityMatrix, which was validated when it was built, Hermitian and within
+    the PSD slack of psd_support, so only the trace of its mixture is checked again; a raw
+    matrix is validated in full."""
     if not 0.0 < eps < 1.0:
         raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
     mat = as_matrix(state)

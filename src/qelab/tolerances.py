@@ -7,8 +7,8 @@ command-line harness rely on them.
 
 from __future__ import annotations
 
-# Relative eigenvalue cutoff: eigenvalues below RANK_CUTOFF * max_eigenvalue
-# are treated as zero when deciding rank / support.
+# Relative eigenvalue cutoff: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
+# are off the support (linalg.psd_support, the one support rule).
 RANK_CUTOFF = 1e-12
 
 # Hermiticity check: ||H - H^dag||_inf <= TOL_HERM * ||H||_inf.
@@ -17,7 +17,7 @@ TOL_HERM = 1e-10
 # Eigendecomposition reconstruction residual, relative to ||H||_inf.
 TOL_RECON = 1e-10
 
-# Positive semidefiniteness: eigenvalues >= -TOL_PSD.
+# Positive semidefiniteness: eigenvalues >= -TOL_PSD * max(1, max_eigenvalue).
 TOL_PSD = 1e-10
 
 # Trace normalisation: |Tr rho - 1| <= TOL_TRACE (states), Tr <= 1 + TOL_TRACE

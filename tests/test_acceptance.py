@@ -13,9 +13,8 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
-from qelab.channels import KrausChannel, random_unital_channel
+from qelab.channels import random_unital_channel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
     DEFAULT_SBW_ALPHAS,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qelab import checks, linalg, states
-from qelab.channels import KrausChannel, ptrace_channel, random_unital_channel
+from qelab.channels import KrausChannel, random_unital_channel
 from qelab.checks import (
     DEFAULT_CL_ALPHAS,
     DEFAULT_DW_ALPHAS,
@@ -55,7 +55,6 @@ from qelab.linalg import (
     matrix_power,
     max_sv,
     real_trace,
-    trace_norm,
 )
 from qelab.states import (
     DensityMatrix,
@@ -64,7 +63,6 @@ from qelab.states import (
     as_spectrum,
     markov_state,
     random_density,
-    random_tripartite,
     regularize,
 )
 from qelab.suites import EXPLORATIONS, explore_conjecture
@@ -912,3 +910,15 @@ NON_HERMITIAN_CASES = {
 def test_non_hermitian_input_raises_at_each_boundary(case):
     with pytest.raises(NotHermitian):
         NON_HERMITIAN_CASES[case]()
+
+
+@pytest.mark.parametrize("check, decompositions", [
+    # the mixture, x1 and x2 once each, and each alpha's core on each of the three
+    (lambda: check_cl_concavity(_M, _X1, _X2, 0.5), 3 + 3 * len(DEFAULT_CL_ALPHAS)),
+    # the mixture, x1 and x2, and each one's exponential
+    (lambda: check_lieb_concavity(_H, _X1, _X2, 0.5), 6),
+], ids=["carlen-lieb", "lieb"])
+def test_raw_concavity_operands_are_decomposed_once(check, decompositions, monkeypatch):
+    eighs = _counting(monkeypatch, np.linalg, "eigh")
+    check()
+    assert len(eighs) == decompositions

@@ -502,6 +502,24 @@ def test_replay_rejects_malformed_dump(case, tmp_path):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
+@pytest.mark.parametrize("checker", ["renyi-monotone", "overlap-chain"])
+def test_a_state_with_a_tiny_negative_eigenvalue_replays(checker, tmp_path):
+    # the state passes validation, so its matrix functions clip the eigenvalue to zero
+    rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
+    instance = {"rho": rho, "sigma": DensityMatrix(np.eye(2) / 2)}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps({
+        "checker": checker, "dims": [2], "seed": 0, "trial": 0,
+        "tolerance": 1e-8, "opts": {}, "instance": serialize_instance(instance),
+    }))
+    proc = run_cli("replay", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr
+    [record] = json.loads(proc.stdout)
+    if checker == "overlap-chain":
+        assert record["quantities"]["relative_entropy"] == pytest.approx(np.log(2.0), abs=1e-9)
+
+
 def _main(argv, capsys):
     """cli.main in this process, as (exit code, stdout, stderr)."""
     code = cli.main(argv)

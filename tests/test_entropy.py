@@ -19,7 +19,14 @@ from qelab.entropy import (
     renyi,
     von_neumann,
 )
-from qelab.errors import BadAlpha, NotTripartite, SingularTerm, ZeroOverlap
+from qelab.errors import (
+    BadAlpha,
+    NotHermitian,
+    NotPSD,
+    NotTripartite,
+    SingularTerm,
+    ZeroOverlap,
+)
 from qelab.linalg import kron, trace_norm
 from qelab.states import (
     DensityMatrix,
@@ -64,6 +71,26 @@ def test_von_neumann_basis_invariance():
     assert von_neumann(u @ rho.mat @ u.conj().T) == pytest.approx(
         von_neumann(rho.mat), abs=1e-10
     )
+
+
+def test_von_neumann_rejects_a_non_psd_input():
+    with pytest.raises(NotPSD):
+        von_neumann(-np.eye(2))
+
+
+def test_von_neumann_rejects_a_non_hermitian_input():
+    with pytest.raises(NotHermitian):
+        von_neumann(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+
+@pytest.mark.parametrize("fn, expected", [
+    (relative_entropy, np.log(2.0)),
+    (lambda r, s: renyi(0.3, r, s), np.log(2.0)),
+    (overlap_lower_bound, np.log(2.0)),
+], ids=["relative_entropy", "renyi", "overlap_lower_bound"])
+def test_a_valid_state_with_a_tiny_negative_eigenvalue_evaluates(fn, expected):
+    rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))  # within the PSD slack
+    assert fn(rho, DensityMatrix(np.eye(2) / 2)) == pytest.approx(expected, abs=1e-9)
 
 
 def test_relative_entropy_self_is_zero():

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qelab import linalg
-from qelab.errors import DimMismatch, NotHermitian, SingularInput
+from qelab.errors import DimMismatch, NotHermitian, NotPSD, SingularInput
 from qelab.linalg import (
     embed,
     herm_eig,
@@ -130,6 +131,36 @@ def test_unitary_power_is_unitary_on_support():
     np.testing.assert_allclose(
         unitary_power(m, 0.3) @ unitary_power(m, 0.4), u, atol=1e-10
     )
+
+
+# a valid state's matrix: its negative eigenvalue is within the PSD slack of state validation
+TINY_NEGATIVE = np.diag([1.0 + 5e-11, -5e-11])
+
+
+@pytest.mark.parametrize("fn, f", [
+    (matrix_sqrt, np.sqrt),
+    (lambda h: matrix_power(h, 0.3), lambda x: np.power(x, 0.3)),
+    (lambda h: matrix_log(h, support_only=True), np.log),
+], ids=["sqrt", "power", "log_support"])
+def test_a_tiny_negative_eigenvalue_is_clipped(fn, f):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = fn(TINY_NEGATIVE)
+    np.testing.assert_allclose(out, np.diag([f(1.0 + 5e-11), 0.0]), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("fn", [
+    matrix_sqrt,
+    lambda h: matrix_power(h, 0.3),
+    lambda h: matrix_log(h, support_only=True),
+    lambda h: unitary_power(h, 0.3),
+    support_projector,
+], ids=["sqrt", "power", "log_support", "unitary_power", "support_projector"])
+def test_a_negative_eigenvalue_beyond_the_slack_is_not_psd(fn):
+    with pytest.raises(NotPSD):
+        fn(-np.eye(2))
+    with pytest.raises(NotPSD):
+        fn(herm_eig(np.stack([np.eye(2), np.diag([1.0, -1e-9])])))
 
 
 def test_support_projector_rank():
@@ -450,11 +481,16 @@ def test_a_stack_gives_each_row_its_own_bits(name, d, ranks, seed):
 def test_a_partial_support_row_keeps_its_own_branch():
     rng = np.random.default_rng(62)
     stack = _psd_stack(4, [4, 2, 4], rng)
+    # and a row with a tiny negative eigenvalue, which is off the support
+    v = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    tiny = hermitize((v * [-5e-11, 0.2, 0.3, 0.5 + 5e-11]) @ v.conj().T)
+    stack = np.concatenate([stack, tiny[None]])
     spec = herm_eig(stack)
     assert not np.all(np.abs(spec.eigenvalues[1]) > 1e-12 * spec.eigenvalues[1, -1])
+    assert spec.eigenvalues[3, 0] < -1e-12 * spec.eigenvalues[3, -1]
     for fn in (matrix_sqrt, support_projector, lambda h: matrix_log(h, support_only=True)):
         whole = fn(spec)
-        for i in range(3):
+        for i in range(4):
             assert _same_bits(whole[i], fn(herm_eig(stack[i])))
 
 
