@@ -5,7 +5,9 @@ sum_i K_i^dag K_i = 1 enforced at construction.  The Hilbert-Schmidt dual
 Phi^*(Y) = sum_i K_i^dag Y K_i, which the entropy checkers need, is the method
 apply_dual; it is generally not trace preserving.  Both maps, and the Petz
 recovery map, also act row by row on an (n, d, d) stack of inputs, with one
-channel for the whole stack or, from KrausChannel.stack, one channel per row.
+channel for the whole stack or one channel per row: a channel whose Kraus
+operators are (n, d_out, d_in) stacks, such as random_channel draws for a
+chunk's list of streams.
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from .linalg import (
 )
 from .states import (
     SubnormalizedOperator,
+    _as_drawn,
+    _first_bad,
+    _gaussians,
     _haar_q,
+    _streams,
     random_unitaries,
     random_unitary,
 )
@@ -49,48 +55,47 @@ def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 class KrausChannel:
     """Trace-preserving completely positive map given by Kraus operators.
 
-    The operators must satisfy sum K^dag K = 1 within TOL_RECON.
+    The operators must satisfy sum K^dag K = 1 within TOL_RECON.  Operators that are
+    (n, d_out, d_in) stacks make n channels, one per trial, checked together; the channel
+    acts on an (n, d, d) stack row by row, and ``row(i)`` is channel i.
     """
 
     def __init__(self, kraus: Sequence[np.ndarray]):
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise DimMismatch("need at least one Kraus operator")
-        d_out, d_in = ops[0].shape
+        d_out, d_in = ops[0].shape[-2:]
         for k in ops:
-            if k.ndim != 2 or k.shape != (d_out, d_in):
+            if k.ndim not in (2, 3) or k.shape != ops[0].shape:
                 raise DimMismatch(
                     f"all Kraus operators must share shape ({d_out}, {d_in})"
                 )
         self.kraus = tuple(ops)
         self.d_in = d_in
         self.d_out = d_out
-        gram = sum(k.conj().T @ k for k in ops)
+        gram = sum(dagger(k) @ k for k in ops)
         tp_dev = max_sv(gram - np.eye(d_in))
-        if tp_dev > TOL_RECON:
-            raise DimMismatch(f"Kraus operators violate trace preservation by {tp_dev:.3e}")
-        env = sum(k @ k.conj().T for k in ops)
+        bad = tp_dev > TOL_RECON
+        if np.any(bad):
+            raise DimMismatch(
+                f"Kraus operators violate trace preservation by {_first_bad(tp_dev, bad):.3e}"
+            )
+        env = sum(k @ dagger(k) for k in ops)
         self._unital_dev = max_sv(env - np.eye(d_out))
 
-    @classmethod
-    def stack(cls, channels: Sequence[KrausChannel]) -> KrausChannel:
-        """The channels of a chunk of trials as one channel that acts on an (n, d, d) stack row
-        by row: its Kraus operator i is the (n, d_out, d_in) stack of each channel's operator i.
-        Each channel was checked when it was built, so the stack is not checked again."""
-        first = channels[0]
-        shape = (len(first.kraus), first.d_out, first.d_in)
-        if any((len(c.kraus), c.d_out, c.d_in) != shape for c in channels):
-            raise DimMismatch("stacked channels need equal Kraus counts and shapes")
-        out = cls.__new__(cls)
-        out.kraus = tuple(np.stack(ops) for ops in zip(*(c.kraus for c in channels)))
-        out.d_in, out.d_out = first.d_in, first.d_out
-        out._unital_dev = max(c._unital_dev for c in channels)  # unital when every row is
+    def row(self, i: int) -> KrausChannel:
+        """Channel i of a stack: views of its operators, not checked again."""
+        out = object.__new__(KrausChannel)
+        out.kraus = tuple(k[i] for k in self.kraus)
+        out.d_in, out.d_out = self.d_in, self.d_out
+        out._unital_dev = float(self._unital_dev[i])
         return out
 
     @property
     def is_unital(self) -> bool:
-        """True when the channel maps the identity to the identity."""
-        return self._unital_dev <= TOL_RECON
+        """True when the channel, or every channel of a stack, maps the identity to the
+        identity."""
+        return bool(np.all(self._unital_dev <= TOL_RECON))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -119,7 +124,7 @@ class KrausChannel:
 def require_unital(channel: KrausChannel) -> KrausChannel:
     if not channel.is_unital:
         raise NotUnital(
-            f"channel maps identity away from identity by {channel._unital_dev:.3e}"
+            f"channel maps identity away from identity by {np.max(channel._unital_dev):.3e}"
         )
     return channel
 
@@ -189,30 +194,36 @@ def ptrace_channel(dims: Sequence[int], traced: int) -> KrausChannel:
 
 
 def random_unital_channel(
-    d: int, n_kraus: int, rng: np.random.Generator
+    d: int, n_kraus: int, rng: np.random.Generator | Sequence[np.random.Generator]
 ) -> KrausChannel:
-    """Mixed-unitary channel: Kraus sqrt(p_i) U_i with Haar unitaries U_i."""
+    """Mixed-unitary channel: Kraus sqrt(p_i) U_i with Haar unitaries U_i, or one per stream
+    of a chunk as a stack."""
+    if d < 1:
+        raise DimMismatch(f"dimension must be >= 1, got {d}")
     if n_kraus < 1:
         raise DimMismatch(f"need at least one Kraus operator, got {n_kraus}")
-    probs = rng.dirichlet(np.ones(n_kraus))
-    # Keep every branch comfortably populated so the channel stays full rank.
-    probs = 0.9 * probs + 0.1 / n_kraus
-    # One draw at a time: at d = n_kraus = 64 a stacked draw holds ~20 MiB of
-    # temporaries for no gain in speed.
-    ops = [np.sqrt(p) * random_unitary(d, rng) for p in probs]
-    return KrausChannel(ops)
+    rngs = _streams(rng)
+    ops = np.empty((n_kraus, len(rngs), d, d), dtype=complex)
+    for row, stream in enumerate(rngs):
+        probs = stream.dirichlet(np.ones(n_kraus))
+        # Keep every branch comfortably populated so the channel stays full rank.
+        probs = 0.9 * probs + 0.1 / n_kraus
+        # One draw at a time: at d = n_kraus = 64 a stacked draw holds ~20 MiB of
+        # temporaries for no gain in speed.
+        for k, p in enumerate(probs):
+            ops[k, row] = np.sqrt(p) * random_unitary(d, stream)
+    return _as_drawn(rng, KrausChannel(ops))
 
 
-def random_channel(d: int, env_dim: int, rng: np.random.Generator) -> KrausChannel:
-    """Generic channel from a Haar-random isometry into d x env_dim."""
+def random_channel(
+    d: int, env_dim: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> KrausChannel:
+    """Generic channel from a Haar-random isometry into d x env_dim, or one per stream of a
+    chunk as a stack."""
     if env_dim < 1:
         raise DimMismatch(f"environment dimension must be >= 1, got {env_dim}")
-    g = rng.standard_normal((d * env_dim, d)) + 1j * rng.standard_normal(
-        (d * env_dim, d)
-    )
-    q = _haar_q(g)
-    ops = [q[i * d : (i + 1) * d, :] for i in range(env_dim)]
-    return KrausChannel(ops)
+    q = _haar_q(_gaussians(_streams(rng), (d * env_dim, d)))
+    return _as_drawn(rng, KrausChannel([q[:, i * d : (i + 1) * d, :] for i in range(env_dim)]))
 
 
 def _check_bipartite(x: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:

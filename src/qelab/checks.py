@@ -902,8 +902,8 @@ def check_twirl_identity(
 
 # ---------------------------------------------------------------------------
 # Open inequalities, swept by suites.explore_conjecture and never asserted.
-# Each evaluator also takes a stacked chunk of trials (DensityMatrix.stack,
-# KrausChannel.stack) and then returns one CheckResult per row, with the bits
+# Each evaluator also takes a stacked chunk of trials (states and channels over
+# (n, d, d) stacks) and then returns one CheckResult per row, with the bits
 # that row's trial gets alone.
 # ---------------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ Conventions
   are off the support, and one below -TOL_PSD * max(1, max_eigenvalue) raises NotPSD.
 * Matrix functions take a matrix, which herm_eig validates and decomposes,
   or a HermitianEigen from herm_eig, so a reused operator decomposes once.
-* Every function here but kron and unitary_power also takes an (n, d, d)
+* Every function here but unitary_power also takes an (n, d, d)
   stack of matrices, one per trial, and gives each row the bits its own 2-D
   call gives: a 2-D matrix is the n = 1 case of the same code.  A per-matrix
   number (a trace, a norm, a Hermiticity verdict) is a Python scalar for one
@@ -89,35 +89,35 @@ def max_sv(x: np.ndarray) -> float | np.ndarray:
     return per_matrix(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
-def _hermitian_rows(x: np.ndarray, tol: float) -> np.ndarray | None:
+def _hermitian_rows(x: np.ndarray) -> np.ndarray | None:
     """The is_hermitian verdict of each row, or None when every row is exactly Hermitian."""
     diff = x - dagger(x)
     if not diff.any():
         return None
     inexact = np.asarray(diff.any(axis=(-2, -1)))
     ok = np.logical_not(inexact, out=np.empty(inexact.shape, dtype=bool))
-    ok[inexact] = max_sv(diff[inexact]) <= tol * np.maximum(max_sv(x[inexact]), 1e-300)
+    ok[inexact] = max_sv(diff[inexact]) <= TOL_HERM * np.maximum(max_sv(x[inexact]), 1e-300)
     return ok
 
 
-def is_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> bool | np.ndarray:
-    """The package's one Hermiticity rule: ||x - x^dag||_inf <= tol * ||x||_inf.
+def is_hermitian(x: np.ndarray) -> bool | np.ndarray:
+    """The package's one Hermiticity rule: ||x - x^dag||_inf <= TOL_HERM * ||x||_inf.
 
     An exactly Hermitian x (x - x^dag all zeros) passes without the two SVDs;
     a NaN or infinite entry leaves a nonzero difference and takes the SVD path.
     Only the rows of a stack that are not exactly Hermitian take it.
     """
-    ok = _hermitian_rows(x, tol)
+    ok = _hermitian_rows(x)
     return per_matrix(np.ones(x.shape[:-2], dtype=bool) if ok is None else ok)
 
 
-def require_hermitian(x: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def require_hermitian(x: np.ndarray) -> np.ndarray:
     """Return x as a complex square matrix (or stack of them); raise NotHermitian when it,
     or any row of the stack, fails is_hermitian."""
     x = np.asarray(x, dtype=complex)
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise DimMismatch(f"expected a square matrix, got shape {x.shape}")
-    ok = _hermitian_rows(x, tol)
+    ok = _hermitian_rows(x)
     if ok is not None and not ok.all():
         first = row_indices(~ok)[0]
         dev = max_sv(x[first] - dagger(x[first]))
@@ -191,7 +191,12 @@ def matrix_exp(h: Spectral) -> np.ndarray:
 
 
 def matrix_log(h: Spectral, support_only: bool = False) -> np.ndarray:
-    return matrix_fn(h, np.log, support_only=support_only)
+    """Matrix logarithm of a PSD matrix: NotPSD for an eigenvalue below the slack of
+    psd_support, and without support_only SingularInput for a ~0 one."""
+    eig = _eig(h)
+    if not support_only:  # matrix_fn applies psd_support on the support_only path
+        psd_support(eig.eigenvalues)
+    return matrix_fn(eig, np.log, support_only=support_only)
 
 
 def matrix_sqrt(h: Spectral) -> np.ndarray:
@@ -233,8 +238,13 @@ def support_projector(h: Spectral) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product with the first factor on the slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
+    """Tensor product with the first factor on the slow index; row by row when a or b is a
+    stack, as the broadcast product np.kron forms."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim <= 2 and b.ndim <= 2:
+        return np.kron(a, b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def _check_dims(x: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:

@@ -7,6 +7,11 @@ immutable: the wrapped array is frozen at construction and every operation
 returns a new object.  Randomness always flows through an explicit
 ``numpy.random.Generator`` so that every ensemble is reproducible from its
 seed alone.
+
+A sampler takes one Generator, or a chunk's list of trial streams: it then returns
+its value as one (n, d, d) stack whose row i is drawn from stream i in the order
+a one-stream call draws it, and validates the stack once.  The one-stream call is
+the chunk of one: it returns that chunk's ``row(0)``, with the same bits.
 """
 
 from __future__ import annotations
@@ -28,14 +33,44 @@ from .errors import (
 )
 from .linalg import (
     HermitianEigen,
+    dagger,
     herm_eig,
     hermitize,
     kron,
     psd_support,
     ptrace,
+    real_trace,
     require_hermitian,
+    row_indices,
 )
 from .tolerances import TOL_TRACE
+
+
+def _streams(
+    rng: np.random.Generator | Sequence[np.random.Generator],
+) -> list[np.random.Generator]:
+    """The chunk's list of streams: [rng] for one Generator."""
+    return [rng] if isinstance(rng, np.random.Generator) else list(rng)
+
+
+def _as_drawn(rng: np.random.Generator | Sequence[np.random.Generator], value):
+    """A sampler's value for ``rng``: the stack itself for a list of streams, its row 0 (the
+    2-D value) for one Generator."""
+    return value.row(0) if isinstance(rng, np.random.Generator) else value
+
+
+def _gaussians(rngs: Sequence[np.random.Generator], shape: tuple[int, int]) -> np.ndarray:
+    """One complex Gaussian matrix of ``shape`` per stream, as an (n,) + shape stack: each
+    stream draws its real plane, then its imaginary plane."""
+    return np.array(
+        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for rng in rngs],
+        dtype=complex,
+    ).reshape((len(rngs),) + shape)
+
+
+def _first_bad(values, bad) -> float:
+    """The value of the first flagged row of a per-matrix number, as a Python float."""
+    return float(np.asarray(values)[row_indices(np.asarray(bad))[0]])
 
 
 def _validated_matrix(mat: np.ndarray) -> np.ndarray:
@@ -49,14 +84,25 @@ def _validated_matrix(mat: np.ndarray) -> np.ndarray:
 
 
 class SubnormalizedOperator:
-    """Hermitian PSD operator with 0 <= trace <= 1 (within tolerance)."""
+    """Hermitian PSD operator with 0 <= trace <= 1 (within tolerance).
+
+    An (n, d, d) stack is n operators, one per trial, validated together; its trace is the
+    (n,) array of theirs, and ``row(i)`` is operator i."""
 
     def __init__(self, mat: np.ndarray):
         self._mat = _validated_matrix(mat)
-        tr = float(np.trace(self._mat).real)
-        if tr < -TOL_TRACE or tr > 1.0 + TOL_TRACE:
-            raise BadTrace(f"trace {tr!r} outside [0, 1]")
+        tr = real_trace(self._mat)
+        bad = (tr < -TOL_TRACE) | (tr > 1.0 + TOL_TRACE)
+        if np.any(bad):
+            raise BadTrace(f"trace {_first_bad(tr, bad)!r} outside [0, 1]")
         self._trace = tr
+
+    def row(self, i: int) -> SubnormalizedOperator:
+        """Operator i of a stack: a view of its row, not validated again."""
+        out = object.__new__(type(self))
+        out._mat = self._mat[i]
+        out._trace = float(self._trace[i])
+        return out
 
     @property
     def mat(self) -> np.ndarray:
@@ -75,11 +121,11 @@ class SubnormalizedOperator:
         return self._mat.shape[-1]
 
     @property
-    def trace(self) -> float:
+    def trace(self) -> float | np.ndarray:
         return self._trace
 
     def __repr__(self) -> str:
-        if self._mat.ndim > 2:  # a stack of trials (DensityMatrix.stack)
+        if self._mat.ndim > 2:  # a stack of trials
             return f"{type(self).__name__}(n={len(self._mat)}, dim={self.dim})"
         return f"{type(self).__name__}(dim={self.dim}, trace={self._trace:.6f})"
 
@@ -99,9 +145,7 @@ class DensityMatrix(SubnormalizedOperator):
             vars(self).update(vars(mat))
         else:
             mat = np.asarray(mat, dtype=complex)
-            tr = float(np.trace(mat).real)
-            if abs(tr - 1.0) > TOL_TRACE:
-                raise BadTrace(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+            _check_unit_trace(real_trace(mat))
             super().__init__(mat)
             self.dims = (self.dim,)
         if dims is not None:
@@ -110,26 +154,21 @@ class DensityMatrix(SubnormalizedOperator):
                 raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
             self.dims = dims
 
-    @classmethod
-    def stack(cls, states: Sequence[DensityMatrix]) -> DensityMatrix:
-        """The states of a chunk of trials as one DensityMatrix over their (n, d, d) matrix
-        stack, on their common dims, with the (n,) array of their traces as its trace.  Its
-        spectrum is decomposed once, on the stack, when first used.  Each state was
-        validated when it was built, so the stack is not validated again."""
-        dims = states[0].dims
-        if any(st.dims != dims for st in states):
-            raise DimMismatch(f"stacked states need equal dims, got {sorted({st.dims for st in states})}")
-        out = cls.__new__(cls)
-        out._mat = np.stack([st.mat for st in states])
-        out._mat.setflags(write=False)
-        out._trace = np.array([st.trace for st in states])
-        out.dims = dims
+    def row(self, i: int) -> DensityMatrix:
+        out = super().row(i)
+        out.dims = self.dims
         return out
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
         """Raw matrix (or stack) of the partial trace onto the subsystems in ``keep`` (no
         re-validation)."""
         return ptrace(self._mat, self.dims, keep)
+
+
+def _check_unit_trace(tr) -> None:
+    bad = np.abs(tr - 1.0) > TOL_TRACE
+    if np.any(bad):
+        raise BadTrace(f"trace {_first_bad(tr, bad)!r} deviates from 1 beyond {TOL_TRACE:.1e}")
 
 
 def require_tripartite(state: DensityMatrix) -> DensityMatrix:
@@ -254,18 +293,19 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_density(
-    d: int, rng: np.random.Generator, rank: int | None = None
+    d: int, rng: np.random.Generator | Sequence[np.random.Generator], rank: int | None = None
 ) -> DensityMatrix:
-    """Random density matrix G G^dag / Tr from a d x rank complex Gaussian G."""
+    """Random density matrix G G^dag / Tr from a d x rank complex Gaussian G, or one per
+    stream of a chunk as a stack."""
     if d < 1:
         raise DimMismatch(f"dimension must be >= 1, got {d}")
     if rank is None:
         rank = d
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in 1..{d}, got {rank}")
-    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
-    mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
+    g = _gaussians(_streams(rng), (d, rank))
+    mat = g @ dagger(g)
+    return _as_drawn(rng, DensityMatrix(mat / real_trace(mat)[:, None, None]))
 
 
 def random_tripartite(
@@ -304,7 +344,8 @@ def as_spectrum(op: SubnormalizedOperator | Decomposed | np.ndarray) -> Hermitia
 def regularize(
     state: DensityMatrix | np.ndarray, eps: float, dims: Sequence[int] | None = None
 ) -> DensityMatrix:
-    """Full-rank mixture (1 - eps) rho + eps * I/d, on ``dims`` or else the dims of ``state``.
+    """Full-rank mixture (1 - eps) rho + eps * I/d, on ``dims`` or else the dims of ``state``;
+    each row's mixture for a stack.
 
     Mixing keeps a DensityMatrix, which was validated when it was built, Hermitian and within
     the PSD slack of psd_support, so only the trace of its mixture is checked again; a raw
@@ -312,14 +353,13 @@ def regularize(
     if not 0.0 < eps < 1.0:
         raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
     mat = as_matrix(state)
-    d = mat.shape[0]
+    d = mat.shape[-1]
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
     if not isinstance(state, DensityMatrix):
         return DensityMatrix(mixed, dims)
     out = DensityMatrix.__new__(DensityMatrix)
     out._mat = hermitize(mixed)  # the bits validation stores
     out._mat.setflags(write=False)
-    out._trace = float(np.trace(out._mat).real)
-    if abs(out._trace - 1.0) > TOL_TRACE:
-        raise BadTrace(f"trace {out._trace!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+    out._trace = real_trace(out._mat)
+    _check_unit_trace(out._trace)
     return DensityMatrix(out, state.dims if dims is None else dims)

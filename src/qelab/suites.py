@@ -10,26 +10,26 @@ can be dumped and replayed.  Trial randomness is keyed as
 default_rng([seed, suite_index, trial]); results are therefore reproducible
 from (seed, config) alone, independent of execution order.
 
-One driver, iter_trials, runs every suite in chunks: each trial is sampled
-alone, and a chunk whose every instance value has a ``stack``
-(DensityMatrix.stack, KrausChannel.stack) is evaluated on (n, d, d) stacks,
-which gives each row's result with the bits of that trial alone.  Its runner
-is still called once per trial, on that trial's row of the chunk (a
-_ChunkRow): the first row's call evaluates the whole chunk and the others
-read their result, so a suite's run calls count its trials, and the time of
-the run calls of a chunk is the time of its evaluation.  Each chunk holds up
-to CHUNK_TRIALS trials, fewer when the largest operator its first trial's
-sampler built has dimension d > 16, so that one stacked operand stays within
-128 KiB.  A one-trial chunk, and so run_trial and replay, runs on the
-unstacked 2-D instance; a chunk that raises a QelabError runs again one trial
-at a time.  This stacks 16 of the 23 suites
-and all 4 explorations.  The other 7 run one trial at a time because an
-instance value has no stack: markov-roundtrip holds a MarkovSpec;
-twirl-identity a raw matrix, ints and its own Monte Carlo seed;
-lieb-concavity, carlen-lieb-concavity and golden-thompson raw matrices;
-audenaert-powers-stormer two SubnormalizedOperators; and overlap-chain, in
-about half its trials, a SubnormalizedOperator reference and a float scale
-(a chunk in which no trial drew them stacks).
+One loop, iter_trials, runs every suite in chunks.  A suite that ``stacks`` (16 of the
+23 suites and all 4 explorations) samples each chunk as one stack: its sampler takes the
+chunk's list of trial_rng streams and returns each instance value as an (n, d, d) stack
+(a DensityMatrix or KrausChannel over stacks) whose row i is drawn from trial i's stream
+as that trial alone draws it, validated once for the chunk.  The chunk is evaluated on
+those stacks, which gives each row's result with the bits of that trial alone, and the
+instance of trial i is the row view ``value.row(i)`` of each stack.  Its runner is still
+called once per trial, on that trial's row of the chunk (a _ChunkRow): the first row's
+call evaluates the whole chunk and the others read their result, so a suite's run calls
+count its trials, and the time of the run calls of a chunk is the time of its
+evaluation.  Each chunk holds up to CHUNK_TRIALS trials, fewer when the largest operator
+the sampler builds has dimension d > 16, so that one stacked operand stays within 128
+KiB; the sampler's instance on no streams, which draws nothing, gives d.  A one-trial
+chunk, and so run_trial and replay, samples from one Generator, the chunk of one, and
+runs on its 2-D instance; a chunk that raises a QelabError runs again one trial at a
+time.  The other 7 suites run one trial at a time because an instance value has no
+stacked form: markov-roundtrip holds a MarkovSpec; twirl-identity a raw matrix, ints and
+its own Monte Carlo seed; lieb-concavity, carlen-lieb-concavity and golden-thompson raw
+matrices; audenaert-powers-stormer two SubnormalizedOperators; and overlap-chain, in
+about half its trials, a SubnormalizedOperator reference and a float scale.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ MARKOV_FACTOR_EPS = 3e-3
 # place for the full n = 10^4 study.
 TWIRL_SUITE_SAMPLES = 200
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
-# Trials evaluated as one (n, d, d) stack.  The chunk shrinks with d, the largest
-# operator dimension among the states and channels its first trial's sampler built, so
+# Trials sampled and evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
+# largest operator dimension among the states and channels the suite's sampler builds, so
 # that one stacked complex operand stays within 128 KiB (_CHUNK_ENTRIES matrix entries):
 # all 32 trials up to d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks
 # gained under 2% on explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS
@@ -99,6 +99,11 @@ def _appendix_dim(dims: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # Samplers
 # ---------------------------------------------------------------------------
+
+
+# A sampler takes (rng, dims, eps).  Those of the suites that stack pass rng, one Generator
+# or a chunk's list of streams, to the samplers of states and channels, so that one code
+# draws a trial's 2-D instance and a chunk's stacks.
 
 
 def _state(rng, dims, eps) -> DensityMatrix:
@@ -354,11 +359,16 @@ _TRIPARTITE = (3, 3)
 
 @dataclass(frozen=True)
 class Suite:
+    """A named sampler and runner.  ``stacks``: whether ``sample`` also takes a chunk's list
+    of streams and returns its instance as stacks; a field, so that a Suite rebuilt by
+    dataclasses.replace with a wrapped sampler (a tracer's, a test's) keeps the path."""
+
     name: str
     sample: Callable
     run: Callable
     description: str
     parts: tuple[int, int | None] = (1, None)
+    stacks: bool = True
 
     def check_dims(self, dims: Sequence[int]) -> tuple[int, ...]:
         """``dims`` as a tuple of ints; BadConfig when the sampler cannot take them."""
@@ -384,6 +394,7 @@ SUITES: dict[str, Suite] = {
             _sample_overlap,
             _calls(_run_overlap),
             "relative entropy >= root-overlap bound >= sqrt distances (Tr sigma <= 1)",
+            stacks=False,
         ),
         Suite(
             "monotonicity",
@@ -458,6 +469,7 @@ SUITES: dict[str, Suite] = {
             _calls(_run_markov, "t_samples"),
             "constructed short-chain states satisfy every Markov signature",
             _TRIPARTITE,
+            stacks=False,
         ),
         Suite(
             "trotter-bound",
@@ -490,24 +502,28 @@ SUITES: dict[str, Suite] = {
             _sample_lieb,
             _calls("check_lieb_concavity"),
             "concavity of X -> Tr exp(H + log X)",
+            stacks=False,
         ),
         Suite(
             "carlen-lieb-concavity",
             _sample_cl,
             _calls("check_cl_concavity"),
             "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
+            stacks=False,
         ),
         Suite(
             "golden-thompson",
             _sample_gt,
             _calls("check_golden_thompson"),
             "Tr e^(A+B) <= Tr e^A e^B",
+            stacks=False,
         ),
         Suite(
             "audenaert-powers-stormer",
             _sample_audenaert,
             _calls("check_audenaert_ps"),
             "square-root norm chain and interpolated trace overlap bound",
+            stacks=False,
         ),
         Suite(
             "squashed-proxy",
@@ -522,6 +538,7 @@ SUITES: dict[str, Suite] = {
             _calls(_run_twirl),
             "Monte Carlo twirl matches the closed form within the sampling bound",
             _BIPARTITE,
+            stacks=False,
         ),
     )
 }
@@ -619,56 +636,48 @@ def run_trial(
     raised in it keeps its class and gains the suite name and trial in its message."""
     try:
         instance = suite.sample(trial_rng(seed, suite.name, trial), dims, eps)
-        return instance, _evaluate(suite, [instance], tol, opts or {})[0]
+        return instance, suite.run(instance, tol, opts or {})
     except QelabError as exc:
         raise type(exc)(f"{suite.name} trial {trial}: {exc}") from exc
 
 
-def _stacked(instances: list[dict]) -> dict:
-    """The instances of a chunk as one: each value the stack of its trials' values, built by
-    the value type's ``stack`` (DensityMatrix.stack, KrausChannel.stack)."""
-    return {
-        key: type(value).stack([inst[key] for inst in instances])
-        for key, value in instances[0].items()
-    }
-
-
-def _chunk_size(instance: dict) -> int:
-    """CHUNK_TRIALS, capped for the largest operator among an instance's states and channels."""
+def _chunk_size(suite: Suite, dims: Sequence[int], eps: float) -> int:
+    """CHUNK_TRIALS, capped for the largest operator among the states and channels of the
+    suite's instance on no streams, which draws nothing; 1 when the suite does not stack,
+    or when that instance raises (its first trial then raises alone)."""
+    if not suite.stacks:
+        return 1
+    try:
+        instance = suite.sample([], dims, eps)
+    except QelabError:
+        return 1
     d = max(max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
             for v in instance.values())
     return max(1, min(CHUNK_TRIALS, _CHUNK_ENTRIES // (d * d)))
 
 
-def _evaluate(suite: Suite, instances: list[dict], tol: float, opts: dict) -> list:
-    """Each instance's result, from one runner call per instance: on the instance's row of
-    the stacks of their values (a _ChunkRow) when there are several and every value has a
-    ``stack`` (DensityMatrix.stack, KrausChannel.stack), else on its own 2-D values."""
-    if len(instances) > 1 and all(hasattr(v, "stack") for i in instances for v in i.values()):
-        stacked, results = _stacked(instances), []
-        return [suite.run(_ChunkRow(stacked, row, results), tol, opts)
-                for row in range(len(instances))]
-    return [suite.run(instance, tol, opts) for instance in instances]
-
-
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
-    """The trials of a suite, each sampled alone and evaluated by chunks, each chunk sized by
-    its first trial's instance.  A chunk in which a QelabError is raised runs again one trial
-    at a time, so the first failing trial raises as it does alone."""
-    start = 0
-    while start < trials:
-        chunk = range(start, start + 1)
-        try:
-            first = suite.sample(trial_rng(seed, suite.name, start), dims, eps)
-            chunk = range(start, min(start + _chunk_size(first), trials))
-            rest = [suite.sample(trial_rng(seed, suite.name, t), dims, eps) for t in chunk[1:]]
-            results = _evaluate(suite, [first] + rest, tol, opts)
-        except QelabError:
-            for trial in chunk:
-                yield (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
-        else:
-            yield from zip(chunk, [first] + rest, results)
-        start = chunk.stop
+    """The trials of a suite by chunks of _chunk_size.  A chunk of several is sampled as one
+    stack, each trial from its own stream, and its runner is called once per trial on that
+    trial's row (a _ChunkRow).  A chunk in which a QelabError is raised, and a chunk of one,
+    runs one trial at a time, so the first failing trial raises as it does alone."""
+    size = _chunk_size(suite, dims, eps) if trials > 1 else 1
+    for start in range(0, trials, size):
+        chunk = range(start, min(start + size, trials))
+        if len(chunk) > 1:
+            try:
+                rngs = [trial_rng(seed, suite.name, trial) for trial in chunk]
+                stacked, shared = suite.sample(rngs, dims, eps), []
+                results = [suite.run(_ChunkRow(stacked, row, shared), tol, opts)
+                           for row in range(len(chunk))]
+            except QelabError:
+                pass
+            else:
+                for row, (trial, result) in enumerate(zip(chunk, results)):
+                    yield trial, {key: value.row(row) for key, value in stacked.items()}, result
+                continue
+        for trial in chunk:
+            yield (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
 
 
 def iter_trials(

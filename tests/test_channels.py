@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qelab.channels import (
     TWIRL_CHUNK,
@@ -18,7 +19,7 @@ from qelab.channels import (
 )
 from qelab.entropy import relative_entropy
 from qelab.errors import DimMismatch, NotUnital, SingularSigma
-from qelab.linalg import hermitize, is_hermitian, kron, max_sv, ptrace, trace_norm
+from qelab.linalg import dagger, hermitize, kron, max_sv, ptrace, trace_norm
 from qelab.serialize import deserialize_value, serialize_value
 from qelab.states import (
     DensityMatrix,
@@ -118,7 +119,7 @@ def _old_dual_apply(channel, y):
     dual_kraus = [np.asarray(k.conj().T, dtype=complex) for k in channel.kraus]
     y = np.asarray(y, dtype=complex)
     out = sum(k @ y @ k.conj().T for k in dual_kraus)
-    return hermitize(out) if is_hermitian(y, 1e-12) else out
+    return hermitize(out) if max_sv(y - dagger(y)) <= 1e-12 * max_sv(y) else out
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 8, 64])
@@ -371,33 +372,79 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _stack(channels):
+    """The channels as one stacked channel: Kraus operator i the stack of each one's."""
+    return KrausChannel([np.stack(ops) for ops in zip(*(c.kraus for c in channels))])
+
+
+def _twins(seed, n):
+    """n streams, twice: a chunk's list and the one-stream calls that match it row by row."""
+    return ([np.random.default_rng([seed, i]) for i in range(n)],
+            [np.random.default_rng([seed, i]) for i in range(n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 5, 32]),
+    d=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random_density", "regularize", "random_channel",
+                          "random_unital_channel"]),
+)
+def test_a_sampler_over_n_streams_draws_each_row_as_its_stream_alone(n, d, seed, kind):
+    draw = {
+        "random_density": lambda rng: random_density(d, rng),
+        "regularize": lambda rng: regularize(random_density(d, rng), 1e-3, (2, d // 2)),
+        "random_channel": lambda rng: random_channel(d, 2, rng),
+        "random_unital_channel": lambda rng: random_unital_channel(d, 3, rng),
+    }[kind]
+    chunk, singles = _twins(seed, n)
+    stacked = draw(chunk)
+    for i, rng in enumerate(singles):
+        alone, row = draw(rng), stacked.row(i)
+        assert type(row) is type(alone)
+        if isinstance(alone, KrausChannel):
+            assert len(row.kraus) == len(alone.kraus)
+            assert all(_same_bits(a, b) for a, b in zip(row.kraus, alone.kraus))
+            assert (row.d_in, row.d_out, row.is_unital) == (alone.d_in, alone.d_out,
+                                                            alone.is_unital)
+        else:
+            assert _same_bits(row.mat, alone.mat) and row.dims == alone.dims
+            assert type(row.trace) is float and row.trace.hex() == alone.trace.hex()
+    # each stream was drawn as far as its one-stream twin
+    for rng, twin in zip(chunk, singles):
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert rng.standard_normal() == twin.standard_normal()
+
+
 def test_a_stacked_channel_acts_row_by_row_with_each_rows_bits():
     rng = np.random.default_rng(72)
     channels = [random_channel(4, 2, rng) for _ in range(3)]
-    stacked = KrausChannel.stack(channels)
+    stacked = _stack(channels)
     xs = np.stack([random_density(4, rng).mat for _ in range(3)])
     xs[1] += 1e-6 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))  # not Hermitian
     applied, duals = stacked.apply(xs), stacked.apply_dual(xs)
     for i, channel in enumerate(channels):
         assert _same_bits(applied[i], channel.apply(xs[i]))
         assert _same_bits(duals[i], channel.apply_dual(xs[i]))
-    assert not is_hermitian(applied[1], 1e-12) and is_hermitian(applied[0], 1e-12)
+    dev = max_sv(applied - dagger(applied)) / max_sv(applied)
+    assert dev[1] > 1e-12 and dev[0] <= 1e-12
     # one channel for the whole stack
     one = ptrace_channel((2, 2), 1)
     for i, row in enumerate(one.apply(xs)):
         assert _same_bits(row, one.apply(xs[i]))
-    with pytest.raises(DimMismatch):
-        KrausChannel.stack([channels[0], random_channel(4, 3, rng)])
+    with pytest.raises(DimMismatch):  # Kraus stacks of other shapes
+        KrausChannel([stacked.kraus[0], stacked.kraus[1][:2]])
 
 
 def test_a_stacked_channel_is_unital_when_every_row_is():
     rng = np.random.default_rng(74)
     unital = [random_unital_channel(4, 3, rng) for _ in range(2)]
-    assert require_unital(KrausChannel.stack(unital)).is_unital
+    assert require_unital(_stack(unital)).is_unital
     generic = random_channel(4, 3, rng)
     assert not generic.is_unital
     with pytest.raises(NotUnital):
-        require_unital(KrausChannel.stack(unital + [generic]))
+        require_unital(_stack(unital + [generic]))
 
 
 def test_a_petz_map_takes_the_image_its_caller_holds():
@@ -413,8 +460,6 @@ def test_a_stacked_petz_map_mixes_only_its_singular_rows():
     channel = _identity_channel(4)
     sigmas = [random_density(4, rng), random_density(4, rng, rank=2), random_density(4, rng)]
     xs = np.stack([random_density(4, rng).mat for _ in range(3)])
-    recovered = PetzMap(channel, DensityMatrix.stack(sigmas)).apply(xs)
+    recovered = PetzMap(channel, DensityMatrix(np.stack([s.mat for s in sigmas]))).apply(xs)
     for i, sigma in enumerate(sigmas):
         assert _same_bits(recovered[i], PetzMap(channel, sigma).apply(xs[i]))
-    with pytest.raises(DimMismatch):
-        DensityMatrix.stack([sigmas[0], DensityMatrix(sigmas[1], (2, 2))])

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from qelab import linalg
 from qelab.errors import DimMismatch, NotHermitian, NotPSD, SingularInput
 from qelab.linalg import (
+    dagger,
     embed,
     herm_eig,
     hermitize,
@@ -30,6 +31,7 @@ from qelab.linalg import (
     trace_norm,
     unitary_power,
 )
+from qelab.tolerances import TOL_HERM
 
 
 def _rand_hermitian(d, rng):
@@ -95,6 +97,21 @@ def test_exp_of_commuting_sum_factorizes():
 def test_matrix_log_rejects_singular_without_support():
     with pytest.raises(SingularInput):
         matrix_log(np.diag([1.0, 0.0]))
+    # a ~0 eigenvalue within the PSD slack is singular too, not a PSD violation
+    with pytest.raises(SingularInput):
+        matrix_log(np.diag([1.0, -1e-12]))
+
+
+def test_matrix_log_of_a_negative_eigenvalue_is_not_psd():
+    with pytest.raises(NotPSD, match="minimum eigenvalue -1.000e"):
+        matrix_log(-np.eye(2))
+    # one bad row of a stack, behind a singular one: the stack is not PSD
+    stack = np.stack([np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, -1e-9])])
+    with pytest.raises(NotPSD) as stacked:
+        matrix_log(stack)
+    with pytest.raises(NotPSD) as alone:
+        matrix_log(stack[2])
+    assert str(stacked.value) == str(alone.value)
 
 
 def test_matrix_log_support_only_on_singular():
@@ -153,9 +170,10 @@ def test_a_tiny_negative_eigenvalue_is_clipped(fn, f):
     matrix_sqrt,
     lambda h: matrix_power(h, 0.3),
     lambda h: matrix_log(h, support_only=True),
+    matrix_log,
     lambda h: unitary_power(h, 0.3),
     support_projector,
-], ids=["sqrt", "power", "log_support", "unitary_power", "support_projector"])
+], ids=["sqrt", "power", "log_support", "log", "unitary_power", "support_projector"])
 def test_a_negative_eigenvalue_beyond_the_slack_is_not_psd(fn):
     with pytest.raises(NotPSD):
         fn(-np.eye(2))
@@ -294,15 +312,15 @@ def test_real_trace_discards_imaginary_noise():
 # ---------------------------------------------------------------------------
 
 
-def _two_svd_rule(x, tol):
+def _two_svd_rule(x):
     """The rule as herm_eig, _validated_matrix and the channels each wrote it."""
-    return max_sv(x - x.conj().T) <= tol * max(max_sv(x), 1e-300)
+    return max_sv(x - x.conj().T) <= TOL_HERM * max(max_sv(x), 1e-300)
 
 
-def _verdict(rule, x, tol):
+def _verdict(rule, x):
     try:
         with np.errstate(invalid="ignore"):
-            return rule(x, tol)
+            return rule(x)
     except np.linalg.LinAlgError:
         return "LinAlgError"
 
@@ -317,9 +335,8 @@ _EXPECTED = {"exact": True, "zero": True, "inside": True, "outside": False, "far
     d=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["exact", "zero", "inside", "outside", "far", "nan", "inf"]),
-    tol=st.sampled_from([1e-10, 1e-12]),
 )
-def test_is_hermitian_agrees_with_the_two_svd_rule(d, seed, kind, tol):
+def test_is_hermitian_agrees_with_the_two_svd_rule(d, seed, kind):
     rng = np.random.default_rng(seed)
     x = _rand_hermitian(d, rng) * rng.uniform(1e-3, 1e3)
     if kind == "zero":
@@ -327,11 +344,11 @@ def test_is_hermitian_agrees_with_the_two_svd_rule(d, seed, kind, tol):
     elif kind in _OFFSETS:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         skew = g - g.conj().T  # x + c skew deviates from Hermitian by 2 c ||skew||
-        x = x + (_OFFSETS[kind] * tol * max_sv(x) / (2.0 * max_sv(skew))) * skew
+        x = x + (_OFFSETS[kind] * TOL_HERM * max_sv(x) / (2.0 * max_sv(skew))) * skew
     elif kind in ("nan", "inf"):
         x[tuple(rng.integers(0, d, size=2))] = np.nan if kind == "nan" else np.inf
-    verdict = _verdict(is_hermitian, x, tol)
-    assert verdict == _verdict(_two_svd_rule, x, tol)
+    verdict = _verdict(is_hermitian, x)
+    assert verdict == _verdict(_two_svd_rule, x)
     if kind in _EXPECTED:
         assert verdict is _EXPECTED[kind]
 
@@ -344,7 +361,9 @@ def test_exactly_hermitian_input_takes_no_svd(monkeypatch):
     rng = np.random.default_rng(60)
     for d in (1, 2, 5):
         h = _rand_hermitian(d, rng)
-        assert is_hermitian(h, 1e-12)
+        # exactly Hermitian: within 1e-12 * ||h||, and so within the rule's tolerance
+        assert not (h - dagger(h)).any()
+        assert is_hermitian(h)
         require_hermitian(h)
         herm_eig(h)
 
@@ -356,7 +375,7 @@ def test_non_finite_input_still_takes_the_svd_path(bad, monkeypatch):
     monkeypatch.setattr(linalg, "max_sv", lambda x: calls.append(1) or real_max_sv(x))
     x = np.eye(3, dtype=complex)
     x[0, 2] = bad
-    assert _verdict(is_hermitian, x, 1e-10) == _verdict(_two_svd_rule, x, 1e-10)
+    assert _verdict(is_hermitian, x) == _verdict(_two_svd_rule, x)
     assert calls
 
 
@@ -376,8 +395,8 @@ SPECTRAL_FNS = {
 def _outcome(fn, arg):
     try:
         return fn(arg)
-    except SingularInput:
-        return "SingularInput"
+    except (SingularInput, NotPSD) as exc:
+        return type(exc).__name__
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,7 +464,8 @@ STACKED_FNS = {
     "sqrt": matrix_sqrt,
     "power": lambda h: matrix_power(h, -0.37),
     "support_projector": support_projector,
-    "is_hermitian": lambda h: is_hermitian(h, 1e-12),
+    "is_hermitian": is_hermitian,
+    "hermitian_within_1e-12": lambda h: max_sv(h - dagger(h)) <= 1e-12 * max_sv(h),
     "max_sv": max_sv,
     "trace_norm": trace_norm,
     "real_trace": real_trace,

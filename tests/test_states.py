@@ -400,8 +400,13 @@ def test_von_neumann_on_multipartite_marginal():
 def test_a_stacked_state_keeps_its_rows_dims_and_traces_and_names_its_rows():
     rng = np.random.default_rng(5)
     states = [DensityMatrix(random_density(4, rng), (2, 2)) for _ in range(3)]
-    stack = DensityMatrix.stack(states)
+    stack = DensityMatrix(np.stack([st.mat for st in states]), (2, 2))
     assert stack.mat.shape == (3, 4, 4) and stack.dims == (2, 2)
     assert all(np.array_equal(row, st.mat) for row, st in zip(stack.mat, states))
     assert stack.trace.tolist() == [st.trace for st in states]
     assert repr(stack) == "DensityMatrix(n=3, dim=4)"
+    for i, st in enumerate(states):
+        row = stack.row(i)
+        assert type(row) is DensityMatrix and row.dims == (2, 2)
+        assert np.array_equal(row.mat, st.mat) and type(row.trace) is float
+        assert row.trace == st.trace and repr(row) == repr(st)

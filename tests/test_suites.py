@@ -14,10 +14,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qelab.channels import KrausChannel, PetzMap
-from qelab.errors import BadConfig, DimMismatch, MarginalMismatch, QelabError, SingularSigma
+from qelab.errors import (
+    BadConfig,
+    BadTrace,
+    DimMismatch,
+    MarginalMismatch,
+    NonFinite,
+    NotHermitian,
+    NotPSD,
+    QelabError,
+    SingularSigma,
+)
 from qelab.linalg import trace_norm
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
+from qelab.states import DensityMatrix
 from qelab import checks, suites
 from qelab.suites import (
     EXPLORATIONS,
@@ -57,8 +68,8 @@ EXPECTED_ORDER = [
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
-# The check rows whose instance values all have a stack, so that a chunk of them is evaluated
-# as (n, d, d) stacks; the other seven run one trial at a time.
+# The check rows that stack: a chunk of them is sampled and evaluated as (n, d, d) stacks;
+# the other seven run one trial at a time.
 STACKED_ROWS = [
     "renyi-monotone", "monotonicity", "stronger-monotonicity", "unital-trace-bound",
     "ptrace-strengthening", "ssa", "trace-exp-bound", "bsw-identity", "super-ssa",
@@ -267,13 +278,24 @@ def _bits(result):
     ]
 
 
+def _lead(value):
+    """The lead shape of a state's matrix or of a channel's Kraus operators: (n,) for a stack."""
+    return (value.mat if hasattr(value, "mat") else value.kraus[0]).shape[:-2]
+
+
 def test_the_stacked_rows_are_those_whose_values_all_stack():
-    instances = {name: SUITES[name].sample(trial_rng(0, name, 0), (2, 2, 2), DEFAULT_EPS)
-                 for name in SUITES}
-    stacked = [name for name, inst in instances.items()
-               if all(hasattr(value, "stack") for value in inst.values())]
-    # overlap-chain stacks too in a chunk where no trial drew its scaled reference
-    assert [name for name in stacked if name != "overlap-chain"] == STACKED_ROWS
+    # a row stacks when its sampler draws a chunk's instance as stacks, one row per stream
+    assert [name for name, suite in SUITES.items() if suite.stacks] == STACKED_ROWS
+    for name in STACKED_ROWS + EXPLORATION_ORDER:
+        suite = EXPLORATIONS.get(name) or SUITES[name]
+        assert suite.stacks
+        rngs = [trial_rng(0, name, trial) for trial in range(3)]
+        instance = suite.sample(rngs, (2, 2, 2), DEFAULT_EPS)
+        assert set(instance) == INSTANCE_KEYS[name]
+        assert all(_lead(value) == (3,) for value in instance.values()), name
+        # on no streams the sampler draws nothing and still builds every operator
+        empty = suite.sample([], (2, 2, 2), DEFAULT_EPS)
+        assert all(_lead(value) == (0,) for value in empty.values()), name
 
 
 def test_readme_names_the_rows_that_run_one_trial_at_a_time():
@@ -283,12 +305,7 @@ def test_readme_names_the_rows_that_run_one_trial_at_a_time():
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
     table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
     listed = [name for line in table for name in re.findall(r"`([a-z-]+)`", line.split("|")[1])]
-    unstacked = [
-        name for name, suite in SUITES.items()
-        if any(not all(hasattr(value, "stack") for value in instance.values())
-               for instance in (suite.sample(trial_rng(0, name, t), (2, 2, 2), DEFAULT_EPS)
-                                for t in range(8)))
-    ]
+    unstacked = [name for name, suite in SUITES.items() if not suite.stacks]
     assert sorted(listed) == sorted(unstacked)
 
 
@@ -311,39 +328,93 @@ def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims
         assert _bits(result) == _bits(alone)
 
 
-def _flat_reference(instance):
-    """ptrace-petz's reference on one flat subsystem: its chunk cannot be stacked, and alone
-    the trial fails in the evaluator (DimMismatch)."""
+def _flat_reference(instance, row):
+    """ptrace-petz's reference on one flat subsystem.  A stack holds one dims for all its
+    rows, so a chunk of several cannot hold it and its sampler raises; alone the trial fails
+    in the evaluator (DimMismatch)."""
     sigma = instance["sigma_ab"]
+    if row != ():
+        raise DimMismatch("a stack holds one dims for all its rows")
     instance["sigma_ab"] = type(sigma)(sigma, (sigma.dim,))
 
 
-def _zero_channel(instance):
-    """stronger-mono's channel with every Kraus operator scaled to zero (past the trace-
-    preservation check of the constructor): the chunk stacks, and then PetzMap finds a
+def _zero_channel(instance, row):
+    """stronger-mono's channel with every Kraus operator of the row scaled to zero (past the
+    trace-preservation check of the constructor): the chunk stacks, and then PetzMap finds a
     reference image of zero trace in this row only (SingularSigma)."""
     channel = instance["channel"]
+    kraus = tuple(np.array(k) for k in channel.kraus)
+    for k in kraus:
+        k[row] = 0
     zero = KrausChannel.__new__(KrausChannel)
-    vars(zero).update(vars(channel), kraus=tuple(0 * k for k in channel.kraus))
+    vars(zero).update(vars(channel), kraus=kraus)
     instance["channel"] = zero
 
 
-def _unmatched_middle(instance):
-    """three-state-chain's tau replaced by rho: the chunk stacks, and then neither
+def _unmatched_middle(instance, row):
+    """three-state-chain's tau replaced by rho in the row: the chunk stacks, and then neither
     sigma_B = tau_B nor tau_B = omega_B holds in this row only (MarginalMismatch)."""
-    instance["tau"] = instance["rho"]
+    tau = np.array(instance["tau"].mat)
+    tau[row] = instance["rho"].mat[row]
+    instance["tau"] = DensityMatrix(tau, instance["tau"].dims)
 
 
-def failing_at(kind, bad_trial, breaks, raised=None):
-    """The exploration or suite ``kind`` with a sampler that passes trial bad_trial's instance
-    to ``breaks``; each call of its evaluator that raises appends the lead shape of its first
-    state's matrix ((n,) for a stacked chunk of n trials, () for one trial) to raised."""
+def _redrawn(key, corrupt):
+    """A break that builds the value under ``key`` again from its matrices with the row's
+    matrices passed through ``corrupt``, as if that row's draw had come out so: on a chunk of
+    several the constructor validates the stack and meets the bad draw in that row."""
+
+    def breaks(instance, row):
+        value = instance[key]
+        if isinstance(value, KrausChannel):
+            kraus = [np.array(k) for k in value.kraus]
+            for k in kraus:
+                k[row] = corrupt(k[row])
+            instance[key] = KrausChannel(kraus)
+        else:
+            mat = np.array(value.mat)
+            mat[row] = corrupt(mat[row])
+            instance[key] = DensityMatrix(mat, value.dims)
+
+    return breaks
+
+
+def _with_nan(m):
+    m = m.copy()
+    m[0, 1] = np.nan
+    return m
+
+
+def _skewed(m):
+    m = m.copy()
+    m[0, 1] += 1e-3
+    return m
+
+
+def _negative_eigenvalue(m):
+    return np.diag([1.5, -0.5] + [0.0] * (len(m) - 2)).astype(complex)
+
+
+def failing_at(kind, bad_trial, breaks, raised=None, drawn=None):
+    """The exploration or suite ``kind`` with a sampler that passes its instance and trial
+    bad_trial's row in it to ``breaks``: its index in a chunk's stacks, () for the 2-D
+    instance of one trial.  Each call of its evaluator that raises appends the lead shape of
+    its first state's matrix ((n,) for a stacked chunk of n trials, () for one trial) to
+    raised; each sampler call whose break raises appends (class, message, lead shape) to
+    drawn."""
     suite = EXPLORATIONS.get(kind) or SUITES[kind]
 
     def sample(rng, dims, eps):
         instance = suite.sample(rng, dims, eps)
-        if int(rng.bit_generator.seed_seq.entropy[-1]) == bad_trial:
-            breaks(instance)
+        one = isinstance(rng, np.random.Generator)
+        for row, stream in zip([()] if one else range(len(rng)), [rng] if one else rng):
+            if int(stream.bit_generator.seed_seq.entropy[-1]) == bad_trial:
+                try:
+                    breaks(instance, row)
+                except QelabError as exc:
+                    if drawn is not None:
+                        drawn.append((type(exc), str(exc), () if one else (len(rng),)))
+                    raise
         return instance
 
     def run(instance, tol, opts):
@@ -381,6 +452,40 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
     # trial 4's chunk of several trials raises in the evaluator when it stacks, and never
     # reaches it when it cannot
     assert ((min(chunk, 9),) in raised) == (breaks is not _flat_reference)
+
+
+@pytest.mark.parametrize("chunk", [3, 50])
+@pytest.mark.parametrize("kind, breaks, error, message", [
+    ("cmi-petz", _redrawn("rho", _with_nan), NonFinite, "matrix has a NaN or infinite entry"),
+    ("ptrace-petz", _redrawn("sigma_ab", _skewed), NotHermitian,
+     "matrix deviates from Hermitian by"),
+    ("trotter-bound", _redrawn("rho", _negative_eigenvalue), NotPSD,
+     "minimum eigenvalue -5.000e-01 below"),
+    ("bsw-identity", _redrawn("omega", lambda m: 1.5 * m), BadTrace,
+     "trace 1.5 deviates from 1"),
+    ("stronger-mono", _redrawn("channel", lambda k: 1.1 * k), DimMismatch,
+     "Kraus operators violate trace preservation by"),
+], ids=["nan", "not-hermitian", "not-psd", "bad-trace", "not-trace-preserving"])
+def test_a_bad_draw_inside_a_chunk_raises_as_its_trial_alone(
+    kind, breaks, error, message, chunk, monkeypatch
+):
+    drawn = []
+    registry = EXPLORATIONS if kind in EXPLORATIONS else SUITES
+    monkeypatch.setitem(registry, kind, failing_at(kind, 4, breaks, drawn=drawn))
+    errors = []
+    for size in (1, chunk):
+        monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
+        with pytest.raises(error) as info:
+            list(iter_trials(registry[kind], (2, 2, 2), 9, 3))
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    prefix = f"{kind} trial 4: "
+    assert errors[0][1].startswith(prefix + message)
+    # the chunk's stacked validation met the bad draw first, with the class and message
+    # that the trial gets alone
+    alone = errors[0][1][len(prefix):]
+    assert drawn[0] == (error, alone, ())
+    assert (error, alone, (min(chunk, 9),)) in drawn
 
 
 @pytest.mark.parametrize("name, registry, trials, chunks", [
