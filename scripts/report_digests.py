@@ -8,12 +8,13 @@ so a diff of the outputs is a byte-identity check of a change:
     diff before.txt after.txt
 
 The commands run in this process, through qelab.cli.main, with reports written into a
-temporary directory.  Each line is "<sha256> <exit code> <name>":
+temporary directory.  Each line is "<sha256> <exit code> <name>", one per written report
+and one per non-empty stdout and stderr:
 
 * check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
-* replay of that dump and of every exploration report (their stdout).
+* replay of that dump and of every exploration report (their stdout and stderr).
 """
 
 from __future__ import annotations
@@ -44,21 +45,22 @@ def main() -> int:
     sys.path.insert(0, os.path.abspath(args.src))
     from qelab import cli
 
-    def run(argv: list[str]) -> tuple[int, bytes]:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    def run(argv: list[str]) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        return code, out.getvalue().encode()
+        return code, out.getvalue(), err.getvalue()
 
     with tempfile.TemporaryDirectory() as tmp:
 
         def report(name: str, argv: list[str], written: list[str]) -> None:
-            code, stdout = run(argv)
+            code, stdout, stderr = run(argv)
             for path in written:
                 with open(path, "rb") as fh:
                     print(_digest(fh.read()), code, f"{name}:{os.path.basename(path)}")
-            if stdout:
-                print(_digest(stdout), code, f"{name}:stdout")
+            for stream, text in (("stdout", stdout), ("stderr", stderr)):
+                if text:  # the temporary directory's name differs from run to run
+                    print(_digest(text.replace(tmp, "<tmp>").encode()), code, f"{name}:{stream}")
 
         for dims, trials in CHECKS:
             out = os.path.join(tmp, f"check-{dims}.json")

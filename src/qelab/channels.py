@@ -20,6 +20,7 @@ from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
     HermitianEigen,
     dagger,
+    first_flagged,
     herm_eig,
     hermitize,
     is_hermitian,
@@ -33,13 +34,12 @@ from .linalg import (
 )
 from .states import (
     SubnormalizedOperator,
-    _as_drawn,
-    _first_bad,
-    _gaussians,
     _haar_q,
-    _streams,
+    as_drawn,
+    gaussians,
     random_unitaries,
     random_unitary,
+    streams,
 )
 from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
@@ -78,7 +78,7 @@ class KrausChannel:
         bad = tp_dev > TOL_RECON
         if np.any(bad):
             raise DimMismatch(
-                f"Kraus operators violate trace preservation by {_first_bad(tp_dev, bad):.3e}"
+                f"Kraus operators violate trace preservation by {first_flagged(tp_dev, bad):.3e}"
             )
         env = sum(k @ dagger(k) for k in ops)
         self._unital_dev = max_sv(env - np.eye(d_out))
@@ -202,7 +202,7 @@ def random_unital_channel(
         raise DimMismatch(f"dimension must be >= 1, got {d}")
     if n_kraus < 1:
         raise DimMismatch(f"need at least one Kraus operator, got {n_kraus}")
-    rngs = _streams(rng)
+    rngs = streams(rng)
     ops = np.empty((n_kraus, len(rngs), d, d), dtype=complex)
     for row, stream in enumerate(rngs):
         probs = stream.dirichlet(np.ones(n_kraus))
@@ -212,7 +212,7 @@ def random_unital_channel(
         # temporaries for no gain in speed.
         for k, p in enumerate(probs):
             ops[k, row] = np.sqrt(p) * random_unitary(d, stream)
-    return _as_drawn(rng, KrausChannel(ops))
+    return as_drawn(rng, KrausChannel(ops))
 
 
 def random_channel(
@@ -222,8 +222,8 @@ def random_channel(
     chunk as a stack."""
     if env_dim < 1:
         raise DimMismatch(f"environment dimension must be >= 1, got {env_dim}")
-    q = _haar_q(_gaussians(_streams(rng), (d * env_dim, d)))
-    return _as_drawn(rng, KrausChannel([q[:, i * d : (i + 1) * d, :] for i in range(env_dim)]))
+    q = _haar_q(gaussians(streams(rng), (d * env_dim, d)))
+    return as_drawn(rng, KrausChannel([q[:, i * d : (i + 1) * d, :] for i in range(env_dim)]))
 
 
 def _check_bipartite(x: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
@@ -272,8 +272,7 @@ def twirl_mc(
     for start in range(0, samples, TWIRL_CHUNK):
         n = min(TWIRL_CHUNK, samples - start)
         u = random_unitaries(n, db, rng)
-        # the same products kron(1, u) forms, so the bits match
-        w = (np.eye(da)[None, :, None, :, None] * u[:, None, :, None, :]).reshape((n,) + x.shape)
+        w = kron(np.eye(da), u)
         for term in w @ x @ w.conj().swapaxes(-1, -2):
             acc += term
     return _hermitian_like(x, acc / samples)

@@ -45,6 +45,7 @@ from .linalg import (
     herm_eig,
     hermitize,
     hs_norm,
+    kron,
     matrix_exp,
     matrix_log,
     matrix_power,
@@ -696,7 +697,7 @@ def check_dw_tripartite(
         g = _compressed_product(eig, dims, alpha)
         values.append(real_trace(matrix_power(g, 1.0 / alpha)))
     channel = ptrace_channel(dims, 0)
-    reference = np.kron(m["ab"], np.eye(dims[2]) / dims[2])
+    reference = kron(m["ab"], np.eye(dims[2]) / dims[2])
     pushed = _pushed(m["abc"], reference, channel)
     via_channel = real_trace(_alpha_compressed(pushed, float(alphas[0])))
 

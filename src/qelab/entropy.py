@@ -21,6 +21,7 @@ from .linalg import (
     embed,
     herm_eig,
     hermitize,
+    kron,
     matrix_exp,
     matrix_log,
     matrix_power,
@@ -138,8 +139,8 @@ def cmi_relative_entropy_form(state: DensityMatrix) -> float:
     rho_bc = state.marginal([1, 2])
     rho_b = state.marginal([1])
     rho_c = state.marginal([2])
-    full = relative_entropy(rho, np.kron(rho_ab, rho_c))
-    reduced = relative_entropy(rho_bc, np.kron(rho_b, rho_c))
+    full = relative_entropy(rho, kron(rho_ab, rho_c))
+    reduced = relative_entropy(rho_bc, kron(rho_b, rho_c))
     return full - reduced
 
 

@@ -70,6 +70,12 @@ def row_indices(flags: np.ndarray) -> list[tuple]:
     return list(zip(*np.nonzero(flags)))
 
 
+def first_flagged(values, flags):
+    """The entry of ``values`` at the first flagged row: the value, or matrix, of the first
+    bad row of a stack, or ``values`` itself for a flagged 2-D call."""
+    return np.asarray(values)[row_indices(np.asarray(flags))[0]]
+
+
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return np.swapaxes(x.conj(), -1, -2)
@@ -119,8 +125,8 @@ def require_hermitian(x: np.ndarray) -> np.ndarray:
         raise DimMismatch(f"expected a square matrix, got shape {x.shape}")
     ok = _hermitian_rows(x)
     if ok is not None and not ok.all():
-        first = row_indices(~ok)[0]
-        dev = max_sv(x[first] - dagger(x[first]))
+        bad = first_flagged(x, ~ok)
+        dev = max_sv(bad - dagger(bad))
         raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
     return x
 
@@ -152,7 +158,7 @@ def psd_support(vals: np.ndarray) -> np.ndarray:
     top = vals[..., -1:]
     bad = vals[..., :1] < -TOL_PSD * np.maximum(top, 1.0)
     if bad.any():
-        row = vals[row_indices(bad[..., 0])[0]]
+        row = first_flagged(vals, bad[..., 0])
         raise NotPSD(f"minimum eigenvalue {row[0]:.3e} below -{TOL_PSD * max(1.0, row[-1]):.1e}")
     return vals > RANK_CUTOFF * np.maximum(top, 1e-300)
 
@@ -239,10 +245,8 @@ def support_projector(h: Spectral) -> np.ndarray:
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the first factor on the slow index; row by row when a or b is a
-    stack, as the broadcast product np.kron forms."""
+    stack.  It is the broadcast product np.kron forms, with the same bits."""
     a, b = np.asarray(a), np.asarray(b)
-    if a.ndim <= 2 and b.ndim <= 2:
-        return np.kron(a, b)
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
@@ -299,9 +303,7 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     rest = [i for i in range(n) if i not in acting_on]
     if not rest:
         return op.copy()
-    # kron(op, 1_rest) as the broadcast product np.kron forms, without its wrapper
-    eye = np.eye(int(np.prod([dims[i] for i in rest])))
-    big = op[..., :, None, :, None] * eye[:, None, :]
+    big = kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
     order = acting_on + rest  # subsystem owning each tensor axis of `big`
     perm = list(np.argsort(order))
     lead = op.shape[:-2]

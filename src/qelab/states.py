@@ -34,6 +34,7 @@ from .errors import (
 from .linalg import (
     HermitianEigen,
     dagger,
+    first_flagged,
     herm_eig,
     hermitize,
     kron,
@@ -41,36 +42,31 @@ from .linalg import (
     ptrace,
     real_trace,
     require_hermitian,
-    row_indices,
 )
 from .tolerances import TOL_TRACE
 
 
-def _streams(
+def streams(
     rng: np.random.Generator | Sequence[np.random.Generator],
 ) -> list[np.random.Generator]:
-    """The chunk's list of streams: [rng] for one Generator."""
+    """The chunk's list of streams a sampler draws from: [rng] for one Generator."""
     return [rng] if isinstance(rng, np.random.Generator) else list(rng)
 
 
-def _as_drawn(rng: np.random.Generator | Sequence[np.random.Generator], value):
+def as_drawn(rng: np.random.Generator | Sequence[np.random.Generator], value):
     """A sampler's value for ``rng``: the stack itself for a list of streams, its row 0 (the
     2-D value) for one Generator."""
     return value.row(0) if isinstance(rng, np.random.Generator) else value
 
 
-def _gaussians(rngs: Sequence[np.random.Generator], shape: tuple[int, int]) -> np.ndarray:
+def gaussians(rngs: Sequence[np.random.Generator], shape: tuple[int, int]) -> np.ndarray:
     """One complex Gaussian matrix of ``shape`` per stream, as an (n,) + shape stack: each
     stream draws its real plane, then its imaginary plane."""
-    return np.array(
-        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for rng in rngs],
-        dtype=complex,
-    ).reshape((len(rngs),) + shape)
-
-
-def _first_bad(values, bad) -> float:
-    """The value of the first flagged row of a per-matrix number, as a Python float."""
-    return float(np.asarray(values)[row_indices(np.asarray(bad))[0]])
+    out = np.empty((len(rngs),) + shape, dtype=complex)
+    for row, rng in zip(out, rngs):
+        row.real = rng.standard_normal(shape)
+        row.imag = rng.standard_normal(shape)
+    return out
 
 
 def _validated_matrix(mat: np.ndarray) -> np.ndarray:
@@ -94,7 +90,7 @@ class SubnormalizedOperator:
         tr = real_trace(self._mat)
         bad = (tr < -TOL_TRACE) | (tr > 1.0 + TOL_TRACE)
         if np.any(bad):
-            raise BadTrace(f"trace {_first_bad(tr, bad)!r} outside [0, 1]")
+            raise BadTrace(f"trace {float(first_flagged(tr, bad))!r} outside [0, 1]")
         self._trace = tr
 
     def row(self, i: int) -> SubnormalizedOperator:
@@ -168,7 +164,8 @@ class DensityMatrix(SubnormalizedOperator):
 def _check_unit_trace(tr) -> None:
     bad = np.abs(tr - 1.0) > TOL_TRACE
     if np.any(bad):
-        raise BadTrace(f"trace {_first_bad(tr, bad)!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+        tr = float(first_flagged(tr, bad))
+        raise BadTrace(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
 
 
 def require_tripartite(state: DensityMatrix) -> DensityMatrix:
@@ -303,9 +300,9 @@ def random_density(
         rank = d
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in 1..{d}, got {rank}")
-    g = _gaussians(_streams(rng), (d, rank))
+    g = gaussians(streams(rng), (d, rank))
     mat = g @ dagger(g)
-    return _as_drawn(rng, DensityMatrix(mat / real_trace(mat)[:, None, None]))
+    return as_drawn(rng, DensityMatrix(mat / real_trace(mat)[:, None, None]))
 
 
 def random_tripartite(

@@ -535,6 +535,19 @@ def test_stacked_ptrace_and_embed_match_each_row(dims):
             assert _same_bits(alone, _kron_embed(ops[i], dims, keep))
 
 
+@pytest.mark.parametrize("shapes", [((2, 3), (3, 2)), ((1, 2), (4, 4)), ((3, 3), (1, 1))])
+def test_kron_gives_the_bits_of_np_kron_on_matrices_and_on_each_row_of_a_stack(shapes):
+    rng = np.random.default_rng(65)
+    a = rng.normal(size=(3,) + shapes[0]) + 1j * rng.normal(size=(3,) + shapes[0])
+    b = -rng.normal(size=(3,) + shapes[1])  # real, so complex-by-real products give -0.0
+    a[1, 0, 0] = -0.0
+    for i in range(3):
+        assert _same_bits(kron(a[i], b[i]), np.kron(a[i], b[i]))
+        assert _same_bits(kron(a, b)[i], np.kron(a[i], b[i]))
+        assert _same_bits(kron(a, b[0])[i], np.kron(a[i], b[0]))
+        assert _same_bits(kron(a[0], b)[i], np.kron(a[0], b[i]))
+
+
 def _kron_embed(op, dims, acting_on):
     """embed as np.kron and a transpose write it."""
     n = len(dims)
