@@ -314,6 +314,53 @@ def _twirl_mc_per_sample(x, dims, rng, samples):
     return out
 
 
+def _unital_per_unitary(d, n_kraus, rng):
+    # the one-random_unitary-call-per-Kraus-operator loop of random_unital_channel,
+    # as the Kraus stacks (n_kraus, streams, d, d) of every stream
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    ops = np.empty((n_kraus, len(rngs), d, d), dtype=complex)
+    for row, stream in enumerate(rngs):
+        probs = stream.dirichlet(np.ones(n_kraus))
+        probs = 0.9 * probs + 0.1 / n_kraus
+        for k, p in enumerate(probs):
+            ops[k, row] = np.sqrt(p) * random_unitary(d, stream)
+    return ops
+
+
+def _assert_unital_matches_the_loop(d, n_kraus, streams, seed):
+    def rngs():
+        if streams is None:
+            return np.random.default_rng(seed)
+        return [np.random.default_rng([seed, i]) for i in range(streams)]
+
+    drawn, looped = rngs(), rngs()
+    channel = random_unital_channel(d, n_kraus, drawn)
+    ops = _unital_per_unitary(d, n_kraus, looped)
+    assert len(channel.kraus) == n_kraus
+    for k, kraus in enumerate(channel.kraus):
+        assert np.array_equal(kraus, ops[k, 0] if streams is None else ops[k])
+    for a, b in zip([drawn] if streams is None else drawn,
+                    [looped] if streams is None else looped):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    d=st.integers(1, 16),
+    streams=st.sampled_from([None, 1, 5, 32]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_unital_channel_equals_the_per_unitary_loop(data, d, streams, seed):
+    n_kraus = data.draw(st.integers(1, d), label="n_kraus")
+    _assert_unital_matches_the_loop(d, n_kraus, streams, seed)
+
+
+@pytest.mark.parametrize("streams", [None, 2])
+def test_random_unital_channel_equals_the_per_unitary_loop_at_d64(streams):
+    _assert_unital_matches_the_loop(64, 3, streams, 64)
+
+
 @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (4, 4)])
 @pytest.mark.parametrize("hermitian", [0, 1])
 @pytest.mark.parametrize(
