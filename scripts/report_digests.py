@@ -14,7 +14,12 @@ and one per non-empty stdout and stderr:
 * check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
-* replay of that dump and of every exploration report (their stdout and stderr).
+* replay of that dump and of every exploration report (their stdout and stderr);
+* criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
+  seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
+  them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
+  hashes the float.hex of the slack and of each quantity.  The suite's 200 samples never
+  cross a channels.TWIRL_CHUNK boundary, so only these lines see the chunked path.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
 CHECKS = (("2,2,2", 40), ("4,4,4", 3))
 EXPLORE_DIMS = ("2,2,2", "4,4,4")
+TWIRL_SEEDS = (42, 43, 44)
 
 
 def _digest(data: bytes) -> str:
@@ -43,7 +49,8 @@ def main() -> int:
                         help="directory holding the qelab package (default: this repo's src)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
-    from qelab import cli
+    import numpy as np
+    from qelab import checks, cli
 
     def run(argv: list[str]) -> tuple[int, str, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -77,6 +84,13 @@ def main() -> int:
                 report(f"explore {kind} {dims}", ["explore", kind, "--dims", dims, "--trials",
                                                   "100", "--seed", "7", "--out", out], [out])
                 report(f"replay {kind} {dims}", ["replay", out], [])
+    for seed in TWIRL_SEEDS:
+        rng = np.random.default_rng([seed, 10, 0])
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        result = checks.check_twirl_identity((g + g.conj().T) / 2, (2, 3), rng, 10_000)
+        text = " ".join([float(result.slack).hex()] + [
+            f"{name}={float(value).hex()}" for name, value in result.quantities.items()])
+        print(_digest(text.encode()), int(result.passed), f"twirl-identity seed {seed}")
     return 0
 
 

@@ -38,7 +38,6 @@ from .states import (
     as_drawn,
     gaussians,
     random_unitaries,
-    random_unitary,
     streams,
 )
 from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
@@ -203,15 +202,12 @@ def random_unital_channel(
     if n_kraus < 1:
         raise DimMismatch(f"need at least one Kraus operator, got {n_kraus}")
     rngs = streams(rng)
-    ops = np.empty((n_kraus, len(rngs), d, d), dtype=complex)
-    for row, stream in enumerate(rngs):
-        probs = stream.dirichlet(np.ones(n_kraus))
-        # Keep every branch comfortably populated so the channel stays full rank.
-        probs = 0.9 * probs + 0.1 / n_kraus
-        # One draw at a time: at d = n_kraus = 64 a stacked draw holds ~20 MiB of
-        # temporaries for no gain in speed.
-        for k, p in enumerate(probs):
-            ops[k, row] = np.sqrt(p) * random_unitary(d, stream)
+    # Each stream draws its weights, then its unitaries, which random_unitaries writes by
+    # blocks under _CHUNK_ENTRIES into the Kraus stacks, scaled in place.  The weights keep
+    # every branch comfortably populated so the channel stays full rank.
+    probs = np.array([0.9 * stream.dirichlet(np.ones(n_kraus)) + 0.1 / n_kraus for stream in rngs])
+    ops = random_unitaries(n_kraus, d, rngs)
+    ops *= np.sqrt(probs.T)[..., None, None]
     return as_drawn(rng, KrausChannel(ops))
 
 
@@ -247,9 +243,9 @@ def twirl_exact(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return kron(ptrace(x, (da, db), [0]), np.eye(db) / db)
 
 
-# Haar samples per stacked QR and matmul in twirl_mc: enough to amortize the
-# per-call overhead, few enough that the (TWIRL_CHUNK, d, d) temporaries stay
-# under 1 MiB each at d = 6, where one stack of 10^4 samples would not.
+# Haar samples per stacked draw and matmul in twirl_mc: enough to amortize the per-call
+# overhead, few enough that each (TWIRL_CHUNK, d, d) temporary (1 (x) U, its products, the
+# terms) stays under 1 MiB at d = 6, where one stack of 10^4 samples would not.
 TWIRL_CHUNK = 512
 
 
@@ -272,7 +268,12 @@ def twirl_mc(
     for start in range(0, samples, TWIRL_CHUNK):
         n = min(TWIRL_CHUNK, samples - start)
         u = random_unitaries(n, db, rng)
-        w = kron(np.eye(da), u)
-        for term in w @ x @ w.conj().swapaxes(-1, -2):
-            acc += term
+        w = np.zeros((n,) + x.shape, dtype=complex)
+        for a in range(da):  # the block-diagonal 1 (x) U
+            w[:, a * db : (a + 1) * db, a * db : (a + 1) * db] = u
+        terms = w @ x @ dagger(w)
+        terms[0] += acc
+        # Summed over the real view (rows of >= 2 entries), so NumPy adds the terms in turn
+        # like the per-sample loop: 1 x 1 complex terms would be summed pairwise.
+        acc = np.add.reduce(terms.view(float), axis=0).view(complex)
     return _hermitian_like(x, acc / samples)

@@ -45,6 +45,8 @@ from .linalg import (
 )
 from .tolerances import TOL_TRACE
 
+_CHUNK_ENTRIES = 32 * 16 * 16  # entries of one stacked complex operand: 128 KiB at most
+
 
 def streams(
     rng: np.random.Generator | Sequence[np.random.Generator],
@@ -269,19 +271,31 @@ def _haar_q(g: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` Haar-distributed d x d unitaries as one (n, d, d) stack.
+def random_unitaries(
+    n: int, d: int, rng: np.random.Generator | Sequence[np.random.Generator]
+) -> np.ndarray:
+    """``n`` Haar-distributed d x d unitaries as an (n, d, d) stack, or ``n`` per stream of a
+    chunk as an (n, streams, d, d) stack, the layout of a stacked channel's Kraus operators.
 
-    The draw takes the real then the imaginary Gaussian plane of each sample
-    in turn, the stream of ``n`` ``random_unitary`` calls, and stacked QR
-    gives the same bits as one QR per matrix.
+    Each stream draws the real then the imaginary Gaussian plane of each unitary in turn,
+    the stream of ``n`` ``random_unitary`` calls.  Draws and QR run in blocks of at most
+    _CHUNK_ENTRIES entries; a stacked QR gives the bits of one QR per matrix.
     """
     if d < 1:
         raise DimMismatch(f"dimension must be >= 1, got {d}")
     if n < 1:
         raise BadConfig(f"need at least one unitary, got {n}")
-    g = rng.standard_normal((n, 2, d, d))
-    return _haar_q(g[:, 0] + 1j * g[:, 1])
+    rngs = streams(rng)
+    out = np.empty((n, len(rngs), d, d), dtype=complex)
+    block = max(1, _CHUNK_ENTRIES // (d * d))
+    for row, stream in enumerate(rngs):
+        for start in range(0, n, block):
+            part = out[start : start + block, row]  # each unitary: real plane, then imaginary
+            part.real, part.imag = stream.standard_normal((len(part), 2, d, d)).swapaxes(0, 1)
+    flat = out.reshape(-1, d, d)
+    for start in range(0, len(flat), block):
+        flat[start : start + block] = _haar_q(flat[start : start + block])
+    return out[:, 0] if isinstance(rng, np.random.Generator) else out
 
 
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

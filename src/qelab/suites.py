@@ -51,6 +51,7 @@ from .linalg import hermitize, kron, trace_norm
 from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
 from .states import (
+    _CHUNK_ENTRIES,
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
@@ -75,12 +76,11 @@ TWIRL_SUITE_SAMPLES = 200
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
 # Trials sampled and evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
 # largest operator dimension among the states and channels the suite's sampler builds, so
-# that one stacked complex operand stays within 128 KiB (_CHUNK_ENTRIES matrix entries):
+# that one stacked complex operand stays within states._CHUNK_ENTRIES (128 KiB):
 # all 32 trials up to d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks
 # gained under 2% on explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS
 # for no throughput.
 CHUNK_TRIALS = 32
-_CHUNK_ENTRIES = 32 * 16 * 16
 
 
 def _flat(dims: Sequence[int]) -> int:

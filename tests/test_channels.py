@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qelab import states
 from qelab.channels import (
     TWIRL_CHUNK,
     KrausChannel,
@@ -27,6 +28,7 @@ from qelab.states import (
     markov_state,
     random_density,
     random_tripartite,
+    random_unitaries,
     random_unitary,
     regularize,
 )
@@ -339,8 +341,7 @@ def _assert_unital_matches_the_loop(d, n_kraus, streams, seed):
     assert len(channel.kraus) == n_kraus
     for k, kraus in enumerate(channel.kraus):
         assert np.array_equal(kraus, ops[k, 0] if streams is None else ops[k])
-    for a, b in zip([drawn] if streams is None else drawn,
-                    [looped] if streams is None else looped):
+    for a, b in zip(states.streams(drawn), states.streams(looped)):
         assert a.bit_generator.state == b.bit_generator.state
 
 
@@ -378,6 +379,59 @@ def test_twirl_mc_chunks_match_the_per_sample_loop(dims, hermitian, samples):
     looped = _twirl_mc_per_sample(x, dims, looped_rng, samples)
     assert np.array_equal(chunked, looped)
     assert chunked_rng.bit_generator.state == looped_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("negative_zero", [0, 1])
+@pytest.mark.parametrize("samples", [9, TWIRL_CHUNK + 1])
+def test_twirl_mc_of_tiny_factors_matches_the_per_sample_loop(dims, negative_zero, samples):
+    # 1 x 1 terms are where a complex sum over the stack would be taken pairwise
+    rng = np.random.default_rng([samples, negative_zero, *dims])
+    d = dims[0] * dims[1]
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    if negative_zero:
+        x = np.full((d, d), complex(-0.0, -0.0))
+    chunked_rng, looped_rng = np.random.default_rng(samples), np.random.default_rng(samples)
+    chunked = twirl_mc(x, dims, chunked_rng, samples)
+    assert _same_bits(chunked, _twirl_mc_per_sample(x, dims, looped_rng, samples))
+    assert chunked_rng.bit_generator.state == looped_rng.bit_generator.state
+
+
+def _haar_per_unitary(n, d, rngs):
+    # one Gaussian draw, QR and phase fix per unitary, stream after stream
+    out = np.empty((n, len(rngs), d, d), dtype=complex)
+    for row, rng in enumerate(rngs):
+        for k in range(n):
+            g = rng.standard_normal((2, d, d))
+            q, r = np.linalg.qr(g[0] + 1j * g[1])
+            diag = np.diagonal(r)
+            out[k, row] = q * (diag / np.abs(diag))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("per_block,offset", [(1, -1), (1, 0), (2, -1), (2, 0), (2, 1), (3, 0)])
+@pytest.mark.parametrize("streams", [None, 3])
+def test_draws_in_blocks_under_a_small_entry_cap_match_the_loop(
+    monkeypatch, d, per_block, offset, streams
+):
+    # a cap of per_block unitaries (plus or minus an entry) splits each stream's draws and
+    # the chunk's QR into several blocks, which must not change a bit
+    monkeypatch.setattr(states, "_CHUNK_ENTRIES", max(1, per_block * d * d + offset))
+    n = 7
+
+    def rngs():
+        if streams is None:
+            return np.random.default_rng([d, per_block, offset + 1])
+        return [np.random.default_rng([d, per_block, offset + 1, i]) for i in range(streams)]
+
+    drawn, looped = rngs(), rngs()
+    u = random_unitaries(n, d, drawn)
+    ref = _haar_per_unitary(n, d, states.streams(looped))
+    assert np.array_equal(u, ref[:, 0] if streams is None else ref)
+    for a, b in zip(states.streams(drawn), states.streams(looped)):
+        assert a.bit_generator.state == b.bit_generator.state
+    _assert_unital_matches_the_loop(d, d, streams, per_block + 10 * (offset + 1))
 
 
 @pytest.mark.parametrize("d,env_dim", [(2, 1), (3, 2), (4, 3), (8, 2)])
