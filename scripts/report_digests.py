@@ -11,7 +11,8 @@ The commands run in this process, through qelab.cli.main, with reports written i
 temporary directory.  Each line is "<sha256> <exit code> <name>", one per written report
 and one per non-empty stdout and stderr:
 
-* check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42;
+* check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42, and at
+  2,2,2 with 1 trial, where every suite runs the chunk of one;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
 * replay of that dump and of every exploration report (their stdout and stderr);
@@ -34,7 +35,7 @@ import tempfile
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
-CHECKS = (("2,2,2", 40), ("4,4,4", 3))
+CHECKS = (("2,2,2", 40), ("4,4,4", 3), ("2,2,2", 1))
 EXPLORE_DIMS = ("2,2,2", "4,4,4")
 TWIRL_SEEDS = (42, 43, 44)
 
@@ -70,9 +71,10 @@ def main() -> int:
                     print(_digest(text.replace(tmp, "<tmp>").encode()), code, f"{name}:{stream}")
 
         for dims, trials in CHECKS:
-            out = os.path.join(tmp, f"check-{dims}.json")
-            report(f"check {dims}", ["check", "--suite", "all", "--dims", dims, "--trials",
-                                     str(trials), "--seed", "42", "--out", out], [out])
+            out = os.path.join(tmp, f"check-{dims}-{trials}.json")
+            report(f"check {dims} trials {trials}", ["check", "--suite", "all", "--dims", dims,
+                                                     "--trials", str(trials), "--seed", "42",
+                                                     "--out", out], [out])
         out = os.path.join(tmp, "sbw.json")
         report("check sbw-limit shallow", ["check", "--suite", "sbw-limit", "--alpha",
                                            "0.5,0.25", "--trials", "4", "--seed", "42",

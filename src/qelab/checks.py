@@ -18,7 +18,8 @@ is shared by several checkers, together with the trace bound Tr S <= 1.
 Each checker is written once: given a chunk of trials that suites.iter_trials
 stacks, it returns each row's CheckResult with the bits of that trial alone
 (matrix work on the (n, d, d) stacks, each row's scalar rule through
-linalg.per_row, _result or results.chain).
+linalg.per_row, _result or results.chain).  Only markov_characterizations and
+check_twirl_identity take one trial, since their suites' values do not stack.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ from .entropy import (
 )
 from .errors import BadAlpha, BadConfig, DimMismatch, MarginalMismatch, ZeroOverlap
 from .linalg import (
+    dagger,
     each,
     embed,
+    first_flagged,
     herm_eig,
     hermitize,
     hs_norm,
@@ -743,13 +746,17 @@ def check_sbw_limit(
 # ---------------------------------------------------------------------------
 
 
-def _concavity_gaps(fs, x1, x2, lam: float) -> list[tuple[float, float]]:
+def _concavity_gaps(fs, x1, x2, lam) -> list[tuple]:
     """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for each f of fs, for operators
-    or matrices x1, x2.  The mixture and each operand are decomposed once for every f (an
-    operator's cached spectrum is used); every f runs on the mixture, then on x1, then on x2."""
-    if not 0.0 <= lam <= 1.0:
-        raise BadAlpha(f"mixing weight must be in [0, 1], got {lam}")
-    mix = herm_eig(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
+    or matrices x1, x2 and a weight lam, or stacks of them and the (n,) array of their weights.
+    The mixture and each operand are decomposed once for every f (an operator's cached
+    spectrum is used); every f runs on the mixture, then on x1, then on x2."""
+    weight = np.asarray(lam)
+    bad = ~((0.0 <= weight) & (weight <= 1.0))
+    if bad.any():
+        raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
+    weight = weight[..., None, None]
+    mix = herm_eig(weight * as_matrix(x1) + (1.0 - weight) * as_matrix(x2))
     at_mix = [f(mix) for f in fs]
     at_x1, at_x2 = ([f(spec) for f in fs] for spec in map(as_spectrum, (x1, x2)))
     return [(m, lam * a + (1.0 - lam) * b) for m, a, b in zip(at_mix, at_x1, at_x2)]
@@ -761,16 +768,16 @@ def check_lieb_concavity(
     x2: SubnormalizedOperator | np.ndarray,
     lam: float,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Concavity of X -> Tr exp(H + log X) on positive definite X."""
     h = require_hermitian(h)
 
-    def f(x) -> float:
+    def f(x):
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
     [(f_mix, f_avg)] = _concavity_gaps([f], x1, x2, lam)
-    quantities = {"f_mix": f_mix, "f_avg": f_avg, "lam": lam}
-    return CheckResult("lieb-concavity", quantities, f_mix - f_avg, tol)
+    return _result("lieb-concavity", tol, lambda f_mix, f_avg, _: f_mix - f_avg,
+                   f_mix=f_mix, f_avg=f_avg, lam=lam)
 
 
 def check_cl_concavity(
@@ -780,7 +787,7 @@ def check_cl_concavity(
     lam: float,
     alphas: Sequence[float] = DEFAULT_CL_ALPHAS,
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Concavity of X -> Tr (M X^(1/alpha) M^dag)^alpha at each alpha >= 1 of a grid: one
     slack_<alpha> per alpha, and their minimum as the slack."""
     alphas = [float(a) for a in alphas]
@@ -788,32 +795,28 @@ def check_cl_concavity(
         raise BadAlpha(f"alphas must be >= 1, got {alphas}")
     m = np.asarray(m, dtype=complex)
 
-    def trace_at(alpha: float) -> Callable[..., float]:
-        def f(x) -> float:
-            core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ m.conj().T)
+    def trace_at(alpha: float) -> Callable:
+        def f(x):
+            core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ dagger(m))
             return real_trace(matrix_power(core, alpha))
 
         return f
 
     gaps = _concavity_gaps([trace_at(a) for a in alphas], x1, x2, lam)
     quantities = {f"slack_{a!r}": f_mix - f_avg for a, (f_mix, f_avg) in zip(alphas, gaps)}
-    return CheckResult("carlen-lieb-concavity", quantities, min(quantities.values()), tol)
+    return _result("carlen-lieb-concavity", tol, lambda *slacks: min(slacks), **quantities)
 
 
 def check_golden_thompson(
     a: np.ndarray, b: np.ndarray, tol: float = TOL_INEQ
-) -> CheckResult:
+) -> Results:
     """Tr e^(A+B) <= Tr e^A e^B for Hermitian A, B."""
     a = require_hermitian(a)
     b = require_hermitian(b)
     t_sum = real_trace(matrix_exp(hermitize(a + b)))
     t_prod = real_trace(matrix_exp(a) @ matrix_exp(b))
-    return CheckResult(
-        "golden-thompson",
-        {"trace_exp_sum": t_sum, "trace_exp_product": t_prod},
-        t_prod - t_sum,
-        tol,
-    )
+    return _result("golden-thompson", tol, lambda t_sum, t_prod: t_prod - t_sum,
+                   trace_exp_sum=t_sum, trace_exp_product=t_prod)
 
 
 def check_audenaert_ps(
@@ -821,7 +824,7 @@ def check_audenaert_ps(
     n: SubnormalizedOperator | np.ndarray,
     t_values: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
     tol: float = TOL_INEQ,
-) -> CheckResult:
+) -> Results:
     """Square-root norm chain plus the interpolated trace overlap bound.
 
     Chain: ||sqrt M - sqrt N||_2 ||sqrt M + sqrt N||_2 >= ||M - N||_1
@@ -830,40 +833,31 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
-    m_mat = as_matrix(m)
-    n_mat = as_matrix(n)
-    m_eig = as_spectrum(m)
-    n_eig = as_spectrum(n)
-    sm = matrix_sqrt(m_eig)
-    sn = matrix_sqrt(n_eig)
-    hs_diff = float(np.linalg.norm(sm - sn))
-    hs_sum = float(np.linalg.norm(sm + sn))
-    td = trace_norm(m_mat - n_mat)
-    links = [
-        ("norm_product", hs_diff * hs_sum),
-        ("trace_distance", td),
-        ("sqrt_hs_sq", hs_diff**2),
-    ]
-    tr_m = real_trace(m_mat)
-    tr_n = real_trace(n_mat)
-    half_min = 0.5 * (tr_m + tr_n - td)
-    quantities = {"trace_m": tr_m, "trace_n": tr_n}
-    worst_aud = math.inf
+    m_mat, n_mat = as_matrix(m), as_matrix(n)
+    m_eig, n_eig = as_spectrum(m), as_spectrum(n)
+    sm, sn = matrix_sqrt(m_eig), matrix_sqrt(n_eig)
     for t in t_values:
         if not 0.0 <= t <= 1.0:
             raise BadAlpha(f"interp parameter must be in [0, 1], got {t}")
-        crossed = real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))
-        slack_t = crossed - half_min
-        quantities[f"audenaert_slack_{t!r}"] = slack_t
-        worst_aud = min(worst_aud, slack_t)
-    extra_ok = worst_aud >= -tol
-    if tr_m <= 1.0 + TOL_TRACE and tr_n <= 1.0 + TOL_TRACE:
-        overlap = real_trace(sm @ sn)
-        if overlap > 0.0:
+    crossed = [real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))
+               for t in t_values]
+
+    def result(hs_diff, hs_sum, td, tr_m, tr_n, overlap, *crossed):
+        links = [("norm_product", hs_diff * hs_sum), ("trace_distance", td),
+                 ("sqrt_hs_sq", hs_diff**2)]
+        half_min = 0.5 * (tr_m + tr_n - td)
+        slacks = [c - half_min for c in crossed]
+        quantities = {"trace_m": tr_m, "trace_n": tr_n}
+        quantities.update(zip((f"audenaert_slack_{t!r}" for t in t_values), slacks))
+        extra_ok = min(slacks, default=math.inf) >= -tol
+        if tr_m <= 1.0 + TOL_TRACE and tr_n <= 1.0 + TOL_TRACE and overlap > 0.0:
             bound_slack = -2.0 * math.log(overlap) - hs_diff**2
             quantities["overlap_bound_slack"] = bound_slack
             extra_ok = extra_ok and bound_slack >= -tol
-    return chain("audenaert-powers-stormer", links, tol, quantities, bool(extra_ok))
+        return chain("audenaert-powers-stormer", links, tol, quantities, bool(extra_ok))
+
+    return per_row(result, hs_norm(sm - sn), hs_norm(sm + sn), trace_norm(m_mat - n_mat),
+                   real_trace(m_mat), real_trace(n_mat), real_trace(sm @ sn), *crossed)
 
 
 def check_squashed_proxy(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:

@@ -1,10 +1,10 @@
 """Result containers for inequality and identity checks.
 
 A CheckResult carries named scalar quantities plus one signed slack; the
-check passes when slack >= -tolerance (and any auxiliary condition recorded
-by the checker holds).  A descending chain a_0 >= a_1 >= ... >= a_k is a
-CheckResult too: chain() records its links as quantities and takes the
-smallest link gap as the slack.  Every result flattens to one record schema
+check passes when the slack is finite and >= -tolerance (and any auxiliary
+condition recorded by the checker holds).  A descending chain
+a_0 >= a_1 >= ... >= a_k is a CheckResult too: chain() records its links as
+quantities and takes the smallest link gap as the slack.  Every result flattens to one record schema
 for the JSON/CSV reports:
 
     checker, dims, seed, trial, quantity:<name> ..., slack, pass
@@ -49,7 +49,7 @@ class CheckResult:
 
     @property
     def passed(self) -> bool:
-        return bool(self.slack >= -self.tolerance and self.extra_ok)
+        return bool(math.isfinite(self.slack) and self.slack >= -self.tolerance and self.extra_ok)
 
 
 def chain(

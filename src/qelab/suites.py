@@ -1,8 +1,8 @@
 """Named checker suites: samplers plus runners with a shared RNG discipline.
 
-Each suite couples a sampler (rng, dims, eps) -> instance with a runner
-(instance, tol, opts) -> CheckResult.  An instance is the keyword arguments of
-the suite's checker, so most runners only call checker(**instance, tol=tol);
+Each suite couples a sampler (rngs, dims, eps) -> instance with a runner
+(instance, tol, opts) -> result.  An instance is the keyword arguments of the
+suite's checker, so most runners only call checker(**instance, tol=tol);
 replay binds a loaded instance to those arguments first (bind_instance).
 SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
 slack is only reported.  Instances hold only serializable values so any trial
@@ -10,26 +10,23 @@ can be dumped and replayed.  Trial randomness is keyed as
 default_rng([seed, suite_index, trial]); results are therefore reproducible
 from (seed, config) alone, independent of execution order.
 
-One loop, iter_trials, runs every suite in chunks.  A suite that ``stacks`` (16 of the
-23 suites and all 4 explorations) samples each chunk as one stack: its sampler takes the
-chunk's list of trial_rng streams and returns each instance value as an (n, d, d) stack
-(a DensityMatrix or KrausChannel over stacks) whose row i is drawn from trial i's stream
-as that trial alone draws it, validated once for the chunk.  The chunk is evaluated on
-those stacks, which gives each row's result with the bits of that trial alone, and the
-instance of trial i is the row view ``value.row(i)`` of each stack.  Its runner is still
-called once per trial, on that trial's row of the chunk (a _ChunkRow): the first row's
-call evaluates the whole chunk and the others read their result, so a suite's run calls
-count its trials, and the time of the run calls of a chunk is the time of its
+One loop, iter_trials, runs every suite in chunks, and a trial alone (run_trial) is the
+chunk of one.  A sampler takes the chunk's list of trial_rng streams and returns each
+instance value with one row per trial, row i drawn from trial i's stream as that trial
+alone draws it: an (n, d, d) stack (a DensityMatrix, SubnormalizedOperator or
+KrausChannel over stacks, validated once for the chunk), an (n, ...) array, or a list for
+a value with no stack (markov-roundtrip's MarkovSpec; twirl-identity's ints and Monte Carlo
+seed; overlap-chain's reference, with a None where a trial lacks sigma_base and mu).  The
+instance of trial i is row i of each value (_instance_row).  A chunk whose values all stack
+is evaluated once, on the stacks, which gives each row's result with the bits of that trial
+alone; a chunk that holds a list runs its trials' 2-D instances one at a time.  The runner
+is still called once per trial, on that trial's row of the chunk (a _ChunkRow): the first
+row's call evaluates the whole chunk and the others read their result, so a suite's run
+calls count its trials, and the time of the run calls of a chunk is the time of its
 evaluation.  Each chunk holds up to CHUNK_TRIALS trials, fewer when the largest operator
-the sampler builds has dimension d > 16, so that one stacked operand stays within 128
-KiB; the sampler's instance on no streams, which draws nothing, gives d.  A one-trial
-chunk, and so run_trial and replay, samples from one Generator, the chunk of one, and
-runs on its 2-D instance; a chunk that raises a QelabError runs again one trial at a
-time.  The other 7 suites run one trial at a time because an instance value has no
-stacked form: markov-roundtrip holds a MarkovSpec; twirl-identity a raw matrix, ints and
-its own Monte Carlo seed; lieb-concavity, carlen-lieb-concavity and golden-thompson raw
-matrices; audenaert-powers-stormer two SubnormalizedOperators; and overlap-chain, in
-about half its trials, a SubnormalizedOperator reference and a float scale.
+the sampler builds has dimension d > 16, so that one stacked operand stays within 128 KiB;
+the sampler's instance on no streams, which draws nothing, gives d.  A chunk that raises a
+QelabError runs again one trial at a time; replay runs a dumped 2-D instance.
 """
 
 from __future__ import annotations
@@ -55,6 +52,7 @@ from .states import (
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
+    gaussians,
     markov_state,
     normalized_weights,
     random_density,
@@ -87,9 +85,8 @@ def _flat(dims: Sequence[int]) -> int:
     return int(np.prod([int(d) for d in dims]))
 
 
-def _rand_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return hermitize(g) / math.sqrt(d)
+def _rand_hermitian(d: int, rngs) -> np.ndarray:
+    return hermitize(gaussians(rngs, (d, d))) / math.sqrt(d)
 
 
 def _appendix_dim(dims: Sequence[int]) -> int:
@@ -101,14 +98,13 @@ def _appendix_dim(dims: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-# A sampler takes (rng, dims, eps).  Those of the suites that stack pass rng, one Generator
-# or a chunk's list of streams, to the samplers of states and channels, so that one code
-# draws a trial's 2-D instance and a chunk's stacks.
+# A sampler takes (rngs, dims, eps), the chunk's list of streams, and passes it to the
+# samplers of states and channels, which draw one row per stream.
 
 
-def _state(rng, dims, eps) -> DensityMatrix:
-    """A random state on ``dims``, regularized by ``eps``."""
-    return regularize(random_density(_flat(dims), rng), eps, dims)
+def _state(rngs, dims, eps) -> DensityMatrix:
+    """A stack of random states on ``dims``, regularized by ``eps``."""
+    return regularize(random_density(_flat(dims), rngs), eps, dims)
 
 
 def _first_two(dims):
@@ -123,8 +119,8 @@ def _sample_states(*names: str, on: Callable = tuple) -> Callable:
     """The sampler that draws one state per name, in order, on ``on(dims)``: the dims
     themselves, _first_two or _one_part."""
 
-    def sample(rng, dims, eps):
-        return {name: _state(rng, on(dims), eps) for name in names}
+    def sample(rngs, dims, eps):
+        return {name: _state(rngs, on(dims), eps) for name in names}
 
     return sample
 
@@ -132,61 +128,62 @@ def _sample_states(*names: str, on: Callable = tuple) -> Callable:
 _sample_pair = _sample_states("rho", "sigma", on=_one_part)
 
 
-def _sample_pair_generic_channel(rng, dims, eps):
-    inst = _sample_pair(rng, dims, eps)
-    inst["channel"] = random_channel(_flat(dims), 2, rng)
+def _sample_pair_generic_channel(rngs, dims, eps):
+    inst = _sample_pair(rngs, dims, eps)
+    inst["channel"] = random_channel(_flat(dims), 2, rngs)
     return inst
 
 
-def _sample_pair_unital_channel(rng, dims, eps):
-    inst = _sample_pair(rng, dims, eps)
+def _sample_pair_unital_channel(rngs, dims, eps):
+    inst = _sample_pair(rngs, dims, eps)
     d = _flat(dims)
-    inst["channel"] = random_unital_channel(d, d, rng)
+    inst["channel"] = random_unital_channel(d, d, rngs)
     return inst
 
 
-def _sample_overlap(rng, dims, eps):
-    inst = _sample_pair(rng, dims, eps)
-    # Half the ensemble uses a strictly subnormalized reference mu * sigma.
-    if rng.random() < 0.5:
-        mu = float(rng.uniform(0.5, 1.0))
-        inst["sigma_base"] = inst["sigma"]
-        inst["mu"] = mu
-        inst["sigma"] = SubnormalizedOperator(mu * inst["sigma_base"].mat)
+def _sample_overlap(rngs, dims, eps):
+    inst = _sample_pair(rngs, dims, eps)
+    # Half the ensemble uses a strictly subnormalized reference mu * sigma; the other
+    # trials lack sigma_base and mu (None).
+    mus = [float(rng.uniform(0.5, 1.0)) if rng.random() < 0.5 else None for rng in rngs]
+    bases = [inst["sigma"].row(i) for i in range(len(rngs))]
+    inst["sigma"] = [base if mu is None else SubnormalizedOperator(mu * base.mat)
+                     for base, mu in zip(bases, mus)]
+    inst["sigma_base"] = [None if mu is None else base for base, mu in zip(bases, mus)]
+    inst["mu"] = mus
     return inst
 
 
-def _perturb_edges(state: DensityMatrix, rng) -> DensityMatrix:
+def _perturb_edges(state: DensityMatrix, rngs) -> DensityMatrix:
     """Random local channels, each with a two-dimensional environment, on the outer
     subsystems; the middle marginal of the output equals that of the input exactly."""
     da, db, dc = state.dims
-    ka = random_channel(da, 2, rng).kraus
-    kc = random_channel(dc, 2, rng).kraus
+    ka = random_channel(da, 2, rngs).kraus
+    kc = random_channel(dc, 2, rngs).kraus
     ops = [kron(kron(a, np.eye(db)), c) for a in ka for c in kc]
     return DensityMatrix(KrausChannel(ops).apply(state.mat), state.dims)
 
 
-def _sample_trace_exp(rng, dims, eps):
-    rho = _state(rng, dims, eps)
+def _sample_trace_exp(rngs, dims, eps):
+    rho = _state(rngs, dims, eps)
     return {
         "rho": rho,
-        "sigma": _perturb_edges(rho, rng),  # shares rho's middle marginal
-        "tau": _state(rng, dims, eps),
+        "sigma": _perturb_edges(rho, rngs),  # shares rho's middle marginal
+        "tau": _state(rngs, dims, eps),
     }
 
 
-def _sample_three_state(rng, dims, eps):
-    sigma = _state(rng, dims, eps)
+def _sample_three_state(rngs, dims, eps):
+    sigma = _state(rngs, dims, eps)
     return {
-        "rho": _state(rng, dims, eps),
+        "rho": _state(rngs, dims, eps),
         "sigma": sigma,
-        "tau": _perturb_edges(sigma, rng),  # shares sigma's middle marginal
-        "omega": _state(rng, dims, eps),
+        "tau": _perturb_edges(sigma, rngs),  # shares sigma's middle marginal
+        "omega": _state(rngs, dims, eps),
     }
 
 
-def _sample_markov(rng, dims, eps):
-    d_a, d_c = dims[0], dims[2]
+def _markov_spec(rng: np.random.Generator, d_a: int, d_c: int) -> MarkovSpec:
     n_blocks = int(rng.integers(1, 4))
     raw = rng.dirichlet(np.ones(n_blocks))
     weights = normalized_weights([0.8 * float(w) + 0.2 / n_blocks for w in raw])
@@ -197,54 +194,58 @@ def _sample_markov(rng, dims, eps):
         dr = int(rng.integers(1, 3))
         ab_factors.append(regularize(random_density(d_a * dl, rng), MARKOV_FACTOR_EPS))
         bc_factors.append(regularize(random_density(dr * d_c, rng), MARKOV_FACTOR_EPS))
-    return {"spec": MarkovSpec(d_a, d_c, weights, tuple(ab_factors), tuple(bc_factors))}
+    return MarkovSpec(d_a, d_c, weights, tuple(ab_factors), tuple(bc_factors))
 
 
-def _sample_lieb(rng, dims, eps):
+def _sample_markov(rngs, dims, eps):
+    # the block sizes differ from trial to trial, so the specs do not stack
+    return {"spec": [_markov_spec(rng, dims[0], dims[2]) for rng in rngs]}
+
+
+def _uniforms(rngs, low: float, high: float) -> np.ndarray:
+    return np.array([float(rng.uniform(low, high)) for rng in rngs])
+
+
+def _sample_concavity(key: str, draw: Callable) -> Callable:
+    """The sampler of a concavity row: the operand ``key``, draw(d, rngs), two states and a
+    mixing weight."""
+
+    def sample(rngs, dims, eps):
+        d = _appendix_dim(dims)
+        return {
+            key: draw(d, rngs),
+            "x1": regularize(random_density(d, rngs), eps),
+            "x2": regularize(random_density(d, rngs), eps),
+            "lam": _uniforms(rngs, 0.05, 0.95),
+        }
+
+    return sample
+
+
+def _sample_gt(rngs, dims, eps):
     d = _appendix_dim(dims)
+    return {"a": _rand_hermitian(d, rngs), "b": _rand_hermitian(d, rngs)}
+
+
+def _sample_audenaert(rngs, dims, eps):
+    d = _appendix_dim(dims)
+    mu1 = _uniforms(rngs, 0.3, 1.0)[:, None, None]
+    mu2 = _uniforms(rngs, 0.3, 1.0)[:, None, None]
     return {
-        "h": _rand_hermitian(d, rng),
-        "x1": regularize(random_density(d, rng), eps),
-        "x2": regularize(random_density(d, rng), eps),
-        "lam": float(rng.uniform(0.05, 0.95)),
+        "m": SubnormalizedOperator(mu1 * regularize(random_density(d, rngs), eps).mat),
+        "n": SubnormalizedOperator(mu2 * regularize(random_density(d, rngs), eps).mat),
     }
 
 
-def _sample_cl(rng, dims, eps):
-    d = _appendix_dim(dims)
-    m = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(d)
-    return {
-        "m": m,
-        "x1": regularize(random_density(d, rng), eps),
-        "x2": regularize(random_density(d, rng), eps),
-        "lam": float(rng.uniform(0.05, 0.95)),
-    }
-
-
-def _sample_gt(rng, dims, eps):
-    d = _appendix_dim(dims)
-    return {"a": _rand_hermitian(d, rng), "b": _rand_hermitian(d, rng)}
-
-
-def _sample_audenaert(rng, dims, eps):
-    d = _appendix_dim(dims)
-    mu1 = float(rng.uniform(0.3, 1.0))
-    mu2 = float(rng.uniform(0.3, 1.0))
-    return {
-        "m": SubnormalizedOperator(mu1 * regularize(random_density(d, rng), eps).mat),
-        "n": SubnormalizedOperator(mu2 * regularize(random_density(d, rng), eps).mat),
-    }
-
-
-def _sample_twirl(rng, dims, eps):
+def _sample_twirl(rngs, dims, eps):
     da, db = dims[0], dims[1]
-    x = _rand_hermitian(da * db, rng)
+    n = len(rngs)
     return {
-        "x": x,
-        "d_a": da,
-        "d_b": db,
-        "mc_seed": int(rng.integers(0, 2**63 - 1)),
-        "samples": TWIRL_SUITE_SAMPLES,
+        "x": _rand_hermitian(da * db, rngs),
+        "d_a": [da] * n,
+        "d_b": [db] * n,
+        "mc_seed": [int(rng.integers(0, 2**63 - 1)) for rng in rngs],
+        "samples": [TWIRL_SUITE_SAMPLES] * n,
     }
 
 
@@ -254,13 +255,21 @@ def _sample_twirl(rng, dims, eps):
 
 
 class _ChunkRow(dict):
-    """One trial of a stacked chunk: the chunk's stacked instance, the trial's row in it, and
-    the results list its rows share, filled by the first row run."""
+    """One trial of a chunk: the chunk's instance, the trial's row in it, and the results
+    list its rows share, filled by the first row run."""
 
     def __init__(self, stacked: dict, row: int, results: list):
         super().__init__(stacked)
         self.row = row
         self.results = results
+
+
+def _instance_row(instance: dict, i: int) -> dict:
+    """Trial i's instance in a chunk's: item i of a list, row i of an array or row(i) of a
+    stack for each value, without the keys whose row is None."""
+    rows = {key: value[i] if isinstance(value, (list, np.ndarray)) else value.row(i)
+            for key, value in instance.items()}
+    return {key: value for key, value in rows.items() if value is not None}
 
 
 def _calls(checker: str | Callable, *options: str) -> Callable:
@@ -270,8 +279,8 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
     checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The
     runners below add something to their checker and take its keyword arguments.
     run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the
-    runner returns that trial's result, and evaluates the whole chunk on its stacks
-    at the first row run.
+    runner returns that trial's result, and evaluates the whole chunk at the first row
+    run: on its stacks, or one trial at a time when a value is a list.
     """
 
     def run(inst, tol, opts):
@@ -279,6 +288,9 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
             if not inst.results:
                 inst.results.extend(run(dict(inst), tol, opts))
             return inst.results[inst.row]
+        lists = [value for value in inst.values() if isinstance(value, list)]
+        if lists:
+            return [run(_instance_row(inst, i), tol, opts) for i in range(len(lists[0]))]
         fn = getattr(checks, checker) if isinstance(checker, str) else checker
         return fn(**inst, **{key: opts[key] for key in options if key in opts}, tol=tol)
 
@@ -359,16 +371,13 @@ _TRIPARTITE = (3, 3)
 
 @dataclass(frozen=True)
 class Suite:
-    """A named sampler and runner.  ``stacks``: whether ``sample`` also takes a chunk's list
-    of streams and returns its instance as stacks; a field, so that a Suite rebuilt by
-    dataclasses.replace with a wrapped sampler (a tracer's, a test's) keeps the path."""
+    """A named sampler and runner."""
 
     name: str
     sample: Callable
     run: Callable
     description: str
     parts: tuple[int, int | None] = (1, None)
-    stacks: bool = True
 
     def check_dims(self, dims: Sequence[int]) -> tuple[int, ...]:
         """``dims`` as a tuple of ints; BadConfig when the sampler cannot take them."""
@@ -394,7 +403,6 @@ SUITES: dict[str, Suite] = {
             _sample_overlap,
             _calls(_run_overlap),
             "relative entropy >= root-overlap bound >= sqrt distances (Tr sigma <= 1)",
-            stacks=False,
         ),
         Suite(
             "monotonicity",
@@ -469,7 +477,6 @@ SUITES: dict[str, Suite] = {
             _calls(_run_markov, "t_samples"),
             "constructed short-chain states satisfy every Markov signature",
             _TRIPARTITE,
-            stacks=False,
         ),
         Suite(
             "trotter-bound",
@@ -499,31 +506,27 @@ SUITES: dict[str, Suite] = {
         ),
         Suite(
             "lieb-concavity",
-            _sample_lieb,
+            _sample_concavity("h", _rand_hermitian),
             _calls("check_lieb_concavity"),
             "concavity of X -> Tr exp(H + log X)",
-            stacks=False,
         ),
         Suite(
             "carlen-lieb-concavity",
-            _sample_cl,
+            _sample_concavity("m", lambda d, rngs: gaussians(rngs, (d, d)) / math.sqrt(d)),
             _calls("check_cl_concavity"),
             "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
-            stacks=False,
         ),
         Suite(
             "golden-thompson",
             _sample_gt,
             _calls("check_golden_thompson"),
             "Tr e^(A+B) <= Tr e^A e^B",
-            stacks=False,
         ),
         Suite(
             "audenaert-powers-stormer",
             _sample_audenaert,
             _calls("check_audenaert_ps"),
             "square-root norm chain and interpolated trace overlap bound",
-            stacks=False,
         ),
         Suite(
             "squashed-proxy",
@@ -538,7 +541,6 @@ SUITES: dict[str, Suite] = {
             _calls(_run_twirl),
             "Monte Carlo twirl matches the closed form within the sampling bound",
             _BIPARTITE,
-            stacks=False,
         ),
     )
 }
@@ -623,6 +625,16 @@ def trial_rng(seed: int, suite_name: str, trial: int) -> np.random.Generator:
     return np.random.default_rng([seed, SUITE_INDEX[suite_name], trial])
 
 
+def _run_chunk(suite: Suite, dims, seed: int, chunk: Sequence[int], eps, tol, opts) -> list:
+    """(trial, instance, result) for each trial of a chunk, sampled from the trials' own
+    streams; the runner is called once per trial, on its row (a _ChunkRow)."""
+    instance = suite.sample([trial_rng(seed, suite.name, trial) for trial in chunk], dims, eps)
+    shared: list = []
+    results = [suite.run(_ChunkRow(instance, row, shared), tol, opts) for row in range(len(chunk))]
+    return [(trial, _instance_row(instance, row), result)
+            for row, (trial, result) in enumerate(zip(chunk, results))]
+
+
 def run_trial(
     suite: Suite,
     dims: Sequence[int],
@@ -635,49 +647,39 @@ def run_trial(
     """One seeded trial, the chunk of one; returns (instance, result).  A QelabError
     raised in it keeps its class and gains the suite name and trial in its message."""
     try:
-        instance = suite.sample(trial_rng(seed, suite.name, trial), dims, eps)
-        return instance, suite.run(instance, tol, opts or {})
+        [(_, instance, result)] = _run_chunk(suite, dims, seed, [trial], eps, tol, opts or {})
     except QelabError as exc:
         raise type(exc)(f"{suite.name} trial {trial}: {exc}") from exc
+    return instance, result
 
 
 def _chunk_size(suite: Suite, dims: Sequence[int], eps: float) -> int:
-    """CHUNK_TRIALS, capped for the largest operator among the states and channels of the
-    suite's instance on no streams, which draws nothing; 1 when the suite does not stack,
-    or when that instance raises (its first trial then raises alone)."""
-    if not suite.stacks:
-        return 1
+    """CHUNK_TRIALS, capped for the largest operator (a state's or channel's dimension, an
+    array's last axis) of the suite's instance on no streams, which draws nothing; 1 when
+    that instance raises (its first trial then raises alone)."""
     try:
         instance = suite.sample([], dims, eps)
     except QelabError:
         return 1
-    d = max(max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
-            for v in instance.values())
+    d = max(1, *(v.shape[-1] if isinstance(v, np.ndarray) else
+                 max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
+                 for v in instance.values()))
     return max(1, min(CHUNK_TRIALS, _CHUNK_ENTRIES // (d * d)))
 
 
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
-    """The trials of a suite by chunks of _chunk_size.  A chunk of several is sampled as one
-    stack, each trial from its own stream, and its runner is called once per trial on that
-    trial's row (a _ChunkRow).  A chunk in which a QelabError is raised, and a chunk of one,
-    runs one trial at a time, so the first failing trial raises as it does alone."""
+    """The trials of a suite by chunks of _chunk_size.  A chunk in which a QelabError is
+    raised runs again one trial at a time, so the first failing trial raises as it does
+    alone."""
     size = _chunk_size(suite, dims, eps) if trials > 1 else 1
     for start in range(0, trials, size):
         chunk = range(start, min(start + size, trials))
-        if len(chunk) > 1:
-            try:
-                rngs = [trial_rng(seed, suite.name, trial) for trial in chunk]
-                stacked, shared = suite.sample(rngs, dims, eps), []
-                results = [suite.run(_ChunkRow(stacked, row, shared), tol, opts)
-                           for row in range(len(chunk))]
-            except QelabError:
-                pass
-            else:
-                for row, (trial, result) in enumerate(zip(chunk, results)):
-                    yield trial, {key: value.row(row) for key, value in stacked.items()}, result
-                continue
-        for trial in chunk:
-            yield (trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
+        try:
+            rows = _run_chunk(suite, dims, seed, chunk, eps, tol, opts) if len(chunk) > 1 else []
+        except QelabError:
+            rows = []
+        yield from rows or ((trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
+                            for trial in chunk)
 
 
 def iter_trials(

@@ -527,6 +527,22 @@ def _main(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_replay_of_an_infinite_slack_is_a_failed_check(tmp_path, capsys):
+    # two rank-1 states regularized at eps = 1e-6: super-ssa's exp-log reference spans more
+    # than 1 / RANK_CUTOFF, so its relative entropy, lhs and slack read +inf
+    rng = np.random.default_rng(0)
+    rho, sigma = (regularize(random_density(8, rng, rank=1), 1e-6, (2, 2, 2)) for _ in "rs")
+    dump = {"checker": "super-ssa", "dims": [2, 2, 2], "seed": 0, "trial": 0, "tolerance": 1e-8,
+            "opts": {}, "instance": serialize_instance({"rho": rho, "sigma": sigma})}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out, err = _main(["replay", str(path)], capsys)
+    [record] = json.loads(out)
+    assert record["quantities"]["lhs"] == record["slack"] == float("inf")
+    assert (code, record["pass"]) == (cli.EXIT_FAILED, False)
+    assert err == "[super-ssa] slack=inf FAIL\n"
+
+
 @pytest.mark.parametrize("command", [
     ["check", "--suite", "ssa", "--trials", "1"],
     ["trotter", "--trials", "1", "--nmax", "2"],
@@ -570,6 +586,8 @@ BAD_INSTANCE_KEYS = {
     "state-is-a-channel": ("sbw-limit", _retype("rho", "channel"), "rho"),
     "runner-state-is-a-scalar": ("bsw-identity", _retype("rho"), "rho"),
     "checker-operand-is-a-scalar": ("carlen-lieb-concavity", _retype("x1"), "x1"),
+    # a chunk's weights are an (n,) array, yet one trial's weight is a float
+    "weight-is-a-matrix": ("lieb-concavity", _retype("lam", "h"), "lam"),
     "exploration-state-is-a-scalar": ("stronger-mono", _retype("sigma"), "sigma"),
 }
 

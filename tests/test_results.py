@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,12 @@ def test_chain_quantity_wins_a_label_clash():
 
 def test_chain_extra_ok_gates_passed():
     assert not chain("c", [("a", 2.0), ("b", 1.0)], 0.0, extra_ok=False).passed
+
+
+@pytest.mark.parametrize("slack", [math.inf, -math.inf, math.nan])
+def test_a_slack_that_is_not_finite_never_passes(slack):
+    assert not CheckResult("c", {}, slack, 1e-8).passed
+    assert CheckResult("c", {}, 1e300, 1e-8).passed
 
 
 def test_chain_record_holds_links_and_extras():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qelab
+from qelab import suites
 from qelab.results import as_record
 from qelab.serialize import deserialize_instance, serialize_instance
 from qelab.suites import EXPLORATIONS, SUITES, run_trial, trial_rng
@@ -19,7 +20,7 @@ REGISTRY = [(SUITES, name) for name in SUITES] + [(EXPLORATIONS, kind) for kind 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
 @pytest.mark.parametrize("registry,name", REGISTRY, ids=[name for _, name in REGISTRY])
 def test_instance_survives_a_json_round_trip(registry, name, dims):
-    instance = registry[name].sample(trial_rng(0, name, 0), dims, 1e-6)
+    instance = suites._instance_row(registry[name].sample([trial_rng(0, name, 0)], dims, 1e-6), 0)
     blob = serialize_instance(instance)
     assert serialize_instance(deserialize_instance(json.loads(json.dumps(blob)))) == blob
 

@@ -68,14 +68,10 @@ EXPECTED_ORDER = [
 ]
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
-# The check rows that stack: a chunk of them is sampled and evaluated as (n, d, d) stacks;
-# the other seven run one trial at a time.
-STACKED_ROWS = [
-    "renyi-monotone", "monotonicity", "stronger-monotonicity", "unital-trace-bound",
-    "ptrace-strengthening", "ssa", "trace-exp-bound", "bsw-identity", "super-ssa",
-    "three-state-chain", "subadd-exp", "trotter-bound", "dw-alpha", "dw-tripartite",
-    "sbw-limit", "squashed-proxy",
-]
+# The check rows with a value that has no stack: their sampler returns it as a list, one
+# item per trial, and a chunk of them runs one trial at a time.  A chunk of any other row is
+# evaluated on its stacks.
+LIST_ROWS = ["overlap-chain", "markov-roundtrip", "twirl-identity"]
 
 # Each sampler's instance keys: the dump format, and the keyword arguments of
 # the suite's checker.  overlap-chain adds sigma_base and mu on some trials.
@@ -134,8 +130,10 @@ def test_sampler_keys_are_the_instance_format(name):
     suite = {**SUITES, **EXPLORATIONS}[name]
     required, optional = INSTANCE_KEYS[name], OPTIONAL_KEYS.get(name, set())
     seen = set()
+    instance = suite.sample([trial_rng(3, name, trial) for trial in range(8)], (2, 2, 2),
+                            DEFAULT_EPS)
     for trial in range(8):
-        keys = set(suite.sample(trial_rng(3, name, trial), (2, 2, 2), DEFAULT_EPS))
+        keys = set(suites._instance_row(instance, trial))
         assert required <= keys <= required | optional, (trial, keys)
         seen |= keys
     assert seen == required | optional
@@ -265,7 +263,7 @@ def test_exploration_worst_trial_replays_alone(index, kind):
     expected = np.random.default_rng([seed, 100 + index, report.worst_trial])
     assert rng.bit_generator.state == expected.bit_generator.state
     suite = EXPLORATIONS[kind]
-    instance = suite.sample(rng, dims, DEFAULT_EPS)
+    instance = suites._instance_row(suite.sample([rng], dims, DEFAULT_EPS), 0)
     assert serialize_instance(instance) == report.worst_instance
     payload = json.loads(json.dumps(report.worst_instance))
     replayed = suite.run(deserialize_instance(payload), TOL_INEQ, {})
@@ -279,19 +277,28 @@ def _bits(result):
 
 
 def _lead(value):
-    """The lead shape of a state's matrix or of a channel's Kraus operators: (n,) for a stack."""
+    """The lead shape of a list or array, of a state's matrix or of a channel's Kraus
+    operators: (n,) for n rows."""
+    if isinstance(value, (list, np.ndarray)):
+        return (len(value),)
     return (value.mat if hasattr(value, "mat") else value.kraus[0]).shape[:-2]
 
 
+def _list_valued(name):
+    """The rows whose sampler returns a value as a list, seen on a chunk of one."""
+    instance = SUITES[name].sample([trial_rng(0, name, 0)], (2, 2, 2), DEFAULT_EPS)
+    return any(isinstance(value, list) for value in instance.values())
+
+
 def test_the_stacked_rows_are_those_whose_values_all_stack():
-    # a row stacks when its sampler draws a chunk's instance as stacks, one row per stream
-    assert [name for name, suite in SUITES.items() if suite.stacks] == STACKED_ROWS
-    for name in STACKED_ROWS + EXPLORATION_ORDER:
+    # every sampler draws a chunk's instance with one row per stream: a stack, an array or,
+    # for a value with no stack, a list
+    assert [name for name in SUITES if _list_valued(name)] == LIST_ROWS
+    for name in EXPECTED_ORDER + EXPLORATION_ORDER:
         suite = EXPLORATIONS.get(name) or SUITES[name]
-        assert suite.stacks
         rngs = [trial_rng(0, name, trial) for trial in range(3)]
         instance = suite.sample(rngs, (2, 2, 2), DEFAULT_EPS)
-        assert set(instance) == INSTANCE_KEYS[name]
+        assert set(instance) == INSTANCE_KEYS[name] | OPTIONAL_KEYS.get(name, set())
         assert all(_lead(value) == (3,) for value in instance.values()), name
         # on no streams the sampler draws nothing and still builds every operator
         empty = suite.sample([], (2, 2, 2), DEFAULT_EPS)
@@ -305,11 +312,10 @@ def test_readme_names_the_rows_that_run_one_trial_at_a_time():
     start = next(i for i, line in enumerate(lines) if line.startswith("|"))
     table = itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
     listed = [name for line in table for name in re.findall(r"`([a-z-]+)`", line.split("|")[1])]
-    unstacked = [name for name, suite in SUITES.items() if not suite.stacks]
-    assert sorted(listed) == sorted(unstacked)
+    assert sorted(listed) == sorted(name for name in SUITES if _list_valued(name))
 
 
-@pytest.mark.parametrize("kind", EXPLORATION_ORDER + STACKED_ROWS + ["overlap-chain"])
+@pytest.mark.parametrize("kind", EXPLORATION_ORDER + EXPECTED_ORDER)
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -326,14 +332,17 @@ def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims
         alone_instance, alone = run_trial(suite, dims, seed, trial, DEFAULT_EPS, TOL_INEQ)
         assert serialize_instance(instance) == serialize_instance(alone_instance)
         assert _bits(result) == _bits(alone)
+        # the chunk of one is held to the 2-D evaluation that replay runs
+        blob = json.loads(json.dumps(serialize_instance(instance)))
+        assert _bits(result) == _bits(suite.run(deserialize_instance(blob), TOL_INEQ, {}))
 
 
 def _flat_reference(instance, row):
     """ptrace-petz's reference on one flat subsystem.  A stack holds one dims for all its
-    rows, so a chunk of several cannot hold it and its sampler raises; alone the trial fails
-    in the evaluator (DimMismatch)."""
+    rows, so a chunk of several cannot hold it and its sampler raises; alone, in the chunk of
+    one, the trial fails in the evaluator (DimMismatch)."""
     sigma = instance["sigma_ab"]
-    if row != ():
+    if len(sigma.mat) > 1:
         raise DimMismatch("a stack holds one dims for all its rows")
     instance["sigma_ab"] = type(sigma)(sigma, (sigma.dim,))
 
@@ -397,23 +406,21 @@ def _negative_eigenvalue(m):
 
 def failing_at(kind, bad_trial, breaks, raised=None, drawn=None):
     """The exploration or suite ``kind`` with a sampler that passes its instance and trial
-    bad_trial's row in it to ``breaks``: its index in a chunk's stacks, () for the 2-D
-    instance of one trial.  Each call of its evaluator that raises appends the lead shape of
-    its first state's matrix ((n,) for a stacked chunk of n trials, () for one trial) to
-    raised; each sampler call whose break raises appends (class, message, lead shape) to
-    drawn."""
+    bad_trial's row in it, its index in the chunk's stacks, to ``breaks``.  Each call of its
+    evaluator that raises appends the lead shape of its first state's matrix ((n,) for a
+    chunk of n trials, (1,) for a trial alone) to raised; each sampler call whose break
+    raises appends (class, message, lead shape) to drawn."""
     suite = EXPLORATIONS.get(kind) or SUITES[kind]
 
-    def sample(rng, dims, eps):
-        instance = suite.sample(rng, dims, eps)
-        one = isinstance(rng, np.random.Generator)
-        for row, stream in zip([()] if one else range(len(rng)), [rng] if one else rng):
+    def sample(rngs, dims, eps):
+        instance = suite.sample(rngs, dims, eps)
+        for row, stream in enumerate(rngs):
             if int(stream.bit_generator.seed_seq.entropy[-1]) == bad_trial:
                 try:
                     breaks(instance, row)
                 except QelabError as exc:
                     if drawn is not None:
-                        drawn.append((type(exc), str(exc), () if one else (len(rng),)))
+                        drawn.append((type(exc), str(exc), (len(rngs),)))
                     raise
         return instance
 
@@ -484,7 +491,7 @@ def test_a_bad_draw_inside_a_chunk_raises_as_its_trial_alone(
     # the chunk's stacked validation met the bad draw first, with the class and message
     # that the trial gets alone
     alone = errors[0][1][len(prefix):]
-    assert drawn[0] == (error, alone, ())
+    assert drawn[0] == (error, alone, (1,))
     assert (error, alone, (min(chunk, 9),)) in drawn
 
 
@@ -499,8 +506,8 @@ def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, tri
     seen = []
 
     def run(instance, tol, opts):
-        lead = next(iter(instance.values())).mat.shape[:-2]
-        seen.append(lead[0] if lead else 1)
+        (n,) = next(iter(instance.values())).mat.shape[:-2]
+        seen.append(n)
 
     suite = dataclasses.replace(registry[name], run=run)
     assert len(list(iter_trials(suite, (4, 4, 4), trials, 0))) == trials
@@ -523,6 +530,34 @@ def test_a_stacked_chunk_runs_once_per_trial_and_evaluates_once():
     assert len(runs) == 5
     assert spy.call_count == 1
     assert [trial for trial, _, _ in triples] == list(range(5))
+
+
+@pytest.mark.parametrize("name, checker", [
+    ("lieb-concavity", "check_lieb_concavity"),
+    ("carlen-lieb-concavity", "check_cl_concavity"),
+    ("golden-thompson", "check_golden_thompson"),
+    ("audenaert-powers-stormer", "check_audenaert_ps"),
+])
+def test_an_appendix_chunk_evaluates_once_on_its_stacks(name, checker):
+    # the appendix rows stack like the others: 5 trials at 2,2,2 are one chunk, and their
+    # checker runs once, on (5, 6, 6) stacks, and returns one result per trial
+    real = getattr(checks, checker)
+    with mock.patch.object(checks, checker, side_effect=real) as spy:
+        triples = list(iter_trials(SUITES[name], (2, 2, 2), 5, 3))
+    assert spy.call_count == 1
+    assert all(_lead(value) == (5,) for key, value in spy.call_args.kwargs.items() if key != "tol")
+    assert [trial for trial, _, _ in triples] == list(range(5))
+
+
+@pytest.mark.parametrize("name, dims, size", [
+    ("twirl-identity", (16, 16), 1),  # x is 256 x 256
+    ("twirl-identity", (8, 8), 2),
+    ("twirl-identity", (2, 2, 2), 32),
+    ("golden-thompson", (2, 2, 2), 32),  # a and b are 6 x 6
+])
+def test_a_chunk_is_sized_by_the_raw_matrices_its_sampler_drew(name, dims, size):
+    # the last axis of an array value counts as an operator dimension
+    assert suites._chunk_size(SUITES[name], dims, DEFAULT_EPS) == size
 
 
 def test_stronger_mono_pushes_each_state_through_the_channel_once():
