@@ -332,7 +332,8 @@ def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims
         alone_instance, alone = run_trial(suite, dims, seed, trial, DEFAULT_EPS, TOL_INEQ)
         assert serialize_instance(instance) == serialize_instance(alone_instance)
         assert _bits(result) == _bits(alone)
-        # the chunk of one is held to the 2-D evaluation that replay runs
+        # alone is itself a chunk (of one), so each trial is also held to the 2-D
+        # evaluation that replay runs on its dumped instance
         blob = json.loads(json.dumps(serialize_instance(instance)))
         assert _bits(result) == _bits(suite.run(deserialize_instance(blob), TOL_INEQ, {}))
 
