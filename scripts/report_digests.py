@@ -14,6 +14,13 @@ and one per non-empty stdout and stderr:
 * check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42, and at
   2,2,2 with 1 trial, where every suite runs the chunk of one;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
+* the parameter grids that run in blocks or reach np.power's scalar fast paths (GRIDS):
+  markov-roundtrip's 8 t-samples, which split for d > 32 (seed 42's 40 trials hold two at
+  d = 36); the 4 alphas of renyi-monotone, dw-alpha, dw-tripartite and sbw-limit at 4,4,4,
+  one point per block on a 2-trial chunk, with the exponents 0.5 and 2.0 (sbw-limit fails
+  on that grid and writes a worst dump); trotter-bound's 7 orders on 32-trial chunks, in
+  blocks of 4.  A lone trial at 4,4,4 (the last chunk of the 3-trial check) runs 2 points
+  per block;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
 * replay of that dump and of every exploration report (their stdout and stderr);
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
@@ -38,6 +45,12 @@ EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
 CHECKS = (("2,2,2", 40), ("4,4,4", 3), ("2,2,2", 1))
 EXPLORE_DIMS = ("2,2,2", "4,4,4")
 TWIRL_SEEDS = (42, 43, 44)
+GRIDS = (
+    ("markov-roundtrip", "2,2,2", 40, ["--t-samples", "0.3,0.7,1.1,1.5,1.9,2.5,3.1,3.7"]),
+    ("renyi-monotone,dw-alpha,dw-tripartite,sbw-limit", "4,4,4", 2,
+     ["--alpha", "0.9,0.5,0.25,0.125"]),
+    ("trotter-bound", "2,2,2", 40, ["--nmax", "64"]),
+)  # (suites, dims, trials, flags); a suite list holding sbw-limit fails and writes a dump
 
 
 def _digest(data: bytes) -> str:
@@ -80,6 +93,12 @@ def main() -> int:
                                            "0.5,0.25", "--trials", "4", "--seed", "42",
                                            "--out", out], [out, out + ".worst.json"])
         report("replay sbw-limit dump", ["replay", out + ".worst.json"], [])
+        for i, (suite, dims, trials, flags) in enumerate(GRIDS):
+            out = os.path.join(tmp, f"grid-{i}.json")
+            argv = ["check", "--suite", suite, "--dims", dims, "--trials", str(trials),
+                    "--seed", "42", *flags, "--out", out]
+            written = [out] + [out + ".worst.json"] * ("sbw-limit" in suite)
+            report(f"check grid {suite} {dims} trials {trials}", argv, written)
         for kind in EXPLORATIONS:
             for dims in EXPLORE_DIMS:
                 out = os.path.join(tmp, f"{kind}-{dims}.json")

@@ -69,6 +69,8 @@ from .states import (
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
+    capped,
+    grids,
     require_tripartite,
 )
 from .tolerances import TOL_IDENTITY, TOL_INEQ, TOL_TRACE
@@ -110,25 +112,28 @@ def _tri_mats(state: DensityMatrix) -> dict[str, np.ndarray]:
     }
 
 
-def _compressed_product(eig: dict, dims: Sequence[int], p: float) -> np.ndarray:
-    """hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC, from
-    the spectra of the three marginals, which every order p shares."""
-    ab_pow = embed(matrix_power(eig["ab"], p / 2.0), dims, (0, 1))
-    b_neg = embed(matrix_power(eig["b"], -p / 2.0), dims, (1,))
-    bc_pow = embed(matrix_power(eig["bc"], p), dims, (1, 2))
-    return hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
+def _compressed_product(eig: dict, dims: Sequence[int], ps: Sequence[float]):
+    """For each capped block of the orders ps, its grid (states.grids) and the stack, one row per
+    order p, of hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC,
+    from the spectra of the three marginals, which every order shares."""
+    for p in grids(ps, eig["b"].eigenvalues.shape[:-1], math.prod(dims)):
+        ab_pow = embed(matrix_power(eig["ab"], p / 2.0), dims, (0, 1))
+        b_neg = embed(matrix_power(eig["b"], -p / 2.0), dims, (1,))
+        bc_pow = embed(matrix_power(eig["bc"], p), dims, (1, 2))
+        yield p, hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
 
 
-def _petz_recovery(
-    m: dict, eig: dict, dims: Sequence[int], keep: str, inv_sqrt_b: np.ndarray
-) -> np.ndarray:
-    """rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, where keep is
-    "ab" or "bc", eig[keep] is rho_keep or its spectrum, and inv_sqrt_b is the embedded
-    rho_B^(-1/2) that both directions share."""
-    other = "bc" if keep == "ab" else "ab"
-    supports = {"ab": (0, 1), "bc": (1, 2)}
-    outer = embed(matrix_sqrt(eig[keep]), dims, supports[keep])
-    return outer @ inv_sqrt_b @ embed(m[other], dims, supports[other]) @ inv_sqrt_b @ outer
+def _recovery_distances(m: dict, eig: dict, dims, keeps: Sequence[str], inv_sqrt_b) -> list:
+    """||rho_ABC - R_keep||_1 for each keep of keeps ("ab", "bc"), stacked within the cap, where
+    R_keep = rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, eig[keep]
+    is rho_keep or its spectrum, and inv_sqrt_b the embedded rho_B^(-1/2) they share."""
+    supports, other = {"ab": (0, 1), "bc": (1, 2)}, {"ab": "bc", "bc": "ab"}
+    out = []
+    for block in capped(keeps, m["abc"].size):
+        outer = np.stack([embed(matrix_sqrt(eig[k]), dims, supports[k]) for k in block])
+        inner = np.stack([embed(m[other[k]], dims, supports[other[k]]) for k in block])
+        out += list(trace_norm(m["abc"] - outer @ inv_sqrt_b @ inner @ inv_sqrt_b @ outer))
+    return out
 
 
 def _exp_log_surrogate(ab, b, bc, dims: Sequence[int]) -> np.ndarray:
@@ -249,7 +254,7 @@ def check_renyi_monotonicity(
             extra_ok = residual <= TOL_IDENTITY
         return CheckResult("renyi-monotone", quantities, slack, tol, extra_ok=extra_ok)
 
-    values = [renyi(a, rho, sigma) for a in alphas]
+    values = renyi(alphas, rho, sigma)
     closed = overlap_lower_bound(rho, sigma) if 0.5 in alphas else None
     return per_row(result, closed, *values)
 
@@ -548,7 +553,7 @@ def markov_characterizations(
     m = _tri_mats(state)
     eig = {k: herm_eig(v) for k, v in m.items()}
     dims = state.dims
-    i_val = cmi(state)
+    i_val = cmi(state, m)
 
     log_combo = (
         matrix_log(eig["abc"])
@@ -558,24 +563,18 @@ def markov_characterizations(
     )
     r_log = max_sv(log_combo)
 
-    r_petz = 0.0
-    for t in t_samples:
+    petz = [0.0]  # max_sv of each t's commutation residual, t as one grid per capped block
+    for t in grids(t_samples, eig["abc"].eigenvalues.shape[:-1], state.dim):
         lhs = unitary_power(eig["abc"], t) @ embed(unitary_power(eig["bc"], -t), dims, (1, 2))
         rhs = embed(unitary_power(eig["ab"], t), dims, (0, 1)) @ embed(
             unitary_power(eig["b"], -t), dims, (1,)
         )
-        r_petz = max(r_petz, max_sv(lhs - rhs))
+        petz += max_sv(lhs - rhs).tolist()
 
     inv_sqrt_b = embed(matrix_power(eig["b"], -0.5), dims, (1,))
-    r_recon_ab = trace_norm(m["abc"] - _petz_recovery(m, eig, dims, "ab", inv_sqrt_b))
-    r_recon_bc = trace_norm(m["abc"] - _petz_recovery(m, eig, dims, "bc", inv_sqrt_b))
-
-    residuals = {
-        "r_log": r_log,
-        "r_petz": r_petz,
-        "r_recon_ab": r_recon_ab,
-        "r_recon_bc": r_recon_bc,
-    }
+    recon = _recovery_distances(m, eig, dims, ("ab", "bc"), inv_sqrt_b)
+    residuals = {"r_log": r_log, "r_petz": max(petz),
+                 "r_recon_ab": float(recon[0]), "r_recon_bc": float(recon[1])}
     flags = [r < MARKOV_LIKE_RESIDUAL for r in residuals.values()]
     consistent = all(flags) if i_val < MARKOV_LIKE_CMI else not any(flags)
     quantities = {"cmi": i_val, **residuals}
@@ -600,10 +599,10 @@ def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[i
     if not n_values or any(n < 1 for n in n_values):
         raise BadConfig(f"need positive compression orders, got {n_values}")
     eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
-    return [
-        (n, real_trace(_psd_int_power(_compressed_product(eig, rho.dims, 1.0 / n), n)))
-        for n in n_values
-    ]
+    traces = []
+    for _, g in _compressed_product(eig, rho.dims, [1.0 / n for n in n_values]):
+        traces += [real_trace(_psd_int_power(g_n, n)) for g_n, n in zip(g, n_values[len(traces):])]
+    return list(zip(n_values, traces))
 
 
 def trotter_sequence(
@@ -638,17 +637,20 @@ def trotter_sequence(
 # ---------------------------------------------------------------------------
 
 
-def _alpha_compressed(pushed: tuple, alpha: float) -> np.ndarray:
-    """{sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
-    from the spectra and channel of _pushed."""
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
+def _alpha_compressed(pushed: tuple, alphas: Sequence[float]):
+    """For each capped block of alphas, the stack, one row per alpha, of the compressions
+    {sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
+    from the spectra and channel of _pushed: one apply_dual and one decomposition per block."""
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
     sigma_eig, img_rho, img_sigma, channel = pushed
-    img_sigma_neg = matrix_power(img_sigma.spectrum, -alpha / 2.0)
-    mid = hermitize(img_sigma_neg @ matrix_power(img_rho.spectrum, alpha) @ img_sigma_neg)
-    s_half = matrix_power(sigma_eig, alpha / 2.0)
-    inner = hermitize(s_half @ channel.apply_dual(mid) @ s_half)
-    return matrix_power(inner, 1.0 / alpha)
+    for a in grids(alphas, sigma_eig.eigenvalues.shape[:-1], max(channel.d_in, channel.d_out)):
+        img_sigma_neg = matrix_power(img_sigma.spectrum, -a / 2.0)
+        mid = hermitize(img_sigma_neg @ matrix_power(img_rho.spectrum, a) @ img_sigma_neg)
+        s_half = matrix_power(sigma_eig, a / 2.0)
+        inner = hermitize(s_half @ channel.apply_dual(mid) @ s_half)
+        yield matrix_power(inner, 1.0 / a)
 
 
 def dw_alpha_profile(
@@ -661,7 +663,7 @@ def dw_alpha_profile(
     """Finite-alpha compressed trace bound: Q_alpha, the trace of the alpha-compression, is at
     most 1 at each alpha of a grid; one result per trial."""
     pushed = _pushed(rho, sigma, channel)
-    values = [real_trace(_alpha_compressed(pushed, alpha)) for alpha in alphas]
+    values = [v for q in _alpha_compressed(pushed, alphas) for v in real_trace(q)]
     return per_row(lambda *row: _q_profile("dw-alpha", alphas, row, tol), *values)
 
 
@@ -693,16 +695,15 @@ def check_dw_tripartite(
     m = _tri_mats(rho)
     eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
     dims = rho.dims
-    values = []
     for alpha in alphas:
         if not 0.0 < alpha < 1.0:
             raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
-        g = _compressed_product(eig, dims, alpha)
-        values.append(real_trace(matrix_power(g, 1.0 / alpha)))
+    values = [v for a, g in _compressed_product(eig, dims, alphas)
+              for v in real_trace(matrix_power(g, 1.0 / a))]
     channel = ptrace_channel(dims, 0)
     reference = kron(m["ab"], np.eye(dims[2]) / dims[2])
     pushed = _pushed(m["abc"], reference, channel)
-    via_channel = real_trace(_alpha_compressed(pushed, float(alphas[0])))
+    [via_channel] = real_trace(next(_alpha_compressed(pushed, [float(alphas[0])])))
 
     def result(via, *row):
         return _q_profile("dw-tripartite", alphas, row, tol, route_residual=abs(via - row[0]))
@@ -738,7 +739,8 @@ def check_sbw_limit(
         quantities["e_last"] = errs[-1]
         return CheckResult("sbw-limit", quantities, SBW_FINAL_TOL - errs[-1], 0.0, bool(decreasing))
 
-    return per_row(result, *(max_sv(_alpha_compressed(pushed, a) - surrogate) for a in alphas))
+    errs = [e for q in _alpha_compressed(pushed, alphas) for e in max_sv(q - surrogate)]
+    return per_row(result, *errs)
 
 
 # ---------------------------------------------------------------------------
@@ -746,20 +748,17 @@ def check_sbw_limit(
 # ---------------------------------------------------------------------------
 
 
-def _concavity_gaps(fs, x1, x2, lam) -> list[tuple]:
-    """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for each f of fs, for operators
-    or matrices x1, x2 and a weight lam, or stacks of them and the (n,) array of their weights.
-    The mixture and each operand are decomposed once for every f (an operator's cached
-    spectrum is used); every f runs on the mixture, then on x1, then on x2."""
+def _concavity_gap(f, x1, x2, lam) -> tuple:
+    """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for operators or matrices x1,
+    x2 and a weight lam, or stacks of them and the (n,) array of their weights.  f takes a
+    spectrum (an operator's cached one is used) and runs on the mixture, then x1, then x2."""
     weight = np.asarray(lam)
     bad = ~((0.0 <= weight) & (weight <= 1.0))
     if bad.any():
         raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
     weight = weight[..., None, None]
-    mix = herm_eig(weight * as_matrix(x1) + (1.0 - weight) * as_matrix(x2))
-    at_mix = [f(mix) for f in fs]
-    at_x1, at_x2 = ([f(spec) for f in fs] for spec in map(as_spectrum, (x1, x2)))
-    return [(m, lam * a + (1.0 - lam) * b) for m, a, b in zip(at_mix, at_x1, at_x2)]
+    at_mix = f(herm_eig(weight * as_matrix(x1) + (1.0 - weight) * as_matrix(x2)))
+    return at_mix, lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
 
 
 def check_lieb_concavity(
@@ -775,7 +774,7 @@ def check_lieb_concavity(
     def f(x):
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
-    [(f_mix, f_avg)] = _concavity_gaps([f], x1, x2, lam)
+    f_mix, f_avg = _concavity_gap(f, x1, x2, lam)
     return _result("lieb-concavity", tol, lambda f_mix, f_avg, _: f_mix - f_avg,
                    f_mix=f_mix, f_avg=f_avg, lam=lam)
 
@@ -795,15 +794,14 @@ def check_cl_concavity(
         raise BadAlpha(f"alphas must be >= 1, got {alphas}")
     m = np.asarray(m, dtype=complex)
 
-    def trace_at(alpha: float) -> Callable:
-        def f(x):
-            core = hermitize(m @ matrix_power(x, 1.0 / alpha) @ dagger(m))
-            return real_trace(matrix_power(core, alpha))
+    def traces(x):  # the trace at each alpha, one row per alpha
+        batch = np.broadcast_shapes(m.shape[:-2], x.eigenvalues.shape[:-1])
+        return np.concatenate([
+            real_trace(matrix_power(hermitize(m @ matrix_power(x, 1.0 / a) @ dagger(m)), a))
+            for a in grids(alphas, batch, m.shape[-1])])
 
-        return f
-
-    gaps = _concavity_gaps([trace_at(a) for a in alphas], x1, x2, lam)
-    quantities = {f"slack_{a!r}": f_mix - f_avg for a, (f_mix, f_avg) in zip(alphas, gaps)}
+    f_mix, f_avg = _concavity_gap(traces, x1, x2, lam)
+    quantities = {f"slack_{a!r}": slack for a, slack in zip(alphas, f_mix - f_avg)}
     return _result("carlen-lieb-concavity", tol, lambda *slacks: min(slacks), **quantities)
 
 
@@ -839,8 +837,9 @@ def check_audenaert_ps(
     for t in t_values:
         if not 0.0 <= t <= 1.0:
             raise BadAlpha(f"interp parameter must be in [0, 1], got {t}")
-    crossed = [real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))
-               for t in t_values]
+    batch = np.broadcast_shapes(m_mat.shape[:-2], n_mat.shape[:-2])
+    crossed = [c for t in grids(t_values, batch, m_mat.shape[-1])
+               for c in real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))]
 
     def result(hs_diff, hs_sum, td, tr_m, tr_n, overlap, *crossed):
         links = [("norm_product", hs_diff * hs_sum), ("trace_distance", td),
@@ -941,7 +940,7 @@ def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
     m = _tri_mats(rho)
     inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
-    dist = trace_norm(m["abc"] - _petz_recovery(m, m, rho.dims, "ab", inv_sqrt_b))
+    [dist] = _recovery_distances(m, m, rho.dims, ("ab",), inv_sqrt_b)
     return _result("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
 
 

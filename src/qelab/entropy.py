@@ -39,6 +39,8 @@ from .states import (
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
+    capped,
+    grids,
     require_tripartite,
 )
 from .tolerances import SUPPORT_LEAK_TOL
@@ -82,22 +84,27 @@ def relative_entropy(
 
 
 def renyi(
-    alpha: float,
+    alpha: float | Sequence[float],
     rho: SubnormalizedOperator | np.ndarray,
     sigma: SubnormalizedOperator | np.ndarray,
-) -> float | np.ndarray:
+) -> float | np.ndarray | list:
     """Petz-Renyi relative entropy (log Tr rho^alpha sigma^(1-alpha)) / (alpha - 1).
 
     Only the concave window 0 < alpha < 1 is accepted; there the trace
     functional is finite for any pair, and the value is infinite exactly when
-    the supports are orthogonal enough that the trace vanishes.
+    the supports are orthogonal enough that the trace vanishes.  A grid of orders
+    gives the list of their values, from one power stack per block (states.grids).
     """
-    if not 0.0 < alpha < 1.0:
-        raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {alpha}")
-    r_pow = matrix_power(as_spectrum(rho), alpha)
-    s_pow = matrix_power(as_spectrum(sigma), 1.0 - alpha)
-    overlap = real_trace(r_pow @ s_pow)
-    return each(lambda o: math.inf if o <= 0.0 else math.log(o) / (alpha - 1.0), overlap)
+    for a in np.atleast_1d(alpha):
+        if not 0.0 < a < 1.0:
+            raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {a}")
+    r_eig, s_eig = as_spectrum(rho), as_spectrum(sigma)
+    values = []
+    for a in grids(np.atleast_1d(alpha), r_eig.eigenvalues.shape[:-1], r_eig.eigenvalues.shape[-1]):
+        overlaps = real_trace(matrix_power(r_eig, a) @ matrix_power(s_eig, 1.0 - a))
+        values += [each(lambda o: math.inf if o <= 0.0 else math.log(o) / (p - 1.0), overlap)
+                   for p, overlap in zip(a.ravel().tolist(), overlaps)]
+    return values if np.ndim(alpha) else values[0]
 
 
 def overlap_lower_bound(
@@ -115,14 +122,14 @@ def overlap_lower_bound(
     return each(lambda o: -2.0 * math.log(o), overlap)
 
 
-def cmi(state: DensityMatrix) -> float | np.ndarray:
-    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
+def cmi(state: DensityMatrix, marginals: dict | None = None) -> float | np.ndarray:
+    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B), from the
+    matrices ``marginals["ab"]``, ``["bc"]`` and ``["b"]`` when a caller holds them."""
     require_tripartite(state)
-    s_ab = von_neumann(state.marginal([0, 1]))
-    s_bc = von_neumann(state.marginal([1, 2]))
-    s_b = von_neumann(state.marginal([1]))
-    s_abc = von_neumann(state.mat)
-    return s_ab + s_bc - s_abc - s_b
+    m = marginals or {"ab": state.marginal([0, 1]), "bc": state.marginal([1, 2]),
+                      "b": state.marginal([1])}
+    s_ab, s_bc, s_b = von_neumann(m["ab"]), von_neumann(m["bc"]), von_neumann(m["b"])
+    return s_ab + s_bc - von_neumann(state.mat) - s_b
 
 
 def cmi_relative_entropy_form(state: DensityMatrix) -> float:
@@ -160,18 +167,20 @@ def exp_log_combination(
     """
     if not terms:
         raise SingularTerm("need at least one term")
+    mats = [np.asarray(mat, dtype=complex) for _, mat in terms]
+    if dims is not None:
+        mats = [embed(mat, dims, supports[i] if supports is not None else range(len(dims)))
+                for i, mat in enumerate(mats)]
     acc = 0.0
-    for i, (sign, mat) in enumerate(terms):
-        mat = np.asarray(mat, dtype=complex)
-        if dims is not None:
-            where = supports[i] if supports is not None else range(len(dims))
-            mat = embed(mat, dims, where)
-        eig = herm_eig(mat)
-        singular = row_indices(~psd_support(eig.eigenvalues)[..., 0])
-        if singular:
-            raise SingularTerm(
-                f"term {i} is singular (min eigenvalue {eig.eigenvalues[singular[0]][0]:.3e}); "
-                "exp-log combinations need full-rank terms"
-            )
-        acc = acc + float(sign) * matrix_log(eig)
+    for block in capped(range(len(mats)), mats[0].size):  # the terms decompose as one stack
+        eig = herm_eig(np.stack([mats[i] for i in block]))
+        for i, vals in zip(block, eig.eigenvalues):
+            singular = row_indices(~psd_support(vals)[..., 0])
+            if singular:
+                raise SingularTerm(
+                    f"term {i} is singular (min eigenvalue {vals[singular[0]][0]:.3e}); "
+                    "exp-log combinations need full-rank terms"
+                )
+        for i, log in zip(block, matrix_log(eig)):
+            acc = acc + float(terms[i][0]) * log
     return matrix_exp(hermitize(acc))

@@ -12,17 +12,21 @@ Conventions
   are off the support, and one below -TOL_PSD * max(1, max_eigenvalue) raises NotPSD.
 * Matrix functions take a matrix, which herm_eig validates and decomposes,
   or a HermitianEigen from herm_eig, so a reused operator decomposes once.
-* Every function here but unitary_power also takes an (n, d, d)
-  stack of matrices, one per trial, and gives each row the bits its own 2-D
-  call gives: a 2-D matrix is the n = 1 case of the same code.  A per-matrix
-  number (a trace, a norm, a Hermiticity verdict) is a Python scalar for one
-  matrix and an (n,) array for a stack.  Where the scalar rule branches on a
-  matrix's values (a partial support), each row takes its branch on its own.
-  A rule on Python scalars (math.log, min) runs row by row through per_row.
+* Every function here also takes an (n, d, d) stack of matrices, one per trial,
+  and gives each row the bits its own 2-D call gives.  A per-matrix number (a
+  trace, a norm, a Hermiticity verdict) is a Python scalar for one matrix and an
+  (n,) array for a stack.  Where the scalar rule branches on a matrix's values (a
+  partial support), each row takes its branch on its own; a rule on Python
+  scalars (math.log, min) runs row by row through per_row.
+* A grid of p (matrix_power) or t (unitary_power), a leading axis as states.grids shapes
+  it, broadcasts against the batch: the outer form on one spectrum, the paired form (row j
+  to the power p_j) on a grid-stacked one.  Row j has its own call's bits; the scalar
+  function runs per point on a float, as np.power's fast paths (0.5, 2.0) take scalars only.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -210,26 +214,43 @@ def matrix_sqrt(h: Spectral) -> np.ndarray:
     return matrix_fn(h, np.sqrt, support_only=True)
 
 
-def matrix_power(h: Spectral, p: float) -> np.ndarray:
-    """Real matrix power of a PSD matrix, on its support.
+def _grid_points(h: Spectral, p) -> tuple:
+    """The spectrum of h and its support mask, broadcast against the exponents p, and each
+    point of p, which varies along its leading axis only, as (row index, Python float)."""
+    vals, vecs = _eig(h)
+    mask = psd_support(vals)
+    if np.ndim(p) == 0:  # one point for every row
+        return vals, vecs, mask, [((), float(p))]
+    p = np.asarray(p, dtype=float)
+    shape = np.broadcast_shapes(p.shape + (1,), vals.shape)
+    points = list(enumerate(p.ravel().tolist()))
+    return np.broadcast_to(vals, shape), vecs, np.broadcast_to(mask, shape), points
+
+
+def matrix_power(h: Spectral, p) -> np.ndarray:
+    """Real matrix power of a PSD matrix, on its support, for an exponent or a grid of them.
 
     A negative power is the pseudo-inverse power on the support, which is
     what the recovery-map formulas need.
     """
-    return matrix_fn(h, lambda x: np.power(x, p), support_only=True)
+    vals, vecs, mask, points = _grid_points(h, p)
+    fvals = np.zeros(vals.shape)
+    for at, e in points:
+        fvals[at][mask[at]] = np.power(vals[at][mask[at]], e)
+    return matrix_fn(HermitianEigen(vals, vecs), lambda _: fvals)  # checked and rebuilt
 
 
-def unitary_power(h: Spectral, t: float) -> np.ndarray:
-    """Complex power h^{it} of a PSD matrix.
+def unitary_power(h: Spectral, t) -> np.ndarray:
+    """Complex power h^{it} of a PSD matrix, for a t or a grid of them.
 
     Computed as exp(i t log lam) on the support and extended by the identity
     on the kernel, so the result is unitary for any PSD input.
     """
-    vals, vecs = _eig(h)
-    mask = psd_support(vals)
+    vals, vecs, mask, points = _grid_points(h, t)
     phases = np.ones(vals.shape, dtype=complex)
-    phases[mask] = np.exp(1j * t * np.log(vals[mask]))
-    return (vecs * phases) @ vecs.conj().T
+    for at, e in points:
+        phases[at][mask[at]] = np.exp(1j * e * np.log(vals[at][mask[at]]))
+    return (vecs * phases[..., None, :]) @ dagger(vecs)
 
 
 def support_projector(h: Spectral) -> np.ndarray:
@@ -255,7 +276,7 @@ def _check_dims(x: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimMismatch(f"subsystem dimensions must be >= 1, got {dims}")
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if x.ndim < 2 or x.shape[-2:] != (total, total):
         raise DimMismatch(f"operator shape {x.shape} does not match dims {dims}")
     return dims
@@ -281,7 +302,7 @@ def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
     col = [n + i if i in keep else i for i in range(n)]
     out = [i for i in keep] + [n + i for i in keep]
     reduced = np.einsum(tensor, [Ellipsis] + row + col, [Ellipsis] + out)
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return reduced.reshape(lead + (d_keep, d_keep))
 
 
@@ -297,20 +318,20 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     n = len(dims)
     if any(k < 0 or k >= n for k in acting_on):
         raise DimMismatch(f"acting_on={acting_on} out of range for {n} subsystems")
-    d_act = int(np.prod([dims[i] for i in acting_on]))
+    d_act = math.prod(dims[i] for i in acting_on)
     if op.shape[-2:] != (d_act, d_act):
         raise DimMismatch(f"operator shape {op.shape} does not match dims {d_act}")
     rest = [i for i in range(n) if i not in acting_on]
     if not rest:
         return op.copy()
-    big = kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    big = kron(op, np.eye(math.prod(dims[i] for i in rest)))
     order = acting_on + rest  # subsystem owning each tensor axis of `big`
     perm = list(np.argsort(order))
     lead = op.shape[:-2]
     tensor = big.reshape(lead + tuple(dims[i] for i in order) * 2)
     k = len(lead)
     axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     return tensor.transpose(axes).reshape(lead + (total, total))
 
 

@@ -16,6 +16,7 @@ the chunk of one: it returns that chunk's ``row(0)``, with the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -46,6 +47,19 @@ from .linalg import (
 from .tolerances import TOL_TRACE
 
 _CHUNK_ENTRIES = 32 * 16 * 16  # entries of one stacked complex operand: 128 KiB at most
+
+
+def capped(items: Sequence, entries: int) -> list[Sequence]:
+    """items in blocks whose stack of operands, ``entries`` entries each, stays within the cap."""
+    size = max(1, _CHUNK_ENTRIES // entries)
+    return [items[start : start + size] for start in range(0, len(items), size)]
+
+
+def grids(points: Sequence[float], batch: tuple[int, ...], d: int) -> list[np.ndarray]:
+    """A parameter grid in capped blocks for d x d operands on the batch shape ((), or a
+    stack's (n,)), each a (k, 1, ..., 1) array that broadcasts ahead of the batch axes."""
+    return [np.reshape(np.asarray(block, dtype=float), (-1,) + (1,) * len(batch))
+            for block in capped(points, math.prod(batch) * d * d)]
 
 
 def streams(
@@ -287,14 +301,11 @@ def random_unitaries(
         raise BadConfig(f"need at least one unitary, got {n}")
     rngs = streams(rng)
     out = np.empty((n, len(rngs), d, d), dtype=complex)
-    block = max(1, _CHUNK_ENTRIES // (d * d))
     for row, stream in enumerate(rngs):
-        for start in range(0, n, block):
-            part = out[start : start + block, row]  # each unitary: real plane, then imaginary
+        for part in capped(out[:, row], d * d):  # each unitary: real plane, then imaginary
             part.real, part.imag = stream.standard_normal((len(part), 2, d, d)).swapaxes(0, 1)
-    flat = out.reshape(-1, d, d)
-    for start in range(0, len(flat), block):
-        flat[start : start + block] = _haar_q(flat[start : start + block])
+    for part in capped(out.reshape(-1, d, d), d * d):
+        part[...] = _haar_q(part)
     return out[:, 0] if isinstance(rng, np.random.Generator) else out
 
 

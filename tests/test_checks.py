@@ -913,8 +913,9 @@ def test_non_hermitian_input_raises_at_each_boundary(case):
 
 
 @pytest.mark.parametrize("check, decompositions", [
-    # the mixture, x1 and x2 once each, and each alpha's core on each of the three
-    (lambda: check_cl_concavity(_M, _X1, _X2, 0.5), 3 + 3 * len(DEFAULT_CL_ALPHAS)),
+    # the mixture, x1 and x2 once each, and on each of the three the alpha grid's cores as
+    # one stack
+    (lambda: check_cl_concavity(_M, _X1, _X2, 0.5), 3 + 3),
     # the mixture, x1 and x2, and each one's exponential
     (lambda: check_lieb_concavity(_H, _X1, _X2, 0.5), 6),
 ], ids=["carlen-lieb", "lieb"])
