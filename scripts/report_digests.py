@@ -23,6 +23,10 @@ and one per non-empty stdout and stderr:
   per block;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
 * replay of that dump and of every exploration report (their stdout and stderr);
+* markov on a spec file and trotter on a state file, the one-state (2-D) paths of their
+  checkers: the spec is markov-roundtrip's trial 0 at seed 42 and dims 2,2,2, the state a
+  regularized random_tripartite on dims (2, 3, 2) from default_rng([42, 3]), both written
+  into the temporary directory;
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
   seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
   them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
@@ -63,8 +67,10 @@ def main() -> int:
                         help="directory holding the qelab package (default: this repo's src)")
     args = parser.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
+    import json
+
     import numpy as np
-    from qelab import checks, cli
+    from qelab import checks, cli, serialize, states, suites
 
     def run(argv: list[str]) -> tuple[int, str, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -105,6 +111,17 @@ def main() -> int:
                 report(f"explore {kind} {dims}", ["explore", kind, "--dims", dims, "--trials",
                                                   "100", "--seed", "7", "--out", out], [out])
                 report(f"replay {kind} {dims}", ["replay", out], [])
+        spec = suites._markov_spec(suites.trial_rng(42, "markov-roundtrip", 0), 2, 2)
+        state = states.regularize(
+            states.random_tripartite((2, 3, 2), np.random.default_rng([42, 3])), 1e-6)
+        for command, value in (("markov", spec), ("trotter", state)):
+            path = os.path.join(tmp, f"{command}-input.json")
+            out = os.path.join(tmp, f"{command}.json")
+            body = serialize.serialize_value(value)
+            del body["type"]  # a spec or state file is the untagged body
+            with open(path, "w") as fh:
+                json.dump(body, fh)
+            report(f"{command} file", [command, path, "--out", out], [out])
     for seed in TWIRL_SEEDS:
         rng = np.random.default_rng([seed, 10, 0])
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -12,6 +12,8 @@ chunk's list of streams.
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -79,16 +81,18 @@ class KrausChannel:
             raise DimMismatch(
                 f"Kraus operators violate trace preservation by {first_flagged(tp_dev, bad):.3e}"
             )
-        env = sum(k @ dagger(k) for k in ops)
-        self._unital_dev = max_sv(env - np.eye(d_out))
 
     def row(self, i: int) -> KrausChannel:
         """Channel i of a stack: views of its operators, not checked again."""
         out = object.__new__(KrausChannel)
         out.kraus = tuple(k[i] for k in self.kraus)
         out.d_in, out.d_out = self.d_in, self.d_out
-        out._unital_dev = float(self._unital_dev[i])
         return out
+
+    @cached_property
+    def _unital_dev(self) -> float | np.ndarray:
+        """||sum K K^dag - 1||_inf, of each channel of a stack: computed on first use."""
+        return max_sv(sum(k @ dagger(k) for k in self.kraus) - np.eye(self.d_out))
 
     @property
     def is_unital(self) -> bool:
@@ -181,9 +185,7 @@ def ptrace_channel(dims: Sequence[int], traced: int) -> KrausChannel:
     n = len(dims)
     if not 0 <= traced < n:
         raise DimMismatch(f"traced={traced} out of range for {n} subsystems")
-    d_pre = int(np.prod(dims[:traced])) if traced > 0 else 1
-    d_post = int(np.prod(dims[traced + 1 :])) if traced + 1 < n else 1
-    d_t = dims[traced]
+    d_pre, d_t, d_post = math.prod(dims[:traced]), dims[traced], math.prod(dims[traced + 1 :])
     ops = []
     for i in range(d_t):
         bra = np.zeros((1, d_t))

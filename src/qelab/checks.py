@@ -64,6 +64,9 @@ from .linalg import (
 )
 from .results import CheckResult, chain
 from .states import (
+    AB,
+    B,
+    BC,
     Decomposed,
     DensityMatrix,
     SubnormalizedOperator,
@@ -102,54 +105,56 @@ def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
     return dims
 
 
-def _tri_mats(state: DensityMatrix) -> dict[str, np.ndarray]:
+def _spectra(state: DensityMatrix) -> dict:
+    """The spectrum of each marginal AB, B and BC of a tripartite state, keyed by its part."""
     require_tripartite(state)
-    return {
-        "abc": state.mat,
-        "ab": state.marginal([0, 1]),
-        "b": state.marginal([1]),
-        "bc": state.marginal([1, 2]),
-    }
+    return {part: herm_eig(state.marginal(part)) for part in (AB, B, BC)}
+
+
+def _check_alphas(alphas: Sequence[float]) -> None:
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def _compressed_product(eig: dict, dims: Sequence[int], ps: Sequence[float]):
     """For each capped block of the orders ps, its grid (states.grids) and the stack, one row per
     order p, of hermitize(rho_AB^(p/2) rho_B^(-p/2) rho_BC^p rho_B^(-p/2) rho_AB^(p/2)) on ABC,
-    from the spectra of the three marginals, which every order shares."""
-    for p in grids(ps, eig["b"].eigenvalues.shape[:-1], math.prod(dims)):
-        ab_pow = embed(matrix_power(eig["ab"], p / 2.0), dims, (0, 1))
-        b_neg = embed(matrix_power(eig["b"], -p / 2.0), dims, (1,))
-        bc_pow = embed(matrix_power(eig["bc"], p), dims, (1, 2))
+    from the spectra of the three marginals (_spectra), which every order shares."""
+    for p in grids(ps, eig[B].eigenvalues.shape[:-1], math.prod(dims)):
+        ab_pow = embed(matrix_power(eig[AB], p / 2.0), dims, AB)
+        b_neg = embed(matrix_power(eig[B], -p / 2.0), dims, B)
+        bc_pow = embed(matrix_power(eig[BC], p), dims, BC)
         yield p, hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
 
 
-def _recovery_distances(m: dict, eig: dict, dims, keeps: Sequence[str], inv_sqrt_b) -> list:
-    """||rho_ABC - R_keep||_1 for each keep of keeps ("ab", "bc"), stacked within the cap, where
-    R_keep = rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, eig[keep]
-    is rho_keep or its spectrum, and inv_sqrt_b the embedded rho_B^(-1/2) they share."""
-    supports, other = {"ab": (0, 1), "bc": (1, 2)}, {"ab": "bc", "bc": "ab"}
+def _recovery_distances(state: DensityMatrix, keeps: Sequence[tuple], spectral: Callable) -> list:
+    """||rho_ABC - R_keep||_1 for each keep of keeps (AB, BC), stacked within the cap, where
+    R_keep = rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, other is
+    the part of AB and BC that keep is not, and spectral(part) is rho_part or its spectrum."""
+    dims = state.dims
+    inv_sqrt_b = embed(matrix_power(spectral(B), -0.5), dims, B)
     out = []
-    for block in capped(keeps, m["abc"].size):
-        outer = np.stack([embed(matrix_sqrt(eig[k]), dims, supports[k]) for k in block])
-        inner = np.stack([embed(m[other[k]], dims, supports[other[k]]) for k in block])
-        out += list(trace_norm(m["abc"] - outer @ inv_sqrt_b @ inner @ inv_sqrt_b @ outer))
+    for block in capped(keeps, state.mat.size):
+        outer = np.stack([embed(matrix_sqrt(spectral(k)), dims, k) for k in block])
+        others = [BC if k == AB else AB for k in block]
+        inner = np.stack([embed(state.marginal(o), dims, o) for o in others])
+        out += list(trace_norm(state.mat - outer @ inv_sqrt_b @ inner @ inv_sqrt_b @ outer))
     return out
 
 
-def _exp_log_surrogate(ab, b, bc, dims: Sequence[int]) -> np.ndarray:
-    """exp(log X_AB - log Y_B + log Z_BC), each marginal embedded on the full space."""
-    return exp_log_combination(
-        [(1.0, ab), (-1.0, b), (1.0, bc)], dims=dims, supports=[(0, 1), (1,), (1, 2)]
-    )
+def _exp_log_surrogate(x: DensityMatrix, y: DensityMatrix, z: DensityMatrix) -> np.ndarray:
+    """exp(log x_AB - log y_B + log z_BC), each marginal embedded on the full space."""
+    terms = [(1.0, x.marginal(AB)), (-1.0, y.marginal(B)), (1.0, z.marginal(BC))]
+    return exp_log_combination(terms, dims=x.dims, supports=[AB, B, BC])
 
 
 def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray, float]:
     """exp(log x_AB - log y_B + log z_BC) and the smaller of the deviations ||x_B - y_B||,
     ||y_B - z_B||, which must be within TOL_IDENTITY (else MarginalMismatch naming the states
     by names)."""
-    y_b = y.marginal([1])
-    dev_xy = np.asarray(max_sv(x.marginal([1]) - y_b))
-    dev_yz = np.asarray(max_sv(y_b - z.marginal([1])))
+    dev_xy = np.asarray(max_sv(x.marginal(B) - y.marginal(B)))
+    dev_yz = np.asarray(max_sv(y.marginal(B) - z.marginal(B)))
     apart = row_indices(np.minimum(dev_xy, dev_yz) > TOL_IDENTITY)
     if apart:
         (a, b, c), i = names, apart[0]
@@ -157,14 +162,12 @@ def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray
             f"need {a}_B = {b}_B or {b}_B = {c}_B; "
             f"deviations are {dev_xy[i]:.3e} and {dev_yz[i]:.3e}"
         )
-    surrogate = _exp_log_surrogate(x.marginal([0, 1]), y_b, z.marginal([1, 2]), x.dims)
-    return surrogate, each(min, dev_xy, dev_yz)
+    return _exp_log_surrogate(x, y, z), each(min, dev_xy, dev_yz)
 
 
 def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
     """exp(log rho_AB - log rho_B + log rho_BC) embedded on the full space."""
-    m = _tri_mats(state)
-    return _exp_log_surrogate(m["ab"], m["b"], m["bc"], state.dims)
+    return _exp_log_surrogate(require_tripartite(state), state, state)
 
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
@@ -418,20 +421,16 @@ def check_bsw_identity(
     dims = _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
     target = exp_log_combination(
-        [
-            (1.0, sigma.marginal([0, 1])),
-            (1.0, tau.marginal([1, 2])),
-            (-1.0, omega.marginal([1])),
-        ],
+        [(1.0, sigma.marginal(AB)), (1.0, tau.marginal(BC)), (-1.0, omega.marginal(B))],
         dims=dims,
-        supports=[(0, 1), (1, 2), (1,)],
+        supports=[AB, BC, B],
     )
     lhs = relative_entropy(rho.mat, target)
     rhs = (
         cmi(rho)
-        + relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
-        + relative_entropy(rho.marginal([1, 2]), tau.marginal([1, 2]))
-        - relative_entropy(rho.marginal([1]), omega.marginal([1]))
+        + relative_entropy(rho.marginal(AB), sigma.marginal(AB))
+        + relative_entropy(rho.marginal(BC), tau.marginal(BC))
+        - relative_entropy(rho.marginal(B), omega.marginal(B))
     )
     residual = abs(lhs - rhs)
     return _result("bsw-identity", tol, lambda *q: -q[2], lhs=lhs, rhs=rhs, residual=residual)
@@ -447,19 +446,15 @@ def check_super_ssa(
     dims = _same_dims(rho, sigma)
     require_tripartite(rho)
     target = exp_log_combination(
-        [
-            (1.0, sigma.marginal([0, 1])),
-            (1.0, sigma.marginal([1, 2])),
-            (-1.0, sigma.marginal([1])),
-        ],
+        [(1.0, sigma.marginal(AB)), (1.0, sigma.marginal(BC)), (-1.0, sigma.marginal(B))],
         dims=dims,
-        supports=[(0, 1), (1, 2), (1,)],
+        supports=[AB, BC, B],
     )
     lhs = relative_entropy(rho.mat, target)
     rhs = (
         cmi(rho)
-        + 0.5 * relative_entropy(rho.marginal([0, 1]), sigma.marginal([0, 1]))
-        + 0.5 * relative_entropy(rho.marginal([1, 2]), sigma.marginal([1, 2]))
+        + 0.5 * relative_entropy(rho.marginal(AB), sigma.marginal(AB))
+        + 0.5 * relative_entropy(rho.marginal(BC), sigma.marginal(BC))
     )
     return _result("super-ssa", tol, operator.sub, lhs=lhs, rhs=rhs)
 
@@ -498,16 +493,12 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     auxiliary product bound Tr S <= Tr(rho_AB rho_BC) = Tr rho_B^2 <= 1 is
     asserted through extra_ok (middle equality within 1e-10).
     """
-    m = _tri_mats(rho)
-    dims = rho.dims
-    anchor = von_neumann(m["ab"]) + von_neumann(m["bc"]) - von_neumann(m["abc"])
-    surrogate = exp_log_combination(
-        [(1.0, m["ab"]), (1.0, m["bc"])], dims=dims, supports=[(0, 1), (1, 2)]
-    )
-    ab_full = embed(m["ab"], dims, (0, 1))
-    bc_full = embed(m["bc"], dims, (1, 2))
-    tr_product = real_trace(ab_full @ bc_full)
-    tr_b_sq = real_trace(m["b"] @ m["b"])
+    dims = require_tripartite(rho).dims
+    rho_ab, rho_b, rho_bc = (rho.marginal(part) for part in (AB, B, BC))
+    anchor = von_neumann(rho_ab) + von_neumann(rho_bc) - von_neumann(rho.mat)
+    surrogate = exp_log_combination([(1.0, rho_ab), (1.0, rho_bc)], dims=dims, supports=[AB, BC])
+    tr_product = real_trace(embed(rho_ab, dims, AB) @ embed(rho_bc, dims, BC))
+    tr_b_sq = real_trace(rho_b @ rho_b)
     gt_ok = (
         (real_trace(surrogate) <= tr_product + tol)
         & (abs(tr_product - tr_b_sq) <= 1e-10)
@@ -517,7 +508,7 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
         "subadd-exp",
         "entropy_combo",
         anchor,
-        m["abc"],
+        rho.mat,
         surrogate,
         tol,
         quantities={"trace_product": tr_product, "trace_b_sq": tr_b_sq},
@@ -550,29 +541,25 @@ def markov_characterizations(
     small together (Markov) or all bounded away (non-Markov).  The state must
     be full rank.
     """
-    m = _tri_mats(state)
-    eig = {k: herm_eig(v) for k, v in m.items()}
-    dims = state.dims
-    i_val = cmi(state, m)
+    eig = _spectra(state)
+    whole, dims = state.spectrum, state.dims
+    i_val = cmi(state)
 
     log_combo = (
-        matrix_log(eig["abc"])
-        + embed(matrix_log(eig["b"]), dims, (1,))
-        - embed(matrix_log(eig["ab"]), dims, (0, 1))
-        - embed(matrix_log(eig["bc"]), dims, (1, 2))
+        matrix_log(whole)
+        + embed(matrix_log(eig[B]), dims, B)
+        - embed(matrix_log(eig[AB]), dims, AB)
+        - embed(matrix_log(eig[BC]), dims, BC)
     )
     r_log = max_sv(log_combo)
 
     petz = [0.0]  # max_sv of each t's commutation residual, t as one grid per capped block
-    for t in grids(t_samples, eig["abc"].eigenvalues.shape[:-1], state.dim):
-        lhs = unitary_power(eig["abc"], t) @ embed(unitary_power(eig["bc"], -t), dims, (1, 2))
-        rhs = embed(unitary_power(eig["ab"], t), dims, (0, 1)) @ embed(
-            unitary_power(eig["b"], -t), dims, (1,)
-        )
+    for t in grids(t_samples, whole.eigenvalues.shape[:-1], state.dim):
+        lhs = unitary_power(whole, t) @ embed(unitary_power(eig[BC], -t), dims, BC)
+        rhs = embed(unitary_power(eig[AB], t), dims, AB) @ embed(unitary_power(eig[B], -t), dims, B)
         petz += max_sv(lhs - rhs).tolist()
 
-    inv_sqrt_b = embed(matrix_power(eig["b"], -0.5), dims, (1,))
-    recon = _recovery_distances(m, eig, dims, ("ab", "bc"), inv_sqrt_b)
+    recon = _recovery_distances(state, (AB, BC), eig.get)
     residuals = {"r_log": r_log, "r_petz": max(petz),
                  "r_recon_ab": float(recon[0]), "r_recon_bc": float(recon[1])}
     flags = [r < MARKOV_LIKE_RESIDUAL for r in residuals.values()]
@@ -594,13 +581,12 @@ def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
 
 def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[int, float]]:
     """(n, t_n) for each order n: the compressed-product traces of trotter_sequence."""
-    m = _tri_mats(rho)
+    require_tripartite(rho)
     n_values = [int(n) for n in n_values]
     if not n_values or any(n < 1 for n in n_values):
         raise BadConfig(f"need positive compression orders, got {n_values}")
-    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
     traces = []
-    for _, g in _compressed_product(eig, rho.dims, [1.0 / n for n in n_values]):
+    for _, g in _compressed_product(_spectra(rho), rho.dims, [1.0 / n for n in n_values]):
         traces += [real_trace(_psd_int_power(g_n, n)) for g_n, n in zip(g, n_values[len(traces):])]
     return list(zip(n_values, traces))
 
@@ -641,9 +627,7 @@ def _alpha_compressed(pushed: tuple, alphas: Sequence[float]):
     """For each capped block of alphas, the stack, one row per alpha, of the compressions
     {sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
     from the spectra and channel of _pushed: one apply_dual and one decomposition per block."""
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
+    _check_alphas(alphas)
     sigma_eig, img_rho, img_sigma, channel = pushed
     for a in grids(alphas, sigma_eig.eigenvalues.shape[:-1], max(channel.d_in, channel.d_out)):
         img_sigma_neg = matrix_power(img_sigma.spectrum, -a / 2.0)
@@ -692,17 +676,14 @@ def check_dw_tripartite(
     out A, reference rho_AB (x) 1_C/d_C) is recomputed as a cross-check and
     the two routes must agree within TOL_IDENTITY.
     """
-    m = _tri_mats(rho)
-    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
+    eig = _spectra(rho)
     dims = rho.dims
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
+    _check_alphas(alphas)
     values = [v for a, g in _compressed_product(eig, dims, alphas)
               for v in real_trace(matrix_power(g, 1.0 / a))]
     channel = ptrace_channel(dims, 0)
-    reference = kron(m["ab"], np.eye(dims[2]) / dims[2])
-    pushed = _pushed(m["abc"], reference, channel)
+    reference = kron(rho.marginal(AB), np.eye(dims[2]) / dims[2])
+    pushed = _pushed(rho, reference, channel)
     [via_channel] = real_trace(next(_alpha_compressed(pushed, [float(alphas[0])])))
 
     def result(via, *row):
@@ -938,9 +919,7 @@ def explore_ptrace_petz(
 
 def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
-    m = _tri_mats(rho)
-    inv_sqrt_b = embed(matrix_power(m["b"], -0.5), rho.dims, (1,))
-    [dist] = _recovery_distances(m, m, rho.dims, ("ab",), inv_sqrt_b)
+    [dist] = _recovery_distances(require_tripartite(rho), (AB,), rho.marginal)
     return _result("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
 
 

@@ -35,6 +35,9 @@ from .linalg import (
     support_projector,
 )
 from .states import (
+    AB,
+    B,
+    BC,
     DensityMatrix,
     SubnormalizedOperator,
     as_matrix,
@@ -122,13 +125,10 @@ def overlap_lower_bound(
     return each(lambda o: -2.0 * math.log(o), overlap)
 
 
-def cmi(state: DensityMatrix, marginals: dict | None = None) -> float | np.ndarray:
-    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B), from the
-    matrices ``marginals["ab"]``, ``["bc"]`` and ``["b"]`` when a caller holds them."""
+def cmi(state: DensityMatrix) -> float | np.ndarray:
+    """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
     require_tripartite(state)
-    m = marginals or {"ab": state.marginal([0, 1]), "bc": state.marginal([1, 2]),
-                      "b": state.marginal([1])}
-    s_ab, s_bc, s_b = von_neumann(m["ab"]), von_neumann(m["bc"]), von_neumann(m["b"])
+    s_ab, s_bc, s_b = (von_neumann(state.marginal(part)) for part in (AB, BC, B))
     return s_ab + s_bc - von_neumann(state.mat) - s_b
 
 
@@ -142,9 +142,9 @@ def cmi_relative_entropy_form(state: DensityMatrix) -> float:
     """
     require_tripartite(state)
     rho = state.mat
-    rho_ab = state.marginal([0, 1])
-    rho_bc = state.marginal([1, 2])
-    rho_b = state.marginal([1])
+    rho_ab = state.marginal(AB)
+    rho_bc = state.marginal(BC)
+    rho_b = state.marginal(B)
     rho_c = state.marginal([2])
     full = relative_entropy(rho, kron(rho_ab, rho_c))
     reduced = relative_entropy(rho_bc, kron(rho_b, rho_c))

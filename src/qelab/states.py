@@ -149,7 +149,7 @@ class DensityMatrix(SubnormalizedOperator):
     flat basis index of |a, b, c> is ((a * dB) + b) * dC + c.  ``dims``
     default to those of a DensityMatrix argument, else to one subsystem.  A
     DensityMatrix argument is not validated again: its frozen matrix, and its
-    spectrum once computed, are shared.
+    spectrum and marginals once computed, are shared.
     """
 
     def __init__(self, mat: np.ndarray | DensityMatrix, dims: Sequence[int] | None = None):
@@ -162,7 +162,7 @@ class DensityMatrix(SubnormalizedOperator):
             self.dims = (self.dim,)
         if dims is not None:
             dims = tuple(int(d) for d in dims)
-            if int(np.prod(dims)) != self.dim:
+            if math.prod(dims) != self.dim:
                 raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
             self.dims = dims
 
@@ -173,8 +173,14 @@ class DensityMatrix(SubnormalizedOperator):
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
         """Raw matrix (or stack) of the partial trace onto the subsystems in ``keep`` (no
-        re-validation)."""
-        return ptrace(self._mat, self.dims, keep)
+        re-validation), taken once per dims and keep and kept read-only.  A state re-wrapped
+        on other dims shares the cache, so the dims are part of its key."""
+        cache = vars(self).setdefault("_marginals", {})
+        key = (self.dims, tuple(sorted(set(keep))))
+        if key not in cache:
+            cache[key] = ptrace(self._mat, self.dims, keep)
+            cache[key].setflags(write=False)
+        return cache[key]
 
 
 def _check_unit_trace(tr) -> None:
@@ -182,6 +188,9 @@ def _check_unit_trace(tr) -> None:
     if np.any(bad):
         tr = float(first_flagged(tr, bad))
         raise BadTrace(f"trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+
+
+AB, B, BC = (0, 1), (1,), (1, 2)  # the parts of a tripartite state A:B:C, by subsystem
 
 
 def require_tripartite(state: DensityMatrix) -> DensityMatrix:
@@ -337,8 +346,7 @@ def random_tripartite(
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3:
         raise NotTripartite(f"need 3 dimensions, got {dims}")
-    total = int(np.prod(dims))
-    return DensityMatrix(random_density(total, rng, rank=rank), dims)
+    return DensityMatrix(random_density(math.prod(dims), rng, rank=rank), dims)
 
 
 class Decomposed(NamedTuple):

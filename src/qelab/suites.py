@@ -82,7 +82,7 @@ CHUNK_TRIALS = 32
 
 
 def _flat(dims: Sequence[int]) -> int:
-    return int(np.prod([int(d) for d in dims]))
+    return math.prod(int(d) for d in dims)
 
 
 def _rand_hermitian(d: int, rngs) -> np.ndarray:

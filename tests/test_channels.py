@@ -548,6 +548,22 @@ def test_a_stacked_channel_is_unital_when_every_row_is():
         require_unital(_stack(unital + [generic]))
 
 
+def test_a_channel_is_built_with_one_svd_and_checks_unitality_on_first_use(monkeypatch):
+    rng = np.random.default_rng(76)
+    stacked = _stack([random_unital_channel(4, 3, rng), random_channel(4, 3, rng)])
+    real, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *a, **k: shapes.append(x.shape) or real(x, *a, **k))
+    channel = KrausChannel(stacked.kraus)
+    assert shapes == [(2, 4, 4)]  # the trace-preservation check alone
+    assert not channel.is_unital and not channel.is_unital
+    assert shapes == [(2, 4, 4)] * 2  # one more, then kept
+    row = channel.row(0)
+    assert len(shapes) == 2
+    assert row.is_unital and repr(row).endswith("unital=True)")
+    assert shapes[2:] == [(4, 4)]
+
+
 def test_a_petz_map_takes_the_image_its_caller_holds():
     rng = np.random.default_rng(75)
     channel, sigma = random_channel(4, 2, rng), random_density(4, rng)

@@ -20,7 +20,7 @@ from qelab.checks import (
     _alpha_compressed,
     _compressed_product,
     _pushed,
-    _tri_mats,
+    _spectra,
     dw_alpha_profile,
     markov_characterizations,
 )
@@ -39,7 +39,7 @@ from qelab.linalg import (
     ptrace,
     unitary_power,
 )
-from qelab.states import DensityMatrix, markov_state, random_density, regularize
+from qelab.states import AB, B, BC, DensityMatrix, markov_state, random_density, regularize
 from qelab.suites import _markov_spec, trial_rng
 
 RNG = np.random.default_rng  # brevity
@@ -163,9 +163,9 @@ def _chunk(n, dims, seed):
 
 
 def _compressed_alone(eig, dims, p):
-    ab_pow = embed(_power_alone(eig["ab"], p / 2.0), dims, (0, 1))
-    b_neg = embed(_power_alone(eig["b"], -p / 2.0), dims, (1,))
-    bc_pow = embed(_power_alone(eig["bc"], p), dims, (1, 2))
+    ab_pow = embed(_power_alone(eig[AB], p / 2.0), dims, AB)
+    b_neg = embed(_power_alone(eig[B], -p / 2.0), dims, B)
+    bc_pow = embed(_power_alone(eig[BC], p), dims, BC)
     return hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
 
 
@@ -177,8 +177,7 @@ def test_compressed_products_in_blocks_match_the_loop(monkeypatch, per_block, n)
     state = state if n else state.row(0)
     rows = n or 1
     _cap(monkeypatch, per_block * rows * 64)
-    m = _tri_mats(state)
-    eig = {k: herm_eig(m[k]) for k in ("ab", "b", "bc")}
+    eig = _spectra(state)
     ps = [0.9, 0.5, 0.25, 1.0 / 3.0, 0.125]
     blocks = list(_compressed_product(eig, dims, ps))
     assert [len(p) for p, _ in blocks] == [len(b) for b in states.capped(ps, rows * 64)]
@@ -216,13 +215,12 @@ def test_alpha_compressions_in_blocks_match_the_loop(monkeypatch, per_block, uni
 
 
 def _r_petz_alone(state, t_samples):
-    m = _tri_mats(state)
     dims, r_petz = state.dims, 0.0
     for t in t_samples:
-        lhs = _unitary_power_alone(m["abc"], t) @ embed(
-            _unitary_power_alone(m["bc"], -t), dims, (1, 2))
-        rhs = embed(_unitary_power_alone(m["ab"], t), dims, (0, 1)) @ embed(
-            _unitary_power_alone(m["b"], -t), dims, (1,))
+        lhs = _unitary_power_alone(state.mat, t) @ embed(
+            _unitary_power_alone(state.marginal(BC), -t), dims, BC)
+        rhs = embed(_unitary_power_alone(state.marginal(AB), t), dims, AB) @ embed(
+            _unitary_power_alone(state.marginal(B), -t), dims, B)
         r_petz = max(r_petz, max_sv(lhs - rhs))
     return r_petz
 

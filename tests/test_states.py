@@ -19,8 +19,11 @@ from qelab.errors import (
     NotPSD,
     NotTripartite,
 )
-from qelab.linalg import embed, herm_eig, kron, matrix_log, max_sv, trace_norm
+from qelab.linalg import embed, herm_eig, kron, matrix_log, max_sv, ptrace, trace_norm
 from qelab.states import (
+    AB,
+    B,
+    BC,
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
@@ -388,6 +391,33 @@ def test_markov_spec_json_roundtrip():
     assert max_sv(back.ab_factors[0].mat - spec.ab_factors[0].mat) < 1e-14
     with pytest.raises(BadConfig):
         deserialize_value({"d_a": 2, "d_c": 2}, "markov_spec")
+
+
+@pytest.mark.parametrize("n", [None, 3])
+def test_a_marginal_is_taken_once_and_read_only(n, monkeypatch):
+    rngs = np.random.default_rng(34) if n is None else [np.random.default_rng(i) for i in range(n)]
+    state = DensityMatrix(random_density(8, rngs), (2, 2, 2))
+    for part in (AB, B, BC, (0, 2), (2,)):
+        assert state.marginal(part).tobytes() == ptrace(state.mat, (2, 2, 2), part).tobytes()
+    calls = []
+    monkeypatch.setattr("qelab.states.ptrace", lambda *a: calls.append(a))
+    for part in (AB, B, BC, (0, 2), (2,)):
+        marginal = state.marginal(part)
+        assert marginal is state.marginal(list(part)) and not marginal.flags.writeable
+        with pytest.raises(ValueError):
+            marginal[..., 0, 0] = 0.0
+    assert calls == []
+
+
+def test_a_state_rewrapped_on_other_dims_takes_its_own_marginal():
+    state = random_tripartite((2, 2, 2), np.random.default_rng(35))
+    on_b = state.marginal(B)  # cached on (2, 2, 2)
+    rewrapped = DensityMatrix(state, (4, 2))
+    assert rewrapped.marginal(B).shape == (2, 2)
+    assert rewrapped.marginal(B).tobytes() == ptrace(state.mat, (4, 2), [1]).tobytes()
+    assert rewrapped.marginal([0]).tobytes() == ptrace(state.mat, (4, 2), [0]).tobytes()
+    assert state.marginal(B) is on_b and state.marginal(AB).shape == (4, 4)
+    assert DensityMatrix(state, (2, 4)).marginal(B).shape == (4, 4)
 
 
 def test_von_neumann_on_multipartite_marginal():

@@ -29,7 +29,7 @@ from qelab.linalg import trace_norm
 from qelab.results import as_record, records_to_csv, records_to_json
 from qelab.serialize import deserialize_instance, serialize_instance
 from qelab.states import DensityMatrix
-from qelab import checks, suites
+from qelab import checks, states, suites
 from qelab.suites import (
     EXPLORATIONS,
     SUITES,
@@ -559,6 +559,23 @@ def test_an_appendix_chunk_evaluates_once_on_its_stacks(name, checker):
 def test_a_chunk_is_sized_by_the_raw_matrices_its_sampler_drew(name, dims, size):
     # the last axis of an array value counts as an operator dimension
     assert suites._chunk_size(SUITES[name], dims, DEFAULT_EPS) == size
+
+
+@pytest.mark.parametrize("name, traces", [
+    ("ssa", 3),
+    ("bsw-identity", 6),
+    ("super-ssa", 6),
+    ("squashed-proxy", 4),  # AB, B, BC and AC; the surrogate's AC is no state's marginal
+    ("trotter-bound", 3),
+    ("markov-roundtrip", 15),  # one state per trial
+])
+def test_a_chunk_takes_each_partial_trace_of_a_state_once(name, traces, monkeypatch):
+    real, taken = states.ptrace, []
+    monkeypatch.setattr(states, "ptrace", lambda x, dims, keep: taken.append(
+        (x, tuple(dims), tuple(sorted(keep)))) or real(x, dims, keep))
+    triples = list(iter_trials(SUITES[name], (2, 2, 2), 5, 3))
+    assert len(triples) == 5
+    assert len({(id(x), dims, keep) for x, dims, keep in taken}) == len(taken) == traces
 
 
 def test_stronger_mono_pushes_each_state_through_the_channel_once():
