@@ -27,6 +27,10 @@ and one per non-empty stdout and stderr:
   checkers: the spec is markov-roundtrip's trial 0 at seed 42 and dims 2,2,2, the state a
   regularized random_tripartite on dims (2, 3, 2) from default_rng([42, 3]), both written
   into the temporary directory;
+* replay of two hand-made dumps whose relative entropy reads +inf through the SVD of the
+  support-leak verdict (ROADMAP item 11), the only lines that reach it: bsw-identity on four
+  and super-ssa on two rank-1 states on dims (2, 2, 2), regularized at eps = 1e-6, drawn in
+  turn from default_rng([42, 5]) and written into the temporary directory;
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
   seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
   them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
@@ -49,6 +53,8 @@ EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
 CHECKS = (("2,2,2", 40), ("4,4,4", 3), ("2,2,2", 1))
 EXPLORE_DIMS = ("2,2,2", "4,4,4")
 TWIRL_SEEDS = (42, 43, 44)
+RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
+                  ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
 GRIDS = (
     ("markov-roundtrip", "2,2,2", 40, ["--t-samples", "0.3,0.7,1.1,1.5,1.9,2.5,3.1,3.7"]),
     ("renyi-monotone,dw-alpha,dw-tripartite,sbw-limit", "4,4,4", 2,
@@ -122,6 +128,16 @@ def main() -> int:
             with open(path, "w") as fh:
                 json.dump(body, fh)
             report(f"{command} file", [command, path, "--out", out], [out])
+        rng = np.random.default_rng([42, 5])
+        for checker, names in RANK_ONE_DUMPS:
+            instance = {name: states.regularize(states.random_density(8, rng, rank=1), 1e-6,
+                                                (2, 2, 2)) for name in names}
+            path = os.path.join(tmp, f"{checker}-rank-1.json")
+            with open(path, "w") as fh:
+                json.dump({"checker": checker, "dims": [2, 2, 2], "seed": 0, "trial": 0,
+                           "tolerance": 1e-8, "opts": {},
+                           "instance": serialize.serialize_instance(instance)}, fh)
+            report(f"replay {checker} rank-1 dump", ["replay", path], [])
     for seed in TWIRL_SEEDS:
         rng = np.random.default_rng([seed, 10, 0])
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

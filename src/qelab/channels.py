@@ -30,6 +30,7 @@ from .linalg import (
     matrix_power,
     matrix_sqrt,
     max_sv,
+    max_sv_within,
     psd_support,
     ptrace,
     real_trace,
@@ -74,13 +75,11 @@ class KrausChannel:
         self.kraus = tuple(ops)
         self.d_in = d_in
         self.d_out = d_out
-        gram = sum(dagger(k) @ k for k in ops)
-        tp_dev = max_sv(gram - np.eye(d_in))
-        bad = tp_dev > TOL_RECON
-        if np.any(bad):
-            raise DimMismatch(
-                f"Kraus operators violate trace preservation by {first_flagged(tp_dev, bad):.3e}"
-            )
+        gap = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
+        ok = max_sv_within(gap, TOL_RECON)
+        if not ok.all():
+            dev = max_sv(first_flagged(gap, ~ok))
+            raise DimMismatch(f"Kraus operators violate trace preservation by {dev:.3e}")
 
     def row(self, i: int) -> KrausChannel:
         """Channel i of a stack: views of its operators, not checked again."""
@@ -89,16 +88,15 @@ class KrausChannel:
         out.d_in, out.d_out = self.d_in, self.d_out
         return out
 
-    @cached_property
-    def _unital_dev(self) -> float | np.ndarray:
-        """||sum K K^dag - 1||_inf, of each channel of a stack: computed on first use."""
-        return max_sv(sum(k @ dagger(k) for k in self.kraus) - np.eye(self.d_out))
+    def _unital_gap(self) -> np.ndarray:
+        """sum K K^dag - 1, of each channel of a stack."""
+        return sum(k @ dagger(k) for k in self.kraus) - np.eye(self.d_out)
 
-    @property
+    @cached_property
     def is_unital(self) -> bool:
         """True when the channel, or every channel of a stack, maps the identity to the
-        identity."""
-        return bool(np.all(self._unital_dev <= TOL_RECON))
+        identity within TOL_RECON: decided on first use."""
+        return bool(max_sv_within(self._unital_gap(), TOL_RECON).all())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
@@ -126,9 +124,8 @@ class KrausChannel:
 
 def require_unital(channel: KrausChannel) -> KrausChannel:
     if not channel.is_unital:
-        raise NotUnital(
-            f"channel maps identity away from identity by {np.max(channel._unital_dev):.3e}"
-        )
+        dev = np.max(max_sv(channel._unital_gap()))
+        raise NotUnital(f"channel maps identity away from identity by {dev:.3e}")
     return channel
 
 

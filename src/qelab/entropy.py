@@ -2,7 +2,7 @@
 
 Everything is in nats.  Relative entropies are evaluated on supports:
 S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
-which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf.
+which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf (max_sv_within).
 Every functional but cmi_relative_entropy_form also takes (n, d, d) stacks,
 one trial per row, and returns an (n,) array (a stacked operator for
 exp_log_combination) whose rows carry the bits of their own 2-D calls.
@@ -26,7 +26,7 @@ from .linalg import (
     matrix_log,
     matrix_power,
     matrix_sqrt,
-    max_sv,
+    max_sv_within,
     per_matrix,
     psd_support,
     real_trace,
@@ -80,7 +80,7 @@ def relative_entropy(
         raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     s_eig = as_spectrum(sigma)
     off = np.eye(s.shape[-1]) - support_projector(s_eig)
-    inside = np.asarray(max_sv(off @ r @ off)) < SUPPORT_LEAK_TOL
+    inside = max_sv_within(off @ r @ off, SUPPORT_LEAK_TOL, strict=True)
     log_r = matrix_log(as_spectrum(rho), support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
     return per_matrix(np.where(inside, real_trace(r @ (log_r - log_s)), math.inf))

@@ -99,23 +99,50 @@ def max_sv(x: np.ndarray) -> float | np.ndarray:
     return per_matrix(np.linalg.svd(x, compute_uv=False)[..., 0])
 
 
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Each row's Frobenius norm, NaN where the sum of squares may have left the normal range
+    (a norm at or below 1e-140 that an underflow may have shrunk, or an overflow)."""
+    flat = x.reshape(x.shape[:-2] + (1, x.shape[-2] * x.shape[-1]))
+    with np.errstate(all="ignore"):  # such a row reads NaN below
+        fro = np.sqrt((flat @ dagger(flat)).real[..., 0, 0])
+    return np.where((fro > 1e-140) & (fro < np.inf) | ~x.any(axis=(-2, -1)), fro, np.nan)
+
+
+def max_sv_within(
+    x: np.ndarray, bound: float, ref: np.ndarray | None = None, strict: bool = False
+) -> np.ndarray:
+    """Each row's verdict on max_sv(x) <= bound (< bound when strict), as a bool array of
+    shape x.shape[:-2]; with ``ref`` the bound is bound * max(max_sv(ref), 1e-300), of the
+    row's own ref.
+
+    A row whose Frobenius norm is below half a lower bound of that bound passes with no SVD:
+    max_sv(x) <= ||x||_F, max_sv(ref) >= ||ref||_F / sqrt(d), and the factor 2 absorbs the
+    rounding of both norms.  Every other row (in doubt, failing, with a non-finite entry or
+    a sum of squares out of range) takes the SVD and the exact comparison.
+    """
+    x = np.asarray(x)
+    scale = 1.0 if ref is None else np.maximum(_frobenius(ref) / math.sqrt(ref.shape[-1]), 1e-300)
+    ok = np.asarray(_frobenius(x) < 0.5 * bound * scale)
+    doubt = ~ok
+    if doubt.any():
+        limit = bound if ref is None else bound * np.maximum(max_sv(ref[doubt]), 1e-300)
+        norm = max_sv(x[doubt])
+        ok[doubt] = norm < limit if strict else norm <= limit
+    return ok
+
+
 def _hermitian_rows(x: np.ndarray) -> np.ndarray | None:
     """The is_hermitian verdict of each row, or None when every row is exactly Hermitian."""
     diff = x - dagger(x)
-    if not diff.any():
-        return None
-    inexact = np.asarray(diff.any(axis=(-2, -1)))
-    ok = np.logical_not(inexact, out=np.empty(inexact.shape, dtype=bool))
-    ok[inexact] = max_sv(diff[inexact]) <= TOL_HERM * np.maximum(max_sv(x[inexact]), 1e-300)
-    return ok
+    return None if not diff.any() else max_sv_within(diff, TOL_HERM, ref=x)
 
 
 def is_hermitian(x: np.ndarray) -> bool | np.ndarray:
     """The package's one Hermiticity rule: ||x - x^dag||_inf <= TOL_HERM * ||x||_inf.
 
-    An exactly Hermitian x (x - x^dag all zeros) passes without the two SVDs;
-    a NaN or infinite entry leaves a nonzero difference and takes the SVD path.
-    Only the rows of a stack that are not exactly Hermitian take it.
+    An exactly Hermitian x (x - x^dag all zeros) passes with no SVD, and so does one whose
+    Frobenius bound settles it (max_sv_within).  A row in doubt, or with a NaN or infinite
+    entry, takes the two SVDs.
     """
     ok = _hermitian_rows(x)
     return per_matrix(np.ones(x.shape[:-2], dtype=bool) if ok is None else ok)

@@ -622,7 +622,16 @@ def bind_instance(suite: Suite, instance: dict, opts: dict) -> None:
 
 
 def trial_rng(seed: int, suite_name: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, SUITE_INDEX[suite_name], trial])
+    """default_rng([seed, SUITE_INDEX[suite_name], trial]), seeded from the uint32 words that
+    SeedSequence makes of that key: each int's 32-bit little-endian words, [0] for zero."""
+    words = []
+    for n in (seed, SUITE_INDEX[suite_name], trial):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 def _run_chunk(suite: Suite, dims, seed: int, chunk: Sequence[int], eps, tol, opts) -> list:

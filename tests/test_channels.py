@@ -32,7 +32,7 @@ from qelab.states import (
     random_unitary,
     regularize,
 )
-from qelab.tolerances import TOL_HERM
+from qelab.tolerances import TOL_HERM, TOL_RECON
 
 
 def _identity_channel(d):
@@ -548,20 +548,56 @@ def test_a_stacked_channel_is_unital_when_every_row_is():
         require_unital(_stack(unital + [generic]))
 
 
-def test_a_channel_is_built_with_one_svd_and_checks_unitality_on_first_use(monkeypatch):
-    rng = np.random.default_rng(76)
-    stacked = _stack([random_unital_channel(4, 3, rng), random_channel(4, 3, rng)])
+def _svd_shapes(monkeypatch) -> list:
     real, shapes = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd",
                         lambda x, *a, **k: shapes.append(x.shape) or real(x, *a, **k))
+    return shapes
+
+
+def _near_identity(gap: float) -> np.ndarray:
+    """A 4 x 4 Kraus operator K with K^dag K = K K^dag = 1 + diag(gap, 0, 0, 0), up to rounding."""
+    return np.diag([np.sqrt(1.0 + gap), 1.0, 1.0, 1.0])
+
+
+def test_a_valid_channel_is_built_and_found_unital_with_no_svd(monkeypatch):
+    rng = np.random.default_rng(76)
+    stacked = _stack([random_unital_channel(4, 3, rng) for _ in range(2)])
+    shapes = _svd_shapes(monkeypatch)
     channel = KrausChannel(stacked.kraus)
-    assert shapes == [(2, 4, 4)]  # the trace-preservation check alone
-    assert not channel.is_unital and not channel.is_unital
-    assert shapes == [(2, 4, 4)] * 2  # one more, then kept
-    row = channel.row(0)
-    assert len(shapes) == 2
-    assert row.is_unital and repr(row).endswith("unital=True)")
-    assert shapes[2:] == [(4, 4)]
+    assert channel.is_unital and channel.row(0).is_unital
+    assert repr(channel.row(1)).endswith("unital=True)")
+    assert shapes == []
+    generic = KrausChannel(_stack([random_unital_channel(4, 3, rng),
+                                   random_channel(4, 3, rng)]).kraus)
+    assert shapes == []  # trace preserving: settled by the Frobenius bound
+    assert not generic.is_unital and not generic.is_unital
+    assert shapes == [(1, 4, 4)]  # the failing row alone, once
+
+
+def test_a_deviation_in_doubt_takes_one_svd_and_passes(monkeypatch):
+    op = _near_identity(0.75 * TOL_RECON)
+    gap = op.T @ op - np.eye(4)
+    assert 0.5 * TOL_RECON < np.linalg.norm(gap) < TOL_RECON
+    shapes = _svd_shapes(monkeypatch)
+    channel = KrausChannel([op])
+    assert shapes == [(1, 4, 4)]
+    assert channel.is_unital
+    assert shapes == [(1, 4, 4)] * 2
+
+
+def test_a_failing_channel_names_its_deviation():
+    rng = np.random.default_rng(77)
+    good, bad = _near_identity(0.0), _near_identity(2.0 * TOL_RECON)
+    with pytest.raises(DimMismatch) as err:
+        KrausChannel([np.stack([good, bad, good])])
+    dev = max_sv(bad.T @ bad - np.eye(4))
+    assert str(err.value) == f"Kraus operators violate trace preservation by {dev:.3e}"
+    channels = [random_unital_channel(4, 3, rng), random_channel(4, 3, rng)]
+    stacked = _stack(channels)
+    dev = max(max_sv(sum(k @ dagger(k) for k in c.kraus) - np.eye(4)) for c in channels)
+    with pytest.raises(NotUnital, match=f"^channel maps identity away from identity by {dev:.3e}$"):
+        require_unital(stacked)
 
 
 def test_a_petz_map_takes_the_image_its_caller_holds():

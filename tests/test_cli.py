@@ -560,6 +560,15 @@ def test_negative_seed_is_a_config_error(command, source, monkeypatch, capsys):
     assert err == f"config error: {source} must be an integer >= 0, got -1\n"
 
 
+def test_a_seed_of_two_to_the_64_runs(monkeypatch, capsys):
+    monkeypatch.delenv("QEL_SEED", raising=False)
+    seed = 2**64
+    code, out, _ = _main(["check", "--suite", "ssa", "--trials", "2", "--seed", str(seed)],
+                         capsys)
+    assert code == cli.EXIT_OK
+    assert [r["seed"] for r in json.loads(out)] == [seed, seed]
+
+
 def _drop(key):
     return lambda blob: {k: v for k, v in blob.items() if k != key}
 

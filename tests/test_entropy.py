@@ -348,6 +348,23 @@ def test_stacked_entropies_give_each_row_its_own_bits():
     assert np.isinf(relative_entropy(full, leaky)).all()
 
 
+def test_the_leak_verdict_takes_an_svd_for_a_leaking_row_alone(monkeypatch):
+    rng = np.random.default_rng(72)
+    rhos = [random_density(4, rng) for _ in range(3)]
+    sigmas = [random_density(4, rng), random_density(4, rng, rank=2), random_density(4, rng)]
+    rho, sigma = _stack(rhos), _stack(sigmas)
+    full_rho, full_sigma = _stack(rhos[::2]), _stack(sigmas[::2])
+    real, shapes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda x, *a, **k: shapes.append(x.shape) or real(x, *a, **k))
+    assert np.isfinite(relative_entropy(full_rho, full_sigma)).all()
+    assert np.isfinite(relative_entropy(rhos[0], sigmas[0]))
+    assert shapes == []  # a full-support sigma: the Frobenius bound settles the verdict
+    relents = relative_entropy(rho, sigma)
+    assert shapes == [(1, 4, 4)]
+    assert np.isinf(relents[1]) and np.isfinite(relents[::2]).all()
+
+
 def test_stacked_renyi_overlap_cmi_and_exp_log_give_each_row_its_own_bits():
     rng = np.random.default_rng(76)
     rhos = [regularize(random_tripartite((2, 2, 2), rng), 1e-3) for _ in range(3)]

@@ -24,6 +24,7 @@ from qelab.linalg import (
     matrix_power,
     matrix_sqrt,
     max_sv,
+    max_sv_within,
     ptrace,
     real_trace,
     require_hermitian,
@@ -377,6 +378,95 @@ def test_non_finite_input_still_takes_the_svd_path(bad, monkeypatch):
     x[0, 2] = bad
     assert _verdict(is_hermitian, x) == _verdict(_two_svd_rule, x)
     assert calls
+
+
+# ---------------------------------------------------------------------------
+# max_sv_within: a Frobenius bound settles a row far inside, the SVD every other row
+# ---------------------------------------------------------------------------
+
+_RATIOS = (0.49, 0.51, 0.99, 1.01)  # each row's largest singular value over the bound
+# The bound; the rows scale with it.  At 1e160 a matrix's sum of squares overflows where that
+# of its anti-Hermitian part 1e-9 times smaller does not.
+_SCALES = (1.0, 1e-170, 1e-300, 5e-324, 1e160, 1e170, 1e300)
+
+
+def _rows_at(bound, seed=61, d=3):
+    """One rank-1 row per ratio of _RATIOS, whose largest singular value, and so its
+    Frobenius norm, is that ratio times bound (up to the rounding of the scaling)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for ratio in _RATIOS:
+        u, v = (rng.normal(size=d) + 1j * rng.normal(size=d) for _ in range(2))
+        m = np.outer(u, v.conj())
+        rows.append(m / max_sv(m) * ratio * bound)
+    return np.stack(rows)
+
+
+def _svd_rule(x, bound, strict):
+    """The verdict as the SVD gives it, or LinAlgError when the SVD fails (a NaN entry)."""
+    try:
+        norm = np.asarray(max_sv(x))
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+    return (norm < bound if strict else norm <= bound).tolist()
+
+
+def _within(x, bound, strict):
+    try:
+        return max_sv_within(x, bound, strict=strict).tolist()
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("scale", _SCALES)
+def test_max_sv_within_gives_the_svd_rules_verdict(scale, strict):
+    rows = _rows_at(scale)
+    assert _within(rows, scale, strict) == _svd_rule(rows, scale, strict)
+    for row in rows:
+        assert _within(row, scale, strict) == _svd_rule(row, scale, strict)
+    if scale == 1.0:
+        assert _within(rows, scale, strict) == [True, True, True, False]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_row_in_a_stack_gets_the_svd_rules_verdict(bad):
+    rows = _rows_at(1.0)
+    rows[[0, 2], 0, 1] = bad  # row 0 alone would pass on its Frobenius norm
+    for strict in (False, True):
+        assert _within(rows, 1.0, strict) == _svd_rule(rows, 1.0, strict)
+        for row in rows:
+            assert _within(row, 1.0, strict) == _svd_rule(row, 1.0, strict)
+
+
+def test_only_the_rows_in_doubt_take_the_svd(monkeypatch):
+    stacks = {scale: _rows_at(scale) for scale in _SCALES}
+    seen = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda x, *a, **k: seen.append(x) or real(x, *a, **k))
+    rows = stacks.pop(1.0)
+    assert max_sv_within(rows[0], 1.0) and seen == []  # 0.49: its Frobenius norm settles it
+    max_sv_within(rows, 1.0)
+    assert len(seen) == 1 and _same_bits(seen[0], rows[1:])
+    for scale, rows in stacks.items():  # a sum of squares out of range leaves all in doubt
+        seen.clear()
+        max_sv_within(rows, scale)
+        assert [m.shape for m in seen] == [(4, 3, 3)]
+
+
+@pytest.mark.parametrize("scale", _SCALES)
+def test_is_hermitian_at_any_scale_agrees_with_the_two_svd_rule(scale):
+    rng = np.random.default_rng(62)
+    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h = _rand_hermitian(3, rng)
+    skew = g - dagger(g)
+    stack = np.stack([g, h + 1e-12 * skew, h + 1e-9 * skew, h]) * scale
+    for x in (stack, stack.real):  # a complex sum of squares overflows to NaN, a real one to inf
+        expected = [_two_svd_rule(m) for m in x]
+        assert is_hermitian(x).tolist() == expected
+        assert [is_hermitian(m) for m in x] == expected
+        if scale in (1.0, 1e-170, 1e160, 1e170):  # where a bare sum of squares under- or overflows
+            assert expected == [False, True, False, True]
 
 
 SPECTRAL_FNS = {

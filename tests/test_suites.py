@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import re
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -179,6 +180,37 @@ def test_trial_rng_streams_are_distinct():
     c = trial_rng(0, "bsw-identity", 0).integers(1 << 60)
     d = trial_rng(1, "ssa", 0).integers(1 << 60)
     assert len({int(a), int(b), int(c), int(d)}) == 4
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64])
+def test_trial_rng_is_the_generator_of_its_key(seed):
+    for name, trial in itertools.product(("ssa", "stronger-mono"), (0, 31, 10**5)):
+        ours = trial_rng(seed, name, trial)
+        theirs = np.random.default_rng([seed, suites.SUITE_INDEX[name], trial])
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.integers(1 << 62, size=4).tolist() == theirs.integers(1 << 62, size=4).tolist()
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        trial_rng(-1 - seed, "ssa", 0)
+
+
+# The SVDs a 32-trial exploration chunk at 2,2,2 takes: the trace norms it reports.  Its
+# tolerance verdicts (Hermiticity, support leak, trace preservation, unitality) take none.
+EXPLORATION_SVDS = {
+    "stronger-mono": [("trace_norm", (32, 8, 8))],
+    "ptrace-petz": [("trace_norm", (32, 4, 4))],
+    "cmi-petz": [("trace_norm", (1, 32, 8, 8))],
+    "trotter-monotone": [],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPLORATIONS))
+def test_an_exploration_chunk_takes_only_the_svds_it_reports(kind, monkeypatch):
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda x, *a, **k: calls.append(
+        (sys._getframe(1).f_code.co_name, np.shape(x))) or real(x, *a, **k))
+    suites._run_chunk(EXPLORATIONS[kind], (2, 2, 2), 0, range(32), DEFAULT_EPS, TOL_INEQ, {})
+    assert calls == EXPLORATION_SVDS[kind]
 
 
 def test_run_suite_rejects_bad_config():
