@@ -9,7 +9,9 @@ so a diff of the outputs is a byte-identity check of a change:
 
 The commands run in this process, through qelab.cli.main, with reports written into a
 temporary directory.  Each line is "<sha256> <exit code> <name>", one per written report
-and one per non-empty stdout and stderr:
+and one per non-empty stdout and stderr.  After a check report's line come one line per
+suite, "<sha256> <exit code> <name>:<report>:<suite>", hashing that suite's records, so a
+change that moves bits names the suites it moved:
 
 * check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42, and at
   2,2,2 with 1 trial, where every suite runs the chunk of one;
@@ -34,8 +36,8 @@ and one per non-empty stdout and stderr:
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
   seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
   them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
-  hashes the float.hex of the slack and of each quantity.  The suite's 200 samples never
-  cross a channels.TWIRL_CHUNK boundary, so only these lines see the chunked path.
+  hashes the float.hex of the slack and of each quantity.  The suite's 200 samples at 2,2,2
+  fit in one capped block of twirl_mc's draws; these 10^4 run through 45 blocks of at most 227.
 """
 
 from __future__ import annotations
@@ -90,7 +92,15 @@ def main() -> int:
             code, stdout, stderr = run(argv)
             for path in written:
                 with open(path, "rb") as fh:
-                    print(_digest(fh.read()), code, f"{name}:{os.path.basename(path)}")
+                    data = fh.read()
+                print(_digest(data), code, f"{name}:{os.path.basename(path)}")
+                if argv[0] == "check" and not path.endswith(".worst.json"):
+                    by_suite: dict[str, list] = {}
+                    for record in json.loads(data):
+                        by_suite.setdefault(record["checker"], []).append(record)
+                    for suite, records in by_suite.items():
+                        print(_digest(json.dumps(records, sort_keys=True).encode()), code,
+                              f"{name}:{os.path.basename(path)}:{suite}")
             for stream, text in (("stdout", stdout), ("stderr", stderr)):
                 if text:  # the temporary directory's name differs from run to run
                     print(_digest(text.replace(tmp, "<tmp>").encode()), code, f"{name}:{stream}")

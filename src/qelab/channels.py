@@ -39,6 +39,7 @@ from .states import (
     SubnormalizedOperator,
     _haar_q,
     as_drawn,
+    capped,
     gaussians,
     random_unitaries,
     streams,
@@ -242,12 +243,6 @@ def twirl_exact(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return kron(ptrace(x, (da, db), [0]), np.eye(db) / db)
 
 
-# Haar samples per stacked draw and matmul in twirl_mc: enough to amortize the per-call
-# overhead, few enough that each (TWIRL_CHUNK, d, d) temporary (1 (x) U, its products, the
-# terms) stays under 1 MiB at d = 6, where one stack of 10^4 samples would not.
-TWIRL_CHUNK = 512
-
-
 def twirl_mc(
     x: np.ndarray,
     dims: Sequence[int],
@@ -256,23 +251,21 @@ def twirl_mc(
 ) -> np.ndarray:
     """Monte Carlo estimate of the twirl over the second factor with ``samples`` Haar draws.
 
-    Draws run in stacked chunks of TWIRL_CHUNK that keep the per-sample draw
-    stream and the summation order, so the result does not depend on the chunking.
+    Block (a, b) of (1 (x) U) X (1 (x) U)^dag is U X_ab U^dag, so each capped block of n
+    draws takes two matmuls: U (n d_B x d_B) times X as (k, (a, b, l)), then that product
+    as ((a, i, b), (s, l)) times conj(U) as ((s, l), j), whose inner dimension sums the
+    samples.  The draws are those of ``samples`` random_unitary calls.
     """
     x = np.asarray(x, dtype=complex)
     da, db = _check_bipartite(x, dims)
     if samples < 1:
         raise DimMismatch(f"need at least one sample, got {samples}")
-    acc = np.zeros_like(x)
-    for start in range(0, samples, TWIRL_CHUNK):
-        n = min(TWIRL_CHUNK, samples - start)
+    xk = x.reshape(da, db, da, db).transpose(1, 0, 2, 3).reshape(db, -1)
+    acc = np.zeros((da * db * da, db), dtype=complex)
+    for block in capped(range(samples), x.size):
+        n = len(block)
         u = random_unitaries(n, db, rng)
-        w = np.zeros((n,) + x.shape, dtype=complex)
-        for a in range(da):  # the block-diagonal 1 (x) U
-            w[:, a * db : (a + 1) * db, a * db : (a + 1) * db] = u
-        terms = w @ x @ dagger(w)
-        terms[0] += acc
-        # Summed over the real view (rows of >= 2 entries), so NumPy adds the terms in turn
-        # like the per-sample loop: 1 x 1 complex terms would be summed pairwise.
-        acc = np.add.reduce(terms.view(float), axis=0).view(complex)
-    return _hermitian_like(x, acc / samples)
+        y = (u.reshape(n * db, db) @ xk).reshape(n, db, da, da, db)
+        acc += y.transpose(2, 1, 3, 0, 4).reshape(-1, n * db) @ dagger(u).reshape(n * db, db)
+    acc /= samples
+    return _hermitian_like(x, acc.reshape(x.shape))

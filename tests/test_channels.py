@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qelab import states
 from qelab.channels import (
-    TWIRL_CHUNK,
     KrausChannel,
     PetzMap,
     ptrace_channel,
@@ -32,7 +37,7 @@ from qelab.states import (
     random_unitary,
     regularize,
 )
-from qelab.tolerances import TOL_HERM, TOL_RECON
+from qelab.tolerances import TOL_RECON
 
 
 def _identity_channel(d):
@@ -302,18 +307,56 @@ def test_twirl_mc_hermitian_output():
     assert max_sv(out - out.conj().T) < 1e-12
 
 
-def _twirl_mc_per_sample(x, dims, rng, samples):
-    # the one-draw-per-sample loop that twirl_mc replaced
+def _twirl_mc_terms(x, dims, rng, samples):
+    # the one-draw-per-sample loop's terms (1 (x) U) X (1 (x) U)^dag, stacked
     da, db = dims
-    acc = np.zeros_like(x)
+    terms = []
     for _ in range(samples):
-        u = random_unitary(db, rng)
-        w = kron(np.eye(da), u)
-        acc += w @ x @ w.conj().T
-    out = acc / samples
-    if max_sv(x - x.conj().T) <= TOL_HERM * max(max_sv(x), 1e-300):
-        out = (out + out.conj().T) / 2
-    return out
+        w = kron(np.eye(da), random_unitary(db, rng))
+        terms.append(w @ x @ w.conj().T)
+    return np.array(terms)
+
+
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k):
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def _twirl_sum_error(x, dims, samples, defect=0.0):
+    """Bound on an entry's rounding error in twirl_mc, to first order in the unit roundoff u.
+
+    Entry (ai, bj) is the mean over samples of sum_kl U_ik X_ab[k, l] conj(U_jl), whose
+    absolute terms sum to at most d_B max|X| (1 + defect)^2: a row of U has norm at most
+    1 + defect.  twirl_mc forms it as a complex dot product of length d_B, then one of length
+    samples * d_B (each gamma_{length + 2}), adds at most ``samples`` block sums, divides by
+    ``samples`` and may Hermitize: gamma_{samples (d_B + 1) + d_B + 6}.
+    """
+    db = dims[1]
+    k = samples * (db + 1) + db + 6
+    return _gamma(k) * db * np.abs(x).max() * (1 + defect) ** 2
+
+
+def _operator(d, rng, hermitian):
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return g + g.conj().T if hermitian else g
+
+
+def _assert_twirl_matches_the_loop(x, dims, samples, seed):
+    drawn, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = twirl_mc(x, dims, drawn, samples)
+    terms = _twirl_mc_terms(x, dims, looped, samples)
+    assert drawn.bit_generator.state == looped.bit_generator.state  # the same draws
+    # The exact mean of the loop's terms, each within gamma_{2 d + 4} d_B max|X| of its
+    # exact value (two complex products of length d = d_A d_B), rounded once by fsum and once
+    # by the division.  A 0 or -0 input has bound 0: its twirl must be exact zeros.
+    mean = np.vectorize(lambda i, j: complex(
+        math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag)))(
+        *np.indices(x.shape)) / samples
+    d = x.shape[0]
+    bound = _twirl_sum_error(x, dims, samples) + _gamma(2 * d + 6) * dims[1] * np.abs(x).max()
+    assert np.abs(out - mean).max() <= bound
 
 
 def _unital_per_unitary(d, n_kraus, rng):
@@ -362,39 +405,146 @@ def test_random_unital_channel_equals_the_per_unitary_loop_at_d64(streams):
     _assert_unital_matches_the_loop(64, 3, streams, 64)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 2), (4, 4)])
+# Worst entry error against the fsum over the three tests below, in units of u max|X|: 82 for
+# twirl_mc (dims (2, 1), 2048 samples, bound 4,113) and 1,582 for the loop's terms added in
+# turn (dims (1, 1), 8191 samples, bound 16,397).
+TWIRL_DIMS = [(2, 3), (3, 2), (2, 2), (4, 4)]
+TINY_DIMS = [(1, 1), (2, 1), (1, 2)]
+BLOCK_2X2 = states._CHUNK_ENTRIES // 16  # samples per capped block at dims (2, 2)
+
+
+@pytest.mark.parametrize("dims", TWIRL_DIMS)
 @pytest.mark.parametrize("hermitian", [0, 1])
-@pytest.mark.parametrize(
-    "samples", [1, TWIRL_CHUNK - 1, TWIRL_CHUNK, TWIRL_CHUNK + 1, 1300]
-)
+@pytest.mark.parametrize("samples", [1, BLOCK_2X2 - 1, BLOCK_2X2, BLOCK_2X2 + 1, 1300])
 def test_twirl_mc_chunks_match_the_per_sample_loop(dims, hermitian, samples):
     rng = np.random.default_rng([samples, hermitian, *dims])
-    d = dims[0] * dims[1]
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    x = g + g.conj().T if hermitian else g
-    seed = int(rng.integers(2**32))
-    chunked_rng = np.random.default_rng(seed)
-    looped_rng = np.random.default_rng(seed)
-    chunked = twirl_mc(x, dims, chunked_rng, samples)
-    looped = _twirl_mc_per_sample(x, dims, looped_rng, samples)
-    assert np.array_equal(chunked, looped)
-    assert chunked_rng.bit_generator.state == looped_rng.bit_generator.state
+    x = _operator(dims[0] * dims[1], rng, hermitian)
+    _assert_twirl_matches_the_loop(x, dims, samples, int(rng.integers(2**32)))
 
 
-@pytest.mark.parametrize("dims", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("dims", TINY_DIMS)
 @pytest.mark.parametrize("negative_zero", [0, 1])
-@pytest.mark.parametrize("samples", [9, TWIRL_CHUNK + 1])
+@pytest.mark.parametrize("samples", [9, BLOCK_2X2 + 1])
 def test_twirl_mc_of_tiny_factors_matches_the_per_sample_loop(dims, negative_zero, samples):
-    # 1 x 1 terms are where a complex sum over the stack would be taken pairwise
     rng = np.random.default_rng([samples, negative_zero, *dims])
     d = dims[0] * dims[1]
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     if negative_zero:
         x = np.full((d, d), complex(-0.0, -0.0))
-    chunked_rng, looped_rng = np.random.default_rng(samples), np.random.default_rng(samples)
-    chunked = twirl_mc(x, dims, chunked_rng, samples)
-    assert _same_bits(chunked, _twirl_mc_per_sample(x, dims, looped_rng, samples))
-    assert chunked_rng.bit_generator.state == looped_rng.bit_generator.state
+    _assert_twirl_matches_the_loop(x, dims, samples, samples)
+
+
+@pytest.mark.parametrize("dims", TWIRL_DIMS + TINY_DIMS)
+@pytest.mark.parametrize("hermitian", [0, 1])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_twirl_mc_matches_the_loop_at_the_block_edges(dims, hermitian, offset):
+    d = dims[0] * dims[1]
+    samples = max(1, states._CHUNK_ENTRIES // (d * d)) + offset
+    rng = np.random.default_rng([samples, hermitian, *dims])
+    x = _operator(d, rng, hermitian)
+    _assert_twirl_matches_the_loop(x, dims, samples, int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("dims,samples", [((16, 16), 3), ((2, 3), 1300)])
+def test_twirl_mc_draws_in_blocks_under_the_entry_cap(monkeypatch, dims, samples):
+    # each block's products hold n d^2 entries, so n stays under the cap (one from d = 65)
+    drawn = []
+
+    def spy(n, d, rng):
+        drawn.append(n)
+        return random_unitaries(n, d, rng)
+
+    monkeypatch.setattr("qelab.channels.random_unitaries", spy)
+    d = dims[0] * dims[1]
+    twirl_mc(np.eye(d, dtype=complex), dims, np.random.default_rng(0), samples)
+    assert sum(drawn) == samples
+    assert max(drawn) <= max(1, states._CHUNK_ENTRIES // (d * d))
+
+
+def test_twirl_mc_holds_a_few_operands_at_d256():
+    # a few 1 MiB operands; a stack of the 8 samples' 1 (x) U or products would be 8 MiB each
+    x = np.eye(256, dtype=complex)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        twirl_mc(x, (16, 16), rng, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * x.nbytes
+
+
+_TWIRL_BITS = """
+import numpy as np
+from qelab import channels, checks
+
+rng = np.random.default_rng([42, 10, 0])  # criterion 10's trial 0 at seed 42
+g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+result = checks.check_twirl_identity((g + g.conj().T) / 2, (2, 3), rng, 10_000)
+values = [result.slack, *result.quantities.values()]
+for dims, samples in (((4, 4), 300), ((16, 16), 4)):
+    d = dims[0] * dims[1]
+    x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    out = channels.twirl_mc(x, dims, rng, samples)
+    values += [*out.real.ravel(), *out.imag.ravel()]
+print(" ".join(float(v).hex() for v in values))
+"""
+
+
+def test_twirl_bits_do_not_depend_on_the_blas_thread_count():
+    # the sample sum runs in a GEMM's inner dimension, which OpenBLAS does not split
+    src = os.path.dirname(os.path.dirname(os.path.abspath(states.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _TWIRL_BITS], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def _unitarity_defect(samples, db, seed):
+    """max |U^dag U - 1| and |U U^dag - 1| over the draws of twirl_mc's generator, plus the
+    rounding of those products."""
+    u = random_unitaries(samples, db, np.random.default_rng(seed))
+    eye = np.eye(db)
+    measured = max(np.abs(dagger(u) @ u - eye).max(), np.abs(u @ dagger(u) - eye).max())
+    return measured + 2 * _gamma(db + 2)
+
+
+_TWIRL_CASES = dict(
+    da=st.integers(1, 3),
+    db=st.integers(1, 4),
+    hermitian=st.booleans(),
+    samples=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TWIRL_CASES)
+def test_twirl_mc_preserves_the_trace(da, db, hermitian, samples, seed):
+    # Tr (U X_aa U^dag) = Tr (X_aa U^dag U), within d_B^2 max|X| defect of Tr X_aa
+    x = _operator(da * db, np.random.default_rng([seed, 1]), hermitian)
+    out = twirl_mc(x, (da, db), np.random.default_rng(seed), samples)
+    defect = _unitarity_defect(samples, db, seed)
+    trace_x = complex(math.fsum(np.diag(x).real), math.fsum(np.diag(x).imag))
+    trace_out = complex(math.fsum(np.diag(out).real), math.fsum(np.diag(out).imag))
+    bound = (da * db * _twirl_sum_error(x, (da, db), samples, defect)
+             + da * db * db * np.abs(x).max() * defect + 2 * UNIT_ROUNDOFF * abs(trace_x))
+    assert abs(trace_out - trace_x) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_TWIRL_CASES)
+def test_twirl_mc_fixes_a_product_with_the_identity(da, db, hermitian, samples, seed):
+    # (1 (x) U)(A (x) 1)(1 (x) U)^dag = A (x) U U^dag, within max|A| defect of A (x) 1
+    x = kron(_operator(da, np.random.default_rng([seed, 1]), hermitian), np.eye(db))
+    out = twirl_mc(x, (da, db), np.random.default_rng(seed), samples)
+    defect = _unitarity_defect(samples, db, seed)
+    bound = _twirl_sum_error(x, (da, db), samples, defect) + np.abs(x).max() * defect
+    assert np.abs(out - x).max() <= bound
 
 
 def _haar_per_unitary(n, d, rngs):
