@@ -251,21 +251,25 @@ def twirl_mc(
 ) -> np.ndarray:
     """Monte Carlo estimate of the twirl over the second factor with ``samples`` Haar draws.
 
-    Block (a, b) of (1 (x) U) X (1 (x) U)^dag is U X_ab U^dag, so each capped block of n
-    draws takes two matmuls: U (n d_B x d_B) times X as (k, (a, b, l)), then that product
-    as ((a, i, b), (s, l)) times conj(U) as ((s, l), j), whose inner dimension sums the
-    samples.  The draws are those of ``samples`` random_unitary calls.
+    The draws are those of ``samples`` random_unitary calls, taken in capped blocks.  Each
+    block forms (1 (x) U) X for all its draws as one GEMM over the stacked rows of the
+    block-diagonal 1 (x) U, which gives each row the bits of its own product, then each
+    term's product with (1 (x) U)^dag, and adds the terms in turn: the bits of the
+    one-sample loop, whatever the blocks.
     """
     x = np.asarray(x, dtype=complex)
     da, db = _check_bipartite(x, dims)
     if samples < 1:
         raise DimMismatch(f"need at least one sample, got {samples}")
-    xk = x.reshape(da, db, da, db).transpose(1, 0, 2, 3).reshape(db, -1)
-    acc = np.zeros((da * db * da, db), dtype=complex)
+    acc = np.zeros_like(x)
     for block in capped(range(samples), x.size):
-        n = len(block)
-        u = random_unitaries(n, db, rng)
-        y = (u.reshape(n * db, db) @ xk).reshape(n, db, da, da, db)
-        acc += y.transpose(2, 1, 3, 0, 4).reshape(-1, n * db) @ dagger(u).reshape(n * db, db)
-    acc /= samples
-    return _hermitian_like(x, acc.reshape(x.shape))
+        u = random_unitaries(len(block), db, rng)
+        w = np.zeros((len(block),) + x.shape, dtype=complex)
+        for a in range(da):  # the block-diagonal 1 (x) U
+            w[:, a * db : (a + 1) * db, a * db : (a + 1) * db] = u
+        terms = (w.reshape(-1, x.shape[1]) @ x).reshape(w.shape) @ dagger(w)
+        terms[0] += acc
+        # Summed over the real view (rows of >= 2 entries), so NumPy adds the terms in turn
+        # like the per-sample loop: 1 x 1 complex terms would be summed pairwise.
+        acc = np.add.reduce(terms.view(float), axis=0).view(complex)
+    return _hermitian_like(x, acc / samples)

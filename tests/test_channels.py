@@ -37,7 +37,7 @@ from qelab.states import (
     random_unitary,
     regularize,
 )
-from qelab.tolerances import TOL_RECON
+from qelab.tolerances import TOL_HERM, TOL_RECON
 
 
 def _identity_channel(d):
@@ -307,14 +307,17 @@ def test_twirl_mc_hermitian_output():
     assert max_sv(out - out.conj().T) < 1e-12
 
 
-def _twirl_mc_terms(x, dims, rng, samples):
-    # the one-draw-per-sample loop's terms (1 (x) U) X (1 (x) U)^dag, stacked
+def _twirl_mc_per_sample(x, dims, rng, samples):
+    # the one-draw-per-sample loop, terms added in turn
     da, db = dims
-    terms = []
+    acc = np.zeros_like(x)
     for _ in range(samples):
         w = kron(np.eye(da), random_unitary(db, rng))
-        terms.append(w @ x @ w.conj().T)
-    return np.array(terms)
+        acc += w @ x @ w.conj().T
+    out = acc / samples
+    if max_sv(x - x.conj().T) <= TOL_HERM * max(max_sv(x), 1e-300):
+        out = (out + out.conj().T) / 2
+    return out
 
 
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
@@ -329,13 +332,12 @@ def _twirl_sum_error(x, dims, samples, defect=0.0):
 
     Entry (ai, bj) is the mean over samples of sum_kl U_ik X_ab[k, l] conj(U_jl), whose
     absolute terms sum to at most d_B max|X| (1 + defect)^2: a row of U has norm at most
-    1 + defect.  twirl_mc forms it as a complex dot product of length d_B, then one of length
-    samples * d_B (each gamma_{length + 2}), adds at most ``samples`` block sums, divides by
-    ``samples`` and may Hermitize: gamma_{samples (d_B + 1) + d_B + 6}.
+    1 + defect.  twirl_mc forms each term with two complex dot products of length d = d_A d_B
+    (each gamma_{d + 2}), adds the ``samples`` terms in turn, divides by ``samples`` and may
+    Hermitize: gamma_{samples + 2 d + 6}.
     """
-    db = dims[1]
-    k = samples * (db + 1) + db + 6
-    return _gamma(k) * db * np.abs(x).max() * (1 + defect) ** 2
+    k = samples + 2 * dims[0] * dims[1] + 6
+    return _gamma(k) * dims[1] * np.abs(x).max() * (1 + defect) ** 2
 
 
 def _operator(d, rng, hermitian):
@@ -346,17 +348,8 @@ def _operator(d, rng, hermitian):
 def _assert_twirl_matches_the_loop(x, dims, samples, seed):
     drawn, looped = np.random.default_rng(seed), np.random.default_rng(seed)
     out = twirl_mc(x, dims, drawn, samples)
-    terms = _twirl_mc_terms(x, dims, looped, samples)
+    assert _same_bits(out, _twirl_mc_per_sample(x, dims, looped, samples))
     assert drawn.bit_generator.state == looped.bit_generator.state  # the same draws
-    # The exact mean of the loop's terms, each within gamma_{2 d + 4} d_B max|X| of its
-    # exact value (two complex products of length d = d_A d_B), rounded once by fsum and once
-    # by the division.  A 0 or -0 input has bound 0: its twirl must be exact zeros.
-    mean = np.vectorize(lambda i, j: complex(
-        math.fsum(terms[:, i, j].real), math.fsum(terms[:, i, j].imag)))(
-        *np.indices(x.shape)) / samples
-    d = x.shape[0]
-    bound = _twirl_sum_error(x, dims, samples) + _gamma(2 * d + 6) * dims[1] * np.abs(x).max()
-    assert np.abs(out - mean).max() <= bound
 
 
 def _unital_per_unitary(d, n_kraus, rng):
@@ -405,9 +398,6 @@ def test_random_unital_channel_equals_the_per_unitary_loop_at_d64(streams):
     _assert_unital_matches_the_loop(64, 3, streams, 64)
 
 
-# Worst entry error against the fsum over the three tests below, in units of u max|X|: 82 for
-# twirl_mc (dims (2, 1), 2048 samples, bound 4,113) and 1,582 for the loop's terms added in
-# turn (dims (1, 1), 8191 samples, bound 16,397).
 TWIRL_DIMS = [(2, 3), (3, 2), (2, 2), (4, 4)]
 TINY_DIMS = [(1, 1), (2, 1), (1, 2)]
 BLOCK_2X2 = states._CHUNK_ENTRIES // 16  # samples per capped block at dims (2, 2)
@@ -426,6 +416,7 @@ def test_twirl_mc_chunks_match_the_per_sample_loop(dims, hermitian, samples):
 @pytest.mark.parametrize("negative_zero", [0, 1])
 @pytest.mark.parametrize("samples", [9, BLOCK_2X2 + 1])
 def test_twirl_mc_of_tiny_factors_matches_the_per_sample_loop(dims, negative_zero, samples):
+    # 1 x 1 terms are where a complex sum over the stack would be taken pairwise
     rng = np.random.default_rng([samples, negative_zero, *dims])
     d = dims[0] * dims[1]
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -492,7 +483,7 @@ print(" ".join(float(v).hex() for v in values))
 
 
 def test_twirl_bits_do_not_depend_on_the_blas_thread_count():
-    # the sample sum runs in a GEMM's inner dimension, which OpenBLAS does not split
+    # (1 (x) U) X of a block is one GEMM, which OpenBLAS may split over its rows alone
     src = os.path.dirname(os.path.dirname(os.path.abspath(states.__file__)))
     outputs = []
     for threads in ("1", "2"):
