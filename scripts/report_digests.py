@@ -15,6 +15,10 @@ change that moves bits names the suites it moved:
 
 * check --suite all at dims 2,2,2 with 40 trials and at 4,4,4 with 3, seed 42, and at
   2,2,2 with 1 trial, where every suite runs the chunk of one;
+* check --suite markov-roundtrip,overlap-chain with 40 trials, seed 42, at dims 2,3,2 and
+  3,2,4: markov-roundtrip's chunks then hold block factors of up to 4 dimensions, which its
+  sampler stacks by dimension, and overlap-chain's chunks hold trials with and without a
+  scaled reference, which it evaluates as one stack per key set;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
 * the parameter grids that run in blocks or reach np.power's scalar fast paths (GRIDS):
   markov-roundtrip's 8 t-samples, which split for d > 32 (seed 42's 40 trials hold two at
@@ -27,7 +31,7 @@ change that moves bits names the suites it moved:
 * replay of that dump and of every exploration report (their stdout and stderr);
 * markov on a spec file and trotter on a state file, the one-state (2-D) paths of their
   checkers: the spec is markov-roundtrip's trial 0 at seed 42 and dims 2,2,2, the state a
-  regularized random_tripartite on dims (2, 3, 2) from default_rng([42, 3]), both written
+  regularized random_density on dims (2, 3, 2) from default_rng([42, 3]), both written
   into the temporary directory;
 * replay of two hand-made dumps whose relative entropy reads +inf through the SVD of the
   support-leak verdict (ROADMAP item 11), the only lines that reach it: bsw-identity on four
@@ -57,6 +61,7 @@ EXPLORE_DIMS = ("2,2,2", "4,4,4")
 TWIRL_SEEDS = (42, 43, 44)
 RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
                   ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
+ROWS_DIMS = ("2,3,2", "3,2,4")  # dims of the markov-roundtrip and overlap-chain check
 GRIDS = (
     ("markov-roundtrip", "2,2,2", 40, ["--t-samples", "0.3,0.7,1.1,1.5,1.9,2.5,3.1,3.7"]),
     ("renyi-monotone,dw-alpha,dw-tripartite,sbw-limit", "4,4,4", 2,
@@ -110,6 +115,11 @@ def main() -> int:
             report(f"check {dims} trials {trials}", ["check", "--suite", "all", "--dims", dims,
                                                      "--trials", str(trials), "--seed", "42",
                                                      "--out", out], [out])
+        for dims in ROWS_DIMS:
+            out = os.path.join(tmp, f"rows-{dims}.json")
+            report(f"check markov-roundtrip,overlap-chain {dims} trials 40",
+                   ["check", "--suite", "markov-roundtrip,overlap-chain", "--dims", dims,
+                    "--trials", "40", "--seed", "42", "--out", out], [out])
         out = os.path.join(tmp, "sbw.json")
         report("check sbw-limit shallow", ["check", "--suite", "sbw-limit", "--alpha",
                                            "0.5,0.25", "--trials", "4", "--seed", "42",
@@ -127,9 +137,10 @@ def main() -> int:
                 report(f"explore {kind} {dims}", ["explore", kind, "--dims", dims, "--trials",
                                                   "100", "--seed", "7", "--out", out], [out])
                 report(f"replay {kind} {dims}", ["replay", out], [])
-        spec = suites._markov_spec(suites.trial_rng(42, "markov-roundtrip", 0), 2, 2)
-        state = states.regularize(
-            states.random_tripartite((2, 3, 2), np.random.default_rng([42, 3])), 1e-6)
+        rng = suites.trial_rng(42, "markov-roundtrip", 0)
+        spec = suites._sample_markov([rng], (2, 2, 2), 1e-6)["spec"][0]
+        state = states.regularize(states.DensityMatrix(
+            states.random_density(12, np.random.default_rng([42, 3])), (2, 3, 2)), 1e-6)
         for command, value in (("markov", spec), ("trotter", state)):
             path = os.path.join(tmp, f"{command}-input.json")
             out = os.path.join(tmp, f"{command}.json")

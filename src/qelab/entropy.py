@@ -3,9 +3,9 @@
 Everything is in nats.  Relative entropies are evaluated on supports:
 S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
 which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf (max_sv_within).
-Every functional but cmi_relative_entropy_form also takes (n, d, d) stacks,
-one trial per row, and returns an (n,) array (a stacked operator for
-exp_log_combination) whose rows carry the bits of their own 2-D calls.
+Every functional also takes (n, d, d) stacks, one trial per row, and returns
+an (n,) array (a stacked operator for exp_log_combination) whose rows carry
+the bits of their own 2-D calls.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .linalg import (
     embed,
     herm_eig,
     hermitize,
-    kron,
     matrix_exp,
+    matrix_fn,
     matrix_log,
     matrix_power,
     matrix_sqrt,
@@ -132,25 +132,6 @@ def cmi(state: DensityMatrix) -> float | np.ndarray:
     return s_ab + s_bc - von_neumann(state.mat) - s_b
 
 
-def cmi_relative_entropy_form(state: DensityMatrix) -> float:
-    """I(A:C|B) as a difference of two relative entropies.
-
-    Tracing out A is a channel, and with reference rho_AB (x) rho_C the
-    monotonicity gap of that channel is exactly the CMI:
-    S(rho_ABC || rho_AB (x) rho_C) - S(rho_BC || rho_B (x) rho_C).
-    Used as an independent cross-check of the entropy-sum form.
-    """
-    require_tripartite(state)
-    rho = state.mat
-    rho_ab = state.marginal(AB)
-    rho_bc = state.marginal(BC)
-    rho_b = state.marginal(B)
-    rho_c = state.marginal([2])
-    full = relative_entropy(rho, kron(rho_ab, rho_c))
-    reduced = relative_entropy(rho_bc, kron(rho_b, rho_c))
-    return full - reduced
-
-
 def exp_log_combination(
     terms: Sequence[tuple[float, np.ndarray]],
     dims: Sequence[int] | None = None,
@@ -181,6 +162,6 @@ def exp_log_combination(
                     f"term {i} is singular (min eigenvalue {vals[singular[0]][0]:.3e}); "
                     "exp-log combinations need full-rank terms"
                 )
-        for i, log in zip(block, matrix_log(eig)):
+        for i, log in zip(block, matrix_fn(eig, np.log)):  # each term checked PSD above
             acc = acc + float(terms[i][0]) * log
     return matrix_exp(hermitize(acc))

@@ -20,12 +20,14 @@ Conventions
   scalars (math.log, min) runs row by row through per_row.
 * A grid of p (matrix_power) or t (unitary_power), a leading axis as states.grids shapes
   it, broadcasts against the batch: the outer form on one spectrum, the paired form (row j
-  to the power p_j) on a grid-stacked one.  Row j has its own call's bits; the scalar
-  function runs per point on a float, as np.power's fast paths (0.5, 2.0) take scalars only.
+  to the power p_j) on a grid-stacked one.  Row j has its own call's bits: np.power runs
+  per point on a float, as its fast paths (0.5, 2.0) take scalars only, and the elementwise
+  exp(i t log lam) runs on the whole grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -82,7 +84,7 @@ def first_flagged(values, flags):
 
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(x.conj(), -1, -2)
+    return x.conj().swapaxes(-1, -2)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
@@ -214,7 +216,7 @@ def matrix_fn(
     else:
         with np.errstate(all="ignore"):
             fvals = np.asarray(fn(vals))
-    if not np.all(np.isfinite(fvals)):
+    if not np.isfinite(fvals).all():
         raise SingularInput(
             "matrix function is singular on the spectrum "
             f"(min eigenvalue {vals.min():.3e}); use support_only for a "
@@ -249,6 +251,8 @@ def _grid_points(h: Spectral, p) -> tuple:
     if np.ndim(p) == 0:  # one point for every row
         return vals, vecs, mask, [((), float(p))]
     p = np.asarray(p, dtype=float)
+    if p.size != len(p):
+        raise IndexError(f"a grid varies along its leading axis only, got shape {p.shape}")
     shape = np.broadcast_shapes(p.shape + (1,), vals.shape)
     points = list(enumerate(p.ravel().tolist()))
     return np.broadcast_to(vals, shape), vecs, np.broadcast_to(mask, shape), points
@@ -273,10 +277,9 @@ def unitary_power(h: Spectral, t) -> np.ndarray:
     Computed as exp(i t log lam) on the support and extended by the identity
     on the kernel, so the result is unitary for any PSD input.
     """
-    vals, vecs, mask, points = _grid_points(h, t)
-    phases = np.ones(vals.shape, dtype=complex)
-    for at, e in points:
-        phases[at][mask[at]] = np.exp(1j * e * np.log(vals[at][mask[at]]))
+    vals, vecs, mask, _ = _grid_points(h, t)
+    logs = np.log(np.where(mask, vals, 1.0))  # 0 off the support, where the phase is 1
+    phases = np.where(mask, np.exp(1j * np.asarray(t, dtype=float)[..., None] * logs), 1.0)
     return (vecs * phases[..., None, :]) @ dagger(vecs)
 
 
@@ -333,6 +336,26 @@ def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
     return reduced.reshape(lead + (d_keep, d_keep))
 
 
+@functools.lru_cache(maxsize=256)
+def _embed_plan(dims: tuple, acting_on: tuple, batch: int) -> tuple:
+    """What embed needs for an operator with ``batch`` leading axes, once per argument: the
+    dimension the operator acts on, the read-only identity on the other subsystems, the
+    tensor shape of kron(op, identity), the transpose of its axes onto ``dims``, the total."""
+    dims = tuple(int(d) for d in dims)
+    acting_on = sorted(set(int(k) for k in acting_on))
+    n = len(dims)
+    if any(k < 0 or k >= n for k in acting_on):
+        raise DimMismatch(f"acting_on={acting_on} out of range for {n} subsystems")
+    rest = [i for i in range(n) if i not in acting_on]
+    eye = np.eye(math.prod(dims[i] for i in rest))  # [[1.0]] when op acts on every subsystem
+    eye.setflags(write=False)
+    order = acting_on + rest  # subsystem owning each tensor axis of kron(op, eye)
+    perm = sorted(range(n), key=order.__getitem__)
+    axes = tuple(range(batch)) + tuple(batch + p for p in perm) + tuple(batch + n + p for p in perm)
+    d_act = math.prod(dims[i] for i in acting_on)
+    return d_act, eye, tuple(dims[i] for i in order) * 2, axes, math.prod(dims)
+
+
 def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.ndarray:
     """Extend an operator by identities onto the full tensor-product space.
 
@@ -340,26 +363,11 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     the result acts on all of ``dims`` with identity elsewhere.
     """
     op = np.asarray(op)
-    dims = tuple(int(d) for d in dims)
-    acting_on = sorted(set(int(k) for k in acting_on))
-    n = len(dims)
-    if any(k < 0 or k >= n for k in acting_on):
-        raise DimMismatch(f"acting_on={acting_on} out of range for {n} subsystems")
-    d_act = math.prod(dims[i] for i in acting_on)
+    d_act, eye, shape, axes, total = _embed_plan(tuple(dims), tuple(acting_on), op.ndim - 2)
     if op.shape[-2:] != (d_act, d_act):
         raise DimMismatch(f"operator shape {op.shape} does not match dims {d_act}")
-    rest = [i for i in range(n) if i not in acting_on]
-    if not rest:
-        return op.copy()
-    big = kron(op, np.eye(math.prod(dims[i] for i in rest)))
-    order = acting_on + rest  # subsystem owning each tensor axis of `big`
-    perm = list(np.argsort(order))
     lead = op.shape[:-2]
-    tensor = big.reshape(lead + tuple(dims[i] for i in order) * 2)
-    k = len(lead)
-    axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
-    total = math.prod(dims)
-    return tensor.transpose(axes).reshape(lead + (total, total))
+    return kron(op, eye).reshape(lead + shape).transpose(axes).reshape(lead + (total, total))
 
 
 def hs_norm(x: np.ndarray) -> float | np.ndarray:

@@ -44,7 +44,7 @@ from .linalg import (
     real_trace,
     require_hermitian,
 )
-from .tolerances import TOL_TRACE
+from .tolerances import TOL_PSD, TOL_TRACE
 
 _CHUNK_ENTRIES = 32 * 16 * 16  # entries of one stacked complex operand: 128 KiB at most
 
@@ -85,12 +85,34 @@ def gaussians(rngs: Sequence[np.random.Generator], shape: tuple[int, int]) -> np
     return out
 
 
+def _psd_certified(mat: np.ndarray) -> bool:
+    """Whether d <= 256 and np.linalg.cholesky(mat + tau 1) succeeds on every row, with tau =
+    TOL_PSD / 2 * max(1, the row's largest diagonal entry).  Success proves that psd_support
+    passes on eigvalsh(mat): the computed factor has R^dag R = mat + tau 1 + E, with ||E||_2 <=
+    d (d + 1) u (max diagonal + tau) to first order in the roundoff u (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so lambda_min >= -tau - ||E||_2, and eigvalsh
+    moves it by O(d u) lambda_max; with max diagonal <= lambda_max and d (d + 1) u <= 7.3e-12
+    (d <= 256) well below TOL_PSD / 2, that is above -TOL_PSD * max(1, lambda_max)."""
+    d = mat.shape[-1]
+    if d > 256:
+        return False
+    tau = 0.5 * TOL_PSD * np.diagonal(mat, axis1=-2, axis2=-1).real.max(axis=-1, initial=1.0)
+    try:
+        np.linalg.cholesky(mat + tau[..., None, None] * np.eye(d))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _validated_matrix(mat: np.ndarray) -> np.ndarray:
+    """mat, or each row of a stack, checked finite, Hermitian and PSD (by _psd_certified, else
+    by eigvalsh and psd_support, with their verdict and message), hermitized and frozen."""
     mat = np.asarray(mat, dtype=complex)
     if not np.isfinite(mat).all():
         raise NonFinite("matrix has a NaN or infinite entry")
     mat = hermitize(require_hermitian(mat))
-    psd_support(np.linalg.eigvalsh(mat))
+    if not _psd_certified(mat):
+        psd_support(np.linalg.eigvalsh(mat))
     mat.setflags(write=False)
     return mat
 
@@ -114,6 +136,15 @@ class SubnormalizedOperator:
         out = object.__new__(type(self))
         out._mat = self._mat[i]
         out._trace = float(self._trace[i])
+        return out
+
+    @classmethod
+    def stack(cls, ops: Sequence[SubnormalizedOperator]) -> SubnormalizedOperator:
+        """Validated operators of this class and one shape as one stack, not validated again."""
+        out = object.__new__(cls)
+        out._mat = np.stack([op.mat for op in ops])
+        out._mat.setflags(write=False)
+        out._trace = np.array([op.trace for op in ops])
         return out
 
     @property
@@ -169,6 +200,12 @@ class DensityMatrix(SubnormalizedOperator):
     def row(self, i: int) -> DensityMatrix:
         out = super().row(i)
         out.dims = self.dims
+        return out
+
+    @classmethod
+    def stack(cls, ops: Sequence[DensityMatrix]) -> DensityMatrix:
+        out = super().stack(ops)
+        out.dims = ops[0].dims
         return out
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
@@ -271,14 +308,14 @@ def markov_state(spec: MarkovSpec) -> DensityMatrix:
     d_a, d_c, d_b = spec.d_a, spec.d_c, spec.d_b
     total = d_a * d_b * d_c
     out = np.zeros((total, total), dtype=complex)
+    tensor = out.reshape((d_a, d_b, d_c) * 2)  # a view of out, one axis per subsystem
     offset = 0
     for p, ab, bc, (dl, dr) in zip(
         spec.weights, spec.ab_factors, spec.bc_factors, spec.block_dims
     ):
         block = kron(ab.mat, bc.mat)  # index order (A, bL, bR, C), A slowest
-        # for each a, the block's (bL, bR, C) indices are one contiguous run of the full index
-        idx = ((np.arange(d_a)[:, None] * d_b + offset) * d_c + np.arange(dl * dr * d_c)).ravel()
-        out[np.ix_(idx, idx)] += p * block
+        on_b = slice(offset, offset + dl * dr)  # the block's run of the B index
+        tensor[:, on_b, :, :, on_b, :] += p * block.reshape((d_a, dl * dr, d_c) * 2)
         offset += dl * dr
     return DensityMatrix(out, (d_a, d_b, d_c))
 
@@ -334,19 +371,13 @@ def random_density(
         rank = d
     if not 1 <= rank <= d:
         raise BadRank(f"rank must be in 1..{d}, got {rank}")
-    g = gaussians(streams(rng), (d, rank))
+    return as_drawn(rng, wishart(gaussians(streams(rng), (d, rank))))
+
+
+def wishart(g: np.ndarray) -> DensityMatrix:
+    """The stack of states G G^dag / Tr, one per Gaussian matrix G of the stack g."""
     mat = g @ dagger(g)
-    return as_drawn(rng, DensityMatrix(mat / real_trace(mat)[:, None, None]))
-
-
-def random_tripartite(
-    dims: Sequence[int], rng: np.random.Generator, rank: int | None = None
-) -> DensityMatrix:
-    """Random tripartite state on dims = (dA, dB, dC)."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise NotTripartite(f"need 3 dimensions, got {dims}")
-    return DensityMatrix(random_density(math.prod(dims), rng, rank=rank), dims)
+    return DensityMatrix(mat / real_trace(mat)[:, None, None])
 
 
 class Decomposed(NamedTuple):

@@ -15,18 +15,20 @@ chunk of one.  A sampler takes the chunk's list of trial_rng streams and returns
 instance value with one row per trial, row i drawn from trial i's stream as that trial
 alone draws it: an (n, d, d) stack (a DensityMatrix, SubnormalizedOperator or
 KrausChannel over stacks, validated once for the chunk), an (n, ...) array, or a list for
-a value with no stack (markov-roundtrip's MarkovSpec; twirl-identity's ints and Monte Carlo
-seed; overlap-chain's reference, with a None where a trial lacks sigma_base and mu).  The
-instance of trial i is row i of each value (_instance_row).  A chunk whose values all stack
-is evaluated once, on the stacks, which gives each row's result with the bits of that trial
-alone; a chunk that holds a list runs its trials' 2-D instances one at a time.  The runner
-is still called once per trial, on that trial's row of the chunk (a _ChunkRow): the first
-row's call evaluates the whole chunk and the others read their result, so a suite's run
-calls count its trials, and the time of the run calls of a chunk is the time of its
-evaluation.  Each chunk holds up to CHUNK_TRIALS trials, fewer when the largest operator
-the sampler builds has dimension d > 16, so that one stacked operand stays within 128 KiB;
-the sampler's instance on no streams, which draws nothing, gives d.  A chunk that raises a
-QelabError runs again one trial at a time; replay runs a dumped 2-D instance.
+a value with no stack (markov-roundtrip's MarkovSpec, whose block factors are drawn as
+stacks by dimension; twirl-identity's ints and Monte Carlo seed; overlap-chain's
+reference, with a None where a trial lacks sigma_base and mu).  The instance of trial i
+is row i of each value (_instance_row).  A chunk whose values all stack is evaluated once,
+on the stacks, which gives each row's result with the bits of that trial alone.  A chunk
+that holds a list is split by the key sets of its trials' instances; a group whose values
+stack (_stacked: overlap-chain's) is evaluated on stacks, and the others one trial at a
+time.  The runner is still called once per trial, on its row of the chunk (a _ChunkRow):
+the first row's call evaluates the whole chunk and the others read their result, so a
+suite's run calls count its trials.  Each chunk holds up to CHUNK_TRIALS trials, fewer when
+the largest operator the sampler builds has dimension d > 16, so that one stacked operand
+stays within 128 KiB; the sampler's instance on no streams, which draws nothing, gives d.
+A chunk that raises a QelabError runs again one trial at a time; replay runs a dumped 2-D
+instance.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
 from .entropy import relative_entropy
 from .errors import BadConfig, QelabError
-from .linalg import hermitize, kron, trace_norm
+from .linalg import hermitize, kron, per_row, trace_norm
 from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
 from .states import (
@@ -57,6 +59,7 @@ from .states import (
     normalized_weights,
     random_density,
     regularize,
+    wishart,
 )
 from .tolerances import DEFAULT_EPS, TOL_IDENTITY, TOL_INEQ
 
@@ -183,23 +186,26 @@ def _sample_three_state(rngs, dims, eps):
     }
 
 
-def _markov_spec(rng: np.random.Generator, d_a: int, d_c: int) -> MarkovSpec:
-    n_blocks = int(rng.integers(1, 4))
-    raw = rng.dirichlet(np.ones(n_blocks))
-    weights = normalized_weights([0.8 * float(w) + 0.2 / n_blocks for w in raw])
-    ab_factors = []
-    bc_factors = []
-    for _ in range(n_blocks):
-        dl = int(rng.integers(1, 3))
-        dr = int(rng.integers(1, 3))
-        ab_factors.append(regularize(random_density(d_a * dl, rng), MARKOV_FACTOR_EPS))
-        bc_factors.append(regularize(random_density(dr * d_c, rng), MARKOV_FACTOR_EPS))
-    return MarkovSpec(d_a, d_c, weights, tuple(ab_factors), tuple(bc_factors))
-
-
 def _sample_markov(rngs, dims, eps):
-    # the block sizes differ from trial to trial, so the specs do not stack
-    return {"spec": [_markov_spec(rng, dims[0], dims[2]) for rng in rngs]}
+    """One MarkovSpec per stream, drawn as the stream alone draws it: the block count, the
+    weights, then per block dl, dr and the AB then BC factor's real then imaginary plane.  The
+    specs do not stack, but the chunk's factors of one dimension are formed as one stack."""
+    d_a, d_c = dims[0], dims[2]
+    planes: dict[int, list] = {}  # factor dimension -> the chunk's Gaussian matrices of it
+    drawn = []  # per stream: its weights, and (dimension, index) of its factors AB, BC, AB, ...
+    for rng in rngs:
+        n_blocks = int(rng.integers(1, 4))
+        raw = rng.dirichlet(np.ones(n_blocks))
+        drawn.append((normalized_weights([0.8 * float(w) + 0.2 / n_blocks for w in raw]), []))
+        for _ in range(n_blocks):
+            dl, dr = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            for d in (d_a * dl, dr * d_c):
+                planes.setdefault(d, []).append(gaussians([rng], (d, d))[0])
+                drawn[-1][1].append((d, len(planes[d]) - 1))
+    stacks = {d: regularize(wishart(np.stack(g)), MARKOV_FACTOR_EPS) for d, g in planes.items()}
+    factors = [[stacks[d].row(i) for d, i in at] for _, at in drawn]
+    return {"spec": [MarkovSpec(d_a, d_c, weights, tuple(f[0::2]), tuple(f[1::2]))
+                     for (weights, _), f in zip(drawn, factors)]}
 
 
 def _uniforms(rngs, low: float, high: float) -> np.ndarray:
@@ -272,6 +278,18 @@ def _instance_row(instance: dict, i: int) -> dict:
     return {key: value for key, value in rows.items() if value is not None}
 
 
+def _stacked(rows: list[dict]) -> dict | None:
+    """Trial instances with one key set as one instance of stacks (an operator stack, an (n,)
+    array of floats), or None when a value has no stack (a MarkovSpec, a raw matrix, an int)."""
+    columns = {key: [row[key] for row in rows] for key in rows[0]}
+    for values in columns.values():
+        if len({type(v) for v in values}) > 1 or not isinstance(
+                values[0], (float, SubnormalizedOperator)):
+            return None
+    return {key: np.array(v) if isinstance(v[0], float) else type(v[0]).stack(v)
+            for key, v in columns.items()}
+
+
 def _calls(checker: str | Callable, *options: str) -> Callable:
     """The runner (inst, tol, opts) -> checker(**inst, <options set in opts>, tol=tol).
 
@@ -280,7 +298,8 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
     runners below add something to their checker and take its keyword arguments.
     run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the
     runner returns that trial's result, and evaluates the whole chunk at the first row
-    run: on its stacks, or one trial at a time when a value is a list.
+    run: on its stacks, or, when a value is a list, by the groups of trials with one key
+    set, each on stacks when its values stack (_stacked) and else one trial at a time.
     """
 
     def run(inst, tol, opts):
@@ -290,7 +309,14 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
             return inst.results[inst.row]
         lists = [value for value in inst.values() if isinstance(value, list)]
         if lists:
-            return [run(_instance_row(inst, i), tol, opts) for i in range(len(lists[0]))]
+            rows = [_instance_row(inst, i) for i in range(len(lists[0]))]
+            results = {}
+            for keys in dict.fromkeys(tuple(row) for row in rows):  # each key set, as one group
+                group = [i for i, row in enumerate(rows) if tuple(row) == keys]
+                stacked = _stacked([rows[i] for i in group])
+                out = run(stacked, tol, opts) if stacked else [run(rows[i], tol, opts) for i in group]
+                results.update(zip(group, out))
+            return [results[i] for i in range(len(rows))]
         fn = getattr(checks, checker) if isinstance(checker, str) else checker
         return fn(**inst, **{key: opts[key] for key in options if key in opts}, tol=tol)
 
@@ -304,17 +330,20 @@ def _run_overlap(
     tol: float,
     sigma_base: DensityMatrix | None = None,
     mu: float | None = None,
-) -> CheckResult:
-    result = checks.check_overlap_chain(rho, sigma, tol=tol)
-    if mu is not None:
+) -> checks.Results:
+    results = checks.check_overlap_chain(rho, sigma, tol=tol)
+    if mu is None:
+        return results
+
+    def shifted(result: CheckResult, base: float, mu: float) -> CheckResult:
         # The scaled reference obeys the exact shift rule
         # S(rho || mu sigma) = S(rho || sigma) - log mu.
-        base = relative_entropy(rho, sigma_base)
-        scaled = result.quantities["relative_entropy"]
-        residual = abs(scaled - (base - math.log(mu)))
+        residual = abs(result.quantities["relative_entropy"] - (base - math.log(mu)))
         result.quantities["scaling_residual"] = residual
         result.extra_ok = bool(result.extra_ok and residual <= TOL_IDENTITY)
-    return result
+        return result
+
+    return per_row(shifted, results, relative_entropy(rho, sigma_base), mu)
 
 
 def _run_bsw(

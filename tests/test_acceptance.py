@@ -37,10 +37,10 @@ from qelab.checks import (
 from qelab.states import (
     SubnormalizedOperator,
     random_density,
-    random_tripartite,
     regularize,
 )
 from qelab.suites import EXPLORATIONS, SUITES, explore_conjecture, run_suite
+from helpers import random_tripartite
 
 SEED = 42
 SLACK_TOL = 1e-8

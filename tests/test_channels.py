@@ -32,12 +32,12 @@ from qelab.states import (
     MarkovSpec,
     markov_state,
     random_density,
-    random_tripartite,
     random_unitaries,
     random_unitary,
     regularize,
 )
 from qelab.tolerances import TOL_HERM, TOL_RECON
+from helpers import random_tripartite
 
 
 def _identity_channel(d):

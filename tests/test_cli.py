@@ -21,11 +21,11 @@ from qelab.states import (
     MarkovSpec,
     markov_state,
     random_density,
-    random_tripartite,
     regularize,
 )
 from qelab.suites import SUITES, run_trial
 from test_suites import _flat_reference, _zero_channel, failing_at
+from helpers import random_tripartite
 
 CLI = [sys.executable, "-m", "qelab.cli"]
 

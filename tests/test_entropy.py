@@ -12,7 +12,6 @@ import pytest
 
 from qelab.entropy import (
     cmi,
-    cmi_relative_entropy_form,
     exp_log_combination,
     overlap_lower_bound,
     relative_entropy,
@@ -32,9 +31,9 @@ from qelab.states import (
     DensityMatrix,
     SubnormalizedOperator,
     random_density,
-    random_tripartite,
     regularize,
 )
+from helpers import cmi_relative_entropy_form, random_tripartite
 
 # scalar oracles, frozen
 VN_DIAG_34_14 = 0.5623351446188083  # -(3/4 ln 3/4 + 1/4 ln 1/4)

@@ -40,7 +40,8 @@ from qelab.linalg import (
     unitary_power,
 )
 from qelab.states import AB, B, BC, DensityMatrix, markov_state, random_density, regularize
-from qelab.suites import _markov_spec, trial_rng
+from qelab.suites import trial_rng
+from helpers import markov_spec
 
 RNG = np.random.default_rng  # brevity
 # 0.5 and 2.0 take np.power's scalar fast paths, which an array exponent would miss
@@ -227,7 +228,7 @@ def _r_petz_alone(state, t_samples):
 
 @pytest.mark.parametrize("per_block", [1, 3, 64])
 def test_the_markov_t_grid_in_blocks_matches_the_loop(monkeypatch, per_block):
-    specs = [_markov_spec(trial_rng(42, "markov-roundtrip", t), 2, 2) for t in range(4)]
+    specs = [markov_spec(trial_rng(42, "markov-roundtrip", t), 2, 2) for t in range(4)]
     for spec in specs:
         state = markov_state(spec)
         _cap(monkeypatch, per_block * state.dim**2)
@@ -325,7 +326,7 @@ def test_dw_alpha_applies_the_dual_once_per_alpha_block(monkeypatch):
 
 
 def test_markov_takes_one_batched_svd_for_the_t_grid(monkeypatch):
-    state = markov_state(_markov_spec(trial_rng(42, "markov-roundtrip", 0), 2, 2))
+    state = markov_state(markov_spec(trial_rng(42, "markov-roundtrip", 0), 2, 2))
     shapes = _recording(monkeypatch, np.linalg, "svd", lambda x, *a, **k: np.shape(x))
     markov_characterizations(state, checks.DEFAULT_T_SAMPLES)
     d = state.dim

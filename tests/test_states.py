@@ -19,7 +19,19 @@ from qelab.errors import (
     NotPSD,
     NotTripartite,
 )
-from qelab.linalg import embed, herm_eig, kron, matrix_log, max_sv, ptrace, trace_norm
+from qelab import states, suites
+from qelab.linalg import (
+    embed,
+    herm_eig,
+    hermitize,
+    kron,
+    matrix_log,
+    max_sv,
+    psd_support,
+    ptrace,
+    require_hermitian,
+    trace_norm,
+)
 from qelab.states import (
     AB,
     B,
@@ -32,13 +44,14 @@ from qelab.states import (
     markov_state,
     normalized_weights,
     random_density,
-    random_tripartite,
     random_unitaries,
     random_unitary,
     regularize,
     require_tripartite,
 )
 from qelab.serialize import deserialize_value, serialize_value
+from qelab.tolerances import DEFAULT_EPS, TOL_PSD
+from helpers import random_tripartite
 
 
 def test_density_matrix_validates_trace():
@@ -440,3 +453,75 @@ def test_a_stacked_state_keeps_its_rows_dims_and_traces_and_names_its_rows():
         assert type(row) is DensityMatrix and row.dims == (2, 2)
         assert np.array_equal(row.mat, st.mat) and type(row.trace) is float
         assert row.trace == st.trace and repr(row) == repr(st)
+
+
+def test_states_of_one_shape_stack_into_their_rows_without_validation(monkeypatch):
+    rng = np.random.default_rng(6)
+    rows = [DensityMatrix(random_density(4, rng), (2, 2)) for _ in range(3)]
+    scaled = [SubnormalizedOperator(0.5 * row.mat) for row in rows]
+    monkeypatch.setattr(np.linalg, "cholesky", None)  # any validation would fail
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    for ops in (rows, scaled):
+        stack = type(ops[0]).stack(ops)
+        assert type(stack) is type(ops[0]) and not stack.mat.flags.writeable
+        assert stack.mat.tobytes() == np.stack([op.mat for op in ops]).tobytes()
+        assert stack.trace.tolist() == [op.trace for op in ops]
+    assert DensityMatrix.stack(rows).dims == (2, 2)
+
+
+def _psd_verdict(validate, mat):
+    """None when validate(mat) passes, the NotPSD message when it raises that."""
+    try:
+        validate(mat)
+    except NotPSD as exc:
+        return str(exc)
+    return None
+
+
+def _eigvalsh_rule(mat):
+    psd_support(np.linalg.eigvalsh(hermitize(require_hermitian(np.asarray(mat, dtype=complex)))))
+
+
+def _with_spectrum(vals, rng):
+    u = random_unitary(len(vals), rng)
+    return (u * np.asarray(vals)) @ u.conj().T
+
+
+# lambda_min of each case, in units of the PSD slack TOL_PSD * max(1, lambda_max): the rule
+# passes the first three and raises on the last two
+SLACK_UNITS = (0.0, -0.5, -0.99, -1.01, -2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 8, 64])
+@pytest.mark.parametrize("lam_max", [1.0, 1e3])
+def test_the_cholesky_certificate_gives_the_verdict_and_message_of_eigvalsh(d, lam_max):
+    rng = np.random.default_rng([d, int(lam_max)])
+    slack = TOL_PSD * max(1.0, lam_max)
+    middle = sorted(rng.uniform(0.0, lam_max, max(d - 2, 0)))
+    spectra = [[f * slack] + middle + [lam_max] if d > 1 else [f * slack] for f in SLACK_UNITS]
+    table = [_with_spectrum(vals, rng) for vals in spectra]
+    verdicts = [_psd_verdict(_eigvalsh_rule, mat) for mat in table]
+    if d > 1:  # the table straddles the rule's boundary
+        assert [v is None for v in verdicts] == [True, True, True, False, False]
+    rank_one = [regularize(random_density(d, rng, rank=1), eps).mat
+                for eps in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)]
+    stacks = [np.stack([table[0], table[2], table[1]]),  # passes with an uncertified row
+              np.stack([table[0], table[4], table[3]]),  # raises on its first bad row
+              np.stack(rank_one)]
+    for mat in table + rank_one + stacks:
+        assert _psd_verdict(states._validated_matrix, mat) == _psd_verdict(_eigvalsh_rule, mat)
+
+
+def test_a_valid_sampled_state_stack_is_validated_without_eigvalsh(monkeypatch):
+    rngs = [np.random.default_rng(i) for i in range(5)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+    for d in (1, 2, 8, 64):
+        regularize(random_density(d, rngs), DEFAULT_EPS)
+        regularize(random_density(d, rngs).mat, DEFAULT_EPS)  # a raw stack, validated in full
+    suites._sample_markov(rngs, (2, 3, 2), DEFAULT_EPS)
+    assert calls == []
+    random_density(257, rngs[:2])  # above d = 256 the certificate is not tried
+    assert [np.shape(mat) for mat, in calls] == [(2, 257, 257)]
+

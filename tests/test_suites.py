@@ -41,6 +41,7 @@ from qelab.suites import (
     trial_rng,
 )
 from qelab.tolerances import DEFAULT_EPS, TOL_IDENTITY, TOL_INEQ
+from helpers import markov_spec
 
 EXPECTED_ORDER = [
     "renyi-monotone",
@@ -70,8 +71,10 @@ EXPECTED_ORDER = [
 README = Path(__file__).resolve().parents[1] / "README.md"
 EXPLORATION_ORDER = ["stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone"]
 # The check rows with a value that has no stack: their sampler returns it as a list, one
-# item per trial, and a chunk of them runs one trial at a time.  A chunk of any other row is
-# evaluated on its stacks.
+# item per trial.  A chunk of them is split by the key sets of its trials' instances, and a
+# group whose values stack (overlap-chain's, with or without sigma_base and mu) is evaluated
+# on stacks; markov-roundtrip's MarkovSpec and twirl-identity's ints and raw matrix run one
+# trial at a time.  A chunk of any other row is evaluated on its stacks.
 LIST_ROWS = ["overlap-chain", "markov-roundtrip", "twirl-identity"]
 
 # Each sampler's instance keys: the dump format, and the keyword arguments of
@@ -621,3 +624,55 @@ def test_stronger_mono_pushes_each_state_through_the_channel_once():
         recovered = PetzMap(channel, inst["sigma"]).apply(channel.apply(rho.mat))
         dist = result.quantities["recovery_distance"]
         assert trace_norm(rho.mat - recovered).hex() == dist.hex()
+
+
+def _spec_bits(spec):
+    """float.hex of every weight and of every entry of every block factor of a MarkovSpec."""
+    factors = [f.mat for f in spec.ab_factors + spec.bc_factors]
+    return ([w.hex() for w in spec.weights], [f.shape for f in factors],
+            [float(x).hex() for f in factors for x in np.concatenate([f.real, f.imag]).ravel()])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    dims=st.sampled_from([(2, 2, 2), (2, 3, 2), (3, 2, 4)]),
+)
+def test_the_markov_sampler_draws_each_spec_as_one_stream_alone(seed, n, dims):
+    # the factors of one dimension are formed as one stack, with each factor's bits and each
+    # stream left where the block-by-block loop of one stream leaves it
+    rngs = [trial_rng(seed, "markov-roundtrip", trial) for trial in range(n)]
+    alone = [trial_rng(seed, "markov-roundtrip", trial) for trial in range(n)]
+    specs = suites._sample_markov(rngs, dims, DEFAULT_EPS)["spec"]
+    loop = [markov_spec(rng, dims[0], dims[2]) for rng in alone]
+    assert [_spec_bits(spec) for spec in specs] == [_spec_bits(spec) for spec in loop]
+    assert [spec.d_b for spec in specs] == [spec.d_b for spec in loop]
+    assert [rng.bit_generator.state for rng in rngs] == [rng.bit_generator.state for rng in alone]
+
+
+@pytest.mark.parametrize("scaled", ["all", "none", "some"])
+def test_an_overlap_chain_chunk_is_evaluated_by_key_set_with_each_trials_bits(scaled, monkeypatch):
+    suite, seed = SUITES["overlap-chain"], 11
+    with_mu = [suite.sample([trial_rng(seed, "overlap-chain", t)], (2, 2, 2), DEFAULT_EPS)["mu"][0]
+               is not None for t in range(40)]
+    pick = {"all": [t for t in range(40) if with_mu[t]][:5],
+            "none": [t for t in range(40) if not with_mu[t]][:5], "some": list(range(8))}[scaled]
+    assert {"all": {True}, "none": {False}, "some": {True, False}}[scaled] == {with_mu[t] for t in pick}
+    stacks = []
+    check = checks.check_overlap_chain
+    monkeypatch.setattr(checks, "check_overlap_chain",
+                        lambda rho, sigma, tol: stacks.append(rho.mat.shape) or check(rho, sigma, tol))
+    rows = suites._run_chunk(suite, (2, 2, 2), seed, pick, DEFAULT_EPS, TOL_INEQ, {})
+    # one stacked evaluation per key set, its rows in trial order
+    assert sorted(stacks) == sorted((sum(with_mu[t] == m for t in pick), 8, 8)
+                                    for m in {with_mu[t] for t in pick})
+    assert [trial for trial, _, _ in rows] == pick
+    for trial, instance, result in rows:
+        assert ("mu" in instance) == with_mu[trial] and ("sigma_base" in instance) == with_mu[trial]
+        alone_instance, alone = run_trial(suite, (2, 2, 2), seed, trial, DEFAULT_EPS, TOL_INEQ)
+        assert serialize_instance(instance) == serialize_instance(alone_instance)
+        assert _bits(result) == _bits(alone)
+        blob = json.loads(json.dumps(serialize_instance(instance)))
+        assert _bits(result) == _bits(suite.run(deserialize_instance(blob), TOL_INEQ, {}))
+
