@@ -37,6 +37,11 @@ change that moves bits names the suites it moved:
   support-leak verdict (ROADMAP item 11), the only lines that reach it: bsw-identity on four
   and super-ssa on two rank-1 states on dims (2, 2, 2), regularized at eps = 1e-6, drawn in
   turn from default_rng([42, 5]) and written into the temporary directory;
+* replay of three hand-made dumps of sampled trials at dims 2,2,2 and seed 42, the only lines
+  that reach the replay path of the shift rule and of the Markov round trip (neither suite
+  fails, so neither writes a worst dump): the first overlap-chain trial with a scaled
+  reference, the first without one and markov-roundtrip's trial 0, each sampled alone by
+  its suite's sampler and written into the temporary directory;
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
   seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
   them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
@@ -61,6 +66,7 @@ EXPLORE_DIMS = ("2,2,2", "4,4,4")
 TWIRL_SEEDS = (42, 43, 44)
 RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
                   ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
+SAMPLED_DUMPS = (("overlap-chain", True), ("overlap-chain", False), ("markov-roundtrip", None))
 ROWS_DIMS = ("2,3,2", "3,2,4")  # dims of the markov-roundtrip and overlap-chain check
 GRIDS = (
     ("markov-roundtrip", "2,2,2", 40, ["--t-samples", "0.3,0.7,1.1,1.5,1.9,2.5,3.1,3.7"]),
@@ -84,6 +90,7 @@ def main() -> int:
 
     import numpy as np
     from qelab import checks, cli, serialize, states, suites
+    from qelab.tolerances import DEFAULT_EPS
 
     def run(argv: list[str]) -> tuple[int, str, str]:
         out, err = io.StringIO(), io.StringIO()
@@ -159,6 +166,19 @@ def main() -> int:
                            "tolerance": 1e-8, "opts": {},
                            "instance": serialize.serialize_instance(instance)}, fh)
             report(f"replay {checker} rank-1 dump", ["replay", path], [])
+        for checker, scaled in SAMPLED_DUMPS:  # scaled: whether the trial carries mu, or None
+            for trial in range(40):
+                rngs = [suites.trial_rng(42, checker, trial)]
+                sample = suites.SUITES[checker].sample(rngs, (2, 2, 2), DEFAULT_EPS)
+                instance = suites._instance_row(sample, 0)
+                if scaled is None or scaled == ("mu" in instance):
+                    break
+            path = os.path.join(tmp, f"{checker}-{scaled}.json")
+            with open(path, "w") as fh:
+                json.dump({"checker": checker, "dims": [2, 2, 2], "seed": 42, "trial": trial,
+                           "tolerance": 1e-8, "opts": {},
+                           "instance": serialize.serialize_instance(instance)}, fh)
+            report(f"replay {checker} trial {trial} dump", ["replay", path], [])
     for seed in TWIRL_SEEDS:
         rng = np.random.default_rng([seed, 10, 0])
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

@@ -18,7 +18,7 @@ is shared by several checkers, together with the trace bound Tr S <= 1.
 Each checker is written once: given a chunk of trials that suites.iter_trials
 stacks, it returns each row's CheckResult with the bits of that trial alone
 (matrix work on the (n, d, d) stacks, each row's scalar rule through
-linalg.per_row, _result or results.chain).  Only markov_characterizations and
+linalg.per_row, _result or results.chain).  The two Markov checkers and
 check_twirl_identity take one trial, since their suites' values do not stack.
 """
 
@@ -69,11 +69,13 @@ from .states import (
     BC,
     Decomposed,
     DensityMatrix,
+    MarkovSpec,
     SubnormalizedOperator,
     as_matrix,
     as_spectrum,
     capped,
     grids,
+    markov_state,
     require_tripartite,
 )
 from .tolerances import TOL_IDENTITY, TOL_INEQ, TOL_TRACE
@@ -266,18 +268,22 @@ def check_overlap_chain(
     rho: DensityMatrix,
     sigma: SubnormalizedOperator,
     tol: float = TOL_INEQ,
+    sigma_base: DensityMatrix | None = None,
+    mu: float | None = None,
 ) -> Results:
     """Relative entropy against a subnormalized reference dominates the
     root-overlap bound, the squared root distance, and a quarter of the
     squared trace distance, in that order.
 
     When the reference is normalized, the stronger quadratic lower bound
-    S >= ||rho - sigma||_1^2 / 2 is asserted as well.
+    S >= ||rho - sigma||_1^2 / 2 is asserted as well.  For sigma = mu sigma_base, the exact shift
+    rule S(rho||sigma) = S(rho||sigma_base) - log mu holds within TOL_IDENTITY (scaling_residual).
     """
     links = [("relative_entropy", relative_entropy(rho, sigma))] + _root_links(rho, sigma)
     labels = [label for label, _ in links]
+    base = None if mu is None else relative_entropy(rho, sigma_base)
 
-    def result(trace_sigma, *values):
+    def result(trace_sigma, base, mu, *values):
         quantities = {"trace_sigma": trace_sigma}
         extra_ok = True
         s_val, quarter_td_sq = values[0], values[-1]
@@ -285,9 +291,12 @@ def check_overlap_chain(
             # half the squared trace distance: exactly twice the quarter_td_sq link
             quantities["pinsker_slack"] = pinsker = s_val - 2.0 * quarter_td_sq
             extra_ok = pinsker >= -tol
+        if mu is not None:
+            quantities["scaling_residual"] = residual = abs(s_val - (base - math.log(mu)))
+            extra_ok = extra_ok and residual <= TOL_IDENTITY
         return chain("overlap-chain", list(zip(labels, values)), tol, quantities, extra_ok)
 
-    return per_row(result, real_trace(sigma.mat), *(v for _, v in links))
+    return per_row(result, real_trace(sigma.mat), base, mu, *(v for _, v in links))
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +415,12 @@ def check_trace_exp_bound(
                    trace_value=real_trace(surrogate), marginal_dev=dev)
 
 
+def _bsw_reference(sigma: DensityMatrix, tau: DensityMatrix, omega: DensityMatrix) -> np.ndarray:
+    """exp(log sigma_AB + log tau_BC - log omega_B), each marginal embedded on the full space."""
+    terms = [(1.0, sigma.marginal(AB)), (1.0, tau.marginal(BC)), (-1.0, omega.marginal(B))]
+    return exp_log_combination(terms, dims=sigma.dims, supports=[AB, BC, B])
+
+
 def check_bsw_identity(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -418,14 +433,9 @@ def check_bsw_identity(
     S(rho_ABC || exp(log sigma_AB + log tau_BC - log omega_B)) equals
     I(A:C|B) + S(rho_AB||sigma_AB) + S(rho_BC||tau_BC) - S(rho_B||omega_B).
     """
-    dims = _same_dims(rho, sigma, tau, omega)
+    _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
-    target = exp_log_combination(
-        [(1.0, sigma.marginal(AB)), (1.0, tau.marginal(BC)), (-1.0, omega.marginal(B))],
-        dims=dims,
-        supports=[AB, BC, B],
-    )
-    lhs = relative_entropy(rho.mat, target)
+    lhs = relative_entropy(rho.mat, _bsw_reference(sigma, tau, omega))
     rhs = (
         cmi(rho)
         + relative_entropy(rho.marginal(AB), sigma.marginal(AB))
@@ -443,14 +453,9 @@ def check_super_ssa(
 ) -> Results:
     """Relative entropy to a two-marginal exp-log reference dominates
     I(A:C|B) plus half the AB and BC relative entropies."""
-    dims = _same_dims(rho, sigma)
+    _same_dims(rho, sigma)
     require_tripartite(rho)
-    target = exp_log_combination(
-        [(1.0, sigma.marginal(AB)), (1.0, sigma.marginal(BC)), (-1.0, sigma.marginal(B))],
-        dims=dims,
-        supports=[AB, BC, B],
-    )
-    lhs = relative_entropy(rho.mat, target)
+    lhs = relative_entropy(rho.mat, _bsw_reference(sigma, sigma, sigma))
     rhs = (
         cmi(rho)
         + 0.5 * relative_entropy(rho.marginal(AB), sigma.marginal(AB))
@@ -525,6 +530,10 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
 # signatures then must all be below MARKOV_LIKE_RESIDUAL, else all above.
 MARKOV_LIKE_CMI = 1e-8
 MARKOV_LIKE_RESIDUAL = 1e-6
+# Thresholds for the exact-construction round trip (much tighter than the
+# generic inequality tolerance: these are identities up to float noise).
+MARKOV_CMI_TOL = 1e-10
+MARKOV_RESIDUAL_TOL = 1e-7
 
 
 def markov_characterizations(
@@ -566,6 +575,20 @@ def markov_characterizations(
     consistent = all(flags) if i_val < MARKOV_LIKE_CMI else not any(flags)
     quantities = {"cmi": i_val, **residuals}
     return CheckResult("markov-characterizations", quantities, 0.0, 0.0, bool(consistent))
+
+
+def check_markov_roundtrip(
+    spec: MarkovSpec, t_samples: Sequence[float] = DEFAULT_T_SAMPLES, tol: float = TOL_INEQ
+) -> CheckResult:
+    """The state a MarkovSpec builds has I(A:C|B) = 0: its CMI is below MARKOV_CMI_TOL, and the
+    residuals of markov_characterizations and its trace distance r_surrogate to ssa_surrogate
+    are below MARKOV_RESIDUAL_TOL.  The slack is the smallest margin; ``tol`` is not read."""
+    state = markov_state(spec)
+    quantities = markov_characterizations(state, t_samples=t_samples).quantities
+    quantities["r_surrogate"] = trace_norm(state.mat - ssa_surrogate(state))
+    residuals = [value for key, value in quantities.items() if key != "cmi"]
+    slacks = [MARKOV_CMI_TOL - quantities["cmi"]] + [MARKOV_RESIDUAL_TOL - r for r in residuals]
+    return CheckResult("markov-roundtrip", quantities, min(slacks), 0.0)
 
 
 def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:

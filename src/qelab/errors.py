@@ -17,7 +17,7 @@ class DimMismatch(QelabError):
 
 
 class NonFinite(QelabError):
-    """A matrix holds a NaN or infinite entry."""
+    """A matrix holds a NaN or infinite entry, or a result a NaN."""
 
 
 class NotHermitian(QelabError):

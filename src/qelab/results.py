@@ -21,13 +21,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import NonFinite
 from .linalg import per_row
 
 
-def _clean(value: float) -> float:
+def _clean(value: float, name: str) -> float:
     value = float(value)
     if math.isnan(value):
-        raise ValueError("NaN leaked into a result quantity")
+        raise NonFinite(f"NaN leaked into the result's {name}")
     return value
 
 
@@ -94,8 +95,8 @@ def as_record(result: CheckResult, dims: Sequence[int], seed: int, trial: int) -
         "dims": "x".join(str(d) for d in dims),
         "seed": int(seed),
         "trial": int(trial),
-        "quantities": {k: _clean(v) for k, v in result.quantities.items()},
-        "slack": _clean(result.slack),
+        "quantities": {k: _clean(v, k) for k, v in result.quantities.items()},
+        "slack": _clean(result.slack, "slack"),
         "pass": bool(result.passed),
     }
 
@@ -157,10 +158,10 @@ class ExplorationReport:
             "dims": "x".join(str(d) for d in self.dims),
             "seed": self.seed,
             "tolerance": self.tolerance,
-            "min_slack": _clean(self.min_slack),
+            "min_slack": _clean(self.min_slack, "min_slack"),
             "worst_trial": self.worst_trial,
             "histogram": {
-                "edges": [_clean(e) for e in self.histogram_edges],
+                "edges": [_clean(e, "histogram edge") for e in self.histogram_edges],
                 "counts": [int(c) for c in self.histogram_counts],
             },
             "worst_instance": self.worst_instance,

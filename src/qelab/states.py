@@ -131,21 +131,27 @@ class SubnormalizedOperator:
             raise BadTrace(f"trace {float(first_flagged(tr, bad))!r} outside [0, 1]")
         self._trace = tr
 
+    @classmethod
+    def _view(cls, mat: np.ndarray, trace=None, dims: tuple[int, ...] | None = None):
+        """An operator of this class over a matrix (or stack) already validated, frozen and not
+        checked again, with its trace (taken here if not given) and a DensityMatrix's dims."""
+        out = object.__new__(cls)
+        out._mat = mat
+        out._mat.setflags(write=False)
+        out._trace = real_trace(mat) if trace is None else trace
+        if dims is not None:
+            out.dims = dims
+        return out
+
     def row(self, i: int) -> SubnormalizedOperator:
         """Operator i of a stack: a view of its row, not validated again."""
-        out = object.__new__(type(self))
-        out._mat = self._mat[i]
-        out._trace = float(self._trace[i])
-        return out
+        return self._view(self._mat[i], float(self._trace[i]), getattr(self, "dims", None))
 
     @classmethod
     def stack(cls, ops: Sequence[SubnormalizedOperator]) -> SubnormalizedOperator:
         """Validated operators of this class and one shape as one stack, not validated again."""
-        out = object.__new__(cls)
-        out._mat = np.stack([op.mat for op in ops])
-        out._mat.setflags(write=False)
-        out._trace = np.array([op.trace for op in ops])
-        return out
+        return cls._view(np.stack([op.mat for op in ops]), np.array([op.trace for op in ops]),
+                         getattr(ops[0], "dims", None))
 
     @property
     def mat(self) -> np.ndarray:
@@ -196,17 +202,6 @@ class DensityMatrix(SubnormalizedOperator):
             if math.prod(dims) != self.dim:
                 raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
             self.dims = dims
-
-    def row(self, i: int) -> DensityMatrix:
-        out = super().row(i)
-        out.dims = self.dims
-        return out
-
-    @classmethod
-    def stack(cls, ops: Sequence[DensityMatrix]) -> DensityMatrix:
-        out = super().stack(ops)
-        out.dims = ops[0].dims
-        return out
 
     def marginal(self, keep: Sequence[int]) -> np.ndarray:
         """Raw matrix (or stack) of the partial trace onto the subsystems in ``keep`` (no
@@ -418,9 +413,6 @@ def regularize(
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
     if not isinstance(state, DensityMatrix):
         return DensityMatrix(mixed, dims)
-    out = DensityMatrix.__new__(DensityMatrix)
-    out._mat = hermitize(mixed)  # the bits validation stores
-    out._mat.setflags(write=False)
-    out._trace = real_trace(out._mat)
-    _check_unit_trace(out._trace)
-    return DensityMatrix(out, state.dims if dims is None else dims)
+    out = DensityMatrix._view(hermitize(mixed), dims=state.dims)  # the bits validation stores
+    _check_unit_trace(out.trace)
+    return DensityMatrix(out, dims)

@@ -2,8 +2,8 @@
 
 Each suite couples a sampler (rngs, dims, eps) -> instance with a runner
 (instance, tol, opts) -> result.  An instance is the keyword arguments of the
-suite's checker, so most runners only call checker(**instance, tol=tol);
-replay binds a loaded instance to those arguments first (bind_instance).
+suite's checker, which holds every rule that judges a trial, so a runner at most adapts
+arguments; replay binds a loaded instance to those arguments first (bind_instance).
 SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
 slack is only reported.  Instances hold only serializable values so any trial
 can be dumped and replayed.  Trial randomness is keyed as
@@ -44,9 +44,8 @@ import numpy as np
 
 from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
-from .entropy import relative_entropy
 from .errors import BadConfig, QelabError
-from .linalg import hermitize, kron, per_row, trace_norm
+from .linalg import hermitize, kron
 from .results import CheckResult, ExplorationReport
 from .serialize import serialize_instance
 from .states import (
@@ -55,18 +54,13 @@ from .states import (
     MarkovSpec,
     SubnormalizedOperator,
     gaussians,
-    markov_state,
     normalized_weights,
     random_density,
     regularize,
     wishart,
 )
-from .tolerances import DEFAULT_EPS, TOL_IDENTITY, TOL_INEQ
+from .tolerances import DEFAULT_EPS, TOL_INEQ
 
-# Thresholds for the exact-construction round trip (much tighter than the
-# generic inequality tolerance: these are identities up to float noise).
-MARKOV_CMI_TOL = 1e-10
-MARKOV_RESIDUAL_TOL = 1e-7
 # Block factors are regularized this hard so that the assembled state's
 # smallest eigenvalue stays orders of magnitude above the rank cutoff, which
 # keeps the matrix-log residuals at the 1e-9 level instead of drifting.
@@ -146,12 +140,14 @@ def _sample_pair_unital_channel(rngs, dims, eps):
 
 def _sample_overlap(rngs, dims, eps):
     inst = _sample_pair(rngs, dims, eps)
-    # Half the ensemble uses a strictly subnormalized reference mu * sigma; the other
-    # trials lack sigma_base and mu (None).
+    # Half the ensemble uses a strictly subnormalized reference mu * sigma, validated as one
+    # stack for the chunk; the other trials lack sigma_base and mu (None).
     mus = [float(rng.uniform(0.5, 1.0)) if rng.random() < 0.5 else None for rng in rngs]
+    at = [i for i, mu in enumerate(mus) if mu is not None]
+    scaled = SubnormalizedOperator(np.array([mus[i] for i in at]).reshape(-1, 1, 1)
+                                   * inst["sigma"].mat[at])
     bases = [inst["sigma"].row(i) for i in range(len(rngs))]
-    inst["sigma"] = [base if mu is None else SubnormalizedOperator(mu * base.mat)
-                     for base, mu in zip(bases, mus)]
+    inst["sigma"] = [scaled.row(at.index(i)) if i in at else base for i, base in enumerate(bases)]
     inst["sigma_base"] = [None if mu is None else base for base, mu in zip(bases, mus)]
     inst["mu"] = mus
     return inst
@@ -294,8 +290,8 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
     """The runner (inst, tol, opts) -> checker(**inst, <options set in opts>, tol=tol).
 
     A str names a function of checks, looked up at every call so that a rebound
-    checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The
-    runners below add something to their checker and take its keyword arguments.
+    checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The three
+    runners below only adapt arguments for their checker and take its keyword arguments.
     run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the
     runner returns that trial's result, and evaluates the whole chunk at the first row
     run: on its stacks, or, when a value is a list, by the groups of trials with one key
@@ -324,48 +320,11 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
     return run
 
 
-def _run_overlap(
-    rho: DensityMatrix,
-    sigma: SubnormalizedOperator,
-    tol: float,
-    sigma_base: DensityMatrix | None = None,
-    mu: float | None = None,
-) -> checks.Results:
-    results = checks.check_overlap_chain(rho, sigma, tol=tol)
-    if mu is None:
-        return results
-
-    def shifted(result: CheckResult, base: float, mu: float) -> CheckResult:
-        # The scaled reference obeys the exact shift rule
-        # S(rho || mu sigma) = S(rho || sigma) - log mu.
-        residual = abs(result.quantities["relative_entropy"] - (base - math.log(mu)))
-        result.quantities["scaling_residual"] = residual
-        result.extra_ok = bool(result.extra_ok and residual <= TOL_IDENTITY)
-        return result
-
-    return per_row(shifted, results, relative_entropy(rho, sigma_base), mu)
-
-
 def _run_bsw(
     rho: DensityMatrix, sigma: DensityMatrix, tau: DensityMatrix, omega: DensityMatrix, tol: float
 ) -> CheckResult:
     # An identity: judged at TOL_IDENTITY whatever --tol says.
     return checks.check_bsw_identity(rho, sigma, tau, omega)
-
-
-def _run_markov(
-    spec: MarkovSpec, tol: float, t_samples: Sequence[float] = checks.DEFAULT_T_SAMPLES
-) -> CheckResult:
-    state = markov_state(spec)
-    chars = checks.markov_characterizations(state, t_samples=t_samples)
-    quantities = dict(chars.quantities)
-    surrogate = checks.ssa_surrogate(state)
-    quantities["r_surrogate"] = trace_norm(state.mat - surrogate)
-    slacks = [MARKOV_CMI_TOL - quantities["cmi"]] + [
-        MARKOV_RESIDUAL_TOL - quantities[key]
-        for key in ("r_log", "r_petz", "r_recon_ab", "r_recon_bc", "r_surrogate")
-    ]
-    return CheckResult("markov-roundtrip", quantities, min(slacks), 0.0)
 
 
 def _run_sbw(
@@ -430,7 +389,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "overlap-chain",
             _sample_overlap,
-            _calls(_run_overlap),
+            _calls("check_overlap_chain"),
             "relative entropy >= root-overlap bound >= sqrt distances (Tr sigma <= 1)",
         ),
         Suite(
@@ -503,7 +462,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "markov-roundtrip",
             _sample_markov,
-            _calls(_run_markov, "t_samples"),
+            _calls("check_markov_roundtrip", "t_samples"),
             "constructed short-chain states satisfy every Markov signature",
             _TRIPARTITE,
         ),

@@ -182,6 +182,23 @@ def test_overlap_chain_random_and_scaled():
         assert check_overlap_chain(rho, scaled).passed
 
 
+def test_overlap_chain_asserts_the_shift_rule_of_a_scaled_reference():
+    from qelab.states import SubnormalizedOperator
+    from qelab.tolerances import TOL_IDENTITY
+
+    rho, base = _pair(4, 3)
+    scaled = SubnormalizedOperator(0.7 * base.mat)
+    result = check_overlap_chain(rho, scaled, sigma_base=base, mu=0.7)
+    shift = relative_entropy(rho, base) - np.log(0.7)
+    assert result.quantities["scaling_residual"] == abs(result.quantities["relative_entropy"] - shift)
+    assert result.quantities["scaling_residual"] <= TOL_IDENTITY and result.passed
+    assert "scaling_residual" not in check_overlap_chain(rho, scaled).quantities
+    # a weight that does not match the reference fails through extra_ok alone
+    wrong = check_overlap_chain(rho, scaled, sigma_base=base, mu=0.6)
+    assert wrong.quantities["scaling_residual"] == pytest.approx(np.log(0.7 / 0.6))
+    assert wrong.slack == result.slack and not wrong.extra_ok and not wrong.passed
+
+
 def test_overlap_chain_link_order():
     rho, sigma = _pair(4, 3)
     result = check_overlap_chain(rho, sigma)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qelab import checks, cli, suites
+from qelab.channels import random_channel
 from qelab.errors import SingularTerm
 from qelab.linalg import kron
 from qelab.serialize import serialize_instance, serialize_value
@@ -541,6 +542,21 @@ def test_replay_of_an_infinite_slack_is_a_failed_check(tmp_path, capsys):
     assert record["quantities"]["lhs"] == record["slack"] == float("inf")
     assert (code, record["pass"]) == (cli.EXIT_FAILED, False)
     assert err == "[super-ssa] slack=inf FAIL\n"
+
+
+def test_replay_of_a_nan_slack_is_a_typed_error(tmp_path, capsys):
+    # two rank-1 states regularized at eps = 1e-14 keep eigenvalues of 1.25e-15, under the
+    # rank cutoff, so before and after read +inf and the slack inf - inf is NaN
+    rng = np.random.default_rng([42, 7])
+    rho, sigma = (regularize(random_density(8, rng, rank=1), 1e-14) for _ in "rs")
+    instance = {"rho": rho, "sigma": sigma, "channel": random_channel(8, 2, rng)}
+    dump = {"checker": "monotonicity", "dims": [8], "seed": 0, "trial": 0, "tolerance": 1e-8,
+            "opts": {}, "instance": serialize_instance(instance)}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out, err = _main(["replay", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "error: NaN leaked into the result's slack\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -281,6 +281,16 @@ def test_trotter_suite_option_controls_orders():
     assert [k for k in result.quantities if k.startswith("t_")] == ["t_1", "t_2", "t_4"]
 
 
+def test_the_markov_roundtrip_checker_gives_the_suites_record():
+    suite = SUITES["markov-roundtrip"]
+    instance, result = run_trial(suite, (2, 2, 2), 42, 0, DEFAULT_EPS, TOL_INEQ)
+    assert _bits(checks.check_markov_roundtrip(instance["spec"])) == _bits(result)
+    q, residuals = result.quantities, ["r_log", "r_petz", "r_recon_ab", "r_recon_bc", "r_surrogate"]
+    assert result.passed and list(q) == ["cmi"] + residuals
+    assert result.slack == min([checks.MARKOV_CMI_TOL - q["cmi"]]
+                               + [checks.MARKOV_RESIDUAL_TOL - q[key] for key in residuals])
+
+
 def test_markov_suite_uses_custom_t_samples():
     rows = run_suite("markov-roundtrip", (2, 2, 2), 1, 21, opts={"t_samples": (0.5,)})
     _, instance, result = rows[0]
@@ -662,7 +672,8 @@ def test_an_overlap_chain_chunk_is_evaluated_by_key_set_with_each_trials_bits(sc
     stacks = []
     check = checks.check_overlap_chain
     monkeypatch.setattr(checks, "check_overlap_chain",
-                        lambda rho, sigma, tol: stacks.append(rho.mat.shape) or check(rho, sigma, tol))
+                        lambda rho, sigma, tol, **scaled: stacks.append(rho.mat.shape)
+                        or check(rho, sigma, tol, **scaled))
     rows = suites._run_chunk(suite, (2, 2, 2), seed, pick, DEFAULT_EPS, TOL_INEQ, {})
     # one stacked evaluation per key set, its rows in trial order
     assert sorted(stacks) == sorted((sum(with_mu[t] == m for t in pick), 8, 8)
