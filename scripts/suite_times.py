@@ -1,0 +1,95 @@
+"""Print each suite's in-process milliseconds per chunk for one or more qelab checkouts.
+
+    python scripts/suite_times.py --dims 2,2,2 --trials 5 --rounds 20
+    python scripts/suite_times.py --src /path/to/before/src --src src --rounds 30
+
+One chunk is one call of suites.iter_trials on a suite, at --dims and with --trials trials (a
+single chunk when --trials is at most the suite's chunk size).  Round r runs each of the 23
+suites once with seed FIRST_SEED + r, for each checkout in turn, so the checkouts alternate
+round by round and a drift of the machine's speed falls on all of them alike.  Each
+checkout's qelab is imported from its --src directory into this process, and its modules are
+kept apart from the other checkouts'.  One round runs first, untimed, to warm caches.  Each
+line gives a suite's min and median over the rounds, in ms, per checkout; the last line gives
+the same for the sum over the suites of one round.  BLAS runs on one thread unless the
+environment says otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import os
+import statistics
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+FIRST_SEED = 500  # seed of the first timed round
+
+
+def _load(src: str):
+    """The qelab.suites module of the checkout whose package lives in ``src``, imported apart
+    from any other checkout's: qelab's modules leave sys.modules again once it is loaded."""
+    def purge():
+        for name in [name for name in sys.modules if name == "qelab" or name.startswith("qelab.")]:
+            del sys.modules[name]
+
+    purge()
+    sys.path.insert(0, os.path.abspath(src))
+    try:
+        return importlib.import_module("qelab.suites")
+    finally:
+        sys.path.pop(0)
+        purge()
+
+
+def _chunk_ms(suites, name: str, dims: tuple[int, ...], trials: int, seed: int) -> float:
+    start = time.perf_counter()
+    for _ in suites.iter_trials(suites.SUITES[name], dims, trials, seed):
+        pass
+    return 1e3 * (time.perf_counter() - start)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", action="append",
+                        help="directory holding a qelab package; repeat to compare checkouts "
+                             "(default: this repo's src)")
+    parser.add_argument("--dims", default="2,2,2")
+    parser.add_argument("--trials", type=int, default=5)
+    parser.add_argument("--rounds", type=int, default=20)
+    args = parser.parse_args()
+    if args.trials < 1 or args.rounds < 1:
+        parser.error("--trials and --rounds must be at least 1")
+    dims = tuple(int(d) for d in args.dims.split(","))
+    checkouts = [_load(src) for src in args.src or [os.path.join(REPO, "src")]]
+    names = list(checkouts[0].SUITES)
+
+    times = [{name: [] for name in names} for _ in checkouts]
+    for r in range(-1, args.rounds):  # round -1 warms up and is not kept
+        for suites, kept in zip(checkouts, times):
+            for name in names:
+                ms = _chunk_ms(suites, name, dims, args.trials, FIRST_SEED + max(r, 0))
+                if r >= 0:
+                    kept[name].append(ms)
+
+    print(f"dims {args.dims}, {args.trials} trials per chunk, {args.rounds} rounds, "
+          f"seeds {FIRST_SEED}..{FIRST_SEED + args.rounds - 1}; ms per chunk, min / median")
+    for i, suites in enumerate(checkouts):
+        print(f"[{i}] {os.path.dirname(os.path.dirname(suites.__file__))}")
+    width = max(len(name) for name in names + ["total"])
+    print(" " * width + "".join(f"  {f'[{i}] min':>10} {f'[{i}] median':>10}"
+                                for i in range(len(checkouts))))
+    for kept in times:
+        kept["total"] = [sum(round_ms) for round_ms in zip(*(kept[n] for n in names))]
+    for name in names + ["total"]:
+        print(f"{name:<{width}}" + "".join(
+            f"  {min(kept[name]):10.3f} {statistics.median(kept[name]):10.3f}" for kept in times))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

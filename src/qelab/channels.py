@@ -36,9 +36,12 @@ from .linalg import (
     real_trace,
 )
 from .states import (
+    Decomposed,
     SubnormalizedOperator,
     _haar_q,
     as_drawn,
+    as_matrix,
+    as_spectrum,
     capped,
     gaussians,
     random_unitaries,
@@ -136,27 +139,26 @@ class PetzMap:
     For channel Phi and reference sigma this is
         X  |->  sigma^{1/2} Phi^*( Phi(sigma)^{-1/2} X Phi(sigma)^{-1/2} ) sigma^{1/2}.
     It always fixes the pushed-forward reference: apply(Phi(sigma)) = sigma.
-    A caller that holds Phi(sigma) already passes it as ``image``.
+    A caller that holds Phi(sigma) already passes it as ``image``, a matrix or a Decomposed.
     A singular Phi(sigma) is handled by mixing in PETZ_EPS of the maximally
     mixed state before the inverse square root (pseudo-inverse on the support
     alone would silently drop weight for inputs leaking off the support).
     """
 
-    def __init__(
-        self, channel: KrausChannel, sigma: SubnormalizedOperator, image: np.ndarray | None = None
-    ):
+    def __init__(self, channel: KrausChannel, sigma: SubnormalizedOperator,
+                 image: np.ndarray | Decomposed | None = None):
         if sigma.dim != channel.d_in:
             raise DimMismatch(
                 f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
             )
         image = channel.apply(sigma.mat) if image is None else image
-        tr = np.asarray(real_trace(image))
+        tr = np.asarray(real_trace(as_matrix(image)))
         if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")
-        vals, vecs = herm_eig(image)
+        vals, vecs = as_spectrum(image)
         singular = ~psd_support(vals)[..., 0]
         if np.any(singular):  # mixed rows take the spectrum of their mixture
-            d = image.shape[-1]
+            image, d = as_matrix(image), vals.shape[-1]
             image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr[..., None, None] / d) * np.eye(d)
             mixed_vals, mixed_vecs = herm_eig(image)
             vals = np.where(singular[..., None], mixed_vals, vals)

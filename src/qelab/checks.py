@@ -174,8 +174,8 @@ def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
     """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the channel Phi) for
-    operators or matrices rho and sigma: what the unital surrogate, every alpha-compression
-    and the relative entropy of the images share."""
+    operators or matrices rho and sigma: what the unital surrogate, every alpha-compression,
+    the relative entropy of the images and the Petz map share."""
     img_rho, img_sigma = (channel.apply(as_matrix(x)) for x in (rho, sigma))
     return (
         as_spectrum(sigma),
@@ -277,8 +277,12 @@ def check_overlap_chain(
 
     When the reference is normalized, the stronger quadratic lower bound
     S >= ||rho - sigma||_1^2 / 2 is asserted as well.  For sigma = mu sigma_base, the exact shift
-    rule S(rho||sigma) = S(rho||sigma_base) - log mu holds within TOL_IDENTITY (scaling_residual).
+    rule S(rho||sigma) = S(rho||sigma_base) - log mu holds within TOL_IDENTITY (scaling_residual);
+    sigma_base and mu come together or not at all (BadConfig naming the missing one).
     """
+    if (sigma_base is None) != (mu is None):
+        missing = "mu" if mu is None else "sigma_base"
+        raise BadConfig(f"overlap-chain needs sigma_base and mu together, {missing!r} is missing")
     links = [("relative_entropy", relative_entropy(rho, sigma))] + _root_links(rho, sigma)
     labels = [label for label, _ in links]
     base = None if mu is None else relative_entropy(rho, sigma_base)
@@ -918,9 +922,9 @@ def explore_stronger_mono(
     rho: DensityMatrix, sigma: DensityMatrix, channel: KrausChannel, tol: float = TOL_INEQ
 ) -> Results:
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
-    img_rho, img_sigma = channel.apply(rho.mat), channel.apply(sigma.mat)
+    _, img_rho, img_sigma, _ = _pushed(rho, sigma, channel)
     gap = relative_entropy(rho, sigma) - relative_entropy(img_rho, img_sigma)
-    recovered = PetzMap(channel, sigma, img_sigma).apply(img_rho)
+    recovered = PetzMap(channel, sigma, img_sigma).apply(img_rho.mat)
     dist = trace_norm(rho.mat - recovered)
     return _result("stronger-mono", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 

@@ -25,10 +25,9 @@ stack (_stacked: overlap-chain's) is evaluated on stacks, and the others one tri
 time.  The runner is still called once per trial, on its row of the chunk (a _ChunkRow):
 the first row's call evaluates the whole chunk and the others read their result, so a
 suite's run calls count its trials.  Each chunk holds up to CHUNK_TRIALS trials, fewer when
-the largest operator the sampler builds has dimension d > 16, so that one stacked operand
-stays within 128 KiB; the sampler's instance on no streams, which draws nothing, gives d.
-A chunk that raises a QelabError runs again one trial at a time; replay runs a dumped 2-D
-instance.
+the largest operator the sampler stacks has dimension d > 16, so that one stacked operand
+stays within 128 KiB; Suite.dim gives d from the dims, with no instance sampled.  A chunk
+that raises a QelabError runs again one trial at a time; replay runs a dumped 2-D instance.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ MARKOV_FACTOR_EPS = 3e-3
 TWIRL_SUITE_SAMPLES = 200
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
 # Trials sampled and evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
-# largest operator dimension among the states and channels the suite's sampler builds, so
+# largest operator dimension among the states and channels the suite's sampler stacks, so
 # that one stacked complex operand stays within states._CHUNK_ENTRIES (128 KiB):
 # all 32 trials up to d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks
 # gained under 2% on explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS
@@ -106,6 +105,10 @@ def _state(rngs, dims, eps) -> DensityMatrix:
 
 def _first_two(dims):
     return dims[:2]
+
+
+def _bipartite_dim(dims: Sequence[int]) -> int:
+    return _flat(_first_two(dims))
 
 
 def _one_part(dims):
@@ -359,13 +362,14 @@ _TRIPARTITE = (3, 3)
 
 @dataclass(frozen=True)
 class Suite:
-    """A named sampler and runner."""
+    """A named sampler and runner; dim(dims) is the largest operator the sampler stacks."""
 
     name: str
     sample: Callable
     run: Callable
     description: str
     parts: tuple[int, int | None] = (1, None)
+    dim: Callable[[Sequence[int]], int] = _flat
 
     def check_dims(self, dims: Sequence[int]) -> tuple[int, ...]:
         """``dims`` as a tuple of ints; BadConfig when the sampler cannot take them."""
@@ -416,6 +420,7 @@ SUITES: dict[str, Suite] = {
             _calls("check_ptrace_strengthening"),
             "refined monotonicity for the partial trace",
             _BIPARTITE,
+            dim=_bipartite_dim,
         ),
         Suite(
             "ssa",
@@ -465,6 +470,7 @@ SUITES: dict[str, Suite] = {
             _calls("check_markov_roundtrip", "t_samples"),
             "constructed short-chain states satisfy every Markov signature",
             _TRIPARTITE,
+            dim=lambda dims: 2 * max(dims[0], dims[2]),  # largest block factor: d_A dl or dr d_C
         ),
         Suite(
             "trotter-bound",
@@ -497,24 +503,28 @@ SUITES: dict[str, Suite] = {
             _sample_concavity("h", _rand_hermitian),
             _calls("check_lieb_concavity"),
             "concavity of X -> Tr exp(H + log X)",
+            dim=_appendix_dim,
         ),
         Suite(
             "carlen-lieb-concavity",
             _sample_concavity("m", lambda d, rngs: gaussians(rngs, (d, d)) / math.sqrt(d)),
             _calls("check_cl_concavity"),
             "concavity of X -> Tr (M X^(1/alpha) M+)^alpha for alpha >= 1",
+            dim=_appendix_dim,
         ),
         Suite(
             "golden-thompson",
             _sample_gt,
             _calls("check_golden_thompson"),
             "Tr e^(A+B) <= Tr e^A e^B",
+            dim=_appendix_dim,
         ),
         Suite(
             "audenaert-powers-stormer",
             _sample_audenaert,
             _calls("check_audenaert_ps"),
             "square-root norm chain and interpolated trace overlap bound",
+            dim=_appendix_dim,
         ),
         Suite(
             "squashed-proxy",
@@ -529,6 +539,7 @@ SUITES: dict[str, Suite] = {
             _calls(_run_twirl),
             "Monte Carlo twirl matches the closed form within the sampling bound",
             _BIPARTITE,
+            dim=_bipartite_dim,
         ),
     )
 }
@@ -548,6 +559,7 @@ EXPLORATIONS: dict[str, Suite] = {
             _calls("explore_ptrace_petz"),
             "the same comparison for the partial trace",
             _BIPARTITE,
+            dim=_bipartite_dim,
         ),
         Suite(
             "cmi-petz",
@@ -650,25 +662,15 @@ def run_trial(
     return instance, result
 
 
-def _chunk_size(suite: Suite, dims: Sequence[int], eps: float) -> int:
-    """CHUNK_TRIALS, capped for the largest operator (a state's or channel's dimension, an
-    array's last axis) of the suite's instance on no streams, which draws nothing; 1 when
-    that instance raises (its first trial then raises alone)."""
-    try:
-        instance = suite.sample([], dims, eps)
-    except QelabError:
-        return 1
-    d = max(1, *(v.shape[-1] if isinstance(v, np.ndarray) else
-                 max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
-                 for v in instance.values()))
-    return max(1, min(CHUNK_TRIALS, _CHUNK_ENTRIES // (d * d)))
+def _chunk_size(suite: Suite, dims: Sequence[int]) -> int:
+    """CHUNK_TRIALS, capped for the largest operator the suite's sampler stacks, suite.dim."""
+    return max(1, min(CHUNK_TRIALS, _CHUNK_ENTRIES // max(1, suite.dim(dims)) ** 2))
 
 
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
-    """The trials of a suite by chunks of _chunk_size.  A chunk in which a QelabError is
-    raised runs again one trial at a time, so the first failing trial raises as it does
-    alone."""
-    size = _chunk_size(suite, dims, eps) if trials > 1 else 1
+    """The trials of a suite by chunks of _chunk_size.  A chunk that raises a QelabError runs
+    again one trial at a time, so the first failing trial raises as it does alone."""
+    size = _chunk_size(suite, dims)
     for start in range(0, trials, size):
         chunk = range(start, min(start + size, trials))
         try:
@@ -737,9 +739,7 @@ def explore_conjecture(
     counterexample by the rule of candidate_counterexample.
     """
     if kind not in EXPLORATIONS:
-        raise BadConfig(
-            f"unknown exploration kind {kind!r}; choose from {sorted(EXPLORATIONS)}"
-        )
+        raise BadConfig(f"unknown exploration kind {kind!r}; choose from {sorted(EXPLORATIONS)}")
     runs = iter_trials(EXPLORATIONS[kind], dims, trials, seed, eps, tol)
     slacks = np.empty(trials)
     worst = (math.inf, -1, None)

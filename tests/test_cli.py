@@ -25,6 +25,7 @@ from qelab.states import (
     regularize,
 )
 from qelab.suites import SUITES, run_trial
+from qelab.tolerances import DEFAULT_EPS
 from test_suites import _flat_reference, _zero_channel, failing_at
 from helpers import random_tripartite
 
@@ -557,6 +558,23 @@ def test_replay_of_a_nan_slack_is_a_typed_error(tmp_path, capsys):
     code, out, err = _main(["replay", str(path)], capsys)
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err == "error: NaN leaked into the result's slack\n"
+
+
+@pytest.mark.parametrize("missing", ["mu", "sigma_base"])
+def test_replay_of_a_scaled_overlap_reference_needs_both_keys(missing, tmp_path, capsys):
+    # seed 42's overlap-chain trial 1 carries a scaled reference: without mu it would replay as
+    # a plain chain and pass, and without sigma_base the shift rule had no base to act on
+    instance, _ = run_trial(SUITES["overlap-chain"], (2, 2, 2), 42, 1, DEFAULT_EPS, 1e-8)
+    assert {"mu", "sigma_base"} <= set(instance)
+    blob = _drop(missing)(serialize_instance(instance))
+    dump = {"checker": "overlap-chain", "dims": [2, 2, 2], "seed": 42, "trial": 1,
+            "tolerance": 1e-8, "opts": {}, "instance": blob}
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code, out, err = _main(["replay", str(path)], capsys)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == ("config error: overlap-chain needs sigma_base and mu together, "
+                   f"'{missing}' is missing\n")
 
 
 @pytest.mark.parametrize("command", [

@@ -603,7 +603,46 @@ def test_an_appendix_chunk_evaluates_once_on_its_stacks(name, checker):
 ])
 def test_a_chunk_is_sized_by_the_raw_matrices_its_sampler_drew(name, dims, size):
     # the last axis of an array value counts as an operator dimension
-    assert suites._chunk_size(SUITES[name], dims, DEFAULT_EPS) == size
+    assert suites._chunk_size(SUITES[name], dims) == size
+
+
+def _probed_chunk_size(suite, dims):
+    """The chunk size read from the suite's instance on no streams, which draws nothing: the
+    largest operator (a state's or channel's dimension, an array's last axis) among its
+    values, 1 when that instance raises.  The reference for the rule of Suite.dim."""
+    try:
+        instance = suite.sample([], dims, DEFAULT_EPS)
+    except QelabError:
+        return 1
+    d = max(1, *(v.shape[-1] if isinstance(v, np.ndarray) else
+                 max(getattr(v, "dim", 1), getattr(v, "d_in", 1), getattr(v, "d_out", 1))
+                 for v in instance.values()))
+    return max(1, min(suites.CHUNK_TRIALS, states._CHUNK_ENTRIES // (d * d)))
+
+
+CHUNK_DIMS = [(2, 2, 2), (4, 4, 4), (2, 3, 2), (3, 2, 4), (3, 3, 3), (2, 2), (8, 8), (16, 16)]
+
+
+@pytest.mark.parametrize("name", list(SUITES) + list(EXPLORATIONS))
+def test_a_chunk_is_sized_from_the_dims_as_a_probe_instance_sizes_it(name):
+    suite = EXPLORATIONS.get(name) or SUITES[name]
+    sizes = []
+    for dims in CHUNK_DIMS:
+        try:
+            dims = suite.check_dims(dims)
+        except BadConfig:
+            continue
+        sizes.append((dims, suites._chunk_size(suite, dims), _probed_chunk_size(suite, dims)))
+    assert sizes and all(rule == probed for _, rule, probed in sizes), sizes
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4)])
+def test_markov_dim_is_the_largest_block_factor_its_sampler_draws(dims):
+    # a MarkovSpec's factors are d_a * dl and dr * d_c with dl, dr in {1, 2}; 40 trials reach 2
+    specs = SUITES["markov-roundtrip"].sample([trial_rng(0, "markov-roundtrip", t)
+                                               for t in range(40)], dims, DEFAULT_EPS)["spec"]
+    drawn = {f.dim for spec in specs for f in spec.ab_factors + spec.bc_factors}
+    assert max(drawn) == SUITES["markov-roundtrip"].dim(dims)
 
 
 @pytest.mark.parametrize("name, traces", [
@@ -634,6 +673,16 @@ def test_stronger_mono_pushes_each_state_through_the_channel_once():
         recovered = PetzMap(channel, inst["sigma"]).apply(channel.apply(rho.mat))
         dist = result.quantities["recovery_distance"]
         assert trace_norm(rho.mat - recovered).hex() == dist.hex()
+
+
+def test_stronger_mono_decomposes_each_operator_once(monkeypatch):
+    # rho, sigma and their two channel images, each one stacked eigh for the chunk of 7: the
+    # Petz map reads the image of sigma that the relative entropy of the images decomposed
+    real, taken = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: taken.append(
+        (np.shape(a), np.asarray(a).tobytes())) or real(a, *args, **kw))
+    assert len(list(iter_trials(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))) == 7
+    assert len(set(taken)) == len(taken) == 4
 
 
 def _spec_bits(spec):
