@@ -24,10 +24,12 @@ change that moves bits names the suites it moved:
   markov-roundtrip's 8 t-samples, which split for d > 32 (seed 42's 40 trials hold two at
   d = 36); the 4 alphas of renyi-monotone, dw-alpha, dw-tripartite and sbw-limit at 4,4,4,
   one point per block on a 2-trial chunk, with the exponents 0.5 and 2.0 (sbw-limit fails
-  on that grid and writes a worst dump); trotter-bound's 7 orders on 32-trial chunks, in
-  blocks of 4.  A lone trial at 4,4,4 (the last chunk of the 3-trial check) runs 2 points
+  on that grid and writes a worst dump); trotter-bound's 7 orders on its one 40-trial chunk,
+  in blocks of 3.  A lone trial at 4,4,4 (the last chunk of the 3-trial check) runs 2 points
   per block;
-* the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, seed 7;
+* the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, and with 300 trials at 2,2,2,
+  seed 7: 300 trials run as chunks of 128, 128 and 44, and as nine chunks of 32 and one of
+  12 under a trial cap of 32, so the lines also hold when the chunk size changes;
 * replay of that dump and of every exploration report (their stdout and stderr);
 * markov on a spec file and trotter on a state file, the one-state (2-D) paths of their
   checkers: the spec is markov-roundtrip's trial 0 at seed 42 and dims 2,2,2, the state a
@@ -62,7 +64,7 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
 CHECKS = (("2,2,2", 40), ("4,4,4", 3), ("2,2,2", 1))
-EXPLORE_DIMS = ("2,2,2", "4,4,4")
+EXPLORE_RUNS = (("2,2,2", 100), ("4,4,4", 100), ("2,2,2", 300))  # (dims, trials)
 TWIRL_SEEDS = (42, 43, 44)
 RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
                   ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
@@ -139,11 +141,12 @@ def main() -> int:
             written = [out] + [out + ".worst.json"] * ("sbw-limit" in suite)
             report(f"check grid {suite} {dims} trials {trials}", argv, written)
         for kind in EXPLORATIONS:
-            for dims in EXPLORE_DIMS:
-                out = os.path.join(tmp, f"{kind}-{dims}.json")
-                report(f"explore {kind} {dims}", ["explore", kind, "--dims", dims, "--trials",
-                                                  "100", "--seed", "7", "--out", out], [out])
-                report(f"replay {kind} {dims}", ["replay", out], [])
+            for dims, trials in EXPLORE_RUNS:
+                out = os.path.join(tmp, f"{kind}-{dims}-{trials}.json")
+                report(f"explore {kind} {dims} trials {trials}",
+                       ["explore", kind, "--dims", dims, "--trials", str(trials), "--seed", "7",
+                        "--out", out], [out])
+                report(f"replay {kind} {dims} trials {trials}", ["replay", out], [])
         rng = suites.trial_rng(42, "markov-roundtrip", 0)
         spec = suites._sample_markov([rng], (2, 2, 2), 1e-6)["spec"][0]
         state = states.regularize(states.DensityMatrix(

@@ -1,17 +1,20 @@
-"""Print each suite's in-process milliseconds per chunk for one or more qelab checkouts.
+"""Print each suite's and exploration's in-process milliseconds per call for qelab checkouts.
 
     python scripts/suite_times.py --dims 2,2,2 --trials 5 --rounds 20
+    python scripts/suite_times.py --dims 2,2,2 --trials 100 --rounds 20
     python scripts/suite_times.py --src /path/to/before/src --src src --rounds 30
 
-One chunk is one call of suites.iter_trials on a suite, at --dims and with --trials trials (a
-single chunk when --trials is at most the suite's chunk size).  Round r runs each of the 23
-suites once with seed FIRST_SEED + r, for each checkout in turn, so the checkouts alternate
-round by round and a drift of the machine's speed falls on all of them alike.  Each
-checkout's qelab is imported from its --src directory into this process, and its modules are
-kept apart from the other checkouts'.  One round runs first, untimed, to warm caches.  Each
-line gives a suite's min and median over the rounds, in ms, per checkout; the last line gives
-the same for the sum over the suites of one round.  BLAS runs on one thread unless the
-environment says otherwise.
+One call is one run of suites.iter_trials on a suite or exploration, at --dims and with
+--trials trials (a single chunk when --trials is at most its chunk size).  Round r runs each
+of the 23 suites and 4 explorations once with seed FIRST_SEED + r, for each checkout in turn,
+so the checkouts alternate round by round and a drift of the machine's speed falls on all of
+them alike.  With --trials 100 at 2,2,2 the explorations take the shape of perfbench's
+explore-d8 unit (100 trials per kind), without the CLI around it.  Each checkout's qelab is
+imported from its --src directory into this process, and its modules are kept apart from the
+other checkouts'.  One round runs first, untimed, to warm caches.  Each line gives a row's
+min and median over the rounds, in ms, per checkout; the "suites" and "explorations" lines
+give the same for the sum over the suites, and over the explorations, of one round.  BLAS
+runs on one thread unless the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -46,9 +49,10 @@ def _load(src: str):
         purge()
 
 
-def _chunk_ms(suites, name: str, dims: tuple[int, ...], trials: int, seed: int) -> float:
+def _call_ms(suites, name: str, dims: tuple[int, ...], trials: int, seed: int) -> float:
+    suite = suites.SUITES.get(name) or suites.EXPLORATIONS[name]
     start = time.perf_counter()
-    for _ in suites.iter_trials(suites.SUITES[name], dims, trials, seed):
+    for _ in suites.iter_trials(suite, dims, trials, seed):
         pass
     return 1e3 * (time.perf_counter() - start)
 
@@ -66,26 +70,28 @@ def main() -> int:
         parser.error("--trials and --rounds must be at least 1")
     dims = tuple(int(d) for d in args.dims.split(","))
     checkouts = [_load(src) for src in args.src or [os.path.join(REPO, "src")]]
-    names = list(checkouts[0].SUITES)
+    groups = {"suites": list(checkouts[0].SUITES), "explorations": list(checkouts[0].EXPLORATIONS)}
+    names = [name for group in groups.values() for name in group]
 
     times = [{name: [] for name in names} for _ in checkouts]
     for r in range(-1, args.rounds):  # round -1 warms up and is not kept
         for suites, kept in zip(checkouts, times):
             for name in names:
-                ms = _chunk_ms(suites, name, dims, args.trials, FIRST_SEED + max(r, 0))
+                ms = _call_ms(suites, name, dims, args.trials, FIRST_SEED + max(r, 0))
                 if r >= 0:
                     kept[name].append(ms)
 
-    print(f"dims {args.dims}, {args.trials} trials per chunk, {args.rounds} rounds, "
-          f"seeds {FIRST_SEED}..{FIRST_SEED + args.rounds - 1}; ms per chunk, min / median")
+    print(f"dims {args.dims}, {args.trials} trials per call, {args.rounds} rounds, "
+          f"seeds {FIRST_SEED}..{FIRST_SEED + args.rounds - 1}; ms per call, min / median")
     for i, suites in enumerate(checkouts):
         print(f"[{i}] {os.path.dirname(os.path.dirname(suites.__file__))}")
-    width = max(len(name) for name in names + ["total"])
+    width = max(len(name) for name in names + list(groups))
     print(" " * width + "".join(f"  {f'[{i}] min':>10} {f'[{i}] median':>10}"
                                 for i in range(len(checkouts))))
     for kept in times:
-        kept["total"] = [sum(round_ms) for round_ms in zip(*(kept[n] for n in names))]
-    for name in names + ["total"]:
+        for total, group in groups.items():
+            kept[total] = [sum(round_ms) for round_ms in zip(*(kept[n] for n in group))]
+    for name in names + list(groups):
         print(f"{name:<{width}}" + "".join(
             f"  {min(kept[name]):10.3f} {statistics.median(kept[name]):10.3f}" for kept in times))
     return 0

@@ -213,7 +213,7 @@ def _sqrt_chain(
     anchor_label: str,
     anchor: float,
     rho: SubnormalizedOperator | np.ndarray,
-    surrogate: np.ndarray,
+    surrogate: Decomposed | np.ndarray,
     tol: float,
     quantities: dict[str, float] | None = None,
     extra_ok=None,
@@ -222,7 +222,7 @@ def _sqrt_chain(
     to the trace bound Tr S <= 1 + tol."""
     links = [(anchor_label, anchor)] + _root_links(rho, surrogate)
     q = dict(quantities or {})
-    tr_srg = real_trace(surrogate)
+    tr_srg = real_trace(as_matrix(surrogate))
     q["trace_surrogate"] = tr_srg
     return chain(name, links, tol, q, (tr_srg <= 1.0 + tol) if extra_ok is None else extra_ok)
 
@@ -483,11 +483,11 @@ def check_three_state_chain(
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
     surrogate, dev = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
-    anchor = relative_entropy(rho, surrogate)
+    surrogate = Decomposed(surrogate, herm_eig(surrogate))
     return _sqrt_chain(
         "three-state-chain",
         "relent_to_surrogate",
-        anchor,
+        relative_entropy(rho, surrogate),
         rho,
         surrogate,
         tol,

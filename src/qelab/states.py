@@ -78,10 +78,10 @@ def as_drawn(rng: np.random.Generator | Sequence[np.random.Generator], value):
 def gaussians(rngs: Sequence[np.random.Generator], shape: tuple[int, int]) -> np.ndarray:
     """One complex Gaussian matrix of ``shape`` per stream, as an (n,) + shape stack: each
     stream draws its real plane, then its imaginary plane."""
-    out = np.empty((len(rngs),) + shape, dtype=complex)
-    for row, rng in zip(out, rngs):
-        row.real = rng.standard_normal(shape)
-        row.imag = rng.standard_normal(shape)
+    planes, out = np.empty((len(rngs), 2) + shape), np.empty((len(rngs),) + shape, complex)
+    for row, rng in zip(planes, rngs):
+        rng.standard_normal(out=row)
+    out.real, out.imag = planes.swapaxes(0, 1)
     return out
 
 

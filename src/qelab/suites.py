@@ -24,10 +24,11 @@ that holds a list is split by the key sets of its trials' instances; a group who
 stack (_stacked: overlap-chain's) is evaluated on stacks, and the others one trial at a
 time.  The runner is still called once per trial, on its row of the chunk (a _ChunkRow):
 the first row's call evaluates the whole chunk and the others read their result, so a
-suite's run calls count its trials.  Each chunk holds up to CHUNK_TRIALS trials, fewer when
-the largest operator the sampler stacks has dimension d > 16, so that one stacked operand
-stays within 128 KiB; Suite.dim gives d from the dims, with no instance sampled.  A chunk
-that raises a QelabError runs again one trial at a time; replay runs a dumped 2-D instance.
+suite's run calls count its trials.  A chunk holds up to CHUNK_TRIALS = 128 trials, and
+8192 // d^2 (32 at d = 16, 8 at 32, 2 at 64) when the largest operator the sampler stacks
+has dimension d > 8, so that one stacked operand stays within 128 KiB; Suite.dim gives d
+from the dims.  A chunk that raises a QelabError runs again one trial at a time; replay runs
+a dumped 2-D instance.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .states import (
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
+    capped,
     gaussians,
     normalized_weights,
     random_density,
@@ -69,12 +71,12 @@ MARKOV_FACTOR_EPS = 3e-3
 TWIRL_SUITE_SAMPLES = 200
 HISTOGRAM_BINS = 20  # bins of an exploration report's slack histogram
 # Trials sampled and evaluated as one (n, d, d) stack.  The chunk shrinks with d, the
-# largest operator dimension among the states and channels the suite's sampler stacks, so
-# that one stacked complex operand stays within states._CHUNK_ENTRIES (128 KiB):
-# all 32 trials up to d = 16, 8 at d = 32, 2 at d = 64, one from d = 65.  Larger chunks
-# gained under 2% on explore-d8; at d = 64, 32 trials doubled stronger-mono's peak RSS
-# for no throughput.
-CHUNK_TRIALS = 32
+# largest operator the suite's sampler stacks, so that one stacked complex operand stays
+# within states._CHUNK_ENTRIES (128 KiB): 128 trials up to d = 8, then 8192 // d^2 (32 at
+# d = 16, 8 at 32, 2 at 64).  At 128 a 100-trial exploration at 2,2,2 is one stack
+# (explore-d8: 6,394 trials/s, 4,920 with a cap of 32); with no trial cap, cmi-petz at
+# 2,1,1 takes 2,048-trial chunks whose per-trial objects outweigh their operands (+12% RSS).
+CHUNK_TRIALS = 128
 
 
 def _flat(dims: Sequence[int]) -> int:
@@ -188,7 +190,7 @@ def _sample_three_state(rngs, dims, eps):
 def _sample_markov(rngs, dims, eps):
     """One MarkovSpec per stream, drawn as the stream alone draws it: the block count, the
     weights, then per block dl, dr and the AB then BC factor's real then imaginary plane.  The
-    specs do not stack, but the chunk's factors of one dimension are formed as one stack."""
+    specs do not stack, but the chunk's factors of one dimension are formed as capped stacks."""
     d_a, d_c = dims[0], dims[2]
     planes: dict[int, list] = {}  # factor dimension -> the chunk's Gaussian matrices of it
     drawn = []  # per stream: its weights, and (dimension, index) of its factors AB, BC, AB, ...
@@ -201,8 +203,10 @@ def _sample_markov(rngs, dims, eps):
             for d in (d_a * dl, dr * d_c):
                 planes.setdefault(d, []).append(gaussians([rng], (d, d))[0])
                 drawn[-1][1].append((d, len(planes[d]) - 1))
-    stacks = {d: regularize(wishart(np.stack(g)), MARKOV_FACTOR_EPS) for d, g in planes.items()}
-    factors = [[stacks[d].row(i) for d, i in at] for _, at in drawn]
+    stacks = {d: [regularize(wishart(np.stack(block)), MARKOV_FACTOR_EPS)
+                  for block in capped(g, d * d)] for d, g in planes.items()}
+    rows = {d: [s.row(i) for s in ss for i in range(len(s.mat))] for d, ss in stacks.items()}
+    factors = [[rows[d][i] for d, i in at] for _, at in drawn]
     return {"spec": [MarkovSpec(d_a, d_c, weights, tuple(f[0::2]), tuple(f[1::2]))
                      for (weights, _), f in zip(drawn, factors)]}
 

@@ -541,13 +541,15 @@ def test_a_bad_draw_inside_a_chunk_raises_as_its_trial_alone(
     assert (error, alone, (min(chunk, 9),)) in drawn
 
 
-@pytest.mark.parametrize("name, registry, trials, chunks", [
-    ("ptrace-petz", EXPLORATIONS, 40, [32, 8]),
-    ("stronger-monotonicity", SUITES, 3, [2, 1]),
+@pytest.mark.parametrize("name, registry, trials, chunks, dims", [
+    ("ptrace-petz", EXPLORATIONS, 40, [32, 8], (4, 4, 4)),
+    ("stronger-monotonicity", SUITES, 3, [2, 1], (4, 4, 4)),
+    ("stronger-mono", EXPLORATIONS, 100, [100], (2, 2, 2)),
 ])
-def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, trials, chunks):
+def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, trials, chunks, dims):
     # at dims 4,4,4 ptrace-petz's states act on the first two subsystems (16 x 16), and
     # stronger-monotonicity's on all three (64 x 64): 128 KiB holds 32 and 2 such operands.
+    # At 2,2,2 it holds 128 operands of 8 x 8, so a 100-trial exploration is one chunk.
     # The runner is called once per trial, on its row of its chunk's stacks.
     seen = []
 
@@ -556,7 +558,7 @@ def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, tri
         seen.append(n)
 
     suite = dataclasses.replace(registry[name], run=run)
-    assert len(list(iter_trials(suite, (4, 4, 4), trials, 0))) == trials
+    assert len(list(iter_trials(suite, dims, trials, 0))) == trials
     assert seen == [size for size in chunks for _ in range(size)]
 
 
@@ -598,8 +600,8 @@ def test_an_appendix_chunk_evaluates_once_on_its_stacks(name, checker):
 @pytest.mark.parametrize("name, dims, size", [
     ("twirl-identity", (16, 16), 1),  # x is 256 x 256
     ("twirl-identity", (8, 8), 2),
-    ("twirl-identity", (2, 2, 2), 32),
-    ("golden-thompson", (2, 2, 2), 32),  # a and b are 6 x 6
+    ("twirl-identity", (2, 2, 2), 128),
+    ("golden-thompson", (2, 2, 2), 128),  # a and b are 6 x 6
 ])
 def test_a_chunk_is_sized_by_the_raw_matrices_its_sampler_drew(name, dims, size):
     # the last axis of an array value counts as an operator dimension
@@ -634,6 +636,43 @@ def test_a_chunk_is_sized_from_the_dims_as_a_probe_instance_sizes_it(name):
             continue
         sizes.append((dims, suites._chunk_size(suite, dims), _probed_chunk_size(suite, dims)))
     assert sizes and all(rule == probed for _, rule, probed in sizes), sizes
+
+
+def _stacked_operands(value):
+    """The arrays an instance value stacks: an operator's matrix (for a row, the stack it is
+    a view of), each Kraus operator of a channel, an array, and those of a list's items and
+    of a MarkovSpec's block factors."""
+    if isinstance(value, states.SubnormalizedOperator):
+        yield value.mat if value.mat.ndim > 2 or value.mat.base is None else value.mat.base
+    elif isinstance(value, KrausChannel):
+        yield from value.kraus
+    elif isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, states.MarkovSpec)):
+        items = value if isinstance(value, list) else value.ab_factors + value.bc_factors
+        for item in items:
+            yield from _stacked_operands(item)
+
+
+@pytest.mark.parametrize("name", list(SUITES) + list(EXPLORATIONS))
+def test_a_full_chunk_keeps_each_stacked_operand_within_the_entry_cap(name):
+    # a chunk of several trials holds no stacked operand of more than _CHUNK_ENTRIES entries
+    # (128 KiB), a Kraus stack counted per operator; a chunk of one is a lone trial, whose
+    # operator may be larger
+    suite = EXPLORATIONS.get(name) or SUITES[name]
+    sizes = []
+    for dims in CHUNK_DIMS:
+        try:
+            dims = suite.check_dims(dims)
+        except BadConfig:
+            continue
+        n = suites._chunk_size(suite, dims)
+        if n > 1:
+            rngs = [trial_rng(0, name, trial) for trial in range(n)]
+            instance = suite.sample(rngs, dims, DEFAULT_EPS)
+            sizes.append((dims, n, max(a.size for v in instance.values()
+                                       for a in _stacked_operands(v))))
+    assert sizes and all(size <= states._CHUNK_ENTRIES for _, _, size in sizes), sizes
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (3, 2, 4)])
@@ -682,6 +721,16 @@ def test_stronger_mono_decomposes_each_operator_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: taken.append(
         (np.shape(a), np.asarray(a).tobytes())) or real(a, *args, **kw))
     assert len(list(iter_trials(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))) == 7
+    assert len(set(taken)) == len(taken) == 4
+
+
+def test_three_state_chain_decomposes_its_surrogate_once(monkeypatch):
+    # one stacked eigh per operator of the chunk of 5: the embedded log terms, the exponent,
+    # the surrogate and rho; the surrogate's relative entropy and root links share its one
+    real, taken = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: taken.append(
+        (np.shape(a), np.asarray(a).tobytes())) or real(a, *args, **kw))
+    assert len(list(iter_trials(SUITES["three-state-chain"], (2, 2, 2), 5, 3))) == 5
     assert len(set(taken)) == len(taken) == 4
 
 
