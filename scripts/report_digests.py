@@ -31,6 +31,9 @@ change that moves bits names the suites it moved:
   seed 7: 300 trials run as chunks of 128, 128 and 44, and as nine chunks of 32 and one of
   12 under a trial cap of 32, so the lines also hold when the chunk size changes;
 * replay of that dump and of every exploration report (their stdout and stderr);
+* check --suite all at dims 2,2,2 with 3 trials, and the 4 explorations with 100 trials at
+  2,2,2, at seeds 2^32 and 2^64 (WIDE_SEEDS), whose keys hold two and three words for the
+  seed where the other lines' hold one;
 * markov on a spec file and trotter on a state file, the one-state (2-D) paths of their
   checkers: the spec is markov-roundtrip's trial 0 at seed 42 and dims 2,2,2, the state a
   regularized random_density on dims (2, 3, 2) from default_rng([42, 3]), both written
@@ -66,6 +69,7 @@ EXPLORATIONS = ("stronger-mono", "ptrace-petz", "cmi-petz", "trotter-monotone")
 CHECKS = (("2,2,2", 40), ("4,4,4", 3), ("2,2,2", 1))
 EXPLORE_RUNS = (("2,2,2", 100), ("4,4,4", 100), ("2,2,2", 300))  # (dims, trials)
 TWIRL_SEEDS = (42, 43, 44)
+WIDE_SEEDS = (2**32, 2**64)  # seeds of two and three uint32 words
 RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
                   ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
 SAMPLED_DUMPS = (("overlap-chain", True), ("overlap-chain", False), ("markov-roundtrip", None))
@@ -147,6 +151,16 @@ def main() -> int:
                        ["explore", kind, "--dims", dims, "--trials", str(trials), "--seed", "7",
                         "--out", out], [out])
                 report(f"replay {kind} {dims} trials {trials}", ["replay", out], [])
+        for seed in WIDE_SEEDS:
+            out = os.path.join(tmp, f"check-seed-{seed}.json")
+            report(f"check 2,2,2 trials 3 seed {seed}",
+                   ["check", "--suite", "all", "--dims", "2,2,2", "--trials", "3",
+                    "--seed", str(seed), "--out", out], [out])
+            for kind in EXPLORATIONS:
+                out = os.path.join(tmp, f"{kind}-seed-{seed}.json")
+                report(f"explore {kind} 2,2,2 trials 100 seed {seed}",
+                       ["explore", kind, "--dims", "2,2,2", "--trials", "100",
+                        "--seed", str(seed), "--out", out], [out])
         rng = suites.trial_rng(42, "markov-roundtrip", 0)
         spec = suites._sample_markov([rng], (2, 2, 2), 1e-6)["spec"][0]
         state = states.regularize(states.DensityMatrix(

@@ -4,17 +4,20 @@
     python scripts/suite_times.py --dims 2,2,2 --trials 100 --rounds 20
     python scripts/suite_times.py --src /path/to/before/src --src src --rounds 30
 
-One call is one run of suites.iter_trials on a suite or exploration, at --dims and with
---trials trials (a single chunk when --trials is at most its chunk size).  Round r runs each
-of the 23 suites and 4 explorations once with seed FIRST_SEED + r, for each checkout in turn,
-so the checkouts alternate round by round and a drift of the machine's speed falls on all of
-them alike.  With --trials 100 at 2,2,2 the explorations take the shape of perfbench's
-explore-d8 unit (100 trials per kind), without the CLI around it.  Each checkout's qelab is
-imported from its --src directory into this process, and its modules are kept apart from the
-other checkouts'.  One round runs first, untimed, to warm caches.  Each line gives a row's
-min and median over the rounds, in ms, per checkout; the "suites" and "explorations" lines
-give the same for the sum over the suites, and over the explorations, of one round.  BLAS
-runs on one thread unless the environment says otherwise.
+One call runs one suite or exploration at --dims with --trials trials (a single chunk when
+--trials is at most its chunk size): a suite through suites.iter_trials, an exploration
+through suites.explore_conjecture, the path that `qelab explore` runs, report included.  Only
+the rows whose check_dims accepts --dims are timed; the others are named on a "skipped" line
+(at 2,2 the tripartite rows, for instance).  Round r runs each timed row once with seed
+FIRST_SEED + r, for each checkout in turn, so the checkouts alternate round by round and a
+drift of the machine's speed falls on all of them alike.  With --trials 100 at 2,2,2 the
+explorations take the shape of perfbench's explore-d8 unit (100 trials per kind), without the
+CLI around it.  Each checkout's qelab is imported from its --src directory into this process,
+and its modules are kept apart from the other checkouts'.  One round runs first, untimed, to
+warm caches.  Each line gives a row's min and median over the rounds, in ms, per checkout; the
+"suites" and "explorations" lines give the same for the sum over the timed suites, and over
+the timed explorations, of one round.  BLAS runs on one thread unless the environment says
+otherwise.
 """
 
 from __future__ import annotations
@@ -50,11 +53,21 @@ def _load(src: str):
 
 
 def _call_ms(suites, name: str, dims: tuple[int, ...], trials: int, seed: int) -> float:
-    suite = suites.SUITES.get(name) or suites.EXPLORATIONS[name]
     start = time.perf_counter()
-    for _ in suites.iter_trials(suite, dims, trials, seed):
-        pass
+    if name in suites.EXPLORATIONS:
+        suites.explore_conjecture(name, trials, dims, seed)
+    else:
+        for _ in suites.iter_trials(suites.SUITES[name], dims, trials, seed):
+            pass
     return 1e3 * (time.perf_counter() - start)
+
+
+def _accepts(suites, suite, dims: tuple[int, ...]) -> bool:
+    try:
+        suite.check_dims(dims)
+    except suites.BadConfig:
+        return False
+    return True
 
 
 def main() -> int:
@@ -70,7 +83,12 @@ def main() -> int:
         parser.error("--trials and --rounds must be at least 1")
     dims = tuple(int(d) for d in args.dims.split(","))
     checkouts = [_load(src) for src in args.src or [os.path.join(REPO, "src")]]
-    groups = {"suites": list(checkouts[0].SUITES), "explorations": list(checkouts[0].EXPLORATIONS)}
+    registries = {"suites": checkouts[0].SUITES, "explorations": checkouts[0].EXPLORATIONS}
+    skipped = [name for registry in registries.values() for name, suite in registry.items()
+               if not _accepts(checkouts[0], suite, dims)]
+    groups = {total: [name for name in registry if name not in skipped]
+              for total, registry in registries.items()}
+    groups = {total: group for total, group in groups.items() if group}
     names = [name for group in groups.values() for name in group]
 
     times = [{name: [] for name in names} for _ in checkouts]
@@ -85,6 +103,8 @@ def main() -> int:
           f"seeds {FIRST_SEED}..{FIRST_SEED + args.rounds - 1}; ms per call, min / median")
     for i, suites in enumerate(checkouts):
         print(f"[{i}] {os.path.dirname(os.path.dirname(suites.__file__))}")
+    if skipped:
+        print(f"skipped, their dims do not fit {args.dims}: {', '.join(skipped)}")
     width = max(len(name) for name in names + list(groups))
     print(" " * width + "".join(f"  {f'[{i}] min':>10} {f'[{i}] median':>10}"
                                 for i in range(len(checkouts))))

@@ -36,7 +36,7 @@ from .suites import (
     bind_instance,
     candidate_counterexample,
     explore_conjecture,
-    iter_trials,
+    iter_results,
     run_suite,
 )
 from .tolerances import DEFAULT_EPS, TOL_INEQ
@@ -172,15 +172,17 @@ def cmd_check(args) -> int:
     opts = _suite_opts(args)
     # Every suite's trial stream is built, and so checked, before any trial runs.
     runs = [
-        (name, iter_trials(SUITES[name], dims, args.trials, seed, eps, tol, opts))
+        (name, iter_results(SUITES[name], dims, args.trials, seed, eps, tol, opts))
         for name in names
     ]
 
     records: list[dict] = []
-    worst = None  # (slack, checker, trial, instance, tolerance)
+    worst = None  # (slack, checker, trial, instance, tolerance); instance() gives the row
     all_pass = True
     for name, trials in runs:
-        triples = list(trials)
+        # a passing trial's instance is never written: drop it, and the chunk it holds
+        triples = [(trial, None if result.passed else instance, result)
+                   for trial, instance, result in trials]
         min_slack = min(result.slack for _, _, result in triples)
         ok = all(result.passed for _, _, result in triples)
         all_pass = all_pass and ok
@@ -194,7 +196,7 @@ def cmd_check(args) -> int:
     if not all_pass and worst is not None:
         path = (args.out + ".worst.json") if args.out else "qelab-worst.json"
         dump = {"checker": worst[1], "dims": list(dims), "seed": seed, "trial": worst[2],
-                "tolerance": worst[4], "opts": opts, "instance": serialize_instance(worst[3])}
+                "tolerance": worst[4], "opts": opts, "instance": serialize_instance(worst[3]())}
         _write_report(dump, "json", path)
         _say(f"worst failing instance written to {path}")
         return EXIT_FAILED

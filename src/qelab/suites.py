@@ -6,19 +6,20 @@ suite's checker, which holds every rule that judges a trial, so a runner at most
 arguments; replay binds a loaded instance to those arguments first (bind_instance).
 SUITES holds the asserted checks, EXPLORATIONS the open inequalities whose
 slack is only reported.  Instances hold only serializable values so any trial
-can be dumped and replayed.  Trial randomness is keyed as
-default_rng([seed, suite_index, trial]); results are therefore reproducible
-from (seed, config) alone, independent of execution order.
+can be dumped and replayed.  Trial randomness is keyed as default_rng([seed, suite_index,
+trial]), and trial_rngs seeds a chunk's streams in one pass; results are therefore
+reproducible from (seed, config) alone, independent of execution order.
 
-One loop, iter_trials, runs every suite in chunks, and a trial alone (run_trial) is the
-chunk of one.  A sampler takes the chunk's list of trial_rng streams and returns each
+One loop, iter_results, runs every suite in chunks, and a trial alone (run_trial) is the
+chunk of one.  A sampler takes the chunk's list of trial_rngs streams and returns each
 instance value with one row per trial, row i drawn from trial i's stream as that trial
 alone draws it: an (n, d, d) stack (a DensityMatrix, SubnormalizedOperator or
 KrausChannel over stacks, validated once for the chunk), an (n, ...) array, or a list for
 a value with no stack (markov-roundtrip's MarkovSpec, whose block factors are drawn as
 stacks by dimension; twirl-identity's ints and Monte Carlo seed; overlap-chain's
 reference, with a None where a trial lacks sigma_base and mu).  The instance of trial i
-is row i of each value (_instance_row).  A chunk whose values all stack is evaluated once,
+is row i of each value (_instance_row), built only when asked for: iter_trials builds
+each, a report only the one it writes.  A chunk whose values all stack is evaluated once,
 on the stacks, which gives each row's result with the bits of that trial alone.  A chunk
 that holds a list is split by the key sets of its trials' instances; a group whose values
 stack (_stacked: overlap-chain's) is evaluated on stacks, and the others one trial at a
@@ -27,12 +28,13 @@ the first row's call evaluates the whole chunk and the others read their result,
 suite's run calls count its trials.  A chunk holds up to CHUNK_TRIALS = 128 trials, and
 8192 // d^2 (32 at d = 16, 8 at 32, 2 at 64) when the largest operator the sampler stacks
 has dimension d > 8, so that one stacked operand stays within 128 KiB; Suite.dim gives d
-from the dims.  A chunk that raises a QelabError runs again one trial at a time; replay runs
-a dumped 2-D instance.
+from the dims.  A chunk that raises a QelabError runs again as chunks of one trial; replay
+runs a dumped 2-D instance.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 import types
@@ -625,45 +627,69 @@ def bind_instance(suite: Suite, instance: dict, opts: dict) -> None:
             )
 
 
+# SeedSequence.generate_state's hash constants (numpy's bit_generator.pyx): word k of a PCG64
+# state mixes pool word k % 4 with INIT_B * MULT_B**k and INIT_B * MULT_B**(k + 1), mod 2**32.
+_HASH = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9)]
+_XOR, _MUL = (np.array(h, dtype=np.uint32).reshape(2, 4) for h in (_HASH[:8], _HASH[1:]))
+
+
+class _State(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's PCG64 state, computed ahead, and the key it came from (entropy)."""
+
+    def __init__(self, state: np.ndarray, entropy: list[int]):
+        self.state, self.entropy = state, entropy
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of an int: 32-bit little-endian, [0] for 0."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    return [n >> shift & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def trial_rngs(seed: int, suite_name: str, trials: Sequence[int]) -> list[np.random.Generator]:
+    """default_rng([seed, SUITE_INDEX[suite_name], trial]) for each trial, bit for bit.  numpy
+    mixes each key's words into its SeedSequence pool; the 8 hash rounds of generate_state(4,
+    uint64) then run for all pools at once, in uint32 arrays, which wrap without a warning."""
+    key = [seed, SUITE_INDEX[suite_name]]
+    head = _words(seed) + _words(key[1])
+    pools = np.array([np.random.SeedSequence(np.array(head + _words(trial), dtype=np.uint32)).pool
+                      for trial in trials])
+    mixed = (pools[:, None] ^ _XOR) * _MUL
+    states = (mixed ^ mixed >> 16).reshape(-1, 8).astype("<u4", copy=False).view("<u8")
+    return [np.random.Generator(np.random.PCG64(_State(state, key + [trial])))
+            for state, trial in zip(states.astype(np.uint64, copy=False), trials)]
+
+
 def trial_rng(seed: int, suite_name: str, trial: int) -> np.random.Generator:
-    """default_rng([seed, SUITE_INDEX[suite_name], trial]), seeded from the uint32 words that
-    SeedSequence makes of that key: each int's 32-bit little-endian words, [0] for zero."""
-    words = []
-    for n in (seed, SUITE_INDEX[suite_name], trial):
-        if n < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(n & 0xFFFFFFFF)
-        while n := n >> 32:
-            words.append(n & 0xFFFFFFFF)
-    return np.random.default_rng(np.array(words, dtype=np.uint32))
+    """trial_rngs of one trial: default_rng([seed, SUITE_INDEX[suite_name], trial])."""
+    return trial_rngs(seed, suite_name, [trial])[0]
 
 
-def _run_chunk(suite: Suite, dims, seed: int, chunk: Sequence[int], eps, tol, opts) -> list:
-    """(trial, instance, result) for each trial of a chunk, sampled from the trials' own
-    streams; the runner is called once per trial, on its row (a _ChunkRow)."""
-    instance = suite.sample([trial_rng(seed, suite.name, trial) for trial in chunk], dims, eps)
-    shared: list = []
-    results = [suite.run(_ChunkRow(instance, row, shared), tol, opts) for row in range(len(chunk))]
-    return [(trial, _instance_row(instance, row), result)
-            for row, (trial, result) in enumerate(zip(chunk, results))]
+def _run_chunk(suite: Suite, dims, seed: int, chunk: Sequence[int], eps, tol, opts) -> tuple:
+    """(chunk, instance, results): the chunk's instance, sampled from its trials' own streams,
+    and one result per trial; the runner is called once per trial, on its row (a _ChunkRow).
+    A QelabError raised in a chunk of one gains the suite name and trial in its message."""
+    try:
+        instance = suite.sample(trial_rngs(seed, suite.name, chunk), dims, eps)
+        shared: list = []
+        return chunk, instance, [suite.run(_ChunkRow(instance, row, shared), tol, opts)
+                                 for row in range(len(chunk))]
+    except QelabError as exc:
+        if len(chunk) > 1:
+            raise
+        raise type(exc)(f"{suite.name} trial {chunk[0]}: {exc}") from exc
 
 
-def run_trial(
-    suite: Suite,
-    dims: Sequence[int],
-    seed: int,
-    trial: int,
-    eps: float,
-    tol: float,
-    opts: dict | None = None,
-):
+def run_trial(suite: Suite, dims: Sequence[int], seed: int, trial: int, eps: float, tol: float,
+              opts: dict | None = None):
     """One seeded trial, the chunk of one; returns (instance, result).  A QelabError
     raised in it keeps its class and gains the suite name and trial in its message."""
-    try:
-        [(_, instance, result)] = _run_chunk(suite, dims, seed, [trial], eps, tol, opts or {})
-    except QelabError as exc:
-        raise type(exc)(f"{suite.name} trial {trial}: {exc}") from exc
-    return instance, result
+    _, instance, [result] = _run_chunk(suite, dims, seed, [trial], eps, tol, opts or {})
+    return _instance_row(instance, 0), result
 
 
 def _chunk_size(suite: Suite, dims: Sequence[int]) -> int:
@@ -672,37 +698,39 @@ def _chunk_size(suite: Suite, dims: Sequence[int]) -> int:
 
 
 def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
-    """The trials of a suite by chunks of _chunk_size.  A chunk that raises a QelabError runs
-    again one trial at a time, so the first failing trial raises as it does alone."""
+    """The trials of a suite by chunks of _chunk_size, as _run_chunk's (chunk, instance, results).
+    A chunk that raises a QelabError runs again as chunks of one, which raise as trials alone."""
     size = _chunk_size(suite, dims)
     for start in range(0, trials, size):
         chunk = range(start, min(start + size, trials))
         try:
-            rows = _run_chunk(suite, dims, seed, chunk, eps, tol, opts) if len(chunk) > 1 else []
+            runs = [_run_chunk(suite, dims, seed, chunk, eps, tol, opts)] if len(chunk) > 1 else []
         except QelabError:
-            rows = []
-        yield from rows or ((trial, *run_trial(suite, dims, seed, trial, eps, tol, opts))
-                            for trial in chunk)
+            runs = []
+        yield from runs or (_run_chunk(suite, dims, seed, [t], eps, tol, opts) for t in chunk)
 
 
-def iter_trials(
-    suite: Suite,
-    dims: Sequence[int],
-    trials: int,
-    seed: int,
-    eps: float = DEFAULT_EPS,
-    tol: float = TOL_INEQ,
-    opts: dict | None = None,
-) -> Iterator[tuple[int, dict, CheckResult]]:
-    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result), from chunks
-    with the bits of run_trial.
-
-    The trial count and dims are checked at the call, before any trial runs.
-    """
+def iter_results(suite: Suite, dims: Sequence[int], trials: int, seed: int,
+                 eps: float = DEFAULT_EPS, tol: float = TOL_INEQ,
+                 opts: dict | None = None) -> Iterator[tuple[int, Callable[[], dict], CheckResult]]:
+    """iter_trials with each instance left to build: (trial, instance, result), where instance()
+    returns the trial's instance, so that a report builds only the row it writes."""
     if trials < 1:
         raise BadConfig(f"need at least one trial, got {trials}")
-    dims = suite.check_dims(dims)
-    return _chunked_trials(suite, dims, trials, seed, eps, tol, opts or {})
+    steps = _chunked_trials(suite, suite.check_dims(dims), trials, seed, eps, tol, opts or {})
+    return ((trial, functools.partial(_instance_row, instance, row), result)
+            for chunk, instance, results in steps
+            for row, (trial, result) in enumerate(zip(chunk, results)))
+
+
+def iter_trials(suite: Suite, dims: Sequence[int], trials: int, seed: int,
+                eps: float = DEFAULT_EPS, tol: float = TOL_INEQ,
+                opts: dict | None = None) -> Iterator[tuple[int, dict, CheckResult]]:
+    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result), from chunks
+    with the bits of run_trial.  The trial count and dims are checked at the call, before any
+    trial runs."""
+    runs = iter_results(suite, dims, trials, seed, eps, tol, opts)
+    return ((trial, instance(), result) for trial, instance, result in runs)
 
 
 def run_suite(
@@ -744,9 +772,9 @@ def explore_conjecture(
     """
     if kind not in EXPLORATIONS:
         raise BadConfig(f"unknown exploration kind {kind!r}; choose from {sorted(EXPLORATIONS)}")
-    runs = iter_trials(EXPLORATIONS[kind], dims, trials, seed, eps, tol)
+    runs = iter_results(EXPLORATIONS[kind], dims, trials, seed, eps, tol)
     slacks = np.empty(trials)
-    worst = (math.inf, -1, None)
+    worst = (math.inf, -1, lambda: None)
     for trial, instance, result in runs:
         slacks[trial] = result.slack
         if result.slack < worst[0]:
@@ -763,6 +791,6 @@ def explore_conjecture(
         worst_trial=worst[1],
         histogram_edges=[float(e) for e in edges],
         histogram_counts=[int(c) for c in counts],
-        worst_instance=serialize_instance(worst[2]),
+        worst_instance=serialize_instance(worst[2]()),
         candidate_counterexample=candidate_counterexample(min_slack, tol),
     )

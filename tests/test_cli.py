@@ -8,13 +8,14 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qelab import checks, cli, suites
 from qelab.channels import random_channel
-from qelab.errors import SingularTerm
+from qelab.errors import DimMismatch, SingularTerm
 from qelab.linalg import kron
 from qelab.serialize import serialize_instance, serialize_value
 from qelab.states import (
@@ -527,6 +528,79 @@ def _main(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _spy_rows(monkeypatch) -> list:
+    """The trial rows suites._instance_row builds from here on, one entry per call."""
+    built = []
+    real = suites._instance_row
+    monkeypatch.setattr(suites, "_instance_row", lambda instance, i: built.append(i) or real(
+        instance, i))
+    return built
+
+
+def _only_in_a_chunk(instance, row):
+    """A break that raises in a chunk of several trials and leaves a trial alone as drawn, so
+    the chunk runs again trial by trial and every trial gives its usual result."""
+    if len(next(iter(instance.values())).mat) > 1:
+        raise DimMismatch("raised in a chunk of several trials only")
+
+
+# Every check suite whose instance values all stack: its chunks build no row to group by.
+STACKED_SUITES = [name for name in SUITES
+                  if name not in ("overlap-chain", "markov-roundtrip", "twirl-identity")]
+
+
+def test_a_report_builds_only_the_instance_row_it_writes(tmp_path, monkeypatch, capsys):
+    # a 100-trial exploration is one chunk of stacks, and its report serializes the worst
+    # trial's row alone; a check that passes writes no instance and builds no row
+    built = _spy_rows(monkeypatch)
+    out = tmp_path / "explore.json"
+    code, _, _ = _main(["explore", "stronger-mono", "--trials", "100", "--seed", "3",
+                        "--out", str(out)], capsys)
+    assert code == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert built == [report["worst_trial"]]
+    built.clear()
+    argv = ["check", "--suite", ",".join(STACKED_SUITES), "--trials", "5", "--seed", "3",
+            "--out", str(tmp_path / "check.json")]
+    assert _main(argv, capsys)[0] == cli.EXIT_OK
+    assert built == []
+    # a failing check builds the one row its dump holds
+    out = tmp_path / "sbw.json"
+    argv = ["check", "--suite", "sbw-limit", "--alpha", "0.5,0.25", "--trials", "4",
+            "--seed", "42", "--out", str(out)]
+    assert _main(argv, capsys)[0] == cli.EXIT_FAILED
+    dump = json.loads(Path(f"{out}.worst.json").read_text())
+    assert built == [dump["trial"]]
+
+
+@pytest.mark.parametrize("kind, argv, written", [
+    ("stronger-mono", ["explore", "stronger-mono", "--trials", "9", "--seed", "3"], [""]),
+    ("sbw-limit", ["check", "--suite", "sbw-limit", "--alpha", "0.5,0.25", "--trials", "4",
+                   "--seed", "42"], ["", ".worst.json"]),
+])
+def test_a_chunk_run_again_trial_by_trial_writes_the_same_bytes(
+    kind, argv, written, tmp_path, monkeypatch, capsys
+):
+    # trial 2 breaks its chunk of several, which runs again as chunks of one: the report, the
+    # worst instance and the dump are those of the chunk that did not break, and only the
+    # worst trial's row is built
+    outputs = []
+    for broken in (False, True):
+        out = tmp_path / f"{broken}.json"
+        if broken:
+            registry = cli.EXPLORATIONS if kind in cli.EXPLORATIONS else cli.SUITES
+            drawn = []
+            monkeypatch.setitem(registry, kind, failing_at(kind, 2, _only_in_a_chunk, drawn=drawn))
+            built = _spy_rows(monkeypatch)
+        code, stdout, stderr = _main(argv + ["--out", str(out)], capsys)
+        files = [Path(f"{out}{suffix}").read_bytes() for suffix in written]
+        outputs.append((code, stdout, stderr.replace(str(out), "<out>"),
+                        [data.replace(str(out).encode(), b"<out>") for data in files]))
+    assert [shape for _, _, shape in drawn] == [(int(argv[argv.index("--trials") + 1]),)]
+    assert outputs[0] == outputs[1]
+    assert built == [0]  # row 0 of the worst trial's chunk of one
 
 
 def test_replay_of_an_infinite_slack_is_a_failed_check(tmp_path, capsys):

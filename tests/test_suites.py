@@ -185,15 +185,42 @@ def test_trial_rng_streams_are_distinct():
     assert len({int(a), int(b), int(c), int(d)}) == 4
 
 
-@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64])
+def _is_the_generator_of_its_key(ours, seed, name, trial):
+    theirs = np.random.default_rng([seed, suites.SUITE_INDEX[name], trial])
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    # the trial is the last entry of the key, which failing_at reads
+    assert ours.bit_generator.seed_seq.entropy == theirs.bit_generator.seed_seq.entropy
+    assert ours.bit_generator.seed_seq.entropy[-1] == trial
+    assert ours.integers(1 << 62, size=4).tolist() == theirs.integers(1 << 62, size=4).tolist()
+    assert ours.random(3).tolist() == theirs.random(3).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64, 10**30])
 def test_trial_rng_is_the_generator_of_its_key(seed):
     for name, trial in itertools.product(("ssa", "stronger-mono"), (0, 31, 10**5)):
-        ours = trial_rng(seed, name, trial)
-        theirs = np.random.default_rng([seed, suites.SUITE_INDEX[name], trial])
-        assert ours.bit_generator.state == theirs.bit_generator.state
-        assert ours.integers(1 << 62, size=4).tolist() == theirs.integers(1 << 62, size=4).tolist()
+        _is_the_generator_of_its_key(trial_rng(seed, name, trial), seed, name, trial)
+    # one chunk whose keys have one, two and three words for the trial
+    trials = [0, 31, 2**32 - 1, 2**32, 10**5, 2**64 + 3, 2**40]
+    for name in ("ssa", "stronger-mono"):
+        for ours, trial in zip(suites.trial_rngs(seed, name, trials), trials, strict=True):
+            _is_the_generator_of_its_key(ours, seed, name, trial)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         trial_rng(-1 - seed, "ssa", 0)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        suites.trial_rngs(-1 - seed, "ssa", range(5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 10**30]) | st.integers(0, 2**80),
+    trials=st.lists(st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 2**48),
+                    min_size=1, max_size=12),
+    name=st.sampled_from(sorted(suites.SUITE_INDEX)),
+)
+def test_trial_rngs_are_the_generators_of_their_keys(seed, trials, name):
+    # each stream of a chunk is seeded as default_rng seeds its key alone
+    for ours, trial in zip(suites.trial_rngs(seed, name, trials), trials, strict=True):
+        _is_the_generator_of_its_key(ours, seed, name, trial)
 
 
 # The SVDs a 32-trial exploration chunk at 2,2,2 takes: the trace norms it reports.  Its
@@ -772,7 +799,10 @@ def test_an_overlap_chain_chunk_is_evaluated_by_key_set_with_each_trials_bits(sc
     monkeypatch.setattr(checks, "check_overlap_chain",
                         lambda rho, sigma, tol, **scaled: stacks.append(rho.mat.shape)
                         or check(rho, sigma, tol, **scaled))
-    rows = suites._run_chunk(suite, (2, 2, 2), seed, pick, DEFAULT_EPS, TOL_INEQ, {})
+    chunk, stacked, results = suites._run_chunk(suite, (2, 2, 2), seed, pick, DEFAULT_EPS,
+                                                TOL_INEQ, {})
+    rows = [(trial, suites._instance_row(stacked, row), result)
+            for row, (trial, result) in enumerate(zip(chunk, results))]
     # one stacked evaluation per key set, its rows in trial order
     assert sorted(stacks) == sorted((sum(with_mu[t] == m for t in pick), 8, 8)
                                     for m in {with_mu[t] for t in pick})
