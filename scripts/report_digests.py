@@ -8,7 +8,12 @@ so a diff of the outputs is a byte-identity check of a change:
     diff before.txt after.txt
 
 The commands run in this process, through qelab.cli.main, with reports written into a
-temporary directory.  Each line is "<sha256> <exit code> <name>", one per written report
+temporary directory.  Three header lines come first, "# <field> <value>": the envelope that
+the bytes hold in beyond the code, which is numpy's version (numpy), the SIMD features
+numpy's dispatch found on this CPU (cpu_features) and the kernels of numpy's bundled
+OpenBLAS (openblas_core).  tests/data/report_digests.txt holds this output; a change that
+moves bits regenerates it, and its diff names the moved reports and suites.  Each other
+line is "<sha256> <exit code> <name>", one per written report
 and one per non-empty stdout and stderr.  After a check report's line come one line per
 suite, "<sha256> <exit code> <name>:<report>:<suite>", hashing that suite's records, so a
 change that moves bits names the suites it moved:
@@ -58,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import os
@@ -86,6 +92,23 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _envelope(np) -> list[str]:
+    """The header lines: numpy's version, its found SIMD features and the OpenBLAS core."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    # dlsym on numpy's linalg extension searches the OpenBLAS it links
+    corename = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is not None:
+        corename.restype = ctypes.c_char_p
+    return [f"# numpy {np.__version__}",
+            "# cpu_features " + " ".join(name for name, found in __cpu_features__.items()
+                                         if found),
+            f"# openblas_core {corename().decode() if corename else None}"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=os.path.join(REPO, "src"),
@@ -97,6 +120,9 @@ def main() -> int:
     import numpy as np
     from qelab import checks, cli, serialize, states, suites
     from qelab.tolerances import DEFAULT_EPS
+
+    for line in _envelope(np):
+        print(line)
 
     def run(argv: list[str]) -> tuple[int, str, str]:
         out, err = io.StringIO(), io.StringIO()

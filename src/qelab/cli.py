@@ -12,18 +12,24 @@ Exit codes: 0 success, 1 failed check, 2 configuration error, 3 candidate
 counterexample (explore/replay only), 4 internal error (an unexpected
 exception; its traceback goes to stderr).  The environment variable QEL_SEED
 overrides --seed when set.  Reports are byte-identical for identical
-(seed, config) pairs; human-readable summaries go to stderr.
+(seed, config) pairs; human-readable summaries go to stderr.  Each command runs with
+numpy's bundled OpenBLAS on one thread, so its bits do not depend on the thread count.
+main builds its parser at its first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import os
 import sys
 import traceback
 from typing import Sequence
+
+import numpy as np
 
 from . import checks
 from .errors import BadConfig, QelabError
@@ -346,29 +352,24 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated t grid for the Petz signature")
     p_check.add_argument("--nmax", type=int, default=None,
                          help="largest compression order (powers of two)")
-    p_check.set_defaults(func=cmd_check)
 
     p_markov = sub.add_parser("markov", help="build and examine a Markov spec")
     p_markov.add_argument("spec", help="MarkovSpec JSON file")
     p_markov.add_argument("--t-samples", dest="t_samples", default=None)
     p_markov.add_argument("--out", default=None)
-    p_markov.set_defaults(func=cmd_markov)
 
     p_trotter = sub.add_parser("trotter", help="compressed-product trace study")
     p_trotter.add_argument("state", nargs="?", default=None,
                            help="optional tripartite state JSON file")
     _add_common(p_trotter, trials_default=10)
     p_trotter.add_argument("--nmax", type=int, default=64)
-    p_trotter.set_defaults(func=cmd_trotter)
 
     p_explore = sub.add_parser("explore", help="sweep an open inequality")
     p_explore.add_argument("kind", help="one of: " + ", ".join(EXPLORATIONS))
     _add_common(p_explore)
-    p_explore.set_defaults(func=cmd_explore)
 
     p_replay = sub.add_parser("replay", help="rerun a dumped instance")
     p_replay.add_argument("dump", help="instance dump JSON file")
-    p_replay.set_defaults(func=cmd_replay)
 
     # explore always writes JSON
     for p in (p_check, p_markov, p_trotter):
@@ -377,11 +378,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reuses: built at its first call, not at import."""
+    return build_parser()
+
+
+@functools.cache
+def _blas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS; two no-ops when numpy's
+    linalg extension reaches no scipy_openblas_*_num_threads64_ symbols."""
+    try:  # dlsym on the extension searches the libraries it links too
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return (lambda: None), (lambda threads: None)
+    get.restype, set_.argtypes = ctypes.c_int, [ctypes.c_int]
+    return get, set_
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    get_threads, set_threads = _blas_threads()
+    threads = get_threads()
+    set_threads(1)  # a threaded GEMM splits its sums otherwise, and a report's bits with them
     try:
-        return args.func(args)
+        # looked up at every call, so that a rebound cmd_<name> is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except BadConfig as exc:
         _say(f"config error: {exc}")
         return EXIT_CONFIG
@@ -393,6 +416,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         _say("internal error: unexpected exception")
         return EXIT_INTERNAL
+    finally:
+        set_threads(threads)
 
 
 if __name__ == "__main__":

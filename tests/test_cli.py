@@ -857,6 +857,89 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+# A failing check that dumps, the same check without its --alpha, an exploration, a config
+# error and the dump's replay: each option is set in one call and left out of the next.
+SEQUENCE = [
+    ["check", "--suite", "sbw-limit", "--alpha", "0.9,0.5", "--trials", "4", "--seed", "42",
+     "--out", "sbw.json"],
+    ["check", "--suite", "sbw-limit", "--trials", "4", "--seed", "42", "--out", "plain.json"],
+    ["explore", "cmi-petz", "--trials", "20", "--seed", "3", "--out", "explore.json"],
+    ["check", "--suite", "ssa", "--dims", "2,x", "--trials", "2"],
+    ["replay", "sbw.json.worst.json"],
+]
+
+
+def _run_in(directory, argv_list, capsys) -> list:
+    """(exit code, stdout, stderr, every file written) of each call, run in turn in directory."""
+    os.chdir(directory)
+    outcomes = []
+    for argv in argv_list:
+        code, out, err = _main(argv, capsys)
+        files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+        outcomes.append((code, out, err, files))
+    return outcomes
+
+
+def test_main_reuses_one_parser_and_gives_a_fresh_parsers_outcomes(tmp_path, monkeypatch, capsys):
+    real_build = cli.build_parser
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real_build())
+    monkeypatch.chdir(tmp_path)
+    fresh = []
+    for argv in SEQUENCE:  # each call on a parser built for it alone
+        (tmp_path / "fresh").mkdir(exist_ok=True)
+        cli._parser.cache_clear()
+        fresh += _run_in(tmp_path / "fresh", [argv], capsys)
+    assert len(built) == len(SEQUENCE)
+
+    cli._parser.cache_clear()
+    built.clear()
+    (tmp_path / "reused").mkdir()
+    reused = _run_in(tmp_path / "reused", SEQUENCE[:1], capsys)
+    # a cmd_<name> rebound after the first call is the one that runs
+    ran = []
+
+    def recorded(name):
+        real = getattr(cli, name)
+        return lambda args: ran.append(name) or real(args)
+
+    for name in ("cmd_check", "cmd_explore", "cmd_replay"):
+        monkeypatch.setattr(cli, name, recorded(name))
+    reused += _run_in(tmp_path / "reused", SEQUENCE[1:], capsys)
+    assert built == [1]
+    assert ran == ["cmd_check", "cmd_explore", "cmd_check", "cmd_replay"]
+    assert [outcome[0] for outcome in reused] == [cli.EXIT_FAILED, cli.EXIT_OK, cli.EXIT_OK,
+                                                  cli.EXIT_CONFIG, cli.EXIT_FAILED]
+    assert reused == fresh
+
+
+def test_a_command_runs_with_blas_on_one_thread_and_restores_its_count(monkeypatch, capsys):
+    get, set_ = cli._blas_threads()
+    before = get()
+    if before is None:
+        pytest.skip("numpy's OpenBLAS exports no scipy_openblas_*_num_threads64_ symbols")
+    seen = []
+    real = cli.cmd_explore
+    monkeypatch.setattr(cli, "cmd_explore", lambda args: seen.append(get()) or real(args))
+    set_(2)
+    try:
+        assert _main(["explore", "cmi-petz", "--trials", "2"], capsys)[0] == cli.EXIT_OK
+        assert (seen, get()) == ([1], 2)
+    finally:
+        set_(before)
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # markov-roundtrip's d = 36 factors at 3,2,4 (trials 34 and 36 of seed 42) take GEMMs that
+    # OpenBLAS splits over 2 threads, with other sums than on one
+    argv = ["check", "--suite", "markov-roundtrip,overlap-chain", "--dims", "3,2,4",
+            "--trials", "40", "--seed", "42"]
+    outputs = [run_cli(*argv, env_extra={"OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")]
+    assert [proc.returncode for proc in outputs] == [0, 0]
+    assert outputs[0].stdout and outputs[0].stdout == outputs[1].stdout
+
+
 @pytest.mark.parametrize("eps", ["5", "1", "0", "-0.5", "nan", "inf"])
 @pytest.mark.parametrize("command", [
     ["check", "--suite", "golden-thompson", "--trials", "1"],
