@@ -923,8 +923,9 @@ def test_a_command_runs_with_blas_on_one_thread_and_restores_its_count(monkeypat
     monkeypatch.setattr(cli, "cmd_explore", lambda args: seen.append(get()) or real(args))
     set_(2)
     try:
+        threads = get()  # 2, unless this OpenBLAS caps it
         assert _main(["explore", "cmi-petz", "--trials", "2"], capsys)[0] == cli.EXIT_OK
-        assert (seen, get()) == ([1], 2)
+        assert (seen, get()) == ([1], threads)
     finally:
         set_(before)
 
