@@ -5,8 +5,9 @@
     python scripts/suite_times.py --src /path/to/before/src --src src --rounds 30
 
 One call runs one suite or exploration at --dims with --trials trials (a single chunk when
---trials is at most its chunk size): a suite through suites.iter_trials, an exploration
-through suites.explore_conjecture, the path that `qelab explore` runs, report included.  Only
+--trials is at most its chunk size): a suite through suites.run_suite, which builds every
+trial's instance row (`qelab check` builds only the rows it dumps), and an exploration through
+suites.explore_conjecture, the path that `qelab explore` runs, report included.  Only
 the rows whose check_dims accepts --dims are timed; the others are named on a "skipped" line
 (at 2,2 the tripartite rows, for instance).  Round r runs each timed row once with seed
 FIRST_SEED + r, for each checkout in turn, so the checkouts alternate round by round and a
@@ -57,8 +58,7 @@ def _call_ms(suites, name: str, dims: tuple[int, ...], trials: int, seed: int) -
     if name in suites.EXPLORATIONS:
         suites.explore_conjecture(name, trials, dims, seed)
     else:
-        for _ in suites.iter_trials(suites.SUITES[name], dims, trials, seed):
-            pass
+        suites.run_suite(name, dims, trials, seed)
     return 1e3 * (time.perf_counter() - start)
 
 

@@ -13,13 +13,15 @@ exp(log rho_AB - log rho_B + log rho_BC); the common descending chain
     gap >= -2 log Tr sqrt(rho) sqrt(S) >= ||sqrt(rho)-sqrt(S)||_2^2
         >= (1/4) ||rho - S||_1^2
 
-is shared by several checkers, together with the trace bound Tr S <= 1.
+is written once, in _sqrt_chain, together with the trace bound Tr S <= 1; _gap_chain anchors
+it at the monotonicity gap S(rho||sigma) - S(Phi rho||Phi sigma) for every channel, partial
+traces included.
 
-Each checker is written once: given a chunk of trials that suites.iter_trials
+Each checker is written once: given a chunk of trials that suites.iter_results
 stacks, it returns each row's CheckResult with the bits of that trial alone
-(matrix work on the (n, d, d) stacks, each row's scalar rule through
-linalg.per_row, _result or results.chain).  The two Markov checkers and
-check_twirl_identity take one trial, since their suites' values do not stack.
+(matrix work on the (n, d, d) stacks, each row's scalar rule through linalg.per_row, as
+_result and _sqrt_chain apply it).  The two Markov checkers and check_twirl_identity take
+one trial, since their suites' values do not stack.
 """
 
 from __future__ import annotations
@@ -218,13 +220,27 @@ def _sqrt_chain(
     quantities: dict[str, float] | None = None,
     extra_ok=None,
 ) -> Results:
-    """The shared descending chain anchored at a relative-entropy quantity; extra_ok defaults
-    to the trace bound Tr S <= 1 + tol."""
+    """The shared descending chain anchored at a relative-entropy quantity, as one trial's
+    results.chain or each row's for a stacked chunk; extra_ok defaults to the trace bound
+    Tr S <= 1 + tol."""
     links = [(anchor_label, anchor)] + _root_links(rho, surrogate)
+    labels, k = [label for label, _ in links], len(links)
     q = dict(quantities or {})
-    tr_srg = real_trace(as_matrix(surrogate))
-    q["trace_surrogate"] = tr_srg
-    return chain(name, links, tol, q, (tr_srg <= 1.0 + tol) if extra_ok is None else extra_ok)
+    q["trace_surrogate"] = tr_srg = real_trace(as_matrix(surrogate))
+
+    def row_chain(ok, *row):
+        return chain(name, list(zip(labels, row)), tol, dict(zip(q, row[k:])), ok)
+
+    ok = (tr_srg <= 1.0 + tol) if extra_ok is None else extra_ok
+    return per_row(row_chain, ok, *(v for _, v in links), *q.values())
+
+
+def _gap_chain(name: str, rho, sigma, after, surrogate, tol: float) -> Results:
+    """_sqrt_chain anchored at the monotonicity gap relent_gap = before - after, where before
+    is S(rho||sigma) and after the relative entropy of the channel's images."""
+    before = relative_entropy(rho, sigma)
+    quantities = {"before": before, "after": after}
+    return _sqrt_chain(name, "relent_gap", before - after, rho, surrogate, tol, quantities)
 
 
 # ---------------------------------------------------------------------------
@@ -333,19 +349,9 @@ def check_stronger_monotonicity(
     is itself at most one.
     """
     require_unital(channel)
-    before = relative_entropy(rho, sigma)
     pushed = _pushed(rho, sigma, channel)
     after = relative_entropy(pushed[1], pushed[2])
-    surrogate = _unital_surrogate(pushed)
-    return _sqrt_chain(
-        "stronger-monotonicity",
-        "relent_gap",
-        before - after,
-        rho,
-        surrogate,
-        tol,
-        quantities={"before": before, "after": after},
-    )
+    return _gap_chain("stronger-monotonicity", rho, sigma, after, _unital_surrogate(pushed), tol)
 
 
 def check_unital_trace_bound(
@@ -374,22 +380,13 @@ def check_ptrace_strengthening(
         raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
     rho_a = rho_ab.marginal([0])
     sigma_a = sigma_ab.marginal([0])
-    before = relative_entropy(rho_ab, sigma_ab)
     after = relative_entropy(rho_a, sigma_a)
     surrogate = exp_log_combination(
         [(1.0, sigma_ab.mat), (-1.0, sigma_a), (1.0, rho_a)],
         dims=dims,
         supports=[(0, 1), (0,), (0,)],
     )
-    return _sqrt_chain(
-        "ptrace-strengthening",
-        "relent_gap",
-        before - after,
-        rho_ab,
-        surrogate,
-        tol,
-        quantities={"before": before, "after": after},
-    )
+    return _gap_chain("ptrace-strengthening", rho_ab, sigma_ab, after, surrogate, tol)
 
 
 def check_ssa_strengthened(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:

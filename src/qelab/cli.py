@@ -169,7 +169,8 @@ def cmd_check(args) -> int:
     if args.suite == "all":
         names = list(SUITES)
     else:
-        names = [p.strip() for p in args.suite.split(",") if p.strip()]
+        # a suite named twice runs once, where it was first named
+        names = list(dict.fromkeys(p.strip() for p in args.suite.split(",") if p.strip()))
         unknown = [n for n in names if n not in SUITES]
         if unknown:
             raise BadConfig(f"unknown suite(s) {unknown}; choose from {sorted(SUITES)}")

@@ -19,10 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NonFinite
-from .linalg import per_row
 
 
 def _clean(value: float, name: str) -> float:
@@ -59,33 +56,17 @@ def chain(
     tolerance: float,
     quantities: dict[str, float] | None = None,
     extra_ok: bool = True,
-) -> CheckResult | list[CheckResult]:
+) -> CheckResult:
     """The chain links[0] >= links[1] >= ... checked link by link.
 
     The quantities are the link values under their labels, in order, then
     ``quantities`` (which wins a label clash); the slack is the smallest gap
-    between consecutive links, 0.0 for fewer than two links.  When link values,
-    quantities or extra_ok are the (n,) arrays of a stacked chunk of trials, the
-    result is the list of each row's chain, taken from that row's Python floats.
+    between consecutive links, 0.0 for fewer than two links.
     """
-    extras = quantities or {}
-    columns = [v for _, v in links] + list(extras.values())
-    if any(np.ndim(c) for c in columns + [extra_ok]):
-        labels, k = [label for label, _ in links], len(links)
-
-        def row_chain(ok, *row):
-            return chain(name, list(zip(labels, row)), tolerance, dict(zip(extras, row[k:])), ok)
-
-        return per_row(row_chain, extra_ok, *columns)
     values = [v for _, v in links]
     gaps = [a - b for a, b in zip(values, values[1:])]
-    return CheckResult(
-        name,
-        {**dict(links), **(quantities or {})},
-        min(gaps) if gaps else 0.0,
-        tolerance,
-        extra_ok,
-    )
+    quantities = {**dict(links), **(quantities or {})}
+    return CheckResult(name, quantities, min(gaps) if gaps else 0.0, tolerance, extra_ok)
 
 
 def as_record(result: CheckResult, dims: Sequence[int], seed: int, trial: int) -> dict:

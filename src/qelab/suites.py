@@ -18,7 +18,7 @@ KrausChannel over stacks, validated once for the chunk), an (n, ...) array, or a
 a value with no stack (markov-roundtrip's MarkovSpec, whose block factors are drawn as
 stacks by dimension; twirl-identity's ints and Monte Carlo seed; overlap-chain's
 reference, with a None where a trial lacks sigma_base and mu).  The instance of trial i
-is row i of each value (_instance_row), built only when asked for: iter_trials builds
+is row i of each value (_instance_row), built only when asked for: run_suite builds
 each, a report only the one it writes.  A chunk whose values all stack is evaluated once,
 on the stacks, which gives each row's result with the bits of that trial alone.  A chunk
 that holds a list is split by the key sets of its trials' instances; a group whose values
@@ -132,17 +132,19 @@ def _sample_states(*names: str, on: Callable = tuple) -> Callable:
 _sample_pair = _sample_states("rho", "sigma", on=_one_part)
 
 
-def _sample_pair_generic_channel(rngs, dims, eps):
-    inst = _sample_pair(rngs, dims, eps)
-    inst["channel"] = random_channel(_flat(dims), 2, rngs)
-    return inst
+def _sample_pair_with(channel: Callable) -> Callable:
+    """The sampler that draws rho and sigma, then channel(d, rngs), a channel on their d."""
+
+    def sample(rngs, dims, eps):
+        inst = _sample_pair(rngs, dims, eps)
+        inst["channel"] = channel(_flat(dims), rngs)
+        return inst
+
+    return sample
 
 
-def _sample_pair_unital_channel(rngs, dims, eps):
-    inst = _sample_pair(rngs, dims, eps)
-    d = _flat(dims)
-    inst["channel"] = random_unital_channel(d, d, rngs)
-    return inst
+_sample_pair_generic_channel = _sample_pair_with(lambda d, rngs: random_channel(d, 2, rngs))
+_sample_pair_unital_channel = _sample_pair_with(lambda d, rngs: random_unital_channel(d, d, rngs))
 
 
 def _sample_overlap(rngs, dims, eps):
@@ -713,24 +715,16 @@ def _chunked_trials(suite, dims, trials, seed, eps, tol, opts):
 def iter_results(suite: Suite, dims: Sequence[int], trials: int, seed: int,
                  eps: float = DEFAULT_EPS, tol: float = TOL_INEQ,
                  opts: dict | None = None) -> Iterator[tuple[int, Callable[[], dict], CheckResult]]:
-    """iter_trials with each instance left to build: (trial, instance, result), where instance()
-    returns the trial's instance, so that a report builds only the row it writes."""
+    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result), from chunks
+    with the bits of run_trial; instance() builds the trial's instance, so that a report
+    builds only the row it writes.  The trial count and dims are checked at the call, before
+    any trial runs."""
     if trials < 1:
         raise BadConfig(f"need at least one trial, got {trials}")
     steps = _chunked_trials(suite, suite.check_dims(dims), trials, seed, eps, tol, opts or {})
     return ((trial, functools.partial(_instance_row, instance, row), result)
             for chunk, instance, results in steps
             for row, (trial, result) in enumerate(zip(chunk, results)))
-
-
-def iter_trials(suite: Suite, dims: Sequence[int], trials: int, seed: int,
-                eps: float = DEFAULT_EPS, tol: float = TOL_INEQ,
-                opts: dict | None = None) -> Iterator[tuple[int, dict, CheckResult]]:
-    """Seeded trials 0 .. trials-1 of one suite, as (trial, instance, result), from chunks
-    with the bits of run_trial.  The trial count and dims are checked at the call, before any
-    trial runs."""
-    runs = iter_results(suite, dims, trials, seed, eps, tol, opts)
-    return ((trial, instance(), result) for trial, instance, result in runs)
 
 
 def run_suite(
@@ -744,11 +738,12 @@ def run_suite(
 ) -> list[tuple[int, dict, CheckResult]]:
     """Run ``trials`` seeded instances of one suite.
 
-    Returns (trial, instance, result) triples ordered by trial index.
+    Returns (trial, instance, result) triples ordered by trial index, each instance built.
     """
     if name not in SUITES:
         raise BadConfig(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return list(iter_trials(SUITES[name], dims, trials, seed, eps, tol, opts))
+    runs = iter_results(SUITES[name], dims, trials, seed, eps, tol, opts)
+    return [(trial, instance(), result) for trial, instance, result in runs]
 
 
 def candidate_counterexample(slack: float, tol: float) -> bool:

@@ -71,6 +71,23 @@ def test_check_single_suite_passes():
     assert "[ssa]" in proc.stderr and "PASS" in proc.stderr
 
 
+def test_a_suite_named_twice_runs_once(capsys):
+    # the report and the summary lines of --suite ssa,ssa are those of --suite ssa
+    runs = [_main(["check", "--suite", suite, "--trials", "2", "--seed", "7"], capsys)
+            for suite in ("ssa", "ssa,ssa", " ssa , ssa")]
+    assert runs[1] == runs[2] == runs[0]
+    assert runs[0][0] == cli.EXIT_OK
+    assert [r["trial"] for r in json.loads(runs[0][1])] == [0, 1]
+    assert runs[0][2].count("[ssa]") == 1
+
+
+def test_a_repeated_suite_keeps_the_order_it_was_first_named(capsys):
+    code, out, err = _main(["check", "--suite", "ssa,monotonicity,ssa", "--trials", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert [r["checker"] for r in json.loads(out)] == ["ssa", "monotonicity"]
+    assert [line.split()[0] for line in err.splitlines()] == ["[ssa]", "[monotonicity]"]
+
+
 def test_check_rejects_bad_config():
     assert run_cli("check", "--suite", "ssa", "--trials", "0").returncode == 2
     assert run_cli("check", "--suite", "nope").returncode == 2

@@ -1,0 +1,93 @@
+"""float64 entropies against the 40-digit oracle, within first-order rounding bars.
+
+With u = 2^-53, d the dimension and l_min the smallest eigenvalue, the bars are
+  S(rho||sigma): d u (kappa(sigma) + d (|log l_min(rho)| + 1) + |log l_min(sigma)|),
+  S(rho):        d u d (|log l_min(rho)| + 1),
+  I(A:C|B):      the sum of the bars of S(AB), S(BC), S(B) and S(ABC),
+from the backward stability of eigh and the Lipschitz constants of log and t log t on the
+spectrum.  A bar that does not hold is a finding about the bar or the float64 formula: it is
+not widened to pass.
+"""
+
+from __future__ import annotations
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+import oracle
+from qelab.entropy import cmi, relative_entropy, von_neumann
+from qelab.states import AB, B, BC, DensityMatrix, random_density, regularize
+
+U = 2.0**-53
+DIMS = (2, 2, 2)
+# (rank, eps) of the 12 fixed d = 8 pairs: three each of Wishart, rank-2 and rank-1 draws
+# regularized at eps 1e-6, and three rank-1 draws at eps 1e-10 (a valid --eps), where the
+# rounding of S(rho||sigma) reaches 1e-6, far above TOL_INEQ, and still stays within its bar.
+CASES = [(rank, eps) for rank, eps in [(None, 1e-6), (2, 1e-6), (1, 1e-6), (1, 1e-10)]
+         for _ in range(3)]
+
+
+def _pair(case: int) -> tuple[DensityMatrix, DensityMatrix]:
+    rank, eps = CASES[case]
+    rng = np.random.default_rng([2027, case])
+    return tuple(regularize(random_density(8, rng, rank=rank), eps, DIMS) for _ in range(2))
+
+
+def _spectrum(mat: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(mat)
+
+
+def _entropy_bar(mat: np.ndarray) -> float:
+    vals = _spectrum(mat)
+    d = len(vals)
+    return d * U * d * (abs(math.log(vals.min())) + 1.0)
+
+
+def _relent_bar(rho: np.ndarray, sigma: np.ndarray) -> float:
+    r, s = _spectrum(rho), _spectrum(sigma)
+    d = len(r)
+    return d * U * (s.max() / s.min() + d * (abs(math.log(r.min())) + 1.0)
+                    + abs(math.log(s.min())))
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[f"rank{r or 'full'}-eps{e:g}-{i % 3}" for i, (r, e) in enumerate(CASES)])
+def test_float64_entropies_stay_within_their_bars(case):
+    rho, sigma = _pair(case)
+    errors = {
+        "relative_entropy": (
+            abs(relative_entropy(rho, sigma) - float(oracle.relative_entropy(rho.mat, sigma.mat))),
+            _relent_bar(rho.mat, sigma.mat),
+        ),
+        "von_neumann": (
+            abs(von_neumann(rho) - float(oracle.von_neumann(rho.mat))),
+            _entropy_bar(rho.mat),
+        ),
+        "cmi": (
+            abs(cmi(rho) - float(oracle.cmi(rho.mat, DIMS))),
+            sum(_entropy_bar(m) for m in (rho.marginal(AB), rho.marginal(BC), rho.marginal(B),
+                                          rho.mat)),
+        ),
+    }
+    beyond = {name: (err, bar) for name, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+def test_the_oracle_matches_closed_forms_on_commuting_states():
+    # diagonal states: S(p||q) = sum p log(p/q), and a product state has I(A:C|B) = 0
+    p = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125, 0.0078125])
+    q = np.full(8, 0.125)
+    with mpmath.workdps(oracle.DIGITS):
+        relent = mpmath.fsum(mpmath.mpf(a) * mpmath.log(mpmath.mpf(a) / mpmath.mpf(b))
+                             for a, b in zip(p, q))
+        entropy = -mpmath.fsum(mpmath.mpf(a) * mpmath.log(mpmath.mpf(a)) for a in p)
+        assert abs(oracle.relative_entropy(np.diag(p), np.diag(q)) - relent) < mpmath.mpf(1e-35)
+        assert abs(oracle.von_neumann(np.diag(p)) - entropy) < mpmath.mpf(1e-35)
+    # dyadic entries, so that the float64 Kronecker product is exact
+    parts = [np.array([[0.75, 0.125j], [-0.125j, 0.25]]), np.diag([0.625, 0.375]),
+             np.diag([0.875, 0.125])]
+    product = np.kron(np.kron(parts[0], parts[1]), parts[2])
+    assert abs(oracle.cmi(product, DIMS)) < mpmath.mpf(1e-35)

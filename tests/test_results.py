@@ -1,4 +1,4 @@
-"""Tests of the result type: chain() and the record it flattens to."""
+"""Tests of the result type: chain(), a chunk's chain of rows, and the record it flattens to."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from qelab.checks import _sqrt_chain
 from qelab.results import CheckResult, as_record, chain, records_to_csv, records_to_json
+from qelab.states import random_density
 
 
 def test_chain_slack_is_the_smallest_link_gap():
@@ -71,12 +73,16 @@ def test_chain_record_holds_links_and_extras():
 
 
 def test_a_stacked_chain_is_each_rows_chain():
-    links = [("a", np.array([3.0, 1.0])), ("b", 2.0), ("c", np.array([0.5, 1.5]))]
-    rows = chain("c", links, 1e-8, {"x": np.array([7.0, 8.0]), "y": 9.0},
-                 extra_ok=np.array([True, False]))
+    # a chunk's chain is built row by row by checks._sqrt_chain, the one stacked caller:
+    # each row is the 2-D call on that row, with Python floats and its own extra_ok
+    rho = random_density(4, [np.random.default_rng(s) for s in (1, 2)])
+    srg = random_density(4, [np.random.default_rng(s) for s in (3, 4)])
+    anchor, x, ok = np.array([10.0, 20.0]), np.array([7.0, 8.0]), np.array([True, False])
+    rows = _sqrt_chain("c", "a", anchor, rho, srg.mat, 1e-8, {"x": x, "y": 9.0}, ok)
     assert rows == [
-        chain("c", [("a", 3.0), ("b", 2.0), ("c", 0.5)], 1e-8, {"x": 7.0, "y": 9.0}, True),
-        chain("c", [("a", 1.0), ("b", 2.0), ("c", 1.5)], 1e-8, {"x": 8.0, "y": 9.0}, False),
+        _sqrt_chain("c", "a", anchor[i], rho.row(i), srg.mat[i], 1e-8,
+                    {"x": x[i], "y": 9.0}, ok[i])
+        for i in range(2)
     ]
-    assert [type(v) for v in rows[0].quantities.values()] == [float] * 5
+    assert all(type(v) is float for row in rows for v in row.quantities.values())
     assert [row.passed for row in rows] == [True, False]

@@ -35,7 +35,7 @@ from qelab.suites import (
     EXPLORATIONS,
     SUITES,
     explore_conjecture,
-    iter_trials,
+    iter_results,
     run_suite,
     run_trial,
     trial_rng,
@@ -398,7 +398,7 @@ def test_a_chunk_gives_each_trial_the_bits_it_gets_alone(kind, seed, chunk, dims
     # 7 trials: a chunk of 3 does not divide them, one of 50 holds them all
     suite = EXPLORATIONS.get(kind) or SUITES[kind]
     with mock.patch.object(suites, "CHUNK_TRIALS", chunk):
-        triples = list(iter_trials(suite, dims, 7, seed))
+        triples = [(t, inst(), r) for t, inst, r in iter_results(suite, dims, 7, seed)]
     assert [trial for trial, _, _ in triples] == list(range(7))
     for trial, instance, result in triples:
         alone_instance, alone = run_trial(suite, dims, seed, trial, DEFAULT_EPS, TOL_INEQ)
@@ -525,7 +525,7 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
     for size in (1, chunk):
         monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
         with pytest.raises(error) as info:
-            list(iter_trials(registry[kind], (2, 2, 2), 9, 3))
+            list(iter_results(registry[kind], (2, 2, 2), 9, 3))
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].startswith(f"{kind} trial 4: {message}")
@@ -556,7 +556,7 @@ def test_a_bad_draw_inside_a_chunk_raises_as_its_trial_alone(
     for size in (1, chunk):
         monkeypatch.setattr(suites, "CHUNK_TRIALS", size)
         with pytest.raises(error) as info:
-            list(iter_trials(registry[kind], (2, 2, 2), 9, 3))
+            list(iter_results(registry[kind], (2, 2, 2), 9, 3))
         errors.append((type(info.value), str(info.value)))
     assert errors[0] == errors[1]
     prefix = f"{kind} trial 4: "
@@ -585,7 +585,7 @@ def test_a_chunk_is_sized_by_the_operators_its_sampler_built(name, registry, tri
         seen.append(n)
 
     suite = dataclasses.replace(registry[name], run=run)
-    assert len(list(iter_trials(suite, dims, trials, 0))) == trials
+    assert len(list(iter_results(suite, dims, trials, 0))) == trials
     assert seen == [size for size in chunks for _ in range(size)]
 
 
@@ -601,7 +601,7 @@ def test_a_stacked_chunk_runs_once_per_trial_and_evaluates_once():
 
     checker = checks.check_ssa_strengthened
     with mock.patch.object(checks, "check_ssa_strengthened", side_effect=checker) as spy:
-        triples = list(iter_trials(dataclasses.replace(suite, run=run), (2, 2, 2), 5, 3))
+        triples = list(iter_results(dataclasses.replace(suite, run=run), (2, 2, 2), 5, 3))
     assert len(runs) == 5
     assert spy.call_count == 1
     assert [trial for trial, _, _ in triples] == list(range(5))
@@ -618,7 +618,7 @@ def test_an_appendix_chunk_evaluates_once_on_its_stacks(name, checker):
     # checker runs once, on (5, 6, 6) stacks, and returns one result per trial
     real = getattr(checks, checker)
     with mock.patch.object(checks, checker, side_effect=real) as spy:
-        triples = list(iter_trials(SUITES[name], (2, 2, 2), 5, 3))
+        triples = run_suite(name, (2, 2, 2), 5, 3)
     assert spy.call_count == 1
     assert all(_lead(value) == (5,) for key, value in spy.call_args.kwargs.items() if key != "tol")
     assert [trial for trial, _, _ in triples] == list(range(5))
@@ -723,7 +723,7 @@ def test_a_chunk_takes_each_partial_trace_of_a_state_once(name, traces, monkeypa
     real, taken = states.ptrace, []
     monkeypatch.setattr(states, "ptrace", lambda x, dims, keep: taken.append(
         (x, tuple(dims), tuple(sorted(keep)))) or real(x, dims, keep))
-    triples = list(iter_trials(SUITES[name], (2, 2, 2), 5, 3))
+    triples = run_suite(name, (2, 2, 2), 5, 3)
     assert len(triples) == 5
     assert len({(id(x), dims, keep) for x, dims, keep in taken}) == len(taken) == traces
 
@@ -731,7 +731,8 @@ def test_a_chunk_takes_each_partial_trace_of_a_state_once(name, traces, monkeypa
 def test_stronger_mono_pushes_each_state_through_the_channel_once():
     apply = KrausChannel.apply
     with mock.patch.object(KrausChannel, "apply", autospec=True, side_effect=apply) as spy:
-        triples = list(iter_trials(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))
+        runs = iter_results(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5)
+        triples = [(t, inst(), r) for t, inst, r in runs]
     assert spy.call_count == 2  # rho and sigma of the one chunk of 7
     for _, inst, result in triples:
         # the recovery from a PetzMap that pushes sigma through the channel itself
@@ -747,7 +748,7 @@ def test_stronger_mono_decomposes_each_operator_once(monkeypatch):
     real, taken = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: taken.append(
         (np.shape(a), np.asarray(a).tobytes())) or real(a, *args, **kw))
-    assert len(list(iter_trials(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))) == 7
+    assert len(list(iter_results(EXPLORATIONS["stronger-mono"], (2, 2, 2), 7, 5))) == 7
     assert len(set(taken)) == len(taken) == 4
 
 
@@ -757,7 +758,7 @@ def test_three_state_chain_decomposes_its_surrogate_once(monkeypatch):
     real, taken = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: taken.append(
         (np.shape(a), np.asarray(a).tobytes())) or real(a, *args, **kw))
-    assert len(list(iter_trials(SUITES["three-state-chain"], (2, 2, 2), 5, 3))) == 5
+    assert len(run_suite("three-state-chain", (2, 2, 2), 5, 3)) == 5
     assert len(set(taken)) == len(taken) == 4
 
 
