@@ -47,6 +47,11 @@ change that moves bits names the suites it moved:
   support-leak verdict (ROADMAP item 11), the only lines that reach it: bsw-identity on four
   and super-ssa on two rank-1 states on dims (2, 2, 2), regularized at eps = 1e-6, drawn in
   turn from default_rng([42, 5]) and written into the temporary directory;
+* replay of a hand-made monotonicity dump whose relative entropies are finite on a sigma with
+  a kernel, the only line that reaches the support-leak verdict with a finite value: sigma is
+  a rank-2 random_density on dims (2, 2, 2), left unregularized, rho a random_density
+  projected into its support and renormalized, and the channel random_channel(8, 2), whose
+  image of sigma has a kernel too, drawn in turn from default_rng([42, 6]);
 * replay of three hand-made dumps of sampled trials at dims 2,2,2 and seed 42, the only lines
   that reach the replay path of the shift rule and of the Markov round trip (neither suite
   fails, so neither writes a worst dump): the first overlap-chain trial with a scaled
@@ -118,7 +123,7 @@ def main() -> int:
     import json
 
     import numpy as np
-    from qelab import checks, cli, serialize, states, suites
+    from qelab import channels, checks, cli, linalg, serialize, states, suites
     from qelab.tolerances import DEFAULT_EPS
 
     for line in _envelope(np):
@@ -131,6 +136,14 @@ def main() -> int:
         return code, out.getvalue(), err.getvalue()
 
     with tempfile.TemporaryDirectory() as tmp:
+
+        def dump(name: str, checker: str, instance: dict, seed: int = 0, trial: int = 0) -> str:
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                json.dump({"checker": checker, "dims": [2, 2, 2], "seed": seed, "trial": trial,
+                           "tolerance": 1e-8, "opts": {},
+                           "instance": serialize.serialize_instance(instance)}, fh)
+            return path
 
         def report(name: str, argv: list[str], written: list[str]) -> None:
             code, stdout, stderr = run(argv)
@@ -203,12 +216,17 @@ def main() -> int:
         for checker, names in RANK_ONE_DUMPS:
             instance = {name: states.regularize(states.random_density(8, rng, rank=1), 1e-6,
                                                 (2, 2, 2)) for name in names}
-            path = os.path.join(tmp, f"{checker}-rank-1.json")
-            with open(path, "w") as fh:
-                json.dump({"checker": checker, "dims": [2, 2, 2], "seed": 0, "trial": 0,
-                           "tolerance": 1e-8, "opts": {},
-                           "instance": serialize.serialize_instance(instance)}, fh)
+            path = dump(f"{checker}-rank-1.json", checker, instance)
             report(f"replay {checker} rank-1 dump", ["replay", path], [])
+        rng = np.random.default_rng([42, 6])
+        sigma = states.random_density(8, rng, rank=2)
+        support = linalg.support_projector(sigma.mat)
+        inside = support @ states.random_density(8, rng).mat @ support
+        instance = {"rho": states.DensityMatrix(inside / np.trace(inside).real, (2, 2, 2)),
+                    "sigma": states.DensityMatrix(sigma.mat, (2, 2, 2)),
+                    "channel": channels.random_channel(8, 2, rng)}
+        path = dump("monotonicity-kernel.json", "monotonicity", instance)
+        report("replay monotonicity kernel dump", ["replay", path], [])
         for checker, scaled in SAMPLED_DUMPS:  # scaled: whether the trial carries mu, or None
             for trial in range(40):
                 rngs = [suites.trial_rng(42, checker, trial)]
@@ -216,11 +234,7 @@ def main() -> int:
                 instance = suites._instance_row(sample, 0)
                 if scaled is None or scaled == ("mu" in instance):
                     break
-            path = os.path.join(tmp, f"{checker}-{scaled}.json")
-            with open(path, "w") as fh:
-                json.dump({"checker": checker, "dims": [2, 2, 2], "seed": 42, "trial": trial,
-                           "tolerance": 1e-8, "opts": {},
-                           "instance": serialize.serialize_instance(instance)}, fh)
+            path = dump(f"{checker}-{scaled}.json", checker, instance, seed=42, trial=trial)
             report(f"replay {checker} trial {trial} dump", ["replay", path], [])
     for seed in TWIRL_SEEDS:
         rng = np.random.default_rng([seed, 10, 0])

@@ -2,10 +2,10 @@
 
 Everything is in nats.  Relative entropies are evaluated on supports:
 S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
-which is decided by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf (max_sv_within).
-Every functional also takes (n, d, d) stacks, one trial per row, and returns
-an (n,) array (a stacked operator for exp_log_combination) whose rows carry
-the bits of their own 2-D calls.
+which is decided where sigma has a kernel by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf
+(max_sv_within).  Every functional also takes (n, d, d) stacks, one trial per row, and
+returns an (n,) array (a stacked operator for exp_log_combination) whose rows carry the
+bits of their own 2-D calls.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
+    HermitianEigen,
     each,
     embed,
     herm_eig,
@@ -69,18 +70,21 @@ def relative_entropy(
 ) -> float | np.ndarray:
     """Umegaki relative entropy S(rho || sigma) = Tr rho (log rho - log sigma).
 
-    Returns math.inf when supp(rho) leaks out of supp(sigma).  The
-    second argument may be any PSD operator (subnormalized references and
-    exp-log combination surrogates are both used by the checkers); positivity
-    of the value is only guaranteed when Tr sigma <= 1.
+    Returns math.inf when supp(rho) leaks out of supp(sigma).  The second argument may be
+    any PSD operator (subnormalized references and exp-log combination surrogates are both
+    used by the checkers); positivity of the value is only guaranteed when Tr sigma <= 1.
+    Only a row whose sigma has a kernel (psd_support) takes the leak test: full support holds
+    any supp(rho), and for ||rho|| <= 1, as every caller passes, ||off rho off|| = O((d u)^2).
     """
     r = as_matrix(rho)
     s = as_matrix(sigma)
     if r.shape != s.shape:
         raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     s_eig = as_spectrum(sigma)
-    off = np.eye(s.shape[-1]) - support_projector(s_eig)
-    inside = max_sv_within(off @ r @ off, SUPPORT_LEAK_TOL, strict=True)
+    inside = np.asarray(psd_support(s_eig.eigenvalues).all(axis=-1))
+    if (kernel := ~inside).any():  # the rows whose sigma has a kernel; 2-D as a stack of one
+        off = np.eye(s.shape[-1]) - support_projector(HermitianEigen(*(a[kernel] for a in s_eig)))
+        inside[kernel] = max_sv_within(off @ r[kernel] @ off, SUPPORT_LEAK_TOL, strict=True)
     log_r = matrix_log(as_spectrum(rho), support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
     return per_matrix(np.where(inside, real_trace(r @ (log_r - log_s)), math.inf))

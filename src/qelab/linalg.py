@@ -27,13 +27,14 @@ Conventions
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NoConvergence, NotHermitian, NotPSD, SingularInput
+from .errors import DimMismatch, NoConvergence, NonFinite, NotHermitian, NotPSD, SingularInput
 from .tolerances import RANK_CUTOFF, TOL_HERM, TOL_PSD
 
 
@@ -93,12 +94,23 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + dagger(x))
 
 
+def _singular_values(x: np.ndarray) -> np.ndarray:
+    """Each matrix's singular values.  Where the SVD fails or gives a non-finite value, raises
+    NonFinite for an x with a NaN or infinite entry and NoConvergence for a finite x."""
+    with contextlib.suppress(np.linalg.LinAlgError):
+        values = np.linalg.svd(x, compute_uv=False)
+        if np.isfinite(values).all():
+            return values
+    raise (NoConvergence("singular value iteration failed or overflowed") if np.isfinite(x).all()
+           else NonFinite("matrix has a NaN or infinite entry"))
+
+
 def max_sv(x: np.ndarray) -> float | np.ndarray:
     """Largest singular value (operator infinity-norm)."""
     x = np.asarray(x)
     if x.size == 0:
         return per_matrix(np.zeros(x.shape[:-2]))
-    return per_matrix(np.linalg.svd(x, compute_uv=False)[..., 0])
+    return per_matrix(_singular_values(x)[..., 0])
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -167,8 +179,8 @@ def require_hermitian(x: np.ndarray) -> np.ndarray:
 def herm_eig(h: np.ndarray) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix.
 
-    Raises NotHermitian when h fails is_hermitian and
-    NoConvergence when the underlying iteration fails.  Eigenvalues come
+    Raises NotHermitian when h fails is_hermitian, NonFinite when it has a NaN or infinite
+    entry and NoConvergence when the underlying iteration fails.  Eigenvalues come
     back ascending; the eigenvector matrix has the vectors as columns.
     """
     h = require_hermitian(h)
@@ -379,7 +391,7 @@ def hs_norm(x: np.ndarray) -> float | np.ndarray:
 
 def trace_norm(x: np.ndarray) -> float | np.ndarray:
     """Trace norm (Schatten 1-norm): the sum of the singular values."""
-    return per_matrix(np.linalg.svd(np.asarray(x), compute_uv=False).sum(axis=-1))
+    return per_matrix(_singular_values(np.asarray(x)).sum(axis=-1))
 
 
 def real_trace(x: np.ndarray) -> float | np.ndarray:

@@ -7,9 +7,15 @@ the matrix implementations under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qelab import entropy, suites
+from qelab.channels import random_channel
 from qelab.entropy import (
     cmi,
     exp_log_combination,
@@ -20,19 +26,31 @@ from qelab.entropy import (
 )
 from qelab.errors import (
     BadAlpha,
+    NonFinite,
     NotHermitian,
     NotPSD,
     NotTripartite,
     SingularTerm,
     ZeroOverlap,
 )
-from qelab.linalg import kron, trace_norm
+from qelab.linalg import (
+    herm_eig,
+    kron,
+    matrix_log,
+    max_sv_within,
+    real_trace,
+    support_projector,
+    trace_norm,
+)
 from qelab.states import (
     DensityMatrix,
     SubnormalizedOperator,
+    as_matrix,
+    as_spectrum,
     random_density,
     regularize,
 )
+from qelab.tolerances import DEFAULT_EPS, SUPPORT_LEAK_TOL, TOL_INEQ
 from helpers import cmi_relative_entropy_form, random_tripartite
 
 # scalar oracles, frozen
@@ -391,3 +409,123 @@ def test_stacked_renyi_overlap_cmi_and_exp_log_give_each_row_its_own_bits():
     with pytest.raises(SingularTerm) as stacked:
         exp_log_combination([(1.0, np.stack([rhos[0].marginal([0, 1]), singular]))])
     assert str(stacked.value) == str(alone.value)
+
+
+# ---------------------------------------------------------------------------
+# The support-leak test runs only where sigma has a kernel
+# ---------------------------------------------------------------------------
+
+
+def _relative_entropy_leak_test_everywhere(rho, sigma):
+    """relative_entropy as it was written before the leak test was confined to the rows whose
+    sigma has a kernel: every row takes the projector, the two products and the leak norm."""
+    r, s = as_matrix(rho), as_matrix(sigma)
+    s_eig = as_spectrum(sigma)
+    off = np.eye(s.shape[-1]) - support_projector(s_eig)
+    inside = max_sv_within(off @ r @ off, SUPPORT_LEAK_TOL, strict=True)
+    log_r = matrix_log(as_spectrum(rho), support_only=True)
+    log_s = matrix_log(s_eig, support_only=True)
+    value = np.where(inside, real_trace(r @ (log_r - log_s)), math.inf)
+    return value.item() if value.ndim == 0 else value
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in np.atleast_1d(values)]
+
+
+def _projected_into(sigma: DensityMatrix, rho: DensityMatrix) -> DensityMatrix:
+    """P rho P / Tr, with P the projector onto the support of sigma."""
+    p = support_projector(sigma.mat)
+    inside = p @ rho.mat @ p
+    return DensityMatrix(inside / np.trace(inside).real)
+
+
+def test_relative_entropy_keeps_the_bits_of_the_leak_test_on_every_row():
+    rng = np.random.default_rng(80)
+    for d in (2, 4, 8):
+        sigmas = [regularize(random_density(d, rng), 1e-6), random_density(d, rng),
+                  random_density(d, rng, rank=1), random_density(d, rng, rank=d // 2),
+                  random_density(d, rng, rank=d // 2)]
+        rhos = [random_density(d, rng), regularize(random_density(d, rng, rank=1), 1e-3),
+                _projected_into(sigmas[2], random_density(d, rng)),
+                _projected_into(sigmas[3], random_density(d, rng)),
+                random_density(d, rng)]  # the last leaks out of its sigma's kernel
+        expected = [_relative_entropy_leak_test_everywhere(r, s) for r, s in zip(rhos, sigmas)]
+        assert math.isinf(expected[-1]) and all(map(math.isfinite, expected[:-1]))
+        for r, s, value in zip(rhos, sigmas, expected):  # 2-D calls
+            assert _hex(relative_entropy(r, s)) == _hex(value)
+            assert _hex(relative_entropy(r.mat, s.mat)) == _hex(value)
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [0, 1], [2, 3], [4, 4], [1, 3, 0]):
+            rho, sigma = _stack([rhos[i] for i in order]), _stack([sigmas[i] for i in order])
+            assert _hex(relative_entropy(rho, sigma)) == _hex([expected[i] for i in order])
+            assert _hex(relative_entropy(rho, sigma)) == _hex(
+                _relative_entropy_leak_test_everywhere(rho, sigma))
+
+
+def test_a_full_support_sigma_needs_no_support_projector(monkeypatch):
+    def no_projector(*args, **kwargs):
+        raise AssertionError("a full-support sigma reached support_projector")
+
+    monkeypatch.setattr(entropy, "support_projector", no_projector)
+    rng = np.random.default_rng(81)
+    rhos = [regularize(random_density(8, rng, rank=r), DEFAULT_EPS) for r in (1, 3, 8)]
+    sigmas = [regularize(random_density(8, rng, rank=r), DEFAULT_EPS) for r in (1, 3, 8)]
+    assert np.isfinite(relative_entropy(_stack(rhos), _stack(sigmas))).all()
+    assert all(math.isfinite(relative_entropy(r, s)) for r, s in zip(rhos, sigmas))
+    for kind in ("stronger-mono", "ptrace-petz"):
+        _, _, results = suites._run_chunk(suites.EXPLORATIONS[kind], (2, 2, 2), 0, range(100),
+                                          DEFAULT_EPS, TOL_INEQ, {})
+        assert len(results) == 100 and all(np.isfinite(r.slack) for r in results)
+    with pytest.raises(AssertionError, match="support_projector"):  # a kernel still takes it
+        relative_entropy(rhos[0], random_density(8, rng, rank=2))
+
+
+# ---------------------------------------------------------------------------
+# A NaN or infinite matrix is NonFinite, not numpy's LinAlgError or a verdict
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [(0, 0), (0, 2), None], ids=["diagonal", "corner", "every"])
+def test_a_non_finite_matrix_raises_non_finite(bad, at):
+    x = np.full((3, 3), bad, dtype=complex) if at is None else np.eye(3, dtype=complex) / 3
+    x[at or ()] = bad
+    state = DensityMatrix(np.eye(3) / 3)
+    calls = [lambda: herm_eig(x), lambda: relative_entropy(state, x),
+             lambda: relative_entropy(x, state.mat), lambda: von_neumann(x),
+             lambda: trace_norm(x), lambda: trace_norm(np.stack([state.mat, x]))]
+    for call in calls:  # inf - inf in the Hermiticity test warns on the way
+        with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="NaN or infinite"):
+            call()
+
+
+# ---------------------------------------------------------------------------
+# Properties of relative entropy on near-singular states (hypothesis)
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), data=st.data(), eps=st.floats(1e-6, 1e-1),
+       seed=st.integers(0, 2**32 - 1))
+def test_relative_entropy_is_nonnegative_and_contracts_under_a_channel(d, data, eps, seed):
+    rng = np.random.default_rng(seed)
+    r_rho, r_sigma = (data.draw(st.integers(1, d)) for _ in range(2))
+    rho = regularize(random_density(d, rng, rank=r_rho), eps)
+    sigma = regularize(random_density(d, rng, rank=r_sigma), eps)
+    channel = random_channel(d, 2, rng)
+    before = relative_entropy(rho, sigma)
+    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat))
+    assert before >= -TOL_INEQ
+    assert after <= before + TOL_INEQ
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 8), data=st.data(), eps=st.floats(1e-6, 1e-1),
+       seed=st.integers(0, 2**32 - 1))
+def test_relative_entropy_on_the_support_of_a_singular_sigma(d, data, eps, seed):
+    rng = np.random.default_rng(seed)
+    sigma = random_density(d, rng, rank=data.draw(st.integers(1, d - 1)))
+    inside = _projected_into(sigma, random_density(d, rng))
+    value = relative_entropy(inside, sigma)
+    assert math.isfinite(value) and value >= -TOL_INEQ
+    assert relative_entropy(regularize(random_density(d, rng), eps), sigma) == math.inf

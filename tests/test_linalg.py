@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qelab import linalg
-from qelab.errors import DimMismatch, NotHermitian, NotPSD, SingularInput
+from qelab.errors import DimMismatch, NoConvergence, NonFinite, NotHermitian, NotPSD, SingularInput
 from qelab.linalg import (
     dagger,
     embed,
@@ -322,8 +322,8 @@ def _verdict(rule, x):
     try:
         with np.errstate(invalid="ignore"):
             return rule(x)
-    except np.linalg.LinAlgError:
-        return "LinAlgError"
+    except NonFinite:
+        return "NonFinite"
 
 
 # relative size of the anti-Hermitian part, as a multiple of the tolerance
@@ -350,8 +350,7 @@ def test_is_hermitian_agrees_with_the_two_svd_rule(d, seed, kind):
         x[tuple(rng.integers(0, d, size=2))] = np.nan if kind == "nan" else np.inf
     verdict = _verdict(is_hermitian, x)
     assert verdict == _verdict(_two_svd_rule, x)
-    if kind in _EXPECTED:
-        assert verdict is _EXPECTED[kind]
+    assert verdict is _EXPECTED[kind] if kind in _EXPECTED else verdict == "NonFinite"
 
 
 def test_exactly_hermitian_input_takes_no_svd(monkeypatch):
@@ -376,7 +375,7 @@ def test_non_finite_input_still_takes_the_svd_path(bad, monkeypatch):
     monkeypatch.setattr(linalg, "max_sv", lambda x: calls.append(1) or real_max_sv(x))
     x = np.eye(3, dtype=complex)
     x[0, 2] = bad
-    assert _verdict(is_hermitian, x) == _verdict(_two_svd_rule, x)
+    assert _verdict(is_hermitian, x) == _verdict(_two_svd_rule, x) == "NonFinite"
     assert calls
 
 
@@ -403,19 +402,19 @@ def _rows_at(bound, seed=61, d=3):
 
 
 def _svd_rule(x, bound, strict):
-    """The verdict as the SVD gives it, or LinAlgError when the SVD fails (a NaN entry)."""
+    """The verdict as the SVD gives it, or NonFinite for a NaN or infinite entry."""
     try:
         norm = np.asarray(max_sv(x))
-    except np.linalg.LinAlgError:
-        return "LinAlgError"
+    except NonFinite:
+        return "NonFinite"
     return (norm < bound if strict else norm <= bound).tolist()
 
 
 def _within(x, bound, strict):
     try:
         return max_sv_within(x, bound, strict=strict).tolist()
-    except np.linalg.LinAlgError:
-        return "LinAlgError"
+    except NonFinite:
+        return "NonFinite"
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -434,9 +433,19 @@ def test_a_non_finite_row_in_a_stack_gets_the_svd_rules_verdict(bad):
     rows = _rows_at(1.0)
     rows[[0, 2], 0, 1] = bad  # row 0 alone would pass on its Frobenius norm
     for strict in (False, True):
-        assert _within(rows, 1.0, strict) == _svd_rule(rows, 1.0, strict)
+        assert _within(rows, 1.0, strict) == _svd_rule(rows, 1.0, strict) == "NonFinite"
         for row in rows:
             assert _within(row, 1.0, strict) == _svd_rule(row, 1.0, strict)
+
+
+def test_a_finite_matrix_whose_singular_values_overflow_raises_no_convergence():
+    # a finite input whose SVD gives inf is an error, not an inf norm or a verdict on one
+    x = np.full((2, 2), 1e308)
+    calls = [lambda: max_sv(x), lambda: trace_norm(x), lambda: trace_norm(np.stack([np.eye(2), x])),
+             lambda: max_sv_within(x, 1.0), lambda: max_sv_within(x - x.T + 1.0, 1.0, ref=x)]
+    for call in calls:
+        with pytest.raises(NoConvergence, match="failed or overflowed"):
+            call()
 
 
 def test_only_the_rows_in_doubt_take_the_svd(monkeypatch):

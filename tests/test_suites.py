@@ -199,32 +199,52 @@ def _is_the_generator_of_its_key(ours, seed, name, trial):
 def test_trial_rng_is_the_generator_of_its_key(seed):
     for name, trial in itertools.product(("ssa", "stronger-mono"), (0, 31, 10**5)):
         _is_the_generator_of_its_key(trial_rng(seed, name, trial), seed, name, trial)
-    # one chunk whose keys have one, two and three words for the trial
-    trials = [0, 31, 2**32 - 1, 2**32, 10**5, 2**64 + 3, 2**40]
-    for name in ("ssa", "stronger-mono"):
+    # chunks whose keys have one, two and three words for the trial, shorter and longer than
+    # _VECTOR_MIX_TRIALS: a trial of more than one word takes one SeedSequence a key at any length
+    few = [0, 31, 2**32 - 1, 2**32, 10**5, 2**64 + 3, 2**40]
+    many = few + [2**32 + 7 * k if k % 3 else 2**64 + k for k in range(suites._VECTOR_MIX_TRIALS)]
+    for name, trials in itertools.product(("ssa", "stronger-mono"), (few, many)):
         for ours, trial in zip(suites.trial_rngs(seed, name, trials), trials, strict=True):
             _is_the_generator_of_its_key(ours, seed, name, trial)
     with pytest.raises(ValueError, match="expected non-negative integer"):
         trial_rng(-1 - seed, "ssa", 0)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        suites.trial_rngs(-1 - seed, "ssa", range(5))
+    for n in (5, suites._VECTOR_MIX_TRIALS, 100):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            suites.trial_rngs(-1 - seed, "ssa", range(n))
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            suites.trial_rngs(seed, "ssa", [*range(n - 1), -1 - seed])
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("first", [0, 2**32 - 19, 2**32 - 8, 2**64 - 8])
+def test_a_chunk_at_the_vectorised_mix_size_holds_the_generators_of_its_keys(first, offset):
+    # the chunk sizes either side of the switch to the vectorised mix, with one-word keys (up to
+    # 2**32 - 1 at first = 2**32 - 19) and with keys of two or three words, which never switch
+    trials = range(first, first + suites._VECTOR_MIX_TRIALS + offset)
+    for seed in (3, 2**33):
+        for ours, trial in zip(suites.trial_rngs(seed, "ptrace-petz", trials), trials, strict=True):
+            _is_the_generator_of_its_key(ours, seed, "ptrace-petz", trial)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 10**30]) | st.integers(0, 2**80),
-    trials=st.lists(st.sampled_from([0, 2**32 - 1, 2**32]) | st.integers(0, 2**48),
-                    min_size=1, max_size=12),
+    trials=st.one_of(*(st.lists(st.sampled_from([t for t in (0, 2**32 - 1, 2**32) if t <= top])
+                                | st.integers(0, top), min_size=low, max_size=high)
+                       for low, high, top in ((1, 12, 2**48), (40, 48, 2**32 - 1), (40, 48, 2**48)))),
     name=st.sampled_from(sorted(suites.SUITE_INDEX)),
 )
 def test_trial_rngs_are_the_generators_of_their_keys(seed, trials, name):
-    # each stream of a chunk is seeded as default_rng seeds its key alone
+    # each stream of a chunk is seeded as default_rng seeds its key alone, in chunks short
+    # enough for one SeedSequence a key and long enough for the vectorised mix, which a chunk
+    # of one-word trials takes and one with a larger trial does not
     for ours, trial in zip(suites.trial_rngs(seed, name, trials), trials, strict=True):
         _is_the_generator_of_its_key(ours, seed, name, trial)
 
 
 # The SVDs a 32-trial exploration chunk at 2,2,2 takes: the trace norms it reports.  Its
-# tolerance verdicts (Hermiticity, support leak, trace preservation, unitality) take none.
+# tolerance verdicts (Hermiticity, trace preservation, unitality) take none, and its relative
+# entropies take no support-leak verdict at all: every sigma they see has full support.
 EXPLORATION_SVDS = {
     "stronger-mono": [("trace_norm", (32, 8, 8))],
     "ptrace-petz": [("trace_norm", (32, 4, 4))],
@@ -237,8 +257,9 @@ EXPLORATION_SVDS = {
 def test_an_exploration_chunk_takes_only_the_svds_it_reports(kind, monkeypatch):
     calls = []
     real = np.linalg.svd
+    # frame 1 is linalg._singular_values, through which max_sv and trace_norm take an SVD
     monkeypatch.setattr(np.linalg, "svd", lambda x, *a, **k: calls.append(
-        (sys._getframe(1).f_code.co_name, np.shape(x))) or real(x, *a, **k))
+        (sys._getframe(2).f_code.co_name, np.shape(x))) or real(x, *a, **k))
     suites._run_chunk(EXPLORATIONS[kind], (2, 2, 2), 0, range(32), DEFAULT_EPS, TOL_INEQ, {})
     assert calls == EXPLORATION_SVDS[kind]
 
