@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from qelab import checks, cli, suites
 from qelab.channels import random_channel
 from qelab.errors import DimMismatch, SingularTerm
 from qelab.linalg import kron
+from qelab.results import as_record, records_to_json
 from qelab.serialize import serialize_instance, serialize_value
 from qelab.states import (
     DensityMatrix,
@@ -26,7 +28,7 @@ from qelab.states import (
     regularize,
 )
 from qelab.suites import SUITES, run_trial
-from qelab.tolerances import DEFAULT_EPS
+from qelab.tolerances import DEFAULT_EPS, TOL_INEQ
 from test_suites import _flat_reference, _zero_channel, failing_at
 from helpers import random_tripartite
 
@@ -520,6 +522,65 @@ def test_replay_rejects_malformed_dump(case, tmp_path):
     proc = run_cli("replay", str(path))
     _assert_config_error(proc, case)
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
+def _tolerances_seen(monkeypatch, checker: str) -> list:
+    """The tol of each call of checks.<checker> from here on, the checker still running."""
+    seen, real = [], getattr(checks, checker)
+
+    @functools.wraps(real)
+    def spy(*args, tol, **kwargs):
+        seen.append(tol)
+        return real(*args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(checks, checker, spy)
+    return seen
+
+
+def _replay_file(tmp_path, capsys, dump: dict):
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    return _main(["replay", str(path)], capsys)
+
+
+def test_a_check_dump_with_only_its_checker_and_instance_replays(tmp_path, monkeypatch, capsys):
+    # tolerance defaults to TOL_INEQ, opts to {}, dims to [] (the record's "dims" reads ""),
+    # seed and trial to 0
+    instance, _ = run_trial(SUITES["ssa"], (2, 2, 2), 0, 3, 1e-6, 1e-8)
+    seen = _tolerances_seen(monkeypatch, "check_ssa_strengthened")
+    code, out, err = _replay_file(tmp_path, capsys, {
+        "checker": "ssa", "instance": serialize_instance(instance)})
+    assert code == cli.EXIT_OK, err
+    assert seen == [TOL_INEQ]
+    expected = SUITES["ssa"].run(instance, TOL_INEQ, {})
+    assert out == records_to_json([as_record(expected, (), 0, 0)])
+    [record] = json.loads(out)
+    assert (record["dims"], record["seed"], record["trial"]) == ("", 0, 0)
+
+
+def test_a_check_dump_with_empty_dims_replays(tmp_path, capsys):
+    instance, _ = run_trial(SUITES["ssa"], (2, 2, 2), 0, 3, 1e-6, 1e-8)
+    code, out, err = _replay_file(tmp_path, capsys, {
+        "checker": "ssa", "dims": [], "seed": 5, "trial": 3, "tolerance": 1e-8, "opts": {},
+        "instance": serialize_instance(instance)})
+    assert code == cli.EXIT_OK, err
+    [record] = json.loads(out)
+    assert (record["dims"], record["seed"], record["trial"]) == ("", 5, 3)
+
+
+def test_an_exploration_report_without_a_tolerance_replays_at_tol_ineq(
+        tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.json"
+    argv = ["explore", "cmi-petz", "--trials", "20", "--seed", "9", "--tol", "1e-6"]
+    assert _main(argv + ["--out", str(out)], capsys)[0] == cli.EXIT_OK
+    report = json.loads(out.read_text())
+    assert report.pop("tolerance") == 1e-6
+    seen = _tolerances_seen(monkeypatch, "explore_cmi_petz")
+    code, stdout, err = _replay_file(tmp_path, capsys, report)
+    assert code == cli.EXIT_OK, err
+    assert seen == [TOL_INEQ]
+    assert stdout.startswith("kind = cmi-petz\n")
+    assert stdout.endswith(f"slack = {report['min_slack']:.12e}\n")
 
 
 @pytest.mark.parametrize("checker", ["renyi-monotone", "overlap-chain"])
