@@ -57,6 +57,9 @@ change that moves bits names the suites it moved:
   fails, so neither writes a worst dump): the first overlap-chain trial with a scaled
   reference, the first without one and markov-roundtrip's trial 0, each sampled alone by
   its suite's sampler and written into the temporary directory;
+* replay of the minimal envelopes, which replay reads with its defaults: a check dump of
+  only its checker and instance (ssa's trial 0 at dims 2,2,2 and seed 42), the same trial
+  dumped with "dims": [], and the 100-trial cmi-petz report at 2,2,2 without its tolerance;
 * criterion 10's direct call, check_twirl_identity with 10^4 samples at dims (2, 3), for
   seeds 42, 43 and 44: X and the generator are built as perfbench's twirl-mc trial 0 builds
   them (key [seed, 10, 0]).  One line per seed, "<sha256> <pass> twirl-identity seed <s>",
@@ -236,6 +239,20 @@ def main() -> int:
                     break
             path = dump(f"{checker}-{scaled}.json", checker, instance, seed=42, trial=trial)
             report(f"replay {checker} trial {trial} dump", ["replay", path], [])
+        instance, _ = suites.run_trial(suites.SUITES["ssa"], (2, 2, 2), 42, 0, DEFAULT_EPS, 1e-8)
+        blob = serialize.serialize_instance(instance)
+        with open(os.path.join(tmp, "cmi-petz-2,2,2-100.json")) as fh:
+            untolerant = {k: v for k, v in json.load(fh).items() if k != "tolerance"}
+        for name, body in (
+            ("ssa dump of checker and instance", {"checker": "ssa", "instance": blob}),
+            ("ssa dump with empty dims", {"checker": "ssa", "dims": [], "seed": 42, "trial": 0,
+                                          "tolerance": 1e-8, "opts": {}, "instance": blob}),
+            ("cmi-petz report without tolerance", untolerant),
+        ):
+            path = os.path.join(tmp, name.replace(" ", "-") + ".json")
+            with open(path, "w") as fh:
+                json.dump(body, fh)
+            report(f"replay {name}", ["replay", path], [])
     for seed in TWIRL_SEEDS:
         rng = np.random.default_rng([seed, 10, 0])
         g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))

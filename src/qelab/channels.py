@@ -79,7 +79,8 @@ class KrausChannel:
         self.kraus = tuple(ops)
         self.d_in = d_in
         self.d_out = d_out
-        gap = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is NonFinite below
+            gap = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
         ok = max_sv_within(gap, TOL_RECON)
         if not ok.all():
             dev = max_sv(first_flagged(gap, ~ok))

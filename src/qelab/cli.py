@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import json
 import math
 import os
 import sys
@@ -34,7 +33,7 @@ import numpy as np
 from . import checks
 from .errors import BadConfig, QelabError
 from .results import as_record, records_to_csv, records_to_json
-from .serialize import deserialize_instance, deserialize_value, serialize_instance
+from .serialize import COUNT, GRID, check_dump, need, read_dump, read_value
 from .states import markov_state
 from .suites import (
     EXPLORATIONS,
@@ -64,24 +63,12 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _is_finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _finite_values(values, flag: str) -> list:
-    """values when it is a non-empty list of finite numbers, else BadConfig: the one rule
-    for a grid, whether parsed from a flag or read from a dump's options."""
-    if not (isinstance(values, list) and values and all(_is_finite(v) for v in values)):
-        raise BadConfig(f"{flag} values must be finite, got {values!r}")
-    return values
-
-
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise BadConfig(f"cannot parse {flag} {text!r}: {exc}") from exc
-    return _finite_values(values, flag)
+    return need(values, GRID, f"{flag} values")  # the rule of a dump's options too
 
 
 def _checked_tol(tol: float) -> float:
@@ -96,30 +83,15 @@ def _checked_eps(eps: float) -> float:
     return eps
 
 
-def _count(value, what: str, least: int = 0) -> int:
-    """value when it is an int >= least (a bool is not one), else BadConfig."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise BadConfig(f"{what} must be an integer >= {least}, got {value!r}")
-    return value
-
-
 def _effective_seed(seed: int) -> int:
     """QEL_SEED when set, else --seed; the one gate every CLI seed passes."""
     env = os.environ.get("QEL_SEED")
     if env is None:
-        return _count(seed, "--seed")
+        return need(seed, COUNT, "--seed")
     try:
-        return _count(int(env), "QEL_SEED")
+        return need(int(env), COUNT, "QEL_SEED")
     except ValueError as exc:
         raise BadConfig(f"QEL_SEED must be an integer, got {env!r}") from exc
-
-
-def _load_json(path: str, what: str):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise BadConfig(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _trotter_n_values(nmax: int) -> tuple[int, ...]:
@@ -202,8 +174,7 @@ def cmd_check(args) -> int:
     _write_report(records, args.format, args.out)
     if not all_pass and worst is not None:
         path = (args.out + ".worst.json") if args.out else "qelab-worst.json"
-        dump = {"checker": worst[1], "dims": list(dims), "seed": seed, "trial": worst[2],
-                "tolerance": worst[4], "opts": opts, "instance": serialize_instance(worst[3]())}
+        dump = check_dump(worst[1], dims, seed, worst[2], worst[4], opts, worst[3]())
         _write_report(dump, "json", path)
         _say(f"worst failing instance written to {path}")
         return EXIT_FAILED
@@ -211,7 +182,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_markov(args) -> int:
-    spec = deserialize_value(_load_json(args.spec, "Markov spec"), "markov_spec", "spec")
+    spec = read_value(args.spec, "markov_spec")
     state = markov_state(spec)
     t_samples = (
         _parse_floats(args.t_samples, "--t-samples")
@@ -234,7 +205,7 @@ def cmd_trotter(args) -> int:
     opts = {"n_values": _trotter_n_values(args.nmax)}
     path = getattr(args, "state", None)  # the optional tripartite state file
     if path:
-        loaded = deserialize_value(_load_json(path, "state"), "state", "state")
+        loaded = read_value(path, "state")
         if len(loaded.dims) != 3:
             raise BadConfig("trotter needs a tripartite state file")
         dims = loaded.dims
@@ -265,57 +236,27 @@ def cmd_explore(args) -> int:
     report = explore_conjecture(
         args.kind, args.trials, dims, seed, _checked_eps(args.eps), _checked_tol(args.tol)
     )
-    _write_report(report.to_json(), "json", args.out)
-    _say(f"[{report.kind}] trials={report.trials} min_slack={report.min_slack:.6e} "
-         f"worst_trial={report.worst_trial}")
-    if report.candidate_counterexample:
+    _write_report(report, "json", args.out)
+    _say(f"[{report['kind']}] trials={report['trials']} min_slack={report['min_slack']:.6e} "
+         f"worst_trial={report['worst_trial']}")
+    if report["candidate_counterexample"]:
         _say("candidate counterexample flagged; inspect the worst instance dump")
         return EXIT_CANDIDATE
     return EXIT_OK
 
 
 def cmd_replay(args) -> int:
-    payload = _load_json(args.dump, "dump")
-    if not isinstance(payload, dict) or not isinstance(payload.get("opts", {}), dict):
-        raise BadConfig("dump must be a JSON object with an object of options")
-    # every dump and report qelab writes carries its tolerance; a hand-made one may not
-    tol, opts = payload.get("tolerance", TOL_INEQ), payload.get("opts", {})
-    if not (_is_finite(tol) and tol >= 0):
-        raise BadConfig(f"dump tolerance must be a finite number >= 0, got {tol!r}")
-    for key, values in opts.items():
-        _finite_values(values, f"dump option {key}")
-    # a check dump names its checker and instance, an exploration report its kind and
-    # worst_instance
-    exploring = "checker" not in payload
-    registry, name, blob = (
-        (EXPLORATIONS, payload.get("kind"), payload.get("worst_instance")) if exploring
-        else (SUITES, payload.get("checker"), payload.get("instance"))
-    )
-    if name not in registry:
-        raise BadConfig(f"dump names unknown checker or exploration kind {name!r}")
-    if blob is None:
-        raise BadConfig("dump carries no instance to replay")
-    instance = deserialize_instance(blob)
-    bind_instance(registry[name], instance, opts)
-    if not exploring:
-        dims = payload.get("dims", [])
-        seed, trial = payload.get("seed", 0), payload.get("trial", 0)
-        if not isinstance(dims, list):
-            raise BadConfig(f"dump dims must be a list, got {dims!r}")
-        for d in dims:
-            _count(d, "each dump dim", least=1)
-        _count(seed, "dump seed")
-        _count(trial, "dump trial")
-    result = registry[name].run(instance, tol, opts)
-    if exploring:
-        print(f"kind = {name}")
+    suite, instance, tol, opts, record = read_dump(args.dump, SUITES, EXPLORATIONS)
+    bind_instance(suite, instance, opts)
+    result = suite.run(instance, tol, opts)
+    if record is None:  # an exploration report
+        print(f"kind = {suite.name}")
         for key, value in sorted(result.quantities.items()):
             print(f"{key} = {value:.12e}")
         print(f"slack = {result.slack:.12e}")
         return EXIT_CANDIDATE if candidate_counterexample(result.slack, tol) else EXIT_OK
-    record = as_record(result, dims, seed, trial)
-    sys.stdout.write(records_to_json([record]))
-    _say(f"[{name}] slack={result.slack:.6e} "
+    sys.stdout.write(records_to_json([as_record(result, *record)]))
+    _say(f"[{suite.name}] slack={result.slack:.6e} "
          f"{'PASS' if result.passed else 'FAIL'}")
     return EXIT_OK if result.passed else EXIT_FAILED
 

@@ -145,6 +145,7 @@ def max_sv_within(
     return ok
 
 
+@np.errstate(invalid="ignore")  # inf - inf reads NaN, and a NaN row takes the SVD: NonFinite
 def _hermitian_rows(x: np.ndarray) -> np.ndarray | None:
     """The is_hermitian verdict of each row, or None when every row is exactly Hermitian."""
     diff = x - dagger(x)
@@ -229,6 +230,10 @@ def matrix_fn(
         with np.errstate(all="ignore"):
             fvals = np.asarray(fn(vals))
     if not np.isfinite(fvals).all():
+        bad = vals[~np.isfinite(fvals)]
+        at = bad[np.argmax(np.abs(bad))]  # the eigenvalue farthest from 0 that fn fails at
+        if abs(at) > 1.0:  # no log or negative power fails there: fn overflowed
+            raise NonFinite(f"matrix function is not finite at eigenvalue {at:.3e}")
         raise SingularInput(
             "matrix function is singular on the spectrum "
             f"(min eigenvalue {vals.min():.3e}); use support_only for a "

@@ -110,41 +110,3 @@ def records_to_csv(records: list[dict]) -> str:
         writer.writerow(row)
     return buf.getvalue()
 
-
-@dataclass
-class ExplorationReport:
-    """Outcome of a conjecture exploration run.
-
-    Exploration never passes or fails; it reports the observed slack
-    distribution and flags a candidate counterexample when the minimum slack
-    is more negative than -10x the inequality tolerance.
-    """
-
-    kind: str
-    trials: int
-    dims: tuple[int, ...]
-    seed: int
-    tolerance: float
-    min_slack: float
-    worst_trial: int
-    histogram_edges: list[float]
-    histogram_counts: list[int]
-    worst_instance: dict
-    candidate_counterexample: bool
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "trials": self.trials,
-            "dims": "x".join(str(d) for d in self.dims),
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "min_slack": _clean(self.min_slack, "min_slack"),
-            "worst_trial": self.worst_trial,
-            "histogram": {
-                "edges": [_clean(e, "histogram edge") for e in self.histogram_edges],
-                "counts": [int(c) for c in self.histogram_counts],
-            },
-            "worst_instance": self.worst_instance,
-            "candidate_counterexample": self.candidate_counterexample,
-        }

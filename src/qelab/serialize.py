@@ -1,4 +1,8 @@
-"""The JSON format of qelab's inputs, written and read here and nowhere else.
+"""The JSON of qelab's files, written and read here and nowhere else.
+
+Here are the two replay envelopes, a check dump (check_dump) and an exploration report
+(exploration_report), which read_dump reads back, and the state and spec files (read_value).
+results owns the check reports and encodes every JSON text; cli owns no file format.
 
 A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
 {"d_in", "d_out", "kraus": [matrix, ...]}, a MarkovSpec {"d_a", "d_c", "blocks":
@@ -6,11 +10,13 @@ A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
 carries its "type"; a state or spec file is the untagged body.  Anything
 malformed is a BadConfig naming where it is, and a NaN or infinite matrix entry
 is NonFinite; what decodes still validates itself as it is built (NotPSD,
-BadTrace, InconsistentBlocks, DimMismatch).
+BadTrace, InconsistentBlocks, DimMismatch).  cli judges its flags with need, COUNT and GRID.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import reprlib
 
 import numpy as np
@@ -18,10 +24,15 @@ import numpy as np
 from .channels import KrausChannel
 from .errors import BadConfig, DimMismatch, NonFinite
 from .states import DensityMatrix, MarkovSpec, SubnormalizedOperator
+from .tolerances import TOL_INEQ
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return _is_number(value) and math.isfinite(value)
 
 
 def _is_rows(value) -> bool:
@@ -32,14 +43,30 @@ def _is_rows(value) -> bool:
                for row in value)
 
 
-# What a field must hold: a test and the words for it in an error message.
+def _integer(least: int) -> tuple:
+    return (lambda value: _is_number(value) and isinstance(value, int) and value >= least,
+            f"an integer >= {least}")
+
+
+# What a value must hold: a test and the words for it in an error message.
 _LIST = (lambda value: isinstance(value, list), "a list")
+_OBJECT = (lambda value: isinstance(value, dict), "a JSON object")
 _NUMBER = (_is_number, "a number")
-_DIM = (lambda value: _is_number(value) and isinstance(value, int) and value >= 1,
-        "an integer >= 1")
-_DIMS = (lambda value: _LIST[0](value) and value and all(map(_DIM[0], value)),
-         "a non-empty list of integers >= 1")
+_TOLERANCE = (lambda value: _is_finite(value) and value >= 0, "a finite number >= 0")
+_DIM = _integer(1)
+COUNT = _integer(0)
+_DIM_LIST = (lambda value: _LIST[0](value) and all(map(_DIM[0], value)),
+             "a list of integers >= 1")
+_DIMS = (lambda value: _DIM_LIST[0](value) and value, "a non-empty list of integers >= 1")
+GRID = (lambda value: _LIST[0](value) and value and all(map(_is_finite, value)), "finite")
 _ROWS = (_is_rows, "a rectangular list of rows of numbers")
+
+
+def need(value, test: tuple, what: str):
+    """value when it passes ``test``, else BadConfig "<what> must be <test's words>"."""
+    if not test[0](value):
+        raise BadConfig(f"{what} must be {test[1]}, got {reprlib.repr(value)}")
+    return value
 
 
 def _object(obj, where: str) -> dict:
@@ -48,14 +75,14 @@ def _object(obj, where: str) -> dict:
     return obj
 
 
-def _field(obj, key: str, where: str, need=None):
-    """obj[key], or BadConfig naming where when obj is no object, lacks key or
-    holds a value that fails ``need``."""
+def _field(obj, key: str, where: str, test=None, default=None):
+    """obj[key], or ``default`` when obj lacks key and it is not None; BadConfig naming where
+    when obj is no object, lacks a key with no default or holds a value that fails ``test``."""
     if key not in _object(obj, where):
-        raise BadConfig(f"{where} lacks the key {key!r}")
-    if need is not None and not need[0](obj[key]):
-        raise BadConfig(f"{where}.{key} must be {need[1]}, got {reprlib.repr(obj[key])}")
-    return obj[key]
+        if default is None:
+            raise BadConfig(f"{where} lacks the key {key!r}")
+        return default
+    return obj[key] if test is None else need(obj[key], test, f"{where}.{key}")
 
 
 def _encode_matrix(mat: np.ndarray) -> dict:
@@ -137,3 +164,71 @@ def serialize_instance(instance: dict) -> dict:
 def deserialize_instance(obj) -> dict:
     return {name: deserialize_value(value, where=f"instance.{name}")
             for name, value in _object(obj, "instance").items()}
+
+
+def check_dump(checker: str, dims, seed: int, trial: int, tolerance: float, opts: dict,
+               instance: dict) -> dict:
+    """The dump of a check's worst failing trial."""
+    return {"checker": checker, "dims": list(dims), "seed": seed, "trial": trial,
+            "tolerance": tolerance, "opts": opts, "instance": serialize_instance(instance)}
+
+
+def exploration_report(kind: str, trials: int, dims, seed: int, tolerance: float,
+                       min_slack: float, worst_trial: int, edges, counts, worst_instance: dict,
+                       candidate: bool) -> dict:
+    """The report of an exploration: its slack histogram and its worst trial's instance."""
+    return {"kind": kind, "trials": trials, "dims": "x".join(str(int(d)) for d in dims),
+            "seed": seed, "tolerance": tolerance, "min_slack": min_slack,
+            "worst_trial": worst_trial, "worst_instance": serialize_instance(worst_instance),
+            "histogram": {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]},
+            "candidate_counterexample": candidate}
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BadConfig(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+# A value file's kind: (what a failed read calls the file, where a fault in it is)
+_FILES = {"state": ("state", "state"), "markov_spec": ("Markov spec", "spec")}
+
+
+def read_value(path: str, kind: str):
+    """The value of ``kind``, "state" or "markov_spec", whose untagged body is the file."""
+    what, where = _FILES[kind]
+    return deserialize_value(_read_json(path, what), kind, where)
+
+
+def _named(dump: dict, key: str, registry: dict):
+    """The entry of registry that dump[key] names."""
+    test = (lambda name: isinstance(name, str) and name in registry,
+            "one of " + ", ".join(registry))
+    return registry[_field(dump, key, "dump", test)]
+
+
+def read_dump(path: str, checkers: dict, kinds: dict) -> tuple:
+    """(suite, instance, tolerance, opts, record) of the check dump or exploration report
+    at path, for replay.
+
+    A check dump names its suite among ``checkers``, and record is the (dims, seed, trial)
+    of its report record.  A file without "checker" is an exploration report, which names
+    its suite among ``kinds``, and record is None.  When missing, tolerance is TOL_INEQ,
+    opts {}, dims [] and seed and trial 0.
+    """
+    dump = _object(_read_json(path, "dump"), "dump")
+    tolerance = _field(dump, "tolerance", "dump", _TOLERANCE, TOL_INEQ)
+    opts = _field(dump, "opts", "dump", _OBJECT, {})
+    for key in opts:
+        _field(opts, key, "dump.opts", GRID)
+    if "checker" in dump:
+        suite = _named(dump, "checker", checkers)
+        record = (_field(dump, "dims", "dump", _DIM_LIST, []),
+                  _field(dump, "seed", "dump", COUNT, 0), _field(dump, "trial", "dump", COUNT, 0))
+        blob = _field(dump, "instance", "dump")
+    else:
+        suite, record = _named(dump, "kind", kinds), None
+        blob = _field(dump, "worst_instance", "dump")
+    return suite, deserialize_instance(blob), tolerance, opts, record

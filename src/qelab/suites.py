@@ -48,8 +48,8 @@ from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
 from .errors import BadConfig, QelabError
 from .linalg import hermitize, kron
-from .results import CheckResult, ExplorationReport
-from .serialize import serialize_instance
+from .results import CheckResult
+from .serialize import exploration_report
 from .states import (
     _CHUNK_ENTRIES,
     DensityMatrix,
@@ -786,11 +786,11 @@ def explore_conjecture(
     seed: int,
     eps: float = DEFAULT_EPS,
     tol: float = TOL_INEQ,
-) -> ExplorationReport:
+) -> dict:
     """Sweep random instances of an open inequality and report the slack law.
 
-    Exploration never asserts: the report carries the minimum observed slack,
-    a histogram, and the serialized worst instance, flagged as a candidate
+    Exploration never asserts: the report (serialize.exploration_report) carries the minimum
+    observed slack, a histogram, and the serialized worst instance, flagged as a candidate
     counterexample by the rule of candidate_counterexample.
     """
     if kind not in EXPLORATIONS:
@@ -804,16 +804,5 @@ def explore_conjecture(
             worst = (result.slack, trial, instance)
     counts, edges = np.histogram(slacks, HISTOGRAM_BINS)
     min_slack = float(worst[0])
-    return ExplorationReport(
-        kind=kind,
-        trials=trials,
-        dims=tuple(int(d) for d in dims),
-        seed=seed,
-        tolerance=tol,
-        min_slack=min_slack,
-        worst_trial=worst[1],
-        histogram_edges=[float(e) for e in edges],
-        histogram_counts=[int(c) for c in counts],
-        worst_instance=serialize_instance(worst[2]()),
-        candidate_counterexample=candidate_counterexample(min_slack, tol),
-    )
+    return exploration_report(kind, trials, dims, seed, tol, min_slack, worst[1], edges, counts,
+                              worst[2](), candidate_counterexample(min_slack, tol))

@@ -282,10 +282,10 @@ def test_criterion_12_conjecture_explorer_completes():
     summaries = []
     for kind in EXPLORATIONS:
         report = explore_conjecture(kind, 10_000, (2, 2, 2), SEED)
-        assert report.trials == 10_000
-        assert sum(report.histogram_counts) == 10_000
-        assert len(report.histogram_edges) == len(report.histogram_counts) + 1
-        summaries.append(f"{kind}:min={report.min_slack:.2e}")
+        assert report["trials"] == 10_000
+        assert sum(report["histogram"]["counts"]) == 10_000
+        assert len(report["histogram"]["edges"]) == len(report["histogram"]["counts"]) + 1
+        summaries.append(f"{kind}:min={report['min_slack']:.2e}")
         # exploratory only: the sign of min_slack is reported, never asserted
     elapsed = time.perf_counter() - start
     _report(12, "conjecture-explorer", True, " ".join(summaries), elapsed, 600.0)

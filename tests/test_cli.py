@@ -504,6 +504,8 @@ MALFORMED_DUMPS = {
     "check-dump-with-only-worst-instance": lambda dump: {
         **{k: v for k, v in dump.items() if k != "instance"}, "worst_instance": dump["instance"],
     },
+    "checker-not-a-string": {"checker": ["markov-roundtrip"]},
+    "kind-not-a-string": lambda dump: {"kind": {}, "worst_instance": dump["instance"]},
 }
 
 
@@ -887,6 +889,15 @@ def test_replayed_raw_matrix_with_a_nan_or_inf_is_one_error(name, key, bad, tmp_
     path.write_text(json.dumps(dump))  # written as NaN / Infinity, which JSON readers accept
     code, out, err = _main(["replay", str(path)], capsys)
     assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: matrix has a NaN or infinite entry\n")
+
+
+def test_a_replayed_overflow_is_non_finite_and_exits_2(tmp_path, capsys):
+    # exp(A + B) overflows at the eigenvalue 801: not a singular input
+    instance = {"a": np.diag([800.0, 0.0]), "b": np.eye(2)}
+    code, out, err = _replay_file(tmp_path, capsys, {
+        "checker": "golden-thompson", "instance": serialize_instance(instance)})
+    assert (code, out, err) == (
+        cli.EXIT_CONFIG, "", "error: matrix function is not finite at eigenvalue 8.010e+02\n")
 
 
 def _one_part(*keys):

@@ -494,8 +494,8 @@ def test_a_non_finite_matrix_raises_non_finite(bad, at):
     calls = [lambda: herm_eig(x), lambda: relative_entropy(state, x),
              lambda: relative_entropy(x, state.mat), lambda: von_neumann(x),
              lambda: trace_norm(x), lambda: trace_norm(np.stack([state.mat, x]))]
-    for call in calls:  # inf - inf in the Hermiticity test warns on the way
-        with np.errstate(invalid="ignore"), pytest.raises(NonFinite, match="NaN or infinite"):
+    for call in calls:  # with no numpy warning on the way (warnings are errors here)
+        with pytest.raises(NonFinite, match="NaN or infinite"):
             call()
 
 

@@ -103,6 +103,19 @@ def test_matrix_log_rejects_singular_without_support():
         matrix_log(np.diag([1.0, -1e-12]))
 
 
+def test_an_overflowing_matrix_function_is_non_finite_not_singular():
+    # exp overflows at the eigenvalue 801, where nothing is singular
+    with pytest.raises(NonFinite, match=r"not finite at eigenvalue 8\.010e\+02"):
+        matrix_exp(np.diag([801.0, 1.0]))
+    with pytest.raises(NonFinite, match=r"not finite at eigenvalue 1\.000e\+03"):
+        matrix_fn(np.diag([0.0, 1e3]), lambda x: np.power(x, 1e3))
+    # a log or a negative power that fails at an eigenvalue of about 0 is still singular
+    with pytest.raises(SingularInput, match="singular on the spectrum"):
+        matrix_fn(np.diag([1.0, 1e-200, 1e3]), lambda x: np.power(x, -2.0))
+    with pytest.raises(SingularInput, match="singular on the spectrum"):
+        matrix_log(np.diag([1e3, 0.0]))
+
+
 def test_matrix_log_of_a_negative_eigenvalue_is_not_psd():
     with pytest.raises(NotPSD, match="minimum eigenvalue -1.000e"):
         matrix_log(-np.eye(2))

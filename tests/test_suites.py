@@ -352,15 +352,15 @@ def test_exploration_worst_trial_replays_alone(index, kind):
     seed, dims = 7, (2, 3, 2)
     report = explore_conjecture(kind, 12, dims, seed)
     # exploration streams are keyed [seed, 100 + kind index, trial]
-    rng = trial_rng(seed, kind, report.worst_trial)
-    expected = np.random.default_rng([seed, 100 + index, report.worst_trial])
+    rng = trial_rng(seed, kind, report["worst_trial"])
+    expected = np.random.default_rng([seed, 100 + index, report["worst_trial"]])
     assert rng.bit_generator.state == expected.bit_generator.state
     suite = EXPLORATIONS[kind]
     instance = suites._instance_row(suite.sample([rng], dims, DEFAULT_EPS), 0)
-    assert serialize_instance(instance) == report.worst_instance
-    payload = json.loads(json.dumps(report.worst_instance))
+    assert serialize_instance(instance) == report["worst_instance"]
+    payload = json.loads(json.dumps(report["worst_instance"]))
     replayed = suite.run(deserialize_instance(payload), TOL_INEQ, {})
-    assert replayed.slack == report.min_slack
+    assert replayed.slack == report["min_slack"]
 
 
 def _bits(result):
@@ -566,7 +566,11 @@ def test_an_error_inside_a_chunk_raises_as_its_trial_alone(
      "trace 1.5 deviates from 1"),
     ("stronger-mono", _redrawn("channel", lambda k: 1.1 * k), DimMismatch,
      "Kraus operators violate trace preservation by"),
-], ids=["nan", "not-hermitian", "not-psd", "bad-trace", "not-trace-preserving"])
+    # sum K^dag K overflows: NonFinite, with no numpy warning on the way
+    ("stronger-mono", _redrawn("channel", lambda k: 1e200 * k), NonFinite,
+     "matrix has a NaN or infinite entry"),
+], ids=["nan", "not-hermitian", "not-psd", "bad-trace", "not-trace-preserving",
+        "kraus-overflow"])
 def test_a_bad_draw_inside_a_chunk_raises_as_its_trial_alone(
     kind, breaks, error, message, chunk, monkeypatch
 ):
