@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
     HermitianEigen,
+    _kraus_sum,
     dagger,
     first_flagged,
     herm_eig,
@@ -80,7 +81,7 @@ class KrausChannel:
         self.d_in = d_in
         self.d_out = d_out
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is NonFinite below
-            gap = sum(dagger(k) @ k for k in ops) - np.eye(d_in)
+            gap = _kraus_sum(ops, dual=True) - np.eye(d_in)
         ok = max_sv_within(gap, TOL_RECON)
         if not ok.all():
             dev = max_sv(first_flagged(gap, ~ok))
@@ -95,7 +96,7 @@ class KrausChannel:
 
     def _unital_gap(self) -> np.ndarray:
         """sum K K^dag - 1, of each channel of a stack."""
-        return sum(k @ dagger(k) for k in self.kraus) - np.eye(self.d_out)
+        return _kraus_sum(self.kraus) - np.eye(self.d_out)
 
     @cached_property
     def is_unital(self) -> bool:
@@ -107,7 +108,7 @@ class KrausChannel:
         x = np.asarray(x, dtype=complex)
         if x.shape[-2:] != (self.d_in, self.d_in):
             raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
-        return _hermitian_like(x, sum(k @ x @ dagger(k) for k in self.kraus))
+        return _hermitian_like(x, _kraus_sum(self.kraus, x))
 
     def apply_dual(self, y: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
@@ -118,7 +119,7 @@ class KrausChannel:
         y = np.asarray(y, dtype=complex)
         if y.shape[-2:] != (self.d_out, self.d_out):
             raise DimMismatch(f"input shape {y.shape}, dual expects {self.d_out}")
-        return _hermitian_like(y, sum(dagger(k) @ y @ k for k in self.kraus))
+        return _hermitian_like(y, _kraus_sum(self.kraus, y, dual=True))
 
     def __repr__(self) -> str:
         return (

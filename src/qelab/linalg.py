@@ -28,8 +28,11 @@ Conventions
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
+import os
+import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,6 +89,82 @@ def first_flagged(values, flags):
 def dagger(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a stack."""
     return x.conj().swapaxes(-1, -2)
+
+
+_LANE_DIM = 48  # Kraus operators from this dimension on spread their terms over the cores
+_LANE_BATCH = 4  # the most terms a lane computes at a time
+
+
+@functools.cache
+def _lane_pool(workers: int):
+    """The threads that compute Kraus terms beside the caller, started at first use."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="qelab-lane")
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_lane_pool.cache_clear)
+
+
+def _kraus_terms(kraus: Sequence[np.ndarray], y: np.ndarray | None, dual: bool) -> list:
+    """The terms K Y K^dag, or K^dag Y K when dual (Y = 1 when None), of some Kraus operators.
+    It calls numpy operators alone, so that it may run on a lane: nothing traced or rebound."""
+    terms = []
+    for k in kraus:
+        kh = k.conj().swapaxes(-1, -2)
+        a, b = (kh, k) if dual else (k, kh)
+        terms.append(a @ b if y is None else a @ y @ b)
+    return terms
+
+
+def _kraus_sum(kraus: Sequence[np.ndarray], y: np.ndarray | None = None,
+               dual: bool = False) -> np.ndarray:
+    """sum_i K_i Y K_i^dag, or sum_i K_i^dag Y K_i when dual, with Y = 1 when None.
+
+    The terms are added in order from 0 + T_0, as Python's sum adds them.  From operators of
+    dimension _LANE_DIM on, they are computed on the cores this process may run on, the
+    caller's included, two terms a lane at least (handing one over costs more than it saves),
+    in batches of _LANE_BATCH, one batch a lane at a time, under the caller's numpy error
+    state.  Each term is the same expression on one thread, so the bits are the same: signed
+    zeros, NaN and inf included.
+    """
+    cores = 1
+    if max(kraus[0].shape[-2:]) >= _LANE_DIM and hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    lanes = min(cores, len(kraus) // 2)
+    if lanes <= 1:
+        return sum(_kraus_terms(kraus, y, dual))
+    size = min(_LANE_BATCH, -(-len(kraus) // lanes))
+    batches = [kraus[i:i + size] for i in range(0, len(kraus), size)]
+    work = functools.partial(_kraus_terms, y=y, dual=dual)
+    return sum(_in_order(batches, work, lanes, _lane_pool(cores - 1)))
+
+
+def _in_order(batches: list, work: Callable, lanes: int, pool):
+    """work(batch)'s terms for each batch in turn.  Of each round of ``lanes`` batches the
+    caller computes the first and offers the others to the pool; a batch that no lane has
+    started when the caller reaches it, the caller withdraws and computes itself, so a lane
+    whose core is busy elsewhere delays nothing.  Each batch is computed once."""
+    lock, started = threading.Lock(), [False] * len(batches)
+
+    def take(j: int) -> bool:
+        with lock:
+            first, started[j] = not started[j], True
+        return first
+
+    def lane(j: int):
+        return work(batches[j]) if take(j) else None
+
+    for r in range(0, len(batches), lanes):
+        futures = {j: pool.submit(contextvars.copy_context().run, lane, j)
+                   for j in range(r + 1, min(r + lanes, len(batches)))}
+        yield from work(batches[r])
+        for j, future in futures.items():
+            if take(j):
+                future.cancel()
+                yield from work(batches[j])
+            else:
+                yield from future.result()
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qelab import states
+from qelab import channels as channels_module, cli, linalg, states
 from qelab.channels import (
     KrausChannel,
     PetzMap,
@@ -24,7 +26,7 @@ from qelab.channels import (
     twirl_mc,
 )
 from qelab.entropy import relative_entropy
-from qelab.errors import DimMismatch, NotUnital, SingularSigma
+from qelab.errors import DimMismatch, NonFinite, NotUnital, SingularSigma
 from qelab.linalg import dagger, hermitize, kron, max_sv, ptrace, trace_norm
 from qelab.serialize import deserialize_value, serialize_value
 from qelab.states import (
@@ -38,6 +40,7 @@ from qelab.states import (
 )
 from qelab.tolerances import TOL_HERM, TOL_RECON
 from helpers import random_tripartite
+from test_linalg import hexes, lanes, term_threads, until_a_lane_runs
 
 
 def _identity_channel(d):
@@ -757,3 +760,140 @@ def test_a_stacked_petz_map_mixes_only_its_singular_rows():
     recovered = PetzMap(channel, DensityMatrix(np.stack([s.mat for s in sigmas]))).apply(xs)
     for i, sigma in enumerate(sigmas):
         assert _same_bits(recovered[i], PetzMap(channel, sigma).apply(xs[i]))
+
+
+def _drawn_channels(d, rows):
+    """random_unital_channel(d, d) and random_channel(d, 2), or 2-row stacks of them."""
+    rng = (np.random.default_rng([92, d]) if rows is None
+           else [np.random.default_rng([92, d, i]) for i in range(rows)])
+    return [random_unital_channel(d, d, rng), random_channel(d, 2, rng)]
+
+
+def _gaussian(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [32, 48, 64])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_kraus_sums_keep_the_bits_of_the_generator_sums(monkeypatch, d, rows):
+    lanes(monkeypatch, 2)
+    threads = term_threads(monkeypatch)
+    gaps = []
+    real_within = channels_module.max_sv_within
+    monkeypatch.setattr(channels_module, "max_sv_within",
+                        lambda gap, *a: gaps.append(gap) or real_within(gap, *a))
+    rng = np.random.default_rng([93, d])
+    lead = () if rows is None else (rows,)
+    drawn = _drawn_channels(d, rows)
+    if d == 64:  # its Kraus operators hold exact zeros
+        drawn += [ptrace_channel((4, 4, 4), traced) for traced in range(3)]
+
+    def compare():
+        for channel in drawn:
+            del gaps[:]
+            KrausChannel(channel.kraus)
+            assert hexes(gaps[0]) == hexes(sum(dagger(k) @ k for k in channel.kraus)
+                                           - np.eye(channel.d_in))
+            assert hexes(channel._unital_gap()) == hexes(
+                sum(k @ dagger(k) for k in channel.kraus) - np.eye(channel.d_out))
+            x = _gaussian(lead + (channel.d_in,) * 2, rng)
+            y = _gaussian(lead + (channel.d_out,) * 2, rng)
+            for x in (x, hermitize(x)):  # a Hermitian input's image is re-Hermitized
+                want = sum(k @ x @ dagger(k) for k in channel.kraus)
+                want = hermitize(want) if np.array_equal(x, dagger(x)) else want
+                assert hexes(channel.apply(x)) == hexes(want)
+            for y in (y, hermitize(y)):
+                want = sum(dagger(k) @ y @ k for k in channel.kraus)
+                want = hermitize(want) if np.array_equal(y, dagger(y)) else want
+                assert hexes(channel.apply_dual(y)) == hexes(want)
+
+    assert until_a_lane_runs(compare, threads, tries=5) == (d >= linalg._LANE_DIM)
+
+
+def test_an_overflowing_channel_on_the_lanes_is_nonfinite_without_a_warning(monkeypatch):
+    lanes(monkeypatch, 2)
+    threads = term_threads(monkeypatch)
+    kraus = [k * 1e200 for k in random_unital_channel(64, 64, np.random.default_rng(94)).kraus]
+    def build():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                KrausChannel(kraus)
+
+    assert until_a_lane_runs(build, threads)
+
+
+def test_no_function_a_tracer_rebinds_runs_on_a_lane(monkeypatch, capsys):
+    # perfbench's tracer rebinds qelab's functions and numpy.linalg's, and keeps one span stack
+    main, off_main = threading.main_thread(), []
+
+    def watched(fn, name):
+        def call(*args, **kwargs):
+            if threading.current_thread() is not main:
+                off_main.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("dagger", "hermitize"):
+        real = getattr(linalg, name)
+        for module in [m for n, m in list(sys.modules.items()) if n.split(".")[0] == "qelab"]:
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, watched(real, name))
+    for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, watched(getattr(np.linalg, name), name))
+    lanes(monkeypatch, 2)
+    threads = term_threads(monkeypatch)
+    code = cli.main(["check", "--suite", "stronger-monotonicity,sbw-limit", "--dims", "4,4,4",
+                     "--trials", "1"])
+    assert code == cli.EXIT_OK and capsys.readouterr().out
+    assert any(thread is not main for thread, _ in threads)
+    assert off_main == []
+
+
+U = np.finfo(float).eps / 2  # the unit roundoff
+
+
+def _petz_bar(channel, image) -> float:
+    """A first-order bound on ||R(Phi(sigma)) - sigma||_inf for the Petz map R of (Phi, sigma),
+    with d = channel.d_in, n Kraus operators, kappa the condition number of Phi(sigma) and
+    ||sigma|| <= 1: 8 d u (kappa + n).  eigh of Phi(sigma) is backward stable, with an error of
+    c d u ||Phi(sigma)||, which its inverse square roots scale by kappa, as they do the rounding
+    of the three products Phi(sigma)^{-1/2} Phi(sigma) Phi(sigma)^{-1/2}; Phi^* maps that near-
+    identity to the identity with norm ||Phi^*(1)|| ~ 1, and its n terms add n u; the products
+    with sigma^{1/2} and its eigh add a few d u more."""
+    vals = np.linalg.eigvalsh(image)
+    return 8 * channel.d_in * U * (vals[-1] / vals[0] + len(channel.kraus))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 8),
+    unital=st.booleans(),
+    rank=st.integers(1, 8),
+    eps=st.floats(1e-6, 1e-1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_petz_map_sends_the_image_of_its_reference_back(d, unital, rank, eps, seed):
+    rng = np.random.default_rng(seed)
+    sigma = regularize(random_density(d, rng, rank=min(rank, d)), eps)
+    channel = random_unital_channel(d, d, rng) if unital else random_channel(d, 2, rng)
+    image = channel.apply(sigma.mat)
+    recovered = PetzMap(channel, sigma).apply(image)
+    assert max_sv(recovered - sigma.mat) <= _petz_bar(channel, image)
+
+
+def test_the_petz_map_sends_the_image_of_its_reference_back_at_d64(monkeypatch):
+    lanes(monkeypatch, 2)
+    threads = term_threads(monkeypatch)
+    rng = np.random.default_rng(95)
+    sigma = regularize(random_density(64, rng, rank=4), 1e-3)
+    channel = random_unital_channel(64, 64, rng)
+    image = channel.apply(sigma.mat)
+    petz = PetzMap(channel, sigma)
+    del threads[:]
+
+    def recover():
+        assert max_sv(petz.apply(image) - sigma.mat) <= _petz_bar(channel, image)
+
+    assert until_a_lane_runs(recover, threads)  # apply_dual on the lanes

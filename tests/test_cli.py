@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import functools
 import json
@@ -1017,6 +1018,19 @@ def test_a_command_runs_with_blas_on_one_thread_and_restores_its_count(monkeypat
         assert (seen, get()) == ([1], threads)
     finally:
         set_(before)
+
+
+def test_the_blas_symbols_are_resolved_once_per_process(monkeypatch, capsys):
+    opened, real = [], ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: opened.append(args[0])
+                        or real(*args, **kwargs))
+    cli._blas_threads.cache_clear()
+    try:
+        for _ in range(2):
+            assert _main(["explore", "cmi-petz", "--trials", "2"], capsys)[0] == cli.EXIT_OK
+    finally:
+        cli._blas_threads.cache_clear()  # the next call resolves them with the real CDLL
+    assert opened == [np.linalg._umath_linalg.__file__]
 
 
 def test_reports_do_not_depend_on_the_blas_thread_count():
