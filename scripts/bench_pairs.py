@@ -1,6 +1,8 @@
 """Run perfbench in two qelab checkouts in alternating pairs and compare their end-to-end metrics.
 
     python scripts/bench_pairs.py PARENT CHANGE --workload check-d64 --pairs 10 --first-seed 3000
+    python scripts/bench_pairs.py PARENT CHANGE --workload check-d64 --pairs 20 --first-seed 3000 \
+        --units 4
 
 Pair i runs `python3 perfbench/run.py --workload W --seed FIRST_SEED + i --seconds 20 --trace 0`
 in each checkout, one after the other: the parent first in even pairs, the change first in odd
@@ -11,6 +13,12 @@ and the number of pairs the change wins by the metric's "better" direction.  It 
 the uncalibrated rate in each run's manifest (raw_trials_per_s), which no bound applies to.  The
 last line is one JSON object holding every run, for a BENCH_*.json file.  A run that fails or
 reports incorrect outputs stops the script with exit status 1.
+
+With --units N a run is instead `python3 perfbench/workload.py --mode fixed --units N` in the
+checkout, with BLAS on one thread as perfbench/run.py starts it: the same N units of work on both
+sides, compared by their wall time inside qelab calls (busy_s, not rescaled), by the rate
+rescaled as trials_per_s is, and by the raw rate.  A short run keeps the pair's two sides close
+in time, so a drift of the machine's speed moves them alike even where it does not cancel.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SECONDS = 20
 SIDES = ("parent", "change")
@@ -45,6 +54,28 @@ def run_once(checkout: str, workload: str, seed: int) -> dict:
     return values
 
 
+def run_fixed(checkout: str, workload: str, seed: int, units: int) -> dict:
+    """busy_s, the rescaled and the raw rate of ``units`` units of perfbench's workload, run in
+    ``checkout`` as perfbench/run.py runs it."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    env.pop("QEL_SEED", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    with tempfile.TemporaryDirectory() as workdir:
+        argv = [sys.executable, "perfbench/workload.py", "--workload", workload, "--seed",
+                str(seed), "--mode", "fixed", "--units", str(units), "--workdir", workdir]
+        proc = subprocess.run(argv, cwd=checkout, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    out = json.loads(lines[-1])
+    if out["failed"] or out["ref_failed"] or out["records_changed"]:
+        raise SystemExit(f"{checkout}: seed {seed} reported incorrect outputs: {out}")
+    return {"busy_s": out["busy_s"], "trials_per_s": out["trials"] / out["speed_busy_s"],
+            RAW: out["trials"] / out["busy_s"]}
+
+
 def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
@@ -56,12 +87,19 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--units", type=int, default=None,
+                        help="run this many units of fixed work instead of 20-s runs")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.units is not None and args.units < 1:
+        parser.error("--units must be at least 1")
     roots = dict(zip(SIDES, (os.path.abspath(args.parent), os.path.abspath(args.change))))
-    with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    if args.units is None:
+        with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
+            better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    else:
+        better = {"busy_s": "lower", "trials_per_s": "higher"}
     better[RAW] = "higher"
 
     runs = {side: [] for side in SIDES}
@@ -69,7 +107,8 @@ def main() -> int:
         seed = args.first_seed + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            runs[side].append(run_once(roots[side], args.workload, seed))
+            runs[side].append(run_once(roots[side], args.workload, seed) if args.units is None
+                              else run_fixed(roots[side], args.workload, seed, args.units))
         print(f"pair {i} seed {seed} ({order[0]} first): " + ", ".join(
             f"{name} {runs['parent'][-1][name]:.6g} -> {runs['change'][-1][name]:.6g}"
             for name in better), flush=True)
@@ -88,7 +127,7 @@ def main() -> int:
         print(f"{name}: parent median {q_parent[1]:.6g} (quartiles {q_parent[0]:.6g}, "
               f"{q_parent[2]:.6g}), change median {q_change[1]:.6g} (quartiles "
               f"{q_change[0]:.6g}, {q_change[2]:.6g}), change better in {wins}/{args.pairs} pairs")
-    print(json.dumps({"workload": args.workload, "seconds": SECONDS,
+    print(json.dumps({"workload": args.workload, "seconds": SECONDS, "units": args.units,
                       "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
                       "metrics": summary}))
     return 0

@@ -28,11 +28,9 @@ Conventions
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import functools
 import math
 import os
-import threading
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -91,30 +89,26 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-_LANE_DIM = 48  # Kraus operators from this dimension on spread their terms over the cores
+_LANE_DIM = 48  # Kraus operators from this dimension on spread their terms over two cores
 _LANE_BATCH = 4  # the most terms a lane computes at a time
+_LANES = 2  # the caller and one pool thread, as measured on a 2-core host; wider hosts unmeasured
 
 
 @functools.cache
-def _lane_pool(workers: int):
-    """The threads that compute Kraus terms beside the caller, started at first use."""
+def _lane_pool():
+    """The thread that computes Kraus terms beside the caller, started at first use."""
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="qelab-lane")
+    return ThreadPoolExecutor(_LANES - 1, thread_name_prefix="qelab-lane")
 
 
-if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
-    os.register_at_fork(after_in_child=_lane_pool.cache_clear)
-
-
-def _kraus_terms(kraus: Sequence[np.ndarray], y: np.ndarray | None, dual: bool) -> list:
-    """The terms K Y K^dag, or K^dag Y K when dual (Y = 1 when None), of some Kraus operators.
-    It calls numpy operators alone, so that it may run on a lane: nothing traced or rebound."""
-    terms = []
+def _kraus_terms(kraus: Sequence[np.ndarray], y: np.ndarray | None, dual: bool):
+    """The terms K Y K^dag, or K^dag Y K when dual (Y = 1 when None), of some Kraus operators,
+    one at a time.  It calls numpy operators alone, so that it may run on a lane: nothing
+    traced or rebound."""
     for k in kraus:
         kh = k.conj().swapaxes(-1, -2)
         a, b = (kh, k) if dual else (k, kh)
-        terms.append(a @ b if y is None else a @ y @ b)
-    return terms
+        yield a @ b if y is None else a @ y @ b
 
 
 def _kraus_sum(kraus: Sequence[np.ndarray], y: np.ndarray | None = None,
@@ -122,49 +116,42 @@ def _kraus_sum(kraus: Sequence[np.ndarray], y: np.ndarray | None = None,
     """sum_i K_i Y K_i^dag, or sum_i K_i^dag Y K_i when dual, with Y = 1 when None.
 
     The terms are added in order from 0 + T_0, as Python's sum adds them.  From operators of
-    dimension _LANE_DIM on, they are computed on the cores this process may run on, the
-    caller's included, two terms a lane at least (handing one over costs more than it saves),
-    in batches of _LANE_BATCH, one batch a lane at a time, under the caller's numpy error
-    state.  Each term is the same expression on one thread, so the bits are the same: signed
-    zeros, NaN and inf included.
+    dimension _LANE_DIM on, when this process may run on two cores or more, they are computed
+    on _LANES lanes, the caller's included, two terms a lane at least (handing one over costs
+    more than it saves), in batches of _LANE_BATCH, one batch a lane at a time, under the
+    caller's numpy error state.  Each term is the same expression on one thread, so the bits
+    are the same: signed zeros, NaN and inf included.
     """
-    cores = 1
+    lanes = 1
     if max(kraus[0].shape[-2:]) >= _LANE_DIM and hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    lanes = min(cores, len(kraus) // 2)
+        lanes = min(_LANES, len(os.sched_getaffinity(0)), len(kraus) // 2)
     if lanes <= 1:
         return sum(_kraus_terms(kraus, y, dual))
     size = min(_LANE_BATCH, -(-len(kraus) // lanes))
     batches = [kraus[i:i + size] for i in range(0, len(kraus), size)]
-    work = functools.partial(_kraus_terms, y=y, dual=dual)
-    return sum(_in_order(batches, work, lanes, _lane_pool(cores - 1)))
+    return sum(_in_order(batches, lambda batch: list(_kraus_terms(batch, y, dual)), lanes,
+                         _lane_pool()))
 
 
 def _in_order(batches: list, work: Callable, lanes: int, pool):
     """work(batch)'s terms for each batch in turn.  Of each round of ``lanes`` batches the
     caller computes the first and offers the others to the pool; a batch that no lane has
-    started when the caller reaches it, the caller withdraws and computes itself, so a lane
-    whose core is busy elsewhere delays nothing.  Each batch is computed once."""
-    lock, started = threading.Lock(), [False] * len(batches)
-
-    def take(j: int) -> bool:
-        with lock:
-            first, started[j] = not started[j], True
-        return first
-
-    def lane(j: int):
-        return work(batches[j]) if take(j) else None
-
+    started when the caller reaches it, the caller withdraws (Future.cancel) and computes
+    itself, so a lane whose core is busy elsewhere delays nothing.  Each batch is computed
+    once."""
+    state = dict(np.geterr(), call=np.geterrcall())  # numpy < 2 keeps it per thread
     for r in range(0, len(batches), lanes):
-        futures = {j: pool.submit(contextvars.copy_context().run, lane, j)
+        futures = {j: pool.submit(_under_errstate, state, work, batches[j])
                    for j in range(r + 1, min(r + lanes, len(batches)))}
         yield from work(batches[r])
         for j, future in futures.items():
-            if take(j):
-                future.cancel()
-                yield from work(batches[j])
-            else:
-                yield from future.result()
+            yield from work(batches[j]) if future.cancel() else future.result()
+
+
+def _under_errstate(state: dict, work: Callable, batch):
+    """work(batch) under the numpy error state ``state`` (np.geterr and np.geterrcall)."""
+    with np.errstate(**state):
+        return work(batch)
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:

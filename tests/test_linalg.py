@@ -8,6 +8,7 @@ import itertools
 import os
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -798,7 +799,7 @@ def test_the_caller_computes_each_batch_that_no_lane_has_started(monkeypatch):
     kraus = [rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(16)]
     y = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
     pool = _IdlePool()
-    monkeypatch.setattr(linalg, "_lane_pool", lambda workers: pool)
+    monkeypatch.setattr(linalg, "_lane_pool", lambda: pool)
     lanes(monkeypatch, 2)
     threads = term_threads(monkeypatch)
     assert hexes(linalg._kraus_sum(kraus, y)) == hexes(_generator_sum(kraus, y, False))
@@ -806,9 +807,9 @@ def test_the_caller_computes_each_batch_that_no_lane_has_started(monkeypatch):
     assert all(thread is threading.main_thread() for thread, _ in threads)
 
 
-def test_each_batch_is_computed_once_with_more_lanes_than_cores(monkeypatch):
-    # eight lanes on this host's cores, switching threads every microsecond: a batch claimed
-    # twice, or by no one, would change the term count or the sum
+def test_each_batch_is_computed_once_under_fast_thread_switches(monkeypatch):
+    # switching threads every microsecond: a batch computed twice, or by no one, would change
+    # the term count or the sum
     rng = np.random.default_rng(97)
     d = linalg._LANE_DIM
     kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40)]
@@ -825,3 +826,33 @@ def test_each_batch_is_computed_once_with_more_lanes_than_cores(monkeypatch):
             assert sum(n for _, n in threads) == len(kraus)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_a_kraus_sum_runs_on_the_caller_and_one_pool_thread_whatever_the_cores(monkeypatch):
+    rng = np.random.default_rng(98)
+    kraus = [rng.normal(size=(64, 64)) + 0j for _ in range(64)]
+    lanes(monkeypatch, 64)
+    threads = term_threads(monkeypatch)
+    summed = functools.partial(linalg._kraus_sum, kraus, np.eye(64))
+    assert until_a_lane_runs(summed, threads)
+    assert len({thread for thread, _ in threads}) == 2
+    assert linalg._lane_pool()._max_workers == linalg._LANES - 1 == 1
+
+
+@pytest.mark.parametrize("cores, most", [(1, 5), (2, 5 + 3 * linalg._LANE_BATCH)])
+def test_a_kraus_sum_holds_a_few_terms_at_a_time(monkeypatch, cores, most):
+    # the loop adds each term as it comes; the lanes hold a few batches, not all 64 terms
+    rng = np.random.default_rng(99)
+    kraus = [rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(64)]
+    y = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
+    lanes(monkeypatch, cores)
+    linalg._kraus_sum(kraus, y)  # the pool starts outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(3):
+            linalg._kraus_sum(kraus, y)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= most * y.nbytes

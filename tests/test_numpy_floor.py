@@ -18,6 +18,7 @@ TESTS = pathlib.Path(__file__).resolve().parent
 NUMPY2_ONLY = re.compile(
     r"\.mT\b|\bmatrix_transpose\b|\bvecdot\b|\bisdtype\b|\bunique_values\b"
     r"|\b(?:np|numpy)\.bool\b|\bnumpy\._core\b"
+    r"|\bcopy_context\b"  # carries numpy's error state to a thread from NumPy 2 on only
 )
 
 
@@ -29,8 +30,10 @@ NUMPY2_ONLY = re.compile(
     ("np.unique_values(x)", True),
     ("np.ones(3, dtype=np.bool)", True),
     ("from numpy._core import umath", True),
+    ("pool.submit(contextvars.copy_context().run, work)", True),
     ("np.ones(3, dtype=np.bool_)", False),
     ("np.swapaxes(x.conj(), -1, -2)", False),
+    ("with np.errstate(**np.geterr()):", False),
 ])
 def test_the_guard_knows_the_numpy2_only_names(line, hit):
     assert bool(NUMPY2_ONLY.search(line)) == hit
