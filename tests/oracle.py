@@ -6,7 +6,9 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
 * von_neumann, S(rho) = -sum_i l_i log l_i over the eigenvalues l_i of rho;
 * relative_entropy, S(rho||sigma) = sum_i l_i log l_i - sum_j <s_j|rho|s_j> log m_j over the
   eigenpairs (m_j, s_j) of sigma;
-* cmi, I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), from exact partial traces.
+* cmi, I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), from exact partial traces;
+* commuting_unital, the values of the unital checks for diagonal states and a channel of
+  scaled permutations, from their scalar forms.
 
 A matrix is taken as its Hermitian part, as qelab's functionals take it.  Eigenvalues must
 be positive: the oracle is meant for full-rank inputs, such as regularized states.
@@ -77,3 +79,35 @@ def cmi(rho, dims: Sequence[int]) -> mpmath.mpf:
         m = _hermitian(rho)
         s_ab, s_bc, s_b = (_entropy(_marginal(m, dims, keep)) for keep in ((0, 1), (1, 2), (1,)))
         return s_ab + s_bc - s_b - _entropy(m)
+
+
+def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """(Tr exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)), S(rho||sigma),
+    S(Phi rho||Phi sigma)) at DIGITS digits, for rho = diag(p), sigma = diag(q) and the channel
+    whose Kraus operators are s_i P_i, where P_i sends e_j to e_{perms[i][j]}.
+
+    Every operator is diagonal: on diagonals Phi is T = sum_i s_i^2 P_i and Phi^* is T^T, so
+    the trace is sum_j q_j exp(T^T(log Tp - log Tq))_j.  The weights s_i^2 are those of the
+    float64 scales, squared exactly.
+    """
+    with mpmath.workdps(DIGITS):
+        p, q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))
+        weights = [mpmath.mpf(float(s)) ** 2 for s in scales]
+        perms = [[int(k) for k in perm] for perm in perms]
+
+        def push(x):  # T x
+            out = [mpmath.mpf(0)] * len(x)
+            for w, perm in zip(weights, perms):
+                for j, k in enumerate(perm):
+                    out[k] += w * x[j]
+            return out
+
+        def relent(a, b):
+            return mpmath.fsum(x * (mpmath.log(x) - mpmath.log(y)) for x, y in zip(a, b))
+
+        tp, tq = push(p), push(q)
+        gap = [mpmath.log(a) - mpmath.log(b) for a, b in zip(tp, tq)]
+        pulled = [mpmath.fsum(w * gap[perm[j]] for w, perm in zip(weights, perms))
+                  for j in range(len(p))]  # T^T gap
+        trace = mpmath.fsum(b * mpmath.exp(e) for b, e in zip(q, pulled))
+        return trace, relent(p, q), relent(tp, tq)

@@ -40,7 +40,7 @@ from qelab.states import (
 )
 from qelab.tolerances import TOL_HERM, TOL_RECON
 from helpers import random_tripartite
-from test_linalg import hexes, lanes, term_threads, until_a_lane_runs
+from test_linalg import hexes
 
 
 def _identity_channel(d):
@@ -773,11 +773,9 @@ def _gaussian(shape, rng):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-@pytest.mark.parametrize("d", [32, 48, 64])
+@pytest.mark.parametrize("d", [2, 8, 32, 48, 64])
 @pytest.mark.parametrize("rows", [None, 2])
-def test_kraus_sums_keep_the_bits_of_the_generator_sums(monkeypatch, d, rows):
-    lanes(monkeypatch, 2)
-    threads = term_threads(monkeypatch)
+def test_each_kraus_sum_of_a_channel_has_the_bits_of_its_generator_sum(monkeypatch, d, rows):
     gaps = []
     real_within = channels_module.max_sv_within
     monkeypatch.setattr(channels_module, "max_sv_within",
@@ -787,43 +785,35 @@ def test_kraus_sums_keep_the_bits_of_the_generator_sums(monkeypatch, d, rows):
     drawn = _drawn_channels(d, rows)
     if d == 64:  # its Kraus operators hold exact zeros
         drawn += [ptrace_channel((4, 4, 4), traced) for traced in range(3)]
-
-    def compare():
-        for channel in drawn:
-            del gaps[:]
-            KrausChannel(channel.kraus)
-            assert hexes(gaps[0]) == hexes(sum(dagger(k) @ k for k in channel.kraus)
-                                           - np.eye(channel.d_in))
-            assert hexes(channel._unital_gap()) == hexes(
-                sum(k @ dagger(k) for k in channel.kraus) - np.eye(channel.d_out))
-            x = _gaussian(lead + (channel.d_in,) * 2, rng)
-            y = _gaussian(lead + (channel.d_out,) * 2, rng)
-            for x in (x, hermitize(x)):  # a Hermitian input's image is re-Hermitized
-                want = sum(k @ x @ dagger(k) for k in channel.kraus)
-                want = hermitize(want) if np.array_equal(x, dagger(x)) else want
-                assert hexes(channel.apply(x)) == hexes(want)
-            for y in (y, hermitize(y)):
-                want = sum(dagger(k) @ y @ k for k in channel.kraus)
-                want = hermitize(want) if np.array_equal(y, dagger(y)) else want
-                assert hexes(channel.apply_dual(y)) == hexes(want)
-
-    assert until_a_lane_runs(compare, threads, tries=5) == (d >= linalg._LANE_DIM)
+    for channel in drawn:
+        del gaps[:]
+        KrausChannel(channel.kraus)
+        assert hexes(gaps[0]) == hexes(sum(dagger(k) @ k for k in channel.kraus)
+                                       - np.eye(channel.d_in))
+        assert hexes(channel._unital_gap()) == hexes(
+            sum(k @ dagger(k) for k in channel.kraus) - np.eye(channel.d_out))
+        x = _gaussian(lead + (channel.d_in,) * 2, rng)
+        y = _gaussian(lead + (channel.d_out,) * 2, rng)
+        for x in (x, hermitize(x)):  # a Hermitian input's image is re-Hermitized
+            want = sum(k @ x @ dagger(k) for k in channel.kraus)
+            want = hermitize(want) if np.array_equal(x, dagger(x)) else want
+            assert hexes(channel.apply(x)) == hexes(want)
+        for y in (y, hermitize(y)):
+            want = sum(dagger(k) @ y @ k for k in channel.kraus)
+            want = hermitize(want) if np.array_equal(y, dagger(y)) else want
+            assert hexes(channel.apply_dual(y)) == hexes(want)
 
 
-def test_an_overflowing_channel_on_the_lanes_is_nonfinite_without_a_warning(monkeypatch):
-    lanes(monkeypatch, 2)
-    threads = term_threads(monkeypatch)
+def test_an_overflowing_channel_at_d64_is_nonfinite_without_a_warning():
     kraus = [k * 1e200 for k in random_unital_channel(64, 64, np.random.default_rng(94)).kraus]
-    def build():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFinite):
-                KrausChannel(kraus)
-
-    assert until_a_lane_runs(build, threads)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            KrausChannel(kraus)
 
 
-def test_no_function_a_tracer_rebinds_runs_on_a_lane(monkeypatch, capsys):
+def test_check_all_starts_no_thread_and_runs_every_traced_function_on_the_caller(monkeypatch,
+                                                                                capsys):
     # perfbench's tracer rebinds qelab's functions and numpy.linalg's, and keeps one span stack
     main, off_main = threading.main_thread(), []
 
@@ -842,15 +832,10 @@ def test_no_function_a_tracer_rebinds_runs_on_a_lane(monkeypatch, capsys):
                     monkeypatch.setattr(module, attr, watched(real, name))
     for name in ("eigh", "eigvalsh", "svd", "qr", "cholesky"):
         monkeypatch.setattr(np.linalg, name, watched(getattr(np.linalg, name), name))
-    lanes(monkeypatch, 2)
-    threads = term_threads(monkeypatch)
-
-    def check():
-        code = cli.main(["check", "--suite", "stronger-monotonicity,sbw-limit", "--dims", "4,4,4",
-                         "--trials", "1"])
-        assert code == cli.EXIT_OK and capsys.readouterr().out
-
-    assert until_a_lane_runs(check, threads, tries=5)
+    before = threading.enumerate()
+    code = cli.main(["check", "--suite", "all", "--dims", "4,4,4", "--trials", "1", "--seed", "5"])
+    assert code == cli.EXIT_OK and capsys.readouterr().out
+    assert threading.enumerate() == before
     assert off_main == []
 
 
@@ -886,17 +871,9 @@ def test_the_petz_map_sends_the_image_of_its_reference_back(d, unital, rank, eps
     assert max_sv(recovered - sigma.mat) <= _petz_bar(channel, image)
 
 
-def test_the_petz_map_sends_the_image_of_its_reference_back_at_d64(monkeypatch):
-    lanes(monkeypatch, 2)
-    threads = term_threads(monkeypatch)
+def test_the_petz_map_sends_the_image_of_its_reference_back_at_d64():
     rng = np.random.default_rng(95)
     sigma = regularize(random_density(64, rng, rank=4), 1e-3)
     channel = random_unital_channel(64, 64, rng)
     image = channel.apply(sigma.mat)
-    petz = PetzMap(channel, sigma)
-    del threads[:]
-
-    def recover():
-        assert max_sv(petz.apply(image) - sigma.mat) <= _petz_bar(channel, image)
-
-    assert until_a_lane_runs(recover, threads)  # apply_dual on the lanes
+    assert max_sv(PetzMap(channel, sigma).apply(image) - sigma.mat) <= _petz_bar(channel, image)

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-import functools
 import itertools
-import os
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -698,30 +693,6 @@ def test_a_bad_row_in_a_stack_still_raises():
         embed(stack, (3, 2), [1])
 
 
-def lanes(monkeypatch, cores: int) -> None:
-    """Let linalg._kraus_sum see ``cores`` cores, whatever this host has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-
-
-def term_threads(monkeypatch) -> list:
-    """(thread, number of terms) of each linalg._kraus_terms call from here on."""
-    seen, real = [], linalg._kraus_terms
-    monkeypatch.setattr(linalg, "_kraus_terms", lambda kraus, y, dual: seen.append(
-        (threading.current_thread(), len(kraus))) or real(kraus, y, dual))
-    return seen
-
-
-def until_a_lane_runs(call, threads, tries: int = 50) -> bool:
-    """call() until a Kraus term has run off the main thread, at most ``tries`` times; whether
-    one did.  The caller computes each batch that no lane has started when it gets there, so
-    one call may run every term on the caller."""
-    for _ in range(tries):
-        call()
-        if any(thread is not threading.main_thread() for thread, _ in threads):
-            return True
-    return False
-
-
 def hexes(x) -> list[str]:
     """float.hex of each real and imaginary part: equal lists are equal values, -0.0 and inf
     included (the bytes tell NaNs apart)."""
@@ -729,18 +700,17 @@ def hexes(x) -> list[str]:
 
 
 def _generator_sum(kraus, y, dual):
-    """A Kraus sum as the generator sums of KrausChannel wrote it before the lanes."""
+    """A Kraus sum as the generator sums of KrausChannel wrote it before _kraus_sum."""
     if y is None:
         return sum(dagger(k) @ k for k in kraus) if dual else sum(k @ dagger(k) for k in kraus)
     return sum(dagger(k) @ y @ k for k in kraus) if dual else sum(k @ y @ dagger(k) for k in kraus)
 
 
-@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 8, 32, 48, 64])
 @pytest.mark.parametrize("rows", [None, 2])
-def test_a_kraus_sum_has_the_bits_of_the_generator_sum_whatever_the_lanes(monkeypatch, cores,
-                                                                           rows):
-    rng = np.random.default_rng([90, cores])
-    d, shape = linalg._LANE_DIM, (() if rows is None else (rows,))
+def test_a_kraus_sum_has_the_bits_of_the_generator_sum(d, rows):
+    rng = np.random.default_rng([90, d])
+    shape = () if rows is None else (rows,)
     kraus = [rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
              for _ in range(9)]
     kraus[0][...] = 0.0  # exact zeros in the first term: the sum starts from 0 + T_0
@@ -749,104 +719,24 @@ def test_a_kraus_sum_has_the_bits_of_the_generator_sum_whatever_the_lanes(monkey
     y = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
     y[..., 0, 0] = -1.0  # -inf there
     y_nan = y.copy()
-    y_nan[..., 3, 5] = np.nan
-    lanes(monkeypatch, cores)
-    threads = term_threads(monkeypatch)
+    y_nan[..., -1, 0] = np.nan
+    y_zero = np.full(shape + (d, d), complex(-0.0, -0.0))  # every term is a signed zero
     seen = set()
-
-    def compare():
-        with np.errstate(all="ignore"):
-            for operand in (None, y, y_nan):
-                for dual in (False, True):
-                    want = _generator_sum(kraus, operand, dual)
-                    got = linalg._kraus_sum(kraus, operand, dual)
-                    assert hexes(got) == hexes(want) and got.tobytes() == want.tobytes()
-                    seen.update(hexes(want))
-
-    assert until_a_lane_runs(compare, threads, tries=50 if cores > 1 else 1) == (cores > 1)
+    with np.errstate(all="ignore"):
+        for operand in (None, y, y_nan, y_zero):
+            for dual in (False, True):
+                want = _generator_sum(kraus, operand, dual)
+                got = linalg._kraus_sum(kraus, operand, dual)
+                assert hexes(got) == hexes(want) and got.tobytes() == want.tobytes()
+                seen.update(hexes(want))
     assert {"nan", "inf", "-inf", "0x0.0p+0"} <= seen
-    assert max(n for _, n in threads) <= (len(kraus) if cores == 1 else linalg._LANE_BATCH)
 
 
-@pytest.mark.parametrize("d,n,cores,off_main", [
-    (64, 8, 2, True), (8, 8, 2, False), (64, 8, 1, False), (64, 3, 2, False), (64, 4, 2, True)])
-def test_kraus_terms_go_to_the_lanes_from_the_lane_dimension_on_several_cores(monkeypatch, d, n,
-                                                                              cores, off_main):
-    # a lane takes two terms at least: n = 3 on 2 cores stays on the caller
-    rng = np.random.default_rng(91)
-    kraus = [rng.normal(size=(d, d)) + 0j for _ in range(n)]
-    lanes(monkeypatch, cores)
-    threads = term_threads(monkeypatch)
-    summed = functools.partial(linalg._kraus_sum, kraus, np.eye(d))
-    assert until_a_lane_runs(summed, threads, tries=50 if off_main else 1) == off_main
-
-
-class _IdlePool:
-    """A pool whose lanes never start: it records each call offered and runs none."""
-
-    def __init__(self):
-        self.offered = 0
-
-    def submit(self, fn, *args):
-        self.offered += 1
-        future = concurrent.futures.Future()
-        future.result = lambda timeout=None: pytest.fail("the caller waited for an idle lane")
-        return future
-
-
-def test_the_caller_computes_each_batch_that_no_lane_has_started(monkeypatch):
-    rng = np.random.default_rng(96)
-    kraus = [rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(16)]
-    y = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    pool = _IdlePool()
-    monkeypatch.setattr(linalg, "_lane_pool", lambda: pool)
-    lanes(monkeypatch, 2)
-    threads = term_threads(monkeypatch)
-    assert hexes(linalg._kraus_sum(kraus, y)) == hexes(_generator_sum(kraus, y, False))
-    assert pool.offered == 2 and sum(n for _, n in threads) == 16
-    assert all(thread is threading.main_thread() for thread, _ in threads)
-
-
-def test_each_batch_is_computed_once_under_fast_thread_switches(monkeypatch):
-    # switching threads every microsecond: a batch computed twice, or by no one, would change
-    # the term count or the sum
-    rng = np.random.default_rng(97)
-    d = linalg._LANE_DIM
-    kraus = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(40)]
-    y = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    want = hexes(_generator_sum(kraus, y, False))
-    lanes(monkeypatch, 8)
-    threads = term_threads(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            del threads[:]
-            assert hexes(linalg._kraus_sum(kraus, y)) == want
-            assert sum(n for _, n in threads) == len(kraus)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_a_kraus_sum_runs_on_the_caller_and_one_pool_thread_whatever_the_cores(monkeypatch):
-    rng = np.random.default_rng(98)
-    kraus = [rng.normal(size=(64, 64)) + 0j for _ in range(64)]
-    lanes(monkeypatch, 64)
-    threads = term_threads(monkeypatch)
-    summed = functools.partial(linalg._kraus_sum, kraus, np.eye(64))
-    assert until_a_lane_runs(summed, threads)
-    assert len({thread for thread, _ in threads}) == 2
-    assert linalg._lane_pool()._max_workers == linalg._LANES - 1 == 1
-
-
-@pytest.mark.parametrize("cores, most", [(1, 5), (2, 5 + 3 * linalg._LANE_BATCH)])
-def test_a_kraus_sum_holds_a_few_terms_at_a_time(monkeypatch, cores, most):
-    # the loop adds each term as it comes; the lanes hold a few batches, not all 64 terms
+def test_a_kraus_sum_holds_a_few_terms_at_a_time():
+    # the loop adds each term as it comes, not all 64 terms at once
     rng = np.random.default_rng(99)
     kraus = [rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(64)]
     y = rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64))
-    lanes(monkeypatch, cores)
-    linalg._kraus_sum(kraus, y)  # the pool starts outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -855,4 +745,4 @@ def test_a_kraus_sum_holds_a_few_terms_at_a_time(monkeypatch, cores, most):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= most * y.nbytes
+    assert peak <= 5 * y.nbytes

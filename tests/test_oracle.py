@@ -18,6 +18,8 @@ import numpy as np
 import pytest
 
 import oracle
+from qelab.channels import KrausChannel
+from qelab.checks import check_stronger_monotonicity, check_unital_trace_bound
 from qelab.entropy import cmi, relative_entropy, von_neumann
 from qelab.states import AB, B, BC, DensityMatrix, random_density, regularize
 
@@ -91,3 +93,32 @@ def test_the_oracle_matches_closed_forms_on_commuting_states():
              np.diag([0.875, 0.125])]
     product = np.kron(np.kron(parts[0], parts[1]), parts[2])
     assert abs(oracle.cmi(product, DIMS)) < mpmath.mpf(1e-35)
+
+
+def test_the_unital_checks_at_d64_match_their_commuting_scalar_forms():
+    # rho = diag(p), sigma = diag(q) and a unital channel of 64 scaled permutations, so that
+    # each 64-term Kraus sum is checked by value: the bar is 4 d u (kappa + L), with kappa the
+    # larger ratio of largest to smallest entry of p and of q and L the largest |log| of
+    # their entries.  T is doubly stochastic, so Tp and Tq lie within the ranges of p and q.
+    # Each Kraus sum of d terms rounds an entry by d u relatively; eigh of a diagonal matrix
+    # moves its smallest eigenvalue by d u kappa relatively, and so its log by d u kappa; the
+    # d terms of a sum of logs add d u L, and the exponent's error is the trace's relative error.
+    d = 64
+    rng = np.random.default_rng(2031)
+    p, q = (v / v.sum() for v in rng.uniform(0.5, 1.5, (2, d)))
+    weights = rng.uniform(0.5, 1.5, d)
+    scales = np.sqrt(weights / weights.sum())
+    perms = [rng.permutation(d) for _ in range(d)]
+    kraus = np.zeros((d, d, d))
+    for k, s, perm in zip(kraus, scales, perms):
+        k[perm, np.arange(d)] = s
+    rho, sigma = (DensityMatrix(np.diag(v)) for v in (p, q))
+    channel = KrausChannel(list(kraus))
+    chain = check_stronger_monotonicity(rho, sigma, channel).quantities
+    got = (check_unital_trace_bound(rho, sigma, channel).quantities["trace_value"],
+           chain["before"], chain["after"])
+    want = oracle.commuting_unital(p, q, scales, perms)
+    kappa = max(v.max() / v.min() for v in (p, q))
+    bar = 4 * d * U * (kappa + max(abs(math.log(v.min())) for v in (p, q)))
+    errors = [abs(g - float(w)) for g, w in zip(got, want)]
+    assert max(errors) <= bar, f"errors {errors} above the bar {bar:.3e}"
