@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -706,10 +708,10 @@ def _generator_sum(kraus, y, dual):
     return sum(dagger(k) @ y @ k for k in kraus) if dual else sum(k @ y @ dagger(k) for k in kraus)
 
 
-@pytest.mark.parametrize("d", [2, 8, 32, 48, 64])
-@pytest.mark.parametrize("rows", [None, 2])
-def test_a_kraus_sum_has_the_bits_of_the_generator_sum(d, rows):
-    rng = np.random.default_rng([90, d])
+def assert_generator_bits(d, rows, seed) -> None:
+    """linalg._kraus_sum has the bytes of _generator_sum on 9 terms of size d, one matrix
+    (rows None) or a stack of ``rows``, with zero, overflowing, NaN and signed-zero terms."""
+    rng = np.random.default_rng(seed)
     shape = () if rows is None else (rows,)
     kraus = [rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
              for _ in range(9)]
@@ -730,6 +732,24 @@ def test_a_kraus_sum_has_the_bits_of_the_generator_sum(d, rows):
                 assert hexes(got) == hexes(want) and got.tobytes() == want.tobytes()
                 seen.update(hexes(want))
     assert {"nan", "inf", "-inf", "0x0.0p+0"} <= seen
+
+
+@pytest.mark.parametrize("d", [2, 8, 32, 48, 64])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_kraus_sum_has_the_bits_of_the_generator_sum(d, rows):
+    assert_generator_bits(d, rows, [90, d])
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 4])
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_kraus_sum_has_the_bits_of_the_generator_sum_whatever_the_lanes(monkeypatch, cores,
+                                                                           rows):
+    # however many cores the host reports, a d = 64 sum keeps its bits and starts no thread
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    before = threading.enumerate()
+    assert_generator_bits(64, rows, [90, 64, cores])
+    assert threading.enumerate() == before
 
 
 def test_a_kraus_sum_holds_a_few_terms_at_a_time():
