@@ -3,6 +3,7 @@
     python scripts/suite_times.py --dims 2,2,2 --trials 5 --rounds 20
     python scripts/suite_times.py --dims 2,2,2 --trials 100 --rounds 20
     python scripts/suite_times.py --src /path/to/before/src --src src --rounds 30
+    python scripts/suite_times.py --suite markov-roundtrip --src /path/to/before/src --src src
 
 One call runs one suite or exploration at --dims with --trials trials (a single chunk when
 --trials is at most its chunk size): a suite through suites.run_suite, which builds every
@@ -17,8 +18,9 @@ CLI around it.  Each checkout's qelab is imported from its --src directory into 
 and its modules are kept apart from the other checkouts'.  One round runs first, untimed, to
 warm caches.  Each line gives a row's min and median over the rounds, in ms, per checkout; the
 "suites" and "explorations" lines give the same for the sum over the timed suites, and over
-the timed explorations, of one round.  BLAS runs on one thread unless the environment says
-otherwise.
+the timed explorations, of one round.  --suite NAME[,NAME...] times only the named suites and
+explorations (an unknown name is a usage error), so an A/B of one row needs no other script.
+BLAS runs on one thread unless the environment says otherwise.
 """
 
 from __future__ import annotations
@@ -78,18 +80,29 @@ def main() -> int:
     parser.add_argument("--dims", default="2,2,2")
     parser.add_argument("--trials", type=int, default=5)
     parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--suite", help="comma-separated suites and explorations to time "
+                                        "(default: all of them)")
     args = parser.parse_args()
     if args.trials < 1 or args.rounds < 1:
         parser.error("--trials and --rounds must be at least 1")
     dims = tuple(int(d) for d in args.dims.split(","))
     checkouts = [_load(src) for src in args.src or [os.path.join(REPO, "src")]]
     registries = {"suites": checkouts[0].SUITES, "explorations": checkouts[0].EXPLORATIONS}
+    if args.suite is not None:
+        chosen = args.suite.split(",")
+        unknown = [name for name in chosen if not any(name in r for r in registries.values())]
+        if unknown:
+            parser.error(f"unknown suite or exploration: {', '.join(unknown)}")
+        registries = {total: {name: suite for name, suite in registry.items() if name in chosen}
+                      for total, registry in registries.items()}
     skipped = [name for registry in registries.values() for name, suite in registry.items()
                if not _accepts(checkouts[0], suite, dims)]
     groups = {total: [name for name in registry if name not in skipped]
               for total, registry in registries.items()}
     groups = {total: group for total, group in groups.items() if group}
     names = [name for group in groups.values() for name in group]
+    if not names:
+        parser.error(f"no chosen suite or exploration accepts dims {args.dims}")
 
     times = [{name: [] for name in names} for _ in checkouts]
     for r in range(-1, args.rounds):  # round -1 warms up and is not kept

@@ -32,7 +32,6 @@ from .linalg import (
     matrix_sqrt,
     max_sv,
     max_sv_within,
-    psd_support,
     ptrace,
     real_trace,
 )
@@ -51,9 +50,12 @@ from .states import (
 from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
 
-def _hermitian_like(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian."""
-    like = np.asarray(is_hermitian(x))
+def _hermitian_like(x, out: np.ndarray) -> np.ndarray:
+    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian; an
+    operator object (states.as_matrix) passed it when it was built and is not tested again."""
+    if isinstance(x, (SubnormalizedOperator, Decomposed)):
+        return hermitize(out)
+    like = np.asarray(is_hermitian(as_matrix(x)))
     if like.all():
         return hermitize(out)
     return np.where(like[..., None, None], hermitize(out), out)
@@ -104,22 +106,22 @@ class KrausChannel:
         identity within TOL_RECON: decided on first use."""
         return bool(max_sv_within(self._unital_gap(), TOL_RECON).all())
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-2:] != (self.d_in, self.d_in):
-            raise DimMismatch(f"input shape {x.shape}, channel expects {self.d_in}")
-        return _hermitian_like(x, _kraus_sum(self.kraus, x))
+    def apply(self, x: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
+        mat = as_matrix(x)
+        if mat.shape[-2:] != (self.d_in, self.d_in):
+            raise DimMismatch(f"input shape {mat.shape}, channel expects {self.d_in}")
+        return _hermitian_like(x, _kraus_sum(self.kraus, mat))
 
-    def apply_dual(self, y: np.ndarray) -> np.ndarray:
+    def apply_dual(self, y: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
 
         The dual of a trace-preserving map is unital (it fixes the identity)
         but generally not trace preserving.
         """
-        y = np.asarray(y, dtype=complex)
-        if y.shape[-2:] != (self.d_out, self.d_out):
-            raise DimMismatch(f"input shape {y.shape}, dual expects {self.d_out}")
-        return _hermitian_like(y, _kraus_sum(self.kraus, y, dual=True))
+        mat = as_matrix(y)
+        if mat.shape[-2:] != (self.d_out, self.d_out):
+            raise DimMismatch(f"input shape {mat.shape}, dual expects {self.d_out}")
+        return _hermitian_like(y, _kraus_sum(self.kraus, mat, dual=True))
 
     def __repr__(self) -> str:
         return (
@@ -153,30 +155,29 @@ class PetzMap:
             raise DimMismatch(
                 f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
             )
-        image = channel.apply(sigma.mat) if image is None else image
+        image = channel.apply(sigma) if image is None else image
         tr = np.asarray(real_trace(as_matrix(image)))
         if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")
-        vals, vecs = as_spectrum(image)
-        singular = ~psd_support(vals)[..., 0]
+        eig = as_spectrum(image)
+        singular = ~eig.support[..., 0]
         if np.any(singular):  # mixed rows take the spectrum of their mixture
-            image, d = as_matrix(image), vals.shape[-1]
+            (vals, vecs), image, d = eig, as_matrix(image), eig.eigenvalues.shape[-1]
             image = (1.0 - PETZ_EPS) * image + (PETZ_EPS * tr[..., None, None] / d) * np.eye(d)
             mixed_vals, mixed_vecs = herm_eig(image)
-            vals = np.where(singular[..., None], mixed_vals, vals)
-            vecs = np.where(singular[..., None, None], mixed_vecs, vecs)
-        eig = HermitianEigen(vals, vecs)
+            eig = HermitianEigen(np.where(singular[..., None], mixed_vals, vals),
+                                 np.where(singular[..., None, None], mixed_vecs, vecs))
         self.channel = channel
         self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
         self._inv_sqrt_image = matrix_power(eig, -0.5)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
-        if x.shape[-2:] != (self.channel.d_out, self.channel.d_out):
+    def apply(self, x: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
+        mat = as_matrix(x)
+        if mat.shape[-2:] != (self.channel.d_out, self.channel.d_out):
             raise DimMismatch(
-                f"input shape {x.shape}, recovery map expects {self.channel.d_out}"
+                f"input shape {mat.shape}, recovery map expects {self.channel.d_out}"
             )
-        inner = self._inv_sqrt_image @ x @ self._inv_sqrt_image
+        inner = self._inv_sqrt_image @ mat @ self._inv_sqrt_image
         recovered = self._sqrt_sigma @ self.channel.apply_dual(inner) @ self._sqrt_sigma
         return _hermitian_like(x, recovered)
 

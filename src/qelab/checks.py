@@ -110,9 +110,9 @@ def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
 
 
 def _spectra(state: DensityMatrix) -> dict:
-    """The spectrum of each marginal AB, B and BC of a tripartite state, keyed by its part."""
+    """The spectrum of each reduced state AB, B and BC of a tripartite state, keyed by its part."""
     require_tripartite(state)
-    return {part: herm_eig(state.marginal(part)) for part in (AB, B, BC)}
+    return {part: state.reduced(part).spectrum for part in (AB, B, BC)}
 
 
 def _check_alphas(alphas: Sequence[float]) -> None:
@@ -132,15 +132,15 @@ def _compressed_product(eig: dict, dims: Sequence[int], ps: Sequence[float]):
         yield p, hermitize(ab_pow @ b_neg @ bc_pow @ b_neg @ ab_pow)
 
 
-def _recovery_distances(state: DensityMatrix, keeps: Sequence[tuple], spectral: Callable) -> list:
+def _recovery_distances(state: DensityMatrix, keeps: Sequence[tuple]) -> list:
     """||rho_ABC - R_keep||_1 for each keep of keeps (AB, BC), stacked within the cap, where
-    R_keep = rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC, other is
-    the part of AB and BC that keep is not, and spectral(part) is rho_part or its spectrum."""
+    R_keep = rho_keep^(1/2) rho_B^(-1/2) rho_other rho_B^(-1/2) rho_keep^(1/2) on ABC and other
+    is the part of AB and BC that keep is not, from the spectra of the reduced states."""
     dims = state.dims
-    inv_sqrt_b = embed(matrix_power(spectral(B), -0.5), dims, B)
+    inv_sqrt_b = embed(matrix_power(state.reduced(B).spectrum, -0.5), dims, B)
     out = []
     for block in capped(keeps, state.mat.size):
-        outer = np.stack([embed(matrix_sqrt(spectral(k)), dims, k) for k in block])
+        outer = np.stack([embed(matrix_sqrt(state.reduced(k).spectrum), dims, k) for k in block])
         others = [BC if k == AB else AB for k in block]
         inner = np.stack([embed(state.marginal(o), dims, o) for o in others])
         out += list(trace_norm(state.mat - outer @ inv_sqrt_b @ inner @ inv_sqrt_b @ outer))
@@ -178,7 +178,7 @@ def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
     """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the channel Phi) for
     operators or matrices rho and sigma: what the unital surrogate, every alpha-compression,
     the relative entropy of the images and the Petz map share."""
-    img_rho, img_sigma = (channel.apply(as_matrix(x)) for x in (rho, sigma))
+    img_rho, img_sigma = (channel.apply(x) for x in (rho, sigma))
     return (
         as_spectrum(sigma),
         Decomposed(img_rho, herm_eig(img_rho)),
@@ -332,7 +332,7 @@ def check_monotonicity(
 ) -> Results:
     """Relative entropy never increases under a channel."""
     before = relative_entropy(rho, sigma)
-    after = relative_entropy(channel.apply(rho.mat), channel.apply(sigma.mat))
+    after = relative_entropy(channel.apply(rho), channel.apply(sigma))
     return _result("monotonicity", tol, operator.sub, before=before, after=after)
 
 
@@ -378,11 +378,11 @@ def check_ptrace_strengthening(
     dims = _same_dims(rho_ab, sigma_ab)
     if len(dims) != 2:
         raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
-    rho_a = rho_ab.marginal([0])
-    sigma_a = sigma_ab.marginal([0])
+    rho_a = rho_ab.reduced([0])
+    sigma_a = sigma_ab.reduced([0])
     after = relative_entropy(rho_a, sigma_a)
     surrogate = exp_log_combination(
-        [(1.0, sigma_ab.mat), (-1.0, sigma_a), (1.0, rho_a)],
+        [(1.0, sigma_ab.mat), (-1.0, sigma_a.mat), (1.0, rho_a.mat)],
         dims=dims,
         supports=[(0, 1), (0,), (0,)],
     )
@@ -395,7 +395,7 @@ def check_ssa_strengthened(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results
     I(A:C|B) anchors the chain against exp(log rho_AB - log rho_B + log rho_BC);
     the surrogate trace bound Tr S <= 1 is asserted alongside.
     """
-    return _sqrt_chain("ssa", "cmi", cmi(rho), rho.mat, ssa_surrogate(rho), tol)
+    return _sqrt_chain("ssa", "cmi", cmi(rho), rho, ssa_surrogate(rho), tol)
 
 
 def check_trace_exp_bound(
@@ -436,12 +436,12 @@ def check_bsw_identity(
     """
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
-    lhs = relative_entropy(rho.mat, _bsw_reference(sigma, tau, omega))
+    lhs = relative_entropy(rho, _bsw_reference(sigma, tau, omega))
     rhs = (
         cmi(rho)
-        + relative_entropy(rho.marginal(AB), sigma.marginal(AB))
-        + relative_entropy(rho.marginal(BC), tau.marginal(BC))
-        - relative_entropy(rho.marginal(B), omega.marginal(B))
+        + relative_entropy(rho.reduced(AB), sigma.reduced(AB))
+        + relative_entropy(rho.reduced(BC), tau.reduced(BC))
+        - relative_entropy(rho.reduced(B), omega.reduced(B))
     )
     residual = abs(lhs - rhs)
     return _result("bsw-identity", tol, lambda *q: -q[2], lhs=lhs, rhs=rhs, residual=residual)
@@ -456,11 +456,11 @@ def check_super_ssa(
     I(A:C|B) plus half the AB and BC relative entropies."""
     _same_dims(rho, sigma)
     require_tripartite(rho)
-    lhs = relative_entropy(rho.mat, _bsw_reference(sigma, sigma, sigma))
+    lhs = relative_entropy(rho, _bsw_reference(sigma, sigma, sigma))
     rhs = (
         cmi(rho)
-        + 0.5 * relative_entropy(rho.marginal(AB), sigma.marginal(AB))
-        + 0.5 * relative_entropy(rho.marginal(BC), sigma.marginal(BC))
+        + 0.5 * relative_entropy(rho.reduced(AB), sigma.reduced(AB))
+        + 0.5 * relative_entropy(rho.reduced(BC), sigma.reduced(BC))
     )
     return _result("super-ssa", tol, operator.sub, lhs=lhs, rhs=rhs)
 
@@ -501,7 +501,7 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """
     dims = require_tripartite(rho).dims
     rho_ab, rho_b, rho_bc = (rho.marginal(part) for part in (AB, B, BC))
-    anchor = von_neumann(rho_ab) + von_neumann(rho_bc) - von_neumann(rho.mat)
+    anchor = von_neumann(rho.reduced(AB)) + von_neumann(rho.reduced(BC)) - von_neumann(rho)
     surrogate = exp_log_combination([(1.0, rho_ab), (1.0, rho_bc)], dims=dims, supports=[AB, BC])
     tr_product = real_trace(embed(rho_ab, dims, AB) @ embed(rho_bc, dims, BC))
     tr_b_sq = real_trace(rho_b @ rho_b)
@@ -514,7 +514,7 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
         "subadd-exp",
         "entropy_combo",
         anchor,
-        rho.mat,
+        rho,
         surrogate,
         tol,
         quantities={"trace_product": tr_product, "trace_b_sq": tr_b_sq},
@@ -569,7 +569,7 @@ def markov_characterizations(
         rhs = embed(unitary_power(eig[AB], t), dims, AB) @ embed(unitary_power(eig[B], -t), dims, B)
         petz += max_sv(lhs - rhs).tolist()
 
-    recon = _recovery_distances(state, (AB, BC), eig.get)
+    recon = _recovery_distances(state, (AB, BC))
     residuals = {"r_log": r_log, "r_petz": max(petz),
                  "r_recon_ab": float(recon[0]), "r_recon_bc": float(recon[1])}
     flags = [r < MARKOV_LIKE_RESIDUAL for r in residuals.values()]
@@ -921,7 +921,7 @@ def explore_stronger_mono(
     """Relative-entropy gap under a channel vs 1/4 squared Petz-recovery distance."""
     _, img_rho, img_sigma, _ = _pushed(rho, sigma, channel)
     gap = relative_entropy(rho, sigma) - relative_entropy(img_rho, img_sigma)
-    recovered = PetzMap(channel, sigma, img_sigma).apply(img_rho.mat)
+    recovered = PetzMap(channel, sigma, img_sigma).apply(img_rho)
     dist = trace_norm(rho.mat - recovered)
     return _result("stronger-mono", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
@@ -932,18 +932,16 @@ def explore_ptrace_petz(
     """The same comparison for discarding the second subsystem."""
     dims = _same_dims(rho_ab, sigma_ab)
     channel = ptrace_channel(dims, 1)
-    gap = (
-        relative_entropy(rho_ab, sigma_ab)
-        - relative_entropy(rho_ab.marginal([0]), sigma_ab.marginal([0]))
-    )
-    recovered = PetzMap(channel, sigma_ab).apply(rho_ab.marginal([0]))
+    rho_a, sigma_a = rho_ab.reduced([0]), sigma_ab.reduced([0])
+    gap = relative_entropy(rho_ab, sigma_ab) - relative_entropy(rho_a, sigma_a)
+    recovered = PetzMap(channel, sigma_ab).apply(rho_a)
     dist = trace_norm(rho_ab.mat - recovered)
     return _result("ptrace-petz", tol, _recovery_slack, relent_gap=gap, recovery_distance=dist)
 
 
 def explore_cmi_petz(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     """I(A:C|B) against 1/4 of the squared distance to the Petz reconstruction."""
-    [dist] = _recovery_distances(require_tripartite(rho), (AB,), rho.marginal)
+    [dist] = _recovery_distances(require_tripartite(rho), (AB,))
     return _result("cmi-petz", tol, _recovery_slack, cmi=cmi(rho), recovery_distance=dist)
 
 

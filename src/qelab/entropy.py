@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
-    HermitianEigen,
     each,
     embed,
     herm_eig,
@@ -51,8 +50,10 @@ from .tolerances import SUPPORT_LEAK_TOL
 
 
 def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float | np.ndarray:
-    """S(rho) = -Tr rho log rho over the support eigenvalues (psd_support) of a PSD rho."""
-    vals = np.linalg.eigvalsh(hermitize(require_hermitian(as_matrix(rho))))
+    """S(rho) = -Tr rho log rho over the support eigenvalues (psd_support) of a PSD rho; a
+    SubnormalizedOperator, validated and hermitized when it was built, is not checked again."""
+    trusted = isinstance(rho, SubnormalizedOperator)
+    vals = np.linalg.eigvalsh(rho.mat if trusted else hermitize(require_hermitian(as_matrix(rho))))
     support = psd_support(vals)
     logs = np.log(np.where(support, vals, 1.0))
     s = np.asarray(-(vals * logs).sum(axis=-1))
@@ -81,9 +82,9 @@ def relative_entropy(
     if r.shape != s.shape:
         raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
     s_eig = as_spectrum(sigma)
-    inside = np.asarray(psd_support(s_eig.eigenvalues).all(axis=-1))
+    inside = np.asarray(s_eig.support.all(axis=-1))
     if (kernel := ~inside).any():  # the rows whose sigma has a kernel; 2-D as a stack of one
-        off = np.eye(s.shape[-1]) - support_projector(HermitianEigen(*(a[kernel] for a in s_eig)))
+        off = np.eye(s.shape[-1]) - support_projector(s_eig)[kernel]
         inside[kernel] = max_sv_within(off @ r[kernel] @ off, SUPPORT_LEAK_TOL, strict=True)
     log_r = matrix_log(as_spectrum(rho), support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
@@ -132,8 +133,8 @@ def overlap_lower_bound(
 def cmi(state: DensityMatrix) -> float | np.ndarray:
     """Conditional mutual information I(A:C|B) = S(AB) + S(BC) - S(ABC) - S(B)."""
     require_tripartite(state)
-    s_ab, s_bc, s_b = (von_neumann(state.marginal(part)) for part in (AB, BC, B))
-    return s_ab + s_bc - von_neumann(state.mat) - s_b
+    s_ab, s_bc, s_b = (von_neumann(state.reduced(part)) for part in (AB, BC, B))
+    return s_ab + s_bc - von_neumann(state) - s_b
 
 
 def exp_log_combination(

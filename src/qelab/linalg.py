@@ -10,8 +10,9 @@ Conventions
   result is re-Hermitized, so f(H) of a Hermitian H is exactly Hermitian.
 * One support rule, psd_support: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
   are off the support, and one below -TOL_PSD * max(1, max_eigenvalue) raises NotPSD.
+  A HermitianEigen takes its mask once, on first use, and every matrix function reads it.
 * Matrix functions take a matrix, which herm_eig validates and decomposes,
-  or a HermitianEigen from herm_eig, so a reused operator decomposes once.
+  or a HermitianEigen from herm_eig, so a reused operator decomposes and checks once.
 * Every function here also takes an (n, d, d) stack of matrices, one per trial,
   and gives each row the bits its own 2-D call gives.  A per-matrix number (a
   trace, a norm, a Hermiticity verdict) is a Python scalar for one matrix and an
@@ -27,10 +28,11 @@ Conventions
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,11 +40,13 @@ from .errors import DimMismatch, NoConvergence, NonFinite, NotHermitian, NotPSD,
 from .tolerances import RANK_CUTOFF, TOL_HERM, TOL_PSD
 
 
-class HermitianEigen(NamedTuple):
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+class HermitianEigen(collections.namedtuple("Eigenpairs", "eigenvalues eigenvectors")):
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending, and its support mask."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """psd_support of the eigenvalues, taken on first use: NotPSD then, and at each use."""
+        return psd_support(self.eigenvalues)
 
 
 Spectral = np.ndarray | HermitianEigen
@@ -200,9 +204,14 @@ def herm_eig(h: np.ndarray) -> HermitianEigen:
     entry and NoConvergence when the underlying iteration fails.  Eigenvalues come
     back ascending; the eigenvector matrix has the vectors as columns.
     """
-    h = require_hermitian(h)
+    return _eigh(hermitize(require_hermitian(h)))
+
+
+def _eigh(h: np.ndarray) -> HermitianEigen:
+    """herm_eig of an exactly Hermitian h, as hermitize leaves it and a validated operator holds
+    it, not checked again: hermitize would return h's bits."""
     try:
-        vals, vecs = np.linalg.eigh(hermitize(h))
+        vals, vecs = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware specific
         # LAPACK reports failure but not the sweep count; pass on its message.
         raise NoConvergence(f"eigenvalue iteration failed: {exc}") from exc
@@ -237,9 +246,9 @@ def matrix_fn(
     support.  Without it ``fn`` must be finite on every eigenvalue; a non-finite value (log
     of ~0, negative power of ~0) raises SingularInput.
     """
-    vals, vecs = _eig(h)
+    vals, vecs = eig = _eig(h)
     if support_only:
-        mask = psd_support(vals)
+        mask = eig.support
         fvals = np.zeros_like(vals)
         fvals[mask] = fn(vals[mask])
     else:
@@ -266,8 +275,7 @@ def matrix_log(h: Spectral, support_only: bool = False) -> np.ndarray:
     """Matrix logarithm of a PSD matrix: NotPSD for an eigenvalue below the slack of
     psd_support, and without support_only SingularInput for a ~0 one."""
     eig = _eig(h)
-    if not support_only:  # matrix_fn applies psd_support on the support_only path
-        psd_support(eig.eigenvalues)
+    eig.support  # NotPSD before any SingularInput; the support_only path reads it again
     return matrix_fn(eig, np.log, support_only=support_only)
 
 
@@ -279,8 +287,8 @@ def matrix_sqrt(h: Spectral) -> np.ndarray:
 def _grid_points(h: Spectral, p) -> tuple:
     """The spectrum of h and its support mask, broadcast against the exponents p, and each
     point of p, which varies along its leading axis only, as (row index, Python float)."""
-    vals, vecs = _eig(h)
-    mask = psd_support(vals)
+    vals, vecs = eig = _eig(h)
+    mask = eig.support
     if np.ndim(p) == 0:  # one point for every row
         return vals, vecs, mask, [((), float(p))]
     p = np.asarray(p, dtype=float)
@@ -318,8 +326,8 @@ def unitary_power(h: Spectral, t) -> np.ndarray:
 
 def support_projector(h: Spectral) -> np.ndarray:
     """Orthogonal projector onto the support (psd_support) of a PSD matrix."""
-    vals, vecs = _eig(h)
-    mask = psd_support(vals)
+    eig = _eig(h)
+    mask, vecs = eig.support, eig.eigenvectors
     out = vecs @ dagger(vecs)
     for row in row_indices(~mask.all(axis=-1)):  # a partial support keeps its own columns
         cols = vecs[row][:, mask[row]]

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .linalg import (
     HermitianEigen,
+    _eigh,
     dagger,
     first_flagged,
     herm_eig,
@@ -104,13 +105,16 @@ def _psd_certified(mat: np.ndarray) -> bool:
     return True
 
 
+def _finite(mat: np.ndarray) -> np.ndarray:
+    if not np.isfinite(mat).all():
+        raise NonFinite("matrix has a NaN or infinite entry")
+    return mat
+
+
 def _validated_matrix(mat: np.ndarray) -> np.ndarray:
     """mat, or each row of a stack, checked finite, Hermitian and PSD (by _psd_certified, else
     by eigvalsh and psd_support, with their verdict and message), hermitized and frozen."""
-    mat = np.asarray(mat, dtype=complex)
-    if not np.isfinite(mat).all():
-        raise NonFinite("matrix has a NaN or infinite entry")
-    mat = hermitize(require_hermitian(mat))
+    mat = hermitize(require_hermitian(_finite(np.asarray(mat, dtype=complex))))
     if not _psd_certified(mat):
         psd_support(np.linalg.eigvalsh(mat))
     mat.setflags(write=False)
@@ -159,8 +163,9 @@ class SubnormalizedOperator:
 
     @cached_property
     def spectrum(self) -> HermitianEigen:
-        """herm_eig of the frozen matrix, computed on first use and kept read-only."""
-        spec = herm_eig(self._mat)
+        """herm_eig of the frozen matrix, computed on first use, with no second check, and kept
+        read-only."""
+        spec = _eigh(self._mat)
         for part in spec:
             part.setflags(write=False)
         return spec
@@ -203,16 +208,29 @@ class DensityMatrix(SubnormalizedOperator):
                 raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
             self.dims = dims
 
-    def marginal(self, keep: Sequence[int]) -> np.ndarray:
-        """Raw matrix (or stack) of the partial trace onto the subsystems in ``keep`` (no
-        re-validation), taken once per dims and keep and kept read-only.  A state re-wrapped
-        on other dims shares the cache, so the dims are part of its key."""
+    def reduced(self, keep: Sequence[int]) -> DensityMatrix:
+        """The state on the subsystems in ``keep``: the partial trace of the frozen matrix (or
+        stack), which keeps it exactly Hermitian, not validated again, taken once per dims and
+        keep.  A state re-wrapped on other dims shares the cache, so its key holds the dims."""
         cache = vars(self).setdefault("_marginals", {})
         key = (self.dims, tuple(sorted(set(keep))))
         if key not in cache:
-            cache[key] = ptrace(self._mat, self.dims, keep)
-            cache[key].setflags(write=False)
+            mat = ptrace(self._mat, self.dims, keep)
+            cache[key] = DensityMatrix._view(mat, dims=tuple(self.dims[k] for k in key[1]))
         return cache[key]
+
+    def marginal(self, keep: Sequence[int]) -> np.ndarray:
+        """The read-only matrix (or stack) of reduced(keep)."""
+        return self.reduced(keep).mat
+
+
+def _derived_state(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
+    """The state over hermitize(mat), the bits validation stores, for a mat made from validated
+    states in a way that keeps it Hermitian and within the PSD slack of psd_support (a mixture,
+    a weighted direct sum of products): only its entries and trace are checked again."""
+    out = DensityMatrix._view(hermitize(_finite(mat)), dims=dims)
+    _check_unit_trace(out.trace)
+    return out
 
 
 def _check_unit_trace(tr) -> None:
@@ -312,7 +330,7 @@ def markov_state(spec: MarkovSpec) -> DensityMatrix:
         on_b = slice(offset, offset + dl * dr)  # the block's run of the B index
         tensor[:, on_b, :, :, on_b, :] += p * block.reshape((d_a, dl * dr, d_c) * 2)
         offset += dl * dr
-    return DensityMatrix(out, (d_a, d_b, d_c))
+    return _derived_state(out, (d_a, d_b, d_c))
 
 
 def _haar_q(g: np.ndarray) -> np.ndarray:
@@ -413,6 +431,4 @@ def regularize(
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)
     if not isinstance(state, DensityMatrix):
         return DensityMatrix(mixed, dims)
-    out = DensityMatrix._view(hermitize(mixed), dims=state.dims)  # the bits validation stores
-    _check_unit_trace(out.trace)
-    return DensityMatrix(out, dims)
+    return DensityMatrix(_derived_state(mixed, state.dims), dims)

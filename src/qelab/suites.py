@@ -169,7 +169,7 @@ def _perturb_edges(state: DensityMatrix, rngs) -> DensityMatrix:
     ka = random_channel(da, 2, rngs).kraus
     kc = random_channel(dc, 2, rngs).kraus
     ops = [kron(kron(a, np.eye(db)), c) for a in ka for c in kc]
-    return DensityMatrix(KrausChannel(ops).apply(state.mat), state.dims)
+    return DensityMatrix(KrausChannel(ops).apply(state), state.dims)
 
 
 def _sample_trace_exp(rngs, dims, eps):

@@ -8,7 +8,8 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
   eigenpairs (m_j, s_j) of sigma;
 * cmi, I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), from exact partial traces;
 * commuting_unital, the values of the unital checks for diagonal states and a channel of
-  scaled permutations, from their scalar forms.
+  scaled permutations, from their scalar forms, which also hold for the instance that
+  commuting_instance rotates by a unitary U.
 
 A matrix is taken as its Hermitian part, as qelab's functionals take it.  Eigenvalues must
 be positive: the oracle is meant for full-rank inputs, such as regularized states.
@@ -81,6 +82,21 @@ def cmi(rho, dims: Sequence[int]) -> mpmath.mpf:
         return s_ab + s_bc - s_b - _entropy(m)
 
 
+def commuting_instance(p, q, scales, perms, u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The float64 matrices rho = U diag(p) U^dag and sigma = U diag(q) U^dag and the stack of
+    Kraus operators s_i U P_i U^dag, where P_i sends e_j to e_{perms[i][j]}; U = 1, and no
+    product is formed, when u is None."""
+    d = len(p)
+    rho, sigma = np.diag(p).astype(complex), np.diag(q).astype(complex)
+    kraus = np.zeros((len(scales), d, d), dtype=complex)
+    for k, s, perm in zip(kraus, scales, perms):
+        k[np.asarray(perm), np.arange(d)] = s
+    if u is None:
+        return rho, sigma, kraus
+    u_dag = u.conj().T
+    return u @ rho @ u_dag, u @ sigma @ u_dag, u @ kraus @ u_dag
+
+
 def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """(Tr exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)), S(rho||sigma),
     S(Phi rho||Phi sigma)) at DIGITS digits, for rho = diag(p), sigma = diag(q) and the channel
@@ -88,7 +104,9 @@ def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmat
 
     Every operator is diagonal: on diagonals Phi is T = sum_i s_i^2 P_i and Phi^* is T^T, so
     the trace is sum_j q_j exp(T^T(log Tp - log Tq))_j.  The weights s_i^2 are those of the
-    float64 scales, squared exactly.
+    float64 scales, squared exactly.  The values are those of commuting_instance for any
+    unitary U as well: Phi then maps U X U^dag to U Phi_1(X) U^dag, for Phi_1 the channel at
+    U = 1, and Phi^* likewise, and every value is invariant under that conjugation.
     """
     with mpmath.workdps(DIGITS):
         p, q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))

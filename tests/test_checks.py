@@ -874,12 +874,14 @@ def _counting(monkeypatch, owner, attr):
 
 
 def test_explore_trotter_monotone_decomposes_only_the_three_marginals(monkeypatch):
-    state = _tri(53)
-    expected = trotter_sequence(state, n_values=(1, 2, 4, 8, 16)).quantities
+    expected = trotter_sequence(_tri(53), n_values=(1, 2, 4, 8, 16)).quantities
+    state = _tri(53)  # the same state, whose reduced states have no spectra yet
     eighs = _counting(monkeypatch, np.linalg, "eigh")
     quantities = EXPLORATIONS["trotter-monotone"].run({"rho": state}, 1e-8, {}).quantities
     assert len(eighs) == 3
     assert quantities == {key: expected[key] for key in quantities}
+    EXPLORATIONS["trotter-monotone"].run({"rho": state}, 1e-8, {})
+    assert len(eighs) == 3  # the reduced states keep their spectra
 
 
 def test_stronger_monotonicity_pushes_each_image_once(monkeypatch):

@@ -21,7 +21,7 @@ import oracle
 from qelab.channels import KrausChannel
 from qelab.checks import check_stronger_monotonicity, check_unital_trace_bound
 from qelab.entropy import cmi, relative_entropy, von_neumann
-from qelab.states import AB, B, BC, DensityMatrix, random_density, regularize
+from qelab.states import AB, B, BC, DensityMatrix, random_density, random_unitary, regularize
 
 U = 2.0**-53
 DIMS = (2, 2, 2)
@@ -95,30 +95,48 @@ def test_the_oracle_matches_closed_forms_on_commuting_states():
     assert abs(oracle.cmi(product, DIMS)) < mpmath.mpf(1e-35)
 
 
-def test_the_unital_checks_at_d64_match_their_commuting_scalar_forms():
-    # rho = diag(p), sigma = diag(q) and a unital channel of 64 scaled permutations, so that
-    # each 64-term Kraus sum is checked by value: the bar is 4 d u (kappa + L), with kappa the
-    # larger ratio of largest to smallest entry of p and of q and L the largest |log| of
-    # their entries.  T is doubly stochastic, so Tp and Tq lie within the ranges of p and q.
-    # Each Kraus sum of d terms rounds an entry by d u relatively; eigh of a diagonal matrix
-    # moves its smallest eigenvalue by d u kappa relatively, and so its log by d u kappa; the
-    # d terms of a sum of logs add d u L, and the exponent's error is the trace's relative error.
-    d = 64
-    rng = np.random.default_rng(2031)
+def _unital_errors(d: int, dims, seed: int, haar: bool) -> tuple[list[float], float]:
+    """The errors of trace_value, before and after of the two unital checks against
+    oracle.commuting_unital, for rho = U diag(p) U^dag, sigma = U diag(q) U^dag and a unital
+    channel of d scaled permutations s_i U P_i U^dag, with U Haar when haar and U = 1 otherwise;
+    and the unit d u (kappa + L) of their bars, kappa the larger ratio of largest to smallest
+    entry of p and of q and L the largest |log| of their entries."""
+    rng = np.random.default_rng(seed)
     p, q = (v / v.sum() for v in rng.uniform(0.5, 1.5, (2, d)))
     weights = rng.uniform(0.5, 1.5, d)
     scales = np.sqrt(weights / weights.sum())
     perms = [rng.permutation(d) for _ in range(d)]
-    kraus = np.zeros((d, d, d))
-    for k, s, perm in zip(kraus, scales, perms):
-        k[perm, np.arange(d)] = s
-    rho, sigma = (DensityMatrix(np.diag(v)) for v in (p, q))
+    u = random_unitary(d, rng) if haar else None
+    rho_mat, sigma_mat, kraus = oracle.commuting_instance(p, q, scales, perms, u)
+    rho, sigma = (DensityMatrix(m, dims) for m in (rho_mat, sigma_mat))
     channel = KrausChannel(list(kraus))
     chain = check_stronger_monotonicity(rho, sigma, channel).quantities
     got = (check_unital_trace_bound(rho, sigma, channel).quantities["trace_value"],
            chain["before"], chain["after"])
     want = oracle.commuting_unital(p, q, scales, perms)
     kappa = max(v.max() / v.min() for v in (p, q))
-    bar = 4 * d * U * (kappa + max(abs(math.log(v.min())) for v in (p, q)))
-    errors = [abs(g - float(w)) for g, w in zip(got, want)]
-    assert max(errors) <= bar, f"errors {errors} above the bar {bar:.3e}"
+    unit = d * U * (kappa + max(abs(math.log(v.min())) for v in (p, q)))
+    return [abs(g - float(w)) for g, w in zip(got, want)], unit
+
+
+def test_the_unital_checks_at_d64_match_their_commuting_scalar_forms():
+    # rho = diag(p), sigma = diag(q) and a unital channel of 64 scaled permutations, so that
+    # each 64-term Kraus sum is checked by value: the bar is 4 d u (kappa + L).  T is doubly
+    # stochastic, so Tp and Tq lie within the ranges of p and q.  Each Kraus sum of d terms
+    # rounds an entry by d u relatively; eigh of a diagonal matrix moves its smallest
+    # eigenvalue by d u kappa relatively, and so its log by d u kappa; the d terms of a sum of
+    # logs add d u L, and the exponent's error is the trace's relative error.
+    errors, unit = _unital_errors(64, None, 2031, haar=False)
+    assert max(errors) <= 4 * unit, f"errors {errors} above the bar {4 * unit:.3e}"
+
+
+@pytest.mark.parametrize("d, dims", [(64, (4, 4, 4)), (8, (2, 2, 2))])
+def test_the_unital_checks_match_their_commuting_scalar_forms_in_a_haar_basis(d, dims):
+    # The same instance rotated by a Haar U, so that eigh takes its general path and each
+    # Kraus product, exact for a permutation of a diagonal matrix, rounds; the channel applies
+    # run on the validated states.  The bar doubles to 8 d u (kappa + L): forming U D U^dag and
+    # s U P U^dag, and the products K X K^dag, each round by O(d u) relatively, which kappa and
+    # L carry to the values as they carry the rounding at U = 1, and eigh's backward error on a
+    # full matrix is O(d u) ||X|| where it is exact on a diagonal one.
+    errors, unit = _unital_errors(d, dims, 2032, haar=True)
+    assert max(errors) <= 8 * unit, f"errors {errors} above the bar {8 * unit:.3e}"

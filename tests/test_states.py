@@ -263,6 +263,23 @@ def test_markov_state_single_product_block():
     assert abs(cmi(state)) < 1e-10
 
 
+def test_markov_state_checks_only_the_entries_and_trace_of_its_validated_blocks():
+    # the weighted direct sum of validated factors is stored with the bits full validation
+    # stores; a NaN weight, which MarkovSpec lets through, is still NonFinite, and factors
+    # whose traces are not 1 give BadTrace
+    spec, _ = _product_block_spec()
+    state = markov_state(spec)
+    assert state.mat.tobytes() == DensityMatrix(state.mat.copy(), state.dims).mat.tobytes()
+    assert not state.mat.flags.writeable
+    half = DensityMatrix(np.eye(2) / 2)
+    one = DensityMatrix(np.eye(1))
+    with pytest.raises(NonFinite):
+        markov_state(MarkovSpec(1, 1, (float("nan"), 0.5), (half, half), (one, one)))
+    low = SubnormalizedOperator(np.eye(2) / 4)
+    with pytest.raises(BadTrace):
+        markov_state(MarkovSpec(1, 1, (1.0,), (low,), (one,)))
+
+
 def test_markov_state_classical_b_blocks():
     # two blocks with trivial inner factors: B is a classical label
     rng = np.random.default_rng(14)
