@@ -9,9 +9,11 @@ in each checkout, one after the other: the parent first in even pairs, the chang
 ones, so a drift of the machine's speed falls on both sides alike.  Each checkout runs its own
 perfbench and imports its own src/.  For every end-to-end metric of CHANGE's BENCHMARK.json the
 script prints each pair's two values, then each side's quartiles (the middle one is the median)
-and the number of pairs the change wins by the metric's "better" direction.  It does the same for
+and the number of pairs the change wins by the metric's "better" direction, then the verdict on a
+claimed gain (claim_verdict): met when at least 10 pairs ran, the change is better in at least 9/10
+of them and its median beats the parent's by more than the parent's interquartile range.  It does the same for
 the uncalibrated rate in each run's manifest (raw_trials_per_s), which no bound applies to.  The
-last line is one JSON object holding every run, for a BENCH_*.json file.  A run that fails or
+last line is one JSON object holding every run and each verdict, for a BENCH_*.json file.  A run that fails or
 reports incorrect outputs stops the script with exit status 1.
 
 With --units N a run is instead `python3 perfbench/workload.py --mode fixed --units N` in the
@@ -80,6 +82,20 @@ def quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+def claim_verdict(parent: list[float], change: list[float], better: str) -> dict:
+    """Whether the runs of paired sides show a gain: at least 10 pairs ran, the change is better,
+    in the ``better`` direction ("higher" or "lower"), in at least 9/10 of them (a tie counts
+    for neither side), and the gap between the medians exceeds the interquartile range of the
+    parent's runs."""
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    low, median, high = quartiles(parent) if len(parent) > 1 else parent * 3
+    gap = sign * (statistics.median(change) - median)
+    met = len(parent) >= 10 and wins >= 0.9 * len(parent) and gap > high - low
+    return {"change_better_pairs": f"{wins}/{len(parent)}", "median_gap": gap,
+            "parent_iqr": high - low, "met": met}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the parent checkout")
@@ -116,9 +132,9 @@ def main() -> int:
     summary = {}
     for name, direction in better.items():
         values = {side: [run[name] for run in runs[side]] for side in SIDES}
-        sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        summary[name] = {"better": direction, "change_better_pairs": f"{wins}/{args.pairs}"}
+        verdict = claim_verdict(values["parent"], values["change"], direction)
+        summary[name] = {"better": direction, "change_better_pairs": verdict["change_better_pairs"],
+                         "claim": verdict}
         for side in SIDES:
             summary[name][f"{side}_runs"] = values[side]
             summary[name][f"{side}_quartiles"] = (quartiles(values[side]) if args.pairs > 1
@@ -126,7 +142,11 @@ def main() -> int:
         q_parent, q_change = summary[name]["parent_quartiles"], summary[name]["change_quartiles"]
         print(f"{name}: parent median {q_parent[1]:.6g} (quartiles {q_parent[0]:.6g}, "
               f"{q_parent[2]:.6g}), change median {q_change[1]:.6g} (quartiles "
-              f"{q_change[0]:.6g}, {q_change[2]:.6g}), change better in {wins}/{args.pairs} pairs")
+              f"{q_change[0]:.6g}, {q_change[2]:.6g}), change better in "
+              f"{verdict['change_better_pairs']} pairs")
+        print(f"{name}: claim {'met' if verdict['met'] else 'not met'} (median gap "
+              f"{verdict['median_gap']:.6g} against the parent's interquartile range "
+              f"{verdict['parent_iqr']:.6g}; needs 10 pairs or more, 9/10 of them won and a gap beyond it)")
     print(json.dumps({"workload": args.workload, "seconds": SECONDS, "units": args.units,
                       "seeds": [args.first_seed, args.first_seed + args.pairs - 1],
                       "metrics": summary}))

@@ -3,7 +3,8 @@
 The package is organized in layers:
 
 * :mod:`qelab.linalg` — Hermitian eigendecompositions, matrix functions on the
-  support, partial traces, embeddings, and the trace norm.
+  support, partial traces, embeddings, and the trace norm; ``Hermitian``, the one
+  checked-operand type, which the states derive from.
 * :mod:`qelab.states` — density matrices that carry their subsystem dims,
   subnormalized operators, block-structured Markov states, and random ensembles.
 * :mod:`qelab.channels` — Kraus channels, duals, recovery maps, partial-trace

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DimMismatch, NotUnital, SingularSigma
 from .linalg import (
+    Hermitian,
     HermitianEigen,
     _kraus_sum,
     dagger,
@@ -34,14 +35,13 @@ from .linalg import (
     max_sv_within,
     ptrace,
     real_trace,
+    spectrum_of,
 )
 from .states import (
-    Decomposed,
     SubnormalizedOperator,
     _haar_q,
     as_drawn,
     as_matrix,
-    as_spectrum,
     capped,
     gaussians,
     random_unitaries,
@@ -51,9 +51,9 @@ from .tolerances import PETZ_EPS, RANK_CUTOFF, TOL_RECON
 
 
 def _hermitian_like(x, out: np.ndarray) -> np.ndarray:
-    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian; an
-    operator object (states.as_matrix) passed it when it was built and is not tested again."""
-    if isinstance(x, (SubnormalizedOperator, Decomposed)):
+    """out, re-Hermitized where the input x (each row of a stack) passes is_hermitian; a
+    Hermitian operand passed it when it was built and is not tested again."""
+    if isinstance(x, Hermitian):
         return hermitize(out)
     like = np.asarray(is_hermitian(as_matrix(x)))
     if like.all():
@@ -106,13 +106,13 @@ class KrausChannel:
         identity within TOL_RECON: decided on first use."""
         return bool(max_sv_within(self._unital_gap(), TOL_RECON).all())
 
-    def apply(self, x: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
+    def apply(self, x: Hermitian | np.ndarray) -> np.ndarray:
         mat = as_matrix(x)
         if mat.shape[-2:] != (self.d_in, self.d_in):
             raise DimMismatch(f"input shape {mat.shape}, channel expects {self.d_in}")
         return _hermitian_like(x, _kraus_sum(self.kraus, mat))
 
-    def apply_dual(self, y: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
+    def apply_dual(self, y: Hermitian | np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt adjoint Phi^*(Y) = sum_i K_i^dag Y K_i.
 
         The dual of a trace-preserving map is unital (it fixes the identity)
@@ -143,14 +143,14 @@ class PetzMap:
     For channel Phi and reference sigma this is
         X  |->  sigma^{1/2} Phi^*( Phi(sigma)^{-1/2} X Phi(sigma)^{-1/2} ) sigma^{1/2}.
     It always fixes the pushed-forward reference: apply(Phi(sigma)) = sigma.
-    A caller that holds Phi(sigma) already passes it as ``image``, a matrix or a Decomposed.
+    A caller that holds Phi(sigma) already passes it as ``image``, a matrix or a Hermitian.
     A singular Phi(sigma) is handled by mixing in PETZ_EPS of the maximally
     mixed state before the inverse square root (pseudo-inverse on the support
     alone would silently drop weight for inputs leaking off the support).
     """
 
     def __init__(self, channel: KrausChannel, sigma: SubnormalizedOperator,
-                 image: np.ndarray | Decomposed | None = None):
+                 image: np.ndarray | Hermitian | None = None):
         if sigma.dim != channel.d_in:
             raise DimMismatch(
                 f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
@@ -159,7 +159,7 @@ class PetzMap:
         tr = np.asarray(real_trace(as_matrix(image)))
         if np.any(tr <= RANK_CUTOFF):
             raise SingularSigma("channel output of the reference has ~zero trace")
-        eig = as_spectrum(image)
+        eig = spectrum_of(image)
         singular = ~eig.support[..., 0]
         if np.any(singular):  # mixed rows take the spectrum of their mixture
             (vals, vecs), image, d = eig, as_matrix(image), eig.eigenvalues.shape[-1]
@@ -171,7 +171,7 @@ class PetzMap:
         self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
         self._inv_sqrt_image = matrix_power(eig, -0.5)
 
-    def apply(self, x: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
+    def apply(self, x: Hermitian | np.ndarray) -> np.ndarray:
         mat = as_matrix(x)
         if mat.shape[-2:] != (self.channel.d_out, self.channel.d_out):
             raise DimMismatch(

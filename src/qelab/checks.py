@@ -39,10 +39,12 @@ from .entropy import (
     overlap_lower_bound,
     relative_entropy,
     renyi,
+    require_alpha_window,
     von_neumann,
 )
 from .errors import BadAlpha, BadConfig, DimMismatch, MarginalMismatch, ZeroOverlap
 from .linalg import (
+    Hermitian,
     dagger,
     each,
     embed,
@@ -61,6 +63,7 @@ from .linalg import (
     real_trace,
     require_hermitian,
     row_indices,
+    spectrum_of,
     trace_norm,
     unitary_power,
 )
@@ -69,12 +72,10 @@ from .states import (
     AB,
     B,
     BC,
-    Decomposed,
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
     as_matrix,
-    as_spectrum,
     capped,
     grids,
     markov_state,
@@ -113,12 +114,6 @@ def _spectra(state: DensityMatrix) -> dict:
     """The spectrum of each reduced state AB, B and BC of a tripartite state, keyed by its part."""
     require_tripartite(state)
     return {part: state.reduced(part).spectrum for part in (AB, B, BC)}
-
-
-def _check_alphas(alphas: Sequence[float]) -> None:
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise BadAlpha(f"alpha must lie strictly in (0, 1), got {alpha}")
 
 
 def _compressed_product(eig: dict, dims: Sequence[int], ps: Sequence[float]):
@@ -175,30 +170,24 @@ def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
 
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
-    """(spectrum of sigma, Phi(rho) and Phi(sigma) as Decomposed, the channel Phi) for
+    """(spectrum of sigma, Phi(rho) and Phi(sigma) as Hermitian, the channel Phi) for
     operators or matrices rho and sigma: what the unital surrogate, every alpha-compression,
     the relative entropy of the images and the Petz map share."""
-    img_rho, img_sigma = (channel.apply(x) for x in (rho, sigma))
-    return (
-        as_spectrum(sigma),
-        Decomposed(img_rho, herm_eig(img_rho)),
-        Decomposed(img_sigma, herm_eig(img_sigma)),
-        channel,
-    )
+    img_rho, img_sigma = (Hermitian(channel.apply(x)) for x in (rho, sigma))
+    return spectrum_of(sigma), img_rho, img_sigma, channel
 
 
 def _unital_surrogate(pushed: tuple) -> np.ndarray:
     """exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) from _pushed."""
     sigma_eig, img_rho, img_sigma, channel = pushed
-    combo = matrix_log(sigma_eig) + channel.apply_dual(matrix_log(img_rho.spectrum))
-    return matrix_exp(hermitize(combo - channel.apply_dual(matrix_log(img_sigma.spectrum))))
+    combo = matrix_log(sigma_eig) + channel.apply_dual(matrix_log(img_rho))
+    return matrix_exp(hermitize(combo - channel.apply_dual(matrix_log(img_sigma))))
 
 
 def _root_links(rho, other) -> list[tuple[str, float]]:
     """The overlap, square-root and trace-distance links of the descending chain between
     two operators or matrices, or stacks of them."""
-    s_rho = matrix_sqrt(as_spectrum(rho))
-    s_oth = matrix_sqrt(as_spectrum(other))
+    s_rho, s_oth = matrix_sqrt(rho), matrix_sqrt(other)
     overlap = real_trace(s_rho @ s_oth)
     if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("square-root overlap is not positive")
@@ -215,7 +204,7 @@ def _sqrt_chain(
     anchor_label: str,
     anchor: float,
     rho: SubnormalizedOperator | np.ndarray,
-    surrogate: Decomposed | np.ndarray,
+    surrogate: Hermitian | np.ndarray,
     tol: float,
     quantities: dict[str, float] | None = None,
     extra_ok=None,
@@ -480,7 +469,7 @@ def check_three_state_chain(
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
     surrogate, dev = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
-    surrogate = Decomposed(surrogate, herm_eig(surrogate))
+    surrogate = Hermitian(surrogate)
     return _sqrt_chain(
         "three-state-chain",
         "relent_to_surrogate",
@@ -650,12 +639,12 @@ def trotter_sequence(
 def _alpha_compressed(pushed: tuple, alphas: Sequence[float]):
     """For each capped block of alphas, the stack, one row per alpha, of the compressions
     {sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a),
-    from the spectra and channel of _pushed: one apply_dual and one decomposition per block."""
-    _check_alphas(alphas)
+    from the spectra and channel of _pushed: one apply_dual and one decomposition per block.
+    The caller has checked the orders (require_alpha_window)."""
     sigma_eig, img_rho, img_sigma, channel = pushed
     for a in grids(alphas, sigma_eig.eigenvalues.shape[:-1], max(channel.d_in, channel.d_out)):
-        img_sigma_neg = matrix_power(img_sigma.spectrum, -a / 2.0)
-        mid = hermitize(img_sigma_neg @ matrix_power(img_rho.spectrum, a) @ img_sigma_neg)
+        img_sigma_neg = matrix_power(img_sigma, -a / 2.0)
+        mid = hermitize(img_sigma_neg @ matrix_power(img_rho, a) @ img_sigma_neg)
         s_half = matrix_power(sigma_eig, a / 2.0)
         inner = hermitize(s_half @ channel.apply_dual(mid) @ s_half)
         yield matrix_power(inner, 1.0 / a)
@@ -670,6 +659,7 @@ def dw_alpha_profile(
 ) -> Results:
     """Finite-alpha compressed trace bound: Q_alpha, the trace of the alpha-compression, is at
     most 1 at each alpha of a grid; one result per trial."""
+    require_alpha_window(alphas)
     pushed = _pushed(rho, sigma, channel)
     values = [v for q in _alpha_compressed(pushed, alphas) for v in real_trace(q)]
     return per_row(lambda *row: _q_profile("dw-alpha", alphas, row, tol), *values)
@@ -702,7 +692,7 @@ def check_dw_tripartite(
     """
     eig = _spectra(rho)
     dims = rho.dims
-    _check_alphas(alphas)
+    require_alpha_window(alphas)
     values = [v for a, g in _compressed_product(eig, dims, alphas)
               for v in real_trace(matrix_power(g, 1.0 / a))]
     channel = ptrace_channel(dims, 0)
@@ -730,8 +720,9 @@ def check_sbw_limit(
     sequence and end below SBW_FINAL_TOL.
     """
     alphas = [float(a) for a in alphas]
-    if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
-        raise BadAlpha(f"alphas must lie strictly in (0, 1), got {alphas}")
+    if not alphas:
+        raise BadAlpha("need at least one alpha")
+    require_alpha_window(alphas)
     if sorted(alphas, reverse=True) != alphas:
         raise BadAlpha("alphas must be given in strictly descending order")
     pushed = _pushed(rho, sigma, channel)
@@ -763,7 +754,7 @@ def _concavity_gap(f, x1, x2, lam) -> tuple:
         raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
     weight = weight[..., None, None]
     at_mix = f(herm_eig(weight * as_matrix(x1) + (1.0 - weight) * as_matrix(x2)))
-    return at_mix, lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
+    return at_mix, lam * f(spectrum_of(x1)) + (1.0 - lam) * f(spectrum_of(x2))
 
 
 def check_lieb_concavity(
@@ -837,7 +828,7 @@ def check_audenaert_ps(
     N||_2^2 whenever both traces are <= 1.
     """
     m_mat, n_mat = as_matrix(m), as_matrix(n)
-    m_eig, n_eig = as_spectrum(m), as_spectrum(n)
+    m_eig, n_eig = spectrum_of(m), spectrum_of(n)
     sm, sn = matrix_sqrt(m_eig), matrix_sqrt(n_eig)
     for t in t_values:
         if not 0.0 <= t <= 1.0:

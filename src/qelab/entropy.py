@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
+    Hermitian,
+    as_hermitian,
     each,
     embed,
     herm_eig,
@@ -30,8 +32,8 @@ from .linalg import (
     per_matrix,
     psd_support,
     real_trace,
-    require_hermitian,
     row_indices,
+    spectrum_of,
     support_projector,
 )
 from .states import (
@@ -39,9 +41,7 @@ from .states import (
     B,
     BC,
     DensityMatrix,
-    SubnormalizedOperator,
     as_matrix,
-    as_spectrum,
     capped,
     grids,
     require_tripartite,
@@ -49,11 +49,10 @@ from .states import (
 from .tolerances import SUPPORT_LEAK_TOL
 
 
-def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float | np.ndarray:
+def von_neumann(rho: Hermitian | np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr rho log rho over the support eigenvalues (psd_support) of a PSD rho; a
-    SubnormalizedOperator, validated and hermitized when it was built, is not checked again."""
-    trusted = isinstance(rho, SubnormalizedOperator)
-    vals = np.linalg.eigvalsh(rho.mat if trusted else hermitize(require_hermitian(as_matrix(rho))))
+    Hermitian operand, checked and hermitized when it was built, is not checked again."""
+    vals = np.linalg.eigvalsh(as_hermitian(rho))
     support = psd_support(vals)
     logs = np.log(np.where(support, vals, 1.0))
     s = np.asarray(-(vals * logs).sum(axis=-1))
@@ -66,8 +65,8 @@ def von_neumann(rho: SubnormalizedOperator | np.ndarray) -> float | np.ndarray:
 
 
 def relative_entropy(
-    rho: SubnormalizedOperator | np.ndarray,
-    sigma: SubnormalizedOperator | np.ndarray,
+    rho: Hermitian | np.ndarray,
+    sigma: Hermitian | np.ndarray,
 ) -> float | np.ndarray:
     """Umegaki relative entropy S(rho || sigma) = Tr rho (log rho - log sigma).
 
@@ -81,20 +80,28 @@ def relative_entropy(
     s = as_matrix(sigma)
     if r.shape != s.shape:
         raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
-    s_eig = as_spectrum(sigma)
+    s_eig = spectrum_of(sigma)
     inside = np.asarray(s_eig.support.all(axis=-1))
     if (kernel := ~inside).any():  # the rows whose sigma has a kernel; 2-D as a stack of one
         off = np.eye(s.shape[-1]) - support_projector(s_eig)[kernel]
         inside[kernel] = max_sv_within(off @ r[kernel] @ off, SUPPORT_LEAK_TOL, strict=True)
-    log_r = matrix_log(as_spectrum(rho), support_only=True)
+    log_r = matrix_log(rho, support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
     return per_matrix(np.where(inside, real_trace(r @ (log_r - log_s)), math.inf))
 
 
+def require_alpha_window(alphas: float | Sequence[float]) -> None:
+    """BadAlpha unless each order of alphas (one, or a grid) lies strictly inside (0, 1), the
+    window of renyi and of the alpha-compressions; a NaN lies outside it."""
+    for a in np.atleast_1d(alphas):
+        if not 0.0 < a < 1.0:
+            raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {a}")
+
+
 def renyi(
     alpha: float | Sequence[float],
-    rho: SubnormalizedOperator | np.ndarray,
-    sigma: SubnormalizedOperator | np.ndarray,
+    rho: Hermitian | np.ndarray,
+    sigma: Hermitian | np.ndarray,
 ) -> float | np.ndarray | list:
     """Petz-Renyi relative entropy (log Tr rho^alpha sigma^(1-alpha)) / (alpha - 1).
 
@@ -103,10 +110,8 @@ def renyi(
     the supports are orthogonal enough that the trace vanishes.  A grid of orders
     gives the list of their values, from one power stack per block (states.grids).
     """
-    for a in np.atleast_1d(alpha):
-        if not 0.0 < a < 1.0:
-            raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {a}")
-    r_eig, s_eig = as_spectrum(rho), as_spectrum(sigma)
+    require_alpha_window(alpha)
+    r_eig, s_eig = spectrum_of(rho), spectrum_of(sigma)
     values = []
     for a in grids(np.atleast_1d(alpha), r_eig.eigenvalues.shape[:-1], r_eig.eigenvalues.shape[-1]):
         overlaps = real_trace(matrix_power(r_eig, a) @ matrix_power(s_eig, 1.0 - a))
@@ -116,15 +121,15 @@ def renyi(
 
 
 def overlap_lower_bound(
-    rho: SubnormalizedOperator | np.ndarray,
-    sigma: SubnormalizedOperator | np.ndarray,
+    rho: Hermitian | np.ndarray,
+    sigma: Hermitian | np.ndarray,
 ) -> float | np.ndarray:
     """The root-overlap bound -2 log Tr sqrt(rho) sqrt(sigma).
 
     This quantity sits between the relative entropy and the squared
     Hilbert-Schmidt distance of the square roots whenever Tr sigma <= 1.
     """
-    overlap = real_trace(matrix_sqrt(as_spectrum(rho)) @ matrix_sqrt(as_spectrum(sigma)))
+    overlap = real_trace(matrix_sqrt(rho) @ matrix_sqrt(sigma))
     if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")
     return each(lambda o: -2.0 * math.log(o), overlap)

@@ -11,8 +11,9 @@ Conventions
 * One support rule, psd_support: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
   are off the support, and one below -TOL_PSD * max(1, max_eigenvalue) raises NotPSD.
   A HermitianEigen takes its mask once, on first use, and every matrix function reads it.
-* Matrix functions take a matrix, which herm_eig validates and decomposes,
-  or a HermitianEigen from herm_eig, so a reused operator decomposes and checks once.
+* Matrix functions take a matrix, which herm_eig validates and decomposes, a HermitianEigen
+  from herm_eig, or a Hermitian, checked when built, whose spectrum is taken once: spectrum_of
+  decides which, so a reused operator decomposes and checks once.
 * Every function here also takes an (n, d, d) stack of matrices, one per trial,
   and gives each row the bits its own 2-D call gives.  A per-matrix number (a
   trace, a norm, a Hermiticity verdict) is a Python scalar for one matrix and an
@@ -47,9 +48,6 @@ class HermitianEigen(collections.namedtuple("Eigenpairs", "eigenvalues eigenvect
     def support(self) -> np.ndarray:
         """psd_support of the eigenvalues, taken on first use: NotPSD then, and at each use."""
         return psd_support(self.eigenvalues)
-
-
-Spectral = np.ndarray | HermitianEigen
 
 
 def per_matrix(value: np.ndarray):
@@ -92,20 +90,12 @@ def dagger(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _kraus_terms(kraus: Sequence[np.ndarray], y: np.ndarray | None, dual: bool):
-    """The terms K Y K^dag, or K^dag Y K when dual (Y = 1 when None), of some Kraus operators,
-    one at a time."""
-    for k in kraus:
-        kh = k.conj().swapaxes(-1, -2)
-        a, b = (kh, k) if dual else (k, kh)
-        yield a @ b if y is None else a @ y @ b
-
-
 def _kraus_sum(kraus: Sequence[np.ndarray], y: np.ndarray | None = None,
                dual: bool = False) -> np.ndarray:
-    """sum_i K_i Y K_i^dag, or sum_i K_i^dag Y K_i when dual (Y = 1 when None), each term computed
-    on the calling thread and added in order from 0 + T_0 as it comes, so few terms live at once."""
-    return sum(_kraus_terms(kraus, y, dual))
+    """sum_i K_i Y K_i^dag, or sum_i K_i^dag Y K_i when dual (Y = 1 when None), each term added
+    in order from 0 + T_0 as it comes, so few terms live at once."""
+    return sum(a @ b if y is None else a @ y @ b for k in kraus
+               for kh in [k.conj().swapaxes(-1, -2)] for a, b in [(kh, k) if dual else (k, kh)])
 
 
 def hermitize(x: np.ndarray) -> np.ndarray:
@@ -218,8 +208,45 @@ def _eigh(h: np.ndarray) -> HermitianEigen:
     return HermitianEigen(vals, vecs)
 
 
-def _eig(h: Spectral) -> HermitianEigen:
-    return h if isinstance(h, HermitianEigen) else herm_eig(h)
+class Hermitian:
+    """A Hermitian matrix, or (n, d, d) stack, checked by require_hermitian, hermitized and frozen
+    when built, and not checked again: the one trusted operand type.  Its spectrum is _eigh's,
+    taken once, on first use, and kept read-only.  states.SubnormalizedOperator adds its own
+    checks; a reused channel image or surrogate is a plain Hermitian."""
+
+    def __init__(self, mat: np.ndarray):
+        self._mat = hermitize(require_hermitian(mat))
+        self._mat.setflags(write=False)
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self._mat
+
+    @property
+    def dim(self) -> int:
+        return self._mat.shape[-1]
+
+    @functools.cached_property
+    def spectrum(self) -> HermitianEigen:
+        spec = _eigh(self._mat)
+        for part in spec:
+            part.setflags(write=False)
+        return spec
+
+
+Spectral = np.ndarray | HermitianEigen | Hermitian
+
+
+def as_hermitian(x: Hermitian | np.ndarray) -> np.ndarray:
+    """The frozen matrix of a Hermitian, or a raw x checked by require_hermitian and hermitized."""
+    return x.mat if isinstance(x, Hermitian) else hermitize(require_hermitian(x))
+
+
+def spectrum_of(h: Spectral) -> HermitianEigen:
+    """A HermitianEigen itself, the spectrum of a Hermitian, or herm_eig of a raw array."""
+    if isinstance(h, HermitianEigen):
+        return h
+    return h.spectrum if isinstance(h, Hermitian) else herm_eig(h)
 
 
 def psd_support(vals: np.ndarray) -> np.ndarray:
@@ -246,7 +273,7 @@ def matrix_fn(
     support.  Without it ``fn`` must be finite on every eigenvalue; a non-finite value (log
     of ~0, negative power of ~0) raises SingularInput.
     """
-    vals, vecs = eig = _eig(h)
+    vals, vecs = eig = spectrum_of(h)
     if support_only:
         mask = eig.support
         fvals = np.zeros_like(vals)
@@ -274,7 +301,7 @@ def matrix_exp(h: Spectral) -> np.ndarray:
 def matrix_log(h: Spectral, support_only: bool = False) -> np.ndarray:
     """Matrix logarithm of a PSD matrix: NotPSD for an eigenvalue below the slack of
     psd_support, and without support_only SingularInput for a ~0 one."""
-    eig = _eig(h)
+    eig = spectrum_of(h)
     eig.support  # NotPSD before any SingularInput; the support_only path reads it again
     return matrix_fn(eig, np.log, support_only=support_only)
 
@@ -287,7 +314,7 @@ def matrix_sqrt(h: Spectral) -> np.ndarray:
 def _grid_points(h: Spectral, p) -> tuple:
     """The spectrum of h and its support mask, broadcast against the exponents p, and each
     point of p, which varies along its leading axis only, as (row index, Python float)."""
-    vals, vecs = eig = _eig(h)
+    vals, vecs = eig = spectrum_of(h)
     mask = eig.support
     if np.ndim(p) == 0:  # one point for every row
         return vals, vecs, mask, [((), float(p))]
@@ -326,7 +353,7 @@ def unitary_power(h: Spectral, t) -> np.ndarray:
 
 def support_projector(h: Spectral) -> np.ndarray:
     """Orthogonal projector onto the support (psd_support) of a PSD matrix."""
-    eig = _eig(h)
+    eig = spectrum_of(h)
     mask, vecs = eig.support, eig.eigenvectors
     out = vecs @ dagger(vecs)
     for row in row_indices(~mask.all(axis=-1)):  # a partial support keeps its own columns

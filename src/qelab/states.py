@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,17 +32,14 @@ from .errors import (
     NotTripartite,
 )
 from .linalg import (
-    HermitianEigen,
-    _eigh,
+    Hermitian,
     dagger,
     first_flagged,
-    herm_eig,
     hermitize,
     kron,
     psd_support,
     ptrace,
     real_trace,
-    require_hermitian,
 )
 from .tolerances import TOL_PSD, TOL_TRACE
 
@@ -111,24 +107,23 @@ def _finite(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _validated_matrix(mat: np.ndarray) -> np.ndarray:
-    """mat, or each row of a stack, checked finite, Hermitian and PSD (by _psd_certified, else
-    by eigvalsh and psd_support, with their verdict and message), hermitized and frozen."""
-    mat = hermitize(require_hermitian(_finite(np.asarray(mat, dtype=complex))))
+def _require_psd(mat: np.ndarray) -> None:
+    """NotPSD unless mat, or each row of a stack, is PSD within the slack of psd_support: by
+    _psd_certified, else by eigvalsh and psd_support, with their verdict and message."""
     if not _psd_certified(mat):
         psd_support(np.linalg.eigvalsh(mat))
-    mat.setflags(write=False)
-    return mat
 
 
-class SubnormalizedOperator:
-    """Hermitian PSD operator with 0 <= trace <= 1 (within tolerance).
+class SubnormalizedOperator(Hermitian):
+    """Hermitian PSD operator with 0 <= trace <= 1 (within tolerance): a Hermitian whose entries
+    are also checked finite, and its spectrum PSD and trace in range, when it is built.
 
     An (n, d, d) stack is n operators, one per trial, validated together; its trace is the
     (n,) array of theirs, and ``row(i)`` is operator i."""
 
     def __init__(self, mat: np.ndarray):
-        self._mat = _validated_matrix(mat)
+        super().__init__(_finite(np.asarray(mat, dtype=complex)))
+        _require_psd(self._mat)
         tr = real_trace(self._mat)
         bad = (tr < -TOL_TRACE) | (tr > 1.0 + TOL_TRACE)
         if np.any(bad):
@@ -156,23 +151,6 @@ class SubnormalizedOperator:
         """Validated operators of this class and one shape as one stack, not validated again."""
         return cls._view(np.stack([op.mat for op in ops]), np.array([op.trace for op in ops]),
                          getattr(ops[0], "dims", None))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
-
-    @cached_property
-    def spectrum(self) -> HermitianEigen:
-        """herm_eig of the frozen matrix, computed on first use, with no second check, and kept
-        read-only."""
-        spec = _eigh(self._mat)
-        for part in spec:
-            part.setflags(write=False)
-        return spec
-
-    @property
-    def dim(self) -> int:
-        return self._mat.shape[-1]
 
     @property
     def trace(self) -> float | np.ndarray:
@@ -271,13 +249,7 @@ class MarkovSpec:
         n = len(self.weights)
         if n == 0 or len(self.ab_factors) != n or len(self.bc_factors) != n:
             raise InconsistentBlocks("need one weight and one factor pair per block")
-        if any(p < 0 for p in self.weights):
-            raise InconsistentBlocks("block weights must be nonnegative")
-        total = float(sum(self.weights))
-        if abs(total - 1.0) > TOL_TRACE:
-            raise InconsistentBlocks(
-                f"block weights sum to {total!r}; renormalize before building the spec"
-            )
+        _weights_total(self.weights)
         for ab, bc in zip(self.ab_factors, self.bc_factors):
             if ab.dim % self.d_a != 0:
                 raise InconsistentBlocks(
@@ -301,13 +273,19 @@ class MarkovSpec:
         return sum(dl * dr for dl, dr in self.block_dims)
 
 
+def _weights_total(weights: Sequence[float]) -> float:
+    """The sum of block weights that are each >= 0 and sum to 1 within TOL_TRACE, a rule that a
+    NaN weight fails; else InconsistentBlocks naming the weights."""
+    total = float(sum(weights))
+    if not (all(p >= 0 for p in weights) and abs(total - 1.0) <= TOL_TRACE):
+        raise InconsistentBlocks(f"block weights {tuple(weights)} must be nonnegative and sum to "
+                                 f"1 within {TOL_TRACE:.1e}")
+    return total
+
+
 def normalized_weights(raw: Sequence[float]) -> tuple[float, ...]:
     """Renormalize weights whose sum is within TOL_TRACE of 1; reject others."""
-    if any(p < 0 for p in raw):
-        raise InconsistentBlocks(f"weights must be nonnegative, got {tuple(raw)}")
-    total = float(sum(raw))
-    if abs(total - 1.0) > TOL_TRACE:
-        raise InconsistentBlocks(f"weights sum to {total!r}, not 1")
+    total = _weights_total(raw)
     return tuple(float(p) / total for p in raw)
 
 
@@ -393,26 +371,9 @@ def wishart(g: np.ndarray) -> DensityMatrix:
     return DensityMatrix(mat / real_trace(mat)[:, None, None])
 
 
-class Decomposed(NamedTuple):
-    """A Hermitian matrix beside its herm_eig: a derived operator, such as a channel image,
-    decomposed once and not held to the trace and positivity checks of an operator object."""
-
-    mat: np.ndarray
-    spectrum: HermitianEigen
-
-
-def as_matrix(op: SubnormalizedOperator | Decomposed | np.ndarray) -> np.ndarray:
-    """The matrix of an operator object, or a raw array as a complex matrix."""
-    if isinstance(op, (SubnormalizedOperator, Decomposed)):
-        return op.mat
-    return np.asarray(op, dtype=complex)
-
-
-def as_spectrum(op: SubnormalizedOperator | Decomposed | np.ndarray) -> HermitianEigen:
-    """The spectrum of an operator object, or herm_eig of a raw array."""
-    if isinstance(op, (SubnormalizedOperator, Decomposed)):
-        return op.spectrum
-    return herm_eig(op)
+def as_matrix(op: Hermitian | np.ndarray) -> np.ndarray:
+    """The frozen matrix of a Hermitian operand, or a raw array as a complex matrix."""
+    return op.mat if isinstance(op, Hermitian) else np.asarray(op, dtype=complex)
 
 
 def regularize(

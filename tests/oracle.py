@@ -7,6 +7,12 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
 * relative_entropy, S(rho||sigma) = sum_i l_i log l_i - sum_j <s_j|rho|s_j> log m_j over the
   eigenpairs (m_j, s_j) of sigma;
 * cmi, I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), from exact partial traces;
+* renyi, the Petz-Renyi D_a(rho||sigma) = log Q_a / (a - 1) for each order a of a grid, with
+  Q_a = Tr rho^a sigma^(1-a) = sum_ij l_i^a m_j^(1-a) |<r_i|s_j>|^2 over the eigenpairs
+  (l_i, r_i) of rho and (m_j, s_j) of sigma, and root_overlap_bound, -2 log Q_(1/2);
+* markov_chain_instance, a classical Markov chain p(a) p(b|a) p(c|b), on which I(A:C|B) = 0
+  and the surrogate exp(log rho_AB - log rho_B + log rho_BC) is rho itself, in every basis of
+  the form U_A (x) U_B (x) U_C;
 * commuting_unital, the values of the unital checks for diagonal states and a channel of
   scaled permutations, from their scalar forms, which also hold for the instance that
   commuting_instance rotates by a unitary U.
@@ -60,6 +66,31 @@ def relative_entropy(rho, sigma) -> mpmath.mpf:
         return -_entropy(r) - cross
 
 
+def _overlaps(rho, sigma, alphas: Sequence[float]) -> list[mpmath.mpf]:
+    """Q_a = Tr rho^a sigma^(1-a) for each order a of alphas, from one eighe of each matrix."""
+    r_vals, r_vecs, _ = _log_terms(_hermitian(rho))
+    s_vals, s_vecs, _ = _log_terms(_hermitian(sigma))
+    cross = r_vecs.H * s_vecs  # entry (i, j) is <r_i|s_j>
+    weights = [[abs(cross[i, j]) ** 2 for j in range(len(s_vals))] for i in range(len(r_vals))]
+    return [mpmath.fsum(l ** a * m ** (1 - a) * weights[i][j]
+                        for i, l in enumerate(r_vals) for j, m in enumerate(s_vals))
+            for a in (mpmath.mpf(float(a)) for a in alphas)]
+
+
+def renyi(alphas: Sequence[float], rho, sigma) -> list[mpmath.mpf]:
+    """D_a(rho||sigma) = log Tr rho^a sigma^(1-a) / (a - 1) at DIGITS digits, for each order a
+    of alphas, each read exactly as a float64."""
+    with mpmath.workdps(DIGITS):
+        return [mpmath.log(q) / (mpmath.mpf(float(a)) - 1)
+                for a, q in zip(alphas, _overlaps(rho, sigma, alphas))]
+
+
+def root_overlap_bound(rho, sigma) -> mpmath.mpf:
+    """-2 log Tr sqrt(rho) sqrt(sigma) at DIGITS digits."""
+    with mpmath.workdps(DIGITS):
+        return -2 * mpmath.log(_overlaps(rho, sigma, [0.5])[0])
+
+
 def _marginal(m: mpmath.matrix, dims: Sequence[int], keep: Sequence[int]) -> mpmath.matrix:
     """The partial trace of m on dims over every subsystem not in keep, summed exactly."""
     kept = list(itertools.product(*(range(dims[k]) for k in keep)))
@@ -95,6 +126,19 @@ def commuting_instance(p, q, scales, perms, u=None) -> tuple[np.ndarray, np.ndar
         return rho, sigma, kraus
     u_dag = u.conj().T
     return u @ rho @ u_dag, u @ sigma @ u_dag, u @ kraus @ u_dag
+
+
+def markov_chain_instance(p_a, p_b_a, p_c_b, us=None) -> np.ndarray:
+    """The float64 matrix of the classical chain diag(p(a) p(b|a) p(c|b)), a slowest, from the
+    vector p_a and the row-stochastic matrices p_b_a (row a) and p_c_b (row b), rotated by
+    U_A (x) U_B (x) U_C for us = (U_A, U_B, U_C); diagonal when us is None."""
+    p = (np.asarray(p_a)[:, None, None] * np.asarray(p_b_a)[:, :, None]
+         * np.asarray(p_c_b)[None, :, :]).ravel()
+    mat = np.diag(p).astype(complex)
+    if us is None:
+        return mat
+    u = np.kron(np.kron(us[0], us[1]), us[2])
+    return u @ mat @ u.conj().T
 
 
 def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:

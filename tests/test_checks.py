@@ -12,7 +12,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qelab import checks, linalg, states
+from qelab import checks, entropy, linalg
 from qelab.channels import KrausChannel, random_unital_channel
 from qelab.checks import (
     DEFAULT_CL_ALPHAS,
@@ -45,7 +45,7 @@ from qelab.checks import (
     ssa_surrogate,
     trotter_sequence,
 )
-from qelab.entropy import relative_entropy
+from qelab.entropy import relative_entropy, renyi
 from qelab.errors import BadAlpha, BadConfig, MarginalMismatch, NotHermitian, NotUnital
 from qelab.linalg import (
     hermitize,
@@ -55,12 +55,12 @@ from qelab.linalg import (
     matrix_power,
     max_sv,
     real_trace,
+    spectrum_of,
 )
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
     as_matrix,
-    as_spectrum,
     markov_state,
     random_density,
     regularize,
@@ -636,6 +636,32 @@ def test_sbw_limit_rejects_unordered_grid():
         check_sbw_limit(rho, rho, channel, alphas=(1.5, 0.5))
 
 
+# each public entry that takes orders in (0, 1), called as (alphas, rho, sigma, channel)
+WINDOW_ENTRIES = {
+    "renyi": lambda a, rho, sigma, channel: renyi(a, rho, sigma),
+    "dw_alpha_profile": lambda a, rho, sigma, channel: dw_alpha_profile(rho, sigma, channel, a),
+    "check_dw_tripartite": lambda a, rho, sigma, channel: check_dw_tripartite(rho, a),
+    "check_sbw_limit": lambda a, rho, sigma, channel: check_sbw_limit(rho, sigma, channel, a),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WINDOW_ENTRIES))
+def test_each_alpha_entry_checks_the_one_window_once(monkeypatch, entry):
+    call = WINDOW_ENTRIES[entry]
+    rho, sigma = _tri(62), _tri(63)
+    channel = random_unital_channel(8, 3, RNG(64))
+    for bad in (0.0, 1.0, -0.1, float("nan")):
+        with pytest.raises(BadAlpha, match="strictly between 0 and 1"):
+            call([bad], rho, sigma, channel)
+    seen = []
+    real = entropy.require_alpha_window
+    for module in (entropy, checks):
+        monkeypatch.setattr(module, "require_alpha_window",
+                            lambda alphas: seen.append(alphas) or real(alphas))
+    call([0.5, 0.25], rho, sigma, channel)
+    assert len(seen) == 1
+
+
 def test_default_sbw_grid_is_descending_dyadic():
     assert DEFAULT_SBW_ALPHAS[0] == 0.5
     assert all(
@@ -708,7 +734,7 @@ def _old_cl_slacks(m, x1, x2, lam):
             return real_trace(matrix_power(core, alpha))
 
         f_mix = f(lam * as_matrix(x1) + (1.0 - lam) * as_matrix(x2))
-        f_avg = lam * f(as_spectrum(x1)) + (1.0 - lam) * f(as_spectrum(x2))
+        f_avg = lam * f(spectrum_of(x1)) + (1.0 - lam) * f(spectrum_of(x2))
         slacks[f"slack_{alpha!r}"] = f_mix - f_avg
     return slacks
 
@@ -724,9 +750,7 @@ def test_cl_grid_equals_the_per_alpha_loop_and_decomposes_the_mixture_once(seed,
     lam = float(rng.uniform(0.05, 0.95))
     old = _old_cl_slacks(m, x1, x2, lam)
     spy = mock.Mock(wraps=linalg.herm_eig)
-    with mock.patch.object(checks, "herm_eig", spy), mock.patch.object(
-        linalg, "herm_eig", spy
-    ), mock.patch.object(states, "herm_eig", spy):
+    with mock.patch.object(checks, "herm_eig", spy), mock.patch.object(linalg, "herm_eig", spy):
         result = check_cl_concavity(m, x1, x2, lam)
     assert result.name == "carlen-lieb-concavity"
     assert {k: v.hex() for k, v in result.quantities.items()} == {

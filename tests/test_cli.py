@@ -377,6 +377,18 @@ def test_markov_command_rejects_malformed_input(tmp_path):
     assert run_cli("markov", str(wrong)).returncode == 2
 
 
+def test_markov_command_refuses_a_nan_weight_in_one_line(tmp_path):
+    spec = tmp_path / "spec.json"
+    _write_markov_spec(spec)
+    data = json.loads(spec.read_text())
+    data["blocks"][0]["weight"] = float("nan")  # json writes NaN, and reads it back
+    spec.write_text(json.dumps(data))
+    proc = run_cli("markov", str(spec))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert "block weights (nan, 0.4)" in line
+
+
 def _trotter_table(stderr):
     rows = {}
     for line in stderr.splitlines():

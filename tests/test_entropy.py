@@ -39,6 +39,7 @@ from qelab.linalg import (
     matrix_log,
     max_sv_within,
     real_trace,
+    spectrum_of,
     support_projector,
     trace_norm,
 )
@@ -46,7 +47,6 @@ from qelab.states import (
     DensityMatrix,
     SubnormalizedOperator,
     as_matrix,
-    as_spectrum,
     random_density,
     regularize,
 )
@@ -420,10 +420,10 @@ def _relative_entropy_leak_test_everywhere(rho, sigma):
     """relative_entropy as it was written before the leak test was confined to the rows whose
     sigma has a kernel: every row takes the projector, the two products and the leak norm."""
     r, s = as_matrix(rho), as_matrix(sigma)
-    s_eig = as_spectrum(sigma)
+    s_eig = spectrum_of(sigma)
     off = np.eye(s.shape[-1]) - support_projector(s_eig)
     inside = max_sv_within(off @ r @ off, SUPPORT_LEAK_TOL, strict=True)
-    log_r = matrix_log(as_spectrum(rho), support_only=True)
+    log_r = matrix_log(spectrum_of(rho), support_only=True)
     log_s = matrix_log(s_eig, support_only=True)
     value = np.where(inside, real_trace(r @ (log_r - log_s)), math.inf)
     return value.item() if value.ndim == 0 else value

@@ -4,7 +4,9 @@ With u = 2^-53, d the dimension and l_min the smallest eigenvalue, the bars are
   S(rho||sigma): d u (kappa(sigma) + d (|log l_min(rho)| + 1) + |log l_min(sigma)|),
   S(rho):        d u d (|log l_min(rho)| + 1),
   I(A:C|B):      the sum of the bars of S(AB), S(BC), S(B) and S(ABC),
-from the backward stability of eigh and the Lipschitz constants of log and t log t on the
+  D_a(rho||sigma), 0 < a < 1, and the root-overlap bound (a = 1/2):
+                 d u (a d^a l_min(rho)^(a-1) + (1-a) d^(1-a) l_min(sigma)^(-a) + 2 d) / ((1-a) Q_a),
+from the backward stability of eigh and the Lipschitz constants of log, t log t and t^a on the
 spectrum.  A bar that does not hold is a finding about the bar or the float64 formula: it is
 not widened to pass.
 """
@@ -19,8 +21,12 @@ import pytest
 
 import oracle
 from qelab.channels import KrausChannel
-from qelab.checks import check_stronger_monotonicity, check_unital_trace_bound
-from qelab.entropy import cmi, relative_entropy, von_neumann
+from qelab.checks import (
+    check_ssa_strengthened,
+    check_stronger_monotonicity,
+    check_unital_trace_bound,
+)
+from qelab.entropy import cmi, overlap_lower_bound, relative_entropy, renyi, von_neumann
 from qelab.states import AB, B, BC, DensityMatrix, random_density, random_unitary, regularize
 
 U = 2.0**-53
@@ -76,6 +82,82 @@ def test_float64_entropies_stay_within_their_bars(case):
     }
     beyond = {name: (err, bar) for name, (err, bar) in errors.items() if not err <= bar}
     assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+def _renyi_bar(alpha: float, rho: np.ndarray, sigma: np.ndarray, overlap: float) -> float:
+    # eigh's backward error E, ||E|| <= d u, moves rho^a by at most a l_min^(a-1) ||E|| (the
+    # largest divided difference of t^a on the spectrum), and |Tr X sigma^(1-a)| <= ||X|| d^a
+    # since Tr sigma^(1-a) <= d^a; likewise for sigma^(1-a).  The term 2 d bounds the rounding
+    # of the two reconstructions and of the product, each at most d u times a trace <= d.
+    # Q_a's relative error is then D_a's absolute error times (1 - a).
+    r, s = _spectrum(rho), _spectrum(sigma)
+    d = len(r)
+    first = (alpha * d**alpha * r.min() ** (alpha - 1.0)
+             + (1.0 - alpha) * d ** (1.0 - alpha) * s.min() ** -alpha + 2.0 * d)
+    return d * U * first / ((1.0 - alpha) * overlap)
+
+
+RENYI_ALPHAS = (0.1, 0.5, 0.9)
+
+
+@pytest.mark.parametrize("case", range(len(CASES)),
+                         ids=[f"rank{r or 'full'}-eps{e:g}-{i % 3}" for i, (r, e) in enumerate(CASES)])
+def test_float64_renyi_and_root_overlap_stay_within_their_bars(case):
+    rho, sigma = _pair(case)
+    got = dict(zip(RENYI_ALPHAS, renyi(RENYI_ALPHAS, rho, sigma)))
+    want = dict(zip(RENYI_ALPHAS, oracle.renyi(RENYI_ALPHAS, rho.mat, sigma.mat)))
+    got["overlap"], want["overlap"] = (overlap_lower_bound(rho, sigma),
+                                       oracle.root_overlap_bound(rho.mat, sigma.mat))
+    errors = {}
+    for key, exact in want.items():
+        alpha = 0.5 if key == "overlap" else key
+        overlap = math.exp(float(exact) * (alpha - 1.0))  # Q_a from D_a = log Q_a / (a - 1)
+        errors[key] = (abs(got[key] - float(exact)), _renyi_bar(alpha, rho.mat, sigma.mat, overlap))
+    beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+def _chain_state(dims, seed: int, haar: bool) -> DensityMatrix:
+    """A classical chain p(a) p(b|a) p(c|b) with entries drawn in [0.5, 1.5] and normalized, on
+    dims, rotated by Haar U_A (x) U_B (x) U_C when haar."""
+    rng = np.random.default_rng(seed)
+    d_a, d_b, d_c = dims
+    p_a = rng.uniform(0.5, 1.5, d_a)
+    p_b_a, p_c_b = rng.uniform(0.5, 1.5, (d_a, d_b)), rng.uniform(0.5, 1.5, (d_b, d_c))
+    us = [random_unitary(k, rng) for k in dims] if haar else None
+    mat = oracle.markov_chain_instance(p_a / p_a.sum(), p_b_a / p_b_a.sum(1, keepdims=True),
+                                       p_c_b / p_c_b.sum(1, keepdims=True), us)
+    return DensityMatrix(mat, dims)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 4, 4)], ids=["2x2x2", "4x4x4"])
+@pytest.mark.parametrize("haar", [False, True], ids=["diagonal", "haar"])
+def test_a_classical_markov_chain_saturates_every_link_of_the_ssa_chain(dims, haar):
+    # The paper's equality case: on a Markov chain I(A:C|B) = 0 and the surrogate
+    # exp(log rho_AB - log rho_B + log rho_BC) is rho, so the Pinsker-like lower bound on the CMI
+    # is tight and every link of the chain is 0 (Tr S = 1).  The CMI's bar is the sum of the four
+    # entropy bars.  The surrogate's is the 8 d u (kappa + L) of the Haar unital check, kappa the
+    # largest condition number and L the largest |log l_min| of rho, rho_AB, rho_B and rho_BC:
+    # each marginal's log moves by d u kappa, the sum of logs adds d u L, and the exponent's
+    # error is Tr S's relative error.  The overlap link is -(Tr S - 1) to first order, and the
+    # two squared links are second order.
+    state = _chain_state(dims, 2040 + dims[0] + 10 * haar, haar)
+    spectra = [_spectrum(m) for m in (state.mat, state.marginal(AB), state.marginal(B),
+                                      state.marginal(BC))]
+    kappa = max(s.max() / s.min() for s in spectra)
+    log_max = max(abs(math.log(s.min())) for s in spectra)
+    surrogate_bar = 8 * state.dim * U * (kappa + log_max)
+    cmi_bar = sum(_entropy_bar(m) for m in (state.mat, state.marginal(AB), state.marginal(B),
+                                            state.marginal(BC)))
+    result = check_ssa_strengthened(state)
+    q = result.quantities
+    errors = {"cmi": (abs(q["cmi"]), cmi_bar),
+              "trace_surrogate": (abs(q["trace_surrogate"] - 1.0), surrogate_bar)}
+    errors.update((link, (abs(q[link]), surrogate_bar))
+                  for link in ("overlap_bound", "sqrt_hs_sq", "quarter_td_sq"))
+    beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+    assert result.passed
 
 
 def test_the_oracle_matches_closed_forms_on_commuting_states():

@@ -21,6 +21,7 @@ from qelab.errors import (
 )
 from qelab import states, suites
 from qelab.linalg import (
+    Hermitian,
     embed,
     herm_eig,
     hermitize,
@@ -30,6 +31,7 @@ from qelab.linalg import (
     psd_support,
     ptrace,
     require_hermitian,
+    spectrum_of,
     trace_norm,
 )
 from qelab.states import (
@@ -40,7 +42,6 @@ from qelab.states import (
     MarkovSpec,
     SubnormalizedOperator,
     as_matrix,
-    as_spectrum,
     markov_state,
     normalized_weights,
     random_density,
@@ -93,10 +94,10 @@ def test_cached_spectrum_equals_herm_eig_of_the_matrix(d, rank, scale, seed):
         assert all(np.array_equal(a, b) for a, b in zip(spectrum, fresh))
         assert obj.spectrum is spectrum  # decomposed once
         assert not any(part.flags.writeable for part in spectrum)
-        assert as_spectrum(obj) is spectrum
+        assert spectrum_of(obj) is spectrum
         assert as_matrix(obj) is obj.mat
     raw = np.array(rho.mat)
-    assert all(np.array_equal(a, b) for a, b in zip(as_spectrum(raw), rho.spectrum))
+    assert all(np.array_equal(a, b) for a, b in zip(spectrum_of(raw), rho.spectrum))
 
 
 def test_subnormalized_accepts_trace_below_one():
@@ -237,6 +238,9 @@ def test_normalized_weights():
         normalized_weights([0.5, 0.6])
     with pytest.raises(InconsistentBlocks):
         normalized_weights([1.2, -0.2])
+    for raw in ([np.nan, 1.0], [np.nan, 0.5, 0.5], [np.inf, 1.0]):  # a NaN or inf fails the rule
+        with pytest.raises(InconsistentBlocks, match="block weights"):
+            normalized_weights(raw)
 
 
 def _product_block_spec():
@@ -265,16 +269,17 @@ def test_markov_state_single_product_block():
 
 def test_markov_state_checks_only_the_entries_and_trace_of_its_validated_blocks():
     # the weighted direct sum of validated factors is stored with the bits full validation
-    # stores; a NaN weight, which MarkovSpec lets through, is still NonFinite, and factors
-    # whose traces are not 1 give BadTrace
+    # stores; a NaN weight is refused when the spec is built, and factors whose traces are
+    # not 1 give BadTrace
     spec, _ = _product_block_spec()
     state = markov_state(spec)
     assert state.mat.tobytes() == DensityMatrix(state.mat.copy(), state.dims).mat.tobytes()
     assert not state.mat.flags.writeable
     half = DensityMatrix(np.eye(2) / 2)
     one = DensityMatrix(np.eye(1))
-    with pytest.raises(NonFinite):
-        markov_state(MarkovSpec(1, 1, (float("nan"), 0.5), (half, half), (one, one)))
+    for weights in [(float("nan"), 0.5), (float("nan"), 1.0)]:
+        with pytest.raises(InconsistentBlocks, match=r"block weights \(nan, "):
+            MarkovSpec(1, 1, weights, (half, half), (one, one))
     low = SubnormalizedOperator(np.eye(2) / 4)
     with pytest.raises(BadTrace):
         markov_state(MarkovSpec(1, 1, (1.0,), (low,), (one,)))
@@ -499,6 +504,11 @@ def _eigvalsh_rule(mat):
     psd_support(np.linalg.eigvalsh(hermitize(require_hermitian(np.asarray(mat, dtype=complex)))))
 
 
+def _require_psd_of(mat):
+    """The PSD rule of states, on the matrix a Hermitian stores for mat."""
+    states._require_psd(Hermitian(mat).mat)
+
+
 def _with_spectrum(vals, rng):
     u = random_unitary(len(vals), rng)
     return (u * np.asarray(vals)) @ u.conj().T
@@ -526,7 +536,7 @@ def test_the_cholesky_certificate_gives_the_verdict_and_message_of_eigvalsh(d, l
               np.stack([table[0], table[4], table[3]]),  # raises on its first bad row
               np.stack(rank_one)]
     for mat in table + rank_one + stacks:
-        assert _psd_verdict(states._validated_matrix, mat) == _psd_verdict(_eigvalsh_rule, mat)
+        assert _psd_verdict(_require_psd_of, mat) == _psd_verdict(_eigvalsh_rule, mat)
 
 
 def test_a_valid_sampled_state_stack_is_validated_without_eigvalsh(monkeypatch):

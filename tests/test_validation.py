@@ -1,10 +1,10 @@
 """Each operand is validated once.
 
-An operator object is checked when it is built: a SubnormalizedOperator or DensityMatrix, the
-reduced states a validated state hands out, and a Decomposed channel image, whose herm_eig
-checks it.  Its spectrum, its entropies and the channel applies to it are not checked again,
-and a spectrum takes its support mask once.  A raw array is checked at every call, whatever
-its flags.
+An operand of the one checked type, linalg.Hermitian, is checked when it is built: a
+SubnormalizedOperator or DensityMatrix, the reduced states a validated state hands out, and a
+channel image or surrogate wrapped as a Hermitian.  Its spectrum, its entropies and the channel
+applies to it are not checked again, and a spectrum takes its support mask once.  A raw array
+is checked at every call, whatever its flags.
 
 The bit guard holds the unchecked path to the bits of the checking one: a validated matrix is
 exactly Hermitian, so hermitize returns its bits and eigh sees the same input.  The flag guard
@@ -24,8 +24,8 @@ from qelab import checks, channels, cli, entropy, linalg, states
 from qelab.channels import PetzMap, random_unital_channel
 from qelab.entropy import cmi, relative_entropy, von_neumann
 from qelab.errors import NotHermitian
-from qelab.linalg import herm_eig, hermitize
-from qelab.states import AB, B, BC, Decomposed, random_density, regularize
+from qelab.linalg import Hermitian, herm_eig, hermitize
+from qelab.states import AB, B, BC, random_density, regularize
 
 PARTS = (AB, B, BC, (0,), (0, 2))
 # (dims, rank, rows): 2-D states and 5-row stacks, of full rank and of rank 1 regularized
@@ -75,11 +75,10 @@ def test_trusted_spectra_and_entropies_have_the_bits_of_raw_copies(case):
 def test_channel_applies_to_operators_have_the_bits_of_raw_copies(case):
     state, sigma = _state(*case), _state(*case, seed=1)
     channel = random_unital_channel(state.dim, 3, np.random.default_rng(7))
-    image = channel.apply(state.mat.copy())
-    decomposed = Decomposed(image, herm_eig(image))
+    image = Hermitian(channel.apply(state.mat.copy()))
     petz = PetzMap(channel, sigma).apply
     for apply, op in [(channel.apply, state), (channel.apply_dual, state),
-                      (channel.apply_dual, decomposed), (petz, decomposed)]:
+                      (channel.apply_dual, image), (petz, image)]:
         want = _bits(apply(op.mat.copy()))
         assert _bits(apply(op)) == want and _bits(apply(op.mat)) == want
 
@@ -136,13 +135,15 @@ def _spied_run(monkeypatch, argv) -> dict:
             x = getattr(x, "base", None)
         return False
 
-    real_matrix, real_view = states._validated_matrix, states.SubnormalizedOperator._view.__func__
-    real_decomposed = checks.Decomposed
-    monkeypatch.setattr(states, "_validated_matrix", lambda mat: remember(real_matrix(mat)))
+    real_init, real_view = linalg.Hermitian.__init__, states.SubnormalizedOperator._view.__func__
+
+    def init(self, mat):
+        real_init(self, mat)
+        remember(self.mat)
+
+    monkeypatch.setattr(linalg.Hermitian, "__init__", init)
     monkeypatch.setattr(states.SubnormalizedOperator, "_view", classmethod(
         lambda cls, mat, *args, **kwargs: real_view(cls, remember(mat), *args, **kwargs)))
-    monkeypatch.setattr(checks, "Decomposed",
-                        lambda mat, spec: real_decomposed(remember(mat), spec))
 
     def spy(name, real):
         def call(x, *args, **kwargs):
