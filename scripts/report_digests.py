@@ -25,6 +25,9 @@ change that moves bits names the suites it moved:
   sampler stacks by dimension, and overlap-chain's chunks hold trials with and without a
   scaled reference, which it evaluates as one stack per key set;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
+* check --suite bsw-identity,sbw-limit on the unordered grid 0.25,0.5,0.25, which repeats an
+  order, at --tol 1e-3: sbw-limit runs each order once, in descending order, and fails and
+  writes a worst dump, and bsw-identity is judged at TOL_IDENTITY whatever --tol says;
 * the parameter grids that run in blocks or reach np.power's scalar fast paths (GRIDS):
   markov-roundtrip's 8 t-samples, which split for d > 32 (seed 42's 40 trials hold two at
   d = 36); the 4 alphas of renyi-monotone, dw-alpha, dw-tripartite and sbw-limit at 4,4,4,
@@ -35,7 +38,7 @@ change that moves bits names the suites it moved:
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, and with 300 trials at 2,2,2,
   seed 7: 300 trials run as chunks of 128, 128 and 44, and as nine chunks of 32 and one of
   12 under a trial cap of 32, so the lines also hold when the chunk size changes;
-* replay of that dump and of every exploration report (their stdout and stderr);
+* replay of those two dumps and of every exploration report (their stdout and stderr);
 * check --suite all at dims 2,2,2 with 3 trials, and the 4 explorations with 100 trials at
   2,2,2, at seeds 2^32 and 2^64 (WIDE_SEEDS), whose keys hold two and three words for the
   seed where the other lines' hold one;
@@ -180,6 +183,12 @@ def main() -> int:
                                            "0.5,0.25", "--trials", "4", "--seed", "42",
                                            "--out", out], [out, out + ".worst.json"])
         report("replay sbw-limit dump", ["replay", out + ".worst.json"], [])
+        out = os.path.join(tmp, "unordered.json")
+        report("check bsw-identity,sbw-limit unordered grid tol 1e-3",
+               ["check", "--suite", "bsw-identity,sbw-limit", "--alpha", "0.25,0.5,0.25",
+                "--tol", "1e-3", "--trials", "4", "--seed", "42", "--out", out],
+               [out, out + ".worst.json"])
+        report("replay unordered grid dump", ["replay", out + ".worst.json"], [])
         for i, (suite, dims, trials, flags) in enumerate(GRIDS):
             out = os.path.join(tmp, f"grid-{i}.json")
             argv = ["check", "--suite", suite, "--dims", dims, "--trials", str(trials),
