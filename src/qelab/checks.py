@@ -421,7 +421,8 @@ def check_bsw_identity(
     """Decomposition of a relative entropy against an exp-log reference.
 
     S(rho_ABC || exp(log sigma_AB + log tau_BC - log omega_B)) equals
-    I(A:C|B) + S(rho_AB||sigma_AB) + S(rho_BC||tau_BC) - S(rho_B||omega_B).
+    I(A:C|B) + S(rho_AB||sigma_AB) + S(rho_BC||tau_BC) - S(rho_B||omega_B), within
+    TOL_IDENTITY: an identity, so ``tol`` is not read.
     """
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
@@ -433,7 +434,8 @@ def check_bsw_identity(
         - relative_entropy(rho.reduced(B), omega.reduced(B))
     )
     residual = abs(lhs - rhs)
-    return _result("bsw-identity", tol, lambda *q: -q[2], lhs=lhs, rhs=rhs, residual=residual)
+    return _result("bsw-identity", TOL_IDENTITY, lambda *q: -q[2],
+                   lhs=lhs, rhs=rhs, residual=residual)
 
 
 def check_super_ssa(
@@ -716,15 +718,13 @@ def check_sbw_limit(
     """Operator convergence of the alpha-compression to the exp-log surrogate.
 
     e_alpha = ||compression_alpha - exp(log sigma + Phi^*(log Phi rho) -
-    Phi^*(log Phi sigma))||_inf must decrease along the (descending) alpha
-    sequence and end below SBW_FINAL_TOL.
+    Phi^*(log Phi sigma))||_inf must decrease, within tol, as alpha descends and end below
+    SBW_FINAL_TOL.  Any grid in (0, 1) runs once per distinct order, in descending order.
     """
-    alphas = [float(a) for a in alphas]
+    alphas = sorted({float(a) for a in alphas}, reverse=True)
     if not alphas:
         raise BadAlpha("need at least one alpha")
     require_alpha_window(alphas)
-    if sorted(alphas, reverse=True) != alphas:
-        raise BadAlpha("alphas must be given in strictly descending order")
     pushed = _pushed(rho, sigma, channel)
     surrogate = _unital_surrogate(pushed)
 

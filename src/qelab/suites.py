@@ -300,13 +300,14 @@ def _stacked(rows: list[dict]) -> dict | None:
 def _calls(checker: str | Callable, *options: str) -> Callable:
     """The runner (inst, tol, opts) -> checker(**inst, <options set in opts>, tol=tol).
 
-    A str names a function of checks, looked up at every call so that a rebound
-    checks.<name> (a tracer's wrapper, a test's fake) is the one that runs.  The three
-    runners below only adapt arguments for their checker and take its keyword arguments.
-    run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the
-    runner returns that trial's result, and evaluates the whole chunk at the first row
-    run: on its stacks, or, when a value is a list, by the groups of trials with one key
-    set, each on stacks when its values stack (_stacked) and else one trial at a time.
+    A str names a function of checks, looked up at every call so that a rebound checks.<name>
+    (a tracer's wrapper, a test's fake) is the one that runs.  Options go to the checker as
+    given, so a grid's rule is the checker's own (check_sbw_limit runs each distinct order
+    once, in descending order); the one runner below only seeds its checker's Generator.
+    run.calls keeps (checker, options) for bind_instance.  Given a _ChunkRow, the runner
+    returns that trial's result, and evaluates the whole chunk at the first row run: on its
+    stacks, or, when a value is a list, by the groups of trials with one key set, each on
+    stacks when its values stack (_stacked) and else one trial at a time.
     """
 
     def run(inst, tol, opts):
@@ -329,24 +330,6 @@ def _calls(checker: str | Callable, *options: str) -> Callable:
 
     run.calls = (checker, options)
     return run
-
-
-def _run_bsw(
-    rho: DensityMatrix, sigma: DensityMatrix, tau: DensityMatrix, omega: DensityMatrix, tol: float
-) -> CheckResult:
-    # An identity: judged at TOL_IDENTITY whatever --tol says.
-    return checks.check_bsw_identity(rho, sigma, tau, omega)
-
-
-def _run_sbw(
-    rho: DensityMatrix,
-    sigma: DensityMatrix,
-    channel: KrausChannel,
-    tol: float,
-    alphas: Sequence[float] = checks.DEFAULT_SBW_ALPHAS,
-) -> CheckResult:
-    # the limit runs along the --alpha grid made strictly descending
-    return checks.check_sbw_limit(rho, sigma, channel, sorted(set(alphas), reverse=True), tol)
 
 
 def _run_twirl(
@@ -447,7 +430,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "bsw-identity",
             _sample_states("rho", "sigma", "tau", "omega"),
-            _calls(_run_bsw),
+            _calls("check_bsw_identity"),
             "exact decomposition of relative entropy to an exp-log reference",
             _TRIPARTITE,
         ),
@@ -503,7 +486,7 @@ SUITES: dict[str, Suite] = {
         Suite(
             "sbw-limit",
             _sample_pair_unital_channel,
-            _calls(_run_sbw, "alphas"),
+            _calls("check_sbw_limit", "alphas"),
             "alpha -> 0 operator convergence to the exp-log surrogate",
         ),
         Suite(

@@ -15,7 +15,9 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
   the form U_A (x) U_B (x) U_C;
 * commuting_unital, the values of the unital checks for diagonal states and a channel of
   scaled permutations, from their scalar forms, which also hold for the instance that
-  commuting_instance rotates by a unitary U.
+  commuting_instance rotates by a unitary U;
+* commuting_alpha, on the same instances, dw-alpha's compressed traces Q_a and sbw-limit's
+  operator errors e_a from their scalar forms.
 
 A matrix is taken as its Hermitian part, as qelab's functionals take it.  Eigenvalues must
 be positive: the oracle is meant for full-rank inputs, such as regularized states.
@@ -24,7 +26,7 @@ be positive: the oracle is meant for full-rank inputs, such as regularized state
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 import numpy as np
@@ -141,6 +143,29 @@ def markov_chain_instance(p_a, p_b_a, p_c_b, us=None) -> np.ndarray:
     return u @ mat @ u.conj().T
 
 
+def _on_diagonals(p, q, scales, perms) -> tuple[list, list, Callable, Callable]:
+    """(p, q, push, pull) at the current precision: the entries of the float64 vectors p and
+    q read exactly, and the maps x -> T x and x -> T^T x for T = sum_i s_i^2 P_i, where P_i
+    sends e_j to e_{perms[i][j]}, with the weights s_i^2 of the float64 scales squared
+    exactly.  On diagonals, the channel with Kraus operators s_i P_i is T and its dual T^T."""
+    p, q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))
+    weights = [mpmath.mpf(float(s)) ** 2 for s in scales]
+    perms = [[int(k) for k in perm] for perm in perms]
+
+    def push(x):  # T x
+        out = [mpmath.mpf(0)] * len(x)
+        for w, perm in zip(weights, perms):
+            for j, k in enumerate(perm):
+                out[k] += w * x[j]
+        return out
+
+    def pull(x):  # T^T x
+        return [mpmath.fsum(w * x[perm[j]] for w, perm in zip(weights, perms))
+                for j in range(len(x))]
+
+    return p, q, push, pull
+
+
 def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf]:
     """(Tr exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)), S(rho||sigma),
     S(Phi rho||Phi sigma)) at DIGITS digits, for rho = diag(p), sigma = diag(q) and the channel
@@ -153,23 +178,37 @@ def commuting_unital(p, q, scales, perms) -> tuple[mpmath.mpf, mpmath.mpf, mpmat
     U = 1, and Phi^* likewise, and every value is invariant under that conjugation.
     """
     with mpmath.workdps(DIGITS):
-        p, q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))
-        weights = [mpmath.mpf(float(s)) ** 2 for s in scales]
-        perms = [[int(k) for k in perm] for perm in perms]
-
-        def push(x):  # T x
-            out = [mpmath.mpf(0)] * len(x)
-            for w, perm in zip(weights, perms):
-                for j, k in enumerate(perm):
-                    out[k] += w * x[j]
-            return out
+        p, q, push, pull = _on_diagonals(p, q, scales, perms)
 
         def relent(a, b):
             return mpmath.fsum(x * (mpmath.log(x) - mpmath.log(y)) for x, y in zip(a, b))
 
         tp, tq = push(p), push(q)
-        gap = [mpmath.log(a) - mpmath.log(b) for a, b in zip(tp, tq)]
-        pulled = [mpmath.fsum(w * gap[perm[j]] for w, perm in zip(weights, perms))
-                  for j in range(len(p))]  # T^T gap
+        pulled = pull([mpmath.log(a) - mpmath.log(b) for a, b in zip(tp, tq)])
         trace = mpmath.fsum(b * mpmath.exp(e) for b, e in zip(q, pulled))
         return trace, relent(p, q), relent(tp, tq)
+
+
+def commuting_alpha(p, q, scales, perms, alphas: Sequence[float]) -> tuple[list, list]:
+    """([Q_a for each a], [e_a for each a]) at DIGITS digits for the instance of
+    commuting_unital: Q_a is the trace of the alpha-compression
+    {sigma^(a/2) Phi^*(Phi(sigma)^(-a/2) Phi(rho)^a Phi(sigma)^(-a/2)) sigma^(a/2)}^(1/a) and e_a
+    its largest singular-value distance to the surrogate exp(log sigma + Phi^*(log Phi rho) -
+    Phi^*(log Phi sigma)).
+
+    Every operator is diagonal, so with r = Tp / Tq the compression is
+    diag((q_i^a (T^T r^a)_i)^(1/a)) and the surrogate diag(q_i exp((T^T log r)_i)):
+    Q_a = sum_i (q_i^a (T^T r^a)_i)^(1/a) and e_a = max_i |(q_i^a (T^T r^a)_i)^(1/a) -
+    q_i exp((T^T log r)_i)|, in any basis U as commuting_unital's values are.
+    """
+    with mpmath.workdps(DIGITS):
+        p, q, push, pull = _on_diagonals(p, q, scales, perms)
+        r = [a / b for a, b in zip(push(p), push(q))]
+        surrogate = [b * mpmath.exp(e) for b, e in zip(q, pull([mpmath.log(x) for x in r]))]
+        traces, errors = [], []
+        for alpha in alphas:
+            a = mpmath.mpf(float(alpha))
+            compression = [(b**a * x) ** (1 / a) for b, x in zip(q, pull([x**a for x in r]))]
+            traces.append(mpmath.fsum(compression))
+            errors.append(max(abs(c - s) for c, s in zip(compression, surrogate)))
+        return traces, errors

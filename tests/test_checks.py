@@ -370,6 +370,18 @@ def test_bsw_identity_classical_oracle():
     assert result.quantities["residual"] < 1e-10
 
 
+def test_bsw_identity_is_judged_at_tol_identity_whatever_tol_says():
+    from qelab.tolerances import TOL_IDENTITY
+
+    states = [_tri(seed) for seed in (41, 51, 61, 71)]
+    default, loose = check_bsw_identity(*states), check_bsw_identity(*states, tol=1.0)
+    assert loose.tolerance == default.tolerance == TOL_IDENTITY
+    assert {k: float(v).hex() for k, v in loose.quantities.items()} == {
+        k: float(v).hex() for k, v in default.quantities.items()}
+    assert float(loose.slack).hex() == float(default.slack).hex()
+    assert loose.passed == default.passed
+
+
 def test_bsw_identity_random_quadruples():
     for seed in range(6):
         result = check_bsw_identity(
@@ -626,14 +638,22 @@ def test_sbw_limit_converges():
     assert result.quantities["e_last"] <= result.quantities["e_first"]
 
 
-def test_sbw_limit_rejects_unordered_grid():
+def test_sbw_limit_runs_each_order_once_in_descending_order():
     rng = RNG(40)
     rho = regularize(random_density(2, rng), 1e-6)
-    channel = KrausChannel([np.eye(2)])
+    sigma = regularize(random_density(2, rng), 1e-6)
+    channel = random_unital_channel(2, 2, rng)
     with pytest.raises(BadAlpha):
-        check_sbw_limit(rho, rho, channel, alphas=(0.25, 0.5))
-    with pytest.raises(BadAlpha):
-        check_sbw_limit(rho, rho, channel, alphas=(1.5, 0.5))
+        check_sbw_limit(rho, rho, KrausChannel([np.eye(2)]), alphas=(1.5, 0.5))
+
+    def bits(result):
+        return ({key: float(value).hex() for key, value in result.quantities.items()},
+                float(result.slack).hex(), result.passed)
+
+    grids = [(0.25, 0.5), (0.5, 0.5, 0.25), (0.5, 0.25)]
+    results = [bits(check_sbw_limit(rho, sigma, channel, alphas=grid)) for grid in grids]
+    assert sorted(results[0][0]) == ["e_0.25", "e_0.5", "e_first", "e_last"]
+    assert results[0] == results[1] == results[2]
 
 
 # each public entry that takes orders in (0, 1), called as (alphas, rho, sigma, channel)

@@ -292,9 +292,9 @@ def test_check_failure_dumps_worst_instance_and_replays(tmp_path):
 
 
 def test_sbw_limit_runs_the_alpha_grid_made_descending(tmp_path, monkeypatch, capsys):
-    # dw-alpha takes the grid as written, sbw-limit the same grid sorted, unique and
-    # descending; the dump records the grid once, under "alphas".  Each checker is called
-    # once, on the stack of both trials.
+    # both checkers receive the grid as written, and sbw-limit runs each order once, in
+    # descending order; the dump records the grid once, under "alphas".  Each checker is
+    # called once, on the stack of both trials.
     grids = {}
     for checker in ("dw_alpha_profile", "check_sbw_limit"):
         real = getattr(checks, checker)
@@ -309,7 +309,7 @@ def test_sbw_limit_runs_the_alpha_grid_made_descending(tmp_path, monkeypatch, ca
             "--trials", "2", "--seed", "3", "--out", str(out)]
     code, _, _ = _main(argv, capsys)
     assert code == cli.EXIT_FAILED
-    assert grids == {"dw_alpha_profile": [[0.5, 0.9, 0.5]], "check_sbw_limit": [[0.9, 0.5]]}
+    assert grids == {"dw_alpha_profile": [[0.5, 0.9, 0.5]], "check_sbw_limit": [[0.5, 0.9, 0.5]]}
     records = json.loads(out.read_text())
     for record in records:
         if record["checker"] == "sbw-limit":

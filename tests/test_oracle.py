@@ -22,9 +22,13 @@ import pytest
 import oracle
 from qelab.channels import KrausChannel
 from qelab.checks import (
+    DEFAULT_DW_ALPHAS,
+    DEFAULT_SBW_ALPHAS,
+    check_sbw_limit,
     check_ssa_strengthened,
     check_stronger_monotonicity,
     check_unital_trace_bound,
+    dw_alpha_profile,
 )
 from qelab.entropy import cmi, overlap_lower_bound, relative_entropy, renyi, von_neumann
 from qelab.states import AB, B, BC, DensityMatrix, random_density, random_unitary, regularize
@@ -177,12 +181,10 @@ def test_the_oracle_matches_closed_forms_on_commuting_states():
     assert abs(oracle.cmi(product, DIMS)) < mpmath.mpf(1e-35)
 
 
-def _unital_errors(d: int, dims, seed: int, haar: bool) -> tuple[list[float], float]:
-    """The errors of trace_value, before and after of the two unital checks against
-    oracle.commuting_unital, for rho = U diag(p) U^dag, sigma = U diag(q) U^dag and a unital
-    channel of d scaled permutations s_i U P_i U^dag, with U Haar when haar and U = 1 otherwise;
-    and the unit d u (kappa + L) of their bars, kappa the larger ratio of largest to smallest
-    entry of p and of q and L the largest |log| of their entries."""
+def _commuting_case(d: int, dims, seed: int, haar: bool) -> tuple:
+    """(p, q, scales, perms, rho, sigma, channel) for rho = U diag(p) U^dag, sigma =
+    U diag(q) U^dag and a unital channel of d scaled permutations s_i U P_i U^dag, with U Haar
+    when haar and U = 1 otherwise, p and q drawn in [0.5, 1.5] and normalized."""
     rng = np.random.default_rng(seed)
     p, q = (v / v.sum() for v in rng.uniform(0.5, 1.5, (2, d)))
     weights = rng.uniform(0.5, 1.5, d)
@@ -191,7 +193,15 @@ def _unital_errors(d: int, dims, seed: int, haar: bool) -> tuple[list[float], fl
     u = random_unitary(d, rng) if haar else None
     rho_mat, sigma_mat, kraus = oracle.commuting_instance(p, q, scales, perms, u)
     rho, sigma = (DensityMatrix(m, dims) for m in (rho_mat, sigma_mat))
-    channel = KrausChannel(list(kraus))
+    return p, q, scales, perms, rho, sigma, KrausChannel(list(kraus))
+
+
+def _unital_errors(d: int, dims, seed: int, haar: bool) -> tuple[list[float], float]:
+    """The errors of trace_value, before and after of the two unital checks against
+    oracle.commuting_unital on _commuting_case's instance, and the unit d u (kappa + L) of
+    their bars, kappa the larger ratio of largest to smallest entry of p and of q and L the
+    largest |log| of their entries."""
+    p, q, scales, perms, rho, sigma, channel = _commuting_case(d, dims, seed, haar)
     chain = check_stronger_monotonicity(rho, sigma, channel).quantities
     got = (check_unital_trace_bound(rho, sigma, channel).quantities["trace_value"],
            chain["before"], chain["after"])
@@ -222,3 +232,58 @@ def test_the_unital_checks_match_their_commuting_scalar_forms_in_a_haar_basis(d,
     # full matrix is O(d u) ||X|| where it is exact on a diagonal one.
     errors, unit = _unital_errors(d, dims, 2032, haar=True)
     assert max(errors) <= 8 * unit, f"errors {errors} above the bar {8 * unit:.3e}"
+
+
+def _alpha_errors(d: int, dims, seed: int, haar: bool) -> dict[str, tuple[float, float]]:
+    """{q_<a> or e_<a>: (error, unit of its bar)} of dw_alpha_profile and check_sbw_limit on
+    their default grids against oracle.commuting_alpha on _commuting_case's instance.
+
+    With r = Tp / Tq, c_a = q^a T^T r^a is the diagonal whose 1/a power is the compression and
+    s = q exp(T^T log r) the surrogate's.  The unit is d u (kappa + L) / a times the value's
+    scale: Q_a for q_<a>, max c_a^(1/a) + max s for e_<a>.  kappa is the largest ratio of
+    largest to smallest entry of q, Tp, Tq and c_a, the diagonals the check decomposes, and
+    L the largest |log| of the entries of p and q; T is doubly stochastic, so Tp and Tq lie
+    within their ranges.  Each decomposition moves an eigenvalue by d u kappa relatively, the
+    a-th powers carry a times that into c_a, the Kraus sums add d u, the logs of the surrogate
+    d u L, and the final power 1/a multiplies c_a's relative error by 1/a.
+    """
+    p, q, scales, perms, rho, sigma, channel = _commuting_case(d, dims, seed, haar)
+    t = np.zeros((d, d))
+    for w, perm in zip(np.asarray(scales) ** 2, perms):
+        t[np.asarray(perm), np.arange(d)] += w
+    tp, tq = t @ p, t @ q
+    r = tp / tq
+    surrogate = q * np.exp(t.T @ np.log(r))
+    log_max = max(abs(math.log(v.min())) for v in (p, q))
+
+    def unit(alpha: float) -> tuple[float, np.ndarray]:  # (d u (kappa + L) / a, c_a^(1/a))
+        c = q**alpha * (t.T @ r**alpha)
+        kappa = max(v.max() / v.min() for v in (q, tp, tq, c))
+        return d * U * (kappa + log_max) / alpha, c ** (1.0 / alpha)
+
+    errors = {}
+    got = dw_alpha_profile(rho, sigma, channel).quantities
+    traces, _ = oracle.commuting_alpha(p, q, scales, perms, DEFAULT_DW_ALPHAS)
+    for alpha, exact in zip(DEFAULT_DW_ALPHAS, traces):
+        key = f"q_{alpha!r}"
+        errors[key] = (abs(got[key] - float(exact)), unit(alpha)[0] * float(exact))
+    got = check_sbw_limit(rho, sigma, channel).quantities
+    _, limits = oracle.commuting_alpha(p, q, scales, perms, DEFAULT_SBW_ALPHAS)
+    for alpha, exact in zip(DEFAULT_SBW_ALPHAS, limits):
+        key = f"e_{alpha!r}"
+        per, compression = unit(alpha)
+        errors[key] = (abs(got[key] - float(exact)),
+                       per * (compression.max() + surrogate.max()))
+    return errors
+
+
+@pytest.mark.parametrize("d, dims", [(64, (4, 4, 4)), (8, (2, 2, 2))], ids=["d64", "d8"])
+@pytest.mark.parametrize("haar", [False, True], ids=["diagonal", "haar"])
+def test_the_alpha_compressions_match_their_commuting_scalar_forms(d, dims, haar):
+    # dw-alpha's Q_a and sbw-limit's e_a on the commuting instances of the unital checks, each
+    # within 4 units at U = 1 and 8 in a Haar basis, as the unital checks' bars double there:
+    # at d = 64 every Kraus sum has 64 terms and each grid runs in capped blocks.
+    errors = _alpha_errors(d, dims, 2033 + d + haar, haar)
+    bars = {key: (err, (8 if haar else 4) * unit) for key, (err, unit) in errors.items()}
+    beyond = {key: (err, bar) for key, (err, bar) in bars.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
