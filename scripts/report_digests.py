@@ -24,6 +24,9 @@ change that moves bits names the suites it moved:
   3,2,4: markov-roundtrip's chunks then hold block factors of up to 4 dimensions, which its
   sampler stacks by dimension, and overlap-chain's chunks hold trials with and without a
   scaled reference, which it evaluates as one stack per key set;
+* check on the nine exp-log suites (EXP_LOG_SUITES) with 20 trials, seed 42, at dims 3,2,4,
+  the only line where d_A, d_B and d_C differ for the suites that build an exp-log reference
+  from marginals, so a wrong part or embedding there moves it;
 * check --suite sbw-limit on a shallow alpha grid, which fails and writes a worst dump;
 * check --suite bsw-identity,sbw-limit on the unordered grid 0.25,0.5,0.25, which repeats an
   order, at --tol 1e-3: sbw-limit runs each order once, in descending order, and fails and
@@ -91,6 +94,8 @@ RANK_ONE_DUMPS = (("bsw-identity", ("rho", "sigma", "tau", "omega")),
                   ("super-ssa", ("rho", "sigma")))  # (checker, its states), drawn in turn
 SAMPLED_DUMPS = (("overlap-chain", True), ("overlap-chain", False), ("markov-roundtrip", None))
 ROWS_DIMS = ("2,3,2", "3,2,4")  # dims of the markov-roundtrip and overlap-chain check
+EXP_LOG_SUITES = ("ptrace-strengthening,ssa,trace-exp-bound,bsw-identity,super-ssa,"
+                  "three-state-chain,subadd-exp,squashed-proxy,trotter-bound")
 GRIDS = (
     ("markov-roundtrip", "2,2,2", 40, ["--t-samples", "0.3,0.7,1.1,1.5,1.9,2.5,3.1,3.7"]),
     ("renyi-monotone,dw-alpha,dw-tripartite,sbw-limit", "4,4,4", 2,
@@ -178,6 +183,10 @@ def main() -> int:
             report(f"check markov-roundtrip,overlap-chain {dims} trials 40",
                    ["check", "--suite", "markov-roundtrip,overlap-chain", "--dims", dims,
                     "--trials", "40", "--seed", "42", "--out", out], [out])
+        out = os.path.join(tmp, "exp-log-3,2,4.json")
+        report("check exp-log suites 3,2,4 trials 20",
+               ["check", "--suite", EXP_LOG_SUITES, "--dims", "3,2,4", "--trials", "20",
+                "--seed", "42", "--out", out], [out])
         out = os.path.join(tmp, "sbw.json")
         report("check sbw-limit shallow", ["check", "--suite", "sbw-limit", "--alpha",
                                            "0.5,0.25", "--trials", "4", "--seed", "42",
