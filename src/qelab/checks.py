@@ -110,6 +110,13 @@ def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
     return dims
 
 
+def _bipartite_dims(*states: DensityMatrix) -> tuple[int, ...]:
+    dims = _same_dims(*states)
+    if len(dims) != 2:
+        raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
+    return dims
+
+
 def _spectra(state: DensityMatrix) -> dict:
     """The spectrum of each reduced state AB, B and BC of a tripartite state, keyed by its part."""
     require_tripartite(state)
@@ -142,12 +149,6 @@ def _recovery_distances(state: DensityMatrix, keeps: Sequence[tuple]) -> list:
     return out
 
 
-def _exp_log_surrogate(x: DensityMatrix, y: DensityMatrix, z: DensityMatrix) -> np.ndarray:
-    """exp(log x_AB - log y_B + log z_BC), each marginal embedded on the full space."""
-    terms = [(1.0, x.marginal(AB)), (-1.0, y.marginal(B)), (1.0, z.marginal(BC))]
-    return exp_log_combination(terms, dims=x.dims, supports=[AB, B, BC])
-
-
 def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray, float]:
     """exp(log x_AB - log y_B + log z_BC) and the smaller of the deviations ||x_B - y_B||,
     ||y_B - z_B||, which must be within TOL_IDENTITY (else MarginalMismatch naming the states
@@ -161,12 +162,14 @@ def _matched_surrogate(x, y, z, names: tuple[str, str, str]) -> tuple[np.ndarray
             f"need {a}_B = {b}_B or {b}_B = {c}_B; "
             f"deviations are {dev_xy[i]:.3e} and {dev_yz[i]:.3e}"
         )
-    return _exp_log_surrogate(x, y, z), each(min, dev_xy, dev_yz)
+    surrogate = exp_log_combination([(1.0, x, AB), (-1.0, y, B), (1.0, z, BC)])
+    return surrogate, each(min, dev_xy, dev_yz)
 
 
 def ssa_surrogate(state: DensityMatrix) -> np.ndarray:
     """exp(log rho_AB - log rho_B + log rho_BC) embedded on the full space."""
-    return _exp_log_surrogate(require_tripartite(state), state, state)
+    require_tripartite(state)
+    return exp_log_combination([(1.0, state, AB), (-1.0, state, B), (1.0, state, BC)])
 
 
 def _pushed(rho, sigma, channel: KrausChannel) -> tuple:
@@ -364,17 +367,10 @@ def check_ptrace_strengthening(
 
     Surrogate: exp(log sigma_AB - log sigma_A + log rho_A), all embedded on AB.
     """
-    dims = _same_dims(rho_ab, sigma_ab)
-    if len(dims) != 2:
-        raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
-    rho_a = rho_ab.reduced([0])
-    sigma_a = sigma_ab.reduced([0])
-    after = relative_entropy(rho_a, sigma_a)
-    surrogate = exp_log_combination(
-        [(1.0, sigma_ab.mat), (-1.0, sigma_a.mat), (1.0, rho_a.mat)],
-        dims=dims,
-        supports=[(0, 1), (0,), (0,)],
-    )
+    _bipartite_dims(rho_ab, sigma_ab)
+    after = relative_entropy(rho_ab.reduced([0]), sigma_ab.reduced([0]))
+    surrogate = exp_log_combination([(1.0, sigma_ab, (0, 1)), (-1.0, sigma_ab, (0,)),
+                                     (1.0, rho_ab, (0,))])
     return _gap_chain("ptrace-strengthening", rho_ab, sigma_ab, after, surrogate, tol)
 
 
@@ -405,12 +401,6 @@ def check_trace_exp_bound(
                    trace_value=real_trace(surrogate), marginal_dev=dev)
 
 
-def _bsw_reference(sigma: DensityMatrix, tau: DensityMatrix, omega: DensityMatrix) -> np.ndarray:
-    """exp(log sigma_AB + log tau_BC - log omega_B), each marginal embedded on the full space."""
-    terms = [(1.0, sigma.marginal(AB)), (1.0, tau.marginal(BC)), (-1.0, omega.marginal(B))]
-    return exp_log_combination(terms, dims=sigma.dims, supports=[AB, BC, B])
-
-
 def check_bsw_identity(
     rho: DensityMatrix,
     sigma: DensityMatrix,
@@ -426,7 +416,8 @@ def check_bsw_identity(
     """
     _same_dims(rho, sigma, tau, omega)
     require_tripartite(rho)
-    lhs = relative_entropy(rho, _bsw_reference(sigma, tau, omega))
+    reference = exp_log_combination([(1.0, sigma, AB), (1.0, tau, BC), (-1.0, omega, B)])
+    lhs = relative_entropy(rho, reference)
     rhs = (
         cmi(rho)
         + relative_entropy(rho.reduced(AB), sigma.reduced(AB))
@@ -447,7 +438,8 @@ def check_super_ssa(
     I(A:C|B) plus half the AB and BC relative entropies."""
     _same_dims(rho, sigma)
     require_tripartite(rho)
-    lhs = relative_entropy(rho, _bsw_reference(sigma, sigma, sigma))
+    reference = exp_log_combination([(1.0, sigma, AB), (1.0, sigma, BC), (-1.0, sigma, B)])
+    lhs = relative_entropy(rho, reference)
     rhs = (
         cmi(rho)
         + 0.5 * relative_entropy(rho.reduced(AB), sigma.reduced(AB))
@@ -493,7 +485,7 @@ def check_subadd_exp(rho: DensityMatrix, tol: float = TOL_INEQ) -> Results:
     dims = require_tripartite(rho).dims
     rho_ab, rho_b, rho_bc = (rho.marginal(part) for part in (AB, B, BC))
     anchor = von_neumann(rho.reduced(AB)) + von_neumann(rho.reduced(BC)) - von_neumann(rho)
-    surrogate = exp_log_combination([(1.0, rho_ab), (1.0, rho_bc)], dims=dims, supports=[AB, BC])
+    surrogate = exp_log_combination([(1.0, rho, AB), (1.0, rho, BC)])
     tr_product = real_trace(embed(rho_ab, dims, AB) @ embed(rho_bc, dims, BC))
     tr_b_sq = real_trace(rho_b @ rho_b)
     gt_ok = (
@@ -921,8 +913,7 @@ def explore_ptrace_petz(
     rho_ab: DensityMatrix, sigma_ab: DensityMatrix, tol: float = TOL_INEQ
 ) -> Results:
     """The same comparison for discarding the second subsystem."""
-    dims = _same_dims(rho_ab, sigma_ab)
-    channel = ptrace_channel(dims, 1)
+    channel = ptrace_channel(_bipartite_dims(rho_ab, sigma_ab), 1)
     rho_a, sigma_a = rho_ab.reduced([0]), sigma_ab.reduced([0])
     gap = relative_entropy(rho_ab, sigma_ab) - relative_entropy(rho_a, sigma_a)
     recovered = PetzMap(channel, sigma_ab).apply(rho_a)

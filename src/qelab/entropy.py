@@ -5,7 +5,8 @@ S(rho || sigma) is finite exactly when supp(rho) is contained in supp(sigma),
 which is decided where sigma has a kernel by the leak norm ||(1 - P_sigma) rho (1 - P_sigma)||_inf
 (max_sv_within).  Every functional also takes (n, d, d) stacks, one trial per row, and
 returns an (n,) array (a stacked operator for exp_log_combination) whose rows carry the
-bits of their own 2-D calls.
+bits of their own 2-D calls.  exp_log_combination builds the paper's exp-log references, such as
+exp(log rho_AB - log rho_B + log rho_BC), from (sign, state, part) terms.
 """
 
 from __future__ import annotations
@@ -142,26 +143,18 @@ def cmi(state: DensityMatrix) -> float | np.ndarray:
     return s_ab + s_bc - von_neumann(state) - s_b
 
 
-def exp_log_combination(
-    terms: Sequence[tuple[float, np.ndarray]],
-    dims: Sequence[int] | None = None,
-    supports: Sequence[Sequence[int]] | None = None,
-) -> np.ndarray:
-    """exp( sum_i sign_i log X_i ) for full-rank PSD terms X_i.
+def exp_log_combination(terms: Sequence[tuple[float, DensityMatrix, Sequence[int]]]) -> np.ndarray:
+    """exp( sum_i sign_i log X_i ) for full-rank marginals X_i, the logs added in term order.
 
-    Each term is a (sign, matrix) pair.  When ``dims``/``supports`` are given,
-    term i acts on the subsystems supports[i] and is embedded into the full
-    space first (log(X (x) 1) = log X (x) 1, so embedding before or after the
-    log agrees; embedding first keeps every term on one common space).
+    Each term is (sign, state, part): X_i is the marginal of a DensityMatrix (or stack) on the
+    subsystems part, embedded on that state's dims (log(X (x) 1) = log X (x) 1, so embedding
+    before the log keeps every term on one common space).
     Raises SingularTerm when any term (of any row of a stack) is singular at the
     rank cutoff, and NotPSD when one is not PSD.
     """
     if not terms:
         raise SingularTerm("need at least one term")
-    mats = [np.asarray(mat, dtype=complex) for _, mat in terms]
-    if dims is not None:
-        mats = [embed(mat, dims, supports[i] if supports is not None else range(len(dims)))
-                for i, mat in enumerate(mats)]
+    mats = [embed(state.marginal(part), state.dims, part) for _, state, part in terms]
     acc = 0.0
     for block in capped(range(len(mats)), mats[0].size):  # the terms decompose as one stack
         eig = herm_eig(np.stack([mats[i] for i in block]))

@@ -7,6 +7,9 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
 * relative_entropy, S(rho||sigma) = sum_i l_i log l_i - sum_j <s_j|rho|s_j> log m_j over the
   eigenpairs (m_j, s_j) of sigma;
 * cmi, I(A:C|B) = S(AB) + S(BC) - S(B) - S(ABC), from exact partial traces;
+* exp_log, exp(sum_i sign_i log X_i) for marginals X_i, each an exact partial trace whose log
+  is taken through mp.eighe and embedded on the full space, and the exp of the sum through
+  mp.eighe;
 * renyi, the Petz-Renyi D_a(rho||sigma) = log Q_a / (a - 1) for each order a of a grid, with
   Q_a = Tr rho^a sigma^(1-a) = sum_ij l_i^a m_j^(1-a) |<r_i|s_j>|^2 over the eigenpairs
   (l_i, r_i) of rho and (m_j, s_j) of sigma, and root_overlap_bound, -2 log Q_(1/2);
@@ -17,7 +20,9 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
   scaled permutations, from their scalar forms, which also hold for the instance that
   commuting_instance rotates by a unitary U;
 * commuting_alpha, on the same instances, dw-alpha's compressed traces Q_a and sbw-limit's
-  operator errors e_a from their scalar forms.
+  operator errors e_a from their scalar forms;
+* commuting_renyi and commuting_chain, on rho = U diag(p) U^dag and sigma = mu U diag(q) U^dag,
+  renyi-monotone's D_a and overlap-chain's links from their scalar forms.
 
 A matrix is taken as its Hermitian part, as qelab's functionals take it.  Eigenvalues must
 be positive: the oracle is meant for full-rank inputs, such as regularized states.
@@ -113,6 +118,33 @@ def cmi(rho, dims: Sequence[int]) -> mpmath.mpf:
         m = _hermitian(rho)
         s_ab, s_bc, s_b = (_entropy(_marginal(m, dims, keep)) for keep in ((0, 1), (1, 2), (1,)))
         return s_ab + s_bc - s_b - _entropy(m)
+
+
+def _embedded(m: mpmath.matrix, dims: Sequence[int], part: Sequence[int]) -> mpmath.matrix:
+    """m, acting on the subsystems in part, tensored with the identity on the others."""
+    at = {index: i for i, index in enumerate(itertools.product(*(range(dims[k]) for k in part)))}
+    basis = list(itertools.product(*(range(d) for d in dims)))
+    rest = [k for k in range(len(dims)) if k not in part]
+    out = mpmath.matrix(len(basis))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            if all(a[k] == b[k] for k in rest):
+                out[i, j] = m[at[tuple(a[k] for k in part)], at[tuple(b[k] for k in part)]]
+    return out
+
+
+def exp_log(terms, dims: Sequence[int]) -> mpmath.matrix:
+    """exp(sum_i sign_i log X_i) at DIGITS digits, for terms (sign, rho, part): X_i is the exact
+    partial trace of the float64 matrix rho on dims onto the subsystems in part, and its log,
+    taken through mp.eighe, is embedded on the full space; the exp of the sum is taken through
+    mp.eighe of its Hermitian part."""
+    with mpmath.workdps(DIGITS):
+        total = mpmath.matrix(int(np.prod(dims)))
+        for sign, rho, part in terms:
+            _, vecs, logs = _log_terms(_marginal(_hermitian(rho), dims, part))
+            total += float(sign) * _embedded(vecs * mpmath.diag(logs) * vecs.H, dims, part)
+        vals, vecs = mpmath.eighe((total + total.H) / 2)
+        return vecs * mpmath.diag([mpmath.exp(v) for v in vals]) * vecs.H
 
 
 def commuting_instance(p, q, scales, perms, u=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,3 +244,27 @@ def commuting_alpha(p, q, scales, perms, alphas: Sequence[float]) -> tuple[list,
             traces.append(mpmath.fsum(compression))
             errors.append(max(abs(c - s) for c, s in zip(compression, surrogate)))
         return traces, errors
+
+
+def commuting_renyi(p, q, alphas: Sequence[float]) -> list[mpmath.mpf]:
+    """[D_a for each order a of alphas] at DIGITS digits for rho = U diag(p) U^dag and sigma =
+    U diag(q) U^dag, any unitary U: D_a = log Q_a / (a - 1), Q_a = sum_i p_i^a q_i^(1-a)."""
+    with mpmath.workdps(DIGITS):
+        p, q = ([mpmath.mpf(float(x)) for x in v] for v in (p, q))
+        return [mpmath.log(mpmath.fsum(x**a * y ** (1 - a) for x, y in zip(p, q))) / (a - 1)
+                for a in (mpmath.mpf(float(a)) for a in alphas)]
+
+
+def commuting_chain(p, q, mu: float = 1.0) -> list[mpmath.mpf]:
+    """[S(rho||sigma), -2 log Tr sqrt(rho) sqrt(sigma), ||sqrt(rho) - sqrt(sigma)||_2^2,
+    (1/4) ||rho - sigma||_1^2] at DIGITS digits for rho = U diag(p) U^dag and sigma =
+    mu U diag(q) U^dag, any unitary U, mu read exactly: with q' = mu q, sum_i p_i log(p_i/q'_i),
+    -2 log sum_i sqrt(p_i q'_i), sum_i (sqrt(p_i) - sqrt(q'_i))^2 and (1/4) (sum_i |p_i - q'_i|)^2.
+    """
+    with mpmath.workdps(DIGITS):
+        mu = mpmath.mpf(float(mu))
+        p, q = [mpmath.mpf(float(x)) for x in p], [mu * mpmath.mpf(float(x)) for x in q]
+        return [mpmath.fsum(x * mpmath.log(x / y) for x, y in zip(p, q)),
+                -2 * mpmath.log(mpmath.fsum(mpmath.sqrt(x * y) for x, y in zip(p, q))),
+                mpmath.fsum((mpmath.sqrt(x) - mpmath.sqrt(y)) ** 2 for x, y in zip(p, q)),
+                mpmath.fsum(abs(x - y) for x, y in zip(p, q)) ** 2 / 4]

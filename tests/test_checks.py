@@ -46,7 +46,14 @@ from qelab.checks import (
     trotter_sequence,
 )
 from qelab.entropy import relative_entropy, renyi
-from qelab.errors import BadAlpha, BadConfig, MarginalMismatch, NotHermitian, NotUnital
+from qelab.errors import (
+    BadAlpha,
+    BadConfig,
+    DimMismatch,
+    MarginalMismatch,
+    NotHermitian,
+    NotUnital,
+)
 from qelab.linalg import (
     hermitize,
     kron,
@@ -288,6 +295,14 @@ def test_ptrace_strengthening_self_pair_zero():
     result = check_ptrace_strengthening(pair, pair)
     assert result.passed
     assert all(abs(result.quantities[k]) < 1e-8 for k in ("relent_gap", *ROOT_LINKS))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (8,)], ids=["tripartite", "one-part"])
+@pytest.mark.parametrize("checker", [check_ptrace_strengthening, checks.explore_ptrace_petz])
+def test_ptrace_checker_and_exploration_need_a_bipartite_split(checker, dims):
+    rho, sigma = (DensityMatrix(st, dims) for st in _pair(8, 13))
+    with pytest.raises(DimMismatch, match=rf"^need a bipartite split, got {len(dims)} parts$"):
+        checker(rho, sigma)
 
 
 def test_ptrace_strengthening_random():

@@ -289,16 +289,16 @@ def test_cmi_requires_three_parts():
 def test_exp_log_single_term_roundtrip():
     rng = np.random.default_rng(17)
     rho = regularize(random_density(4, rng), 1e-6)
-    out = exp_log_combination([(1, rho.mat)])
+    out = exp_log_combination([(1, rho, (0,))])
     np.testing.assert_allclose(out, rho.mat, atol=1e-10)
 
 
 def test_exp_log_diagonal_oracle():
     # exp(log a - log b + log c) = a*c/b elementwise for commuting diagonals
-    a = np.diag([0.5, 0.5])
-    b = np.diag([0.3, 0.7])
-    c = np.diag([0.2, 0.8])
-    out = exp_log_combination([(1, a), (-1, b), (1, c)])
+    a = DensityMatrix(np.diag([0.5, 0.5]))
+    b = DensityMatrix(np.diag([0.3, 0.7]))
+    c = DensityMatrix(np.diag([0.2, 0.8]))
+    out = exp_log_combination([(1, a, (0,)), (-1, b, (0,)), (1, c, (0,))])
     np.testing.assert_allclose(
         np.diag(out).real,
         [0.33333333333333337, 0.5714285714285715],
@@ -313,22 +313,13 @@ def test_exp_log_product_state_structure():
     parts = [regularize(random_density(2, rng), 1e-4).mat for _ in range(3)]
     full = kron(parts[0], kron(parts[1], parts[2]))
     state = DensityMatrix(full, (2, 2, 2))
-    dims = state.dims
-    out = exp_log_combination(
-        [
-            (1, state.marginal([0, 1])),
-            (-1, state.marginal([1])),
-            (1, state.marginal([1, 2])),
-        ],
-        dims=dims,
-        supports=[(0, 1), (1,), (1, 2)],
-    )
+    out = exp_log_combination([(1, state, (0, 1)), (-1, state, (1,)), (1, state, (1, 2))])
     np.testing.assert_allclose(out, full, atol=1e-9)
 
 
 def test_exp_log_rejects_rank_deficient_term():
     with pytest.raises(SingularTerm):
-        exp_log_combination([(1, np.diag([1.0, 0.0]))])
+        exp_log_combination([(1, DensityMatrix(np.diag([1.0, 0.0])), (0,))])
     with pytest.raises(SingularTerm):
         exp_log_combination([])
 
@@ -387,27 +378,20 @@ def test_stacked_renyi_overlap_cmi_and_exp_log_give_each_row_its_own_bits():
     rhos = [regularize(random_tripartite((2, 2, 2), rng), 1e-3) for _ in range(3)]
     sigmas = [regularize(random_tripartite((2, 2, 2), rng), 1e-3) for _ in range(3)]
     rho, sigma = _stack(rhos), _stack(sigmas)
-    surrogates = exp_log_combination(
-        [(1.0, rho.marginal([0, 1])), (-1.0, rho.marginal([1])), (1.0, sigma.marginal([1, 2]))],
-        dims=(2, 2, 2),
-        supports=[(0, 1), (1,), (1, 2)],
-    )
+    surrogates = exp_log_combination([(1.0, rho, (0, 1)), (-1.0, rho, (1,)), (1.0, sigma, (1, 2))])
     for i, (r, s) in enumerate(zip(rhos, sigmas)):
         assert _same_bits(renyi(0.3, rho, sigma)[i], renyi(0.3, r, s))
         assert _same_bits(overlap_lower_bound(rho, sigma)[i], overlap_lower_bound(r, s))
         assert _same_bits(cmi(rho)[i], cmi(r))
-        alone = exp_log_combination(
-            [(1.0, r.marginal([0, 1])), (-1.0, r.marginal([1])), (1.0, s.marginal([1, 2]))],
-            dims=(2, 2, 2),
-            supports=[(0, 1), (1,), (1, 2)],
-        )
+        alone = exp_log_combination([(1.0, r, (0, 1)), (-1.0, r, (1,)), (1.0, s, (1, 2))])
         assert _same_bits(surrogates[i], alone)
     # one singular row makes the stack raise, with that row's message
-    singular = random_density(4, rng, rank=2).mat
+    singular = random_density(4, rng, rank=2)
     with pytest.raises(SingularTerm) as alone:
-        exp_log_combination([(1.0, singular)])
+        exp_log_combination([(1.0, singular, (0,))])
+    both = DensityMatrix(np.stack([rhos[0].marginal([0, 1]), singular.mat]))
     with pytest.raises(SingularTerm) as stacked:
-        exp_log_combination([(1.0, np.stack([rhos[0].marginal([0, 1]), singular]))])
+        exp_log_combination([(1.0, both, (0,))])
     assert str(stacked.value) == str(alone.value)
 
 

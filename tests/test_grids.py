@@ -285,14 +285,12 @@ def test_the_concavity_grids_in_blocks_match_the_loop(monkeypatch, per_block):
 @pytest.mark.parametrize("per_block", [1, 2, 64])
 def test_exp_log_terms_decomposed_in_blocks_match_the_loop(monkeypatch, per_block):
     state = _chunk(3, (2, 2, 2), 60)
-    terms = [(1.0, state.marginal([0, 1])), (-1.0, state.marginal([1])),
-             (1.0, state.marginal([1, 2]))]
-    supports = [(0, 1), (1,), (1, 2)]
+    terms = [(1.0, state, (0, 1)), (-1.0, state, (1,)), (1.0, state, (1, 2))]
     acc = 0.0
-    for (sign, mat), where in zip(terms, supports):  # one decomposition per term
-        acc = acc + sign * matrix_log(herm_eig(embed(mat, state.dims, where)))
+    for sign, st, where in terms:  # one decomposition per term
+        acc = acc + sign * matrix_log(herm_eig(embed(st.marginal(where), st.dims, where)))
     _cap(monkeypatch, per_block * 3 * 64)
-    whole = exp_log_combination(terms, dims=state.dims, supports=supports)
+    whole = exp_log_combination(terms)
     assert _same_bits(whole, matrix_exp(hermitize(acc)))
 
 

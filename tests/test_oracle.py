@@ -6,8 +6,10 @@ With u = 2^-53, d the dimension and l_min the smallest eigenvalue, the bars are
   I(A:C|B):      the sum of the bars of S(AB), S(BC), S(B) and S(ABC),
   D_a(rho||sigma), 0 < a < 1, and the root-overlap bound (a = 1/2):
                  d u (a d^a l_min(rho)^(a-1) + (1-a) d^(1-a) l_min(sigma)^(-a) + 2 d) / ((1-a) Q_a),
-from the backward stability of eigh and the Lipschitz constants of log, t log t and t^a on the
-spectrum.  A bar that does not hold is a finding about the bar or the float64 formula: it is
+  S = exp(H), H = sum_i sign_i log X_i, in the spectral norm:
+                 d u (sum_i kappa(X_i) + ||H||) ||S||,
+from the backward stability of eigh and the Lipschitz constants of log, t log t, t^a and exp on
+the spectrum.  A bar that does not hold is a finding about the bar or the float64 formula: it is
 not widened to pass.
 """
 
@@ -20,10 +22,16 @@ import numpy as np
 import pytest
 
 import oracle
+from qelab import checks
 from qelab.channels import KrausChannel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
+    DEFAULT_RENYI_ALPHAS,
     DEFAULT_SBW_ALPHAS,
+    check_bsw_identity,
+    check_overlap_chain,
+    check_ptrace_strengthening,
+    check_renyi_monotonicity,
     check_sbw_limit,
     check_ssa_strengthened,
     check_stronger_monotonicity,
@@ -31,9 +39,20 @@ from qelab.checks import (
     dw_alpha_profile,
 )
 from qelab.entropy import cmi, overlap_lower_bound, relative_entropy, renyi, von_neumann
-from qelab.states import AB, B, BC, DensityMatrix, random_density, random_unitary, regularize
+from qelab.linalg import embed
+from qelab.states import (
+    AB,
+    B,
+    BC,
+    DensityMatrix,
+    SubnormalizedOperator,
+    random_density,
+    random_unitary,
+    regularize,
+)
 
 U = 2.0**-53
+ROOT_LINKS = ("overlap_bound", "sqrt_hs_sq", "quarter_td_sq")  # the links after S in a chain
 DIMS = (2, 2, 2)
 # (rank, eps) of the 12 fixed d = 8 pairs: three each of Wishart, rank-2 and rank-1 draws
 # regularized at eps 1e-6, and three rank-1 draws at eps 1e-10 (a valid --eps), where the
@@ -118,6 +137,57 @@ def test_float64_renyi_and_root_overlap_stay_within_their_bars(case):
         overlap = math.exp(float(exact) * (alpha - 1.0))  # Q_a from D_a = log Q_a / (a - 1)
         errors[key] = (abs(got[key] - float(exact)), _renyi_bar(alpha, rho.mat, sigma.mat, overlap))
     beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+def _exp_log_bar(terms, exact: np.ndarray) -> float:
+    # Each X_i's eigh has backward error E, ||E|| <= d u ||X_i||, which moves log X_i by at most
+    # ||E|| / l_min(X_i) <= d u kappa(X_i), the largest divided difference of log on the
+    # spectrum.  Reconstructing and adding the logs rounds by d u ||H||, as does the backward
+    # error of eigh of H, and exp moves each by at most its largest divided difference on the
+    # spectrum of H, ||S||.
+    dims = terms[0][1].dims
+    h, kappa = 0.0, 0.0
+    for sign, state, part in terms:
+        vals, vecs = np.linalg.eigh(state.marginal(part))
+        h = h + sign * embed((vecs * np.log(vals)) @ vecs.conj().T, dims, part)
+        kappa += vals.max() / vals.min()
+    return len(exact) * U * (kappa + np.linalg.norm(h, 2)) * np.linalg.norm(exact, 2)
+
+
+def _exp_log_references(case: int) -> dict:
+    """{name: (checker, its states, the paper's terms of its exp-log reference)} for the SSA
+    surrogate, the BSW reference of four distinct states and the ptrace-strengthening surrogate
+    (on the split 2 x 4), from the fixed pairs case and case + 1."""
+    (rho, sigma), (tau, omega) = _pair(case), _pair(case + 1)
+    rho_ab, sigma_ab = (DensityMatrix(st, (2, 4)) for st in (rho, sigma))
+    return {
+        "ssa": (check_ssa_strengthened, [rho], [(1, rho, AB), (-1, rho, B), (1, rho, BC)]),
+        "bsw": (check_bsw_identity, [rho, sigma, tau, omega],
+                [(1, sigma, AB), (1, tau, BC), (-1, omega, B)]),
+        "ptrace": (check_ptrace_strengthening, [rho_ab, sigma_ab],
+                   [(1, sigma_ab, (0, 1)), (-1, sigma_ab, (0,)), (1, rho_ab, (0,))]),
+    }
+
+
+@pytest.mark.parametrize("case", [0, 3, 6, 9], ids=["full", "rank2", "rank1", "rank1-eps1e-10"])
+def test_exp_log_references_stay_within_their_bars(case, monkeypatch):
+    # Each checker's reference, as exp_log_combination makes it, against the paper's terms at
+    # 40 digits: a term with the wrong sign or part in a checker moves its reference by O(1).
+    made = []
+    real = checks.exp_log_combination
+    monkeypatch.setattr(checks, "exp_log_combination", lambda terms: made.append(real(terms))
+                        or made[-1])
+    errors = {}
+    for name, (checker, states, terms) in _exp_log_references(case).items():
+        made.clear()
+        checker(*states)
+        exact = oracle.exp_log([(sign, st.mat, part) for sign, st, part in terms], terms[0][1].dims)
+        exact = np.array(exact.tolist(), dtype=complex)
+        [got] = made
+        errors[name] = (np.linalg.norm(got - exact, 2), _exp_log_bar(terms, exact))
+    print(f"exp-log case {case}: largest error/bar", max(err / bar for err, bar in errors.values()))
+    beyond = {name: (err, bar) for name, (err, bar) in errors.items() if not err <= bar}
     assert not beyond, f"error above its bar (error, bar): {beyond}"
 
 
@@ -286,4 +356,34 @@ def test_the_alpha_compressions_match_their_commuting_scalar_forms(d, dims, haar
     errors = _alpha_errors(d, dims, 2033 + d + haar, haar)
     bars = {key: (err, (8 if haar else 4) * unit) for key, (err, unit) in errors.items()}
     beyond = {key: (err, bar) for key, (err, bar) in bars.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+@pytest.mark.parametrize("d, dims", [(64, (4, 4, 4)), (8, (2, 2, 2))], ids=["d64", "d8"])
+@pytest.mark.parametrize("haar", [False, True], ids=["diagonal", "haar"])
+def test_renyi_and_the_overlap_chain_match_their_commuting_scalar_forms(d, dims, haar):
+    # renyi-monotone's D_a and overlap-chain's links on _commuting_case's pair, with sigma and
+    # with a scaled mu sigma, where S shifts by -log mu.  The unit is d u (kappa + L) of the
+    # unital checks, and the bars are 4 units at U = 1 and 8 in a Haar basis, as there.  D_a =
+    # log Q_a / (a - 1) divides Q_a's relative error, which the unit bounds, by 1 - a.
+    p, q, _, _, rho, sigma, _ = _commuting_case(d, dims, 2034 + d + haar, haar)
+    unit = d * U * (max(v.max() / v.min() for v in (p, q))
+                    + max(abs(math.log(v.min())) for v in (p, q)))
+    bar = (8 if haar else 4) * unit
+    got = check_renyi_monotonicity(rho, sigma).quantities
+    want = oracle.commuting_renyi(p, q, DEFAULT_RENYI_ALPHAS)
+    errors = {f"s_{a!r}": (abs(got[f"s_{a!r}"] - float(w)), bar / (1.0 - a))
+              for a, w in zip(DEFAULT_RENYI_ALPHAS, want)}
+    mu = 0.625
+    for scaled, got in (
+        ("", check_overlap_chain(rho, sigma).quantities),
+        ("mu ", check_overlap_chain(rho, SubnormalizedOperator(mu * sigma.mat),
+                                    sigma_base=sigma, mu=mu).quantities),
+    ):
+        want = oracle.commuting_chain(p, q, mu if scaled else 1.0)
+        for link, w in zip(("relative_entropy",) + ROOT_LINKS, want):
+            errors[scaled + link] = (abs(got[link] - float(w)), bar)
+    print(f"commuting renyi/overlap-chain d={d} haar={haar}: largest error/bar",
+          max(err / b for err, b in errors.values()))
+    beyond = {key: (err, b) for key, (err, b) in errors.items() if not err <= b}
     assert not beyond, f"error above its bar (error, bar): {beyond}"
