@@ -1,13 +1,13 @@
 """Quantum channels in Kraus form, their duals, and recovery maps.
 
-A channel is held as a list of Kraus operators K_i (shape d_out x d_in) with
-sum_i K_i^dag K_i = 1 enforced at construction.  The Hilbert-Schmidt dual
-Phi^*(Y) = sum_i K_i^dag Y K_i, which the entropy checkers need, is the method
-apply_dual; it is generally not trace preserving.  Both maps, and the Petz
-recovery map, also act row by row on an (n, d, d) stack of inputs, with one
-channel for the whole stack or one channel per row: a channel whose Kraus
-operators are (n, d_out, d_in) stacks, such as random_channel draws for a
-chunk's list of streams.
+A channel is held as a list of Kraus operators K_i (shape d_out x d_in) with sum_i
+K_i^dag K_i = 1 enforced at construction.  The Hilbert-Schmidt dual Phi^*(Y) = sum_i
+K_i^dag Y K_i, which the entropy checkers need, is the method apply_dual; it is generally
+not trace preserving.  Both maps, and the Petz recovery map, also act row by row on an
+(n, d, d) stack of inputs, with one channel for the whole stack or one channel per row: a
+channel whose Kraus operators are (n, d_out, d_in) stacks, such as random_channel draws
+for a chunk's list of streams.  Each map and each twirl holds its input to the size it
+acts on through linalg.as_matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .linalg import (
     Hermitian,
     HermitianEigen,
     _kraus_sum,
+    as_matrix,
     dagger,
     first_flagged,
     herm_eig,
@@ -41,7 +42,6 @@ from .states import (
     SubnormalizedOperator,
     _haar_q,
     as_drawn,
-    as_matrix,
     capped,
     gaussians,
     random_unitaries,
@@ -73,12 +73,10 @@ class KrausChannel:
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise DimMismatch("need at least one Kraus operator")
+        if any(k.ndim not in (2, 3) or k.shape != ops[0].shape for k in ops):
+            raise DimMismatch("Kraus operators must be matrices, or (n, d_out, d_in) stacks, "
+                              "all of one shape")
         d_out, d_in = ops[0].shape[-2:]
-        for k in ops:
-            if k.ndim not in (2, 3) or k.shape != ops[0].shape:
-                raise DimMismatch(
-                    f"all Kraus operators must share shape ({d_out}, {d_in})"
-                )
         self.kraus = tuple(ops)
         self.d_in = d_in
         self.d_out = d_out
@@ -107,9 +105,7 @@ class KrausChannel:
         return bool(max_sv_within(self._unital_gap(), TOL_RECON).all())
 
     def apply(self, x: Hermitian | np.ndarray) -> np.ndarray:
-        mat = as_matrix(x)
-        if mat.shape[-2:] != (self.d_in, self.d_in):
-            raise DimMismatch(f"input shape {mat.shape}, channel expects {self.d_in}")
+        mat = as_matrix(x, self.d_in, "channel input")
         return _hermitian_like(x, _kraus_sum(self.kraus, mat))
 
     def apply_dual(self, y: Hermitian | np.ndarray) -> np.ndarray:
@@ -118,9 +114,7 @@ class KrausChannel:
         The dual of a trace-preserving map is unital (it fixes the identity)
         but generally not trace preserving.
         """
-        mat = as_matrix(y)
-        if mat.shape[-2:] != (self.d_out, self.d_out):
-            raise DimMismatch(f"input shape {mat.shape}, dual expects {self.d_out}")
+        mat = as_matrix(y, self.d_out, "dual input")
         return _hermitian_like(y, _kraus_sum(self.kraus, mat, dual=True))
 
     def __repr__(self) -> str:
@@ -151,10 +145,7 @@ class PetzMap:
 
     def __init__(self, channel: KrausChannel, sigma: SubnormalizedOperator,
                  image: np.ndarray | Hermitian | None = None):
-        if sigma.dim != channel.d_in:
-            raise DimMismatch(
-                f"reference dim {sigma.dim} does not match channel input {channel.d_in}"
-            )
+        as_matrix(sigma, channel.d_in, "recovery reference")
         image = channel.apply(sigma) if image is None else image
         tr = np.asarray(real_trace(as_matrix(image)))
         if np.any(tr <= RANK_CUTOFF):
@@ -172,11 +163,7 @@ class PetzMap:
         self._inv_sqrt_image = matrix_power(eig, -0.5)
 
     def apply(self, x: Hermitian | np.ndarray) -> np.ndarray:
-        mat = as_matrix(x)
-        if mat.shape[-2:] != (self.channel.d_out, self.channel.d_out):
-            raise DimMismatch(
-                f"input shape {mat.shape}, recovery map expects {self.channel.d_out}"
-            )
+        mat = as_matrix(x, self.channel.d_out, "recovery input")
         inner = self._inv_sqrt_image @ mat @ self._inv_sqrt_image
         recovered = self._sqrt_sigma @ self.channel.apply_dual(inner) @ self._sqrt_sigma
         return _hermitian_like(x, recovered)
@@ -229,11 +216,9 @@ def random_channel(
 
 def _check_bipartite(x: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
     dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise DimMismatch(f"twirl needs exactly two subsystems, got {dims}")
-    total = dims[0] * dims[1]
-    if x.shape != (total, total):
-        raise DimMismatch(f"operator shape {x.shape} does not match dims {dims}")
+    if len(dims) != 2 or x.ndim != 2:
+        raise DimMismatch(f"a twirl takes one matrix on two parts, got {dims} and shape {x.shape}")
+    as_matrix(x, dims[0] * dims[1], "twirl operand")
     return dims
 
 

@@ -45,6 +45,7 @@ from .entropy import (
 from .errors import BadAlpha, BadConfig, DimMismatch, MarginalMismatch, ZeroOverlap
 from .linalg import (
     Hermitian,
+    as_matrix,
     dagger,
     each,
     embed,
@@ -75,7 +76,6 @@ from .states import (
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
-    as_matrix,
     capped,
     grids,
     markov_state,
@@ -736,16 +736,16 @@ def check_sbw_limit(
 # ---------------------------------------------------------------------------
 
 
-def _concavity_gap(f, x1, x2, lam) -> tuple:
-    """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for operators or matrices x1,
-    x2 and a weight lam, or stacks of them and the (n,) array of their weights.  f takes a
+def _concavity_gap(f, x1, x2, lam, d: int) -> tuple:
+    """(f(lam x1 + (1 - lam) x2), lam f(x1) + (1 - lam) f(x2)) for d x d operators or matrices
+    x1, x2 and a weight lam, or stacks of them and the (n,) array of their weights.  f takes a
     spectrum (an operator's cached one is used) and runs on the mixture, then x1, then x2."""
     weight = np.asarray(lam)
     bad = ~((0.0 <= weight) & (weight <= 1.0))
     if bad.any():
         raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
     weight = weight[..., None, None]
-    at_mix = f(herm_eig(weight * as_matrix(x1) + (1.0 - weight) * as_matrix(x2)))
+    at_mix = f(herm_eig(weight * as_matrix(x1, d, "x1") + (1.0 - weight) * as_matrix(x2, d, "x2")))
     return at_mix, lam * f(spectrum_of(x1)) + (1.0 - lam) * f(spectrum_of(x2))
 
 
@@ -757,12 +757,12 @@ def check_lieb_concavity(
     tol: float = TOL_INEQ,
 ) -> Results:
     """Concavity of X -> Tr exp(H + log X) on positive definite X."""
-    h = require_hermitian(h)
+    h = require_hermitian(h, what="h")
 
     def f(x):
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
 
-    f_mix, f_avg = _concavity_gap(f, x1, x2, lam)
+    f_mix, f_avg = _concavity_gap(f, x1, x2, lam, h.shape[-1])
     return _result("lieb-concavity", tol, lambda f_mix, f_avg, _: f_mix - f_avg,
                    f_mix=f_mix, f_avg=f_avg, lam=lam)
 
@@ -788,7 +788,7 @@ def check_cl_concavity(
             real_trace(matrix_power(hermitize(m @ matrix_power(x, 1.0 / a) @ dagger(m)), a))
             for a in grids(alphas, batch, m.shape[-1])])
 
-    f_mix, f_avg = _concavity_gap(traces, x1, x2, lam)
+    f_mix, f_avg = _concavity_gap(traces, x1, x2, lam, m.shape[-1])
     quantities = {f"slack_{a!r}": slack for a, slack in zip(alphas, f_mix - f_avg)}
     return _result("carlen-lieb-concavity", tol, lambda *slacks: min(slacks), **quantities)
 
@@ -797,8 +797,8 @@ def check_golden_thompson(
     a: np.ndarray, b: np.ndarray, tol: float = TOL_INEQ
 ) -> Results:
     """Tr e^(A+B) <= Tr e^A e^B for Hermitian A, B."""
-    a = require_hermitian(a)
-    b = require_hermitian(b)
+    a = require_hermitian(a, what="a")
+    b = require_hermitian(b, a.shape[-1], "b")
     t_sum = real_trace(matrix_exp(hermitize(a + b)))
     t_prod = real_trace(matrix_exp(a) @ matrix_exp(b))
     return _result("golden-thompson", tol, lambda t_sum, t_prod: t_prod - t_sum,
@@ -819,7 +819,8 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
-    m_mat, n_mat = as_matrix(m), as_matrix(n)
+    m_mat = as_matrix(m, what="m")
+    n_mat = as_matrix(n, m_mat.shape[-1], "n")
     m_eig, n_eig = spectrum_of(m), spectrum_of(n)
     sm, sn = matrix_sqrt(m_eig), matrix_sqrt(n_eig)
     for t in t_values:

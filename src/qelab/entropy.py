@@ -20,6 +20,7 @@ from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
 from .linalg import (
     Hermitian,
     as_hermitian,
+    as_matrix,
     each,
     embed,
     herm_eig,
@@ -42,7 +43,6 @@ from .states import (
     B,
     BC,
     DensityMatrix,
-    as_matrix,
     capped,
     grids,
     require_tripartite,
@@ -77,10 +77,10 @@ def relative_entropy(
     Only a row whose sigma has a kernel (psd_support) takes the leak test: full support holds
     any supp(rho), and for ||rho|| <= 1, as every caller passes, ||off rho off|| = O((d u)^2).
     """
-    r = as_matrix(rho)
-    s = as_matrix(sigma)
-    if r.shape != s.shape:
-        raise DimMismatch(f"shape mismatch {r.shape} vs {s.shape}")
+    s = as_matrix(sigma, what="sigma")
+    r = as_matrix(rho, s.shape[-1], "rho")
+    if r.shape != s.shape:  # the leak test below pairs the rows of rho and sigma
+        raise DimMismatch(f"rho and sigma hold different stacks: {r.shape} vs {s.shape}")
     s_eig = spectrum_of(sigma)
     inside = np.asarray(s_eig.support.all(axis=-1))
     if (kernel := ~inside).any():  # the rows whose sigma has a kernel; 2-D as a stack of one
@@ -112,6 +112,7 @@ def renyi(
     gives the list of their values, from one power stack per block (states.grids).
     """
     require_alpha_window(alpha)
+    as_matrix(rho, as_matrix(sigma, what="sigma").shape[-1], "rho")
     r_eig, s_eig = spectrum_of(rho), spectrum_of(sigma)
     values = []
     for a in grids(np.atleast_1d(alpha), r_eig.eigenvalues.shape[:-1], r_eig.eigenvalues.shape[-1]):
@@ -130,6 +131,7 @@ def overlap_lower_bound(
     This quantity sits between the relative entropy and the squared
     Hilbert-Schmidt distance of the square roots whenever Tr sigma <= 1.
     """
+    as_matrix(rho, as_matrix(sigma, what="sigma").shape[-1], "rho")
     overlap = real_trace(matrix_sqrt(rho) @ matrix_sqrt(sigma))
     if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")
@@ -148,13 +150,14 @@ def exp_log_combination(terms: Sequence[tuple[float, DensityMatrix, Sequence[int
 
     Each term is (sign, state, part): X_i is the marginal of a DensityMatrix (or stack) on the
     subsystems part, embedded on that state's dims (log(X (x) 1) = log X (x) 1, so embedding
-    before the log keeps every term on one common space).
+    before the log keeps every term on one common space, whose size every state must have).
     Raises SingularTerm when any term (of any row of a stack) is singular at the
     rank cutoff, and NotPSD when one is not PSD.
     """
     if not terms:
         raise SingularTerm("need at least one term")
-    mats = [embed(state.marginal(part), state.dims, part) for _, state, part in terms]
+    mats = [as_matrix(embed(state.marginal(part), state.dims, part), terms[0][1].dim, f"term {i}")
+            for i, (_, state, part) in enumerate(terms)]
     acc = 0.0
     for block in capped(range(len(mats)), mats[0].size):  # the terms decompose as one stack
         eig = herm_eig(np.stack([mats[i] for i in block]))

@@ -6,6 +6,8 @@ Conventions
   dims (dA, dB, dC) the flat index of basis vector |a, b, c> is
   ((a * dB) + b) * dC + c.  ``numpy.kron`` follows the same convention,
   so ``kron(A, B)`` acts on the first factor slowest.
+* One operand-size rule (as_matrix, require_hermitian, ptrace, embed): a square matrix or stack,
+  of side d when d is given, else the DimMismatch "shape mismatch" that names the operand.
 * Matrix functions are evaluated through the eigendecomposition and the
   result is re-Hermitized, so f(H) of a Hermitian H is exactly Hermitian.
 * One support rule, psd_support: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
@@ -173,12 +175,19 @@ def is_hermitian(x: np.ndarray) -> bool | np.ndarray:
     return per_matrix(np.ones(x.shape[:-2], dtype=bool) if ok is None else ok)
 
 
-def require_hermitian(x: np.ndarray) -> np.ndarray:
-    """Return x as a complex square matrix (or stack of them); raise NotHermitian when it,
-    or any row of the stack, fails is_hermitian."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
-        raise DimMismatch(f"expected a square matrix, got shape {x.shape}")
+def _sized(x: np.ndarray, d: int | None, what: str) -> np.ndarray:
+    """x when it is a square matrix, or a stack of them, of side d when d is given; else the
+    package's one operand-size error, a DimMismatch that names the operand."""
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or d is not None and x.shape[-1] != d:
+        want = "a square matrix" if d is None else f"{d} x {d}"
+        raise DimMismatch(f"shape mismatch: {what} has shape {x.shape}, expected {want}")
+    return x
+
+
+def require_hermitian(x: np.ndarray, d: int | None = None, what: str = "matrix") -> np.ndarray:
+    """Return x as a complex square matrix (or stack), of side d when d is given (_sized); raise
+    NotHermitian when it, or any row of the stack, fails is_hermitian."""
+    x = _sized(np.asarray(x, dtype=complex), d, what)
     ok = _hermitian_rows(x)
     if ok is not None and not ok.all():
         bad = first_flagged(x, ~ok)
@@ -235,6 +244,13 @@ class Hermitian:
 
 
 Spectral = np.ndarray | HermitianEigen | Hermitian
+
+
+def as_matrix(op: Hermitian | np.ndarray, d: int | None = None,
+              what: str = "operand") -> np.ndarray:
+    """The frozen matrix of a Hermitian operand, or a raw array as a complex matrix (or stack);
+    DimMismatch unless it is square, and of side d when d is given."""
+    return _sized(op.mat if isinstance(op, Hermitian) else np.asarray(op, dtype=complex), d, what)
 
 
 def as_hermitian(x: Hermitian | np.ndarray) -> np.ndarray:
@@ -374,9 +390,7 @@ def _check_dims(x: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise DimMismatch(f"subsystem dimensions must be >= 1, got {dims}")
-    total = math.prod(dims)
-    if x.ndim < 2 or x.shape[-2:] != (total, total):
-        raise DimMismatch(f"operator shape {x.shape} does not match dims {dims}")
+    _sized(x, math.prod(dims), f"operator on dims {dims}")
     return dims
 
 
@@ -432,8 +446,7 @@ def embed(op: np.ndarray, dims: Sequence[int], acting_on: Iterable[int]) -> np.n
     """
     op = np.asarray(op)
     d_act, eye, shape, axes, total = _embed_plan(tuple(dims), tuple(acting_on), op.ndim - 2)
-    if op.shape[-2:] != (d_act, d_act):
-        raise DimMismatch(f"operator shape {op.shape} does not match dims {d_act}")
+    _sized(op, d_act, "embedded operator")
     lead = op.shape[:-2]
     return kron(op, eye).reshape(lead + shape).transpose(axes).reshape(lead + (total, total))
 

@@ -58,7 +58,8 @@ COUNT = _integer(0)
 _DIM_LIST = (lambda value: _LIST[0](value) and all(map(_DIM[0], value)),
              "a list of integers >= 1")
 _DIMS = (lambda value: _DIM_LIST[0](value) and value, "a non-empty list of integers >= 1")
-GRID = (lambda value: _LIST[0](value) and value and all(map(_is_finite, value)), "finite")
+GRID = (lambda value: _LIST[0](value) and value and all(map(_is_finite, value)),
+        "a non-empty list of finite numbers")
 _ROWS = (_is_rows, "a rectangular list of rows of numbers")
 
 

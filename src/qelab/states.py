@@ -1,12 +1,11 @@
 """Density operators, block-structured Markov states and random-state ensembles.
 
-A DensityMatrix carries the dimensions of the subsystems it lives on (one
-subsystem unless told otherwise), so a bipartite or tripartite state is the
-same object as a flat one, and ``marginal`` traces it down.  States are
-immutable: the wrapped array is frozen at construction and every operation
-returns a new object.  Randomness always flows through an explicit
-``numpy.random.Generator`` so that every ensemble is reproducible from its
-seed alone.
+A DensityMatrix carries the dimensions of the subsystems it lives on (one subsystem
+unless told otherwise), so a bipartite or tripartite state is the same object as a flat
+one, and ``marginal`` traces it down.  States are immutable: the wrapped array, whose
+shape linalg.as_matrix checks before anything reads it, is frozen at construction and
+every operation returns a new object.  Randomness always flows through an explicit
+``numpy.random.Generator`` so that every ensemble is reproducible from its seed alone.
 
 A sampler takes one Generator, or a chunk's list of trial streams: it then returns
 its value as one (n, d, d) stack whose row i is drawn from stream i in the order
@@ -33,6 +32,7 @@ from .errors import (
 )
 from .linalg import (
     Hermitian,
+    as_matrix,
     dagger,
     first_flagged,
     hermitize,
@@ -176,7 +176,7 @@ class DensityMatrix(SubnormalizedOperator):
         if isinstance(mat, DensityMatrix):
             vars(self).update(vars(mat))
         else:
-            mat = np.asarray(mat, dtype=complex)
+            mat = as_matrix(mat, what="state")
             _check_unit_trace(real_trace(mat))
             super().__init__(mat)
             self.dims = (self.dim,)
@@ -369,11 +369,6 @@ def wishart(g: np.ndarray) -> DensityMatrix:
     """The stack of states G G^dag / Tr, one per Gaussian matrix G of the stack g."""
     mat = g @ dagger(g)
     return DensityMatrix(mat / real_trace(mat)[:, None, None])
-
-
-def as_matrix(op: Hermitian | np.ndarray) -> np.ndarray:
-    """The frozen matrix of a Hermitian operand, or a raw array as a complex matrix."""
-    return op.mat if isinstance(op, Hermitian) else np.asarray(op, dtype=complex)
 
 
 def regularize(

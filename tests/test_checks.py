@@ -55,6 +55,7 @@ from qelab.errors import (
     NotUnital,
 )
 from qelab.linalg import (
+    as_matrix,
     hermitize,
     kron,
     matrix_exp,
@@ -67,7 +68,6 @@ from qelab.linalg import (
 from qelab.states import (
     DensityMatrix,
     MarkovSpec,
-    as_matrix,
     markov_state,
     random_density,
     regularize,

@@ -142,7 +142,7 @@ def test_non_finite_alpha_is_a_config_error(bad):
         command = ("check", "--suite", suite, "--trials", "1", f"--alpha=0.5,{bad}")
         proc = run_cli(*command)
         _assert_config_error(proc, command)
-        assert "--alpha values must be finite" in proc.stderr
+        assert "--alpha values must be a non-empty list of finite numbers" in proc.stderr
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -156,7 +156,7 @@ def test_non_finite_t_samples_is_a_config_error(bad, tmp_path):
     for command in commands:
         proc = run_cli(*command)
         _assert_config_error(proc, command)
-        assert "--t-samples values must be finite" in proc.stderr
+        assert "--t-samples values must be a non-empty list of finite numbers" in proc.stderr
 
 
 @pytest.mark.parametrize("command", [
@@ -859,6 +859,8 @@ MALFORMED_FILES = {
     "dump-value-ragged-re": ("replay", _edit(("instance", "rho", "re", 0), [0.5]), "rho.re"),
     "dump-channel-without-kraus": ("replay", _edit(("instance", "channel", "kraus")), "'kraus'"),
     "dump-channel-d-in-text": ("replay", _edit(("instance", "channel", "d_in"), "a"), "d_in"),
+    "dump-option-not-a-list": ("replay", _edit(("opts",), {"bogus": 1}),
+                               "dump.opts.bogus must be a non-empty list of finite numbers"),
     "dump-value-not-an-object": ("replay", _edit(("instance", "rho"), 5), "instance.rho"),
     "state-without-re": ("trotter", _edit(("re",)), "'re'"),
     "state-dims-text": ("trotter", _edit(("dims",), "x"), "state.dims"),
@@ -921,7 +923,7 @@ def _one_part(*keys):
 @pytest.mark.parametrize("name,edit,message", [
     ("monotonicity",
      lambda blob: {**blob, "sigma": serialize_value(random_density(4, np.random.default_rng(0)))},
-     "shape mismatch (8, 8) vs (4, 4)"),
+     "shape mismatch: rho has shape (8, 8), expected 4 x 4"),
     ("ssa", _one_part("rho"), "need exactly 3 subsystems, got 1"),
     ("ptrace-strengthening", _one_part("rho_ab", "sigma_ab"), "need a bipartite split, got 1 parts"),
 ], ids=["sizes", "ssa-one-part", "ptrace-one-part"])

@@ -34,6 +34,7 @@ from qelab.errors import (
     ZeroOverlap,
 )
 from qelab.linalg import (
+    as_matrix,
     herm_eig,
     kron,
     matrix_log,
@@ -46,7 +47,6 @@ from qelab.linalg import (
 from qelab.states import (
     DensityMatrix,
     SubnormalizedOperator,
-    as_matrix,
     random_density,
     regularize,
 )

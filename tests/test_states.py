@@ -22,6 +22,7 @@ from qelab.errors import (
 from qelab import states, suites
 from qelab.linalg import (
     Hermitian,
+    as_matrix,
     embed,
     herm_eig,
     hermitize,
@@ -41,7 +42,6 @@ from qelab.states import (
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
-    as_matrix,
     markov_state,
     normalized_weights,
     random_density,
