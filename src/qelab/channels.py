@@ -7,7 +7,8 @@ not trace preserving.  Both maps, and the Petz recovery map, also act row by row
 (n, d, d) stack of inputs, with one channel for the whole stack or one channel per row: a
 channel whose Kraus operators are (n, d_out, d_in) stacks, such as random_channel draws
 for a chunk's list of streams.  Each map and each twirl holds its input to the size it
-acts on through linalg.as_matrix.
+acts on through linalg.as_matrix, and a twirl and ptrace_channel hold their dims to the
+split rule (linalg.split).
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ from .linalg import (
     ptrace,
     real_trace,
     spectrum_of,
+    split,
+    subsystems,
 )
 from .states import (
     SubnormalizedOperator,
@@ -171,10 +174,8 @@ class PetzMap:
 
 def ptrace_channel(dims: Sequence[int], traced: int) -> KrausChannel:
     """Partial trace over one subsystem as an explicit Kraus channel."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if not 0 <= traced < n:
-        raise DimMismatch(f"traced={traced} out of range for {n} subsystems")
+    dims = split(dims, what="channel input")
+    [traced] = subsystems(dims, [traced], "traced")
     d_pre, d_t, d_post = math.prod(dims[:traced]), dims[traced], math.prod(dims[traced + 1 :])
     ops = []
     for i in range(d_t):
@@ -214,12 +215,12 @@ def random_channel(
     return as_drawn(rng, KrausChannel([q[:, i * d : (i + 1) * d, :] for i in range(env_dim)]))
 
 
-def _check_bipartite(x: np.ndarray, dims: Sequence[int]) -> tuple[int, int]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2 or x.ndim != 2:
-        raise DimMismatch(f"a twirl takes one matrix on two parts, got {dims} and shape {x.shape}")
-    as_matrix(x, dims[0] * dims[1], "twirl operand")
-    return dims
+def _twirl_operand(x: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, int, int]:
+    da, db = split(dims, parts=2, what="twirl operand")
+    x = as_matrix(x, da * db, "twirl operand")
+    if x.ndim != 2:  # twirl_mc's GEMM takes one matrix
+        raise DimMismatch(f"a twirl takes one matrix, not a stack of shape {x.shape}")
+    return x, da, db
 
 
 def twirl_exact(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -228,8 +229,7 @@ def twirl_exact(x: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     The closed form replaces the twirled factor by its maximally mixed state:
     twirling over B sends X to Tr_B(X) (x) 1_B / d_B.
     """
-    x = np.asarray(x, dtype=complex)
-    da, db = _check_bipartite(x, dims)
+    x, da, db = _twirl_operand(x, dims)
     return kron(ptrace(x, (da, db), [0]), np.eye(db) / db)
 
 
@@ -247,8 +247,7 @@ def twirl_mc(
     term's product with (1 (x) U)^dag, and adds the terms in turn: the bits of the
     one-sample loop, whatever the blocks.
     """
-    x = np.asarray(x, dtype=complex)
-    da, db = _check_bipartite(x, dims)
+    x, da, db = _twirl_operand(x, dims)
     if samples < 1:
         raise DimMismatch(f"need at least one sample, got {samples}")
     acc = np.zeros_like(x)

@@ -42,7 +42,7 @@ from .entropy import (
     require_alpha_window,
     von_neumann,
 )
-from .errors import BadAlpha, BadConfig, DimMismatch, MarginalMismatch, ZeroOverlap
+from .errors import BadAlpha, BadConfig, MarginalMismatch, ZeroOverlap
 from .linalg import (
     Hermitian,
     as_matrix,
@@ -64,6 +64,7 @@ from .linalg import (
     real_trace,
     require_hermitian,
     row_indices,
+    same_split,
     spectrum_of,
     trace_norm,
     unitary_power,
@@ -100,21 +101,6 @@ def _result(name: str, tol: float, slack: Callable[..., float], **quantities):
         lambda *row: CheckResult(name, dict(zip(quantities, row)), slack(*row), tol),
         *quantities.values(),
     )
-
-
-def _same_dims(*states: DensityMatrix) -> tuple[int, ...]:
-    dims = states[0].dims
-    for st in states[1:]:
-        if st.dims != dims:
-            raise DimMismatch(f"states live on different dims: {st.dims} vs {dims}")
-    return dims
-
-
-def _bipartite_dims(*states: DensityMatrix) -> tuple[int, ...]:
-    dims = _same_dims(*states)
-    if len(dims) != 2:
-        raise DimMismatch(f"need a bipartite split, got {len(dims)} parts")
-    return dims
 
 
 def _spectra(state: DensityMatrix) -> dict:
@@ -367,7 +353,7 @@ def check_ptrace_strengthening(
 
     Surrogate: exp(log sigma_AB - log sigma_A + log rho_A), all embedded on AB.
     """
-    _bipartite_dims(rho_ab, sigma_ab)
+    same_split(rho_ab.dims, sigma_ab.dims, parts=2)
     after = relative_entropy(rho_ab.reduced([0]), sigma_ab.reduced([0]))
     surrogate = exp_log_combination([(1.0, sigma_ab, (0, 1)), (-1.0, sigma_ab, (0,)),
                                      (1.0, rho_ab, (0,))])
@@ -394,8 +380,7 @@ def check_trace_exp_bound(
     Requires rho_B = sigma_B or sigma_B = tau_B (spectral norm within
     TOL_IDENTITY); raises MarginalMismatch otherwise.
     """
-    _same_dims(rho, sigma, tau)
-    require_tripartite(rho)
+    same_split(rho.dims, sigma.dims, tau.dims, parts=3)
     surrogate, dev = _matched_surrogate(rho, sigma, tau, ("rho", "sigma", "tau"))
     return _result("trace-exp-bound", tol, lambda v, _: 1.0 - v,
                    trace_value=real_trace(surrogate), marginal_dev=dev)
@@ -414,8 +399,7 @@ def check_bsw_identity(
     I(A:C|B) + S(rho_AB||sigma_AB) + S(rho_BC||tau_BC) - S(rho_B||omega_B), within
     TOL_IDENTITY: an identity, so ``tol`` is not read.
     """
-    _same_dims(rho, sigma, tau, omega)
-    require_tripartite(rho)
+    same_split(rho.dims, sigma.dims, tau.dims, omega.dims, parts=3)
     reference = exp_log_combination([(1.0, sigma, AB), (1.0, tau, BC), (-1.0, omega, B)])
     lhs = relative_entropy(rho, reference)
     rhs = (
@@ -436,8 +420,7 @@ def check_super_ssa(
 ) -> Results:
     """Relative entropy to a two-marginal exp-log reference dominates
     I(A:C|B) plus half the AB and BC relative entropies."""
-    _same_dims(rho, sigma)
-    require_tripartite(rho)
+    same_split(rho.dims, sigma.dims, parts=3)
     reference = exp_log_combination([(1.0, sigma, AB), (1.0, sigma, BC), (-1.0, sigma, B)])
     lhs = relative_entropy(rho, reference)
     rhs = (
@@ -460,8 +443,7 @@ def check_three_state_chain(
     Needs sigma_B = tau_B or tau_B = omega_B so that the surrogate is
     subnormalized; then S(rho||S) dominates the square-root overlap chain.
     """
-    _same_dims(rho, sigma, tau, omega)
-    require_tripartite(rho)
+    same_split(rho.dims, sigma.dims, tau.dims, omega.dims, parts=3)
     surrogate, dev = _matched_surrogate(sigma, tau, omega, ("sigma", "tau", "omega"))
     surrogate = Hermitian(surrogate)
     return _sqrt_chain(
@@ -914,7 +896,7 @@ def explore_ptrace_petz(
     rho_ab: DensityMatrix, sigma_ab: DensityMatrix, tol: float = TOL_INEQ
 ) -> Results:
     """The same comparison for discarding the second subsystem."""
-    channel = ptrace_channel(_bipartite_dims(rho_ab, sigma_ab), 1)
+    channel = ptrace_channel(same_split(rho_ab.dims, sigma_ab.dims, parts=2), 1)
     rho_a, sigma_a = rho_ab.reduced([0]), sigma_ab.reduced([0])
     gap = relative_entropy(rho_ab, sigma_ab) - relative_entropy(rho_a, sigma_a)
     recovered = PetzMap(channel, sigma_ab).apply(rho_a)

@@ -206,9 +206,7 @@ def cmd_trotter(args) -> int:
     path = getattr(args, "state", None)  # the optional tripartite state file
     if path:
         loaded = read_value(path, "state")
-        if len(loaded.dims) != 3:
-            raise BadConfig("trotter needs a tripartite state file")
-        dims = loaded.dims
+        dims = SUITES["trotter-bound"].check_dims(loaded.dims)
         instance = {"rho": loaded}
         runs = [(0, instance, SUITES["trotter-bound"].run(instance, tol, opts))]
     else:

@@ -16,11 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadAlpha, DimMismatch, SingularTerm, ZeroOverlap
+from .errors import BadAlpha, SingularTerm, ZeroOverlap
 from .linalg import (
     Hermitian,
     as_hermitian,
     as_matrix,
+    as_pair,
     each,
     embed,
     herm_eig,
@@ -77,10 +78,7 @@ def relative_entropy(
     Only a row whose sigma has a kernel (psd_support) takes the leak test: full support holds
     any supp(rho), and for ||rho|| <= 1, as every caller passes, ||off rho off|| = O((d u)^2).
     """
-    s = as_matrix(sigma, what="sigma")
-    r = as_matrix(rho, s.shape[-1], "rho")
-    if r.shape != s.shape:  # the leak test below pairs the rows of rho and sigma
-        raise DimMismatch(f"rho and sigma hold different stacks: {r.shape} vs {s.shape}")
+    r, s = as_pair(rho, sigma)  # the leak test below pairs the rows of rho and sigma
     s_eig = spectrum_of(sigma)
     inside = np.asarray(s_eig.support.all(axis=-1))
     if (kernel := ~inside).any():  # the rows whose sigma has a kernel; 2-D as a stack of one
@@ -112,7 +110,7 @@ def renyi(
     gives the list of their values, from one power stack per block (states.grids).
     """
     require_alpha_window(alpha)
-    as_matrix(rho, as_matrix(sigma, what="sigma").shape[-1], "rho")
+    as_pair(rho, sigma)
     r_eig, s_eig = spectrum_of(rho), spectrum_of(sigma)
     values = []
     for a in grids(np.atleast_1d(alpha), r_eig.eigenvalues.shape[:-1], r_eig.eigenvalues.shape[-1]):
@@ -131,7 +129,7 @@ def overlap_lower_bound(
     This quantity sits between the relative entropy and the squared
     Hilbert-Schmidt distance of the square roots whenever Tr sigma <= 1.
     """
-    as_matrix(rho, as_matrix(sigma, what="sigma").shape[-1], "rho")
+    as_pair(rho, sigma)
     overlap = real_trace(matrix_sqrt(rho) @ matrix_sqrt(sigma))
     if np.any(np.asarray(overlap) <= 0.0):
         raise ZeroOverlap("Tr sqrt(rho) sqrt(sigma) is not positive")

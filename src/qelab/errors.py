@@ -13,7 +13,7 @@ class QelabError(Exception):
 
 
 class DimMismatch(QelabError):
-    """Operator shapes or subsystem dimensions are inconsistent."""
+    """Operator shapes, subsystem splits or indices are inconsistent (linalg states each rule)."""
 
 
 class NonFinite(QelabError):
@@ -46,10 +46,6 @@ class BadRank(QelabError):
 
 class InconsistentBlocks(QelabError):
     """Markov block data do not assemble into a valid state."""
-
-
-class NotTripartite(QelabError):
-    """An operation that needs exactly three subsystems got something else."""
 
 
 class BadAlpha(QelabError):

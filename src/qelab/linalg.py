@@ -8,6 +8,9 @@ Conventions
   so ``kron(A, B)`` acts on the first factor slowest.
 * One operand-size rule (as_matrix, require_hermitian, ptrace, embed): a square matrix or stack,
   of side d when d is given, else the DimMismatch "shape mismatch" that names the operand.
+  Operands paired row for row (as_pair) hold stacks of one shape.
+* One split rule (split, same_split, subsystems): dims are ints >= 1, as many as asked, of the
+  operator's side as product; states share one split; an index names a part; else "split mismatch".
 * Matrix functions are evaluated through the eigendecomposition and the
   result is re-Hermitized, so f(H) of a Hermitian H is exactly Hermitian.
 * One support rule, psd_support: eigenvalues at or below RANK_CUTOFF * max_eigenvalue
@@ -253,6 +256,15 @@ def as_matrix(op: Hermitian | np.ndarray, d: int | None = None,
     return _sized(op.mat if isinstance(op, Hermitian) else np.asarray(op, dtype=complex), d, what)
 
 
+def as_pair(rho: Hermitian | np.ndarray, sigma: Hermitian | np.ndarray) -> tuple:
+    """as_matrix of rho and sigma, rho of sigma's side, when their rows pair; else DimMismatch."""
+    s = as_matrix(sigma, what="sigma")
+    r = as_matrix(rho, s.shape[-1], "rho")
+    if r.shape != s.shape:
+        raise DimMismatch(f"rho and sigma hold different stacks: {r.shape} vs {s.shape}")
+    return r, s
+
+
 def as_hermitian(x: Hermitian | np.ndarray) -> np.ndarray:
     """The frozen matrix of a Hermitian, or a raw x checked by require_hermitian and hermitized."""
     return x.mat if isinstance(x, Hermitian) else hermitize(require_hermitian(x))
@@ -386,12 +398,33 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def _check_dims(x: np.ndarray, dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimMismatch(f"subsystem dimensions must be >= 1, got {dims}")
-    _sized(x, math.prod(dims), f"operator on dims {dims}")
+def split(dims: Sequence[int], d: int | None = None, parts: int | None = None,
+          what: str = "state") -> tuple[int, ...]:
+    """dims as a tuple of ints >= 1, ``parts`` of them and of product d when given; else the
+    package's one split error, a DimMismatch that names the operand."""
+    dims = tuple(map(int, dims))
+    if (dims and min(dims) < 1 or parts is not None and len(dims) != parts
+            or d is not None and math.prod(dims) != d):
+        want = f"{parts or 'any'} dims >= 1" + ("" if d is None else f" with product {d}")
+        raise DimMismatch(f"split mismatch: {what} has dims {dims}, expected {want}")
     return dims
+
+
+def same_split(*splits: Sequence[int], parts: int | None = None) -> tuple[int, ...]:
+    """The one split (split, of ``parts`` parts when given) that states on these dims share."""
+    first = split(splits[0], parts=parts, what="state 0")
+    for i, dims in enumerate(splits[1:], 1):
+        if tuple(dims) != first:
+            raise DimMismatch(f"split mismatch: state {i} has dims {tuple(dims)}, expected {first}")
+    return first
+
+
+def subsystems(dims: tuple[int, ...], index: Iterable[int], what: str) -> list[int]:
+    """The distinct indices ``what``, ascending, each a part of dims; else the split DimMismatch."""
+    index = sorted(set(map(int, index)))
+    if index and (index[0] < 0 or index[-1] >= len(dims)):
+        raise DimMismatch(f"split mismatch: {what} {index} names a part outside dims {dims}")
+    return index
 
 
 def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
@@ -400,12 +433,10 @@ def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
     The kept subsystems retain their relative order, so the result acts on
     the tensor product of dims[k] for k in sorted(keep).
     """
-    x = np.asarray(x)
-    dims = _check_dims(x, dims)
+    dims = split(dims, what="operator")
+    x = _sized(np.asarray(x), math.prod(dims), f"operator on dims {dims}")
     n = len(dims)
-    keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise DimMismatch(f"keep={keep} out of range for {n} subsystems")
+    keep = subsystems(dims, keep, "keep")
     if len(keep) == n:
         return x.copy()
     lead = x.shape[:-2]
@@ -423,11 +454,9 @@ def _embed_plan(dims: tuple, acting_on: tuple, batch: int) -> tuple:
     """What embed needs for an operator with ``batch`` leading axes, once per argument: the
     dimension the operator acts on, the read-only identity on the other subsystems, the
     tensor shape of kron(op, identity), the transpose of its axes onto ``dims``, the total."""
-    dims = tuple(int(d) for d in dims)
-    acting_on = sorted(set(int(k) for k in acting_on))
+    dims = split(dims, what="embedding")
+    acting_on = subsystems(dims, acting_on, "acting_on")
     n = len(dims)
-    if any(k < 0 or k >= n for k in acting_on):
-        raise DimMismatch(f"acting_on={acting_on} out of range for {n} subsystems")
     rest = [i for i in range(n) if i not in acting_on]
     eye = np.eye(math.prod(dims[i] for i in rest))  # [[1.0]] when op acts on every subsystem
     eye.setflags(write=False)

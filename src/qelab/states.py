@@ -1,8 +1,9 @@
 """Density operators, block-structured Markov states and random-state ensembles.
 
 A DensityMatrix carries the dimensions of the subsystems it lives on (one subsystem
-unless told otherwise), so a bipartite or tripartite state is the same object as a flat
-one, and ``marginal`` traces it down.  States are immutable: the wrapped array, whose
+unless told otherwise), held to linalg.split, so a bipartite or tripartite state is the
+same object as a flat one, and ``marginal`` traces it down; require_tripartite holds a
+state to three parts.  States are immutable: the wrapped array, whose
 shape linalg.as_matrix checks before anything reads it, is frozen at construction and
 every operation returns a new object.  Randomness always flows through an explicit
 ``numpy.random.Generator`` so that every ensemble is reproducible from its seed alone.
@@ -28,7 +29,6 @@ from .errors import (
     DimMismatch,
     InconsistentBlocks,
     NonFinite,
-    NotTripartite,
 )
 from .linalg import (
     Hermitian,
@@ -40,6 +40,7 @@ from .linalg import (
     psd_support,
     ptrace,
     real_trace,
+    split,
 )
 from .tolerances import TOL_PSD, TOL_TRACE
 
@@ -181,10 +182,7 @@ class DensityMatrix(SubnormalizedOperator):
             super().__init__(mat)
             self.dims = (self.dim,)
         if dims is not None:
-            dims = tuple(int(d) for d in dims)
-            if math.prod(dims) != self.dim:
-                raise DimMismatch(f"dims {dims} do not multiply to {self.dim}")
-            self.dims = dims
+            self.dims = split(dims, self.dim)
 
     def reduced(self, keep: Sequence[int]) -> DensityMatrix:
         """The state on the subsystems in ``keep``: the partial trace of the frozen matrix (or
@@ -222,8 +220,7 @@ AB, B, BC = (0, 1), (1,), (1, 2)  # the parts of a tripartite state A:B:C, by su
 
 
 def require_tripartite(state: DensityMatrix) -> DensityMatrix:
-    if len(state.dims) != 3:
-        raise NotTripartite(f"need exactly 3 subsystems, got {len(state.dims)}")
+    split(state.dims, parts=3)
     return state
 
 

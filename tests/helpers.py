@@ -15,8 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from qelab.entropy import relative_entropy
-from qelab.errors import NotTripartite
-from qelab.linalg import kron
+from qelab.linalg import kron, split
 from qelab.states import (
     AB,
     B,
@@ -35,9 +34,7 @@ def random_tripartite(
     dims: Sequence[int], rng: np.random.Generator, rank: int | None = None
 ) -> DensityMatrix:
     """Random tripartite state on dims = (dA, dB, dC)."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3:
-        raise NotTripartite(f"need 3 dimensions, got {dims}")
+    dims = split(dims, parts=3)
     return DensityMatrix(random_density(math.prod(dims), rng, rank=rank), dims)
 
 

@@ -7,6 +7,7 @@ reproduce them.
 
 from __future__ import annotations
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -301,7 +302,8 @@ def test_ptrace_strengthening_self_pair_zero():
 @pytest.mark.parametrize("checker", [check_ptrace_strengthening, checks.explore_ptrace_petz])
 def test_ptrace_checker_and_exploration_need_a_bipartite_split(checker, dims):
     rho, sigma = (DensityMatrix(st, dims) for st in _pair(8, 13))
-    with pytest.raises(DimMismatch, match=rf"^need a bipartite split, got {len(dims)} parts$"):
+    want = rf"^split mismatch: state 0 has dims {re.escape(str(dims))}, expected 2 dims >= 1$"
+    with pytest.raises(DimMismatch, match=want):
         checker(rho, sigma)
 
 

@@ -185,6 +185,16 @@ def test_trotter_state_file_with_nan_is_a_config_error(tmp_path):
     assert "NaN or infinite" in proc.stderr
 
 
+def test_trotter_state_file_on_two_parts_is_a_config_error(tmp_path, capsys):
+    # the suite's own dims gate, as for --dims: a flag or file that the sampler cannot take
+    state = DensityMatrix(random_tripartite((2, 2, 2), np.random.default_rng(5)), (2, 4))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(serialize_value(state)))
+    code, out, err = _main(["trotter", str(path), "--nmax", "4"], capsys)
+    assert (code, out, err) == (
+        cli.EXIT_CONFIG, "", "config error: this suite needs exactly 3 subsystem dims, got [2, 4]\n")
+
+
 def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
     def boom(inst, tol, opts):
         raise RuntimeError("boom")
@@ -198,7 +208,7 @@ def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("kind, breaks, message", [
-    ("ptrace-petz", _flat_reference, "states live on different dims"),
+    ("ptrace-petz", _flat_reference, "split mismatch: state 1 has dims (4,), expected (2, 2)"),
     ("stronger-mono", _zero_channel, "channel output of the reference has ~zero"),
 ])
 def test_an_error_inside_an_exploration_chunk_is_its_trials_error(
@@ -924,8 +934,9 @@ def _one_part(*keys):
     ("monotonicity",
      lambda blob: {**blob, "sigma": serialize_value(random_density(4, np.random.default_rng(0)))},
      "shape mismatch: rho has shape (8, 8), expected 4 x 4"),
-    ("ssa", _one_part("rho"), "need exactly 3 subsystems, got 1"),
-    ("ptrace-strengthening", _one_part("rho_ab", "sigma_ab"), "need a bipartite split, got 1 parts"),
+    ("ssa", _one_part("rho"), "split mismatch: state has dims (8,), expected 3 dims >= 1"),
+    ("ptrace-strengthening", _one_part("rho_ab", "sigma_ab"),
+     "split mismatch: state 0 has dims (4,), expected 2 dims >= 1"),
 ], ids=["sizes", "ssa-one-part", "ptrace-one-part"])
 def test_replayed_states_that_do_not_fit_are_one_error(name, edit, message, tmp_path, capsys):
     instance, _ = run_trial(SUITES[name], (2, 2, 2), 0, 0, 1e-6, 1e-8)

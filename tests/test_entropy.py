@@ -26,10 +26,10 @@ from qelab.entropy import (
 )
 from qelab.errors import (
     BadAlpha,
+    DimMismatch,
     NonFinite,
     NotHermitian,
     NotPSD,
-    NotTripartite,
     SingularTerm,
     ZeroOverlap,
 )
@@ -282,7 +282,8 @@ def test_cmi_nonnegative():
 def test_cmi_requires_three_parts():
     rng = np.random.default_rng(16)
     pair = DensityMatrix(random_density(4, rng), (2, 2))
-    with pytest.raises(NotTripartite):
+    want = r"^split mismatch: state has dims \(2, 2\), expected 3 dims >= 1$"
+    with pytest.raises(DimMismatch, match=want):
         cmi(pair)
 
 

@@ -17,7 +17,6 @@ from qelab.errors import (
     InconsistentBlocks,
     NonFinite,
     NotPSD,
-    NotTripartite,
 )
 from qelab import states, suites
 from qelab.linalg import (
@@ -118,7 +117,8 @@ def test_multipartite_reduce_keeps_order():
     rb = DensityMatrix(state.marginal([1]), state.dims[1:2])
     assert rb.dims == (3,)
     assert np.trace(rb.mat).real == pytest.approx(1.0)
-    with pytest.raises(NotTripartite):
+    want = r"^split mismatch: state has dims \(3,\), expected 3 dims >= 1$"
+    with pytest.raises(DimMismatch, match=want):
         require_tripartite(rb)
 
 

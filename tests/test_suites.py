@@ -531,7 +531,8 @@ def failing_at(kind, bad_trial, breaks, raised=None, drawn=None):
 
 @pytest.mark.parametrize("chunk", [3, 50])
 @pytest.mark.parametrize("kind, breaks, error, message", [
-    ("ptrace-petz", _flat_reference, DimMismatch, "states live on different dims"),
+    ("ptrace-petz", _flat_reference, DimMismatch,
+     "split mismatch: state 1 has dims (4,), expected (2, 2)"),
     ("stronger-mono", _zero_channel, SingularSigma, "channel output of the reference has ~zero"),
     ("three-state-chain", _unmatched_middle, MarginalMismatch,
      "need sigma_B = tau_B or tau_B = omega_B"),
