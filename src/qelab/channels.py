@@ -37,6 +37,7 @@ from .linalg import (
     max_sv_within,
     ptrace,
     real_trace,
+    require_form,
     spectrum_of,
     split,
     subsystems,
@@ -73,12 +74,9 @@ class KrausChannel:
     """
 
     def __init__(self, kraus: Sequence[np.ndarray]):
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
-            raise DimMismatch("need at least one Kraus operator")
-        if any(k.ndim not in (2, 3) or k.shape != ops[0].shape for k in ops):
-            raise DimMismatch("Kraus operators must be matrices, or (n, d_out, d_in) stacks, "
-                              "all of one shape")
+        ops = [require_form(np.asarray(k, dtype=complex), "Kraus operator") for k in kraus]
+        if not ops or any(k.shape != ops[0].shape for k in ops):
+            raise DimMismatch("need one or more Kraus operators, all of one shape")
         d_out, d_in = ops[0].shape[-2:]
         self.kraus = tuple(ops)
         self.d_in = d_in

@@ -49,6 +49,7 @@ from .linalg import (
     dagger,
     each,
     embed,
+    finite,
     first_flagged,
     herm_eig,
     hermitize,
@@ -62,6 +63,7 @@ from .linalg import (
     per_row,
     ptrace,
     real_trace,
+    require_form,
     require_hermitian,
     row_indices,
     same_split,
@@ -557,17 +559,6 @@ def check_markov_roundtrip(
     return CheckResult("markov-roundtrip", quantities, min(slacks), 0.0)
 
 
-def _psd_int_power(g: np.ndarray, n: int) -> np.ndarray:
-    """g^n for PSD g and n >= 1: repeated squaring for powers of two, spectral otherwise."""
-    if n & (n - 1) == 0:
-        out = g
-        while n > 1:
-            out = out @ out
-            n >>= 1
-        return out
-    return matrix_power(g, float(n))
-
-
 def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[int, float]]:
     """(n, t_n) for each order n: the compressed-product traces of trotter_sequence."""
     require_tripartite(rho)
@@ -576,7 +567,8 @@ def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[i
         raise BadConfig(f"need positive compression orders, got {n_values}")
     traces = []
     for _, g in _compressed_product(_spectra(rho), rho.dims, [1.0 / n for n in n_values]):
-        traces += [real_trace(_psd_int_power(g_n, n)) for g_n, n in zip(g, n_values[len(traces):])]
+        traces += [real_trace(np.linalg.matrix_power(g_n, n))
+                   for g_n, n in zip(g, n_values[len(traces):])]
     return list(zip(n_values, traces))
 
 
@@ -726,9 +718,10 @@ def _concavity_gap(f, x1, x2, lam, d: int) -> tuple:
     bad = ~((0.0 <= weight) & (weight <= 1.0))
     if bad.any():
         raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
-    weight = weight[..., None, None]
-    at_mix = f(herm_eig(weight * as_matrix(x1, d, "x1") + (1.0 - weight) * as_matrix(x2, d, "x2")))
-    return at_mix, lam * f(spectrum_of(x1)) + (1.0 - lam) * f(spectrum_of(x2))
+    mat1, mat2 = (require_form(as_matrix(x, d, what), what) for x, what in ((x1, "x1"), (x2, "x2")))
+    with np.errstate(invalid="ignore"):  # an infinite entry mixes to NaN: NonFinite in herm_eig
+        mix = weight[..., None, None] * mat1 + (1.0 - weight[..., None, None]) * mat2
+    return f(herm_eig(mix)), lam * f(spectrum_of(x1)) + (1.0 - lam) * f(spectrum_of(x2))
 
 
 def check_lieb_concavity(
@@ -739,7 +732,7 @@ def check_lieb_concavity(
     tol: float = TOL_INEQ,
 ) -> Results:
     """Concavity of X -> Tr exp(H + log X) on positive definite X."""
-    h = require_hermitian(h, what="h")
+    h = require_hermitian(require_form(h, "h"), what="h")
 
     def f(x):
         return real_trace(matrix_exp(hermitize(h + matrix_log(x))))
@@ -762,7 +755,7 @@ def check_cl_concavity(
     alphas = [float(a) for a in alphas]
     if not alphas or min(alphas) < 1.0:
         raise BadAlpha(f"alphas must be >= 1, got {alphas}")
-    m = np.asarray(m, dtype=complex)
+    m = finite(require_form(np.asarray(m, dtype=complex), "m"))
 
     def traces(x):  # the trace at each alpha, one row per alpha
         batch = np.broadcast_shapes(m.shape[:-2], x.eigenvalues.shape[:-1])
@@ -779,8 +772,8 @@ def check_golden_thompson(
     a: np.ndarray, b: np.ndarray, tol: float = TOL_INEQ
 ) -> Results:
     """Tr e^(A+B) <= Tr e^A e^B for Hermitian A, B."""
-    a = require_hermitian(a, what="a")
-    b = require_hermitian(b, a.shape[-1], "b")
+    a = require_hermitian(require_form(a, "a"), what="a")
+    b = require_hermitian(require_form(b, "b"), a.shape[-1], "b")
     t_sum = real_trace(matrix_exp(hermitize(a + b)))
     t_prod = real_trace(matrix_exp(a) @ matrix_exp(b))
     return _result("golden-thompson", tol, lambda t_sum, t_prod: t_prod - t_sum,
@@ -801,8 +794,8 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
-    m_mat = as_matrix(m, what="m")
-    n_mat = as_matrix(n, m_mat.shape[-1], "n")
+    m_mat = require_form(as_matrix(m, what="m"), "m")
+    n_mat = require_form(as_matrix(n, m_mat.shape[-1], "n"), "n")
     m_eig, n_eig = spectrum_of(m), spectrum_of(n)
     sm, sn = matrix_sqrt(m_eig), matrix_sqrt(n_eig)
     for t in t_values:

@@ -9,6 +9,10 @@ Conventions
 * One operand-size rule (as_matrix, require_hermitian, ptrace, embed): a square matrix or stack,
   of side d when d is given, else the DimMismatch "shape mismatch" that names the operand.
   Operands paired row for row (as_pair) hold stacks of one shape.
+* One operand-form rule (require_form, finite): an operand of a typed entry (Hermitian,
+  KrausChannel, as_pair, as_hermitian, a checker's raw operand) is a matrix or an (n, rows, cols)
+  stack, else that DimMismatch, with finite entries, else NonFinite; primitives and channel maps
+  also take the (k, n, d, d) grid stacks of states.grids.
 * One split rule (split, same_split, subsystems): dims are ints >= 1, as many as asked, of the
   operator's side as product; states share one split; an index names a part; else "split mismatch".
 * Matrix functions are evaluated through the eigendecomposition and the
@@ -109,6 +113,13 @@ def hermitize(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + dagger(x))
 
 
+def finite(x: np.ndarray) -> np.ndarray:
+    """x, unless it has a NaN or infinite entry: the package's one NonFinite for an operand."""
+    if not np.isfinite(x).all():
+        raise NonFinite("matrix has a NaN or infinite entry")
+    return x
+
+
 def _singular_values(x: np.ndarray) -> np.ndarray:
     """Each matrix's singular values.  Where the SVD fails or gives a non-finite value, raises
     NonFinite for an x with a NaN or infinite entry and NoConvergence for a finite x."""
@@ -116,8 +127,8 @@ def _singular_values(x: np.ndarray) -> np.ndarray:
         values = np.linalg.svd(x, compute_uv=False)
         if np.isfinite(values).all():
             return values
-    raise (NoConvergence("singular value iteration failed or overflowed") if np.isfinite(x).all()
-           else NonFinite("matrix has a NaN or infinite entry"))
+    finite(x)
+    raise NoConvergence("singular value iteration failed or overflowed")
 
 
 def max_sv(x: np.ndarray) -> float | np.ndarray:
@@ -178,13 +189,21 @@ def is_hermitian(x: np.ndarray) -> bool | np.ndarray:
     return per_matrix(np.ones(x.shape[:-2], dtype=bool) if ok is None else ok)
 
 
-def _sized(x: np.ndarray, d: int | None, what: str) -> np.ndarray:
+def _sized(x: np.ndarray, d: int | None, what: str, *args) -> np.ndarray:
     """x when it is a square matrix, or a stack of them, of side d when d is given; else the
-    package's one operand-size error, a DimMismatch that names the operand."""
+    package's one operand-size error, a DimMismatch naming the operand, what.format(*args)."""
     if x.ndim < 2 or x.shape[-1] != x.shape[-2] or d is not None and x.shape[-1] != d:
-        want = "a square matrix" if d is None else f"{d} x {d}"
+        what, want = what.format(*args), "a square matrix" if d is None else f"{d} x {d}"
         raise DimMismatch(f"shape mismatch: {what} has shape {x.shape}, expected {want}")
     return x
+
+
+def require_form(x, what: str = "operand") -> np.ndarray:
+    """x as an array when it is a matrix or an (n, rows, cols) stack of them, the form of an
+    operand of a typed entry; else the size rule's DimMismatch."""
+    if (x := np.asarray(x)).ndim in (2, 3):
+        return x
+    raise DimMismatch(f"shape mismatch: {what} has shape {x.shape}, expected a matrix or a stack")
 
 
 def require_hermitian(x: np.ndarray, d: int | None = None, what: str = "matrix") -> np.ndarray:
@@ -221,13 +240,13 @@ def _eigh(h: np.ndarray) -> HermitianEigen:
 
 
 class Hermitian:
-    """A Hermitian matrix, or (n, d, d) stack, checked by require_hermitian, hermitized and frozen
-    when built, and not checked again: the one trusted operand type.  Its spectrum is _eigh's,
-    taken once, on first use, and kept read-only.  states.SubnormalizedOperator adds its own
-    checks; a reused channel image or surrogate is a plain Hermitian."""
+    """A Hermitian matrix, or (n, d, d) stack, held to require_form and require_hermitian, then
+    hermitized and frozen when built, and not checked again: the one trusted operand type.  Its
+    spectrum is _eigh's, taken once, on first use, and kept read-only.  SubnormalizedOperator
+    adds its own checks; a reused channel image or surrogate is a plain Hermitian."""
 
     def __init__(self, mat: np.ndarray):
-        self._mat = hermitize(require_hermitian(mat))
+        self._mat = hermitize(require_hermitian(require_form(mat, "operator")))
         self._mat.setflags(write=False)
 
     @property
@@ -257,17 +276,17 @@ def as_matrix(op: Hermitian | np.ndarray, d: int | None = None,
 
 
 def as_pair(rho: Hermitian | np.ndarray, sigma: Hermitian | np.ndarray) -> tuple:
-    """as_matrix of rho and sigma, rho of sigma's side, when their rows pair; else DimMismatch."""
-    s = as_matrix(sigma, what="sigma")
-    r = as_matrix(rho, s.shape[-1], "rho")
+    """as_matrix and require_form of rho and sigma, rho of sigma's side, when their rows pair."""
+    s = require_form(as_matrix(sigma, what="sigma"), "sigma")
+    r = require_form(as_matrix(rho, s.shape[-1], "rho"), "rho")
     if r.shape != s.shape:
         raise DimMismatch(f"rho and sigma hold different stacks: {r.shape} vs {s.shape}")
     return r, s
 
 
 def as_hermitian(x: Hermitian | np.ndarray) -> np.ndarray:
-    """The frozen matrix of a Hermitian, or a raw x checked by require_hermitian and hermitized."""
-    return x.mat if isinstance(x, Hermitian) else hermitize(require_hermitian(x))
+    """The frozen matrix of a Hermitian, or a raw x held to require_form and require_hermitian."""
+    return x.mat if isinstance(x, Hermitian) else hermitize(require_hermitian(require_form(x)))
 
 
 def spectrum_of(h: Spectral) -> HermitianEigen:
@@ -434,7 +453,7 @@ def ptrace(x: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> np.ndarra
     the tensor product of dims[k] for k in sorted(keep).
     """
     dims = split(dims, what="operator")
-    x = _sized(np.asarray(x), math.prod(dims), f"operator on dims {dims}")
+    x = _sized(np.asarray(x), math.prod(dims), "operator on dims {}", dims)
     n = len(dims)
     keep = subsystems(dims, keep, "keep")
     if len(keep) == n:

@@ -9,7 +9,7 @@ A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
 [{"weight", "ab": matrix, "bc": matrix}, ...]}.  A dumped instance value also
 carries its "type"; a state or spec file is the untagged body.  Anything
 malformed is a BadConfig naming where it is, and a NaN or infinite matrix entry
-is NonFinite; what decodes still validates itself as it is built (NotPSD,
+is linalg.finite's NonFinite; what decodes still validates itself as it is built (NotPSD,
 BadTrace, InconsistentBlocks, DimMismatch).  cli judges its flags with need, COUNT and GRID.
 """
 
@@ -22,7 +22,8 @@ import reprlib
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadConfig, DimMismatch, NonFinite
+from .errors import BadConfig, DimMismatch
+from .linalg import finite
 from .states import DensityMatrix, MarkovSpec, SubnormalizedOperator
 from .tolerances import TOL_INEQ
 
@@ -95,10 +96,7 @@ def _decode_matrix(obj, where: str) -> np.ndarray:
     re, im = (np.asarray(_field(obj, key, where, _ROWS), dtype=float) for key in ("re", "im"))
     if re.shape != im.shape:
         raise BadConfig(f"{where}: re and im have different shapes")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        # a raw matrix value reaches its checker unvalidated
-        raise NonFinite("matrix has a NaN or infinite entry")
-    return re + 1j * im
+    return finite(re) + 1j * finite(im)  # a raw matrix value reaches its checker unvalidated
 
 
 def serialize_value(value) -> dict:

@@ -28,12 +28,12 @@ from .errors import (
     BadTrace,
     DimMismatch,
     InconsistentBlocks,
-    NonFinite,
 )
 from .linalg import (
     Hermitian,
     as_matrix,
     dagger,
+    finite,
     first_flagged,
     hermitize,
     kron,
@@ -102,12 +102,6 @@ def _psd_certified(mat: np.ndarray) -> bool:
     return True
 
 
-def _finite(mat: np.ndarray) -> np.ndarray:
-    if not np.isfinite(mat).all():
-        raise NonFinite("matrix has a NaN or infinite entry")
-    return mat
-
-
 def _require_psd(mat: np.ndarray) -> None:
     """NotPSD unless mat, or each row of a stack, is PSD within the slack of psd_support: by
     _psd_certified, else by eigvalsh and psd_support, with their verdict and message."""
@@ -123,7 +117,7 @@ class SubnormalizedOperator(Hermitian):
     (n,) array of theirs, and ``row(i)`` is operator i."""
 
     def __init__(self, mat: np.ndarray):
-        super().__init__(_finite(np.asarray(mat, dtype=complex)))
+        super().__init__(finite(np.asarray(mat, dtype=complex)))
         _require_psd(self._mat)
         tr = real_trace(self._mat)
         bad = (tr < -TOL_TRACE) | (tr > 1.0 + TOL_TRACE)
@@ -204,7 +198,7 @@ def _derived_state(mat: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
     """The state over hermitize(mat), the bits validation stores, for a mat made from validated
     states in a way that keeps it Hermitian and within the PSD slack of psd_support (a mixture,
     a weighted direct sum of products): only its entries and trace are checked again."""
-    out = DensityMatrix._view(hermitize(_finite(mat)), dims=dims)
+    out = DensityMatrix._view(hermitize(finite(mat)), dims=dims)
     _check_unit_trace(out.trace)
     return out
 
@@ -248,14 +242,10 @@ class MarkovSpec:
             raise InconsistentBlocks("need one weight and one factor pair per block")
         _weights_total(self.weights)
         for ab, bc in zip(self.ab_factors, self.bc_factors):
-            if ab.dim % self.d_a != 0:
-                raise InconsistentBlocks(
-                    f"A-side factor dim {ab.dim} not divisible by d_a={self.d_a}"
-                )
-            if bc.dim % self.d_c != 0:
-                raise InconsistentBlocks(
-                    f"C-side factor dim {bc.dim} not divisible by d_c={self.d_c}"
-                )
+            for side, dim, edge in (("a", ab.dim, self.d_a), ("c", bc.dim, self.d_c)):
+                if dim % edge != 0:
+                    raise InconsistentBlocks(
+                        f"{side.upper()}-side factor dim {dim} not divisible by d_{side}={edge}")
 
     @property
     def block_dims(self) -> tuple[tuple[int, int], ...]:

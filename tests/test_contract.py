@@ -1,13 +1,16 @@
-"""The operand-size and split contracts: an operand of another size, or a state on another
-subsystem split, is one typed error at every entry.
+"""The operand-size, split and form contracts: an operand of another size, a state on another
+subsystem split, a 4-D operand or one with a NaN or infinite entry, is one typed error at every
+entry.
 
 Each row of SUITES and EXPLORATIONS, with one operand taken from the same trial sampled on
 another total dimension, raises a QelabError in process and exits 2 through ``qelab replay``
 with one ``error:`` line; the public constructors and entropy functionals raise DimMismatch.
 With one state relabelled on another split of its dimension, a row either gives the bits it
 gave before (it does not read the split) or raises a QelabError and replays to one
-``error: split mismatch`` line and exit 2.  Each rule is written once, in linalg, and no other
-module spells it.
+``error: split mismatch`` line and exit 2.  A 4-D operand, or a NaN or infinite entry, of a
+public constructor, entropy functional or checker raises DimMismatch or NonFinite, and a dump
+whose first matrix holds NaN or Infinity replays to one ``error:`` line and exit 2.  Each rule is
+written once, in linalg, and no other module spells it.
 """
 
 from __future__ import annotations
@@ -23,11 +26,24 @@ import pytest
 import qelab
 from qelab import cli, suites
 from qelab.channels import KrausChannel
-from qelab.entropy import exp_log_combination, overlap_lower_bound, relative_entropy, renyi
-from qelab.errors import BadConfig, DimMismatch, QelabError
-from qelab.linalg import embed
+from qelab.checks import (
+    check_audenaert_ps,
+    check_cl_concavity,
+    check_golden_thompson,
+    check_lieb_concavity,
+    check_monotonicity,
+)
+from qelab.entropy import (
+    exp_log_combination,
+    overlap_lower_bound,
+    relative_entropy,
+    renyi,
+    von_neumann,
+)
+from qelab.errors import BadConfig, DimMismatch, NonFinite, QelabError
+from qelab.linalg import Hermitian, embed
 from qelab.serialize import serialize_instance
-from qelab.states import DensityMatrix, random_density
+from qelab.states import DensityMatrix, SubnormalizedOperator, random_density
 from qelab.suites import EXPLORATIONS, SUITES, bind_instance, trial_rng
 
 DIMS = (2, 2, 2)
@@ -68,9 +84,8 @@ def _operands(name: str) -> list[str]:
     return keys if len(keys) > 1 or name == "twirl-identity" else []
 
 
-def _replay(name: str, instance: dict, tmp_path, capsys) -> tuple[int, str, str]:
-    """cli.main(["replay", ...]) of a dump of trial 0 at DIMS with this instance."""
-    blob = serialize_instance(instance)
+def _replay(name: str, blob: dict, tmp_path, capsys) -> tuple[int, str, str]:
+    """cli.main(["replay", ...]) of a dump of trial 0 at DIMS with this serialized instance."""
     dump = {"kind": name, "worst_instance": blob} if name in EXPLORATIONS else {
         "checker": name, "dims": list(DIMS), "seed": 0, "trial": 0, "tolerance": 1e-8,
         "opts": {}, "instance": blob}
@@ -106,7 +121,7 @@ def test_an_operand_of_another_size_is_one_typed_error(name, key, tmp_path, caps
     with pytest.raises(QelabError):
         suite.run(instance, 1e-8, {})
 
-    code, out, err = _replay(name, instance, tmp_path, capsys)
+    code, out, err = _replay(name, serialize_instance(instance), tmp_path, capsys)
     assert (code, out) == (cli.EXIT_CONFIG, ""), err
     assert err.startswith("error: ") and len(err.splitlines()) == 1, err
     if (name, key) in WERE_INTERNAL:
@@ -138,7 +153,7 @@ def test_a_state_on_another_split_gives_its_bits_or_one_split_error(
     try:
         result = suite.run(relabelled, 1e-8, {})
     except QelabError:
-        code, out, err = _replay(name, relabelled, tmp_path, capsys)
+        code, out, err = _replay(name, serialize_instance(relabelled), tmp_path, capsys)
         assert (code, out) == (cli.EXIT_CONFIG, ""), err
         assert err.startswith("error: split mismatch: ") and len(err.splitlines()) == 1, err
     else:  # the row does not read the split
@@ -226,5 +241,99 @@ def test_only_linalg_states_the_split_rule():
     for path in sorted(Path(qelab.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if OLD_SPLIT_WORDINGS.search(line) or "split mismatch" in line and path.name != "linalg.py":
+                offenders.append(f"{path.name}:{number}: {line.strip()}")
+    assert not offenders, offenders
+
+
+# A valid operand for the other arguments of each form row.
+MIXED = np.eye(4) / 4
+FORM_ENTRIES = {
+    "hermitian": Hermitian,
+    "subnormalized": SubnormalizedOperator,
+    "state": DensityMatrix,
+    "kraus": lambda x: KrausChannel([x]),
+    "von-neumann": von_neumann,
+    "relative-entropy-rho": lambda x: relative_entropy(x, MIXED),
+    "relative-entropy-sigma": lambda x: relative_entropy(MIXED, x),
+    "renyi-rho": lambda x: renyi(0.5, x, MIXED),
+    "renyi-sigma": lambda x: renyi(0.5, MIXED, x),
+    "overlap-rho": lambda x: overlap_lower_bound(x, MIXED),
+    "overlap-sigma": lambda x: overlap_lower_bound(MIXED, x),
+    "monotonicity-rho": lambda x: check_monotonicity(x, MIXED, KrausChannel([np.eye(4)])),
+    "monotonicity-sigma": lambda x: check_monotonicity(MIXED, x, KrausChannel([np.eye(4)])),
+    "golden-thompson-a": lambda x: check_golden_thompson(x, MIXED),
+    "golden-thompson-b": lambda x: check_golden_thompson(MIXED, x),
+    "lieb-h": lambda x: check_lieb_concavity(x, MIXED, MIXED, 0.5),
+    "lieb-x1": lambda x: check_lieb_concavity(MIXED, x, MIXED, 0.5),
+    "lieb-x2": lambda x: check_lieb_concavity(MIXED, MIXED, x, 0.5),
+    "carlen-lieb-m": lambda x: check_cl_concavity(x, MIXED, MIXED, 0.5),
+    "carlen-lieb-x1": lambda x: check_cl_concavity(MIXED, x, MIXED, 0.5),
+    "carlen-lieb-x2": lambda x: check_cl_concavity(MIXED, MIXED, x, 0.5),
+    "audenaert-m": lambda x: check_audenaert_ps(x, MIXED),
+    "audenaert-n": lambda x: check_audenaert_ps(MIXED, x),
+}
+
+
+def _with_entry(value: float) -> np.ndarray:
+    x = MIXED.astype(complex)
+    x[0, 1] = value
+    return x
+
+
+# Each bad operand, and the error and message it must raise: a (1, 1, 4, 4) stack of one
+# operand, which a grid stack of the primitives resembles, and one NaN or infinite entry.
+FORMS = {
+    "4d": (MIXED[None, None], DimMismatch,
+           r"shape mismatch: \w+( \w+)? has shape \(1, 1, 4, 4\), expected a matrix or a stack$"),
+    "nan": (_with_entry(np.nan), NonFinite, "matrix has a NaN or infinite entry$"),
+    "inf": (_with_entry(np.inf), NonFinite, "matrix has a NaN or infinite entry$"),
+    "minus-inf": (_with_entry(-np.inf), NonFinite, "matrix has a NaN or infinite entry$"),
+}
+
+
+@pytest.mark.parametrize("form", list(FORMS))
+@pytest.mark.parametrize("entry", list(FORM_ENTRIES))
+def test_a_public_entry_refuses_a_4d_or_non_finite_operand(entry, form):
+    """A builtins exception, a numpy warning (an error here) or a returned value fails the row."""
+    operand, error, message = FORMS[form]
+    with pytest.raises(error, match="^" + message):
+        FORM_ENTRIES[entry](operand.copy())
+
+
+def _first_matrix(blob):
+    """The first {"re", "im"} object of a serialized instance, depth first in key order: a
+    state, a raw matrix, a channel's first Kraus operator or a spec's first factor."""
+    if isinstance(blob, dict) and "re" in blob:
+        return blob
+    items = blob.values() if isinstance(blob, dict) else blob if isinstance(blob, list) else []
+    return next((m for m in map(_first_matrix, items) if m is not None), None)
+
+
+NON_FINITE_CASES = [(name, bad) for name in SUITES | EXPLORATIONS
+                    for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("name,bad", NON_FINITE_CASES,
+                         ids=[f"{name}-{bad}" for name, bad in NON_FINITE_CASES])
+def test_a_replayed_nan_or_infinity_is_one_non_finite_line(name, bad, tmp_path, capsys):
+    blob = serialize_instance(_instance(name, DIMS))
+    _first_matrix(blob)["re"][0][0] = bad  # written as NaN, Infinity or -Infinity
+    code, out, err = _replay(name, blob, tmp_path, capsys)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: matrix has a NaN or infinite entry\n")
+
+
+# The form rule's wordings, which linalg.py alone spells, and the Kraus test it replaced.
+FORM_WORDINGS = re.compile(r"expected a matrix or a stack|matrix has a NaN or infinite entry|"
+                           r"np\.isfinite")
+OLD_FORM_WORDINGS = re.compile(r"Kraus operators must be matrices|def _finite\b")
+
+
+def test_only_linalg_states_the_operand_form_rule():
+    """No module but linalg.py raises the form DimMismatch, spells the NonFinite of a NaN or
+    infinite entry or tests an array for finite entries, and none keeps an old form test."""
+    offenders = []
+    for path in sorted(Path(qelab.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if OLD_FORM_WORDINGS.search(line) or FORM_WORDINGS.search(line) and path.name != "linalg.py":
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert not offenders, offenders

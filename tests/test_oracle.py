@@ -191,6 +191,49 @@ def test_exp_log_references_stay_within_their_bars(case, monkeypatch):
     assert not beyond, f"error above its bar (error, bar): {beyond}"
 
 
+# Two 2,2,2 factors on A1 B1 C1 and A2 B2 C2, reordered to (A1 A2)(B1 B2)(C1 C2) = 4,4,4: the
+# subsystem of the product that each subsystem of the 4,4,4 order takes, slowest first.
+PRODUCT_ORDER = (0, 3, 1, 4, 2, 5)
+
+
+def _reordered(mat: np.ndarray) -> np.ndarray:
+    """A 64 x 64 matrix on A1 B1 C1 A2 B2 C2, each of dimension 2, as one on 4,4,4."""
+    axes = PRODUCT_ORDER + tuple(6 + k for k in PRODUCT_ORDER)
+    return mat.reshape((2,) * 12).transpose(axes).reshape(64, 64)
+
+
+# The full-rank pairs only: a product of the low-rank pairs regularized at 1e-6 has marginals
+# that are singular at the rank cutoff, where the surrogate is not defined.
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["full-0", "full-1", "full-2"])
+def test_cmi_and_the_ssa_surrogate_at_444_are_those_of_their_factors(case):
+    # On the reordered rho_1 (x) rho_2 every marginal is the reordered product of the factors'
+    # marginals, so I(A:C|B) adds over the factors, and log rho_AB - log rho_B + log rho_BC is
+    # the sum of theirs, each on its own factor: the surrogate is the reordered product of the
+    # factors' surrogates, each from the 40-digit oracle at d = 8.  The bars are item 17's, at
+    # d = 64; the float64 product's rounding of rho lies within eigh's backward error.  Tr S's
+    # bar is d times the surrogate's, as |Tr E| <= d ||E||.
+    factors = _pair(case)
+    state = DensityMatrix(_reordered(np.kron(factors[0].mat, factors[1].mat)), (4, 4, 4))
+    terms = [(1, state, AB), (-1, state, B), (1, state, BC)]
+    exact_cmi = sum(oracle.cmi(f.mat, DIMS) for f in factors)
+    surrogates = [oracle.exp_log([(sign, f.mat, part) for sign, _, part in terms], DIMS)
+                  for f in factors]
+    exact_trace = math.prod(mpmath.re(sum(s[i, i] for i in range(8))) for s in surrogates)
+    exact = _reordered(np.kron(*(np.array(s.tolist(), dtype=complex) for s in surrogates)))
+    got = checks.ssa_surrogate(state)
+    surrogate_bar = _exp_log_bar(terms, exact)
+    errors = {
+        "cmi": (abs(cmi(state) - float(exact_cmi)),
+                sum(_entropy_bar(m) for m in (state.mat, state.marginal(AB), state.marginal(B),
+                                              state.marginal(BC)))),
+        "surrogate": (np.linalg.norm(got - exact, 2), surrogate_bar),
+        "trace_surrogate": (abs(np.trace(got).real - float(exact_trace)), 64 * surrogate_bar),
+    }
+    print(f"product case {case}: cmi {float(exact_cmi):.3f}, errors", errors)
+    beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
 def _chain_state(dims, seed: int, haar: bool) -> DensityMatrix:
     """A classical chain p(a) p(b|a) p(c|b) with entries drawn in [0.5, 1.5] and normalized, on
     dims, rotated by Haar U_A (x) U_B (x) U_C when haar."""
