@@ -33,9 +33,10 @@ change that moves bits names the suites it moved:
   writes a worst dump, and bsw-identity is judged at TOL_IDENTITY whatever --tol says;
 * the parameter grids that run in blocks or reach np.power's scalar fast paths (GRIDS):
   markov-roundtrip's 8 t-samples, which split for d > 32 (seed 42's 40 trials hold two at
-  d = 36); the 4 alphas of renyi-monotone, dw-alpha, dw-tripartite and sbw-limit at 4,4,4,
-  one point per block on a 2-trial chunk, with the exponents 0.5 and 2.0 (sbw-limit fails
-  on that grid and writes a worst dump); trotter-bound's 7 orders on its one 40-trial chunk,
+  d = 36); the 4 alphas of dw-alpha, dw-tripartite and sbw-limit at 4,4,4, one point per
+  block on a 2-trial chunk, with the exponents 0.5 and 2.0 (sbw-limit fails on that grid and
+  writes a worst dump), beside renyi-monotone, which --alpha does not reach: it runs its own
+  9 orders 0.1 ... 0.9 there; trotter-bound's 7 orders on its one 40-trial chunk,
   in blocks of 3.  A lone trial at 4,4,4 (the last chunk of the 3-trial check) runs 2 points
   per block;
 * the 4 explorations with 100 trials at 2,2,2 and at 4,4,4, and with 300 trials at 2,2,2,

@@ -19,13 +19,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NotUnital, SingularSigma
+from .errors import DimMismatch, NotUnital, SingularSigma, need
 from .linalg import (
     Hermitian,
     HermitianEigen,
     _kraus_sum,
     as_matrix,
     dagger,
+    finite,
     first_flagged,
     herm_eig,
     hermitize,
@@ -43,6 +44,7 @@ from .linalg import (
     subsystems,
 )
 from .states import (
+    SIZE,
     SubnormalizedOperator,
     _haar_q,
     as_drawn,
@@ -146,7 +148,8 @@ class PetzMap:
 
     def __init__(self, channel: KrausChannel, sigma: SubnormalizedOperator,
                  image: np.ndarray | Hermitian | None = None):
-        as_matrix(sigma, channel.d_in, "recovery reference")
+        what = "recovery reference"  # a matrix, or a stack, of finite entries
+        finite(require_form(as_matrix(sigma, channel.d_in, what), what))
         image = channel.apply(sigma) if image is None else image
         tr = np.asarray(real_trace(as_matrix(image)))
         if np.any(tr <= RANK_CUTOFF):
@@ -160,7 +163,7 @@ class PetzMap:
             eig = HermitianEigen(np.where(singular[..., None], mixed_vals, vals),
                                  np.where(singular[..., None, None], mixed_vecs, vecs))
         self.channel = channel
-        self._sqrt_sigma = matrix_sqrt(sigma.spectrum)
+        self._sqrt_sigma = matrix_sqrt(spectrum_of(sigma))
         self._inv_sqrt_image = matrix_power(eig, -0.5)
 
     def apply(self, x: Hermitian | np.ndarray) -> np.ndarray:
@@ -188,10 +191,7 @@ def random_unital_channel(
 ) -> KrausChannel:
     """Mixed-unitary channel: Kraus sqrt(p_i) U_i with Haar unitaries U_i, or one per stream
     of a chunk as a stack."""
-    if d < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {d}")
-    if n_kraus < 1:
-        raise DimMismatch(f"need at least one Kraus operator, got {n_kraus}")
+    n_kraus = int(need(n_kraus, SIZE, "Kraus count", DimMismatch))  # random_unitaries tests d
     rngs = streams(rng)
     # Each stream draws its weights, then its unitaries, which random_unitaries writes by
     # blocks under _CHUNK_ENTRIES into the Kraus stacks, scaled in place.  The weights keep
@@ -207,8 +207,8 @@ def random_channel(
 ) -> KrausChannel:
     """Generic channel from a Haar-random isometry into d x env_dim, or one per stream of a
     chunk as a stack."""
-    if env_dim < 1:
-        raise DimMismatch(f"environment dimension must be >= 1, got {env_dim}")
+    d = int(need(d, SIZE, "dimension", DimMismatch))
+    env_dim = int(need(env_dim, SIZE, "environment dimension", DimMismatch))
     q = _haar_q(gaussians(streams(rng), (d * env_dim, d)))
     return as_drawn(rng, KrausChannel([q[:, i * d : (i + 1) * d, :] for i in range(env_dim)]))
 
@@ -246,8 +246,7 @@ def twirl_mc(
     one-sample loop, whatever the blocks.
     """
     x, da, db = _twirl_operand(x, dims)
-    if samples < 1:
-        raise DimMismatch(f"need at least one sample, got {samples}")
+    samples = int(need(samples, SIZE, "sample count", DimMismatch))
     acc = np.zeros_like(x)
     for block in capped(range(samples), x.size):
         u = random_unitaries(len(block), db, rng)

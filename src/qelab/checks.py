@@ -42,7 +42,7 @@ from .entropy import (
     require_alpha_window,
     von_neumann,
 )
-from .errors import BadAlpha, BadConfig, MarginalMismatch, ZeroOverlap
+from .errors import BadAlpha, BadConfig, MarginalMismatch, ZeroOverlap, grid, need, number
 from .linalg import (
     Hermitian,
     as_matrix,
@@ -50,7 +50,6 @@ from .linalg import (
     each,
     embed,
     finite,
-    first_flagged,
     herm_eig,
     hermitize,
     hs_norm,
@@ -241,9 +240,9 @@ def check_renyi_monotonicity(
     When 0.5 is on the grid, its value is also cross-checked against the
     closed-form root overlap -2 log Tr sqrt(rho) sqrt(sigma).
     """
-    alphas = [float(a) for a in alphas]
-    if len(alphas) < 2 or sorted(alphas) != alphas:
-        raise BadAlpha(f"need an ascending alpha grid, got {alphas}")
+    alphas = [float(a) for a in need(alphas, grid(), "alphas", BadAlpha)]
+    ascending = (lambda a: len(a) > 1 and sorted(a) == a, "an ascending grid of two or more orders")
+    need(alphas, ascending, "alphas", BadAlpha)  # renyi holds them to its window
 
     def result(closed, *values):
         quantities = {f"s_{a!r}": v for a, v in zip(alphas, values)}
@@ -518,6 +517,7 @@ def markov_characterizations(
     small together (Markov) or all bounded away (non-Markov).  The state must
     be full rank.
     """
+    need(t_samples, grid(), "t_samples")
     eig = _spectra(state)
     whole, dims = state.spectrum, state.dims
     i_val = cmi(state)
@@ -562,9 +562,7 @@ def check_markov_roundtrip(
 def _trotter_traces(rho: DensityMatrix, n_values: Sequence[int]) -> list[tuple[int, float]]:
     """(n, t_n) for each order n: the compressed-product traces of trotter_sequence."""
     require_tripartite(rho)
-    n_values = [int(n) for n in n_values]
-    if not n_values or any(n < 1 for n in n_values):
-        raise BadConfig(f"need positive compression orders, got {n_values}")
+    n_values = [int(n) for n in need(n_values, grid(1, integral=True), "compression orders")]
     traces = []
     for _, g in _compressed_product(_spectra(rho), rho.dims, [1.0 / n for n in n_values]):
         traces += [real_trace(np.linalg.matrix_power(g_n, n))
@@ -687,10 +685,8 @@ def check_sbw_limit(
     Phi^*(log Phi sigma))||_inf must decrease, within tol, as alpha descends and end below
     SBW_FINAL_TOL.  Any grid in (0, 1) runs once per distinct order, in descending order.
     """
-    alphas = sorted({float(a) for a in alphas}, reverse=True)
-    if not alphas:
-        raise BadAlpha("need at least one alpha")
     require_alpha_window(alphas)
+    alphas = sorted({float(a) for a in alphas}, reverse=True)
     pushed = _pushed(rho, sigma, channel)
     surrogate = _unital_surrogate(pushed)
 
@@ -715,9 +711,7 @@ def _concavity_gap(f, x1, x2, lam, d: int) -> tuple:
     x1, x2 and a weight lam, or stacks of them and the (n,) array of their weights.  f takes a
     spectrum (an operator's cached one is used) and runs on the mixture, then x1, then x2."""
     weight = np.asarray(lam)
-    bad = ~((0.0 <= weight) & (weight <= 1.0))
-    if bad.any():
-        raise BadAlpha(f"mixing weight must be in [0, 1], got {first_flagged(weight, bad)}")
+    need(lam, (grid if weight.ndim else number)(0, 1), "mixing weight", BadAlpha)
     mat1, mat2 = (require_form(as_matrix(x, d, what), what) for x, what in ((x1, "x1"), (x2, "x2")))
     with np.errstate(invalid="ignore"):  # an infinite entry mixes to NaN: NonFinite in herm_eig
         mix = weight[..., None, None] * mat1 + (1.0 - weight[..., None, None]) * mat2
@@ -752,9 +746,7 @@ def check_cl_concavity(
 ) -> Results:
     """Concavity of X -> Tr (M X^(1/alpha) M^dag)^alpha at each alpha >= 1 of a grid: one
     slack_<alpha> per alpha, and their minimum as the slack."""
-    alphas = [float(a) for a in alphas]
-    if not alphas or min(alphas) < 1.0:
-        raise BadAlpha(f"alphas must be >= 1, got {alphas}")
+    alphas = [float(a) for a in need(alphas, grid(1), "alphas", BadAlpha)]
     m = finite(require_form(np.asarray(m, dtype=complex), "m"))
 
     def traces(x):  # the trace at each alpha, one row per alpha
@@ -794,13 +786,11 @@ def check_audenaert_ps(
     ||M-N||_1)/2 for each t, and -2 log Tr sqrt M sqrt N >= ||sqrt M - sqrt
     N||_2^2 whenever both traces are <= 1.
     """
+    need(t_values, grid(0, 1), "interp parameter", BadAlpha)
     m_mat = require_form(as_matrix(m, what="m"), "m")
     n_mat = require_form(as_matrix(n, m_mat.shape[-1], "n"), "n")
     m_eig, n_eig = spectrum_of(m), spectrum_of(n)
     sm, sn = matrix_sqrt(m_eig), matrix_sqrt(n_eig)
-    for t in t_values:
-        if not 0.0 <= t <= 1.0:
-            raise BadAlpha(f"interp parameter must be in [0, 1], got {t}")
     batch = np.broadcast_shapes(m_mat.shape[:-2], n_mat.shape[:-2])
     crossed = [c for t in grids(t_values, batch, m_mat.shape[-1])
                for c in real_trace(matrix_power(m_eig, t) @ matrix_power(n_eig, 1.0 - t))]
@@ -812,7 +802,7 @@ def check_audenaert_ps(
         slacks = [c - half_min for c in crossed]
         quantities = {"trace_m": tr_m, "trace_n": tr_n}
         quantities.update(zip((f"audenaert_slack_{t!r}" for t in t_values), slacks))
-        extra_ok = min(slacks, default=math.inf) >= -tol
+        extra_ok = min(slacks) >= -tol
         if tr_m <= 1.0 + TOL_TRACE and tr_n <= 1.0 + TOL_TRACE and overlap > 0.0:
             bound_slack = -2.0 * math.log(overlap) - hs_diff**2
             quantities["overlap_bound_slack"] = bound_slack

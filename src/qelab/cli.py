@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import math
 import os
 import sys
 import traceback
@@ -31,10 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from . import checks
-from .errors import BadConfig, QelabError
+from .errors import BadConfig, QelabError, grid, need, number
 from .results import as_record, records_to_csv, records_to_json
-from .serialize import COUNT, GRID, check_dump, need, read_dump, read_value
-from .states import markov_state
+from .serialize import COUNT, GRID, check_dump, read_dump, read_value
+from .states import MIXING, markov_state
 from .suites import (
     EXPLORATIONS,
     SUITES,
@@ -58,9 +57,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise BadConfig(f"cannot parse dims {text!r}: {exc}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise BadConfig(f"dims must all be >= 1, got {text!r}")
-    return dims
+    return need(dims, grid(1, integral=True), "dims")
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -71,16 +68,8 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return need(values, GRID, f"{flag} values")  # the rule of a dump's options too
 
 
-def _checked_tol(tol: float) -> float:
-    if not (math.isfinite(tol) and tol > 0):
-        raise BadConfig(f"--tol must be positive and finite, got {tol}")
-    return tol
-
-
-def _checked_eps(eps: float) -> float:
-    if not 0.0 < eps < 1.0:
-        raise BadConfig(f"--eps must lie strictly between 0 and 1, got {eps}")
-    return eps
+def _tol_and_eps(args) -> tuple[float, float]:
+    return need(args.tol, number(0, strict=True), "--tol"), need(args.eps, MIXING, "--eps")
 
 
 def _effective_seed(seed: int) -> int:
@@ -95,12 +84,8 @@ def _effective_seed(seed: int) -> int:
 
 
 def _trotter_n_values(nmax: int) -> tuple[int, ...]:
-    if nmax < 1:
-        raise BadConfig(f"--nmax must be >= 1, got {nmax}")
-    values = [1]
-    while values[-1] * 2 <= nmax:
-        values.append(values[-1] * 2)
-    return tuple(values)
+    """The powers of two up to --nmax."""
+    return tuple(2**k for k in range(need(nmax, number(1, integral=True), "--nmax").bit_length()))
 
 
 def _suite_opts(args) -> dict:
@@ -137,7 +122,7 @@ def _say(message: str) -> None:
 def cmd_check(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
-    tol, eps = _checked_tol(args.tol), _checked_eps(args.eps)
+    tol, eps = _tol_and_eps(args)
     if args.suite == "all":
         names = list(SUITES)
     else:
@@ -201,7 +186,7 @@ def cmd_markov(args) -> int:
 
 def cmd_trotter(args) -> int:
     seed = _effective_seed(args.seed)
-    tol, eps = _checked_tol(args.tol), _checked_eps(args.eps)
+    tol, eps = _tol_and_eps(args)
     opts = {"n_values": _trotter_n_values(args.nmax)}
     path = getattr(args, "state", None)  # the optional tripartite state file
     if path:
@@ -231,9 +216,8 @@ def cmd_trotter(args) -> int:
 def cmd_explore(args) -> int:
     dims = _parse_dims(args.dims)
     seed = _effective_seed(args.seed)
-    report = explore_conjecture(
-        args.kind, args.trials, dims, seed, _checked_eps(args.eps), _checked_tol(args.tol)
-    )
+    tol, eps = _tol_and_eps(args)
+    report = explore_conjecture(args.kind, args.trials, dims, seed, eps, tol)
     _write_report(report, "json", args.out)
     _say(f"[{report['kind']}] trials={report['trials']} min_slack={report['min_slack']:.6e} "
          f"worst_trial={report['worst_trial']}")

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadAlpha, SingularTerm, ZeroOverlap
+from .errors import BadAlpha, SingularTerm, ZeroOverlap, grid, need, number
 from .linalg import (
     Hermitian,
     as_hermitian,
@@ -90,11 +90,10 @@ def relative_entropy(
 
 
 def require_alpha_window(alphas: float | Sequence[float]) -> None:
-    """BadAlpha unless each order of alphas (one, or a grid) lies strictly inside (0, 1), the
-    window of renyi and of the alpha-compressions; a NaN lies outside it."""
-    for a in np.atleast_1d(alphas):
-        if not 0.0 < a < 1.0:
-            raise BadAlpha(f"alpha must lie strictly between 0 and 1, got {a}")
+    """BadAlpha unless alphas, one order or a non-empty grid, lies strictly inside (0, 1), the
+    window of renyi and of the alpha-compressions."""
+    window = grid if np.ndim(alphas) else number
+    need(alphas, window(0, 1, strict=True), "alpha", BadAlpha)
 
 
 def renyi(

@@ -10,19 +10,18 @@ A matrix is {"re": rows, "im": rows}; a state adds "dims", a Kraus channel is
 carries its "type"; a state or spec file is the untagged body.  Anything
 malformed is a BadConfig naming where it is, and a NaN or infinite matrix entry
 is linalg.finite's NonFinite; what decodes still validates itself as it is built (NotPSD,
-BadTrace, InconsistentBlocks, DimMismatch).  cli judges its flags with need, COUNT and GRID.
+BadTrace, InconsistentBlocks, DimMismatch).  The tests of the values and of cli's --seed and
+grid flags (COUNT, GRID) are built by errors' number and grid, which need judges by.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import reprlib
 
 import numpy as np
 
 from .channels import KrausChannel
-from .errors import BadConfig, DimMismatch
+from .errors import BadConfig, DimMismatch, grid, need, number
 from .linalg import finite
 from .states import DensityMatrix, MarkovSpec, SubnormalizedOperator
 from .tolerances import TOL_INEQ
@@ -30,10 +29,6 @@ from .tolerances import TOL_INEQ
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    return _is_number(value) and math.isfinite(value)
 
 
 def _is_rows(value) -> bool:
@@ -44,31 +39,22 @@ def _is_rows(value) -> bool:
                for row in value)
 
 
-def _integer(least: int) -> tuple:
-    return (lambda value: _is_number(value) and isinstance(value, int) and value >= least,
-            f"an integer >= {least}")
+def _json_int(test: tuple) -> tuple:
+    """test, passed by a JSON integer alone: a dimension, seed or trial of 2.0 fails it."""
+    return (lambda value: isinstance(value, int) and test[0](value), test[1])
 
 
 # What a value must hold: a test and the words for it in an error message.
 _LIST = (lambda value: isinstance(value, list), "a list")
 _OBJECT = (lambda value: isinstance(value, dict), "a JSON object")
 _NUMBER = (_is_number, "a number")
-_TOLERANCE = (lambda value: _is_finite(value) and value >= 0, "a finite number >= 0")
-_DIM = _integer(1)
-COUNT = _integer(0)
+_TOLERANCE = number(0)
+_DIM, COUNT = (_json_int(number(least, integral=True)) for least in (1, 0))
 _DIM_LIST = (lambda value: _LIST[0](value) and all(map(_DIM[0], value)),
              "a list of integers >= 1")
-_DIMS = (lambda value: _DIM_LIST[0](value) and value, "a non-empty list of integers >= 1")
-GRID = (lambda value: _LIST[0](value) and value and all(map(_is_finite, value)),
-        "a non-empty list of finite numbers")
+_DIMS = (lambda value: _DIM_LIST[0](value) and value != [], "a non-empty list of integers >= 1")
+GRID = grid()
 _ROWS = (_is_rows, "a rectangular list of rows of numbers")
-
-
-def need(value, test: tuple, what: str):
-    """value when it passes ``test``, else BadConfig "<what> must be <test's words>"."""
-    if not test[0](value):
-        raise BadConfig(f"{what} must be {test[1]}, got {reprlib.repr(value)}")
-    return value
 
 
 def _object(obj, where: str) -> dict:

@@ -17,18 +17,13 @@ the chunk of one: it returns that chunk's ``row(0)``, with the same bits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BadConfig,
-    BadRank,
-    BadTrace,
-    DimMismatch,
-    InconsistentBlocks,
-)
+from .errors import BadRank, BadTrace, DimMismatch, InconsistentBlocks, grid, need, number
 from .linalg import (
     Hermitian,
     as_matrix,
@@ -45,6 +40,9 @@ from .linalg import (
 from .tolerances import TOL_PSD, TOL_TRACE
 
 _CHUNK_ENTRIES = 32 * 16 * 16  # entries of one stacked complex operand: 128 KiB at most
+# need's tests of a sampler's sizes and counts, and of regularize's eps and --eps
+SIZE = number(1, sys.maxsize, integral=True)
+MIXING = number(0, 1, strict=True)
 
 
 def capped(items: Sequence, entries: int) -> list[Sequence]:
@@ -235,8 +233,7 @@ class MarkovSpec:
     bc_factors: tuple[DensityMatrix, ...] = field(repr=False)
 
     def __post_init__(self):
-        if self.d_a < 1 or self.d_c < 1:
-            raise InconsistentBlocks("edge dimensions must be >= 1")
+        need((self.d_a, self.d_c), grid(1, integral=True), "edge dimensions", InconsistentBlocks)
         n = len(self.weights)
         if n == 0 or len(self.ab_factors) != n or len(self.bc_factors) != n:
             raise InconsistentBlocks("need one weight and one factor pair per block")
@@ -319,10 +316,7 @@ def random_unitaries(
     the stream of ``n`` ``random_unitary`` calls.  Draws and QR run in blocks of at most
     _CHUNK_ENTRIES entries; a stacked QR gives the bits of one QR per matrix.
     """
-    if d < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {d}")
-    if n < 1:
-        raise BadConfig(f"need at least one unitary, got {n}")
+    d, n = int(need(d, SIZE, "dimension", DimMismatch)), int(need(n, SIZE, "unitary count"))
     rngs = streams(rng)
     out = np.empty((n, len(rngs), d, d), dtype=complex)
     for row, stream in enumerate(rngs):
@@ -343,12 +337,8 @@ def random_density(
 ) -> DensityMatrix:
     """Random density matrix G G^dag / Tr from a d x rank complex Gaussian G, or one per
     stream of a chunk as a stack."""
-    if d < 1:
-        raise DimMismatch(f"dimension must be >= 1, got {d}")
-    if rank is None:
-        rank = d
-    if not 1 <= rank <= d:
-        raise BadRank(f"rank must be in 1..{d}, got {rank}")
+    d = int(need(d, SIZE, "dimension", DimMismatch))
+    rank = d if rank is None else int(need(rank, number(1, d, integral=True), "rank", BadRank))
     return as_drawn(rng, wishart(gaussians(streams(rng), (d, rank))))
 
 
@@ -367,8 +357,7 @@ def regularize(
     Mixing keeps a DensityMatrix, which was validated when it was built, Hermitian and within
     the PSD slack of psd_support, so only the trace of its mixture is checked again; a raw
     matrix is validated in full."""
-    if not 0.0 < eps < 1.0:
-        raise BadConfig(f"regularization weight must be in (0, 1), got {eps}")
+    need(eps, MIXING, "regularization weight")
     mat = as_matrix(state)
     d = mat.shape[-1]
     mixed = (1.0 - eps) * mat + (eps / d) * np.eye(d)

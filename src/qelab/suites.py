@@ -46,12 +46,13 @@ import numpy as np
 
 from . import checks
 from .channels import KrausChannel, random_channel, random_unital_channel
-from .errors import BadConfig, QelabError
+from .errors import BadConfig, QelabError, need
 from .linalg import hermitize, kron
 from .results import CheckResult
 from .serialize import exploration_report
 from .states import (
     _CHUNK_ENTRIES,
+    SIZE,
     DensityMatrix,
     MarkovSpec,
     SubnormalizedOperator,
@@ -337,7 +338,7 @@ def _run_twirl(
 ) -> CheckResult:
     # The Monte Carlo stream is seeded from the instance; judged at 0.0.
     rng = np.random.default_rng(int(mc_seed))
-    return checks.check_twirl_identity(x, (int(d_a), int(d_b)), rng, samples=int(samples))
+    return checks.check_twirl_identity(x, (int(d_a), int(d_b)), rng, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +368,8 @@ class Suite:
         dims = tuple(int(d) for d in dims)
         fewest, most = self.parts
         if len(dims) < fewest or (most is not None and len(dims) > most):
-            need = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
-            raise BadConfig(f"this suite needs {need} subsystem dims, got {list(dims)}")
+            want = f"exactly {fewest}" if fewest == most else f"at least {fewest}"
+            raise BadConfig(f"this suite needs {want} subsystem dims, got {list(dims)}")
         return dims
 
 
@@ -730,8 +731,7 @@ def iter_results(suite: Suite, dims: Sequence[int], trials: int, seed: int,
     with the bits of run_trial; instance() builds the trial's instance, so that a report
     builds only the row it writes.  The trial count and dims are checked at the call, before
     any trial runs."""
-    if trials < 1:
-        raise BadConfig(f"need at least one trial, got {trials}")
+    trials = int(need(trials, SIZE, "trials"))
     steps = _chunked_trials(suite, suite.check_dims(dims), trials, seed, eps, tol, opts or {})
     return ((trial, functools.partial(_instance_row, instance, row), result)
             for chunk, instance, results in steps

@@ -23,6 +23,9 @@ mpmath at DIGITS significant digits, through mp.eighe and scalar logarithms:
   operator errors e_a from their scalar forms;
 * commuting_renyi and commuting_chain, on rho = U diag(p) U^dag and sigma = mu U diag(q) U^dag,
   renyi-monotone's D_a and overlap-chain's links from their scalar forms.
+* unital_factor, the relative entropies before and after a channel, the trace of the unital
+  surrogate exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) and its root overlap
+  with rho, for any full-rank pair and channel: the factor values of a product instance.
 
 A matrix is taken as its Hermitian part, as qelab's functionals take it.  Eigenvalues must
 be positive: the oracle is meant for full-rank inputs, such as regularized states.
@@ -63,14 +66,17 @@ def von_neumann(rho) -> mpmath.mpf:
         return _entropy(_hermitian(rho))
 
 
+def _relent(r: mpmath.matrix, s: mpmath.matrix) -> mpmath.mpf:
+    s_vals, s_vecs, s_logs = _log_terms(s)
+    weights = s_vecs.H * r * s_vecs  # its diagonal holds <s_j|rho|s_j>
+    cross = mpmath.fsum(mpmath.re(weights[j, j]) * s_logs[j] for j in range(len(s_vals)))
+    return -_entropy(r) - cross
+
+
 def relative_entropy(rho, sigma) -> mpmath.mpf:
     """S(rho||sigma) = Tr rho log rho - Tr rho log sigma at DIGITS digits."""
     with mpmath.workdps(DIGITS):
-        r = _hermitian(rho)
-        s_vals, s_vecs, s_logs = _log_terms(_hermitian(sigma))
-        weights = s_vecs.H * r * s_vecs  # its diagonal holds <s_j|rho|s_j>
-        cross = mpmath.fsum(mpmath.re(weights[j, j]) * s_logs[j] for j in range(len(s_vals)))
-        return -_entropy(r) - cross
+        return _relent(_hermitian(rho), _hermitian(sigma))
 
 
 def _overlaps(rho, sigma, alphas: Sequence[float]) -> list[mpmath.mpf]:
@@ -268,3 +274,44 @@ def commuting_chain(p, q, mu: float = 1.0) -> list[mpmath.mpf]:
                 -2 * mpmath.log(mpmath.fsum(mpmath.sqrt(x * y) for x, y in zip(p, q))),
                 mpmath.fsum((mpmath.sqrt(x) - mpmath.sqrt(y)) ** 2 for x, y in zip(p, q)),
                 mpmath.fsum(abs(x - y) for x, y in zip(p, q)) ** 2 / 4]
+
+
+def _function(m: mpmath.matrix, f) -> mpmath.matrix:
+    """f of the Hermitian part of m, through mp.eighe."""
+    vals, vecs = mpmath.eighe((m + m.H) / 2)
+    return vecs * mpmath.diag([f(v) for v in vals]) * vecs.H
+
+
+def unital_factor(rho, sigma, kraus) -> tuple[mpmath.mpf, mpmath.mpf, mpmath.mpf, mpmath.mpf]:
+    """(S(rho||sigma), S(Phi rho||Phi sigma), Tr S, Tr sqrt(rho) sqrt(S)) at DIGITS digits for
+    the surrogate S = exp(log sigma + Phi^*(log Phi rho) - Phi^*(log Phi sigma)) of the channel
+    Phi whose Kraus operators are the float64 matrices kraus, read exactly: Phi and Phi^* are
+    exact sums of products, and each function of a matrix goes through mp.eighe.
+
+    On tensor products rho = (x)_k rho_k, sigma = (x)_k sigma_k and Phi = (x)_k Phi_k of trace
+    preserving Phi_k, the first two add over the factors and the last two multiply: Phi^* is
+    then a product of unital maps, so the exponent is a sum of terms each on its own factor.
+    """
+    with mpmath.workdps(DIGITS):
+        r, s = _hermitian(rho), _hermitian(sigma)
+        ks = [mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in k]) for k in kraus]
+
+        def apply(x):
+            return sum((k * x * k.H for k in ks[1:]), ks[0] * x * ks[0].H)
+
+        def dual(x):
+            return sum((k.H * x * k for k in ks[1:]), ks[0].H * x * ks[0])
+
+        pushed = [(y + y.H) / 2 for y in map(apply, (r, s))]
+        logs = [_function(x, _positive_log) for x in [s] + pushed]
+        surrogate = _function(logs[0] + dual(logs[1]) - dual(logs[2]), mpmath.exp)
+        overlap = _function(r, mpmath.sqrt) * _function(surrogate, mpmath.sqrt)
+        trace = mpmath.re(sum(surrogate[i, i] for i in range(surrogate.rows)))
+        return (_relent(r, s), _relent(*pushed), trace,
+                mpmath.re(sum(overlap[i, i] for i in range(overlap.rows))))
+
+
+def _positive_log(v: mpmath.mpf) -> mpmath.mpf:
+    if v <= 0:
+        raise ValueError(f"the oracle needs a positive definite matrix, got {v}")
+    return mpmath.log(v)

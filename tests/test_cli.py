@@ -117,7 +117,7 @@ def test_bad_tol_is_a_config_error(tol):
         proc = run_cli(*command, f"--tol={tol}")
         assert proc.returncode == 2, (command, proc.stderr)
         assert proc.stdout == ""
-        assert "--tol must be positive and finite" in proc.stderr
+        assert "--tol must be a finite number > 0" in proc.stderr
 
 
 @pytest.mark.parametrize("nmax", ["0", "-1"])
@@ -126,7 +126,7 @@ def test_check_nmax_below_one_is_a_config_error(nmax):
         proc = run_cli(*command, "--trials", "1", "--nmax", nmax)
         assert proc.returncode == 2, (command, proc.stderr)
         assert proc.stdout == ""
-        assert "--nmax must be >= 1" in proc.stderr
+        assert "--nmax must be an integer >= 1" in proc.stderr
 
 
 def _assert_config_error(proc, command):
@@ -1083,7 +1083,8 @@ def test_eps_outside_the_open_unit_interval_is_a_config_error(command, eps, monk
     monkeypatch.setattr("qelab.suites.run_trial", no_trial)
     code, out, err = _main(command + [f"--eps={eps}"], capsys)
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err == f"config error: --eps must lie strictly between 0 and 1, got {float(eps)}\n"
+    want = f"--eps must be a finite number strictly between 0 and 1, got {float(eps)}"
+    assert err == f"config error: {want}\n"
 
 
 def test_error_inside_a_trial_names_its_suite_and_trial(monkeypatch, capsys):

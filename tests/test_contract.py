@@ -11,13 +11,20 @@ gave before (it does not read the split) or raises a QelabError and replays to o
 public constructor, entropy functional or checker raises DimMismatch or NonFinite, and a dump
 whose first matrix holds NaN or Infinity replays to one ``error:`` line and exit 2.  Each rule is
 written once, in linalg, and no other module spells it.
+
+The parameter contract: an order, weight, count or grid that is empty, NaN, infinite, outside
+its window, not whole where it counts, or 10**400, is the entry's own QelabError at every
+public entry and CLI flag, and a dump that holds one replays to one error line and exit 2.  Its
+rule is written once, errors.need, and no other module raises BadAlpha or defines need.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +32,27 @@ import pytest
 
 import qelab
 from qelab import cli, suites
-from qelab.channels import KrausChannel
+from qelab.channels import (
+    KrausChannel,
+    PetzMap,
+    random_channel,
+    random_unital_channel,
+    twirl_mc,
+)
 from qelab.checks import (
     check_audenaert_ps,
     check_cl_concavity,
+    check_dw_tripartite,
     check_golden_thompson,
     check_lieb_concavity,
+    check_markov_roundtrip,
     check_monotonicity,
+    check_renyi_monotonicity,
+    check_sbw_limit,
+    check_twirl_identity,
+    dw_alpha_profile,
+    markov_characterizations,
+    trotter_sequence,
 )
 from qelab.entropy import (
     exp_log_combination,
@@ -40,11 +61,24 @@ from qelab.entropy import (
     renyi,
     von_neumann,
 )
-from qelab.errors import BadConfig, DimMismatch, NonFinite, QelabError
+from qelab.errors import (
+    BadAlpha,
+    BadConfig,
+    BadRank,
+    DimMismatch,
+    NonFinite,
+    QelabError,
+)
 from qelab.linalg import Hermitian, embed
 from qelab.serialize import serialize_instance
-from qelab.states import DensityMatrix, SubnormalizedOperator, random_density
-from qelab.suites import EXPLORATIONS, SUITES, bind_instance, trial_rng
+from qelab.states import (
+    DensityMatrix,
+    SubnormalizedOperator,
+    random_density,
+    random_unitaries,
+    regularize,
+)
+from qelab.suites import EXPLORATIONS, SUITES, bind_instance, iter_results, trial_rng
 
 DIMS = (2, 2, 2)
 # Other dims, in order of preference: a suite takes the first it accepts that gives the operand
@@ -271,6 +305,7 @@ FORM_ENTRIES = {
     "carlen-lieb-x2": lambda x: check_cl_concavity(MIXED, MIXED, x, 0.5),
     "audenaert-m": lambda x: check_audenaert_ps(x, MIXED),
     "audenaert-n": lambda x: check_audenaert_ps(MIXED, x),
+    "petz-sigma": lambda x: PetzMap(KrausChannel([np.eye(4)]), x),
 }
 
 
@@ -336,4 +371,202 @@ def test_only_linalg_states_the_operand_form_rule():
         for number, line in enumerate(path.read_text().splitlines(), 1):
             if OLD_FORM_WORDINGS.search(line) or FORM_WORDINGS.search(line) and path.name != "linalg.py":
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
+    assert not offenders, offenders
+
+
+def test_a_petz_map_takes_a_raw_matrix_reference_as_its_state():
+    """A raw-array sigma, validated by herm_eig, gives the bits of the same sigma as a state."""
+    channel = random_unital_channel(4, 3, np.random.default_rng(5))
+    sigma = random_density(4, np.random.default_rng(6))
+    x = random_density(4, np.random.default_rng(7)).mat
+    raw, state = PetzMap(channel, sigma.mat.copy()), PetzMap(channel, sigma)
+    assert np.array_equal(raw.apply(x), state.apply(x))
+
+
+# The operands of the parameter rows: a full-rank pair on DIMS and a unital channel, a Markov
+# spec, a twirl operand on (2, 3), and the 4 x 4 operands of the appendix checkers.
+_RNG = np.random.default_rng(31)
+RHO, SIGMA = (regularize(random_density(8, _RNG), 1e-3, DIMS) for _ in range(2))
+CHANNEL = random_unital_channel(8, 3, _RNG)
+SPEC = _instance("markov-roundtrip", DIMS)["spec"]
+X6 = random_density(6, _RNG).mat
+
+# entry: (call of the parameter's value, its error, an in-window value, a value outside the
+# window or None when every finite number is inside, whether the value counts); a grid entry
+# takes [in-window, bad] and the empty grid, a scalar entry the bad value alone.
+GRIDS = {
+    "renyi": (lambda a: renyi(a, RHO, SIGMA), BadAlpha, 0.5, 1.5, False),
+    "dw-alpha-profile": (lambda a: dw_alpha_profile(RHO, SIGMA, CHANNEL, a), BadAlpha, 0.5,
+                         1.0, False),
+    "dw-tripartite": (lambda a: check_dw_tripartite(RHO, a), BadAlpha, 0.5, 0.0, False),
+    "sbw-limit": (lambda a: check_sbw_limit(RHO, SIGMA, CHANNEL, a), BadAlpha, 0.5, -0.5, False),
+    "renyi-monotone": (lambda a: check_renyi_monotonicity(RHO, SIGMA, a), BadAlpha, 0.25, 1.5,
+                       False),
+    "carlen-lieb-alphas": (lambda a: check_cl_concavity(MIXED, MIXED, MIXED, 0.5, a), BadAlpha,
+                           2.0, 0.5, False),
+    "audenaert-t": (lambda t: check_audenaert_ps(MIXED, MIXED, t), BadAlpha, 0.5, 1.5, False),
+    "trotter-orders": (lambda n: trotter_sequence(RHO, n), BadConfig, 1, 0, True),
+    "markov-t-samples": (lambda t: markov_characterizations(RHO, t), BadConfig, 0.3, None, False),
+    "markov-roundtrip-t-samples": (lambda t: check_markov_roundtrip(SPEC, t), BadConfig, 0.3,
+                                   None, False),
+}
+SCALARS = {
+    "renyi-one-order": (lambda a: renyi(a, RHO, SIGMA), BadAlpha, 0.5, 1.5, False),
+    "lieb-weight": (lambda w: check_lieb_concavity(MIXED, MIXED, MIXED, w), BadAlpha, 0.5, -0.5,
+                    False),
+    "carlen-lieb-weight": (lambda w: check_cl_concavity(MIXED, MIXED, MIXED, w), BadAlpha, 0.5,
+                           1.5, False),
+    "regularize-eps": (lambda e: regularize(RHO, e), BadConfig, 0.5, 1.0, False),
+    "twirl-samples": (lambda n: twirl_mc(X6, (2, 3), np.random.default_rng(0), n), DimMismatch,
+                      3, 0, True),
+    "twirl-identity-samples": (
+        lambda n: check_twirl_identity(X6, (2, 3), np.random.default_rng(0), n), DimMismatch, 3,
+        0, True),
+    "density-dim": (lambda d: random_density(d, _RNG), DimMismatch, 4, 0, True),
+    "density-rank": (lambda r: random_density(4, _RNG, rank=r), BadRank, 2, 5, True),
+    "unitaries-dim": (lambda d: random_unitaries(2, d, _RNG), DimMismatch, 4, 0, True),
+    "unitaries-count": (lambda n: random_unitaries(n, 4, _RNG), BadConfig, 2, 0, True),
+    "unital-channel-dim": (lambda d: random_unital_channel(d, 2, _RNG), DimMismatch, 4, 0, True),
+    "unital-channel-kraus": (lambda n: random_unital_channel(4, n, _RNG), DimMismatch, 2, -1,
+                             True),
+    "channel-dim": (lambda d: random_channel(d, 2, _RNG), DimMismatch, 4, 0, True),
+    "channel-env-dim": (lambda n: random_channel(4, n, _RNG), DimMismatch, 2, 0, True),
+    "trials": (lambda n: next(iter_results(SUITES["ssa"], DIMS, n, 0)), BadConfig, 2, 0, True),
+}
+BAD = {"nan": math.nan, "inf": math.inf, "minus-inf": -math.inf, "huge": 10**400}
+
+
+def _bad_values(entry: str) -> dict:
+    """{label: value} of the bad values an entry is fed: each of BAD, the point outside its
+    window, a non-integral count, and for a grid the empty grid, each bad value on a grid after
+    an in-window one."""
+    _, _, good, outside, counts = (GRIDS | SCALARS)[entry]
+    bad = dict(BAD, **({} if outside is None else {"outside": outside}),
+               **({"non-integral": 2.5} if counts else {}))
+    if entry in SCALARS:
+        return bad
+    return {"empty": [], **{label: [good, value] for label, value in bad.items()}}
+
+
+PARAMETER_CASES = [(entry, label) for entry in GRIDS | SCALARS for label in _bad_values(entry)]
+
+
+@pytest.mark.parametrize("entry,label", PARAMETER_CASES,
+                         ids=[f"{entry}-{label}" for entry, label in PARAMETER_CASES])
+def test_a_bad_parameter_is_the_entry_s_own_error(entry, label):
+    """A builtins exception, a numpy warning (an error here) or a returned value fails the row."""
+    call, error = (GRIDS | SCALARS)[entry][:2]
+    with pytest.raises(error, match=" must be "):
+        call(_bad_values(entry)[label])
+
+
+@pytest.mark.parametrize("entry", list(GRIDS | SCALARS))
+def test_an_in_window_numpy_parameter_or_whole_float_count_is_accepted(entry):
+    call, _, good, _, counts = (GRIDS | SCALARS)[entry]
+    for value in [np.float64(good), np.array(good)] + ([np.int64(good), float(good)] if counts
+                                                       else []):
+        call([value, value] if entry == "renyi-monotone" else [value] if entry in GRIDS else value)
+
+
+def test_an_integral_order_runs_as_its_integer_and_a_fraction_is_refused():
+    assert repr(trotter_sequence(RHO, [1, 2.0])) == repr(trotter_sequence(RHO, [1, 2]))
+    with pytest.raises(BadConfig, match=r"^compression orders must be a non-empty list of "
+                                        r"integers >= 1, got \[1, 2.7\]$"):
+        trotter_sequence(RHO, [1, 2.7])
+
+
+# Each flag and the values it is fed through cli.main: the CLI's --tol, --eps, --nmax and the
+# ">= 1" of --dims; an int flag is fed the values that parse as an int.
+HUGE = "1" + "0" * 400
+FLAG_CASES = [(flag, value) for flag, values in (
+    ("--tol", ["nan", "inf", "-inf", "0", HUGE]),
+    ("--eps", ["nan", "inf", "-inf", "1", HUGE]),
+    ("--nmax", ["0", "-1", HUGE]),
+    ("--dims", ["2,0,2", f"2,{HUGE},2"]),
+) for value in values]
+
+
+@pytest.mark.parametrize("flag,value", FLAG_CASES,
+                         ids=[f"{flag}-{value[:8]}" for flag, value in FLAG_CASES])
+def test_a_bad_flag_is_one_config_line(flag, value, monkeypatch, capsys):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("qelab.suites.run_trial", no_trial)
+    monkeypatch.delenv("QEL_SEED", raising=False)
+    code = cli.main(["trotter", "--trials", "1", f"{flag}={value}"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_CONFIG, ""), err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1, err
+    assert f"{flag.lstrip('-')} must be " in err, err
+
+
+def _dump_of(name: str, **edits) -> dict:
+    """The check dump of trial 0 of a suite at DIMS, with its top-level keys edited."""
+    return {"checker": name, "dims": list(DIMS), "seed": 0, "trial": 0, "tolerance": 1e-8,
+            "opts": {}, "instance": serialize_instance(_instance(name, DIMS)), **edits}
+
+
+def _twirl_dump_of(samples) -> dict:
+    dump = _dump_of("twirl-identity")
+    dump["instance"]["samples"]["value"] = samples
+    return dump
+
+
+# Each dump holding a bad parameter, and the line it replays to: at the parent of the
+# parameter rule, the first three exited 4 with an OverflowError and the last wrote t_2.
+REPLAYS = {
+    "dw-alpha-huge-alpha": (_dump_of("dw-alpha", opts={"alphas": [10**400]}),
+                            "config error: dump.opts.alphas must be a non-empty list of "
+                            "finite numbers, got [1000"),
+    "huge-tolerance": (_dump_of("ssa", tolerance=10**400),
+                       "config error: dump.tolerance must be a finite number >= 0, got 1000"),
+    "twirl-huge-samples": (_twirl_dump_of(10**400),
+                           "error: sample count must be an integer in [1, 9223372036854775807], "
+                           "got 1000"),
+    "trotter-fractional-order": (_dump_of("trotter-bound", opts={"n_values": [1, 2.5]}),
+                                 "config error: compression orders must be a non-empty list of "
+                                 "integers >= 1, got [1, 2.5]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REPLAYS))
+def test_a_replayed_bad_parameter_is_one_error_line(case, tmp_path, capsys):
+    dump, line = REPLAYS[case]
+    path = tmp_path / "dump.json"
+    path.write_text(json.dumps(dump))
+    code = cli.main(["replay", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (cli.EXIT_CONFIG, ""), err
+    assert err.startswith(line) and len(err.splitlines()) == 1, err
+
+
+# The wordings of the hand-written parameter tests that errors.need replaced.
+OLD_PARAMETER_WORDINGS = re.compile(
+    r"must be positive and finite|must lie strictly between|need at least one (alpha|sample|"
+    r"unitary|Kraus|trial)|need positive compression orders|need an ascending alpha grid|"
+    r"must be in 1\.\.|must be in \[0, 1\]|must be in \(0, 1\)|must all be >= 1|"
+    r"def (_is_finite|_integer|_checked_tol|_checked_eps)\b")
+
+
+def test_only_errors_defines_the_parameter_rule():
+    """need is defined in errors.py alone, no module raises BadAlpha but through it, serialize
+    and cli import it from errors, and none spells a hand-written parameter test it replaced."""
+    offenders = []
+    for path in sorted(Path(qelab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            defines = isinstance(node, ast.FunctionDef) and node.name == "need"
+            if defines and path.name != "errors.py":
+                offenders.append(f"{path.name}:{node.lineno}: defines need")
+            if isinstance(node, ast.Raise) and "BadAlpha" in ast.unparse(node):
+                offenders.append(f"{path.name}:{node.lineno}: raises BadAlpha")
+            if (path.name in ("serialize.py", "cli.py") and isinstance(node, ast.ImportFrom)
+                    and "need" in [alias.name for alias in node.names] and node.module != "errors"):
+                offenders.append(f"{path.name}:{node.lineno}: imports need from {node.module}")
+        offenders += [f"{path.name}:{number}: {line.strip()}"
+                      for number, line in enumerate(text.splitlines(), 1)
+                      if OLD_PARAMETER_WORDINGS.search(line)]
+    for module in ("serialize", "cli"):
+        assert getattr(sys.modules[f"qelab.{module}"], "need") is qelab.errors.need, module
     assert not offenders, offenders

@@ -15,6 +15,8 @@ not widened to pass.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import mpmath
@@ -23,7 +25,7 @@ import pytest
 
 import oracle
 from qelab import checks
-from qelab.channels import KrausChannel
+from qelab.channels import KrausChannel, random_unital_channel
 from qelab.checks import (
     DEFAULT_DW_ALPHAS,
     DEFAULT_RENYI_ALPHAS,
@@ -230,6 +232,59 @@ def test_cmi_and_the_ssa_surrogate_at_444_are_those_of_their_factors(case):
         "trace_surrogate": (abs(np.trace(got).real - float(exact_trace)), 64 * surrogate_bar),
     }
     print(f"product case {case}: cmi {float(exact_cmi):.3f}, errors", errors)
+    beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
+    assert not beyond, f"error above its bar (error, bar): {beyond}"
+
+
+def _kron(*mats) -> np.ndarray:
+    return functools.reduce(np.kron, mats)
+
+
+def _unital_factors(seed: int) -> list[tuple]:
+    """Three d = 4 factors (rho_k, sigma_k, Phi_k): states regularized at 1e-3 and a
+    mixed-unitary channel of 4 Kraus operators."""
+    rng = np.random.default_rng([2041, seed])
+    return [(regularize(random_density(4, rng), 1e-3), regularize(random_density(4, rng), 1e-3),
+             random_unital_channel(4, 4, rng)) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_unital_checks_at_444_are_those_of_their_factors(seed):
+    # rho = (x)_k rho_k, sigma = (x)_k sigma_k and Phi = (x)_k Phi_k, whose 64 Kraus operators
+    # are the products of the factors' 4 each, at d = 64 on 4,4,4.  The relative entropies
+    # before and after Phi add over the factors; Phi^* is a product of unital maps, so the
+    # surrogate is the product of the factors' surrogates, and its trace and its root overlap
+    # Q = Tr sqrt(rho) sqrt(S) multiply.  Each factor's values come from the 40-digit oracle
+    # at d = 4.  The bars are the unital checks' Haar bar 8 d u (kappa + L), kappa the largest
+    # condition number and L the largest |log l_min| of rho, sigma, Phi rho and Phi sigma,
+    # and for the overlap bound -2 log Q, 2 dQ / Q: dQ <= Tr sqrt(rho) ||d sqrt(S)|| +
+    # Tr sqrt(S) ||d sqrt(rho)||, each square root's error its argument's over 2 sqrt(l_min).
+    factors = _unital_factors(seed)
+    exact = [oracle.unital_factor(rho.mat, sigma.mat, channel.kraus)
+             for rho, sigma, channel in factors]
+    rho, sigma = (DensityMatrix(_kron(*(f[i].mat for f in factors)), (4, 4, 4)) for i in (0, 1))
+    channel = KrausChannel([_kron(*ks) for ks in itertools.product(*(f[2].kraus for f in factors))])
+    chain = check_stronger_monotonicity(rho, sigma, channel).quantities
+    trace_value = check_unital_trace_bound(rho, sigma, channel).quantities["trace_value"]
+    before, after = (float(sum(e[i] for e in exact)) for i in (0, 1))
+    trace, overlap = (float(math.prod(e[i] for e in exact)) for i in (2, 3))
+
+    mats = (rho.mat, sigma.mat, channel.apply(rho.mat), channel.apply(sigma.mat))
+    spectra = [_spectrum(m) for m in mats]
+    unit = 8 * 64 * U * (max(s.max() / s.min() for s in spectra)
+                         + max(abs(math.log(s.min())) for s in spectra))
+    r, srg = spectra[0], _spectrum(checks._unital_surrogate(checks._pushed(rho, sigma, channel)))
+    d_overlap = (np.sqrt(r).sum() * unit * srg.max() / (2 * math.sqrt(srg.min()))
+                 + np.sqrt(srg).sum() * 64 * U * r.max() / (2 * math.sqrt(r.min())))
+    errors = {
+        "before": (abs(chain["before"] - before), unit),
+        "after": (abs(chain["after"] - after), unit),
+        "trace_surrogate": (abs(chain["trace_surrogate"] - trace), unit),
+        "trace_value": (abs(trace_value - trace), unit),
+        "overlap_bound": (abs(chain["overlap_bound"] + 2 * math.log(overlap)),
+                          2 * d_overlap / overlap),
+    }
+    print(f"unital product {seed}: errors", errors)
     beyond = {key: (err, bar) for key, (err, bar) in errors.items() if not err <= bar}
     assert not beyond, f"error above its bar (error, bar): {beyond}"
 
